@@ -120,12 +120,7 @@ def _theta0(args, m: model_mod.DescriptorModel) -> np.ndarray:
 
 
 def _freqs(args, m: model_mod.DescriptorModel) -> list[float]:
-    w = _csv_floats(args.freqs, "freqs")
-    if len(set(w)) != len(w):
-        raise InvalidInput(f"frequencies must be distinct, got {w}")
-    for wi in w:
-        response.lambda_at(m.time_domain, wi)  # range check for discrete time
-    return w
+    return response.check_freqs(m, _csv_floats(args.freqs, "freqs"))
 
 
 def run_validate(args) -> tuple:
@@ -305,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, theta0=False, freqs=False, csv_help=None):
         p.add_argument("--model", required=True, help="path to the model JSON file")
         p.add_argument("--seed", type=int, default=20260808, help="seed for all randomized probes")
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help="override the relative rank tolerance (default 1e-10)")
         p.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--timing", action="store_true",
                        help="embed wall-clock timing in the report (breaks byte-identical reproducibility)")
@@ -365,12 +358,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
-    if args.tol_rank is not None:
-        if not args.tol_rank > 0:
-            print("error: --tol-rank must be positive", file=sys.stderr)
-            return EXIT_USAGE
-        numkit.set_rank_rtol(args.tol_rank)
-
     started = time.monotonic()
     try:
         result = _RUNNERS[args.command](args)
@@ -413,7 +400,7 @@ def main(argv=None) -> int:
                 if args.command == "find-freqs" else None
             ),
             "tolerances": {
-                "rank_rtol": numkit.active_rank_rtol(),
+                "rank_rtol": numkit.DEFAULT_RANK_RTOL,
                 "pole_guard_rtol": response.POLE_GUARD_RTOL,
             },
         },

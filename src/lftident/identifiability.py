@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, response
-from .errors import FNRRViolation, InvalidInput, PoleProximity, WellPosednessViolation
+from .errors import FNRRViolation, InvalidInput, PoleProximity
 from .model import DescriptorModel
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "PiDecomposition",
     "IdentifiabilityVerdict",
     "psi",
-    "yv_kernel_basis",
     "pi_at",
     "single_freq_shortcut",
     "normal_row_rank",
@@ -100,12 +99,6 @@ def psi(model: DescriptorModel) -> PsiDecomposition:
     return PsiDecomposition(Psi=Psi, factors=numkit.svd_full(Psi))
 
 
-def yv_kernel_basis(model: DescriptorModel, omega: float) -> np.ndarray:
-    """Orthonormal complex basis of ker G_yv(j*omega) (zero columns when FCR)."""
-    g = response.g_blocks(model, omega)
-    return numkit.right_null_basis(g.G_yv)
-
-
 @dataclass(frozen=True)
 class PiDecomposition:
     """Per-frequency factors feeding the stacked rank test.
@@ -150,11 +143,7 @@ def pi_at(model: DescriptorModel, theta0, omega: float, kernel: np.ndarray | Non
         raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[0]}")
     P0 = model.p_of(t0)
     loop = np.eye(m_v) - P0 @ g.G_zv
-    sig = np.linalg.svd(loop, compute_uv=False)
-    if float(sig[-1]) < 1e-12 * max(float(sig[0]), 1.0):
-        raise WellPosednessViolation(
-            f"I - P(theta0) G_zv singular at omega={omega}"
-        )
+    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={omega}")
     Pi = loop @ K
     Pi_r, Pi_j = Pi.real, Pi.imag
     Pi_bar_r = np.hstack([Pi_r, -Pi_j])
@@ -344,11 +333,7 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     when Z shrinks to zero columns.
     """
     t0 = model.check_theta(theta0)
-    w = [float(x) for x in freqs]
-    if not w:
-        raise InvalidInput("at least one frequency is required")
-    if len(set(w)) != len(w):
-        raise InvalidInput(f"frequencies must be distinct, got {w}")
+    w = response.check_freqs(model, freqs)
 
     psi_dec = psi_dec if psi_dec is not None else psi(model)
     q = model.dims.q

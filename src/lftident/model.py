@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numkit
 from .errors import (
     InvalidInput,
     ModelFormatError,
@@ -300,10 +301,6 @@ class AssumptionReport:
     min_abs_pencil_det: float
     probe_lambdas: tuple[complex, ...]
 
-    @property
-    def passed(self) -> bool:
-        return True  # construction raises on violation
-
 
 def validate_assumptions(
     model: DescriptorModel,
@@ -331,12 +328,9 @@ def validate_assumptions(
     for theta in theta_samples:
         t = model.check_theta(theta)
         samples.append(tuple(float(v) for v in t))
-        loop = model.loop_matrix(t)
-        sig = np.linalg.svd(loop, compute_uv=False)
-        if sig[-1] <= 1e-12 * max(sig[0], 1.0):
-            raise WellPosednessViolation(
-                f"I - P(theta) D_zv singular at theta={t.tolist()} (sigma_min={sig[-1]:.3e})"
-            )
+        sig = numkit.loop_guard(
+            model.loop_matrix(t), f"I - P(theta) D_zv singular at theta={t.tolist()}"
+        )
         worst_cond = max(worst_cond, float(sig[0] / sig[-1]))
         A_t, _, _, _ = model.assembled(t)
         for lam in lams:

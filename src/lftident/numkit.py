@@ -1,11 +1,18 @@
 """Dense linear-algebra kernels with explicit rank tolerances.
 
 Every rank-sensitive decision in the package goes through :func:`rank_of`
-with the shared tolerance policy ``tol = sigma_max * max(rows, cols) * 1e-10``
+with the shared tolerance policy ``tol = sigma_max * max(rows, cols) * rtol``
 so that full-column-rank / full-row-rank claims are deterministic and
-scale-invariant.  Empty matrices are first-class citizens throughout: a
-matrix with zero columns is of full column rank, its right-null basis is
-zero-dimensional, and products over an empty inner dimension are zero.
+scale-invariant.  The default ``rtol`` is the fixed constant
+``DEFAULT_RANK_RTOL = 1e-10``; callers that need another margin pass
+``rtol`` (or an absolute ``tol``) explicitly, and no call can change the
+default for later ones.  Loop matrices such as ``I - P(theta) G_zv`` are
+checked by :func:`loop_guard`, which rejects a smallest singular value
+below ``LOOP_GUARD_RTOL = 1e-12`` times ``max(sigma_max, 1)``.
+
+Empty matrices are first-class citizens throughout: a matrix with zero
+columns is of full column rank, its right-null basis is zero-dimensional,
+and products over an empty inner dimension are zero.
 """
 
 from __future__ import annotations
@@ -16,50 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInput
+from .errors import InvalidInput, WellPosednessViolation
 
 __all__ = [
     "DEFAULT_RANK_RTOL",
-    "set_rank_rtol",
-    "active_rank_rtol",
+    "LOOP_GUARD_RTOL",
     "RankDecision",
     "SvdFactors",
     "as_matrix",
     "svd_full",
     "rank_of",
     "is_fcr",
-    "is_frr",
+    "loop_guard",
     "right_null_basis",
     "left_null_basis",
     "pinv",
-    "solvable_axb",
-    "gen_eig_psd_pencil",
     "gen_eig_psd_pencil_pairs",
-    "kron",
     "vec",
     "unvec",
-    "realify",
 ]
 
 DEFAULT_RANK_RTOL = 1e-10
-_active_rtol = DEFAULT_RANK_RTOL
-
-
-def set_rank_rtol(rtol: float) -> None:
-    """Process-wide override of the default relative rank tolerance.
-
-    Individual calls can still pass ``tol``/``rtol`` explicitly; this knob
-    exists so the CLI can pin one tolerance for a whole run and record it in
-    the report.
-    """
-    global _active_rtol
-    if not rtol > 0:
-        raise InvalidInput(f"rank rtol must be positive, got {rtol}")
-    _active_rtol = float(rtol)
-
-
-def active_rank_rtol() -> float:
-    return _active_rtol
+LOOP_GUARD_RTOL = 1e-12
 
 
 def as_matrix(A, name: str = "A") -> np.ndarray:
@@ -129,7 +114,7 @@ class SvdFactors:
         return self.decision.rank
 
 
-def svd_full(A, tol: float | None = None, rtol: float | None = None,
+def svd_full(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
              scale_floor: float = 0.0) -> SvdFactors:
     """Full SVD of ``A`` with range/null factors split at the rank tolerance.
 
@@ -149,7 +134,7 @@ def svd_full(A, tol: float | None = None, rtol: float | None = None,
     else:
         U, sigma, Vh = np.linalg.svd(M, full_matrices=True)
     if tol is None:
-        cut = _rank_tol(sigma, (m, n), _active_rtol if rtol is None else rtol, scale_floor)
+        cut = _rank_tol(sigma, (m, n), rtol, scale_floor)
     else:
         cut = float(tol)
     r = int(np.sum(sigma > cut))
@@ -165,7 +150,7 @@ def svd_full(A, tol: float | None = None, rtol: float | None = None,
     )
 
 
-def rank_of(A, tol: float | None = None, rtol: float | None = None,
+def rank_of(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
             scale_floor: float = 0.0) -> RankDecision:
     """Rank of ``A`` under the shared tolerance policy."""
     M = as_matrix(A)
@@ -173,26 +158,20 @@ def rank_of(A, tol: float | None = None, rtol: float | None = None,
         return RankDecision(rank=0, tol=0.0, singular_values=np.zeros(0))
     sigma = np.linalg.svd(M, compute_uv=False)
     if tol is None:
-        cut = _rank_tol(sigma, M.shape, _active_rtol if rtol is None else rtol, scale_floor)
+        cut = _rank_tol(sigma, M.shape, rtol, scale_floor)
     else:
         cut = float(tol)
     return RankDecision(rank=int(np.sum(sigma > cut)), tol=cut, singular_values=sigma)
 
 
-def is_fcr(A, tol: float | None = None, rtol: float | None = None,
+def is_fcr(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
            scale_floor: float = 0.0) -> bool:
     """True when ``A`` has full column rank (zero columns count as FCR)."""
     M = as_matrix(A)
     return rank_of(M, tol=tol, rtol=rtol, scale_floor=scale_floor).rank == M.shape[1]
 
 
-def is_frr(A, tol: float | None = None, rtol: float | None = None) -> bool:
-    """True when ``A`` has full row rank (zero rows count as FRR)."""
-    M = as_matrix(A)
-    return rank_of(M, tol=tol, rtol=rtol).rank == M.shape[0]
-
-
-def right_null_basis(A, tol: float | None = None, rtol: float | None = None,
+def right_null_basis(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
                      scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal columns spanning the right null space of ``A``.
 
@@ -203,9 +182,21 @@ def right_null_basis(A, tol: float | None = None, rtol: float | None = None,
     return svd_full(A, tol=tol, rtol=rtol, scale_floor=scale_floor).V2
 
 
-def left_null_basis(A, tol: float | None = None, rtol: float | None = None) -> np.ndarray:
+def left_null_basis(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
     """Orthonormal rows spanning the left null space of ``A``."""
     return svd_full(A, tol=tol, rtol=rtol).U2.conj().T
+
+
+def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
+    """Singular values of the square loop matrix ``M``, descending.
+
+    Raises WellPosednessViolation with ``message`` (and sigma_min appended)
+    when sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max, 1).
+    """
+    sig = np.linalg.svd(M, compute_uv=False)
+    if float(sig[-1]) < LOOP_GUARD_RTOL * max(float(sig[0]), 1.0):
+        raise WellPosednessViolation(f"{message} (sigma_min={sig[-1]:.3e})")
+    return sig
 
 
 def pinv(A) -> np.ndarray:
@@ -214,28 +205,6 @@ def pinv(A) -> np.ndarray:
     if min(M.shape) == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
     return np.linalg.pinv(M)
-
-
-def solvable_axb(A, B, C, tol: float | None = None):
-    """Decide solvability of ``A X B = C`` and return a particular solution.
-
-    Returns ``(True, A^+ C B^+)`` when both Moore-Penrose residual conditions
-    hold within the tolerance, else ``(False, None)``.  The tolerance defaults
-    to a scale-relative 1e-10 on the residual Frobenius norms.
-    """
-    Am, Bm, Cm = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
-    if Cm.shape != (Am.shape[0], Bm.shape[1]):
-        raise InvalidInput(
-            f"C must be {Am.shape[0]} x {Bm.shape[1]}, got {Cm.shape}"
-        )
-    scale = max(np.linalg.norm(Cm), 1.0)
-    cut = 1e-10 * scale if tol is None else float(tol)
-    Ap, Bp = pinv(Am), pinv(Bm)
-    left = Cm - Am @ (Ap @ Cm)
-    right = Cm - (Cm @ Bp) @ Bm
-    if np.linalg.norm(left) > cut or np.linalg.norm(right) > cut:
-        return False, None
-    return True, Ap @ Cm @ Bp
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
@@ -310,17 +279,6 @@ def gen_eig_psd_pencil_pairs(S, M, rtol: float = 1e-12):
     return values, vectors
 
 
-def gen_eig_psd_pencil(S, M, rtol: float = 1e-12) -> np.ndarray:
-    """Descending generalized eigenvalues of the PSD pencil (see pairs variant)."""
-    values, _ = gen_eig_psd_pencil_pairs(S, M, rtol=rtol)
-    return values
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(A), as_matrix(B))
-
-
 def vec(A) -> np.ndarray:
     """Column-major stacking of the columns of ``A`` into a vector."""
     return np.asarray(A).reshape(-1, order="F")
@@ -332,14 +290,3 @@ def unvec(x, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise InvalidInput(f"cannot reshape length {v.size} into {rows} x {cols}")
     return v.reshape((rows, cols), order="F")
-
-
-def realify(A) -> np.ndarray:
-    """Real 2x2-block embedding [[Ar, -Aj], [Aj, Ar]] of a complex matrix.
-
-    The embedding is full column rank over the reals exactly when ``A`` is
-    full column rank over the complexes.
-    """
-    M = as_matrix(A)
-    Ar, Aj = M.real, M.imag
-    return np.block([[Ar, -Aj], [Aj, Ar]])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, response, sloppiness
-from .errors import InvalidInput
+from .errors import InvalidInput, LftIdentError
 from .model import DescriptorModel
 
 __all__ = [
@@ -153,7 +153,7 @@ def random_equivalence_probe(
                 H = response.h_lft(model, theta, wi).H
                 if np.linalg.norm(H - H0) > match_tol:
                     return False
-        except Exception:
+        except LftIdentError:
             return False
         return True
 

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInput, PoleProximity, WellPosednessViolation
+from . import numkit
+from .errors import InvalidInput, PoleProximity
 from .model import DescriptorModel
 
 __all__ = [
     "GBlocks",
     "ResponseSample",
     "lambda_at",
+    "check_freqs",
     "g_blocks",
     "h_lft",
     "h_statespace",
@@ -68,6 +70,19 @@ def lambda_at(time_domain: str, omega: float) -> complex:
     raise InvalidInput(f"unknown time domain {time_domain!r}")
 
 
+def check_freqs(model: DescriptorModel, freqs) -> list[float]:
+    """The frequencies as floats; rejects an empty or repeated list and, in
+    discrete time, values outside (-pi, pi]."""
+    w = [float(x) for x in freqs]
+    if not w:
+        raise InvalidInput("at least one frequency is required")
+    if len(set(w)) != len(w):
+        raise InvalidInput(f"frequencies must be distinct, got {w}")
+    for wi in w:
+        lambda_at(model.time_domain, wi)
+    return w
+
+
 def _pencil_solve(E: np.ndarray, A: np.ndarray, lam: complex, rhs: np.ndarray,
                   guard_scale: float, err: type[Exception], what: str):
     pencil = lam * E - A
@@ -107,11 +122,9 @@ def h_lft(model: DescriptorModel, theta, omega: float) -> ResponseSample:
     P = model.p_of(t)
     m_v = model.dims.m_v
     loop = np.eye(m_v) - P @ g.G_zv
-    sig = np.linalg.svd(loop, compute_uv=False)
-    if float(sig[-1]) < 1e-12 * max(float(sig[0]), 1.0):
-        raise WellPosednessViolation(
-            f"I - P(theta) G_zv(j*omega) singular at omega={omega}, theta={t.tolist()}"
-        )
+    numkit.loop_guard(
+        loop, f"I - P(theta) G_zv(j*omega) singular at omega={omega}, theta={t.tolist()}"
+    )
     H = g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
     return ResponseSample(omega=float(omega), theta=t, H=H)
 
@@ -144,16 +157,12 @@ def delta_h(model: DescriptorModel, theta, theta0, omega: float) -> np.ndarray:
     loop_l = np.eye(m_v) - P0 @ g.G_zv
     loop_r = np.eye(m_z) - g.G_zv @ P0
     for name, loop in (("I - P(theta0) G_zv", loop_l), ("I - G_zv P(theta0)", loop_r)):
-        sig = np.linalg.svd(loop, compute_uv=False)
-        if float(sig[-1]) < 1e-12 * max(float(sig[0]), 1.0):
-            raise WellPosednessViolation(f"{name} singular at omega={omega}")
+        numkit.loop_guard(loop, f"{name} singular at omega={omega}")
     left = g.G_yv @ np.linalg.solve(loop_l, dP)
     inner = np.eye(m_z) - np.linalg.solve(loop_r, g.G_zv @ dP)
-    sig = np.linalg.svd(inner, compute_uv=False)
-    if float(sig[-1]) < 1e-12 * max(float(sig[0]), 1.0):
-        raise WellPosednessViolation(
-            f"deviation loop singular at omega={omega}: theta outside the admissible set"
-        )
+    numkit.loop_guard(
+        inner, f"deviation loop singular at omega={omega}: theta outside the admissible set"
+    )
     return left @ np.linalg.solve(inner, np.linalg.solve(loop_r, g.G_zu))
 
 

@@ -114,19 +114,11 @@ def pointwise_factors(model: DescriptorModel, theta0, omega: float) -> Pointwise
     )
 
 
-def _th_permutation(r_yv: int, r_zu: int) -> np.ndarray:
-    """Row-permutation matrix T with T xi = [vec(D_r); vec(D_j)] for
+def _th_columns(r_yv: int, r_zu: int) -> np.ndarray:
+    """Column index array C with X[:, C] xi = X [vec(D_r); vec(D_j)] for
     xi = vec(col{D_r; D_j})."""
-    n = 2 * r_yv * r_zu
-    perm = np.empty(n, dtype=int)
-    pos = 0
-    for c in range(r_zu):  # real rows of column c
-        perm[pos:pos + r_yv] = np.arange(2 * c * r_yv, (2 * c + 1) * r_yv)
-        pos += r_yv
-    for c in range(r_zu):  # imaginary rows of column c
-        perm[pos:pos + r_yv] = np.arange((2 * c + 1) * r_yv, (2 * c + 2) * r_yv)
-        pos += r_yv
-    return np.eye(n)[perm, :]
+    idx = np.arange(r_yv * r_zu).reshape(r_zu, r_yv)
+    return np.hstack([idx, idx + r_yv * r_zu]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,6 @@ class QPair:
     omega: float
     Q_r: np.ndarray
     Q_j: np.ndarray
-    T_H: np.ndarray
 
 
 def q_pair(factors: PointwiseFactors, check_probes: int = 20, seed: int = 1) -> QPair:
@@ -149,15 +140,15 @@ def q_pair(factors: PointwiseFactors, check_probes: int = 20, seed: int = 1) -> 
     Lr, Lj = L.real, L.imag
     Rr, Rj = R.real, R.imag
     r_yv, r_zu = factors.r_yv, factors.r_zu
-    T = _th_permutation(r_yv, r_zu)
+    cols = _th_columns(r_yv, r_zu)
     Q_r = np.hstack([
         np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
         -np.kron(Rj.T, Lr) - np.kron(Rr.T, Lj),
-    ]) @ T
+    ])[:, cols]
     Q_j = np.hstack([
         np.kron(Rj.T, Lr) + np.kron(Rr.T, Lj),
         np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
-    ]) @ T
+    ])[:, cols]
 
     rng = np.random.default_rng(seed)
     scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
@@ -173,7 +164,7 @@ def q_pair(factors: PointwiseFactors, check_probes: int = 20, seed: int = 1) -> 
                 f"Q action self-check failed at omega={factors.omega}: "
                 f"residual {max(err_r, err_j):.3e}"
             )
-    return QPair(omega=factors.omega, Q_r=Q_r, Q_j=Q_j, T_H=T)
+    return QPair(omega=factors.omega, Q_r=Q_r, Q_j=Q_j)
 
 
 def _block_rows(psi_dec, pis, qpairs, m_z: int):
@@ -215,11 +206,7 @@ def _block_rows(psi_dec, pis, qpairs, m_z: int):
 
 def _context(model, theta0, freqs, pis=None, factors=None, psi_dec=None):
     t0 = model.check_theta(theta0)
-    w = [float(x) for x in freqs]
-    if not w:
-        raise InvalidInput("at least one frequency is required")
-    if len(set(w)) != len(w):
-        raise InvalidInput(f"frequencies must be distinct, got {w}")
+    w = response.check_freqs(model, freqs)
     psi_dec = psi_dec if psi_dec is not None else ident.psi(model)
     if not psi_dec.is_fcr:
         raise GammaRankDeficient(
@@ -479,14 +466,11 @@ def deviation_sigmas(S: SMatrices, xi) -> np.ndarray:
     return np.asarray(out)
 
 
-def spectral_membership(S: SMatrices, xi, eps: float, k: int = 1) -> bool:
+def spectral_membership(S: SMatrices, xi, eps: float) -> bool:
     """True when every per-frequency first-order deviation has sigma_max <= eps.
 
-    The predicate intersects the constraint over all frequency blocks; ``k``
-    is accepted for symmetry with the parameter maps but does not affect the
-    answer.
+    The predicate intersects the constraint over all frequency blocks.
     """
-    _check_k(S, k)
     if eps < 0.0:
         raise InvalidInput(f"eps must be nonnegative, got {eps}")
     sig = deviation_sigmas(S, xi)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import LftIdentError
 from .model import DescriptorModel, Dims, ParameterDomain
 
 __all__ = [
@@ -203,7 +204,7 @@ def random_regular_model(seed: int, **kwargs) -> DescriptorModel:
             thetas.append(u)
         try:
             validate_assumptions(m, thetas)
-        except Exception:
+        except LftIdentError:
             continue
         return m
     raise RuntimeError(f"could not draw a regular well-posed model from seed {seed}")

@@ -16,6 +16,7 @@ from scipy.linalg import subspace_angles
 from lftident import cli, freqplan, identifiability as ident
 from lftident import model as model_mod
 from lftident import numkit, oracle, response, sloppiness as slop, testing
+from lftident.errors import LftIdentError
 
 from conftest import interior_theta, model_pool
 
@@ -120,7 +121,7 @@ def test_criterion_4_verdict_soundness():
             freqs = list(plan.selected) if plan.status == freqplan.CERTIFIED else [0.21, 1.9]
             try:
                 v = ident.upsilon_test(m, t0, freqs)
-            except Exception:
+            except LftIdentError:
                 continue
             if v.status != ident.IDENTIFIABLE:
                 continue

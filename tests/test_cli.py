@@ -209,3 +209,28 @@ def test_timing_flag_populates(siso1_path, capsys):
     assert code == 0
     doc = parse(out)
     assert doc["timing"]["wall_seconds"] is not None
+
+
+def test_no_state_kept_between_runs(siso1_path, tmp_path, capsys):
+    # A report depends only on its own argv: runs of every subcommand in the
+    # same process, and a rejected --tol-rank call, leave no trace in it.
+    model = ["--model", str(siso1_path), "--theta0", "0"]
+    ident = ["ident", *model, "--freqs", "0,1"]
+    first = tmp_path / "first.json"
+    assert cli.main(ident + ["--output", str(first)]) == 0
+    for args in (
+        ["find-freqs", *model],
+        ["sloppiness", *model, "--freqs", "0,1", "--eps", "1e-3"],
+        ["oracle", *model, "--freqs", "0,1", "--trials", "10"],
+    ):
+        assert cli.main(args + ["--output", str(tmp_path / "other.json")]) == 0
+    again = tmp_path / "again.json"
+    assert cli.main(ident + ["--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+    assert cli.main(ident + ["--tol-rank", "1e-6"]) == cli.EXIT_USAGE
+    after = tmp_path / "after.json"
+    assert cli.main(ident + ["--output", str(after)]) == 0
+    assert after.read_bytes() == first.read_bytes()
+    assert json.loads(after.read_text())["parameters"]["tolerances"]["rank_rtol"] == 1e-10
+    capsys.readouterr()

@@ -4,7 +4,7 @@ from scipy.linalg import subspace_angles
 
 from lftident import identifiability as ident
 from lftident import numkit, oracle, response, testing
-from lftident.errors import FNRRViolation, InvalidInput
+from lftident.errors import FNRRViolation, InvalidInput, LftIdentError
 from lftident.model import DescriptorModel, Dims
 
 from conftest import model_pool
@@ -41,20 +41,20 @@ class TestPsi:
 
 class TestKernelBasis:
     def test_siso1_empty(self, siso1):
-        K = ident.yv_kernel_basis(siso1, 1.0)
+        K = ident.pi_at(siso1, np.zeros(siso1.dims.q), 1.0).K
         assert K.shape == (1, 0)
 
     def test_wide_row(self):
         # G_yv(j w) = [g1 g2]: kernel is the orthogonal complement of the row.
         m = testing.random_regular_model(3, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=1, m_v=2, q=2))
-        K = ident.yv_kernel_basis(m, 0.9)
+        K = ident.pi_at(m, np.zeros(m.dims.q), 0.9).K
         g = response.g_blocks(m, 0.9).G_yv
         assert K.shape == (2, 1)
         assert np.linalg.norm(g @ K) < 1e-10 * np.linalg.norm(g)
         assert abs(np.linalg.norm(K[:, 0]) - 1.0) < 1e-12
 
     def test_zero_row_full_kernel(self, theta_free):
-        K = ident.yv_kernel_basis(theta_free, 1.0)
+        K = ident.pi_at(theta_free, np.zeros(theta_free.dims.q), 1.0).K
         assert K.shape == (1, 1)
         assert np.allclose(np.abs(K), [[1.0]])
 
@@ -197,7 +197,7 @@ class TestUpsilon:
             w = 0.9
             try:
                 p = ident.pi_at(m, t0, w)
-            except Exception:
+            except LftIdentError:
                 continue
             if ident.single_freq_shortcut(p):
                 v = ident.upsilon_test(m, t0, [w])

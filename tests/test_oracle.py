@@ -91,6 +91,21 @@ class TestEquivalenceProbe:
     def test_siso1_none(self, siso1):
         assert oracle.random_equivalence_probe(siso1, [0.0], [1.0], trials=300, seed=5) is None
 
+    def test_programming_error_propagates(self, siso1, monkeypatch):
+        # Only lftident errors read as "no match"; a bug must not pass for
+        # the absence of a counterexample.
+        orig = response.h_lft
+
+        def broken(model, theta, omega):
+            # The finite-difference steps stay within 1e-4; domain samples do not.
+            if np.linalg.norm(theta) > 1e-3:
+                raise ValueError("shape bug")
+            return orig(model, theta, omega)
+
+        monkeypatch.setattr(response, "h_lft", broken)
+        with pytest.raises(ValueError, match="shape bug"):
+            oracle.random_equivalence_probe(siso1, [0.0], [1.0], trials=5, seed=5)
+
 
 class TestEllipsoidEmpirical:
     def test_siso1_tight_at_small_eps(self, siso1):
