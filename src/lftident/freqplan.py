@@ -54,15 +54,19 @@ def _score(M) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Ascending pole-guarded candidate frequencies."""
+    """Ascending pole-guarded candidate frequencies, kept as their transfer blocks."""
 
-    points: np.ndarray
+    blocks: tuple[response.GBlocks, ...]
     time_domain: str
     n_guarded: int
 
     def __post_init__(self):
-        if self.points.size == 0:
+        if not self.blocks:
             raise EmptyGrid("every candidate frequency was removed by the pole guard")
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.array([g.omega for g in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,6 @@ class FrequencyPlan:
     refine_hint: tuple[float, float, int] | None = None
 
 
-def _guarded_points(model: DescriptorModel, raw: np.ndarray) -> tuple[np.ndarray, int]:
-    kept = []
-    for w in raw:
-        try:
-            response.g_blocks(model, float(w))
-        except PoleProximity:
-            continue
-        kept.append(float(w))
-    return np.asarray(kept), raw.size - len(kept)
-
-
 def default_grid(
     model: DescriptorModel,
     n_points: int = DEFAULT_GRID_POINTS,
@@ -102,33 +95,27 @@ def default_grid(
     """Logarithmic grid over [w_min, w_max] (continuous) or uniform over (0, pi].
 
     Points failing the pole guard are removed; an empty result raises
-    EmptyGrid.
+    EmptyGrid.  The kept points carry the transfer blocks the guard evaluated.
     """
     if model.time_domain == "continuous":
         raw = np.geomspace(w_min, w_max, n_points)
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
-    points, dropped = _guarded_points(model, raw)
-    return FrequencyGrid(points=points, time_domain=model.time_domain, n_guarded=dropped)
-
-
-def _grid_pis(model, theta0, grid: FrequencyGrid):
-    out = []
-    for w in grid.points:
+    kept = []
+    for w in raw:
         try:
-            out.append((float(w), ident.pi_at(model, theta0, float(w))))
+            kept.append(response.g_blocks(model, float(w)))
         except PoleProximity:
             continue
-    if not out:
-        raise EmptyGrid("no grid point survived the pole guard")
-    return out
+    return FrequencyGrid(blocks=tuple(kept), time_domain=model.time_domain,
+                         n_guarded=raw.size - len(kept))
 
 
 def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                  psi_dec, fnrr_seed: int) -> FrequencyPlan:
     m_z = model.dims.m_z
     q = model.dims.q
-    cand = _grid_pis(model, theta0, grid)
+    cand = [(g.omega, ident.pi_at(model, theta0, g)) for g in grid.blocks]
 
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid

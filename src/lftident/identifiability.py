@@ -106,10 +106,11 @@ class PiDecomposition:
     ``Pi`` is full column rank by construction; ``Pi_bar_r``/``Pi_bar_j`` are
     its [real, -imag] / [imag, real] stackings; ``Xi`` annihilates
     Pi_bar_r times a right-null basis of Pi_bar_j from the left; ``U_Pi2``
-    spans the orthogonal complement of range(Pi).
+    spans the orthogonal complement of range(Pi).  ``g`` holds the transfer
+    blocks Pi was built from.
     """
 
-    omega: float
+    g: response.GBlocks
     K: np.ndarray
     Pi: np.ndarray
     Pi_bar_r: np.ndarray
@@ -117,6 +118,10 @@ class PiDecomposition:
     Xi: np.ndarray
     U_Pi2: np.ndarray
     side_fcr: bool
+
+    @property
+    def omega(self) -> float:
+        return self.g.omega
 
     @property
     def kernel_dim(self) -> int:
@@ -128,22 +133,22 @@ class PiDecomposition:
         return np.hstack([self.U_Pi2.real, self.U_Pi2.imag]).T
 
 
-def pi_at(model: DescriptorModel, theta0, omega: float, kernel: np.ndarray | None = None) -> PiDecomposition:
-    """Build the Pi decomposition at one frequency.
+def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
+          kernel: np.ndarray | None = None) -> PiDecomposition:
+    """Build the Pi decomposition from the transfer blocks ``g`` at one frequency.
 
     ``kernel`` overrides the computed kernel basis of G_yv (any basis of the
     same column span gives the same verdicts; the override exists to exercise
     exactly that invariance).
     """
     t0 = model.check_theta(theta0)
-    g = response.g_blocks(model, omega)
     K = numkit.right_null_basis(g.G_yv) if kernel is None else np.asarray(kernel, dtype=complex)
     m_v = model.dims.m_v
     if K.shape[0] != m_v:
         raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[0]}")
     P0 = model.p_of(t0)
     loop = np.eye(m_v) - P0 @ g.G_zv
-    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={omega}")
+    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omega}")
     Pi = loop @ K
     Pi_r, Pi_j = Pi.real, Pi.imag
     Pi_bar_r = np.hstack([Pi_r, -Pi_j])
@@ -155,7 +160,7 @@ def pi_at(model: DescriptorModel, theta0, omega: float, kernel: np.ndarray | Non
     side_fcr = numkit.rank_of(T, rtol=DECISION_RTOL, scale_floor=1.0).rank == T.shape[1]
     U_Pi2 = numkit.svd_full(Pi).U2
     return PiDecomposition(
-        omega=float(omega),
+        g=g,
         K=K,
         Pi=Pi,
         Pi_bar_r=Pi_bar_r,
@@ -219,7 +224,9 @@ def upsilon_block(pi: PiDecomposition, psi_dec: PsiDecomposition, first: bool,
     """One row block of the reduced stacked test matrix, with columns in the
     coordinates of the columns of U_Psi1."""
     W = pi.Xi if first else pi.u2_stack
-    return np.kron(np.eye(m_z), W) @ psi_dec.U1
+    # (I_mz kron W) @ U1, applying W to each of the m_z row blocks of U1.
+    k = psi_dec.U1.shape[1]
+    return (W @ psi_dec.U1.reshape(m_z, -1, k)).reshape(-1, k)
 
 
 def build_upsilon(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
@@ -254,19 +261,19 @@ class IdentifiabilityVerdict:
     shortcut_omega: float | None = None
 
 
-def sensitivity_stack(model: DescriptorModel, theta0, freqs) -> np.ndarray:
+def sensitivity_stack(model: DescriptorModel, theta0, blocks) -> np.ndarray:
     """Exact first-order response-sensitivity map as a real stacked matrix.
 
-    Column k holds, frequency by frequency, the real and imaginary parts of
-    vec of G_yv (I - P0 G_zv)^-1 P_k (I - G_zv P0)^-1 G_zu, which is the
-    derivative of the response with respect to theta_k at theta0.
+    Column k holds, for the transfer blocks of each frequency in turn, the
+    real and imaginary parts of vec of G_yv (I - P0 G_zv)^-1 P_k
+    (I - G_zv P0)^-1 G_zu, which is the derivative of the response with
+    respect to theta_k at theta0.
     """
     t0 = model.check_theta(theta0)
     P0 = model.p_of(t0)
     m_v, m_z = model.dims.m_v, model.dims.m_z
     cols = [[] for _ in range(model.dims.q)]
-    for w in freqs:
-        g = response.g_blocks(model, float(w))
+    for g in blocks:
         L = np.linalg.solve((np.eye(m_v) - P0 @ g.G_zv).T, g.G_yv.T).T
         R = np.linalg.solve(np.eye(m_z) - g.G_zv @ P0, g.G_zu)
         for k, Pk in enumerate(model.P):
@@ -276,8 +283,8 @@ def sensitivity_stack(model: DescriptorModel, theta0, freqs) -> np.ndarray:
     return np.column_stack([np.concatenate(c) for c in cols])
 
 
-def _sensitivity_margin_ok(model, theta0, freqs) -> bool:
-    J = sensitivity_stack(model, theta0, freqs)
+def _sensitivity_margin_ok(model, theta0, pis) -> bool:
+    J = sensitivity_stack(model, theta0, [p.g for p in pis])
     if J.shape[1] == 0:
         return True
     if J.shape[0] < J.shape[1]:
@@ -354,15 +361,15 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
 
     m_z = model.dims.m_z
     if pis is None:
-        pis = [pi_at(model, t0, wi) for wi in w]
+        pis = [pi_at(model, t0, response.g_blocks(model, wi)) for wi in w]
     else:
         pis = list(pis)
-        if len(pis) != len(w):
-            raise InvalidInput("pis must match freqs")
+        if [p.omega for p in pis] != w:
+            raise InvalidInput(f"pis must be built at freqs {w}, in order")
 
     # Single-frequency certificate: scan ascending for determinism.
     for wi, p in sorted(zip(w, pis), key=lambda x: x[0]):
-        if single_freq_shortcut(p) and _sensitivity_margin_ok(model, t0, w):
+        if single_freq_shortcut(p) and _sensitivity_margin_ok(model, t0, pis):
             return IdentifiabilityVerdict(
                 status=IDENTIFIABLE,
                 frequencies=tuple(w),
@@ -419,7 +426,7 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
         direct = _direct_stack(psi_dec, pis, m_z)
         dec = numkit.rank_of(direct, rtol=DECISION_RTOL, scale_floor=1.0)
         if dec.rank == direct.shape[1]:
-            if _sensitivity_margin_ok(model, t0, w):
+            if _sensitivity_margin_ok(model, t0, pis):
                 return IdentifiabilityVerdict(
                     status=IDENTIFIABLE,
                     frequencies=tuple(w),

@@ -29,11 +29,11 @@ __all__ = [
 RESPONSE_MATCH_TOL = 1e-10
 
 
-def response_stack(model: DescriptorModel, theta, freqs) -> np.ndarray:
-    """Real stacked response map: per frequency, Re vec H then Im vec H."""
+def response_stack(model: DescriptorModel, theta, blocks) -> np.ndarray:
+    """Real stacked response map: per frequency's transfer blocks, Re vec H then Im vec H."""
     rows = []
-    for w in freqs:
-        H = response.h_lft(model, theta, w).H
+    for g in blocks:
+        H = response.h_lft(model, theta, g).H
         rows.append(numkit.vec(H.real))
         rows.append(numkit.vec(H.imag))
     return np.concatenate(rows)
@@ -58,7 +58,8 @@ class JacobianEstimate:
 def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -> JacobianEstimate:
     """Central differences of theta -> col{Re vec H, Im vec H over frequencies}."""
     t0 = model.check_theta(theta0)
-    w = [float(x) for x in freqs]
+    w = response.check_freqs(model, freqs)
+    blocks = [response.g_blocks(model, wi) for wi in w]
     if h is None:
         h = 1e-5 * max(1.0, float(np.max(np.abs(t0))) if t0.size else 1.0)
     q = model.dims.q
@@ -73,8 +74,8 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
                     raise InvalidInput(
                         f"theta0 +/- h e_{k} leaves the parameter domain; shrink h"
                     )
-            plus = response_stack(model, t0 + e, w)
-            minus = response_stack(model, t0 - e, w)
+            plus = response_stack(model, t0 + e, blocks)
+            minus = response_stack(model, t0 - e, blocks)
             cols.append((plus - minus) / (2.0 * step))
         return np.column_stack(cols)
 
@@ -141,16 +142,17 @@ def random_equivalence_probe(
     counterexample proves nothing.
     """
     t0 = model.check_theta(theta0)
-    w = [float(x) for x in freqs]
-    base = [response.h_lft(model, t0, wi).H for wi in w]
+    w = response.check_freqs(model, freqs)
+    blocks = [response.g_blocks(model, wi) for wi in w]
+    base = [response.h_lft(model, t0, g).H for g in blocks]
     rng = np.random.default_rng(seed)
 
     def matches(theta) -> bool:
         if np.linalg.norm(theta - t0) <= 1e-9:
             return False
         try:
-            for wi, H0 in zip(w, base):
-                H = response.h_lft(model, theta, wi).H
+            for g, H0 in zip(blocks, base):
+                H = response.h_lft(model, theta, g).H
                 if np.linalg.norm(H - H0) > match_tol:
                     return False
         except LftIdentError:
@@ -209,12 +211,13 @@ def ellipsoid_empirical_check(
     as eps -> 0.
     """
     t0 = model.check_theta(theta0)
-    w = [float(x) for x in freqs]
+    w = response.check_freqs(model, freqs)
     S = smat if smat is not None else sloppiness.s_matrices(model, t0, w)
     ell = sloppiness.frobenius_ellipsoid(S, eps, k=k)
     rng = np.random.default_rng(seed)
     ratios = []
-    base = [response.h_lft(model, t0, wi).H for wi in w]
+    blocks = [response.g_blocks(model, wi) for wi in w]
+    base = [response.h_lft(model, t0, g).H for g in blocks]
     for _ in range(samples):
         u = rng.standard_normal(S.n_s)
         if float(u @ S.M @ u) <= 0.0:
@@ -222,8 +225,8 @@ def ellipsoid_empirical_check(
         xi = ell.boundary_point(u)
         theta = ell.theta_of(xi)
         energy = 0.0
-        for wi, H0 in zip(w, base):
-            H = response.h_lft(model, theta, wi).H
+        for g, H0 in zip(blocks, base):
+            H = response.h_lft(model, theta, g).H
             energy += float(np.linalg.norm(H - H0) ** 2)
         ratios.append(energy / eps ** 2)
     if not ratios:

@@ -30,7 +30,6 @@ __all__ = [
     "g_blocks",
     "h_lft",
     "h_statespace",
-    "delta_h",
     "regularity_identity_check",
 ]
 
@@ -115,18 +114,17 @@ def g_blocks(model: DescriptorModel, omega: float) -> GBlocks:
     )
 
 
-def h_lft(model: DescriptorModel, theta, omega: float) -> ResponseSample:
-    """H via the interconnection route of the transfer blocks."""
+def h_lft(model: DescriptorModel, theta, g: GBlocks) -> ResponseSample:
+    """H via the interconnection route of the transfer blocks ``g`` (see g_blocks)."""
     t = model.check_theta(theta)
-    g = g_blocks(model, omega)
     P = model.p_of(t)
     m_v = model.dims.m_v
     loop = np.eye(m_v) - P @ g.G_zv
     numkit.loop_guard(
-        loop, f"I - P(theta) G_zv(j*omega) singular at omega={omega}, theta={t.tolist()}"
+        loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={t.tolist()}"
     )
     H = g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
-    return ResponseSample(omega=float(omega), theta=t, H=H)
+    return ResponseSample(omega=g.omega, theta=t, H=H)
 
 
 def h_statespace(model: DescriptorModel, theta, omega: float) -> ResponseSample:
@@ -138,32 +136,6 @@ def h_statespace(model: DescriptorModel, theta, omega: float) -> ResponseSample:
     X = _pencil_solve(model.E, A, lam, B.astype(complex), guard_scale, PoleProximity,
                       f"omega={omega}, theta={t.tolist()}")
     return ResponseSample(omega=float(omega), theta=t, H=D + C @ X)
-
-
-def delta_h(model: DescriptorModel, theta, theta0, omega: float) -> np.ndarray:
-    """Response deviation H(.,theta) - H(.,theta0) via its factored form.
-
-    The factored expression isolates the parameter increment P(theta) -
-    P(theta0) inside the loop, which is better conditioned than subtracting
-    two nearly equal responses; it agrees with the direct difference to 1e-9
-    relative.
-    """
-    t = model.check_theta(theta)
-    t0 = model.check_theta(theta0)
-    g = g_blocks(model, omega)
-    P0 = model.p_of(t0)
-    dP = model.p_of(t) - P0
-    m_v, m_z = model.dims.m_v, model.dims.m_z
-    loop_l = np.eye(m_v) - P0 @ g.G_zv
-    loop_r = np.eye(m_z) - g.G_zv @ P0
-    for name, loop in (("I - P(theta0) G_zv", loop_l), ("I - G_zv P(theta0)", loop_r)):
-        numkit.loop_guard(loop, f"{name} singular at omega={omega}")
-    left = g.G_yv @ np.linalg.solve(loop_l, dP)
-    inner = np.eye(m_z) - np.linalg.solve(loop_r, g.G_zv @ dP)
-    numkit.loop_guard(
-        inner, f"deviation loop singular at omega={omega}: theta outside the admissible set"
-    )
-    return left @ np.linalg.solve(inner, np.linalg.solve(loop_r, g.G_zu))
 
 
 def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> float:

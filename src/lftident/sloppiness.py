@@ -75,10 +75,10 @@ class PointwiseFactors:
         return int(self.sigma_zu.size)
 
 
-def pointwise_factors(model: DescriptorModel, theta0, omega: float) -> PointwiseFactors:
-    """Factor G_yv and G_zu at one frequency; requires G_zu full row rank there."""
+def pointwise_factors(model: DescriptorModel, theta0, g: response.GBlocks) -> PointwiseFactors:
+    """Factor G_yv and G_zu of the transfer blocks ``g`` at one frequency;
+    requires G_zu full row rank there."""
     t0 = model.check_theta(theta0)
-    g = response.g_blocks(model, omega)
     m_z, m_v = model.dims.m_z, model.dims.m_v
 
     # Rank decisions here are anchored at the overall response scale at this
@@ -92,7 +92,7 @@ def pointwise_factors(model: DescriptorModel, theta0, omega: float) -> Pointwise
     zu = numkit.svd_full(g.G_zu, scale_floor=scale)
     if zu.rank < m_z:
         raise RankDrop(
-            f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={omega}; pick another frequency"
+            f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={g.omega}; pick another frequency"
         )
     yv = numkit.svd_full(g.G_yv, scale_floor=scale)
 
@@ -102,7 +102,7 @@ def pointwise_factors(model: DescriptorModel, theta0, omega: float) -> Pointwise
     Phi_l = loop_l @ yv.V1 @ np.diag(1.0 / yv.sigma) if yv.rank else np.zeros((m_v, 0))
     Phi_r = np.diag(1.0 / zu.sigma) @ zu.U1.conj().T @ loop_r
     return PointwiseFactors(
-        omega=float(omega),
+        omega=g.omega,
         U_yv1=yv.U1,
         sigma_yv=yv.sigma,
         V_yv1=yv.V1,
@@ -212,13 +212,16 @@ def _context(model, theta0, freqs, pis=None, factors=None, psi_dec=None):
         raise GammaRankDeficient(
             "Psi is rank deficient: no frequency set certifies identifiability"
         )
-    pis = list(pis) if pis is not None else [ident.pi_at(model, t0, wi) for wi in w]
+    pis = (
+        list(pis) if pis is not None
+        else [ident.pi_at(model, t0, response.g_blocks(model, wi)) for wi in w]
+    )
     factors = (
         list(factors) if factors is not None
-        else [pointwise_factors(model, t0, wi) for wi in w]
+        else [pointwise_factors(model, t0, p.g) for p in pis]
     )
-    if len(pis) != len(w) or len(factors) != len(w):
-        raise InvalidInput("pis/factors must match freqs")
+    if [p.omega for p in pis] != w or [f.omega for f in factors] != w:
+        raise InvalidInput(f"pis/factors must be built at freqs {w}, in order")
     r_yv = {f.r_yv for f in factors}
     c_dim = {p.kernel_dim for p in pis}
     if len(r_yv) > 1 or len(c_dim) > 1:

@@ -63,7 +63,7 @@ def test_criterion_1_route_equivalence():
         for i, m in enumerate(models):
             theta = interior_theta(m, 3 * i + 1)
             w = float(rng.uniform(0.05, 2.5))
-            h1 = response.h_lft(m, theta, w).H
+            h1 = response.h_lft(m, theta, response.g_blocks(m, w)).H
             h2 = response.h_statespace(m, theta, w).H
             rel = np.linalg.norm(h1 - h2) / max(np.linalg.norm(h1), 1e-12)
             worst = max(worst, rel)
@@ -143,8 +143,9 @@ def test_criterion_4_verdict_soundness():
             theta = oracle.random_equivalence_probe(m, t0, freqs, trials=50, seed=i)
             assert theta is not None, f"no counterexample on duplicate fixture {i}"
             for w in freqs:
-                H0 = response.h_lft(m, t0, w).H
-                H1 = response.h_lft(m, theta, w).H
+                g = response.g_blocks(m, w)
+                H0 = response.h_lft(m, t0, g).H
+                H1 = response.h_lft(m, theta, g).H
                 assert np.linalg.norm(H1 - H0) <= 1e-10
 
 
@@ -153,13 +154,13 @@ def test_criterion_5_basis_and_unitary_invariance():
         rng = np.random.default_rng(5)
         fixtures = certified_fixtures(8)
         for m, t0, w in fixtures:
-            pis = [ident.pi_at(m, t0, wi) for wi in w]
+            pis = [ident.pi_at(m, t0, response.g_blocks(m, wi)) for wi in w]
             pis_rot = []
             for p in pis:
                 c = p.kernel_dim
                 M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
                 M += 2.0 * np.eye(c)
-                pis_rot.append(ident.pi_at(m, t0, p.omega, kernel=p.K @ M))
+                pis_rot.append(ident.pi_at(m, t0, p.g, kernel=p.K @ M))
             v1 = ident.upsilon_test(m, t0, w, pis=pis)
             v2 = ident.upsilon_test(m, t0, w, pis=pis_rot)
             assert v1.status == v2.status
@@ -176,7 +177,7 @@ def test_criterion_5_basis_and_unitary_invariance():
             mu2 = slop.metrics(S2).mu
             assert np.max(np.abs(mu1 - mu2) / mu1) <= 1e-6
 
-            facs = [slop.pointwise_factors(m, t0, wi) for wi in w]
+            facs = [slop.pointwise_factors(m, t0, response.g_blocks(m, wi)) for wi in w]
             rot = []
             for f in facs:
                 d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_yv))

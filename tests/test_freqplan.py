@@ -41,7 +41,7 @@ class TestDefaultGrid:
 
     def test_empty_grid_raises(self):
         with pytest.raises(EmptyGrid):
-            freqplan.FrequencyGrid(points=np.zeros(0), time_domain="continuous", n_guarded=5)
+            freqplan.FrequencyGrid(blocks=(), time_domain="continuous", n_guarded=5)
 
 
 class TestSearch:

@@ -41,41 +41,42 @@ class TestPsi:
 
 class TestKernelBasis:
     def test_siso1_empty(self, siso1):
-        K = ident.pi_at(siso1, np.zeros(siso1.dims.q), 1.0).K
+        K = ident.pi_at(siso1, np.zeros(siso1.dims.q), response.g_blocks(siso1, 1.0)).K
         assert K.shape == (1, 0)
 
     def test_wide_row(self):
         # G_yv(j w) = [g1 g2]: kernel is the orthogonal complement of the row.
         m = testing.random_regular_model(3, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=1, m_v=2, q=2))
-        K = ident.pi_at(m, np.zeros(m.dims.q), 0.9).K
         g = response.g_blocks(m, 0.9).G_yv
+        K = ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.9)).K
         assert K.shape == (2, 1)
         assert np.linalg.norm(g @ K) < 1e-10 * np.linalg.norm(g)
         assert abs(np.linalg.norm(K[:, 0]) - 1.0) < 1e-12
 
     def test_zero_row_full_kernel(self, theta_free):
-        K = ident.pi_at(theta_free, np.zeros(theta_free.dims.q), 1.0).K
+        g = response.g_blocks(theta_free, 1.0)
+        K = ident.pi_at(theta_free, np.zeros(theta_free.dims.q), g).K
         assert K.shape == (1, 1)
         assert np.allclose(np.abs(K), [[1.0]])
 
 
 class TestPiAt:
     def test_siso1_empty(self, siso1):
-        p = ident.pi_at(siso1, [0.0], 1.0)
+        p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0))
         assert p.Pi.shape == (1, 0)
         assert p.Pi_bar_j.shape == (1, 0)
         assert ident.single_freq_shortcut(p)
 
     def test_theta_zero_pi_equals_kernel(self):
         m = testing.random_regular_model(8, kernel_rich=True)
-        p = ident.pi_at(m, np.zeros(m.dims.q), 0.8)
+        p = ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.8))
         assert np.allclose(p.Pi, p.K)  # P(0) = 0 collapses the loop
 
     def test_invariants(self):
         m = testing.random_regular_model(8, kernel_rich=True)
         t0 = np.zeros(m.dims.q)
-        p = ident.pi_at(m, t0, 1.3)
         g = response.g_blocks(m, 1.3)
+        p = ident.pi_at(m, t0, g)
         assert np.linalg.norm(g.G_yv @ p.K) < 1e-10
         assert np.allclose(p.K.conj().T @ p.K, np.eye(p.kernel_dim), atol=1e-12)
         assert np.linalg.norm(p.U_Pi2.conj().T @ p.Pi) < 1e-10
@@ -89,7 +90,7 @@ class TestPiAt:
         # A 1 x 2 realified stack cannot be FCR.
         one = np.array([[1.0]])
         p = ident.PiDecomposition(
-            omega=1.0, K=one.astype(complex), Pi=one.astype(complex),
+            g=response.g_blocks(testing.siso1(), 1.0), K=one.astype(complex), Pi=one.astype(complex),
             Pi_bar_r=np.array([[1.0, 0.0]]), Pi_bar_j=np.array([[0.0, 1.0]]),
             Xi=np.zeros((0, 1)), U_Pi2=np.zeros((1, 0), dtype=complex),
             side_fcr=True,
@@ -140,6 +141,12 @@ class TestUpsilon:
         with pytest.raises(InvalidInput):
             ident.upsilon_test(siso1, [0.0], [])
 
+    @pytest.mark.parametrize("built_at,freqs", [([1.0], [0.5]), ([1.0, 0.5], [0.5, 1.0])])
+    def test_pis_built_elsewhere_rejected(self, siso1, built_at, freqs):
+        pis = [ident.pi_at(siso1, [0.0], response.g_blocks(siso1, w)) for w in built_at]
+        with pytest.raises(InvalidInput):
+            ident.upsilon_test(siso1, [0.0], freqs, pis=pis)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_necessity_vs_fd_jacobian(self, seed):
         m = kernel_pool(1, start=400 + seed)[0]
@@ -156,7 +163,7 @@ class TestUpsilon:
         t0 = np.zeros(m.dims.q)
         freqs = [0.17, 1.1, 6.4]
         pd = ident.psi(m)
-        pis = [ident.pi_at(m, t0, w) for w in freqs]
+        pis = [ident.pi_at(m, t0, response.g_blocks(m, w)) for w in freqs]
         v = ident.upsilon_test(m, t0, freqs, pis=pis)
         U = ident.build_upsilon(pd, pis, m.dims.m_z)
         direct_fcr = numkit.rank_of(U, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank == U.shape[1]
@@ -171,13 +178,13 @@ class TestUpsilon:
         m = kernel_pool(1, start=460 + seed)[0]
         t0 = np.zeros(m.dims.q)
         freqs = [0.23, 2.4]
-        pis = [ident.pi_at(m, t0, w) for w in freqs]
+        pis = [ident.pi_at(m, t0, response.g_blocks(m, w)) for w in freqs]
         pis_rot = []
         for p in pis:
             c = p.kernel_dim
             M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
             M += 2 * np.eye(c)  # keep comfortably invertible
-            pis_rot.append(ident.pi_at(m, t0, p.omega, kernel=p.K @ M))
+            pis_rot.append(ident.pi_at(m, t0, p.g, kernel=p.K @ M))
         v1 = ident.upsilon_test(m, t0, freqs, pis=pis)
         v2 = ident.upsilon_test(m, t0, freqs, pis=pis_rot)
         assert v1.status == v2.status
@@ -196,7 +203,7 @@ class TestUpsilon:
             t0 = np.zeros(m.dims.q)
             w = 0.9
             try:
-                p = ident.pi_at(m, t0, w)
+                p = ident.pi_at(m, t0, response.g_blocks(m, w))
             except LftIdentError:
                 continue
             if ident.single_freq_shortcut(p):
@@ -212,8 +219,9 @@ class TestUpsilon:
         v = ident.upsilon_test(theta_free, [0.0], [0.5, 1.5])
         d = v.residual_direction
         for t in (0.2, -0.35):
-            h0 = response.h_lft(theta_free, [0.0], 0.5).H
-            h1 = response.h_lft(theta_free, t * d, 0.5).H
+            g = response.g_blocks(theta_free, 0.5)
+            h0 = response.h_lft(theta_free, [0.0], g).H
+            h1 = response.h_lft(theta_free, t * d, g).H
             assert np.linalg.norm(h1 - h0) <= 1e-12
 
 

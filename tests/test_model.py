@@ -157,6 +157,6 @@ class TestDualize:
             theta = interior_theta(m, 5)
             d = model_mod.dualize(m)
             w = 0.7
-            H = response.h_lft(m, theta, w).H
-            Hd = response.h_lft(d, theta, w).H
+            H = response.h_lft(m, theta, response.g_blocks(m, w)).H
+            Hd = response.h_lft(d, theta, response.g_blocks(d, w)).H
             assert np.linalg.norm(Hd - H.T) <= 1e-12 * max(1.0, np.linalg.norm(H))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lftident import oracle, response
+from lftident import oracle, response, sloppiness as slop
 from lftident.errors import InvalidInput
 
 from conftest import model_pool
@@ -9,9 +9,22 @@ from conftest import model_pool
 
 class TestResponseStack:
     def test_ordering(self, siso1):
-        r = oracle.response_stack(siso1, [0.0], [0.0, 1.0])
+        blocks = [response.g_blocks(siso1, w) for w in (0.0, 1.0)]
+        r = oracle.response_stack(siso1, [0.0], blocks)
         # [Re H(0); Im H(0); Re H(j); Im H(j)] for H = 1/(jw + 1)
         assert np.allclose(r, [1.0, 0.0, 0.5, -0.5])
+
+
+@pytest.mark.parametrize("freqs", [[], [1.0, 1.0]])
+@pytest.mark.parametrize("check", [
+    lambda m, w: oracle.fd_jacobian(m, [0.0], w),
+    lambda m, w: oracle.random_equivalence_probe(m, [0.0], w, trials=5),
+    lambda m, w: oracle.ellipsoid_empirical_check(
+        m, [0.0], w, eps=1e-3, smat=slop.s_matrices(m, [0.0], [1.0])),
+], ids=["fd_jacobian", "random_equivalence_probe", "ellipsoid_empirical_check"])
+def test_frequency_list_checked(siso1, check, freqs):
+    with pytest.raises(InvalidInput):
+        check(siso1, freqs)
 
 
 class TestFdJacobian:
@@ -80,8 +93,9 @@ class TestEquivalenceProbe:
         assert theta is not None
         # P1 = P2 makes (t, -t) response-invariant exactly.
         assert abs(theta[0] + theta[1]) < 1e-9
-        H0 = response.h_lft(dup2, [0.0, 0.0], 1.0).H
-        H1 = response.h_lft(dup2, theta, 1.0).H
+        g = response.g_blocks(dup2, 1.0)
+        H0 = response.h_lft(dup2, [0.0, 0.0], g).H
+        H1 = response.h_lft(dup2, theta, g).H
         assert np.linalg.norm(H1 - H0) <= 1e-10
 
     def test_theta_free_counterexample(self, theta_free):
@@ -96,11 +110,11 @@ class TestEquivalenceProbe:
         # the absence of a counterexample.
         orig = response.h_lft
 
-        def broken(model, theta, omega):
+        def broken(model, theta, g):
             # The finite-difference steps stay within 1e-4; domain samples do not.
             if np.linalg.norm(theta) > 1e-3:
                 raise ValueError("shape bug")
-            return orig(model, theta, omega)
+            return orig(model, theta, g)
 
         monkeypatch.setattr(response, "h_lft", broken)
         with pytest.raises(ValueError, match="shape bug"):

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from lftident import response
+from lftident import freqplan, identifiability as ident, oracle, response
+from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
@@ -66,14 +69,14 @@ class TestHRoutes:
         ],
     )
     def test_siso1_closed_form(self, siso1, theta, omega, expected):
-        h = response.h_lft(siso1, [theta], omega)
+        h = response.h_lft(siso1, [theta], response.g_blocks(siso1, omega))
         assert abs(h.H[0, 0] - expected) < 1e-12
         hs = response.h_statespace(siso1, [theta], omega)
         assert abs(hs.H[0, 0] - expected) < 1e-12
 
     def test_theta_zero_collapses_to_gyu(self, siso1):
         g = response.g_blocks(siso1, 0.7)
-        h = response.h_lft(siso1, [0.0], 0.7)
+        h = response.h_lft(siso1, [0.0], g)
         assert np.allclose(h.H, g.G_yu)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -82,7 +85,7 @@ class TestHRoutes:
         theta = interior_theta(m, seed)
         w = [0.31, 1.3] if m.time_domain == "continuous" else [0.31, 1.3]
         for wi in w:
-            h1 = response.h_lft(m, theta, wi).H
+            h1 = response.h_lft(m, theta, response.g_blocks(m, wi)).H
             h2 = response.h_statespace(m, theta, wi).H
             rel = np.linalg.norm(h1 - h2) / max(np.linalg.norm(h1), 1e-12)
             assert rel <= 1e-9
@@ -92,29 +95,65 @@ class TestHRoutes:
             if m.time_domain != "continuous":
                 continue
             theta = interior_theta(m, 2)
-            Hp = response.h_lft(m, theta, 0.9).H
-            Hm = response.h_lft(m, theta, -0.9).H
+            Hp = response.h_lft(m, theta, response.g_blocks(m, 0.9)).H
+            Hm = response.h_lft(m, theta, response.g_blocks(m, -0.9)).H
             assert np.allclose(Hm, np.conj(Hp), atol=1e-12 * max(1.0, np.linalg.norm(Hp)))
 
 
-class TestDeltaH:
-    def test_zero_difference(self, siso1):
-        d = response.delta_h(siso1, [0.3], [0.3], 1.0)
-        assert np.allclose(d, 0.0)
+class TestEvaluatedOnce:
+    """Every entry point solves the pencil once per listed or grid frequency."""
 
-    def test_siso1_value(self, siso1):
-        d = response.delta_h(siso1, [0.5], [0.0], 1.0)
-        assert abs(d[0, 0] - (-0.1 - 0.3j)) < 1e-12
+    FREQS = [0.01, 0.16070528182616392]  # certify kernel-rich seed 22 at theta0 = 0
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_factored_equals_direct(self, seed):
-        m = model_pool(1, start=260 + seed)[0]
-        t0 = interior_theta(m, seed)
-        t1 = interior_theta(m, seed + 100, scale=0.6)
-        w = 0.77
-        direct = response.h_lft(m, t1, w).H - response.h_lft(m, t0, w).H
-        factored = response.delta_h(m, t1, t0, w)
-        assert np.linalg.norm(direct - factored) <= 1e-9 * max(1.0, np.linalg.norm(direct))
+    @pytest.fixture
+    def model(self):
+        return testing.random_regular_model(22, kernel_rich=True)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        omegas = []
+        orig = response.g_blocks
+
+        def counting(model, omega):
+            omegas.append(float(omega))
+            return orig(model, omega)
+
+        monkeypatch.setattr(response, "g_blocks", counting)
+        return omegas
+
+    @staticmethod
+    def fnrr_probes(model, calls, seed):
+        ident.check_fnrr(model, seed=seed)
+        probes = Counter(calls)
+        calls.clear()
+        return probes
+
+    def test_fd_jacobian_and_s_matrices(self, model, calls):
+        t0 = np.zeros(model.dims.q)
+        oracle.fd_jacobian(model, t0, self.FREQS)
+        assert calls == self.FREQS
+        calls.clear()
+        slop.s_matrices(model, t0, self.FREQS)
+        assert calls == self.FREQS
+
+    def test_grid_search(self, model, calls):
+        seed = 11
+        t0 = np.zeros(model.dims.q)
+        probes = self.fnrr_probes(model, calls, seed)
+        grid = freqplan.default_grid(model, n_points=40)
+        plan = freqplan._search_once(model, t0, grid, ident.psi(model), seed)
+        assert plan.status == freqplan.CERTIFIED and len(plan.selected) == 2
+        raw = np.geomspace(freqplan.DEFAULT_W_MIN, freqplan.DEFAULT_W_MAX, 40).tolist()
+        counts = Counter(calls)
+        assert [counts.pop(w) for w in raw] == [1] * len(raw)
+        assert set(counts) <= set(probes)  # the rest are FNRR probes of upsilon_test
+
+    def test_upsilon_test_fresh_list(self, model, calls):
+        seed = 11
+        probes = self.fnrr_probes(model, calls, seed)
+        v = ident.upsilon_test(model, np.zeros(model.dims.q), self.FREQS, fnrr_seed=seed)
+        assert v.status == ident.IDENTIFIABLE  # the sensitivity gate ran
+        assert Counter(calls) == probes + Counter(self.FREQS)
 
 
 class TestRegularityIdentity:

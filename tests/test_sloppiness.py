@@ -50,43 +50,44 @@ def certified_fixture(seed):
 
 class TestPointwiseFactors:
     def test_siso1_at_zero(self, siso1):
-        f = slop.pointwise_factors(siso1, [0.0], 0.0)
+        f = slop.pointwise_factors(siso1, [0.0], response.g_blocks(siso1, 0.0))
         assert np.allclose(f.Phi_l, [[1.0]])
         assert np.allclose(f.Phi_r, [[1.0]])
 
     def test_siso1_at_one(self, siso1):
-        f = slop.pointwise_factors(siso1, [0.0], 1.0)
+        f = slop.pointwise_factors(siso1, [0.0], response.g_blocks(siso1, 1.0))
         assert abs(abs(f.Phi_l[0, 0]) - np.sqrt(2.0)) < 1e-12
         assert abs(abs(f.Phi_r[0, 0]) - np.sqrt(2.0)) < 1e-12
 
     def test_reconstruction(self):
         m = testing.random_regular_model(9, kernel_rich=True)
-        f = slop.pointwise_factors(m, np.zeros(m.dims.q), 0.8)
         g = response.g_blocks(m, 0.8)
+        f = slop.pointwise_factors(m, np.zeros(m.dims.q), g)
         recon = f.U_yv1 @ np.diag(f.sigma_yv) @ f.V_yv1.conj().T
         assert np.linalg.norm(recon - g.G_yv) < 1e-10 * max(1.0, np.linalg.norm(g.G_yv))
 
     def test_theta_zero_loop_identity(self):
         m = testing.random_regular_model(9, kernel_rich=True)
-        f = slop.pointwise_factors(m, np.zeros(m.dims.q), 0.8)
+        f = slop.pointwise_factors(m, np.zeros(m.dims.q), response.g_blocks(m, 0.8))
         expected = f.V_yv1 @ np.diag(1.0 / f.sigma_yv)
         assert np.allclose(f.Phi_l, expected)  # P(0) = 0 makes the loop trivial
 
     def test_rank_drop(self):
         m = zu_rank_drop_model()
         with pytest.raises(RankDrop):
-            slop.pointwise_factors(m, [0.0], 1.0)
-        slop.pointwise_factors(m, [0.0], 0.5)  # fine away from the zero
+            slop.pointwise_factors(m, [0.0], response.g_blocks(m, 1.0))
+        slop.pointwise_factors(m, [0.0], response.g_blocks(m, 0.5))  # fine away from the zero
 
 
 class TestQPair:
     def test_identity_factors(self, siso1):
-        qp = slop.q_pair(slop.pointwise_factors(siso1, [0.0], 0.0))
+        qp = slop.q_pair(slop.pointwise_factors(siso1, [0.0], response.g_blocks(siso1, 0.0)))
         assert np.allclose(qp.Q_r, [[1.0, 0.0]])
         assert np.allclose(qp.Q_j, [[0.0, 1.0]])
 
     def test_imaginary_left_factor(self):
-        base = slop.pointwise_factors(testing.siso1(), [0.0], 0.0)
+        m = testing.siso1()
+        base = slop.pointwise_factors(m, [0.0], response.g_blocks(m, 0.0))
         f = dataclasses.replace(base, Phi_l=np.array([[1j]]), Phi_r=np.array([[1.0]]))
         qp = slop.q_pair(f)
         assert np.allclose(qp.Q_r, [[0.0, -1.0]])
@@ -121,8 +122,9 @@ class TestGammaOmega:
     def test_single_frequency_shapes(self):
         m, t0, w = certified_fixture(8)
         G, O = slop.gamma_omega(m, t0, [w[0]])
-        p = ident.pi_at(m, t0, w[0])
-        f = slop.pointwise_factors(m, t0, w[0])
+        g = response.g_blocks(m, w[0])
+        p = ident.pi_at(m, t0, g)
+        f = slop.pointwise_factors(m, t0, g)
         q = m.dims.q
         m_vz = m.dims.m_v * m.dims.m_z
         # No consistency rows at N = 1: solvability + realness only.
@@ -132,8 +134,9 @@ class TestGammaOmega:
     def test_column_counts(self):
         m, t0, w = certified_fixture(22)
         G, O = slop.gamma_omega(m, t0, w)
-        c = ident.pi_at(m, t0, w[0]).kernel_dim
-        r_yv = slop.pointwise_factors(m, t0, w[0]).r_yv
+        g = response.g_blocks(m, w[0])
+        c = ident.pi_at(m, t0, g).kernel_dim
+        r_yv = slop.pointwise_factors(m, t0, g).r_yv
         N = len(w)
         assert G.shape[1] == N * 2 * c * m.dims.m_z
         assert O.shape[1] == N * 2 * r_yv * m.dims.m_z
@@ -188,6 +191,13 @@ class TestSMatrices:
             coords = S.complex_block(k) @ xi
             assert abs(np.linalg.norm(S.S_tilde[k] @ xi) - np.linalg.norm(coords)) < 1e-10
 
+    @pytest.mark.parametrize("kind", ["pis", "factors"])
+    def test_injected_factors_built_elsewhere_rejected(self, siso1, kind):
+        g = response.g_blocks(siso1, 1.0)
+        build = ident.pi_at if kind == "pis" else slop.pointwise_factors
+        with pytest.raises(InvalidInput):
+            slop.s_matrices(siso1, [0.0], [0.5], **{kind: [build(siso1, [0.0], g)]})
+
 
 class TestMetrics:
     def test_siso1_single_freq(self, siso1):
@@ -238,7 +248,7 @@ class TestMetrics:
         rng = np.random.default_rng(5)
         m, t0, w = certified_fixture(24)
         S1 = slop.s_matrices(m, t0, w)
-        facs = [slop.pointwise_factors(m, t0, wi) for wi in w]
+        facs = [slop.pointwise_factors(m, t0, response.g_blocks(m, wi)) for wi in w]
         rot = []
         for f in facs:
             d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_yv))
