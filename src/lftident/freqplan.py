@@ -19,7 +19,7 @@ import numpy as np
 
 from . import identifiability as ident
 from . import numkit, response
-from .errors import ConstructionError, EmptyGrid, PoleProximity
+from .errors import ConstructionError, EmptyGrid
 from .model import DescriptorModel
 
 __all__ = [
@@ -46,10 +46,12 @@ DEFAULT_W_MAX = 1e2
 # tie-break select exactly those fragile candidates.
 
 
-def _score(M) -> tuple[int, int]:
-    robust = numkit.rank_of(M, rtol=ident.ROBUST_RTOL, scale_floor=1.0).rank
-    margin = numkit.rank_of(M, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank
-    return robust, margin
+def _scores(mats) -> list[tuple[int, int]]:
+    """(robust rank, margin rank) of each candidate block, in stacked SVD calls.
+
+    Callers take the first maximum, which is the smallest omega among ties.
+    """
+    return numkit.stacked_ranks(mats, (ident.ROBUST_RTOL, ident.DECISION_RTOL), scale_floor=1.0)
 
 
 @dataclass(frozen=True)
@@ -101,50 +103,42 @@ def default_grid(
         raw = np.geomspace(w_min, w_max, n_points)
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
-    kept = []
-    for w in raw:
-        try:
-            kept.append(response.g_blocks(model, float(w)))
-        except PoleProximity:
-            continue
+    kept, guarded = response.g_sweep(model, raw.tolist())
     return FrequencyGrid(blocks=tuple(kept), time_domain=model.time_domain,
-                         n_guarded=raw.size - len(kept))
+                         n_guarded=len(guarded))
 
 
 def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
-                 psi_dec, fnrr_seed: int) -> FrequencyPlan:
+                 psi_dec) -> FrequencyPlan:
+    """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR."""
     m_z = model.dims.m_z
     q = model.dims.q
-    cand = [(g.omega, ident.pi_at(model, theta0, g)) for g in grid.blocks]
+    cand = ident.pi_sweep(model, theta0, grid.blocks)
 
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
     # point may carry a healthier margin.
-    for w, p in cand:
-        if ident.single_freq_shortcut(p):
-            verdict = ident.upsilon_test(model, theta0, [w], pis=[p],
-                                         psi_dec=psi_dec, fnrr_seed=fnrr_seed)
+    for p, shortcut in zip(cand, ident.shortcut_flags(cand)):
+        if shortcut:
+            verdict = ident._decide(model, theta0, [p], psi_dec)
             if verdict.status == ident.IDENTIFIABLE:
                 return FrequencyPlan(
                     status=CERTIFIED,
-                    selected=(w,),
+                    selected=(p.omega,),
                     rank_trace=(0,),
                     verdict=verdict,
                 )
             if verdict.status == ident.NOT_IDENTIFIABLE:
                 raise ConstructionError(
-                    f"shortcut frequency omega={w} certified the opposite verdict"
+                    f"shortcut frequency omega={p.omega} certified the opposite verdict"
                 )
 
     # S1: anchor frequency maximizing the rank of its Xi block, among those
     # passing the side condition; ties break toward the smallest omega.
-    best = None
-    for w, p in cand:
-        if not p.side_fcr:
-            continue
-        score = _score(ident.upsilon_block(p, psi_dec, True, m_z))
-        if best is None or score > best[0]:
-            best = (score, w, p)
+    anchors = [p for p in cand if p.side_fcr]
+    blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
+    scores = _scores(blocks)
+    best = max(range(len(scores)), key=scores.__getitem__, default=None)
     if best is None:
         return FrequencyPlan(
             status=NO_PROGRESS_ON_GRID,
@@ -153,23 +147,18 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
             verdict=None,
             refine_hint=_hint(grid),
         )
-    _, w1, p1 = best
-    selected = [w1]
-    pis = [p1]
-    Z = numkit.right_null_basis(ident.upsilon_block(p1, psi_dec, True, m_z),
-                                rtol=ident.DECISION_RTOL, scale_floor=1.0)
+    pis = [anchors[best]]
+    selected = [pis[0].omega]
+    Z = numkit.right_null_basis(blocks[best], rtol=ident.DECISION_RTOL, scale_floor=1.0)
     trace = [Z.shape[1]]
 
     # S3-S5: greedy absorption with strictly shrinking Z.
     while Z.shape[1] > 0:
-        best = None
-        for w, p in cand:
-            if w in selected:
-                continue
-            gain = _score(ident.upsilon_block(p, psi_dec, False, m_z) @ Z)
-            if best is None or gain > best[0]:
-                best = (gain, w, p)
-        if best is None or best[0] == (0, 0):
+        rest = [p for p in cand if p.omega not in selected]
+        blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
+        scores = _scores(blocks)
+        best = max(range(len(scores)), key=scores.__getitem__, default=None)
+        if best is None or scores[best] == (0, 0):
             return FrequencyPlan(
                 status=NO_PROGRESS_ON_GRID,
                 selected=tuple(selected),
@@ -177,17 +166,14 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                 verdict=None,
                 refine_hint=_hint(grid),
             )
-        gain, w, p = best
-        selected.append(w)
-        pis.append(p)
-        Z = Z @ numkit.right_null_basis(ident.upsilon_block(p, psi_dec, False, m_z) @ Z,
-                                        rtol=ident.DECISION_RTOL, scale_floor=1.0)
+        pis.append(rest[best])
+        selected.append(rest[best].omega)
+        Z = Z @ numkit.right_null_basis(blocks[best], rtol=ident.DECISION_RTOL, scale_floor=1.0)
         trace.append(Z.shape[1])
         if len(selected) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
 
-    verdict = ident.upsilon_test(model, theta0, selected, pis=pis,
-                                 psi_dec=psi_dec, fnrr_seed=fnrr_seed)
+    verdict = ident._decide(model, theta0, pis, psi_dec)
     if verdict.status == ident.NOT_IDENTIFIABLE:
         raise ConstructionError(
             f"certified selection {selected} failed re-verification: {verdict.reason}"
@@ -243,7 +229,7 @@ def search_frequencies(
     if grid is None:
         grid = default_grid(model)
 
-    plan = _search_once(model, theta0, grid, psi_dec, fnrr_seed)
+    plan = _search_once(model, theta0, grid, psi_dec)
     rounds = 0
     while plan.status == NO_PROGRESS_ON_GRID and rounds < refine:
         rounds += 1
@@ -252,5 +238,5 @@ def search_frequencies(
             grid = default_grid(model, n_points=n, w_min=w_min, w_max=w_max)
         else:
             grid = default_grid(model, n_points=n)
-        plan = _search_once(model, theta0, grid, psi_dec, fnrr_seed)
+        plan = _search_once(model, theta0, grid, psi_dec)
     return plan

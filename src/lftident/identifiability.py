@@ -38,7 +38,9 @@ __all__ = [
     "IdentifiabilityVerdict",
     "psi",
     "pi_at",
+    "pi_sweep",
     "single_freq_shortcut",
+    "shortcut_flags",
     "normal_row_rank",
     "check_fnrr",
     "upsilon_block",
@@ -143,38 +145,57 @@ def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
     """
     t0 = model.check_theta(theta0)
     K = numkit.right_null_basis(g.G_yv) if kernel is None else np.asarray(kernel, dtype=complex)
+    return _pi_factors(model, t0, [g], [K])[0]
+
+
+def pi_sweep(model: DescriptorModel, theta0, blocks) -> list[PiDecomposition]:
+    """:func:`pi_at` at each of the transfer blocks ``blocks``, in stacked SVD calls.
+
+    The factors are bitwise equal to one pi_at call per block; a singular
+    loop raises pi_at's WellPosednessViolation for the first such block.
+    """
+    t0 = model.check_theta(theta0)
+    blocks = list(blocks)
+    kernels = [f.V2 for f in numkit.svd_stack([g.G_yv for g in blocks])]
+    return _pi_factors(model, t0, blocks, kernels)
+
+
+def _pi_factors(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GBlocks],
+                kernels: list[np.ndarray]) -> list[PiDecomposition]:
     m_v = model.dims.m_v
-    if K.shape[0] != m_v:
-        raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[0]}")
+    for K in kernels:
+        if K.shape[0] != m_v:
+            raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[0]}")
     P0 = model.p_of(t0)
-    loop = np.eye(m_v) - P0 @ g.G_zv
-    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omega}")
-    Pi = loop @ K
-    Pi_r, Pi_j = Pi.real, Pi.imag
-    Pi_bar_r = np.hstack([Pi_r, -Pi_j])
-    Pi_bar_j = np.hstack([Pi_j, Pi_r])
-    W = numkit.right_null_basis(Pi_bar_j)
-    T = Pi_bar_r @ W
-    Xi = numkit.left_null_basis(T).real
-    # The side condition feeds verdicts, so it must hold with the margin.
-    side_fcr = numkit.rank_of(T, rtol=DECISION_RTOL, scale_floor=1.0).rank == T.shape[1]
-    U_Pi2 = numkit.svd_full(Pi).U2
-    return PiDecomposition(
-        g=g,
-        K=K,
-        Pi=Pi,
-        Pi_bar_r=Pi_bar_r,
-        Pi_bar_j=Pi_bar_j,
-        Xi=Xi,
-        U_Pi2=U_Pi2,
-        side_fcr=side_fcr,
+    loops = np.eye(m_v) - P0 @ np.array([g.G_zv for g in blocks])
+    numkit.loop_guard_stack(
+        loops, lambda i: f"I - P(theta0) G_zv singular at omega={blocks[i].omega}"
     )
+    Pis = [loop @ K for loop, K in zip(loops, kernels)]
+    bars_r = [np.hstack([Pi.real, -Pi.imag]) for Pi in Pis]
+    bars_j = [np.hstack([Pi.imag, Pi.real]) for Pi in Pis]
+    Ts = [R @ f.V2 for R, f in zip(bars_r, numkit.svd_stack(bars_j))]
+    Xis = [f.U2.conj().T.real for f in numkit.svd_stack(Ts)]
+    # The side condition feeds verdicts, so it must hold with the margin.
+    side = [r == T.shape[1]
+            for (r,), T in zip(numkit.stacked_ranks(Ts, (DECISION_RTOL,), 1.0), Ts)]
+    U2s = [f.U2 for f in numkit.svd_stack(Pis)]
+    return [
+        PiDecomposition(g=g, K=K, Pi=Pi, Pi_bar_r=R, Pi_bar_j=J, Xi=Xi, U_Pi2=U2, side_fcr=fcr)
+        for g, K, Pi, R, J, Xi, U2, fcr in zip(blocks, kernels, Pis, bars_r, bars_j, Xis, U2s,
+                                                side)
+    ]
 
 
 def single_freq_shortcut(pi: PiDecomposition, rtol: float = ROBUST_RTOL) -> bool:
     """True when Pi_bar_j is full column rank (with margin): one frequency certifies."""
-    M = pi.Pi_bar_j
-    return numkit.rank_of(M, rtol=rtol, scale_floor=1.0).rank == M.shape[1]
+    return shortcut_flags([pi], rtol)[0]
+
+
+def shortcut_flags(pis, rtol: float = ROBUST_RTOL) -> list[bool]:
+    """:func:`single_freq_shortcut` of each Pi decomposition, in stacked rank tests."""
+    mats = [p.Pi_bar_j for p in pis]
+    return [r == M.shape[1] for (r,), M in zip(numkit.stacked_ranks(mats, (rtol,), 1.0), mats)]
 
 
 def normal_row_rank(model: DescriptorModel, block: str = "zu", probes: int = 3,
@@ -359,13 +380,23 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
 
     check_fnrr(model, seed=fnrr_seed)
 
-    m_z = model.dims.m_z
     if pis is None:
         pis = [pi_at(model, t0, response.g_blocks(model, wi)) for wi in w]
     else:
         pis = list(pis)
         if [p.omega for p in pis] != w:
             raise InvalidInput(f"pis must be built at freqs {w}, in order")
+    return _decide(model, t0, pis, psi_dec)
+
+
+def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
+            psi_dec: PsiDecomposition) -> IdentifiabilityVerdict:
+    """The verdict of :func:`upsilon_test` from checked inputs: ``t0`` a checked
+    parameter vector, ``pis`` built at distinct frequencies, a full-column-rank
+    ``psi_dec``, and the FNRR hypothesis already verified."""
+    w = [p.omega for p in pis]
+    m_z = model.dims.m_z
+    q = model.dims.q
 
     # Single-frequency certificate: scan ascending for determinism.
     for wi, p in sorted(zip(w, pis), key=lambda x: x[0]):

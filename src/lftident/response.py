@@ -7,6 +7,11 @@ Two evaluation routes are provided for H: the interconnection form
 and the assembled state-space form D(theta) + C(theta)(lambda E - A(theta))^-1
 B(theta).  They must agree to 1e-9 relative; the determinant identity linking
 the pencil and loop determinants is exposed as a built-in self check.
+
+:func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
+stacked numpy calls (chunks of pencils); :func:`g_blocks` is its one-point
+case.  numpy's stacked ``svd`` and ``solve`` run the same LAPACK routine on
+each pencil, so a sweep and one call per frequency give bitwise equal blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit
 from .errors import InvalidInput, PoleProximity
@@ -27,6 +31,7 @@ __all__ = [
     "ResponseSample",
     "lambda_at",
     "check_freqs",
+    "g_sweep",
     "g_blocks",
     "h_lft",
     "h_statespace",
@@ -82,36 +87,65 @@ def check_freqs(model: DescriptorModel, freqs) -> list[float]:
     return w
 
 
-def _pencil_solve(E: np.ndarray, A: np.ndarray, lam: complex, rhs: np.ndarray,
-                  guard_scale: float, err: type[Exception], what: str):
-    pencil = lam * E - A
-    sig = np.linalg.svd(pencil, compute_uv=False)
-    floor = max(POLE_GUARD_RTOL * guard_scale, 1e-14 * max(float(sig[0]), 1.0))
-    if float(sig[-1]) < floor:
-        raise err(f"{what}: sigma_min(lambda E - A) = {sig[-1]:.3e} below guard {floor:.3e}")
-    lu, piv = scipy.linalg.lu_factor(pencil)
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+def _pencil_solve(E: np.ndarray, A: np.ndarray, lams: list[complex], rhs: np.ndarray,
+                  guard_scale: float) -> tuple[np.ndarray, list[str | None]]:
+    """Solve (lam E - A) X = rhs at each of ``lams`` whose pencil passes the pole guard.
+
+    Returns the solutions of the kept lams, stacked in order, and per lam
+    None (kept) or the guard's complaint.
+    """
+    pencils = np.array(lams)[:, None, None] * E - A
+    sig = np.linalg.svd(pencils, compute_uv=False)
+    floor = np.maximum(POLE_GUARD_RTOL * guard_scale, 1e-14 * np.maximum(sig[:, 0], 1.0))
+    low = sig[:, -1] < floor
+    kept = pencils[~low]
+    X = np.linalg.solve(kept, np.broadcast_to(rhs, (kept.shape[0], *rhs.shape)))
+    complaints = [
+        f"sigma_min(lambda E - A) = {s:.3e} below guard {f:.3e}" if bad else None
+        for s, f, bad in zip(sig[:, -1], floor, low)
+    ]
+    return X, complaints
+
+
+def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PoleProximity]]:
+    """Evaluate the four G blocks at each of ``omegas``, in stacked chunks.
+
+    Returns the blocks of the frequencies that pass the pole guard, in order,
+    and the PoleProximity the guard raises for each of the others, in order.
+    """
+    guard_scale = float(np.linalg.norm(model.A_xx, 2)) if model.A_xx.size else 0.0
+    B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
+    C = np.vstack([model.C_yx, model.C_zx])
+    D = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]])
+    m_y, m_u = model.dims.m_y, model.dims.m_u
+    kept: list[GBlocks] = []
+    guarded: list[PoleProximity] = []
+    for part in numkit.chunks(list(omegas)):
+        lams = [lambda_at(model.time_domain, w) for w in part]
+        X, complaints = _pencil_solve(model.E, model.A_xx, lams, B, guard_scale)
+        G = iter(D + C @ X)
+        for omega, lam, complaint in zip(part, lams, complaints):
+            if complaint is not None:
+                guarded.append(PoleProximity(f"omega={omega}: {complaint}"))
+                continue
+            Gi = next(G)
+            kept.append(GBlocks(
+                omega=float(omega),
+                lam=lam,
+                G_yu=Gi[:m_y, :m_u],
+                G_yv=Gi[:m_y, m_u:],
+                G_zu=Gi[m_y:, :m_u],
+                G_zv=Gi[m_y:, m_u:],
+            ))
+    return kept, guarded
 
 
 def g_blocks(model: DescriptorModel, omega: float) -> GBlocks:
     """Evaluate the four G blocks at one frequency (pole-guarded)."""
-    lam = lambda_at(model.time_domain, omega)
-    guard_scale = float(np.linalg.norm(model.A_xx, 2)) if model.A_xx.size else 0.0
-    B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
-    X = _pencil_solve(model.E, model.A_xx, lam, B, guard_scale, PoleProximity,
-                      f"omega={omega}")
-    C = np.vstack([model.C_yx, model.C_zx])
-    D = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]])
-    G = D + C @ X
-    m_y, m_u = model.dims.m_y, model.dims.m_u
-    return GBlocks(
-        omega=float(omega),
-        lam=lam,
-        G_yu=G[:m_y, :m_u],
-        G_yv=G[:m_y, m_u:],
-        G_zu=G[m_y:, :m_u],
-        G_zv=G[m_y:, m_u:],
-    )
+    kept, guarded = g_sweep(model, [omega])
+    if guarded:
+        raise guarded[0]
+    return kept[0]
 
 
 def h_lft(model: DescriptorModel, theta, g: GBlocks) -> ResponseSample:
@@ -133,9 +167,10 @@ def h_statespace(model: DescriptorModel, theta, omega: float) -> ResponseSample:
     lam = lambda_at(model.time_domain, omega)
     A, B, C, D = model.assembled(t)
     guard_scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    X = _pencil_solve(model.E, A, lam, B.astype(complex), guard_scale, PoleProximity,
-                      f"omega={omega}, theta={t.tolist()}")
-    return ResponseSample(omega=float(omega), theta=t, H=D + C @ X)
+    X, (complaint,) = _pencil_solve(model.E, A, [lam], B.astype(complex), guard_scale)
+    if complaint is not None:
+        raise PoleProximity(f"omega={omega}, theta={t.tolist()}: {complaint}")
+    return ResponseSample(omega=float(omega), theta=t, H=D + C @ X[0])
 
 
 def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> float:
@@ -171,8 +206,7 @@ def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> f
         mid = np.linalg.det(lam * E_big - A_big)
         pencil = lam * model.E - model.A_xx
         det_free = np.linalg.det(pencil)
-        lu = scipy.linalg.lu_factor(pencil)
-        G_zv = model.D_zv + model.C_zx @ scipy.linalg.lu_solve(lu, model.B_xv.astype(complex))
+        G_zv = model.D_zv + model.C_zx @ np.linalg.solve(pencil, model.B_xv.astype(complex))
         rhs_z = det_free * np.linalg.det(np.eye(d.m_z) - G_zv @ P)
         rhs_v = det_free * np.linalg.det(np.eye(d.m_v) - P @ G_zv)
         values = [lhs, mid, rhs_z, rhs_v]

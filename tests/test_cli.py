@@ -1,10 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lftident import cli, model as model_mod, testing
 from lftident.model import Dims
+
+# Runs cli.main on each argv of a JSON list in a new interpreter and prints
+# the exit codes and whether scipy.linalg got imported.
+FRESH = """
+import json, sys
+from lftident import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
+"""
 
 
 def run(args, capsys):
@@ -15,6 +28,16 @@ def run(args, capsys):
 
 def parse(out):
     return json.loads(out)
+
+
+def run_fresh(argvs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", FRESH, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_version(capsys):
@@ -233,4 +256,22 @@ def test_no_state_kept_between_runs(siso1_path, tmp_path, capsys):
     assert cli.main(ident + ["--output", str(after)]) == 0
     assert after.read_bytes() == first.read_bytes()
     assert json.loads(after.read_text())["parameters"]["tolerances"]["rank_rtol"] == 1e-10
+    capsys.readouterr()
+
+
+def test_ident_and_find_freqs_leave_scipy_linalg_unimported(siso1_path, tmp_path):
+    model = ["--model", str(siso1_path), "--theta0", "0", "--output", str(tmp_path / "r.json")]
+    res = run_fresh([["ident", *model, "--freqs", "0,1"], ["find-freqs", *model]])
+    assert res == {"codes": [0, 0], "scipy_linalg": False}
+
+
+def test_usage_error_then_run_matches_fresh_run(siso1_path, tmp_path, capsys):
+    # main reuses one parser; a rejected argv must leave nothing in it.
+    args = ["find-freqs", "--model", str(siso1_path), "--theta0", "0", "--grid-points", "50"]
+    assert cli.main(["find-freqs", "--model", str(siso1_path), "--theta0"]) == cli.EXIT_USAGE
+    assert cli.main(args[:-1] + ["fifty"]) == cli.EXIT_USAGE
+    reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+    assert cli.main(args + ["--output", str(reused)]) == 0
+    assert run_fresh([args + ["--output", str(fresh)]])["codes"] == [0]
+    assert reused.read_bytes() == fresh.read_bytes()
     capsys.readouterr()

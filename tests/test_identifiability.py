@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from lftident import identifiability as ident
+from lftident import freqplan, identifiability as ident
 from lftident import numkit, oracle, response, testing
-from lftident.errors import FNRRViolation, InvalidInput, LftIdentError
+from lftident.errors import FNRRViolation, InvalidInput, LftIdentError, WellPosednessViolation
 from lftident.model import DescriptorModel, Dims
 
-from conftest import model_pool
+from conftest import interior_theta, model_pool
 
 
 def kernel_pool(n, start=0):
@@ -96,6 +98,65 @@ class TestPiAt:
             side_fcr=True,
         )
         assert not ident.single_freq_shortcut(p)
+
+
+def reference_pi(model, theta0, g):
+    """pi_at as one single-matrix numkit call per factor (the unstacked route)."""
+    K = numkit.right_null_basis(g.G_yv)
+    loop = np.eye(model.dims.m_v) - model.p_of(theta0) @ g.G_zv
+    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omega}")
+    Pi = loop @ K
+    Pi_bar_r = np.hstack([Pi.real, -Pi.imag])
+    Pi_bar_j = np.hstack([Pi.imag, Pi.real])
+    T = Pi_bar_r @ numkit.right_null_basis(Pi_bar_j)
+    return dict(
+        K=K, Pi=Pi, Pi_bar_r=Pi_bar_r, Pi_bar_j=Pi_bar_j,
+        Xi=numkit.left_null_basis(T).real, U_Pi2=numkit.svd_full(Pi).U2,
+        side_fcr=numkit.rank_of(T, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank == T.shape[1],
+        shortcut=numkit.rank_of(Pi_bar_j, rtol=ident.ROBUST_RTOL,
+                                scale_floor=1.0).rank == Pi_bar_j.shape[1],
+    )
+
+
+class TestPiSweep:
+    """Stacked Pi factors equal the unstacked ones, bit for bit, at every grid point."""
+
+    @pytest.mark.parametrize("seed,kind", [
+        (3, dict(kernel_rich=True)),
+        (53, dict(kernel_rich=True)),
+        (0, dict(kernel_rich=True, time_domain="discrete")),
+        (0, dict(kernel_rich=True, singular_E=True)),
+        (1, dict()),
+    ])
+    def test_equals_pointwise(self, seed, kind):
+        m = testing.random_regular_model(seed, **kind)
+        t0 = interior_theta(m, seed)
+        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).blocks
+        swept = ident.pi_sweep(m, t0, blocks)
+        flags = ident.shortcut_flags(swept)
+        assert len(swept) == len(flags) == len(blocks)
+        for p, flag, g in zip(swept, flags, blocks):
+            ref = reference_pi(m, t0, g)
+            one = ident.pi_at(m, t0, g)
+            assert p.g is g
+            for name in ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2"):
+                assert np.array_equal(getattr(p, name), ref[name]), name
+                assert np.array_equal(getattr(one, name), ref[name]), name
+            assert p.side_fcr == one.side_fcr == ref["side_fcr"]
+            assert flag == ident.single_freq_shortcut(p) == ref["shortcut"]
+
+    def test_first_singular_loop_raises(self, siso1):
+        # With theta0 = 0.5, I - theta0 G_zv is singular where G_zv = 2.
+        t0 = [0.5]
+        blocks = [response.g_blocks(siso1, w) for w in np.geomspace(0.1, 10.0, 40)]
+        for i in (numkit._CHUNK + 1, 3, 17):
+            blocks[i] = dataclasses.replace(blocks[i], G_zv=np.array([[2.0 + 0j]]))
+        with pytest.raises(WellPosednessViolation) as single:
+            ident.pi_at(siso1, t0, blocks[3])
+        with pytest.raises(WellPosednessViolation) as swept:
+            ident.pi_sweep(siso1, t0, blocks)
+        assert str(swept.value) == str(single.value)
+        assert f"omega={blocks[3].omega}" in str(swept.value)
 
 
 class TestNormalRowRank:

@@ -184,6 +184,53 @@ class TestLoopGuard:
             numkit.loop_guard(np.diag([1e3, np.nextafter(cut, 0.0)]), "loop")
 
 
+class TestStacked:
+    """Stacked helpers give each matrix exactly its single-matrix result."""
+
+    @staticmethod
+    def mixed(seed):
+        # Two shapes, both dtypes, rank-deficient and empty members, and more
+        # matrices of one group than fit in one stacking chunk.
+        rng = np.random.default_rng(seed)
+        mats = []
+        for i in range(2 * numkit._CHUNK + 3):
+            m, n = [(4, 3), (2, 5), (3, 0), (0, 2)][i % 4]
+            A = random_complex(rng, m, n) if i % 3 else rng.standard_normal((m, n))
+            if i % 5 == 0 and A.size:
+                A[:, -1] = A[:, 0]
+            mats.append(A)
+        return mats
+
+    def test_svd_stack_equals_svd_full(self):
+        mats = self.mixed(1)
+        for f, M in zip(numkit.svd_stack(mats, rtol=1e-8, scale_floor=1.0), mats):
+            g = numkit.svd_full(M, rtol=1e-8, scale_floor=1.0)
+            for name in ("U1", "U2", "sigma", "V1", "V2"):
+                assert np.array_equal(getattr(f, name), getattr(g, name))
+            assert (f.rank, f.decision.tol) == (g.rank, g.decision.tol)
+
+    def test_stacked_ranks_equal_rank_of(self):
+        mats = self.mixed(2)
+        rtols = (1e-3, 1e-10)
+        expected = [tuple(numkit.rank_of(M, rtol=r, scale_floor=1.0).rank for r in rtols)
+                    for M in mats]
+        assert numkit.stacked_ranks(mats, rtols, scale_floor=1.0) == expected
+
+    def test_non_finite_member_rejected(self):
+        mats = self.mixed(3)
+        mats[9] = mats[9].copy()
+        mats[9][0, 0] = np.inf
+        with pytest.raises(InvalidInput):
+            numkit.stacked_ranks(mats, (1e-10,))
+
+    def test_loop_guard_stack_names_first_failure(self):
+        M = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(WellPosednessViolation, match=r"^loop 1 \(sigma_min=0"):
+            numkit.loop_guard_stack(M, lambda i: f"loop {i}")
+        sig = numkit.loop_guard_stack(M[[0, 2]], lambda i: f"loop {i}")
+        assert np.array_equal(sig, np.ones((2, 2)))
+
+
 class TestPinvSolvable:
     @pytest.mark.parametrize(
         "A,expected",

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lftident import freqplan, identifiability as ident, oracle, response
+from lftident import freqplan, identifiability as ident, numkit, oracle, response
 from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
@@ -101,7 +101,8 @@ class TestHRoutes:
 
 
 class TestEvaluatedOnce:
-    """Every entry point solves the pencil once per listed or grid frequency."""
+    """Every entry point solves the pencil once per listed, grid or FNRR probe
+    frequency; all solves go through the one stacked evaluator ``g_sweep``."""
 
     FREQS = [0.01, 0.16070528182616392]  # certify kernel-rich seed 22 at theta0 = 0
 
@@ -112,13 +113,14 @@ class TestEvaluatedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         omegas = []
-        orig = response.g_blocks
+        orig = response.g_sweep
 
-        def counting(model, omega):
-            omegas.append(float(omega))
-            return orig(model, omega)
+        def counting(model, freqs):
+            freqs = list(freqs)
+            omegas.extend(float(w) for w in freqs)
+            return orig(model, freqs)
 
-        monkeypatch.setattr(response, "g_blocks", counting)
+        monkeypatch.setattr(response, "g_sweep", counting)
         return omegas
 
     @staticmethod
@@ -141,12 +143,12 @@ class TestEvaluatedOnce:
         t0 = np.zeros(model.dims.q)
         probes = self.fnrr_probes(model, calls, seed)
         grid = freqplan.default_grid(model, n_points=40)
-        plan = freqplan._search_once(model, t0, grid, ident.psi(model), seed)
+        plan = freqplan.search_frequencies(model, t0, grid=grid, fnrr_seed=seed)
         assert plan.status == freqplan.CERTIFIED and len(plan.selected) == 2
         raw = np.geomspace(freqplan.DEFAULT_W_MIN, freqplan.DEFAULT_W_MAX, 40).tolist()
         counts = Counter(calls)
         assert [counts.pop(w) for w in raw] == [1] * len(raw)
-        assert set(counts) <= set(probes)  # the rest are FNRR probes of upsilon_test
+        assert counts == probes  # the search checks FNRR once, not once per verdict
 
     def test_upsilon_test_fresh_list(self, model, calls):
         seed = 11
@@ -154,6 +156,91 @@ class TestEvaluatedOnce:
         v = ident.upsilon_test(model, np.zeros(model.dims.q), self.FREQS, fnrr_seed=seed)
         assert v.status == ident.IDENTIFIABLE  # the sensitivity gate ran
         assert Counter(calls) == probes + Counter(self.FREQS)
+
+
+def oscillator(w_star: float) -> DescriptorModel:
+    """Undamped oscillator: poles at +- j w_star on the imaginary axis."""
+    one = np.ones((2, 1))
+    return DescriptorModel(
+        time_domain="continuous",
+        dims=Dims(2, 1, 1, 1, 1, 1),
+        E=np.eye(2), A_xx=np.array([[0.0, w_star], [-w_star, 0.0]]),
+        B_xu=one, B_xv=one, C_yx=one.T, C_zx=one.T,
+        D_yu=np.zeros((1, 1)), D_yv=np.zeros((1, 1)),
+        D_zu=np.zeros((1, 1)), D_zv=np.zeros((1, 1)),
+        P=(np.array([[0.1]]),),
+        theta_domain=ParameterDomain(radius=0.5),
+    )
+
+
+def reference_g(model, omega) -> np.ndarray:
+    """[[G_yu, G_yv], [G_zu, G_zv]] from one dense solve of the pencil at omega."""
+    lam = response.lambda_at(model.time_domain, omega)
+    X = np.linalg.solve(lam * model.E - model.A_xx,
+                        np.hstack([model.B_xu, model.B_xv]).astype(complex))
+    D = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]])
+    return D + np.vstack([model.C_yx, model.C_zx]) @ X
+
+
+class TestSweep:
+    """A stacked sweep equals one g_blocks call per frequency, bit for bit."""
+
+    CHUNK = numkit._CHUNK
+    # (points, index of the guarded oscillator point): the last point of a
+    # short grid, the last point of the first chunk, the first of the second.
+    SIZES = [(CHUNK - 1, CHUNK - 2), (CHUNK, CHUNK - 1), (CHUNK + 1, CHUNK)]
+
+    @staticmethod
+    def assert_matches_pointwise(model, omegas):
+        kept, guarded = response.g_sweep(model, omegas)
+        kept, guarded = iter(kept), iter(guarded)
+        for w in omegas:
+            try:
+                g = response.g_blocks(model, w)
+            except PoleProximity as exc:
+                assert str(next(guarded)) == str(exc)
+                continue
+            s = next(kept)
+            assert (s.omega, s.lam) == (g.omega, g.lam)
+            G = reference_g(model, w)
+            for name, ref in (("G_yu", G[:model.dims.m_y, :model.dims.m_u]),
+                              ("G_yv", G[:model.dims.m_y, model.dims.m_u:]),
+                              ("G_zu", G[model.dims.m_y:, :model.dims.m_u]),
+                              ("G_zv", G[model.dims.m_y:, model.dims.m_u:])):
+                assert np.array_equal(getattr(s, name), getattr(g, name))
+                assert np.array_equal(getattr(s, name), ref)
+        assert next(kept, None) is None and next(guarded, None) is None
+
+    @pytest.mark.parametrize("n,_", SIZES)
+    @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
+                                      dict(singular_E=True)])
+    def test_random_models(self, kind, n, _):
+        m = testing.random_regular_model(5, **kind)
+        if m.time_domain == "continuous":
+            omegas = np.geomspace(1e-2, 1e2, n).tolist()
+        else:
+            omegas = np.linspace(np.pi / n, np.pi, n).tolist()
+        self.assert_matches_pointwise(m, omegas)
+
+    @pytest.mark.parametrize("n,hit", SIZES)
+    def test_guarded_point_on_chunk_boundary(self, n, hit):
+        omegas = np.geomspace(1e-2, 1e2, n).tolist()
+        m = oscillator(omegas[hit])
+        kept, guarded = response.g_sweep(m, omegas)
+        assert len(guarded) == 1 and len(kept) == n - 1
+        assert omegas[hit] not in [g.omega for g in kept]
+        self.assert_matches_pointwise(m, omegas)
+
+    def test_first_guarded_listed_frequency_raises(self):
+        w_star = 0.7
+        m = oscillator(w_star)
+        with pytest.raises(PoleProximity) as first:
+            response.g_blocks(m, -w_star)
+        _, guarded = response.g_sweep(m, [1.0, -w_star, 2.0, w_star])
+        assert [str(e) for e in guarded][0] == str(first.value)
+        with pytest.raises(PoleProximity) as listed:
+            oracle.fd_jacobian(m, [0.0], [1.0, -w_star, 2.0, w_star])
+        assert str(listed.value) == str(first.value)
 
 
 class TestRegularityIdentity:
