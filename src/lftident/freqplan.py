@@ -51,7 +51,7 @@ def _scores(mats) -> list[tuple[int, int]]:
 
     Callers take the first maximum, which is the smallest omega among ties.
     """
-    return numkit.stacked_ranks(mats, (ident.ROBUST_RTOL, ident.DECISION_RTOL), scale_floor=1.0)
+    return numkit.stacked_ranks(mats, (ident.ROBUST_RTOL, ident.DECISION_RTOL))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def _pi_factors(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GB
     Xis = [f.U2.conj().T.real for f in numkit.svd_stack(Ts)]
     # The side condition feeds verdicts, so it must hold with the margin.
     side = [r == T.shape[1]
-            for (r,), T in zip(numkit.stacked_ranks(Ts, (DECISION_RTOL,), 1.0), Ts)]
+            for (r,), T in zip(numkit.stacked_ranks(Ts, (DECISION_RTOL,)), Ts)]
     U2s = [f.U2 for f in numkit.svd_stack(Pis)]
     return [
         PiDecomposition(g=g, K=K, Pi=Pi, Pi_bar_r=R, Pi_bar_j=J, Xi=Xi, U_Pi2=U2, side_fcr=fcr)
@@ -189,13 +189,14 @@ def _pi_factors(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GB
 
 def single_freq_shortcut(pi: PiDecomposition, rtol: float = ROBUST_RTOL) -> bool:
     """True when Pi_bar_j is full column rank (with margin): one frequency certifies."""
-    return shortcut_flags([pi], rtol)[0]
+    M = pi.Pi_bar_j
+    return numkit.rank_of(M, rtol=rtol, scale_floor=1.0).rank == M.shape[1]
 
 
-def shortcut_flags(pis, rtol: float = ROBUST_RTOL) -> list[bool]:
+def shortcut_flags(pis) -> list[bool]:
     """:func:`single_freq_shortcut` of each Pi decomposition, in stacked rank tests."""
     mats = [p.Pi_bar_j for p in pis]
-    return [r == M.shape[1] for (r,), M in zip(numkit.stacked_ranks(mats, (rtol,), 1.0), mats)]
+    return [r == M.shape[1] for (r,), M in zip(numkit.stacked_ranks(mats, (ROBUST_RTOL,)), mats)]
 
 
 def normal_row_rank(model: DescriptorModel, block: str = "zu", probes: int = 3,

@@ -44,7 +44,6 @@ __all__ = [
     "is_fcr",
     "loop_guard",
     "loop_guard_stack",
-    "chunks",
     "right_null_basis",
     "left_null_basis",
     "pinv",
@@ -61,7 +60,7 @@ LOOP_GUARD_RTOL = 1e-12
 _CHUNK = 32
 
 
-def chunks(items):
+def _chunks(items):
     """Consecutive slices of ``items`` of at most the stacking chunk size."""
     return [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
 
@@ -107,7 +106,7 @@ def _svd_groups(mats, compute_uv: bool):
     for i, M in enumerate(mats):
         groups.setdefault((M.shape, M.dtype), []).append(i)
     for (shape, _), members in groups.items():
-        for idx in chunks(members):
+        for idx in _chunks(members):
             S = _checked(np.array([mats[i] for i in idx]))
             yield idx, shape, _svd(S, compute_uv)
 
@@ -179,17 +178,14 @@ def svd_full(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
     return _factors(U, Vh.conj().T, _decision(sigma, M.shape, tol, rtol, scale_floor))
 
 
-def svd_stack(mats, rtol: float = DEFAULT_RANK_RTOL,
-              scale_floor: float = 0.0) -> list[SvdFactors]:
-    """:func:`svd_full` of each 2-D array in ``mats``, in stacked LAPACK calls."""
+def svd_stack(mats) -> list[SvdFactors]:
+    """:func:`svd_full` (default tolerance) of each 2-D array in ``mats``, in
+    stacked LAPACK calls."""
     out: list = [None] * len(mats)
     for idx, shape, (U, sigma, Vh) in _svd_groups(mats, True):
-        cut = _rank_tol(sigma, shape, rtol, scale_floor)
-        ranks = (sigma > cut[:, None]).sum(axis=1).tolist()
         V = Vh.conj().transpose(0, 2, 1)
         for j, i in enumerate(idx):
-            out[i] = _factors(U[j], V[j], RankDecision(rank=ranks[j], tol=float(cut[j]),
-                                                       singular_values=sigma[j]))
+            out[i] = _factors(U[j], V[j], _decision(sigma[j], shape, None, DEFAULT_RANK_RTOL, 0.0))
     return out
 
 
@@ -218,12 +214,13 @@ def rank_of(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
     return _decision(_svd(M[None], False)[0], M.shape, tol, rtol, scale_floor)
 
 
-def stacked_ranks(mats, rtols, scale_floor: float = 0.0) -> list[tuple[int, ...]]:
-    """Rank of each 2-D array in ``mats`` at each of ``rtols``, as :func:`rank_of`
-    decides it, from one stacked singular-value computation."""
+def stacked_ranks(mats, rtols) -> list[tuple[int, ...]]:
+    """Rank of each 2-D array in ``mats`` at each of ``rtols``, as
+    ``rank_of(M, rtol=rtol, scale_floor=1.0)`` decides it, from one stacked
+    singular-value computation."""
     out: list = [None] * len(mats)
     for idx, shape, sigma in _svd_groups(mats, False):
-        ranks = [(sigma > _rank_tol(sigma, shape, rtol, scale_floor)[:, None]).sum(axis=1).tolist()
+        ranks = [(sigma > _rank_tol(sigma, shape, rtol, 1.0)[:, None]).sum(axis=1).tolist()
                  for rtol in rtols]
         for j, i in enumerate(idx):
             out[i] = tuple(r[j] for r in ranks)
@@ -259,26 +256,18 @@ def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
     Raises WellPosednessViolation with ``message`` (and sigma_min appended)
     when sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max, 1).
     """
-    sig = np.linalg.svd(M, compute_uv=False)
-    if _loop_fails(sig):
-        raise WellPosednessViolation(f"{message} (sigma_min={sig[-1]:.3e})")
-    return sig
+    return loop_guard_stack(np.asarray(M)[None], lambda i: message)[0]
 
 
 def loop_guard_stack(M: np.ndarray, message_of) -> np.ndarray:
     """:func:`loop_guard` of each matrix in the stack ``M``, one row of singular
     values each; the error names ``message_of(i)`` for the first failing ``M[i]``."""
     sig = np.linalg.svd(M, compute_uv=False)
-    bad = np.flatnonzero(_loop_fails(sig))
+    bad = np.flatnonzero(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
     if bad.size:
         i = int(bad[0])
         raise WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")
     return sig
-
-
-def _loop_fails(sig: np.ndarray):
-    """sigma_min < LOOP_GUARD_RTOL * max(sigma_max, 1), along the last axis."""
-    return sig[..., -1] < LOOP_GUARD_RTOL * np.maximum(sig[..., 0], 1.0)
 
 
 def pinv(A) -> np.ndarray:

@@ -120,7 +120,7 @@ def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PolePro
     m_y, m_u = model.dims.m_y, model.dims.m_u
     kept: list[GBlocks] = []
     guarded: list[PoleProximity] = []
-    for part in numkit.chunks(list(omegas)):
+    for part in numkit._chunks(list(omegas)):
         lams = [lambda_at(model.time_domain, w) for w in part]
         X, complaints = _pencil_solve(model.E, model.A_xx, lams, B, guard_scale)
         G = iter(D + C @ X)
@@ -184,6 +184,7 @@ def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> f
         det(lambda E - A_xx) det(I - P G_zv(lambda))
 
     must coincide; the returned value is the largest pairwise relative error.
+    A probe at which lambda E - A_xx is exactly singular raises PoleProximity.
     """
     t = model.check_theta(theta)
     P = model.p_of(t)
@@ -206,7 +207,11 @@ def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> f
         mid = np.linalg.det(lam * E_big - A_big)
         pencil = lam * model.E - model.A_xx
         det_free = np.linalg.det(pencil)
-        G_zv = model.D_zv + model.C_zx @ np.linalg.solve(pencil, model.B_xv.astype(complex))
+        try:
+            X = np.linalg.solve(pencil, model.B_xv.astype(complex))
+        except np.linalg.LinAlgError:
+            raise PoleProximity(f"lambda={lam}: lambda E - A_xx is singular") from None
+        G_zv = model.D_zv + model.C_zx @ X
         rhs_z = det_free * np.linalg.det(np.eye(d.m_z) - G_zv @ P)
         rhs_v = det_free * np.linalg.det(np.eye(d.m_v) - P @ G_zv)
         values = [lhs, mid, rhs_z, rhs_v]

@@ -203,8 +203,8 @@ class TestStacked:
 
     def test_svd_stack_equals_svd_full(self):
         mats = self.mixed(1)
-        for f, M in zip(numkit.svd_stack(mats, rtol=1e-8, scale_floor=1.0), mats):
-            g = numkit.svd_full(M, rtol=1e-8, scale_floor=1.0)
+        for f, M in zip(numkit.svd_stack(mats), mats):
+            g = numkit.svd_full(M)
             for name in ("U1", "U2", "sigma", "V1", "V2"):
                 assert np.array_equal(getattr(f, name), getattr(g, name))
             assert (f.rank, f.decision.tol) == (g.rank, g.decision.tol)
@@ -214,7 +214,7 @@ class TestStacked:
         rtols = (1e-3, 1e-10)
         expected = [tuple(numkit.rank_of(M, rtol=r, scale_floor=1.0).rank for r in rtols)
                     for M in mats]
-        assert numkit.stacked_ranks(mats, rtols, scale_floor=1.0) == expected
+        assert numkit.stacked_ranks(mats, rtols) == expected
 
     def test_non_finite_member_rejected(self):
         mats = self.mixed(3)

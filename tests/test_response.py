@@ -222,6 +222,25 @@ class TestSweep:
             omegas = np.linspace(np.pi / n, np.pi, n).tolist()
         self.assert_matches_pointwise(m, omegas)
 
+    @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
+                                      dict(singular_E=True)])
+    def test_matches_scipy_lu_route(self, kind):
+        # np.linalg.solve and scipy's lu_factor/lu_solve may round differently
+        # in the last bits (they can link different LAPACK builds); G must
+        # agree to within the backward error of either solve.
+        import scipy.linalg
+
+        m = testing.random_regular_model(5, **kind)
+        B = np.hstack([m.B_xu, m.B_xv]).astype(complex)
+        C = np.vstack([m.C_yx, m.C_zx])
+        D = np.block([[m.D_yu, m.D_yv], [m.D_zu, m.D_zv]])
+        for g in freqplan.default_grid(m, n_points=40).blocks:
+            pencil = g.lam * m.E - m.A_xx
+            X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(pencil), B)
+            G = np.block([[g.G_yu, g.G_yv], [g.G_zu, g.G_zv]])
+            bound = 1e-13 * np.linalg.cond(pencil) * np.linalg.norm(C) * np.linalg.norm(X)
+            assert np.linalg.norm(G - (D + C @ X)) <= bound
+
     @pytest.mark.parametrize("n,hit", SIZES)
     def test_guarded_point_on_chunk_boundary(self, n, hit):
         omegas = np.geomspace(1e-2, 1e2, n).tolist()
@@ -252,6 +271,11 @@ class TestRegularityIdentity:
         # Both sides collapse to det(lambda E - A_xx) when theta = 0.
         err = response.regularity_identity_check(siso1, [0.0], [0.4 + 1.1j, -0.8 + 0.2j])
         assert err <= 1e-12
+
+    def test_probe_at_a_pole_raises(self, siso1):
+        # lambda = -1 makes lambda E - A_xx exactly zero for siso1.
+        with pytest.raises(PoleProximity, match=r"^lambda=\(-1\+0j\): "):
+            response.regularity_identity_check(siso1, [0.3], [1j, -1.0])
 
     def test_random_probes(self):
         rng = np.random.default_rng(4)
