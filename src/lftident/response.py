@@ -94,11 +94,15 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, lams: list[complex], rhs: np.nda
     Returns the solutions of the kept lams, stacked in order, and per lam
     None (kept) or the guard's complaint.
     """
-    pencils = np.array(lams)[:, None, None] * E - A
+    # One chunk-sized array, built in place and copied only when a pencil is
+    # guarded: freeing two or three such temporaries per chunk let malloc
+    # return them to the system and fault them back in on the next chunk.
+    pencils = np.multiply.outer(np.array(lams), E)
+    pencils -= A
     sig = np.linalg.svd(pencils, compute_uv=False)
     floor = np.maximum(POLE_GUARD_RTOL * guard_scale, 1e-14 * np.maximum(sig[:, 0], 1.0))
     low = sig[:, -1] < floor
-    kept = pencils[~low]
+    kept = pencils[~low] if low.any() else pencils
     X = np.linalg.solve(kept, np.broadcast_to(rhs, (kept.shape[0], *rhs.shape)))
     complaints = [
         f"sigma_min(lambda E - A) = {s:.3e} below guard {f:.3e}" if bad else None

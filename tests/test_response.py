@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -249,6 +250,22 @@ class TestSweep:
         assert len(guarded) == 1 and len(kept) == n - 1
         assert omegas[hit] not in [g.omega for g in kept]
         self.assert_matches_pointwise(m, omegas)
+
+    def test_holds_one_chunk_of_pencils(self):
+        # Each chunk's pencils are built in place and copied only around a
+        # guarded point: spare chunk-sized temporaries made malloc hand memory
+        # back to the system and fault it in again on every chunk.
+        m = testing.random_regular_model(1, dims=Dims(60, 4, 2, 4, 8, 16))
+        omegas = np.geomspace(1e-2, 1e2, self.CHUNK).tolist()
+        _, guarded = response.g_sweep(m, omegas)
+        assert not guarded
+        tracemalloc.start()
+        try:
+            response.g_sweep(m, omegas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * self.CHUNK * m.A_xx.size * 16
 
     def test_first_guarded_listed_frequency_raises(self):
         w_star = 0.7
