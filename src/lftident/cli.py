@@ -135,7 +135,7 @@ def run_validate(args) -> tuple:
     report = model_mod.validate_assumptions(m, thetas, seed=args.seed)
     psi_dec = identifiability.psi(m)
     try:
-        zu_rank = identifiability.normal_row_rank(m, "zu", seed=args.seed)
+        zu_rank = identifiability.normal_row_rank(m, seed=args.seed)
         fnrr = zu_rank == m.dims.m_z
     except FNRRViolation:
         zu_rank, fnrr = None, False
@@ -263,9 +263,7 @@ def run_oracle(args) -> tuple:
             "max_rel_difference": max(rel) if rel else 0.0,
         }
     payload["mu_agreement"] = agreement
-    counter = oracle.random_equivalence_probe(
-        m, t0, w, trials=args.trials, seed=args.seed
-    )
+    counter = oracle.random_equivalence_probe(m, est, trials=args.trials, seed=args.seed)
     payload["equivalence_probe"] = {
         "trials": args.trials,
         "counterexample": None if counter is None else list(counter),
@@ -366,7 +364,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        result = _RUNNERS[args.command](args)
+        result, csv_rows = _RUNNERS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -383,10 +381,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     elapsed = time.monotonic() - started
-
-    csv_rows = None
-    if isinstance(result, tuple):
-        result, csv_rows = result
 
     doc = {
         "schema": REPORT_SCHEMA,
@@ -423,7 +417,7 @@ def main(argv=None) -> int:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    if csv_rows is not None and getattr(args, "csv", None):
+    if getattr(args, "csv", None):
         _write_csv(args.csv, csv_rows)
     print(f"{args.command}: done in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identifiability as ident
-from . import numkit, response
+from . import response
 from .errors import ConstructionError, EmptyGrid
 from .model import DescriptorModel
 
@@ -39,19 +39,6 @@ NOT_IDENTIFIABLE = ident.NOT_IDENTIFIABLE
 DEFAULT_GRID_POINTS = 200
 DEFAULT_W_MIN = 1e-2
 DEFAULT_W_MAX = 1e2
-
-# Candidates are ranked by the pair (robust rank, margin rank): adjacent grid
-# points often add rows that are nearly dependent on what is already
-# absorbed, and counting only margin-level gains would let the smallest-omega
-# tie-break select exactly those fragile candidates.
-
-
-def _scores(mats) -> list[tuple[int, int]]:
-    """(robust rank, margin rank) of each candidate block, in stacked SVD calls.
-
-    Callers take the first maximum, which is the smallest omega among ties.
-    """
-    return numkit.stacked_ranks(mats, (ident.ROBUST_RTOL, ident.DECISION_RTOL))
 
 
 @dataclass(frozen=True)
@@ -133,11 +120,12 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                     f"shortcut frequency omega={p.omega} certified the opposite verdict"
                 )
 
-    # S1: anchor frequency maximizing the rank of its Xi block, among those
-    # passing the side condition; ties break toward the smallest omega.
+    # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
+    # block, among those passing the side condition; the first maximum is
+    # the smallest omega among ties.
     anchors = [p for p in cand if p.side_fcr]
     blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
-    scores = _scores(blocks)
+    scores = ident.candidate_scores(blocks)
     best = max(range(len(scores)), key=scores.__getitem__, default=None)
     if best is None:
         return FrequencyPlan(
@@ -149,14 +137,14 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         )
     pis = [anchors[best]]
     selected = [pis[0].omega]
-    Z = numkit.right_null_basis(blocks[best], rtol=ident.DECISION_RTOL, scale_floor=1.0)
+    Z = ident.chain_null_basis(blocks[best])
     trace = [Z.shape[1]]
 
     # S3-S5: greedy absorption with strictly shrinking Z.
     while Z.shape[1] > 0:
         rest = [p for p in cand if p.omega not in selected]
         blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
-        scores = _scores(blocks)
+        scores = ident.candidate_scores(blocks)
         best = max(range(len(scores)), key=scores.__getitem__, default=None)
         if best is None or scores[best] == (0, 0):
             return FrequencyPlan(
@@ -168,7 +156,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
             )
         pis.append(rest[best])
         selected.append(rest[best].omega)
-        Z = Z @ numkit.right_null_basis(blocks[best], rtol=ident.DECISION_RTOL, scale_floor=1.0)
+        Z = Z @ ident.chain_null_basis(blocks[best])
         trace.append(Z.shape[1])
         if len(selected) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
@@ -217,8 +205,7 @@ def search_frequencies(
     theta0 = model.check_theta(theta0)
     psi_dec = ident.psi(model)
     if not psi_dec.is_fcr:
-        verdict = ident.upsilon_test(model, theta0, [1.0], psi_dec=psi_dec,
-                                     fnrr_seed=fnrr_seed)
+        verdict = ident.upsilon_test(model, theta0, [1.0])
         return FrequencyPlan(
             status=NOT_IDENTIFIABLE,
             selected=(),

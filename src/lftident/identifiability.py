@@ -39,12 +39,12 @@ __all__ = [
     "psi",
     "pi_at",
     "pi_sweep",
-    "single_freq_shortcut",
     "shortcut_flags",
     "normal_row_rank",
     "check_fnrr",
     "upsilon_block",
-    "build_upsilon",
+    "candidate_scores",
+    "chain_null_basis",
     "sensitivity_stack",
     "upsilon_test",
     "sufficient_count",
@@ -62,12 +62,16 @@ INCONCLUSIVE = "inconclusive"
 # instance apart from a degenerate one.  A "not-identifiable" verdict needs
 # an explicit null direction whose constraint residual is below the
 # certificate tolerance.  Everything between is reported as inconclusive
-# rather than guessed.  ROBUST_RTOL ranks candidate frequencies in the grid
-# search so that fragile near-duplicate candidates lose ties.
+# rather than guessed.  ROBUST_RTOL decides the one-frequency shortcut and
+# ranks candidate frequencies in the grid search so that fragile
+# near-duplicate candidates lose ties.
 ROBUST_RTOL = 1e-3
 DECISION_RTOL = 1e-6
 SENSITIVITY_RTOL = 1e-5
 CERT_TOL = 1e-9
+
+# Random guarded frequencies at which normal_row_rank probes G_zu.
+_RANK_PROBES = 3
 
 
 @dataclass(frozen=True)
@@ -187,21 +191,16 @@ def _pi_factors(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GB
     ]
 
 
-def single_freq_shortcut(pi: PiDecomposition, rtol: float = ROBUST_RTOL) -> bool:
-    """True when Pi_bar_j is full column rank (with margin): one frequency certifies."""
-    M = pi.Pi_bar_j
-    return numkit.rank_of(M, rtol=rtol, scale_floor=1.0).rank == M.shape[1]
-
-
 def shortcut_flags(pis) -> list[bool]:
-    """:func:`single_freq_shortcut` of each Pi decomposition, in stacked rank tests."""
+    """Per Pi decomposition, whether Pi_bar_j is full column rank with the
+    ROBUST_RTOL margin, so that its frequency certifies on its own; decided
+    in stacked rank tests."""
     mats = [p.Pi_bar_j for p in pis]
     return [r == M.shape[1] for (r,), M in zip(numkit.stacked_ranks(mats, (ROBUST_RTOL,)), mats)]
 
 
-def normal_row_rank(model: DescriptorModel, block: str = "zu", probes: int = 3,
-                    seed: int = 20260808) -> int:
-    """Normal row rank of a transfer block, probed at random guarded frequencies.
+def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
+    """Normal row rank of G_zu, probed at random guarded frequencies.
 
     Raises FNRRViolation when the probe ranks disagree, since that leaves the
     normal rank undecided at the working tolerance.
@@ -209,7 +208,7 @@ def normal_row_rank(model: DescriptorModel, block: str = "zu", probes: int = 3,
     rng = np.random.default_rng(seed)
     ranks = []
     attempts = 0
-    while len(ranks) < probes and attempts < 20 * probes:
+    while len(ranks) < _RANK_PROBES and attempts < 20 * _RANK_PROBES:
         attempts += 1
         if model.time_domain == "continuous":
             w = float(10.0 ** rng.uniform(-2.0, 2.0))
@@ -219,20 +218,19 @@ def normal_row_rank(model: DescriptorModel, block: str = "zu", probes: int = 3,
             g = response.g_blocks(model, w)
         except PoleProximity:
             continue
-        G = {"zu": g.G_zu, "yv": g.G_yv, "yu": g.G_yu, "zv": g.G_zv}[block]
-        ranks.append(numkit.rank_of(G).rank)
-    if len(ranks) < probes:
+        ranks.append(numkit.rank_of(g.G_zu).rank)
+    if len(ranks) < _RANK_PROBES:
         raise FNRRViolation("could not place rank probes away from poles")
     if min(ranks) != max(ranks):
         raise FNRRViolation(
-            f"G_{block} rank probes disagree: {ranks}; normal rank undecided"
+            f"G_zu rank probes disagree: {ranks}; normal rank undecided"
         )
     return max(ranks)
 
 
 def check_fnrr(model: DescriptorModel, seed: int = 20260808) -> int:
     """Verify the full-normal-row-rank hypothesis on G_zu; returns the rank."""
-    r = normal_row_rank(model, "zu", seed=seed)
+    r = normal_row_rank(model, seed=seed)
     if r < model.dims.m_z:
         raise FNRRViolation(
             f"G_zu has normal row rank {r} < m_z={model.dims.m_z}; the stacked "
@@ -251,15 +249,22 @@ def upsilon_block(pi: PiDecomposition, psi_dec: PsiDecomposition, first: bool,
     return (W @ psi_dec.U1.reshape(m_z, -1, k)).reshape(-1, k)
 
 
-def build_upsilon(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
-    """Explicit stacked test matrix (U_Psi2 rows on top, per-frequency blocks below).
+def candidate_scores(blocks) -> list[tuple[int, int]]:
+    """(robust rank, margin rank) of each candidate row block, in stacked SVD calls.
 
-    The first frequency contributes its Xi rows, later ones their
-    [U_Pi2r U_Pi2j]^T rows, all acting on vec-space through I kron (.).
+    Adjacent grid points often add rows that are nearly dependent on what is
+    already absorbed; counting only margin-level gains would let the
+    smallest-omega tie-break select exactly those fragile candidates.
     """
-    blocks = [pis[0].Xi] + [p.u2_stack for p in pis[1:]]
-    inner = np.vstack(blocks) if blocks else np.zeros((0, 0))
-    return np.vstack([psi_dec.U2.T, np.kron(np.eye(m_z), inner)])
+    return numkit.stacked_ranks(blocks, (ROBUST_RTOL, DECISION_RTOL))
+
+
+def chain_null_basis(block: np.ndarray) -> np.ndarray:
+    """Right-null basis of ``block``, decided at the DECISION_RTOL margin.
+
+    One step of the recursive chain is ``Z @ chain_null_basis(block @ Z)``.
+    """
+    return numkit.right_null_basis(block, rtol=DECISION_RTOL, scale_floor=1.0)
 
 
 @dataclass(frozen=True)
@@ -325,22 +330,21 @@ def _direct_stack(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _residual_direction(psi_dec: PsiDecomposition, pis, m_z: int):
-    """Null direction of the direct constraint stack, mapped to parameter space.
+def _residual_direction(direct: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: int):
+    """Null direction of the direct constraint stack ``direct``, mapped to
+    parameter space.
 
     Returns (delta_unit, nullity, worst_certificate_residual).  The residual
     is the largest violation of the range conditions by the extracted
     direction; a sound negative verdict requires it below CERT_TOL.
     """
-    stack = _direct_stack(psi_dec, pis, m_z)
-    null = numkit.right_null_basis(stack, rtol=DECISION_RTOL, scale_floor=1.0)
+    null = chain_null_basis(direct)
     if null.shape[1] == 0:
         return None, 0, 0.0
     v = null[:, 0].real
     v /= np.linalg.norm(v)
     worst = float(np.linalg.norm(psi_dec.U2.T @ v))
-    m_v = pis[0].Pi.shape[0] if pis else 0
-    dP = numkit.unvec(v, m_v, m_z)
+    dP = numkit.unvec(v, pis[0].Pi.shape[0], m_z)
     for p in pis:
         worst = max(worst, float(np.linalg.norm(p.U_Pi2.conj().T @ dP)))
     delta = psi_dec.factors.V1.real @ (
@@ -351,7 +355,6 @@ def _residual_direction(psi_dec: PsiDecomposition, pis, m_z: int):
 
 
 def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
-                 psi_dec: PsiDecomposition | None = None,
                  fnrr_seed: int = 20260808) -> IdentifiabilityVerdict:
     """Decide identifiability at ``theta0`` from the given distinct frequencies.
 
@@ -364,7 +367,7 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
 
-    psi_dec = psi_dec if psi_dec is not None else psi(model)
+    psi_dec = psi(model)
     q = model.dims.q
     if not psi_dec.is_fcr:
         null = psi_dec.factors.V2.real
@@ -399,21 +402,25 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
     m_z = model.dims.m_z
     q = model.dims.q
 
-    # Single-frequency certificate: scan ascending for determinism.
-    for wi, p in sorted(zip(w, pis), key=lambda x: x[0]):
-        if single_freq_shortcut(p) and _sensitivity_margin_ok(model, t0, pis):
-            return IdentifiabilityVerdict(
-                status=IDENTIFIABLE,
-                frequencies=tuple(w),
-                residual_nullspace_dim=0,
-                rank_trace=(0,),
-                psi_fcr=True,
-                reason=f"Pi_bar_j is full column rank at omega={wi}",
-                shortcut_omega=wi,
-            )
+    # Single-frequency certificate at the smallest qualifying omega.  The
+    # sensitivity gate reads every listed frequency, so it runs at most once:
+    # a shortcut it vetoes also vetoes the chain's positive verdict below.
+    shortcut = min((p.omega for p, ok in zip(pis, shortcut_flags(pis)) if ok), default=None)
+    if shortcut is not None and _sensitivity_margin_ok(model, t0, pis):
+        return IdentifiabilityVerdict(
+            status=IDENTIFIABLE,
+            frequencies=tuple(w),
+            residual_nullspace_dim=0,
+            rank_trace=(0,),
+            psi_fcr=True,
+            reason=f"Pi_bar_j is full column rank at omega={shortcut}",
+            shortcut_omega=shortcut,
+        )
+
+    direct = _direct_stack(psi_dec, pis, m_z)
 
     def negative_or_inconclusive(trace: tuple[int, ...], context: str) -> IdentifiabilityVerdict:
-        delta, dim, worst = _residual_direction(psi_dec, pis, m_z)
+        delta, dim, worst = _residual_direction(direct, psi_dec, pis, m_z)
         if delta is not None and worst <= CERT_TOL:
             return IdentifiabilityVerdict(
                 status=NOT_IDENTIFIABLE,
@@ -447,7 +454,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
     trace: list[int] = []
     for i, p in enumerate(pis):
         block = upsilon_block(p, psi_dec, first=(i == 0), m_z=m_z)
-        Z = Z @ numkit.right_null_basis(block @ Z, rtol=DECISION_RTOL, scale_floor=1.0)
+        Z = Z @ chain_null_basis(block @ Z)
         trace.append(Z.shape[1])
         if Z.shape[1] == 0:
             break
@@ -455,10 +462,9 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
     if Z.shape[1] == 0:
         # Confirm on the explicitly stacked matrix, then pass the sensitivity
         # gate before claiming identifiability.
-        direct = _direct_stack(psi_dec, pis, m_z)
         dec = numkit.rank_of(direct, rtol=DECISION_RTOL, scale_floor=1.0)
         if dec.rank == direct.shape[1]:
-            if _sensitivity_margin_ok(model, t0, pis):
+            if shortcut is None and _sensitivity_margin_ok(model, t0, pis):
                 return IdentifiabilityVerdict(
                     status=IDENTIFIABLE,
                     frequencies=tuple(w),

@@ -30,7 +30,6 @@ from .errors import (
     ModelShapeError,
     NonFiniteEntryError,
     RegularityViolation,
-    WellPosednessViolation,
 )
 
 __all__ = [
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 TIME_DOMAINS = ("continuous", "discrete")
+
+# Random complex lambdas at which validate_assumptions evaluates the pencil.
+_REGULARITY_PROBES = 5
 
 _MATRIX_KEYS = (
     "E", "A_xx", "B_xu", "B_xv", "C_yx", "C_zx",
@@ -173,12 +175,8 @@ class DescriptorModel:
         """System matrices A(theta), B(theta), C(theta), D(theta)."""
         P = self.p_of(theta)
         loop = np.eye(self.dims.m_v) - P @ self.D_zv
-        try:
-            mid = np.linalg.solve(loop, P @ np.hstack([self.C_zx, self.D_zu]))
-        except np.linalg.LinAlgError as exc:
-            raise WellPosednessViolation(
-                f"I - P(theta) D_zv is singular at theta={np.asarray(theta).tolist()}"
-            ) from exc
+        numkit.loop_guard(loop, f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
+        mid = np.linalg.solve(loop, P @ np.hstack([self.C_zx, self.D_zu]))
         left = np.vstack([self.B_xv, self.D_yv])
         corr = left @ mid
         m_x = self.dims.m_x
@@ -302,16 +300,12 @@ class AssumptionReport:
     probe_lambdas: tuple[complex, ...]
 
 
-def validate_assumptions(
-    model: DescriptorModel,
-    theta_samples,
-    probes: int = 5,
-    seed: int = 20260808,
-) -> AssumptionReport:
+def validate_assumptions(model: DescriptorModel, theta_samples,
+                         seed: int = 20260808) -> AssumptionReport:
     """Check regularity and well-posedness at the given samples.
 
     Well-posedness is the invertibility of I - P(theta) D_zv.  Regularity is certified by
-    evaluating det(lambda E - A(theta)) at ``probes`` random complex lambda
+    evaluating det(lambda E - A(theta)) at five random complex lambda
     away from the imaginary axis: a polynomial of degree <= m_x vanishing at
     all of them is identically zero with probability one.
     """
@@ -320,7 +314,7 @@ def validate_assumptions(
     # pole sets on it cannot mask a regularity violation.
     lams = tuple(
         complex(rng.choice([-1.0, 1.0]) * (1.5 + 3.0 * rng.random()), 2.0 * rng.standard_normal())
-        for _ in range(probes)
+        for _ in range(_REGULARITY_PROBES)
     )
     worst_cond = 1.0
     min_det = np.inf

@@ -1,9 +1,11 @@
 """Dense linear-algebra kernels with explicit rank tolerances.
 
-Every rank-sensitive decision in the package goes through :func:`rank_of`
-with the shared tolerance policy ``tol = sigma_max * max(rows, cols) * rtol``
-so that full-column-rank / full-row-rank claims are deterministic and
-scale-invariant.  The default ``rtol`` is the fixed constant
+Rank decisions share one tolerance policy, the cut
+``tol = max(sigma_max, scale_floor) * max(rows, cols) * rtol`` of
+``_rank_tol``, so that full-column-rank / full-row-rank claims are
+deterministic and scale-invariant.  The single-matrix calls
+(:func:`rank_of`, :func:`svd_full` and the helpers built on it) and the
+stacked ones below all apply it.  The default ``rtol`` is the fixed constant
 ``DEFAULT_RANK_RTOL = 1e-10``; callers that need another margin pass
 ``rtol`` (or an absolute ``tol``) explicitly, and no call can change the
 default for later ones.  Loop matrices such as ``I - P(theta) G_zv`` are
@@ -54,6 +56,8 @@ __all__ = [
 
 DEFAULT_RANK_RTOL = 1e-10
 LOOP_GUARD_RTOL = 1e-12
+# Relative null cut of each matrix of a sloppiness pencil.
+_PENCIL_RTOL = 1e-12
 
 # Matrices per stacked LAPACK call.  Unchunked, one 800-point refine of a
 # 60-state model stacks 46 MB of pencils.
@@ -245,9 +249,9 @@ def right_null_basis(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTO
     return svd_full(A, tol=tol, rtol=rtol, scale_floor=scale_floor).V2
 
 
-def left_null_basis(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray:
+def left_null_basis(A) -> np.ndarray:
     """Orthonormal rows spanning the left null space of ``A``."""
-    return svd_full(A, tol=tol, rtol=rtol).U2.conj().T
+    return svd_full(A).U2.conj().T
 
 
 def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
@@ -287,7 +291,7 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def gen_eig_psd_pencil_pairs(S, M, rtol: float = 1e-12):
+def gen_eig_psd_pencil_pairs(S, M):
     """Generalized eigenpairs of the PSD pencil ``det(mu*M - S) = 0``.
 
     Directions in the joint null space of ``S`` and ``M`` are excluded (they
@@ -310,7 +314,7 @@ def gen_eig_psd_pencil_pairs(S, M, rtol: float = 1e-12):
 
     lam, Q = scipy.linalg.eigh(Mm)
     lam = np.clip(lam, 0.0, None)
-    mtol = lam.max() * n * rtol
+    mtol = lam.max() * n * _PENCIL_RTOL
     pos = lam > mtol
     Qp, Qn = Q[:, pos], Q[:, ~pos]
     lam_p = lam[pos]
@@ -325,7 +329,7 @@ def gen_eig_psd_pencil_pairs(S, M, rtol: float = 1e-12):
     if Qn.shape[1]:
         S_nn = Qn.T @ Sm @ Qn
         w2, Y2 = scipy.linalg.eigh(0.5 * (S_nn + S_nn.T))
-        stol = max(float(np.linalg.norm(Sm, 2)), 0.0) * n * rtol
+        stol = max(float(np.linalg.norm(Sm, 2)), 0.0) * n * _PENCIL_RTOL
         s_pos = w2 > stol
         Qn_pos = Qn @ Y2[:, s_pos]
         S_bb_pos = np.diag(w2[s_pos])

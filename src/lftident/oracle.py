@@ -33,7 +33,7 @@ def response_stack(model: DescriptorModel, theta, blocks) -> np.ndarray:
     """Real stacked response map: per frequency's transfer blocks, Re vec H then Im vec H."""
     rows = []
     for g in blocks:
-        H = response.h_lft(model, theta, g).H
+        H = response.h_lft(model, theta, g)
         rows.append(numkit.vec(H.real))
         rows.append(numkit.vec(H.imag))
     return np.concatenate(rows)
@@ -126,25 +126,18 @@ def _domain_sample(rng, model: DescriptorModel) -> np.ndarray:
     return r * u
 
 
-def random_equivalence_probe(
-    model: DescriptorModel,
-    theta0,
-    freqs,
-    trials: int = 1000,
-    seed: int = 0,
-    match_tol: float = RESPONSE_MATCH_TOL,
-):
-    """Search for theta* != theta0 with responses matching at every frequency.
+def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
+                             trials: int = 1000, seed: int = 0):
+    """Search for theta* != est.theta0 with responses matching at every
+    frequency of ``est``, the finite-difference Jacobian of :func:`fd_jacobian`.
 
     Draws uniformly from the parameter domain and additionally line-searches
-    along the null directions of Psi and of the finite-difference Jacobian.
-    Returns the first counterexample found or None; absence of a
-    counterexample proves nothing.
+    along the null directions of Psi and of ``est.J``.  Returns the first
+    counterexample found or None; absence of a counterexample proves nothing.
     """
-    t0 = model.check_theta(theta0)
-    w = response.check_freqs(model, freqs)
-    blocks = [response.g_blocks(model, wi) for wi in w]
-    base = [response.h_lft(model, t0, g).H for g in blocks]
+    t0 = est.theta0
+    blocks = [response.g_blocks(model, wi) for wi in est.freqs]
+    base = [response.h_lft(model, t0, g) for g in blocks]
     rng = np.random.default_rng(seed)
 
     def matches(theta) -> bool:
@@ -152,8 +145,8 @@ def random_equivalence_probe(
             return False
         try:
             for g, H0 in zip(blocks, base):
-                H = response.h_lft(model, theta, g).H
-                if np.linalg.norm(H - H0) > match_tol:
+                H = response.h_lft(model, theta, g)
+                if np.linalg.norm(H - H0) > RESPONSE_MATCH_TOL:
                     return False
         except LftIdentError:
             return False
@@ -163,12 +156,8 @@ def random_equivalence_probe(
     psi_cols = np.column_stack([numkit.vec(Pk) for Pk in model.P])
     ker_psi = numkit.right_null_basis(psi_cols).real
     directions.extend(ker_psi[:, j] for j in range(ker_psi.shape[1]))
-    try:
-        J = fd_jacobian(model, t0, w)
-        ker_j = numkit.right_null_basis(J.J, tol=1e-6 * max(1.0, float(np.linalg.norm(J.J))))
-        directions.extend(ker_j[:, j] for j in range(ker_j.shape[1]))
-    except InvalidInput:
-        pass
+    ker_j = numkit.right_null_basis(est.J, tol=1e-6 * max(1.0, float(np.linalg.norm(est.J))))
+    directions.extend(ker_j[:, j] for j in range(ker_j.shape[1]))
 
     for d in directions:
         for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01):
@@ -217,7 +206,7 @@ def ellipsoid_empirical_check(
     rng = np.random.default_rng(seed)
     ratios = []
     blocks = [response.g_blocks(model, wi) for wi in w]
-    base = [response.h_lft(model, t0, g).H for g in blocks]
+    base = [response.h_lft(model, t0, g) for g in blocks]
     for _ in range(samples):
         u = rng.standard_normal(S.n_s)
         if float(u @ S.M @ u) <= 0.0:
@@ -226,7 +215,7 @@ def ellipsoid_empirical_check(
         theta = ell.theta_of(xi)
         energy = 0.0
         for g, H0 in zip(blocks, base):
-            H = response.h_lft(model, theta, g).H
+            H = response.h_lft(model, theta, g)
             energy += float(np.linalg.norm(H - H0) ** 2)
         ratios.append(energy / eps ** 2)
     if not ratios:

@@ -28,7 +28,6 @@ from .model import DescriptorModel
 
 __all__ = [
     "GBlocks",
-    "ResponseSample",
     "lambda_at",
     "check_freqs",
     "g_sweep",
@@ -53,13 +52,6 @@ class GBlocks:
     G_yv: np.ndarray
     G_zu: np.ndarray
     G_zv: np.ndarray
-
-
-@dataclass(frozen=True)
-class ResponseSample:
-    omega: float
-    theta: np.ndarray
-    H: np.ndarray
 
 
 def lambda_at(time_domain: str, omega: float) -> complex:
@@ -152,8 +144,9 @@ def g_blocks(model: DescriptorModel, omega: float) -> GBlocks:
     return kept[0]
 
 
-def h_lft(model: DescriptorModel, theta, g: GBlocks) -> ResponseSample:
-    """H via the interconnection route of the transfer blocks ``g`` (see g_blocks)."""
+def h_lft(model: DescriptorModel, theta, g: GBlocks) -> np.ndarray:
+    """H at ``g.omega`` via the interconnection route of the transfer blocks ``g``
+    (see g_blocks)."""
     t = model.check_theta(theta)
     P = model.p_of(t)
     m_v = model.dims.m_v
@@ -161,12 +154,11 @@ def h_lft(model: DescriptorModel, theta, g: GBlocks) -> ResponseSample:
     numkit.loop_guard(
         loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={t.tolist()}"
     )
-    H = g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
-    return ResponseSample(omega=g.omega, theta=t, H=H)
+    return g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
 
 
-def h_statespace(model: DescriptorModel, theta, omega: float) -> ResponseSample:
-    """H via the assembled state-space matrices A(theta)..D(theta)."""
+def h_statespace(model: DescriptorModel, theta, omega: float) -> np.ndarray:
+    """H at ``omega`` via the assembled state-space matrices A(theta)..D(theta)."""
     t = model.check_theta(theta)
     lam = lambda_at(model.time_domain, omega)
     A, B, C, D = model.assembled(t)
@@ -174,7 +166,7 @@ def h_statespace(model: DescriptorModel, theta, omega: float) -> ResponseSample:
     X, (complaint,) = _pencil_solve(model.E, A, [lam], B.astype(complex), guard_scale)
     if complaint is not None:
         raise PoleProximity(f"omega={omega}, theta={t.tolist()}: {complaint}")
-    return ResponseSample(omega=float(omega), theta=t, H=D + C @ X[0])
+    return D + C @ X[0]
 
 
 def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> float:

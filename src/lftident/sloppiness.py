@@ -44,6 +44,10 @@ __all__ = [
 
 EPS_CONVENTION = "energy<=eps^2"
 
+# Random deviations on which q_pair checks its Q action, and their seed.
+_Q_CHECK_PROBES = 20
+_Q_CHECK_SEED = 1
+
 
 @dataclass(frozen=True)
 class PointwiseFactors:
@@ -134,7 +138,7 @@ class QPair:
     Q_j: np.ndarray
 
 
-def q_pair(factors: PointwiseFactors, check_probes: int = 20, seed: int = 1) -> QPair:
+def q_pair(factors: PointwiseFactors) -> QPair:
     """Assemble the Q pair from the pointwise factors; self-checks the action."""
     L, R = factors.Phi_l, factors.Phi_r
     Lr, Lj = L.real, L.imag
@@ -150,9 +154,9 @@ def q_pair(factors: PointwiseFactors, check_probes: int = 20, seed: int = 1) -> 
         np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
     ])[:, cols]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_Q_CHECK_SEED)
     scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
-    probes = check_probes if r_yv * r_zu else 0
+    probes = _Q_CHECK_PROBES if r_yv * r_zu else 0
     for _ in range(probes):
         D = rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
         xi = numkit.vec(np.vstack([D.real, D.imag]))
@@ -204,10 +208,10 @@ def _block_rows(psi_dec, pis, qpairs, m_z: int):
     return Gamma, Omega
 
 
-def _context(model, theta0, freqs, pis=None, factors=None, psi_dec=None):
+def _context(model, theta0, freqs, pis=None, factors=None):
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    psi_dec = psi_dec if psi_dec is not None else ident.psi(model)
+    psi_dec = ident.psi(model)
     if not psi_dec.is_fcr:
         raise GammaRankDeficient(
             "Psi is rank deficient: no frequency set certifies identifiability"
@@ -233,12 +237,10 @@ def _context(model, theta0, freqs, pis=None, factors=None, psi_dec=None):
     return t0, w, psi_dec, pis, factors, qpairs
 
 
-def gamma_omega(model: DescriptorModel, theta0, freqs, pis=None, factors=None,
-                psi_dec=None) -> tuple[np.ndarray, np.ndarray]:
+def gamma_omega(model: DescriptorModel, theta0, freqs, pis=None,
+                factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the paired constraint stacks (Gamma, Omega) over the frequencies."""
-    _, _, psi_dec, pis, factors, qpairs = _context(
-        model, theta0, freqs, pis, factors, psi_dec
-    )
+    _, _, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
     return _block_rows(psi_dec, pis, qpairs, model.dims.m_z)
 
 
@@ -264,7 +266,6 @@ class SMatrices:
     S_tilde: tuple[np.ndarray, ...]
     M: np.ndarray
     factors: tuple[PointwiseFactors, ...]
-    psi_dec: ident.PsiDecomposition
 
     @property
     def n_s(self) -> int:
@@ -286,8 +287,8 @@ def _complex_block(block: np.ndarray, r_yv: int, r_zu: int) -> np.ndarray:
     return np.vstack(rows) if rows else np.zeros((0, block.shape[1]), dtype=complex)
 
 
-def s_matrices(model: DescriptorModel, theta0, freqs, pis=None, factors=None,
-               psi_dec=None) -> SMatrices:
+def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
+               factors=None) -> SMatrices:
     """Build the S matrices; refuses when Gamma is not full column rank.
 
     The parameter map at frequency k is
@@ -297,9 +298,7 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None, factors=None,
     the minus sign following from Gamma a + Omega xi = 0 with S_A defined as
     Gamma^+ Omega S_H.
     """
-    t0, w, psi_dec, pis, factors, qpairs = _context(
-        model, theta0, freqs, pis, factors, psi_dec
-    )
+    t0, w, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
     m_z = model.dims.m_z
     N = len(w)
     Gamma, Omega = _block_rows(psi_dec, pis, qpairs, m_z)
@@ -353,7 +352,6 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None, factors=None,
         S_tilde=tuple(S_tilde),
         M=M,
         factors=tuple(factors),
-        psi_dec=psi_dec,
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lftident import cli, model as model_mod, testing
+from lftident import cli, model as model_mod, oracle, testing
 from lftident.model import Dims
 
 # Runs cli.main on each argv of a JSON list in a new interpreter and prints
@@ -167,6 +167,20 @@ def test_oracle_subcommand(siso1_path, capsys):
     assert res["verdict"]["status"] == "identifiable"
     assert res["mu_agreement"]["max_rel_difference"] <= 1e-3
     assert res["equivalence_probe"]["counterexample"] is None
+
+
+def test_oracle_estimates_one_jacobian(siso1_path, capsys, monkeypatch):
+    calls = []
+    orig = oracle.fd_jacobian
+    monkeypatch.setattr(oracle, "fd_jacobian",
+                        lambda *args, **kw: calls.append(args) or orig(*args, **kw))
+    code, _, _ = run(
+        ["oracle", "--model", str(siso1_path), "--theta0", "0", "--freqs", "0,1",
+         "--trials", "25"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_byte_identical_reports(siso1_path, dup2_path, tmp_path, capsys):

@@ -67,7 +67,7 @@ class TestPiAt:
         p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0))
         assert p.Pi.shape == (1, 0)
         assert p.Pi_bar_j.shape == (1, 0)
-        assert ident.single_freq_shortcut(p)
+        assert ident.shortcut_flags([p]) == [True]
 
     def test_theta_zero_pi_equals_kernel(self):
         m = testing.random_regular_model(8, kernel_rich=True)
@@ -97,7 +97,7 @@ class TestPiAt:
             Xi=np.zeros((0, 1)), U_Pi2=np.zeros((1, 0), dtype=complex),
             side_fcr=True,
         )
-        assert not ident.single_freq_shortcut(p)
+        assert ident.shortcut_flags([p]) == [False]
 
 
 def reference_pi(model, theta0, g):
@@ -143,7 +143,7 @@ class TestPiSweep:
                 assert np.array_equal(getattr(p, name), ref[name]), name
                 assert np.array_equal(getattr(one, name), ref[name]), name
             assert p.side_fcr == one.side_fcr == ref["side_fcr"]
-            assert flag == ident.single_freq_shortcut(p) == ref["shortcut"]
+            assert flag == ident.shortcut_flags([p])[0] == ref["shortcut"]
 
     def test_first_singular_loop_raises(self, siso1):
         # With theta0 = 0.5, I - theta0 G_zv is singular where G_zv = 2.
@@ -226,7 +226,11 @@ class TestUpsilon:
         pd = ident.psi(m)
         pis = [ident.pi_at(m, t0, response.g_blocks(m, w)) for w in freqs]
         v = ident.upsilon_test(m, t0, freqs, pis=pis)
-        U = ident.build_upsilon(pd, pis, m.dims.m_z)
+        # The explicit stacked test matrix: U_Psi2 rows on top, then the
+        # first frequency's Xi rows and the later ones' [U_Pi2r U_Pi2j]^T
+        # rows, all acting on vec-space through I kron (.).
+        inner = np.vstack([pis[0].Xi] + [p.u2_stack for p in pis[1:]])
+        U = np.vstack([pd.U2.T, np.kron(np.eye(m.dims.m_z), inner)])
         direct_fcr = numkit.rank_of(U, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank == U.shape[1]
         if v.status == ident.IDENTIFIABLE:
             assert direct_fcr
@@ -267,7 +271,7 @@ class TestUpsilon:
                 p = ident.pi_at(m, t0, response.g_blocks(m, w))
             except LftIdentError:
                 continue
-            if ident.single_freq_shortcut(p):
+            if ident.shortcut_flags([p])[0]:
                 v = ident.upsilon_test(m, t0, [w])
                 if v.status == ident.INCONCLUSIVE:
                     continue  # sensitivity margin may veto; never a negative
@@ -275,14 +279,24 @@ class TestUpsilon:
                 hits += 1
         assert hits >= 2
 
+    def test_sensitivity_gate_runs_once(self, siso1, monkeypatch):
+        # Both frequencies qualify for the shortcut and the chain certifies
+        # too; a vetoing gate must be asked once, not once per candidate.
+        calls = []
+        monkeypatch.setattr(ident, "_sensitivity_margin_ok",
+                            lambda *args: calls.append(args) or False)
+        v = ident.upsilon_test(siso1, [0.0], [0.5, 1.0])
+        assert v.status == ident.INCONCLUSIVE
+        assert len(calls) == 1
+
     def test_not_identifiable_direction_is_exact(self, theta_free):
         # The certified residual direction must leave responses untouched.
         v = ident.upsilon_test(theta_free, [0.0], [0.5, 1.5])
         d = v.residual_direction
         for t in (0.2, -0.35):
             g = response.g_blocks(theta_free, 0.5)
-            h0 = response.h_lft(theta_free, [0.0], g).H
-            h1 = response.h_lft(theta_free, t * d, g).H
+            h0 = response.h_lft(theta_free, [0.0], g)
+            h1 = response.h_lft(theta_free, t * d, g)
             assert np.linalg.norm(h1 - h0) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -104,6 +105,14 @@ def test_assembled_matches_formula(siso1):
         assert np.allclose(D, m.D_yu + m.D_yv @ loop_inv @ P @ m.D_zu, atol=1e-12)
 
 
+def test_assembled_rejects_a_near_singular_loop(siso1):
+    # D_zv = 1 at theta = 1 - 1e-14 leaves I - P D_zv with sigma_min ~ 1e-14:
+    # solving through it would return A ~ 1e14 instead of a guard failure.
+    m = dataclasses.replace(siso1, D_zv=np.array([[1.0]]))
+    with pytest.raises(WellPosednessViolation, match="sigma_min=9.99"):
+        m.assembled([1.0 - 1e-14])
+
+
 class TestValidateAssumptions:
     def test_siso1_passes(self, siso1):
         rep = model_mod.validate_assumptions(siso1, [[0.0], [0.5], [-0.5]])
@@ -157,6 +166,6 @@ class TestDualize:
             theta = interior_theta(m, 5)
             d = model_mod.dualize(m)
             w = 0.7
-            H = response.h_lft(m, theta, response.g_blocks(m, w)).H
-            Hd = response.h_lft(d, theta, response.g_blocks(d, w)).H
+            H = response.h_lft(m, theta, response.g_blocks(m, w))
+            Hd = response.h_lft(d, theta, response.g_blocks(d, w))
             assert np.linalg.norm(Hd - H.T) <= 1e-12 * max(1.0, np.linalg.norm(H))

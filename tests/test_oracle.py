@@ -18,7 +18,7 @@ class TestResponseStack:
 @pytest.mark.parametrize("freqs", [[], [1.0, 1.0]])
 @pytest.mark.parametrize("check", [
     lambda m, w: oracle.fd_jacobian(m, [0.0], w),
-    lambda m, w: oracle.random_equivalence_probe(m, [0.0], w, trials=5),
+    lambda m, w: oracle.random_equivalence_probe(m, oracle.fd_jacobian(m, [0.0], w), trials=5),
     lambda m, w: oracle.ellipsoid_empirical_check(
         m, [0.0], w, eps=1e-3, smat=slop.s_matrices(m, [0.0], [1.0])),
 ], ids=["fd_jacobian", "random_equivalence_probe", "ellipsoid_empirical_check"])
@@ -88,37 +88,40 @@ class TestJacobianSloppiness:
 
 class TestEquivalenceProbe:
     def test_dup2_counterexample(self, dup2):
-        theta = oracle.random_equivalence_probe(dup2, [0.0, 0.0], [1.0, 2.0],
-                                                trials=50, seed=3)
+        est = oracle.fd_jacobian(dup2, [0.0, 0.0], [1.0, 2.0])
+        theta = oracle.random_equivalence_probe(dup2, est, trials=50, seed=3)
         assert theta is not None
         # P1 = P2 makes (t, -t) response-invariant exactly.
         assert abs(theta[0] + theta[1]) < 1e-9
         g = response.g_blocks(dup2, 1.0)
-        H0 = response.h_lft(dup2, [0.0, 0.0], g).H
-        H1 = response.h_lft(dup2, theta, g).H
+        H0 = response.h_lft(dup2, [0.0, 0.0], g)
+        H1 = response.h_lft(dup2, theta, g)
         assert np.linalg.norm(H1 - H0) <= 1e-10
 
     def test_theta_free_counterexample(self, theta_free):
-        theta = oracle.random_equivalence_probe(theta_free, [0.0], [0.7], trials=5, seed=0)
+        est = oracle.fd_jacobian(theta_free, [0.0], [0.7])
+        theta = oracle.random_equivalence_probe(theta_free, est, trials=5, seed=0)
         assert theta is not None
 
     def test_siso1_none(self, siso1):
-        assert oracle.random_equivalence_probe(siso1, [0.0], [1.0], trials=300, seed=5) is None
+        est = oracle.fd_jacobian(siso1, [0.0], [1.0])
+        assert oracle.random_equivalence_probe(siso1, est, trials=300, seed=5) is None
 
     def test_programming_error_propagates(self, siso1, monkeypatch):
         # Only lftident errors read as "no match"; a bug must not pass for
         # the absence of a counterexample.
         orig = response.h_lft
+        est = oracle.fd_jacobian(siso1, [0.0], [1.0])
 
         def broken(model, theta, g):
-            # The finite-difference steps stay within 1e-4; domain samples do not.
+            # theta0 = 0 stays within 1e-3; domain samples do not.
             if np.linalg.norm(theta) > 1e-3:
                 raise ValueError("shape bug")
             return orig(model, theta, g)
 
         monkeypatch.setattr(response, "h_lft", broken)
         with pytest.raises(ValueError, match="shape bug"):
-            oracle.random_equivalence_probe(siso1, [0.0], [1.0], trials=5, seed=5)
+            oracle.random_equivalence_probe(siso1, est, trials=5, seed=5)
 
 
 class TestEllipsoidEmpirical:
@@ -146,5 +149,6 @@ class TestEllipsoidEmpirical:
             if plan.status != freqplan.CERTIFIED:
                 continue
             w = list(plan.selected)
-            assert oracle.local_identifiability(oracle.fd_jacobian(m, t0, w), tol=1e-6)
-            assert oracle.random_equivalence_probe(m, t0, w, trials=40, seed=1) is None
+            est = oracle.fd_jacobian(m, t0, w)
+            assert oracle.local_identifiability(est, tol=1e-6)
+            assert oracle.random_equivalence_probe(m, est, trials=40, seed=1) is None

@@ -71,14 +71,14 @@ class TestHRoutes:
     )
     def test_siso1_closed_form(self, siso1, theta, omega, expected):
         h = response.h_lft(siso1, [theta], response.g_blocks(siso1, omega))
-        assert abs(h.H[0, 0] - expected) < 1e-12
+        assert abs(h[0, 0] - expected) < 1e-12
         hs = response.h_statespace(siso1, [theta], omega)
-        assert abs(hs.H[0, 0] - expected) < 1e-12
+        assert abs(hs[0, 0] - expected) < 1e-12
 
     def test_theta_zero_collapses_to_gyu(self, siso1):
         g = response.g_blocks(siso1, 0.7)
         h = response.h_lft(siso1, [0.0], g)
-        assert np.allclose(h.H, g.G_yu)
+        assert np.allclose(h, g.G_yu)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_route_equivalence_random(self, seed):
@@ -86,8 +86,8 @@ class TestHRoutes:
         theta = interior_theta(m, seed)
         w = [0.31, 1.3] if m.time_domain == "continuous" else [0.31, 1.3]
         for wi in w:
-            h1 = response.h_lft(m, theta, response.g_blocks(m, wi)).H
-            h2 = response.h_statespace(m, theta, wi).H
+            h1 = response.h_lft(m, theta, response.g_blocks(m, wi))
+            h2 = response.h_statespace(m, theta, wi)
             rel = np.linalg.norm(h1 - h2) / max(np.linalg.norm(h1), 1e-12)
             assert rel <= 1e-9
 
@@ -96,8 +96,8 @@ class TestHRoutes:
             if m.time_domain != "continuous":
                 continue
             theta = interior_theta(m, 2)
-            Hp = response.h_lft(m, theta, response.g_blocks(m, 0.9)).H
-            Hm = response.h_lft(m, theta, response.g_blocks(m, -0.9)).H
+            Hp = response.h_lft(m, theta, response.g_blocks(m, 0.9))
+            Hm = response.h_lft(m, theta, response.g_blocks(m, -0.9))
             assert np.allclose(Hm, np.conj(Hp), atol=1e-12 * max(1.0, np.linalg.norm(Hp)))
 
 
