@@ -273,7 +273,8 @@ class IdentifiabilityVerdict:
 
     ``identifiable`` certifies that exact response equality at the listed
     frequencies forces equal parameters.  ``not-identifiable`` carries a unit
-    residual direction along which the response provably does not move.
+    residual direction along which the response provably does not move, signed
+    by :func:`numkit.sign_flip`.
     ``rank_trace`` records the dimension of the unresolved parameter space
     after each frequency was absorbed.
     """
@@ -350,8 +351,7 @@ def _residual_direction(direct: np.ndarray, psi_dec: PsiDecomposition, pis, m_z:
     delta = psi_dec.factors.V1.real @ (
         (psi_dec.U1.T @ v) / psi_dec.factors.sigma
     )
-    delta = delta / np.linalg.norm(delta)
-    return delta, null.shape[1], worst
+    return numkit.sign_flip(delta / np.linalg.norm(delta)), null.shape[1], worst
 
 
 def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
@@ -371,7 +371,7 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     q = model.dims.q
     if not psi_dec.is_fcr:
         null = psi_dec.factors.V2.real
-        direction = null[:, 0] / np.linalg.norm(null[:, 0])
+        direction = numkit.sign_flip(null[:, 0] / np.linalg.norm(null[:, 0]))
         return IdentifiabilityVerdict(
             status=NOT_IDENTIFIABLE,
             frequencies=tuple(w),

@@ -50,6 +50,7 @@ __all__ = [
     "left_null_basis",
     "pinv",
     "gen_eig_psd_pencil_pairs",
+    "sign_flip",
     "vec",
     "unvec",
 ]
@@ -354,6 +355,21 @@ def gen_eig_psd_pencil_pairs(S, M):
     values = np.array(vals)
     vectors = np.column_stack(vecs) if vecs else np.zeros((n, 0))
     return values, vectors
+
+
+def sign_flip(V) -> np.ndarray:
+    """``V`` with each column negated where needed so that its largest-|.|
+    entry is positive (the first one wins a tie); a 1-D ``V`` is one column.
+
+    Eigen- and singular vectors are defined up to sign, so reported ones
+    follow this convention and do not depend on the solver's choice.
+    """
+    V = np.asarray(V)
+    cols = V.reshape(V.shape[0], -1)
+    if cols.size == 0:
+        return V
+    peaks = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return np.where(peaks < 0, -cols, cols).reshape(V.shape)
 
 
 def vec(A) -> np.ndarray:

@@ -405,7 +405,7 @@ class SloppinessReport:
     ``sm_abs = sqrt(mu[0])`` is the absolute sloppiness (largest parameter
     motion per unit deviation), ``sm_rel[i] = sqrt(mu[i]/mu[i+1])`` the
     relative metrics, and ``directions`` the associated unit parameter
-    directions.  ``inconsistent`` flags infinite eigenvalues, which contradict
+    directions, signed by :func:`numkit.sign_flip`.  ``inconsistent`` flags infinite eigenvalues, which contradict
     the identifiability certificate and indicate numerical trouble.
     """
 
@@ -440,7 +440,7 @@ def metrics(S: SMatrices, k: int = 1) -> SloppinessReport:
         d = Sk @ vecs[:, i]
         nrm = np.linalg.norm(d)
         dirs.append(d / nrm if nrm > 0 else d)
-    directions = np.column_stack(dirs) if dirs else np.zeros((Sk.shape[0], 0))
+    directions = numkit.sign_flip(np.column_stack(dirs)) if dirs else np.zeros((Sk.shape[0], 0))
     sm_abs = float(np.sqrt(mu[0])) if mu.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         sm_rel = np.sqrt(mu[:-1] / mu[1:]) if mu.size > 1 else np.zeros(0)

@@ -332,6 +332,24 @@ class TestPencil:
             assert residual < 1e-8 * scale
 
 
+class TestSignFlip:
+    def test_largest_entry_made_positive(self):
+        V = np.array([[1.0, -3.0, 0.0],
+                      [-2.0, 1.0, 0.0]])
+        assert numkit.sign_flip(V).tolist() == [[-1.0, 3.0, 0.0], [2.0, -1.0, 0.0]]
+
+    def test_first_entry_wins_a_tie(self):
+        assert numkit.sign_flip(np.array([-2.0, 2.0, 1.0])).tolist() == [2.0, -2.0, -1.0]
+        assert numkit.sign_flip(np.array([2.0, -2.0])).tolist() == [2.0, -2.0]
+
+    def test_same_result_for_either_sign(self):
+        V = np.random.default_rng(0).standard_normal((5, 4))
+        assert np.array_equal(numkit.sign_flip(V), numkit.sign_flip(-V))
+
+    def test_empty(self):
+        assert numkit.sign_flip(np.zeros((3, 0))).shape == (3, 0)
+
+
 class TestKronVec:
     def test_vec_column_major(self):
         assert np.allclose(numkit.vec(np.array([[1.0, 3.0], [2.0, 4.0]])), [1, 2, 3, 4])
