@@ -302,9 +302,14 @@ def gen_eig_psd_pencil_pairs(S, M):
     with spectra spreading over many decades a direction that is tiny next to
     the dominant matrix is still a perfectly good eigendirection.  Returns
     ``(values, vectors)`` with values descending and vectors as columns.
-    """
-    import scipy.linalg  # deferred: it is most of the package's import time and memory
 
+    On the range of ``M`` the pencil is ``(S_eff, D)`` with D = diag(lam_p)
+    the positive eigenvalues of ``M`` and S_eff the Schur complement of the
+    infinite directions.  A diagonal B = D reduces the generalized problem to
+    the standard symmetric one ``D^-1/2 S_eff D^-1/2 y' = mu y'``, with
+    ``y = D^-1/2 y'`` (Golub & Van Loan, *Matrix Computations*, sec. 8.7), so
+    the finite eigenvectors keep the normalisation ``Y^T M Y = I``.
+    """
     Sm = _check_symmetric(as_matrix(S, "S").real, "S")
     Mm = _check_symmetric(as_matrix(M, "M").real, "M")
     if Sm.shape != Mm.shape:
@@ -313,48 +318,24 @@ def gen_eig_psd_pencil_pairs(S, M):
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
 
-    lam, Q = scipy.linalg.eigh(Mm)
+    lam, Q = np.linalg.eigh(Mm)
     lam = np.clip(lam, 0.0, None)
-    mtol = lam.max() * n * _PENCIL_RTOL
-    pos = lam > mtol
-    Qp, Qn = Q[:, pos], Q[:, ~pos]
-    lam_p = lam[pos]
-
-    vals: list[float] = []
-    vecs: list[np.ndarray] = []
+    pos = lam > lam.max() * n * _PENCIL_RTOL
+    Qp, Qn, r = Q[:, pos], Q[:, ~pos], np.sqrt(lam[pos])
 
     # Split the M-null block by the action of S: positive directions are
     # infinitely sloppy, S-null directions are jointly degenerate and dropped.
-    Qn_pos = np.zeros((n, 0))
-    S_bb_pos = np.zeros((0, 0))
-    if Qn.shape[1]:
-        S_nn = Qn.T @ Sm @ Qn
-        w2, Y2 = scipy.linalg.eigh(0.5 * (S_nn + S_nn.T))
-        stol = max(float(np.linalg.norm(Sm, 2)), 0.0) * n * _PENCIL_RTOL
-        s_pos = w2 > stol
-        Qn_pos = Qn @ Y2[:, s_pos]
-        S_bb_pos = np.diag(w2[s_pos])
-        for j in range(Qn_pos.shape[1]):
-            vals.append(math.inf)
-            vecs.append(Qn_pos[:, j])
+    S_nn = Qn.T @ Sm @ Qn
+    w2, Y2 = np.linalg.eigh(0.5 * (S_nn + S_nn.T))
+    s_pos = w2 > np.linalg.norm(Sm, 2) * n * _PENCIL_RTOL
+    Qn_pos, w_pos = Qn @ Y2[:, s_pos], w2[s_pos]
 
-    if lam_p.size:
-        S_aa = Qp.T @ Sm @ Qp
-        if S_bb_pos.shape[0]:
-            S_ab = Qp.T @ Sm @ Qn_pos
-            S_eff = S_aa - S_ab @ np.linalg.solve(S_bb_pos, S_ab.T)
-        else:
-            S_eff = S_aa
-        S_eff = 0.5 * (S_eff + S_eff.T)
-        mu, Y = scipy.linalg.eigh(S_eff, np.diag(lam_p))
-        order = np.argsort(mu)[::-1]
-        for idx in order:
-            vals.append(max(float(mu[idx]), 0.0))
-            vecs.append(Qp @ Y[:, idx])
-
-    values = np.array(vals)
-    vectors = np.column_stack(vecs) if vecs else np.zeros((n, 0))
-    return values, vectors
+    S_ab = Qp.T @ Sm @ Qn_pos
+    S_eff = Qp.T @ Sm @ Qp - S_ab @ (S_ab.T / w_pos[:, None])
+    S_eff = 0.5 * (S_eff + S_eff.T)
+    mu, Y = np.linalg.eigh(S_eff / r[:, None] / r)
+    values = np.concatenate([np.full(w_pos.size, np.inf), np.maximum(mu[::-1], 0.0)])
+    return values, np.hstack([Qn_pos, Qp @ (Y[:, ::-1] / r[:, None])])
 
 
 def sign_flip(V) -> np.ndarray:

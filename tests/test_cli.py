@@ -11,13 +11,22 @@ from lftident import cli, model as model_mod, oracle, testing
 from lftident.model import Dims
 
 # Runs cli.main on each argv of a JSON list in a new interpreter and prints
-# the exit codes and whether scipy.linalg got imported.
+# the exit codes and whether scipy got imported.
 FRESH = """
 import json, sys
 from lftident import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy_linalg": "scipy.linalg" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 """
+
+# Arguments past --model of one successful run of each subcommand on siso1.
+SISO1_RUNS = {
+    "validate": [],
+    "ident": ["--theta0", "0", "--freqs", "0,1"],
+    "find-freqs": ["--theta0", "0"],
+    "sloppiness": ["--theta0", "0", "--freqs", "0,1", "--eps", "1e-3"],
+    "oracle": ["--theta0", "0", "--freqs", "0,1", "--trials", "10"],
+}
 
 
 def run(args, capsys):
@@ -273,10 +282,12 @@ def test_no_state_kept_between_runs(siso1_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ident_and_find_freqs_leave_scipy_linalg_unimported(siso1_path, tmp_path):
-    model = ["--model", str(siso1_path), "--theta0", "0", "--output", str(tmp_path / "r.json")]
-    res = run_fresh([["ident", *model, "--freqs", "0,1"], ["find-freqs", *model]])
-    assert res == {"codes": [0, 0], "scipy_linalg": False}
+@pytest.mark.parametrize("command", list(SISO1_RUNS))
+def test_subcommand_leaves_scipy_unimported(command, siso1_path, tmp_path):
+    # numpy is the only runtime dependency; scipy is a test-time reference.
+    argv = [command, "--model", str(siso1_path), *SISO1_RUNS[command],
+            "--output", str(tmp_path / "r.json")]
+    assert run_fresh([argv]) == {"codes": [0], "scipy": False}
 
 
 def test_usage_error_then_run_matches_fresh_run(siso1_path, tmp_path, capsys):

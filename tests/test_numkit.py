@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftident import numkit
 from lftident.errors import InvalidInput, WellPosednessViolation
+
+EPS = np.finfo(float).eps
 
 
 def random_complex(rng, m, n):
@@ -330,6 +333,38 @@ class TestPencil:
             residual = abs(np.linalg.det(m * M - S))
             scale = max(abs(np.linalg.det(M)), 1.0) * max(m, 1.0) ** 4
             assert residual < 1e-8 * scale
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_generalized_reference(self, seed):
+        # In a random orthonormal basis: maybe a joint null direction, maybe an
+        # infinite one (M-null, S-positive, coupled to the rest), and a finite
+        # block whose pencil (S_eff, diag(lam_p)) spans 1e12.  scipy's
+        # generalized eigh of that block is the reference.
+        rng = np.random.default_rng(seed)
+        n_fin = int(rng.integers(2, 5))
+        n_joint, n_inf = (int(k) for k in rng.integers(0, 2, size=2))
+        n = n_joint + n_inf + n_fin
+        s = np.r_[1.0, 10.0 ** rng.uniform(-12, 0, n_fin - 2), 1e-12]
+        R = np.linalg.qr(rng.standard_normal((n_fin, n_fin)))[0]
+        S_eff = R @ np.diag(s) @ R.T
+        lam_p = rng.uniform(0.5, 2.0, n_fin)
+        c_ii = rng.uniform(0.5, 1.0, n_inf)
+        C_fi = 0.3 * rng.standard_normal((n_fin, n_inf))
+        C = np.zeros((n, n))
+        C[n_joint:, n_joint:] = np.block([[np.diag(c_ii), C_fi.T],
+                                          [C_fi, S_eff + (C_fi / c_ii) @ C_fi.T]])
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        S = U @ C @ U.T
+        M = U @ np.diag(np.r_[np.zeros(n - n_fin), lam_p]) @ U.T
+
+        mu, Y = numkit.gen_eig_psd_pencil_pairs(S, M)
+        assert mu.size == n_inf + n_fin and np.isinf(mu[:n_inf]).all()
+        ref = scipy.linalg.eigh(S_eff, np.diag(lam_p), eigvals_only=True)[::-1]
+        assert np.max(np.abs(mu[n_inf:] - ref)) <= 4 * n * EPS * mu[n_inf]
+        Yf = Y[:, n_inf:]
+        cond = lam_p.max() / lam_p.min()
+        assert np.max(np.abs(Yf.T @ M @ Yf - np.eye(n_fin))) <= 4 * n * EPS * cond
 
 
 class TestSignFlip:
