@@ -413,12 +413,16 @@ def main(argv=None) -> int:
         print("internal inconsistency: report contains non-finite numbers", file=sys.stderr)
         return EXIT_INCONSISTENT
 
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    try:
+        if args.output:
+            Path(args.output).write_text(text)
+        if getattr(args, "csv", None):
+            _write_csv(args.csv, csv_rows)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.output:
         sys.stdout.write(text)
-    if getattr(args, "csv", None):
-        _write_csv(args.csv, csv_rows)
     print(f"{args.command}: done in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 

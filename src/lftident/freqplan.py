@@ -19,7 +19,7 @@ import numpy as np
 
 from . import identifiability as ident
 from . import response
-from .errors import ConstructionError, EmptyGrid
+from .errors import ConstructionError, EmptyGrid, InvalidInput
 from .model import DescriptorModel
 
 __all__ = [
@@ -85,8 +85,15 @@ def default_grid(
 
     Points failing the pole guard are removed; an empty result raises
     EmptyGrid.  The kept points carry the transfer blocks the guard evaluated.
+    Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
+    ``0 < w_min <= w_max < inf``.
     """
+    if n_points < 1:
+        raise InvalidInput(f"the grid needs at least one point, got {n_points}")
     if model.time_domain == "continuous":
+        if not 0.0 < w_min <= w_max < np.inf:
+            raise InvalidInput(
+                f"grid bounds must satisfy 0 < w_min <= w_max < inf, got {w_min}, {w_max}")
         raw = np.geomspace(w_min, w_max, n_points)
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)

@@ -67,11 +67,13 @@ def lambda_at(time_domain: str, omega: float) -> complex:
 
 
 def check_freqs(model: DescriptorModel, freqs) -> list[float]:
-    """The frequencies as floats; rejects an empty or repeated list and, in
-    discrete time, values outside (-pi, pi]."""
+    """The frequencies as floats; rejects an empty or repeated list, non-finite
+    values and, in discrete time, values outside (-pi, pi]."""
     w = [float(x) for x in freqs]
     if not w:
         raise InvalidInput("at least one frequency is required")
+    if not all(map(math.isfinite, w)):
+        raise InvalidInput(f"frequencies must be finite, got {w}")
     if len(set(w)) != len(w):
         raise InvalidInput(f"frequencies must be distinct, got {w}")
     for wi in w:

@@ -391,8 +391,8 @@ class EllipsoidModel:
 
 def frobenius_ellipsoid(S: SMatrices, eps: float, k: int = 1) -> EllipsoidModel:
     """Ellipsoid of parameters whose total response-deviation energy is <= eps^2."""
-    if not eps > 0.0:
-        raise InvalidInput(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise InvalidInput(f"eps must be finite and positive, got {eps}")
     _check_k(S, k)
     return EllipsoidModel(theta0=S.theta0, S_k=S.S_k[k - 1], M=S.M, eps=float(eps))
 

@@ -98,6 +98,45 @@ def test_ident_duplicate_freqs_usage_error(siso1_path, capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("command", ["ident", "sloppiness", "oracle"])
+@pytest.mark.parametrize("freqs", ["nan", "1e400", "0,-inf"])
+def test_non_finite_freqs_usage_error(command, freqs, siso1_path, capsys):
+    argv = [command, "--model", str(siso1_path), *SISO1_RUNS[command]]
+    argv[argv.index("--freqs") + 1] = freqs
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--grid-min", "nan"],
+    ["--grid-min", "-1"],
+    ["--grid-max", "inf"],
+    ["--grid-min", "10", "--grid-max", "1"],
+    ["--grid-points", "0"],
+])
+def test_find_freqs_bad_grid_usage_error(grid, siso1_path, capsys):
+    code, _, err = run(["find-freqs", "--model", str(siso1_path), "--theta0", "0", *grid], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ")
+
+
+def test_sloppiness_infinite_eps_usage_error(siso1_path, capsys):
+    argv = ["sloppiness", "--model", str(siso1_path), *SISO1_RUNS["sloppiness"], "--eps", "inf"]
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert "eps must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_unwritable_path_usage_error(flag, siso1_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(["validate", "--model", str(siso1_path), flag, str(target)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert out == "" and not target.exists()
+
+
 def test_theta0_outside_domain(siso1_path, capsys):
     code, _, err = run(
         ["ident", "--model", str(siso1_path), "--theta0", "5", "--freqs", "1"], capsys

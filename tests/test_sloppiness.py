@@ -289,8 +289,9 @@ class TestEllipsoid:
 
     def test_invalid_eps(self, siso1):
         S = slop.s_matrices(siso1, [0.0], [0.0])
-        with pytest.raises(InvalidInput):
-            slop.frobenius_ellipsoid(S, 0.0)
+        for eps in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidInput):
+                slop.frobenius_ellipsoid(S, eps)
 
 
 class TestSpectralMembership:
