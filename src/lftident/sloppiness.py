@@ -405,8 +405,9 @@ class SloppinessReport:
     ``sm_abs = sqrt(mu[0])`` is the absolute sloppiness (largest parameter
     motion per unit deviation), ``sm_rel[i] = sqrt(mu[i]/mu[i+1])`` the
     relative metrics, and ``directions`` the associated unit parameter
-    directions, signed by :func:`numkit.sign_flip`.  ``inconsistent`` flags infinite eigenvalues, which contradict
-    the identifiability certificate and indicate numerical trouble.
+    directions, signed by :func:`numkit.sign_flip`.  ``inconsistent`` flags
+    infinite eigenvalues, which contradict the identifiability certificate and
+    indicate numerical trouble.
     """
 
     mu: np.ndarray

@@ -122,7 +122,8 @@ def test_find_freqs_bad_grid_usage_error(grid, siso1_path, capsys):
 
 
 def test_sloppiness_infinite_eps_usage_error(siso1_path, capsys):
-    argv = ["sloppiness", "--model", str(siso1_path), *SISO1_RUNS["sloppiness"], "--eps", "inf"]
+    argv = ["sloppiness", "--model", str(siso1_path), *SISO1_RUNS["sloppiness"]]
+    argv[argv.index("--eps") + 1] = "inf"
     code, _, err = run(argv, capsys)
     assert code == cli.EXIT_USAGE
     assert "eps must be finite" in err
