@@ -364,6 +364,8 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
+        if args.seed < 0:
+            raise InvalidInput(f"--seed must be a non-negative integer, got {args.seed}")
         result, csv_rows = _RUNNERS[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,7 +65,8 @@ class FrequencyPlan:
     ``rank_trace`` holds the unresolved dimension after each selection and is
     strictly decreasing; ``certified`` plans end at zero and carry the
     re-verification verdict.  ``refine_hint`` suggests (w_min, w_max,
-    n_points) for a denser grid after a stall.
+    n_points) for a denser grid after a stall, or is None when no denser
+    grid exists.
     """
 
     status: str
@@ -86,7 +87,7 @@ def default_grid(
     Points failing the pole guard are removed; an empty result raises
     EmptyGrid.  The kept points carry the transfer blocks the guard evaluated.
     Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
-    ``0 < w_min <= w_max < inf``.
+    ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``.
     """
     if n_points < 1:
         raise InvalidInput(f"the grid needs at least one point, got {n_points}")
@@ -94,6 +95,9 @@ def default_grid(
         if not 0.0 < w_min <= w_max < np.inf:
             raise InvalidInput(
                 f"grid bounds must satisfy 0 < w_min <= w_max < inf, got {w_min}, {w_max}")
+        if n_points > 1 and w_min == w_max:
+            raise InvalidInput(
+                f"a grid of {n_points} points needs w_min < w_max, got {w_min}, {w_max}")
         raw = np.geomspace(w_min, w_max, n_points)
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
@@ -145,12 +149,17 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     pis = [anchors[best]]
     selected = [pis[0].omega]
     Z = ident.chain_null_basis(blocks[best])
+    # Freed before the greedy rows are built: holding both raised peak memory.
+    del blocks
     trace = [Z.shape[1]]
 
-    # S3-S5: greedy absorption with strictly shrinking Z.
+    # S3-S5: greedy absorption with strictly shrinking Z.  Each candidate's
+    # rows are built once, if the anchor leaves Z non-empty; a step only
+    # multiplies them by the current Z.
+    rows = [ident.upsilon_block(p, psi_dec, False, m_z) for p in cand] if Z.shape[1] else []
     while Z.shape[1] > 0:
-        rest = [p for p in cand if p.omega not in selected]
-        blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
+        rest = [i for i, p in enumerate(cand) if p.omega not in selected]
+        blocks = [rows[i] @ Z for i in rest]
         scores = ident.candidate_scores(blocks)
         best = max(range(len(scores)), key=scores.__getitem__, default=None)
         if best is None or scores[best] == (0, 0):
@@ -161,8 +170,8 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                 verdict=None,
                 refine_hint=_hint(grid),
             )
-        pis.append(rest[best])
-        selected.append(rest[best].omega)
+        pis.append(cand[rest[best]])
+        selected.append(pis[-1].omega)
         Z = Z @ ident.chain_null_basis(blocks[best])
         trace.append(Z.shape[1])
         if len(selected) > q + 1:
@@ -191,8 +200,12 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     )
 
 
-def _hint(grid: FrequencyGrid) -> tuple[float, float, int]:
+def _hint(grid: FrequencyGrid) -> tuple[float, float, int] | None:
+    """Bounds and size of a x4 denser grid, or None for a continuous-time
+    grid of one frequency, which no denser grid over its bounds extends."""
     pts = grid.points
+    if grid.time_domain == "continuous" and pts[0] == pts[-1]:
+        return None
     return (float(pts[0]), float(pts[-1]), 4 * pts.size)
 
 
@@ -224,9 +237,9 @@ def search_frequencies(
         grid = default_grid(model)
 
     plan = _search_once(model, theta0, grid, psi_dec)
-    rounds = 0
-    while plan.status == NO_PROGRESS_ON_GRID and rounds < refine:
-        rounds += 1
+    for _ in range(refine):
+        if plan.status != NO_PROGRESS_ON_GRID or plan.refine_hint is None:
+            break
         w_min, w_max, n = plan.refine_hint
         if model.time_domain == "continuous":
             grid = default_grid(model, n_points=n, w_min=w_min, w_max=w_max)

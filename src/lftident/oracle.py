@@ -8,6 +8,7 @@ the rank/pencil machinery it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,12 @@ class JacobianEstimate:
 
 
 def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -> JacobianEstimate:
-    """Central differences of theta -> col{Re vec H, Im vec H over frequencies}."""
+    """Central differences of theta -> col{Re vec H, Im vec H over frequencies}.
+
+    Raises InvalidInput unless the step ``h``, when given, is finite and > 0.
+    """
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise InvalidInput(f"finite-difference step must be finite and > 0, got {h}")
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     blocks = [response.g_blocks(model, wi) for wi in w]

@@ -12,6 +12,16 @@ the pencil and loop determinants is exposed as a built-in self check.
 stacked numpy calls (chunks of pencils); :func:`g_blocks` is its one-point
 case.  numpy's stacked ``svd`` and ``solve`` run the same LAPACK routine on
 each pencil, so a sweep and one call per frequency give bitwise equal blocks.
+
+The pole guard rejects a frequency whose pencil lambda E - A_xx has
+sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  The
+solve that gives the blocks also gives the pencil's inverse, and
+sigma_min >= 1/||(lambda E - A_xx)^-1||_F.  A pencil whose bound is at least
+twice the largest floor it could have (bounded through Frobenius norms, with
+sigma_max <= |lambda| ||E|| + ||A_xx||) is kept without an SVD; every other
+pencil, and every pencil of a solve that raised LinAlgError, gets the exact
+SVD and floor.  So the guarded frequencies and their messages are those of an
+SVD of every pencil.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ __all__ = [
 # Reject frequencies with sigma_min(lambda E - A_xx) below this multiple of
 # ||A_xx||_2 (with an absolute floor for the all-zero corner case).
 POLE_GUARD_RTOL = 1e-8
+# Output bytes of one stacked solve against [B | I].  With 256 KiB, freed
+# solutions made a search-wide pass fault in up to 865 pages again; 120 KiB
+# faulted none after the first pass.
+_SOLVE_BYTES = 120 << 10
 
 
 @dataclass(frozen=True)
@@ -81,28 +95,78 @@ def check_freqs(model: DescriptorModel, freqs) -> list[float]:
     return w
 
 
-def _pencil_solve(E: np.ndarray, A: np.ndarray, lams: list[complex], rhs: np.ndarray,
-                  guard_scale: float) -> tuple[np.ndarray, list[str | None]]:
-    """Solve (lam E - A) X = rhs at each of ``lams`` whose pencil passes the pole guard.
+def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[complex]):
+    """Solve (lam E - A) X = B at each of ``lams`` whose pencil passes the pole guard.
 
-    Returns the solutions of the kept lams, stacked in order, and per lam
-    None (kept) or the guard's complaint.
+    Yields, per chunk of ``lams``, the solutions of the kept lams, stacked in
+    order, and per lam None (kept) or the guard's complaint.  The solutions
+    are a view of a buffer that the next chunk overwrites.
+
+    The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
+    1e-14 max(sigma_max, 1)).  Each pencil is solved against [B | I]: the B
+    columns are X, and the I columns give the inverse, whose Frobenius norm
+    bounds sigma_min >= 1/||(lam E - A)^-1||_F (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 2.3).  The floor is at most
+    max(POLE_GUARD_RTOL ||A||_F, 1e-14 max(|lam| ||E||_F + ||A||_F, 1)),
+    since ||.||_2 <= ||.||_F and sigma_max <= |lam| ||E||_2 + ||A||_2.  A
+    pencil whose bound is at least twice that largest floor is kept without
+    an SVD.  The others, and every pencil of a solve slice that raises
+    LinAlgError, get the exact SVD and floor, so the kept set, the
+    complaints and the solutions are those of an SVD of every pencil.
     """
-    # One chunk-sized array, built in place and copied only when a pencil is
-    # guarded: freeing two or three such temporaries per chunk let malloc
-    # return them to the system and fault them back in on the next chunk.
-    pencils = np.multiply.outer(np.array(lams), E)
-    pencils -= A
-    sig = np.linalg.svd(pencils, compute_uv=False)
-    floor = np.maximum(POLE_GUARD_RTOL * guard_scale, 1e-14 * np.maximum(sig[:, 0], 1.0))
-    low = sig[:, -1] < floor
-    kept = pencils[~low] if low.any() else pencils
-    X = np.linalg.solve(kept, np.broadcast_to(rhs, (kept.shape[0], *rhs.shape)))
-    complaints = [
-        f"sigma_min(lambda E - A) = {s:.3e} below guard {f:.3e}" if bad else None
-        for s, f, bad in zip(sig[:, -1], floor, low)
-    ]
-    return X, complaints
+    n, m_b = B.shape
+    # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
+    a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
+    BI = np.hstack([B, np.eye(n)]).astype(complex)
+    # Pencils per solve: a slice's solution stays far below a chunk of pencils
+    # in bytes, so a chunk costs little more memory than its pencils.
+    per_slice = max(1, _SOLVE_BYTES // BI.nbytes)
+    # Built once and filled in place: chunk-sized temporaries freed on every
+    # chunk let malloc return them to the system and fault them back in.
+    size = min(len(lams), numkit._CHUNK)
+    pencils = np.empty((size, n, n), complex)
+    X = np.empty((size, n, m_b), complex)
+    for part in numkit._chunks(lams):
+        k = len(part)
+        lam = np.array(part)
+        P, Xk = pencils[:k], X[:k]
+        np.multiply.outer(lam, E, out=P)
+        P -= A
+        inv_fro2 = np.full(k, np.inf)
+        raised = np.zeros(k, dtype=bool)
+        for s in range(0, k, per_slice):
+            piece = slice(s, s + per_slice)
+            try:
+                Y = np.linalg.solve(P[piece], np.broadcast_to(BI, (len(P[piece]), *BI.shape)))
+            except np.linalg.LinAlgError:
+                raised[piece] = True
+                continue
+            Xk[piece] = Y[..., :m_b]
+            # Two einsums over views: no temporary the size of the slice.
+            inv_fro2[piece] = (np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
+                               + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
+            # Freed here, before the next slice's solve: the order of the frees
+            # decides whether malloc hands the memory back to the system.
+            del Y
+        largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
+                                   1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+        kept = 1.0 / np.sqrt(inv_fro2) >= 2.0 * largest_floor
+        complaints: list[str | None] = [None] * k
+        undecided = np.flatnonzero(~kept)
+        if undecided.size:
+            a_norm = float(np.linalg.norm(A, 2))
+            sig = np.linalg.svd(P[undecided], compute_uv=False)
+            floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
+            low = sig[:, -1] < floor
+            kept[undecided] = ~low
+            for i in np.flatnonzero(low):
+                complaints[undecided[i]] = (
+                    f"sigma_min(lambda E - A) = {sig[i, -1]:.3e} below guard {floor[i]:.3e}")
+            unsolved = undecided[~low & raised[undecided]]
+            if unsolved.size:
+                Xk[unsolved] = np.linalg.solve(
+                    P[unsolved], np.broadcast_to(B, (unsolved.size, n, m_b)))
+        yield (Xk if kept.all() else Xk[kept]), complaints
 
 
 def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PoleProximity]]:
@@ -111,18 +175,18 @@ def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PolePro
     Returns the blocks of the frequencies that pass the pole guard, in order,
     and the PoleProximity the guard raises for each of the others, in order.
     """
-    guard_scale = float(np.linalg.norm(model.A_xx, 2)) if model.A_xx.size else 0.0
+    omegas = list(omegas)
+    lams = [lambda_at(model.time_domain, w) for w in omegas]
     B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
     C = np.vstack([model.C_yx, model.C_zx])
     D = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]])
     m_y, m_u = model.dims.m_y, model.dims.m_u
     kept: list[GBlocks] = []
     guarded: list[PoleProximity] = []
-    for part in numkit._chunks(list(omegas)):
-        lams = [lambda_at(model.time_domain, w) for w in part]
-        X, complaints = _pencil_solve(model.E, model.A_xx, lams, B, guard_scale)
+    solved = _pencil_solve(model.E, model.A_xx, B, lams)
+    for part, (X, complaints) in zip(numkit._chunks(list(zip(omegas, lams))), solved):
         G = iter(D + C @ X)
-        for omega, lam, complaint in zip(part, lams, complaints):
+        for (omega, lam), complaint in zip(part, complaints):
             if complaint is not None:
                 guarded.append(PoleProximity(f"omega={omega}: {complaint}"))
                 continue
@@ -164,8 +228,7 @@ def h_statespace(model: DescriptorModel, theta, omega: float) -> np.ndarray:
     t = model.check_theta(theta)
     lam = lambda_at(model.time_domain, omega)
     A, B, C, D = model.assembled(t)
-    guard_scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    X, (complaint,) = _pencil_solve(model.E, A, [lam], B.astype(complex), guard_scale)
+    X, (complaint,) = next(_pencil_solve(model.E, A, B.astype(complex), [lam]))
     if complaint is not None:
         raise PoleProximity(f"omega={omega}, theta={t.tolist()}: {complaint}")
     return D + C @ X[0]

@@ -114,11 +114,21 @@ def test_non_finite_freqs_usage_error(command, freqs, siso1_path, capsys):
     ["--grid-max", "inf"],
     ["--grid-min", "10", "--grid-max", "1"],
     ["--grid-points", "0"],
+    ["--grid-min", "1", "--grid-max", "1", "--grid-points", "5"],
 ])
 def test_find_freqs_bad_grid_usage_error(grid, siso1_path, capsys):
     code, _, err = run(["find-freqs", "--model", str(siso1_path), "--theta0", "0", *grid], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(SISO1_RUNS))
+def test_negative_seed_usage_error(command, siso1_path, capsys):
+    argv = [command, "--model", str(siso1_path), *SISO1_RUNS[command], "--seed", "-1"]
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --seed must be a non-negative integer")
 
 
 def test_sloppiness_infinite_eps_usage_error(siso1_path, capsys):

@@ -101,3 +101,61 @@ class TestSearch:
         plan = freqplan.search_frequencies(siso1, [0.0], grid=g)
         assert plan.status == freqplan.CERTIFIED
         assert plan.selected[0] == pytest.approx(0.1)
+
+    def test_one_point_grid_has_no_refine_hint(self, theta_free):
+        # No denser grid spans [1, 1]; refining must not ask for one.
+        g = freqplan.default_grid(theta_free, n_points=1, w_min=1.0, w_max=1.0)
+        plan = freqplan.search_frequencies(theta_free, [0.0], grid=g, refine=1)
+        assert plan.status == freqplan.NO_PROGRESS_ON_GRID
+        assert plan.refine_hint is None
+
+
+def per_step_rebuild(model, theta0, grid):
+    """The S1-S5 selection with every candidate's rows rebuilt at every greedy
+    step: (status, selected, rank_trace, verdict reason or None)."""
+    psi_dec = ident.psi(model)
+    m_z = model.dims.m_z
+    cand = ident.pi_sweep(model, theta0, grid.blocks)
+    anchors = [p for p in cand if p.side_fcr]
+    blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
+    scores = ident.candidate_scores(blocks)
+    best = max(range(len(scores)), key=scores.__getitem__)
+    pis = [anchors[best]]
+    Z = ident.chain_null_basis(blocks[best])
+    trace = [Z.shape[1]]
+    while Z.shape[1] > 0:
+        rest = [p for p in cand if p.omega not in [s.omega for s in pis]]
+        blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
+        scores = ident.candidate_scores(blocks)
+        best = max(range(len(scores)), key=scores.__getitem__)
+        if scores[best] == (0, 0):
+            return freqplan.NO_PROGRESS_ON_GRID, tuple(p.omega for p in pis), tuple(trace), None
+        pis.append(rest[best])
+        Z = Z @ ident.chain_null_basis(blocks[best])
+        trace.append(Z.shape[1])
+    verdict = ident._decide(model, model.check_theta(theta0), pis, psi_dec)
+    status = (freqplan.CERTIFIED if verdict.status == ident.IDENTIFIABLE
+              else freqplan.NO_PROGRESS_ON_GRID)
+    return status, tuple(p.omega for p in pis), tuple(trace), verdict.reason
+
+
+@pytest.mark.parametrize("kind", [dict(), dict(time_domain="discrete")])
+def test_greedy_rows_built_once_match_per_step_rebuild(kind):
+    # d12-01 certifies after three steps; its discrete twin ends at rank 0
+    # but fails the re-verification margin.
+    m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10), **kind)
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    plan = freqplan.search_frequencies(m, t0, grid=grid)
+    assert len(plan.rank_trace) == 3
+    reason = None if plan.verdict is None else plan.verdict.reason
+    assert (plan.status, plan.selected, plan.rank_trace, reason) == \
+        per_step_rebuild(m, t0, grid)
+
+
+def test_greedy_stall_matches_per_step_rebuild(theta_free):
+    grid = freqplan.default_grid(theta_free)
+    plan = freqplan.search_frequencies(theta_free, [0.0], grid=grid)
+    assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.verdict is None
+    assert (plan.status, plan.selected, plan.rank_trace, None) == \
+        per_step_rebuild(theta_free, [0.0], grid)

@@ -57,6 +57,11 @@ class TestFdJacobian:
         with pytest.raises(InvalidInput):
             oracle.fd_jacobian(siso1, [0.0], [1.0], h=10.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, siso1, h):
+        with pytest.raises(InvalidInput, match=r"^finite-difference step must be finite and > 0"):
+            oracle.fd_jacobian(siso1, [0.0], [0.0, 1.0], h=h)
+
 
 class TestLocalIdentifiability:
     def test_siso1_true(self, siso1):

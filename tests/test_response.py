@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -183,6 +184,35 @@ def reference_g(model, omega) -> np.ndarray:
     return D + np.vstack([model.C_yx, model.C_zx]) @ X
 
 
+def svd_everything_pencil_solve(E, A, lams, rhs, guard_scale):
+    """The pole guard by a full SVD of every pencil, kept as the reference for
+    response._pencil_solve: the solutions of the kept lams and per lam None or
+    the guard's complaint."""
+    pencils = np.multiply.outer(np.array(lams), E)
+    pencils -= A
+    sig = np.linalg.svd(pencils, compute_uv=False)
+    floor = np.maximum(response.POLE_GUARD_RTOL * guard_scale, 1e-14 * np.maximum(sig[:, 0], 1.0))
+    low = sig[:, -1] < floor
+    kept = pencils[~low] if low.any() else pencils
+    X = np.linalg.solve(kept, np.broadcast_to(rhs, (kept.shape[0], *rhs.shape)))
+    complaints = [
+        f"sigma_min(lambda E - A) = {s:.3e} below guard {f:.3e}" if bad else None
+        for s, f, bad in zip(sig[:, -1], floor, low)
+    ]
+    return X, complaints
+
+
+def near_pole_model(w_star: float) -> DescriptorModel:
+    """A 60-state model whose pencil has an undamped oscillator block with
+    poles at +- j w_star; the other 58 states are a random model's."""
+    m = testing.random_regular_model(1, dims=Dims(60, 4, 2, 4, 8, 16))
+    E, A = m.E.copy(), m.A_xx.copy()
+    E[:2, :], E[:, :2], A[:2, :], A[:, :2] = 0.0, 0.0, 0.0, 0.0
+    E[:2, :2] = np.eye(2)
+    A[:2, :2] = [[0.0, w_star], [-w_star, 0.0]]
+    return dataclasses.replace(m, E=E, A_xx=A)
+
+
 class TestSweep:
     """A stacked sweep equals one g_blocks call per frequency, bit for bit."""
 
@@ -212,6 +242,21 @@ class TestSweep:
                 assert np.array_equal(getattr(s, name), ref)
         assert next(kept, None) is None and next(guarded, None) is None
 
+    @staticmethod
+    def assert_matches_svd_everything(model, omegas):
+        B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
+        lams = [response.lambda_at(model.time_domain, w) for w in omegas]
+        X, complaints = svd_everything_pencil_solve(
+            model.E, model.A_xx, lams, B, float(np.linalg.norm(model.A_xx, 2)))
+        G = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]]) \
+            + np.vstack([model.C_yx, model.C_zx]) @ X
+        kept, guarded = response.g_sweep(model, omegas)
+        assert [str(e) for e in guarded] == [
+            f"omega={w}: {c}" for w, c in zip(omegas, complaints) if c is not None]
+        assert [g.omega for g in kept] == [w for w, c in zip(omegas, complaints) if c is None]
+        for g, ref in zip(kept, G, strict=True):
+            assert np.array_equal(np.block([[g.G_yu, g.G_yv], [g.G_zu, g.G_zv]]), ref)
+
     @pytest.mark.parametrize("n,_", SIZES)
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
                                       dict(singular_E=True)])
@@ -222,6 +267,7 @@ class TestSweep:
         else:
             omegas = np.linspace(np.pi / n, np.pi, n).tolist()
         self.assert_matches_pointwise(m, omegas)
+        self.assert_matches_svd_everything(m, omegas)
 
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
                                       dict(singular_E=True)])
@@ -250,6 +296,43 @@ class TestSweep:
         assert len(guarded) == 1 and len(kept) == n - 1
         assert omegas[hit] not in [g.omega for g in kept]
         self.assert_matches_pointwise(m, omegas)
+        self.assert_matches_svd_everything(m, omegas)
+
+    @pytest.mark.parametrize("per_slice", [1, 3])
+    def test_undecided_pencils_get_the_exact_svd(self, per_slice, monkeypatch):
+        # In one chunk: a pencil exactly singular at w* (its solve slice
+        # raises LinAlgError), one kept with sigma_min 1.5x the guard's floor
+        # and one guarded at 0.5x.  The Frobenius bound decides neither of
+        # the last two; it decides every other pencil, the singular one's
+        # slice-mates excepted, which are solved again after their SVD.
+        monkeypatch.setattr(response, "_SOLVE_BYTES", per_slice * 60 * (60 + 12) * 16)
+        w_star = 1.0
+        m = near_pole_model(w_star)
+        floor = response.POLE_GUARD_RTOL * float(np.linalg.norm(m.A_xx, 2))
+        omegas = np.geomspace(1e-2, 1e2, self.CHUNK).tolist()
+        singular, kept_near, guarded_near = 4, 10, 20
+        omegas[singular] = w_star
+        omegas[kept_near] = w_star + 1.5 * floor
+        omegas[guarded_near] = w_star + 0.5 * floor
+        start = singular - singular % per_slice
+        undecided = [*range(start, start + per_slice), kept_near, guarded_near]
+
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        kept, guarded = response.g_sweep(m, omegas)
+        monkeypatch.undo()
+        pencils = np.multiply.outer(1j * np.array(omegas), m.E) - m.A_xx
+        assert len(seen) == 1 and np.array_equal(seen[0], pencils[undecided])
+        assert [str(e).split(":")[0] for e in guarded] == [
+            f"omega={omegas[singular]}", f"omega={omegas[guarded_near]}"]
+        assert len(kept) == self.CHUNK - 2
+        self.assert_matches_svd_everything(m, omegas)
 
     def test_holds_one_chunk_of_pencils(self):
         # Each chunk's pencils are built in place and copied only around a
