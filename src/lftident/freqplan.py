@@ -225,12 +225,11 @@ def search_frequencies(
     theta0 = model.check_theta(theta0)
     psi_dec = ident.psi(model)
     if not psi_dec.is_fcr:
-        verdict = ident.upsilon_test(model, theta0, [1.0])
         return FrequencyPlan(
             status=NOT_IDENTIFIABLE,
             selected=(),
             rank_trace=(),
-            verdict=verdict,
+            verdict=ident._psi_deficient_verdict(psi_dec, ()),
         )
     ident.check_fnrr(model, seed=fnrr_seed)
     if grid is None:

@@ -354,6 +354,22 @@ def _residual_direction(direct: np.ndarray, psi_dec: PsiDecomposition, pis, m_z:
     return numkit.sign_flip(delta / np.linalg.norm(delta)), null.shape[1], worst
 
 
+def _psi_deficient_verdict(psi_dec: PsiDecomposition, freqs) -> IdentifiabilityVerdict:
+    """The ``not-identifiable`` verdict of a rank-deficient Psi, listing ``freqs``:
+    the parameter patterns are dependent, so no frequency set can help."""
+    q = psi_dec.Psi.shape[1]
+    null = psi_dec.factors.V2.real
+    return IdentifiabilityVerdict(
+        status=NOT_IDENTIFIABLE,
+        frequencies=tuple(freqs),
+        residual_nullspace_dim=q - psi_dec.rank,
+        rank_trace=(),
+        psi_fcr=False,
+        reason=f"Psi rank {psi_dec.rank} < q={q}: parameter patterns are linearly dependent",
+        residual_direction=numkit.sign_flip(null[:, 0] / np.linalg.norm(null[:, 0])),
+    )
+
+
 def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
                  fnrr_seed: int = 20260808) -> IdentifiabilityVerdict:
     """Decide identifiability at ``theta0`` from the given distinct frequencies.
@@ -368,19 +384,8 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     w = response.check_freqs(model, freqs)
 
     psi_dec = psi(model)
-    q = model.dims.q
     if not psi_dec.is_fcr:
-        null = psi_dec.factors.V2.real
-        direction = numkit.sign_flip(null[:, 0] / np.linalg.norm(null[:, 0]))
-        return IdentifiabilityVerdict(
-            status=NOT_IDENTIFIABLE,
-            frequencies=tuple(w),
-            residual_nullspace_dim=q - psi_dec.rank,
-            rank_trace=(),
-            psi_fcr=False,
-            reason=f"Psi rank {psi_dec.rank} < q={q}: parameter patterns are linearly dependent",
-            residual_direction=direction,
-        )
+        return _psi_deficient_verdict(psi_dec, w)
 
     check_fnrr(model, seed=fnrr_seed)
 

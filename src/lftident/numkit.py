@@ -7,10 +7,10 @@ deterministic and scale-invariant.  The single-matrix calls
 (:func:`rank_of`, :func:`svd_full` and the helpers built on it) and the
 stacked ones below all apply it.  The default ``rtol`` is the fixed constant
 ``DEFAULT_RANK_RTOL = 1e-10``; callers that need another margin pass
-``rtol`` (or an absolute ``tol``) explicitly, and no call can change the
-default for later ones.  Loop matrices such as ``I - P(theta) G_zv`` are
-checked by :func:`loop_guard`, which rejects a smallest singular value
-below ``LOOP_GUARD_RTOL = 1e-12`` times ``max(sigma_max, 1)``.
+``rtol`` explicitly, and no call can change the default for later ones.
+Loop matrices such as ``I - P(theta) G_zv`` are checked by
+:func:`loop_guard`, which rejects a smallest singular value below
+``LOOP_GUARD_RTOL = 1e-12`` times ``max(sigma_max, 1)``.
 
 The stacked helpers (:func:`svd_stack`, :func:`stacked_ranks`,
 :func:`loop_guard_stack`) decide many matrices at once: numpy's stacked
@@ -167,8 +167,7 @@ class SvdFactors:
         return self.decision.rank
 
 
-def svd_full(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
-             scale_floor: float = 0.0) -> SvdFactors:
+def svd_full(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> SvdFactors:
     """Full SVD of ``A`` with range/null factors split at the rank tolerance.
 
     ``scale_floor`` anchors the relative tolerance when the matrix is known
@@ -180,7 +179,7 @@ def svd_full(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
     """
     M = as_matrix(A)
     U, sigma, Vh = (x[0] for x in _svd(M[None], True))
-    return _factors(U, Vh.conj().T, _decision(sigma, M.shape, tol, rtol, scale_floor))
+    return _factors(U, Vh.conj().T, _decision(sigma, M.shape, rtol, scale_floor))
 
 
 def svd_stack(mats) -> list[SvdFactors]:
@@ -190,7 +189,7 @@ def svd_stack(mats) -> list[SvdFactors]:
     for idx, shape, (U, sigma, Vh) in _svd_groups(mats, True):
         V = Vh.conj().transpose(0, 2, 1)
         for j, i in enumerate(idx):
-            out[i] = _factors(U[j], V[j], _decision(sigma[j], shape, None, DEFAULT_RANK_RTOL, 0.0))
+            out[i] = _factors(U[j], V[j], _decision(sigma[j], shape, DEFAULT_RANK_RTOL, 0.0))
     return out
 
 
@@ -206,17 +205,15 @@ def _factors(U: np.ndarray, V: np.ndarray, decision: RankDecision) -> SvdFactors
     )
 
 
-def _decision(sigma: np.ndarray, shape: tuple[int, int], tol: float | None, rtol: float,
-              floor: float) -> RankDecision:
-    cut = float(_rank_tol(sigma, shape, rtol, floor) if tol is None else tol)
+def _decision(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: float) -> RankDecision:
+    cut = float(_rank_tol(sigma, shape, rtol, floor))
     return RankDecision(rank=int(np.count_nonzero(sigma > cut)), tol=cut, singular_values=sigma)
 
 
-def rank_of(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
-            scale_floor: float = 0.0) -> RankDecision:
+def rank_of(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> RankDecision:
     """Rank of ``A`` under the shared tolerance policy."""
     M = as_matrix(A)
-    return _decision(_svd(M[None], False)[0], M.shape, tol, rtol, scale_floor)
+    return _decision(_svd(M[None], False)[0], M.shape, rtol, scale_floor)
 
 
 def stacked_ranks(mats, rtols) -> list[tuple[int, ...]]:
@@ -232,22 +229,20 @@ def stacked_ranks(mats, rtols) -> list[tuple[int, ...]]:
     return out
 
 
-def is_fcr(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
-           scale_floor: float = 0.0) -> bool:
+def is_fcr(A) -> bool:
     """True when ``A`` has full column rank (zero columns count as FCR)."""
     M = as_matrix(A)
-    return rank_of(M, tol=tol, rtol=rtol, scale_floor=scale_floor).rank == M.shape[1]
+    return rank_of(M).rank == M.shape[1]
 
 
-def right_null_basis(A, tol: float | None = None, rtol: float = DEFAULT_RANK_RTOL,
-                     scale_floor: float = 0.0) -> np.ndarray:
+def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal columns spanning the right null space of ``A``.
 
     Full-column-rank inputs give a matrix with zero columns; an input with
     zero columns gives the 0 x 0 empty matrix; a zero matrix gives an
     identity-sized completion.
     """
-    return svd_full(A, tol=tol, rtol=rtol, scale_floor=scale_floor).V2
+    return svd_full(A, rtol=rtol, scale_floor=scale_floor).V2
 
 
 def left_null_basis(A) -> np.ndarray:

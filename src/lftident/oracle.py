@@ -2,8 +2,11 @@
 
 Everything here is deliberately dumb: central finite differences of the
 stacked response map, direct singular-value arithmetic, random falsification
-probes and empirical boundary sampling.  None of it shares code paths with
-the rank/pencil machinery it checks.
+probes and empirical boundary sampling.  None of it uses the Pi factors, the
+stacked rank test or the sloppiness eigenpencil it checks.  It shares the
+evaluation of H (``response.g_blocks`` and ``h_lft``), numkit's default rank
+decisions on the Jacobian and on Psi, and, for the empirical boundary, the
+ellipsoid that ``sloppiness`` builds.
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
     )
 
 
-def local_identifiability(J: JacobianEstimate | np.ndarray, tol: float | None = None) -> bool:
+def local_identifiability(J: JacobianEstimate | np.ndarray) -> bool:
     """Full-column-rank decision on the response Jacobian."""
     M = J.J if isinstance(J, JacobianEstimate) else np.asarray(J)
-    return numkit.is_fcr(M, tol=tol)
+    return numkit.is_fcr(M)
 
 
 def jacobian_sloppiness(J: JacobianEstimate | np.ndarray) -> np.ndarray:
@@ -162,8 +165,10 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     psi_cols = np.column_stack([numkit.vec(Pk) for Pk in model.P])
     ker_psi = numkit.right_null_basis(psi_cols).real
     directions.extend(ker_psi[:, j] for j in range(ker_psi.shape[1]))
-    ker_j = numkit.right_null_basis(est.J, tol=1e-6 * max(1.0, float(np.linalg.norm(est.J))))
-    directions.extend(ker_j[:, j] for j in range(ker_j.shape[1]))
+    # Null directions of est.J: singular values at or below an absolute cut.
+    _, sig, Vh = np.linalg.svd(est.J)
+    cut = 1e-6 * max(1.0, float(np.linalg.norm(est.J)))
+    directions.extend(Vh[np.count_nonzero(sig > cut):])
 
     for d in directions:
         for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01):
@@ -195,20 +200,18 @@ def ellipsoid_empirical_check(
     eps: float,
     samples: int = 20,
     seed: int = 0,
-    smat: sloppiness.SMatrices | None = None,
-    k: int = 1,
 ) -> RatioStats:
     """Evaluate actual deviation energies on the ellipsoid boundary.
 
     Draws random boundary points xi (xi^T M xi = eps^2), reconstructs
-    theta = theta0 + S_k xi, and reports statistics of
+    theta = theta0 + S_1 xi, and reports statistics of
     sum_i ||H(j w_i, theta) - H(j w_i, theta0)||_F^2 / eps^2, which tends to 1
     as eps -> 0.
     """
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    S = smat if smat is not None else sloppiness.s_matrices(model, t0, w)
-    ell = sloppiness.frobenius_ellipsoid(S, eps, k=k)
+    S = sloppiness.s_matrices(model, t0, w)
+    ell = sloppiness.frobenius_ellipsoid(S, eps)
     rng = np.random.default_rng(seed)
     ratios = []
     blocks = [response.g_blocks(model, wi) for wi in w]

@@ -1,12 +1,8 @@
 """Frequency-response evaluation of the transfer blocks and of H(lambda, theta).
 
-Two evaluation routes are provided for H: the interconnection form
+H is evaluated from the transfer blocks through the interconnection form
 
-    H = G_yu + G_yv (I - P(theta) G_zv)^-1 P(theta) G_zu
-
-and the assembled state-space form D(theta) + C(theta)(lambda E - A(theta))^-1
-B(theta).  They must agree to 1e-9 relative; the determinant identity linking
-the pencil and loop determinants is exposed as a built-in self check.
+    H = G_yu + G_yv (I - P(theta) G_zv)^-1 P(theta) G_zu.
 
 :func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
 stacked numpy calls (chunks of pencils); :func:`g_blocks` is its one-point
@@ -43,8 +39,6 @@ __all__ = [
     "g_sweep",
     "g_blocks",
     "h_lft",
-    "h_statespace",
-    "regularity_identity_check",
 ]
 
 # Reject frequencies with sigma_min(lambda E - A_xx) below this multiple of
@@ -179,7 +173,8 @@ def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PolePro
     lams = [lambda_at(model.time_domain, w) for w in omegas]
     B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
     C = np.vstack([model.C_yx, model.C_zx])
-    D = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]])
+    D = np.vstack([np.hstack([model.D_yu, model.D_yv]),
+                   np.hstack([model.D_zu, model.D_zv])])
     m_y, m_u = model.dims.m_y, model.dims.m_u
     kept: list[GBlocks] = []
     guarded: list[PoleProximity] = []
@@ -222,61 +217,3 @@ def h_lft(model: DescriptorModel, theta, g: GBlocks) -> np.ndarray:
     )
     return g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
 
-
-def h_statespace(model: DescriptorModel, theta, omega: float) -> np.ndarray:
-    """H at ``omega`` via the assembled state-space matrices A(theta)..D(theta)."""
-    t = model.check_theta(theta)
-    lam = lambda_at(model.time_domain, omega)
-    A, B, C, D = model.assembled(t)
-    X, (complaint,) = next(_pencil_solve(model.E, A, B.astype(complex), [lam]))
-    if complaint is not None:
-        raise PoleProximity(f"omega={omega}, theta={t.tolist()}: {complaint}")
-    return D + C @ X[0]
-
-
-def regularity_identity_check(model: DescriptorModel, theta, lambda_probes) -> float:
-    """Worst relative discrepancy across the determinant-identity chain.
-
-    At each probe lambda the four expressions
-
-        det(lambda E - A(theta)) det(I - P D_zv)
-        det(lambda [E 0; 0 0] - [A_xx, B_xv P; C_zx, D_zv P - I])
-        det(lambda E - A_xx) det(I - G_zv(lambda) P)
-        det(lambda E - A_xx) det(I - P G_zv(lambda))
-
-    must coincide; the returned value is the largest pairwise relative error.
-    A probe at which lambda E - A_xx is exactly singular raises PoleProximity.
-    """
-    t = model.check_theta(theta)
-    P = model.p_of(t)
-    d = model.dims
-    A_t, _, _, _ = model.assembled(t)
-    worst = 0.0
-    for lam in lambda_probes:
-        lam = complex(lam)
-        lhs = np.linalg.det(lam * model.E - A_t) * np.linalg.det(
-            np.eye(d.m_v) - P @ model.D_zv
-        )
-        E_big = np.block([
-            [model.E, np.zeros((d.m_x, d.m_z))],
-            [np.zeros((d.m_z, d.m_x)), np.zeros((d.m_z, d.m_z))],
-        ])
-        A_big = np.block([
-            [model.A_xx, model.B_xv @ P],
-            [model.C_zx, model.D_zv @ P - np.eye(d.m_z)],
-        ])
-        mid = np.linalg.det(lam * E_big - A_big)
-        pencil = lam * model.E - model.A_xx
-        det_free = np.linalg.det(pencil)
-        try:
-            X = np.linalg.solve(pencil, model.B_xv.astype(complex))
-        except np.linalg.LinAlgError:
-            raise PoleProximity(f"lambda={lam}: lambda E - A_xx is singular") from None
-        G_zv = model.D_zv + model.C_zx @ X
-        rhs_z = det_free * np.linalg.det(np.eye(d.m_z) - G_zv @ P)
-        rhs_v = det_free * np.linalg.det(np.eye(d.m_v) - P @ G_zv)
-        values = [lhs, mid, rhs_z, rhs_v]
-        scale = max(max(abs(v) for v in values), 1e-300)
-        spread = max(abs(a - b) for a in values for b in values)
-        worst = max(worst, spread / scale)
-    return worst

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lftident import model as model_mod
-from lftident import testing
+from lftident import response, testing
+from lftident.errors import PoleProximity
 
 
 @pytest.fixture
@@ -53,3 +54,62 @@ def interior_theta(model, seed, scale=0.5):
     t = rng.standard_normal(model.dims.q)
     t *= scale * np.sqrt(model.theta_domain.radius) / max(np.linalg.norm(t), 1e-12)
     return t
+
+
+def full_rank_above(J, tol):
+    """True when all singular values of ``J`` exceed the absolute ``tol``."""
+    return np.count_nonzero(np.linalg.svd(J, compute_uv=False) > tol) == J.shape[1]
+
+
+def h_statespace(model, theta, omega):
+    """Reference H at ``omega`` from the assembled state-space matrices
+    A(theta)..D(theta), with a plain solve of the pencil (no pole guard)."""
+    A, B, C, D = model.assembled(model.check_theta(theta))
+    lam = response.lambda_at(model.time_domain, omega)
+    return D + C @ np.linalg.solve(lam * model.E - A, B)
+
+
+def regularity_identity_check(model, theta, lambda_probes):
+    """Worst relative discrepancy across the determinant-identity chain.
+
+    At each probe lambda the four expressions
+
+        det(lambda E - A(theta)) det(I - P D_zv)
+        det(lambda [E 0; 0 0] - [A_xx, B_xv P; C_zx, D_zv P - I])
+        det(lambda E - A_xx) det(I - G_zv(lambda) P)
+        det(lambda E - A_xx) det(I - P G_zv(lambda))
+
+    must coincide; the returned value is the largest pairwise relative error.
+    A probe at which lambda E - A_xx is exactly singular raises PoleProximity.
+    """
+    t = model.check_theta(theta)
+    P = model.p_of(t)
+    d = model.dims
+    A_t, _, _, _ = model.assembled(t)
+    E_big = np.block([
+        [model.E, np.zeros((d.m_x, d.m_z))],
+        [np.zeros((d.m_z, d.m_x)), np.zeros((d.m_z, d.m_z))],
+    ])
+    A_big = np.block([
+        [model.A_xx, model.B_xv @ P],
+        [model.C_zx, model.D_zv @ P - np.eye(d.m_z)],
+    ])
+    worst = 0.0
+    for lam in lambda_probes:
+        lam = complex(lam)
+        lhs = np.linalg.det(lam * model.E - A_t) * np.linalg.det(np.eye(d.m_v) - P @ model.D_zv)
+        mid = np.linalg.det(lam * E_big - A_big)
+        pencil = lam * model.E - model.A_xx
+        det_free = np.linalg.det(pencil)
+        try:
+            X = np.linalg.solve(pencil, model.B_xv.astype(complex))
+        except np.linalg.LinAlgError:
+            raise PoleProximity(f"lambda={lam}: lambda E - A_xx is singular") from None
+        G_zv = model.D_zv + model.C_zx @ X
+        rhs_z = det_free * np.linalg.det(np.eye(d.m_z) - G_zv @ P)
+        rhs_v = det_free * np.linalg.det(np.eye(d.m_v) - P @ G_zv)
+        values = [lhs, mid, rhs_z, rhs_v]
+        scale = max(max(abs(v) for v in values), 1e-300)
+        spread = max(abs(a - b) for a in values for b in values)
+        worst = max(worst, spread / scale)
+    return worst

@@ -18,7 +18,8 @@ from lftident import model as model_mod
 from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import LftIdentError
 
-from conftest import interior_theta, model_pool
+from conftest import (h_statespace, interior_theta, model_pool,
+                      regularity_identity_check)
 
 
 @contextlib.contextmanager
@@ -64,7 +65,7 @@ def test_criterion_1_route_equivalence():
             theta = interior_theta(m, 3 * i + 1)
             w = float(rng.uniform(0.05, 2.5))
             h1 = response.h_lft(m, theta, response.g_blocks(m, w))
-            h2 = response.h_statespace(m, theta, w)
+            h2 = h_statespace(m, theta, w)
             rel = np.linalg.norm(h1 - h2) / max(np.linalg.norm(h1), 1e-12)
             worst = max(worst, rel)
         assert worst <= 1e-9, f"worst relative route difference {worst:.3e}"
@@ -79,7 +80,7 @@ def test_criterion_2_determinant_identity():
             theta = interior_theta(m, 7 * i + 3)
             probes = [complex(rng.choice([-1, 1]) * rng.uniform(0.5, 2.5),
                               rng.uniform(-2.0, 2.0)) for _ in range(5)]
-            worst = max(worst, response.regularity_identity_check(m, theta, probes))
+            worst = max(worst, regularity_identity_check(m, theta, probes))
         assert worst <= 1e-8, f"worst determinant identity error {worst:.3e}"
 
 

@@ -58,6 +58,7 @@ class TestSearch:
         assert plan.selected == ()
         assert plan.verdict is not None
         assert not plan.verdict.psi_fcr
+        assert plan.verdict.frequencies == ()
 
     def test_theta_free_stalls(self, theta_free):
         plan = freqplan.search_frequencies(theta_free, [0.0])

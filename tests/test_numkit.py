@@ -130,7 +130,7 @@ class TestRankAndNull:
         stack = np.vstack([A1, A2])
         scale = float(np.linalg.norm(stack, 2))
         lhs = numkit.is_fcr(stack)
-        rhs = numkit.is_fcr(A2 @ Z, scale_floor=scale)
+        rhs = numkit.rank_of(A2 @ Z, scale_floor=scale).rank == Z.shape[1]
         assert lhs == rhs
 
 

@@ -10,7 +10,8 @@ from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import interior_theta, model_pool
+from conftest import (h_statespace, interior_theta, model_pool,
+                      regularity_identity_check)
 
 
 def closed_form_siso1(theta, omega):
@@ -73,7 +74,7 @@ class TestHRoutes:
     def test_siso1_closed_form(self, siso1, theta, omega, expected):
         h = response.h_lft(siso1, [theta], response.g_blocks(siso1, omega))
         assert abs(h[0, 0] - expected) < 1e-12
-        hs = response.h_statespace(siso1, [theta], omega)
+        hs = h_statespace(siso1, [theta], omega)
         assert abs(hs[0, 0] - expected) < 1e-12
 
     def test_theta_zero_collapses_to_gyu(self, siso1):
@@ -88,7 +89,7 @@ class TestHRoutes:
         w = [0.31, 1.3] if m.time_domain == "continuous" else [0.31, 1.3]
         for wi in w:
             h1 = response.h_lft(m, theta, response.g_blocks(m, wi))
-            h2 = response.h_statespace(m, theta, wi)
+            h2 = h_statespace(m, theta, wi)
             rel = np.linalg.norm(h1 - h2) / max(np.linalg.norm(h1), 1e-12)
             assert rel <= 1e-9
 
@@ -364,22 +365,22 @@ class TestSweep:
 
 class TestRegularityIdentity:
     def test_siso1(self, siso1):
-        err = response.regularity_identity_check(siso1, [0.3], [1j])
+        err = regularity_identity_check(siso1, [0.3], [1j])
         assert err <= 1e-10
 
     def test_theta_zero_exact(self, siso1):
         # Both sides collapse to det(lambda E - A_xx) when theta = 0.
-        err = response.regularity_identity_check(siso1, [0.0], [0.4 + 1.1j, -0.8 + 0.2j])
+        err = regularity_identity_check(siso1, [0.0], [0.4 + 1.1j, -0.8 + 0.2j])
         assert err <= 1e-12
 
     def test_probe_at_a_pole_raises(self, siso1):
         # lambda = -1 makes lambda E - A_xx exactly zero for siso1.
         with pytest.raises(PoleProximity, match=r"^lambda=\(-1\+0j\): "):
-            response.regularity_identity_check(siso1, [0.3], [1j, -1.0])
+            regularity_identity_check(siso1, [0.3], [1j, -1.0])
 
     def test_random_probes(self):
         rng = np.random.default_rng(4)
         for m in model_pool(4, start=300):
             theta = interior_theta(m, 9)
             probes = [complex(rng.uniform(0.5, 2), rng.uniform(-2, 2)) for _ in range(5)]
-            assert response.regularity_identity_check(m, theta, probes) <= 1e-8
+            assert regularity_identity_check(m, theta, probes) <= 1e-8

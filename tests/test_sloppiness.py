@@ -274,6 +274,14 @@ class TestEllipsoid:
                 slop.metrics(S).sm_abs * 1.01
             )
 
+    def test_contains(self, siso1):
+        S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
+        ell = slop.frobenius_ellipsoid(S, 1e-3)
+        xi = ell.boundary_point(np.ones(S.n_s))
+        assert ell.contains(xi)
+        assert not ell.contains(1.01 * xi)
+        assert ell.contains(np.zeros(S.n_s))
+
     def test_psd_quadratic_form(self):
         for seed in (0, 22):
             m, t0, w = certified_fixture(seed)
@@ -282,9 +290,8 @@ class TestEllipsoid:
             assert np.all(eig >= -1e-12)
 
     def test_boundary_ratio_tends_to_one(self, siso1):
-        S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
         stats = oracle.ellipsoid_empirical_check(siso1, [0.0], [0.0, 1.0], eps=1e-4,
-                                                 samples=10, seed=1, smat=S)
+                                                 samples=10, seed=1)
         assert 0.999 <= stats.min_ratio and stats.max_ratio <= 1.001
 
     def test_invalid_eps(self, siso1):
