@@ -236,7 +236,9 @@ def run_oracle(args) -> tuple:
     w = _freqs(args, m)
     est = oracle.fd_jacobian(m, t0, w, h=args.step)
     local = oracle.local_identifiability(est)
-    verdict = identifiability.upsilon_test(m, t0, w, fnrr_seed=args.seed)
+    # One Pi decomposition per frequency, from the blocks fd_jacobian evaluated.
+    pis = [identifiability.pi_at(m, t0, g) for g in est.blocks]
+    verdict = identifiability.upsilon_test(m, t0, w, pis=pis, fnrr_seed=args.seed)
     payload: dict = {
         "fd_jacobian": {
             "step": est.step,
@@ -250,7 +252,7 @@ def run_oracle(args) -> tuple:
     agreement = None
     if local and verdict.status == identifiability.IDENTIFIABLE:
         mu_hat = oracle.jacobian_sloppiness(est)
-        S = sloppiness.s_matrices(m, t0, w)
+        S = sloppiness.s_matrices(m, t0, w, pis=pis)
         rep = sloppiness.metrics(S, k=1)
         rel = [
             abs(rep.mu[i] - mu_hat[i]) / abs(rep.mu[i])

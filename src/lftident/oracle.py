@@ -4,9 +4,17 @@ Everything here is deliberately dumb: central finite differences of the
 stacked response map, direct singular-value arithmetic, random falsification
 probes and empirical boundary sampling.  None of it uses the Pi factors, the
 stacked rank test or the sloppiness eigenpencil it checks.  It shares the
-evaluation of H (``response.g_blocks`` and ``h_lft``), numkit's default rank
-decisions on the Jacobian and on Psi, and, for the empirical boundary, the
-ellipsoid that ``sloppiness`` builds.
+evaluation of H (``response.g_blocks``, and ``response.h_sweep`` over a stack
+of thetas at one frequency, of which ``h_lft`` is the one-theta case),
+numkit's default rank decisions on the Jacobian and on Psi, and, for the
+empirical boundary, the S matrices and ellipsoid that ``sloppiness`` builds
+(from Pi factors of the blocks the check evaluated).
+
+Each frequency's blocks are evaluated once: :func:`fd_jacobian` keeps them on
+its :class:`JacobianEstimate`, and the probe reads them there.  The perturbed
+thetas of one finite-difference step, the probe's candidates and the boundary
+samples each go through one ``h_sweep`` per frequency, and every result equals
+one ``h_lft`` call per theta, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit, response, sloppiness
-from .errors import InvalidInput, LftIdentError
+from . import identifiability, numkit, response, sloppiness
+from .errors import InvalidInput
 from .model import DescriptorModel
 
 __all__ = [
@@ -33,14 +41,33 @@ __all__ = [
 RESPONSE_MATCH_TOL = 1e-10
 
 
-def response_stack(model: DescriptorModel, theta, blocks) -> np.ndarray:
-    """Real stacked response map: per frequency's transfer blocks, Re vec H then Im vec H."""
+def response_stack(model: DescriptorModel, thetas, blocks) -> np.ndarray:
+    """Real stacked response map of each row of ``thetas``: one row per theta
+    holding, per frequency's transfer blocks, Re vec H then Im vec H.
+
+    One :func:`response.h_sweep` per frequency.  Raises the loop guard's
+    WellPosednessViolation of the first theta, then the first frequency, whose
+    loop fails.
+    """
     rows = []
-    for g in blocks:
-        H = response.h_lft(model, theta, g)
-        rows.append(numkit.vec(H.real))
-        rows.append(numkit.vec(H.imag))
-    return np.concatenate(rows)
+    for H in _h_sweeps(model, thetas, blocks):
+        # vec of each H: its transpose's rows, read in C order.
+        n, r, c = H.shape
+        cols = H.transpose(0, 2, 1).reshape(n, r * c)
+        rows.extend((cols.real, cols.imag))
+    return np.concatenate(rows, axis=1)
+
+
+def _h_sweeps(model: DescriptorModel, thetas, blocks) -> list[np.ndarray]:
+    """:func:`response.h_sweep` of ``thetas`` at each of ``blocks``: the H stack per
+    frequency.  Raises the loop guard's WellPosednessViolation of the first
+    theta, then the first frequency, whose loop fails."""
+    sweeps = [response.h_sweep(model, thetas, g) for g in blocks]
+    failed = [(i, j) for j, (_, _, violations) in enumerate(sweeps) for i in violations]
+    if failed:
+        i, j = min(failed)
+        raise sweeps[j][2][i]
+    return [H for H, _, _ in sweeps]
 
 
 @dataclass(frozen=True)
@@ -48,45 +75,53 @@ class JacobianEstimate:
     """Central-difference Jacobian of the stacked response map.
 
     ``step_halving_change`` is the relative change when the step is halved,
-    a direct read on the truncation error.
+    a direct read on the truncation error.  ``blocks`` holds the evaluated
+    transfer blocks of ``freqs``, in order.
     """
 
     J: np.ndarray
     step: float
-    freqs: tuple[float, ...]
+    blocks: tuple[response.GBlocks, ...]
     theta0: np.ndarray
     scheme: str
     step_halving_change: float
+
+    @property
+    def freqs(self) -> tuple[float, ...]:
+        return tuple(g.omega for g in self.blocks)
 
 
 def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -> JacobianEstimate:
     """Central differences of theta -> col{Re vec H, Im vec H over frequencies}.
 
-    Raises InvalidInput unless the step ``h``, when given, is finite and > 0.
+    All 2q perturbed thetas of one step go through one :func:`response_stack`.
+    Raises InvalidInput unless the step ``h``, when given, is finite and > 0,
+    and when theta0 +/- h e_k leaves the parameter domain.  The checks come in
+    the order of a loop over k: a pair outside the domain is reported after
+    the loop guard of the pairs before it.
     """
     if h is not None and not (math.isfinite(h) and h > 0):
         raise InvalidInput(f"finite-difference step must be finite and > 0, got {h}")
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    blocks = [response.g_blocks(model, wi) for wi in w]
+    blocks = tuple(response.g_blocks(model, wi) for wi in w)
     if h is None:
         h = 1e-5 * max(1.0, float(np.max(np.abs(t0))) if t0.size else 1.0)
     q = model.dims.q
 
     def jac(step: float) -> np.ndarray:
-        cols = []
-        for k in range(q):
-            e = np.zeros(q)
-            e[k] = step
-            for probe in (t0 + e, t0 - e):
-                if not model.theta_domain.contains(probe):
-                    raise InvalidInput(
-                        f"theta0 +/- h e_{k} leaves the parameter domain; shrink h"
-                    )
-            plus = response_stack(model, t0 + e, blocks)
-            minus = response_stack(model, t0 - e, blocks)
-            cols.append((plus - minus) / (2.0 * step))
-        return np.column_stack(cols)
+        e = step * np.eye(q)
+        pairs = np.stack([t0 + e, t0 - e], axis=1)
+        inside = [all(map(model.theta_domain.contains, pair)) for pair in pairs]
+        k_out = inside.index(False) if not all(inside) else q
+        rows = response_stack(model, pairs[:k_out].reshape(-1, q), blocks)
+        if k_out < q:
+            raise InvalidInput(
+                f"theta0 +/- h e_{k_out} leaves the parameter domain; shrink h"
+            )
+        rows = rows.reshape(q, 2, -1)
+        # C-contiguous, like a column stack: np.linalg.norm sums in memory order.
+        return np.ascontiguousarray(((rows[:, 0] - rows[:, 1]) / (2.0 * step)).T)
 
     J = jac(h)
     J_half = jac(h / 2.0)
@@ -95,7 +130,7 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
     return JacobianEstimate(
         J=J_half,
         step=h,
-        freqs=tuple(w),
+        blocks=blocks,
         theta0=t0,
         scheme="central",
         step_halving_change=change,
@@ -140,26 +175,16 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     """Search for theta* != est.theta0 with responses matching at every
     frequency of ``est``, the finite-difference Jacobian of :func:`fd_jacobian`.
 
-    Draws uniformly from the parameter domain and additionally line-searches
-    along the null directions of Psi and of ``est.J``.  Returns the first
-    counterexample found or None; absence of a counterexample proves nothing.
+    Line-searches along the null directions of Psi and of ``est.J``, then
+    draws ``trials`` points uniformly from the parameter domain.  All
+    candidates are tested at the first frequency in one :func:`response.h_sweep`,
+    the survivors at the next one, and so on; a candidate whose loop fails the
+    guard does not match.  Returns the first counterexample in that order or
+    None; absence of a counterexample proves nothing.
     """
     t0 = est.theta0
-    blocks = [response.g_blocks(model, wi) for wi in est.freqs]
-    base = [response.h_lft(model, t0, g) for g in blocks]
+    base = [response.h_lft(model, t0, g) for g in est.blocks]
     rng = np.random.default_rng(seed)
-
-    def matches(theta) -> bool:
-        if np.linalg.norm(theta - t0) <= 1e-9:
-            return False
-        try:
-            for g, H0 in zip(blocks, base):
-                H = response.h_lft(model, theta, g)
-                if np.linalg.norm(H - H0) > RESPONSE_MATCH_TOL:
-                    return False
-        except LftIdentError:
-            return False
-        return True
 
     directions = []
     psi_cols = np.column_stack([numkit.vec(Pk) for Pk in model.P])
@@ -170,16 +195,34 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     cut = 1e-6 * max(1.0, float(np.linalg.norm(est.J)))
     directions.extend(Vh[np.count_nonzero(sig > cut):])
 
-    for d in directions:
-        for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01):
-            cand = t0 + t * d
-            if model.theta_domain.contains(cand) and matches(cand):
-                return cand
-    for _ in range(trials):
-        cand = _domain_sample(rng, model)
-        if matches(cand):
-            return cand
-    return None
+    line = [t0 + t * d for d in directions for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01)]
+    cands = [c for c in line if model.theta_domain.contains(c)]
+    cands.extend(_domain_sample(rng, model) for _ in range(trials))
+    cands = np.array(cands).reshape(-1, model.dims.q)
+    alive = _norms_above(cands - t0, 1e-9)
+    for g, H0 in zip(est.blocks, base):
+        idx = np.flatnonzero(alive)
+        if not idx.size:
+            return None
+        H, ok, _ = response.h_sweep(model, cands[idx], g)
+        alive[idx] = ok
+        alive[idx[ok]] = ~_norms_above(H - H0, RESPONSE_MATCH_TOL)
+    hits = np.flatnonzero(alive)
+    return cands[hits[0]] if hits.size else None
+
+
+def _norms_above(D: np.ndarray, tol: float) -> np.ndarray:
+    """``np.linalg.norm(D[i]) > tol`` for each array of the stack ``D``.
+
+    One stacked norm decides every array whose norm is not within a relative
+    1e-10 of ``tol``; the stacked sum sums in another order, which moves the
+    norm by far less.  The others get the one-array call.
+    """
+    norms = np.linalg.norm(D.reshape(len(D), -1), axis=1)
+    above = norms > tol
+    for i in np.flatnonzero(np.abs(norms - tol) <= 1e-10 * tol):
+        above[i] = np.linalg.norm(D[i]) > tol
+    return above
 
 
 @dataclass(frozen=True)
@@ -210,22 +253,24 @@ def ellipsoid_empirical_check(
     """
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    S = sloppiness.s_matrices(model, t0, w)
-    ell = sloppiness.frobenius_ellipsoid(S, eps)
-    rng = np.random.default_rng(seed)
-    ratios = []
     blocks = [response.g_blocks(model, wi) for wi in w]
+    pis = [identifiability.pi_at(model, t0, g) for g in blocks]
+    S = sloppiness.s_matrices(model, t0, w, pis=pis)
+    ell = sloppiness.frobenius_ellipsoid(S, eps)
     base = [response.h_lft(model, t0, g) for g in blocks]
+    rng = np.random.default_rng(seed)
+    thetas = []
     for _ in range(samples):
         u = rng.standard_normal(S.n_s)
         if float(u @ S.M @ u) <= 0.0:
             continue
-        xi = ell.boundary_point(u)
-        theta = ell.theta_of(xi)
+        thetas.append(ell.theta_of(ell.boundary_point(u)))
+    sweeps = _h_sweeps(model, np.array(thetas).reshape(-1, model.dims.q), blocks)
+    ratios = []
+    for i in range(len(thetas)):
         energy = 0.0
-        for g, H0 in zip(blocks, base):
-            H = response.h_lft(model, theta, g)
-            energy += float(np.linalg.norm(H - H0) ** 2)
+        for H, H0 in zip(sweeps, base):
+            energy += float(np.linalg.norm(H[i] - H0) ** 2)
         ratios.append(energy / eps ** 2)
     if not ratios:
         raise InvalidInput("no boundary sample carried deviation energy")

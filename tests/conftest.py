@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lftident import model as model_mod
-from lftident import response, testing
+from lftident import numkit, response, testing
 from lftident.errors import PoleProximity
 
 
@@ -59,6 +59,19 @@ def interior_theta(model, seed, scale=0.5):
 def full_rank_above(J, tol):
     """True when all singular values of ``J`` exceed the absolute ``tol``."""
     return np.count_nonzero(np.linalg.svd(J, compute_uv=False) > tol) == J.shape[1]
+
+
+def per_theta_h_lft(model, theta, g):
+    """Reference H at ``g.omega`` for one theta: P(theta) from ``model.p_of``,
+    one loop guard and one solve, as H was evaluated before the stacked
+    ``response.h_sweep``."""
+    t = model.check_theta(theta)
+    P = model.p_of(t)
+    loop = np.eye(model.dims.m_v) - P @ g.G_zv
+    numkit.loop_guard(
+        loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={t.tolist()}"
+    )
+    return g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
 
 
 def h_statespace(model, theta, omega):

@@ -5,12 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lftident import freqplan, identifiability as ident, numkit, oracle, response
+from lftident import cli, freqplan, identifiability as ident, numkit, oracle, response
 from lftident import sloppiness as slop, testing
-from lftident.errors import InvalidInput, PoleProximity
-from lftident.model import DescriptorModel, Dims, ParameterDomain
+from lftident.errors import InvalidInput, PoleProximity, WellPosednessViolation
+from lftident.model import DescriptorModel, Dims, ParameterDomain, save_model
 
-from conftest import (h_statespace, interior_theta, model_pool,
+from conftest import (h_statespace, interior_theta, model_pool, per_theta_h_lft,
                       regularity_identity_check)
 
 
@@ -103,6 +103,79 @@ class TestHRoutes:
             assert np.allclose(Hm, np.conj(Hp), atol=1e-12 * max(1.0, np.linalg.norm(Hp)))
 
 
+class TestHSweep:
+    """A stacked h_sweep equals one per-theta evaluation (``per_theta_h_lft``)
+    bit for bit, with the same mask and loop-guard complaints."""
+
+    @staticmethod
+    def assert_matches_per_theta(model, thetas, g) -> list[bool]:
+        H, ok, violations = response.h_sweep(model, thetas, g)
+        kept = iter(H)
+        mask = []
+        for i, theta in enumerate(thetas):
+            try:
+                ref = per_theta_h_lft(model, theta, g)
+            except WellPosednessViolation as exc:
+                mask.append(False)
+                assert str(violations[i]) == str(exc)
+                with pytest.raises(WellPosednessViolation) as one:
+                    response.h_lft(model, theta, g)
+                assert str(one.value) == str(exc)
+                continue
+            mask.append(True)
+            assert i not in violations
+            assert np.array_equal(next(kept), ref)
+            assert np.array_equal(response.h_lft(model, theta, g), ref)
+        assert next(kept, None) is None
+        assert ok.tolist() == mask
+        return mask
+
+    def test_siso1_singular_loop_in_the_middle(self):
+        # 1 - theta / (j*omega + 1) vanishes at theta = 1, omega = 0.
+        m = testing.siso1(radius=4.0)
+        g = response.g_blocks(m, 0.0)
+        mask = self.assert_matches_per_theta(m, [[0.3], [1.0], [-0.5]], g)
+        assert mask == [True, False, True]
+        with pytest.raises(WellPosednessViolation, match=(
+                r"^I - P\(theta\) G_zv\(j\*omega\) singular at omega=0.0, "
+                r"theta=\[1.0\] \(sigma_min=0.000e\+00\)$")):
+            response.h_lft(m, [1.0], g)
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    @pytest.mark.parametrize("kind", [
+        dict(dims=Dims(12, 2, 1, 2, 5, 10)),
+        dict(kernel_rich=True, time_domain="discrete"),
+        dict(singular_E=True),
+    ], ids=["d12", "kr-dt", "se"])
+    def test_random_models(self, seed, kind):
+        m = testing.random_model(seed, **kind)
+        rng = np.random.default_rng(seed)
+        # At omega = 0 the blocks are real, so theta = d / lam for a real
+        # eigenvalue lam of P(d) G_zv makes the loop singular.
+        g = response.g_blocks(m, 0.0)
+        for _ in range(20):
+            d = rng.standard_normal(m.dims.q)
+            lam = np.linalg.eigvals(m.p_of(d) @ g.G_zv.real)
+            real = lam[(lam.imag == 0) & (lam.real != 0)].real
+            if real.size:
+                break
+        singular = d / real[np.argmax(np.abs(real))]
+        thetas = [interior_theta(m, seed + i) for i in range(5)]
+        thetas.insert(2, singular)
+        assert self.assert_matches_per_theta(m, thetas, g) == [True] * 2 + [False] + [True] * 3
+        g1 = response.g_blocks(m, 0.7)
+        assert all(self.assert_matches_per_theta(m, np.array(thetas)[[0, 1, 3, 4, 5]], g1))
+
+    def test_empty_stack(self, siso1):
+        H, ok, violations = response.h_sweep(siso1, np.zeros((0, 1)), response.g_blocks(siso1, 1.0))
+        assert H.shape == (0, 1, 1) and ok.shape == (0,) and violations == {}
+
+    @pytest.mark.parametrize("thetas", [[0.1], [[0.1, 0.2]], [[np.nan]]])
+    def test_bad_stack(self, siso1, thetas):
+        with pytest.raises(InvalidInput):
+            response.h_sweep(siso1, thetas, response.g_blocks(siso1, 1.0))
+
+
 class TestEvaluatedOnce:
     """Every entry point solves the pencil once per listed, grid or FNRR probe
     frequency; all solves go through the one stacked evaluator ``g_sweep``."""
@@ -159,6 +232,26 @@ class TestEvaluatedOnce:
         v = ident.upsilon_test(model, np.zeros(model.dims.q), self.FREQS, fnrr_seed=seed)
         assert v.status == ident.IDENTIFIABLE  # the sensitivity gate ran
         assert Counter(calls) == probes + Counter(self.FREQS)
+
+    def test_oracle_op(self, model, calls, monkeypatch, tmp_path, capsys):
+        # fd_jacobian's blocks serve the Pi factors, the verdict, the S
+        # matrices and the probe: one G and one Pi evaluation per frequency.
+        seed = 11
+        probes = self.fnrr_probes(model, calls, seed)
+        pis = []
+        orig = ident.pi_at
+        monkeypatch.setattr(ident, "pi_at",
+                            lambda m, t0, g, **kw: pis.append(g.omega) or orig(m, t0, g, **kw))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        code = cli.main(["oracle", "--model", str(path),
+                         "--theta0", ",".join(["0"] * model.dims.q),
+                         "--freqs", ",".join(repr(w) for w in self.FREQS),
+                         "--trials", "20", "--seed", str(seed)])
+        assert code == cli.EXIT_OK
+        assert '"mu_agreement": {' in capsys.readouterr().out  # s_matrices ran
+        assert Counter(calls) == probes + Counter(self.FREQS)
+        assert pis == self.FREQS
 
 
 def oscillator(w_star: float) -> DescriptorModel:
