@@ -13,8 +13,7 @@ Loop matrices such as ``I - P(theta) G_zv`` are checked by
 ``LOOP_GUARD_RTOL = 1e-12`` times ``max(sigma_max, 1)``.
 
 The stacked helpers (:func:`svd_stack`, :func:`stacked_ranks`,
-:func:`loop_guard_stack` and :func:`loop_guard_mask`, which returns a pass mask
-instead of raising) decide many matrices at once: numpy's stacked
+:func:`loop_guard_stack`) decide many matrices at once: numpy's stacked
 ``svd`` runs the same LAPACK routine on each matrix, so their results are
 bitwise equal to one single-matrix call each.  Matrices are grouped by shape
 and dtype and stacked in chunks of a fixed size, so the memory a long
@@ -47,7 +46,6 @@ __all__ = [
     "is_fcr",
     "loop_guard",
     "loop_guard_stack",
-    "loop_guard_mask",
     "right_null_basis",
     "left_null_basis",
     "pinv",
@@ -264,24 +262,21 @@ def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
 def loop_guard_stack(M: np.ndarray, message_of) -> np.ndarray:
     """:func:`loop_guard` of each matrix in the stack ``M``, one row of singular
     values each; the error names ``message_of(i)`` for the first failing ``M[i]``."""
-    sig, _, violations = loop_guard_mask(M, message_of)
+    sig, violations = _loop_guard_violations(M, message_of)
     if violations:
         raise violations[min(violations)]
     return sig
 
 
-def loop_guard_mask(M: np.ndarray, message_of):
-    """:func:`loop_guard` of each matrix in the stack ``M``, without raising.
-
-    Returns the singular values (one row each), the mask of the matrices that
-    pass, and, by index, the WellPosednessViolation that loop_guard raises for
-    each of the others (``message_of(i)`` with sigma_min appended).
-    """
+def _loop_guard_violations(M: np.ndarray, message_of):
+    """:func:`loop_guard` of each matrix in the stack ``M``, without raising:
+    the singular values (one row each) and, by index, the WellPosednessViolation
+    that loop_guard raises for each failing matrix (``message_of(i)`` with
+    sigma_min appended)."""
     sig = np.linalg.svd(M, compute_uv=False)
-    ok = ~(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
-    violations = {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")
-                  for i in np.flatnonzero(~ok)}
-    return sig, ok, violations
+    bad = np.flatnonzero(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
+    return sig, {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")
+                 for i in bad}
 
 
 def pinv(A) -> np.ndarray:

@@ -12,13 +12,16 @@ empirical boundary, the S matrices and ellipsoid that ``sloppiness`` builds
 
 Each frequency's blocks are evaluated once: :func:`fd_jacobian` keeps them on
 its :class:`JacobianEstimate`, and the probe reads them there.  The perturbed
-thetas of one finite-difference step, the probe's candidates and the boundary
-samples each go through one ``h_sweep`` per frequency, and every result equals
-one ``h_lft`` call per theta, bit for bit.
+thetas of one finite-difference step go through one ``h_sweep`` per
+frequency; the probe's candidates and the boundary samples do so one chunk
+at a time, drawn in order, so their memory stays bounded and the probe stops
+at the first chunk with a match.  Every result equals one ``h_lft`` call per
+theta, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,11 +66,18 @@ def _h_sweeps(model: DescriptorModel, thetas, blocks) -> list[np.ndarray]:
     frequency.  Raises the loop guard's WellPosednessViolation of the first
     theta, then the first frequency, whose loop fails."""
     sweeps = [response.h_sweep(model, thetas, g) for g in blocks]
-    failed = [(i, j) for j, (_, _, violations) in enumerate(sweeps) for i in violations]
+    failed = [(i, j) for j, (_, violations) in enumerate(sweeps) for i in violations]
     if failed:
         i, j = min(failed)
-        raise sweeps[j][2][i]
-    return [H for H, _, _ in sweeps]
+        raise sweeps[j][1][i]
+    return [H for H, _ in sweeps]
+
+
+def _drawn_in_chunks(n: int, draw):
+    """``n`` calls of ``draw()``, in order, in lists of at most the stacking chunk
+    size: a draw that stops early has drawn at most one chunk more."""
+    for start in range(0, n, numkit._CHUNK):
+        yield [draw() for _ in range(min(numkit._CHUNK, n - start))]
 
 
 @dataclass(frozen=True)
@@ -176,11 +186,11 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     frequency of ``est``, the finite-difference Jacobian of :func:`fd_jacobian`.
 
     Line-searches along the null directions of Psi and of ``est.J``, then
-    draws ``trials`` points uniformly from the parameter domain.  All
-    candidates are tested at the first frequency in one :func:`response.h_sweep`,
-    the survivors at the next one, and so on; a candidate whose loop fails the
-    guard does not match.  Returns the first counterexample in that order or
-    None; absence of a counterexample proves nothing.
+    draws ``trials`` points uniformly from the parameter domain.  The
+    candidates are tested a chunk at a time, in that order (:func:`_first_match`),
+    and the search stops at the first chunk with a match.  Returns the first
+    counterexample in draw order or None; absence of a counterexample proves
+    nothing.
     """
     t0 = est.theta0
     base = [response.h_lft(model, t0, g) for g in est.blocks]
@@ -196,17 +206,29 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     directions.extend(Vh[np.count_nonzero(sig > cut):])
 
     line = [t0 + t * d for d in directions for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01)]
-    cands = [c for c in line if model.theta_domain.contains(c)]
-    cands.extend(_domain_sample(rng, model) for _ in range(trials))
-    cands = np.array(cands).reshape(-1, model.dims.q)
+    line = [c for c in line if model.theta_domain.contains(c)]
+    for part in itertools.chain(numkit._chunks(line),
+                                _drawn_in_chunks(trials, lambda: _domain_sample(rng, model))):
+        hit = _first_match(model, np.array(part), t0, est.blocks, base)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _first_match(model: DescriptorModel, cands: np.ndarray, t0, blocks, base):
+    """The first of ``cands`` (an n x q stack) other than ``t0`` whose H matches
+    ``base`` at each of ``blocks``, or None.  All candidates are tested at the
+    first frequency in one :func:`response.h_sweep`, the survivors at the next
+    one, and so on; a candidate whose loop fails the guard does not match."""
     alive = _norms_above(cands - t0, 1e-9)
-    for g, H0 in zip(est.blocks, base):
+    for g, H0 in zip(blocks, base):
         idx = np.flatnonzero(alive)
         if not idx.size:
             return None
-        H, ok, _ = response.h_sweep(model, cands[idx], g)
-        alive[idx] = ok
-        alive[idx[ok]] = ~_norms_above(H - H0, RESPONSE_MATCH_TOL)
+        H, violations = response.h_sweep(model, cands[idx], g)
+        passed = np.delete(idx, list(violations))
+        alive[idx] = False
+        alive[passed] = ~_norms_above(H - H0, RESPONSE_MATCH_TOL)
     hits = np.flatnonzero(alive)
     return cands[hits[0]] if hits.size else None
 
@@ -218,7 +240,7 @@ def _norms_above(D: np.ndarray, tol: float) -> np.ndarray:
     1e-10 of ``tol``; the stacked sum sums in another order, which moves the
     norm by far less.  The others get the one-array call.
     """
-    norms = np.linalg.norm(D.reshape(len(D), -1), axis=1)
+    norms = np.linalg.norm(D.reshape(len(D), math.prod(D.shape[1:])), axis=1)
     above = norms > tol
     for i in np.flatnonzero(np.abs(norms - tol) <= 1e-10 * tol):
         above[i] = np.linalg.norm(D[i]) > tol
@@ -259,19 +281,20 @@ def ellipsoid_empirical_check(
     ell = sloppiness.frobenius_ellipsoid(S, eps)
     base = [response.h_lft(model, t0, g) for g in blocks]
     rng = np.random.default_rng(seed)
-    thetas = []
-    for _ in range(samples):
+
+    def boundary_theta():
         u = rng.standard_normal(S.n_s)
-        if float(u @ S.M @ u) <= 0.0:
-            continue
-        thetas.append(ell.theta_of(ell.boundary_point(u)))
-    sweeps = _h_sweeps(model, np.array(thetas).reshape(-1, model.dims.q), blocks)
+        return ell.theta_of(ell.boundary_point(u)) if float(u @ S.M @ u) > 0.0 else None
+
     ratios = []
-    for i in range(len(thetas)):
-        energy = 0.0
-        for H, H0 in zip(sweeps, base):
-            energy += float(np.linalg.norm(H[i] - H0) ** 2)
-        ratios.append(energy / eps ** 2)
+    for drawn in _drawn_in_chunks(samples, boundary_theta):
+        thetas = np.array([t for t in drawn if t is not None]).reshape(-1, model.dims.q)
+        sweeps = _h_sweeps(model, thetas, blocks)
+        for i in range(len(thetas)):
+            energy = 0.0
+            for H, H0 in zip(sweeps, base):
+                energy += float(np.linalg.norm(H[i] - H0) ** 2)
+            ratios.append(energy / eps ** 2)
     if not ratios:
         raise InvalidInput("no boundary sample carried deviation energy")
     arr = np.asarray(ratios)

@@ -9,8 +9,8 @@ stacked numpy calls (chunks of pencils); :func:`g_blocks` is its one-point
 case.  numpy's stacked ``svd`` and ``solve`` run the same LAPACK routine on
 each pencil, so a sweep and one call per frequency give bitwise equal blocks.
 :func:`h_sweep` evaluates H at one frequency's blocks for a stack of thetas in
-the same way (one loop guard and one solve over the stack); :func:`h_lft` is
-its one-theta case.
+the same way (one loop guard and one solve per chunk of thetas); :func:`h_lft`
+is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  The
@@ -210,39 +210,46 @@ def g_blocks(model: DescriptorModel, omega: float) -> GBlocks:
 
 
 def h_sweep(model: DescriptorModel, thetas, g: GBlocks):
-    """H at ``g.omega`` for each row of ``thetas`` (an n x q stack), in stacked calls.
+    """H at ``g.omega`` for each row of ``thetas`` (an n x q stack), in stacked chunks.
 
     P(theta) accumulates theta_k P_k in the order of ``model.p_of``, and the loop
-    guard (``numkit.loop_guard_mask``) and the solve run once over the stack,
-    so each H is bitwise equal to an evaluation of its theta alone.  Returns
-    the H of the thetas whose loop passes the guard, stacked in order, the mask
-    of those thetas, and, by index, the WellPosednessViolation that
-    :func:`h_lft` raises for each of the others.
+    guard and the solve run once per chunk, so each H is bitwise equal to an
+    evaluation of its theta alone.  Returns the H of the thetas whose loop
+    passes the guard, stacked in order, and, by index, the
+    WellPosednessViolation that :func:`h_lft` raises for each of the others.
     """
     T = np.asarray(thetas, dtype=float)
-    q = model.dims.q
+    q, m_v = model.dims.q, model.dims.m_v
     if T.ndim != 2 or T.shape[1] != q:
         raise InvalidInput(f"thetas must be an n x q={q} stack, got shape {T.shape}")
     if not np.all(np.isfinite(T)):
         raise InvalidInput("thetas contain non-finite entries")
-    P = np.zeros((len(T), model.dims.m_v, model.dims.m_z))
-    for k, Pk in enumerate(model.P):
-        P += T[:, k, None, None] * Pk
-    loops = np.eye(model.dims.m_v) - P @ g.G_zv
-    _, ok, violations = numkit.loop_guard_mask(
-        loops,
-        lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={T[i].tolist()}",
-    )
-    if not ok.all():
-        loops, P = loops[ok], P[ok]
-    return g.G_yu + g.G_yv @ np.linalg.solve(loops, P @ g.G_zu), ok, violations
+    Hs = [np.empty((0, model.dims.m_y, model.dims.m_u), complex)]
+    violations = {}
+    for start in range(0, len(T), numkit._CHUNK):
+        part = T[start:start + numkit._CHUNK]
+        P = np.zeros((len(part), m_v, model.dims.m_z))
+        for k, Pk in enumerate(model.P):
+            P += part[:, k, None, None] * Pk
+        loops = np.eye(m_v) - P @ g.G_zv
+        _, bad = numkit._loop_guard_violations(
+            loops,
+            lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={part[i].tolist()}",
+        )
+        if bad:
+            ok = np.ones(len(part), dtype=bool)
+            ok[list(bad)] = False
+            loops, P = loops[ok], P[ok]
+            violations.update((start + i, exc) for i, exc in bad.items())
+        Hs.append(g.G_yu + g.G_yv @ np.linalg.solve(loops, P @ g.G_zu))
+    return np.concatenate(Hs), violations
 
 
 def h_lft(model: DescriptorModel, theta, g: GBlocks) -> np.ndarray:
     """H at ``g.omega`` via the interconnection route of the transfer blocks ``g``
     (see g_blocks): the one-theta case of :func:`h_sweep`."""
     t = model.check_theta(theta)
-    H, _, violations = h_sweep(model, t[None], g)
+    H, violations = h_sweep(model, t[None], g)
     if violations:
         raise violations[0]
     return H[0]

@@ -278,6 +278,30 @@ class TestEquivalenceProbe:
             per_theta_h_lft(m, samples[0], est.blocks[1])
         assert np.array_equal(got, per_theta_probe(m, est, 4, 0))
         assert got.tolist() == [0.0, 0.5]
+        # A chunk whose every candidate fails the guard is a chunk without a match.
+        draws = iter(np.array(samples[:1]))
+        assert oracle.random_equivalence_probe(m, est, trials=1) is None
+
+    def test_stops_at_the_first_chunk_with_a_match(self, monkeypatch):
+        # Same free theta_2 as above; only the third domain sample matches.
+        m = dataclasses.replace(two_loop_model(3.0), C_yx=np.array([[1.0, 0.0, 0.0]]))
+        est = dataclasses.replace(oracle.fd_jacobian(m, [0.0, 0.0], [0.0, 1.0]), J=np.eye(2))
+        drawn = []
+
+        def draw(rng, model):
+            drawn.append([0.0, 0.5] if len(drawn) == 2 else [0.5, 0.2])
+            return np.array(drawn[-1])
+
+        monkeypatch.setattr(oracle, "_domain_sample", draw)
+        got = oracle.random_equivalence_probe(m, est, trials=10 * numkit._CHUNK)
+        assert got.tolist() == [0.0, 0.5]
+        assert len(drawn) == numkit._CHUNK
+        # A line-search match draws no domain sample at all.
+        drawn.clear()
+        dup2 = testing.dup2()
+        est = oracle.fd_jacobian(dup2, [0.0, 0.0], [1.0, 2.0])
+        assert oracle.random_equivalence_probe(dup2, est, trials=1000) is not None
+        assert drawn == []
 
     def test_programming_error_propagates(self, siso1, monkeypatch):
         # Only lftident errors read as "no match"; a bug must not pass for
@@ -322,8 +346,10 @@ class TestEllipsoidEmpirical:
             return orig(model, omegas)
 
         monkeypatch.setattr(response, "g_sweep", spy)
+        # Samples in two chunks and a bit.
+        n = 2 * numkit._CHUNK + 3
         stats = oracle.ellipsoid_empirical_check(siso1, [0.0], [0.0, 1.0],
-                                                 eps=1e-3, samples=12, seed=4)
+                                                 eps=1e-3, samples=n, seed=4)
         assert seen == [[0.0], [1.0]]
         monkeypatch.setattr(response, "g_sweep", orig)
         # The per-sample loop: S from a fresh evaluation, H one theta at a time.
@@ -334,7 +360,7 @@ class TestEllipsoidEmpirical:
         blocks = [response.g_blocks(siso1, w) for w in freqs]
         base = [per_theta_h_lft(siso1, t0, g) for g in blocks]
         ratios = []
-        for _ in range(12):
+        for _ in range(n):
             u = rng.standard_normal(S.n_s)
             if float(u @ S.M @ u) <= 0.0:
                 continue
