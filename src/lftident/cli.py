@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -237,7 +238,7 @@ def run_oracle(args) -> tuple:
     est = oracle.fd_jacobian(m, t0, w, h=args.step)
     local = oracle.local_identifiability(est)
     # One Pi decomposition per frequency, from the blocks fd_jacobian evaluated.
-    pis = [identifiability.pi_at(m, t0, g) for g in est.blocks]
+    pis = identifiability.pi_sweep(m, t0, est.blocks)
     verdict = identifiability.upsilon_test(m, t0, w, pis=pis, fnrr_seed=args.seed)
     payload: dict = {
         "fd_jacobian": {
@@ -289,8 +290,17 @@ def _write_csv(path: str, rows: list[list]) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative number ("-0.1,0", "-1e-3") as a
+    value, where argparse's own pattern admits one plain number only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lftident",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

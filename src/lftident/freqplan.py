@@ -111,7 +111,14 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR."""
     m_z = model.dims.m_z
     q = model.dims.q
-    cand = ident.pi_sweep(model, theta0, grid.blocks)
+    cand, xis = ident._sweep(model, theta0, list(grid.blocks))
+    pis: list[ident.PiDecomposition] = []
+    trace: list[int] = []
+
+    def plan(status: str, verdict=None) -> FrequencyPlan:
+        return FrequencyPlan(status=status, selected=tuple(p.omega for p in pis),
+                             rank_trace=tuple(trace), verdict=verdict,
+                             refine_hint=_hint(grid) if status == NO_PROGRESS_ON_GRID else None)
 
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
@@ -120,12 +127,8 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         if shortcut:
             verdict = ident._decide(model, theta0, [p], psi_dec)
             if verdict.status == ident.IDENTIFIABLE:
-                return FrequencyPlan(
-                    status=CERTIFIED,
-                    selected=(p.omega,),
-                    rank_trace=(0,),
-                    verdict=verdict,
-                )
+                return FrequencyPlan(status=CERTIFIED, selected=(p.omega,), rank_trace=(0,),
+                                     verdict=verdict)
             if verdict.status == ident.NOT_IDENTIFIABLE:
                 raise ConstructionError(
                     f"shortcut frequency omega={p.omega} certified the opposite verdict"
@@ -134,70 +137,60 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
     # block, among those passing the side condition; the first maximum is
     # the smallest omega among ties.
-    anchors = [p for p in cand if p.side_fcr]
-    blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
-    scores = ident.candidate_scores(blocks)
-    best = max(range(len(scores)), key=scores.__getitem__, default=None)
-    if best is None:
-        return FrequencyPlan(
-            status=NO_PROGRESS_ON_GRID,
-            selected=(),
-            rank_trace=(),
-            verdict=None,
-            refine_hint=_hint(grid),
-        )
-    pis = [anchors[best]]
-    selected = [pis[0].omega]
-    Z = ident.chain_null_basis(blocks[best])
-    # Freed before the greedy rows are built: holding both raised peak memory.
-    del blocks
-    trace = [Z.shape[1]]
+    side = np.array([p.side_fcr for p in cand])
+    found = _best([(idx[side[idx]], ident.upsilon_rows(xi[side[idx]], psi_dec, m_z))
+                   for idx, xi in xis], side)
+    if found is None:
+        return plan(NO_PROGRESS_ON_GRID)
+    _, best, block = found
+    pis.append(cand[best])
+    rest = np.ones(len(cand), dtype=bool)
+    rest[best] = False
+    Z = ident.chain_null_basis(block)
+    trace.append(Z.shape[1])
 
     # S3-S5: greedy absorption with strictly shrinking Z.  Each candidate's
-    # rows are built once, if the anchor leaves Z non-empty; a step only
-    # multiplies them by the current Z.
-    rows = [ident.upsilon_block(p, psi_dec, False, m_z) for p in cand] if Z.shape[1] else []
+    # rows are built once, as stacks, if the anchor leaves Z non-empty; a
+    # step only multiplies each stack by the current Z.
+    rows = ident.greedy_rows(cand, psi_dec, m_z) if Z.shape[1] else []
     while Z.shape[1] > 0:
-        rest = [i for i, p in enumerate(cand) if p.omega not in selected]
-        blocks = [rows[i] @ Z for i in rest]
-        scores = ident.candidate_scores(blocks)
-        best = max(range(len(scores)), key=scores.__getitem__, default=None)
-        if best is None or scores[best] == (0, 0):
-            return FrequencyPlan(
-                status=NO_PROGRESS_ON_GRID,
-                selected=tuple(selected),
-                rank_trace=tuple(trace),
-                verdict=None,
-                refine_hint=_hint(grid),
-            )
-        pis.append(cand[rest[best]])
-        selected.append(pis[-1].omega)
-        Z = Z @ ident.chain_null_basis(blocks[best])
+        found = _best([(idx, R @ Z) for idx, R in rows], rest)
+        if found is None or found[0] == (0, 0):
+            return plan(NO_PROGRESS_ON_GRID)
+        _, best, block = found
+        pis.append(cand[best])
+        rest[best] = False
+        Z = Z @ ident.chain_null_basis(block)
         trace.append(Z.shape[1])
-        if len(selected) > q + 1:
+        if len(pis) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
 
     verdict = ident._decide(model, theta0, pis, psi_dec)
     if verdict.status == ident.NOT_IDENTIFIABLE:
         raise ConstructionError(
-            f"certified selection {selected} failed re-verification: {verdict.reason}"
+            f"certified selection {[p.omega for p in pis]} failed re-verification: "
+            f"{verdict.reason}"
         )
-    if verdict.status == ident.INCONCLUSIVE:
-        # Margins too thin to certify; treat like a stall so refinement can try
-        # better-conditioned frequencies.
-        return FrequencyPlan(
-            status=NO_PROGRESS_ON_GRID,
-            selected=tuple(selected),
-            rank_trace=tuple(trace),
-            verdict=verdict,
-            refine_hint=_hint(grid),
-        )
-    return FrequencyPlan(
-        status=CERTIFIED,
-        selected=tuple(selected),
-        rank_trace=tuple(trace),
-        verdict=verdict,
-    )
+    # Margins too thin to certify (INCONCLUSIVE) are treated like a stall, so
+    # that refinement can try better-conditioned frequencies.
+    return plan(CERTIFIED if verdict.status == ident.IDENTIFIABLE else NO_PROGRESS_ON_GRID,
+                verdict)
+
+
+def _best(stacks, allowed: np.ndarray):
+    """``(score, grid index, block)`` of the allowed candidate with the largest
+    (robust, margin) score, the first one among ties, from ``(grid indices,
+    block stack)`` pairs; None when no candidate is allowed."""
+    scores = np.full((2, allowed.size), -1)
+    for idx, B in stacks:
+        scores[:, idx] = ident.candidate_scores(B)
+    scores[:, ~allowed] = -1
+    top = scores[0] == scores[0].max()
+    best = int(np.argmax(np.where(top, scores[1], -2)))
+    if scores[0, best] < 0:
+        return None
+    idx, B = next((idx, B) for idx, B in stacks if best in idx)
+    return tuple(scores[:, best].tolist()), best, B[idx.tolist().index(best)]
 
 
 def _hint(grid: FrequencyGrid) -> tuple[float, float, int] | None:

@@ -43,6 +43,8 @@ __all__ = [
     "normal_row_rank",
     "check_fnrr",
     "upsilon_block",
+    "upsilon_rows",
+    "greedy_rows",
     "candidate_scores",
     "chain_null_basis",
     "sensitivity_stack",
@@ -136,7 +138,12 @@ class PiDecomposition:
     @property
     def u2_stack(self) -> np.ndarray:
         """[U_Pi2r  U_Pi2j]^T: the real row block enforcing columns in range(Pi)."""
-        return np.hstack([self.U_Pi2.real, self.U_Pi2.imag]).T
+        return _u2_stack(self.U_Pi2)
+
+
+def _u2_stack(U: np.ndarray) -> np.ndarray:
+    """:attr:`PiDecomposition.u2_stack` of U_Pi2, or of each of a stack of them."""
+    return np.concatenate([U.real, U.imag], axis=-1).swapaxes(-1, -2)
 
 
 def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
@@ -147,56 +154,79 @@ def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
     same column span gives the same verdicts; the override exists to exercise
     exactly that invariance).
     """
-    t0 = model.check_theta(theta0)
-    K = numkit.right_null_basis(g.G_yv) if kernel is None else np.asarray(kernel, dtype=complex)
-    return _pi_factors(model, t0, [g], [K])[0]
+    K = None if kernel is None else [(np.zeros(1, dtype=int), np.asarray(kernel, dtype=complex)[None])]
+    return _sweep(model, model.check_theta(theta0), [g], K)[0][0]
 
 
 def pi_sweep(model: DescriptorModel, theta0, blocks) -> list[PiDecomposition]:
-    """:func:`pi_at` at each of the transfer blocks ``blocks``, in stacked SVD calls.
-
-    The factors are bitwise equal to one pi_at call per block; a singular
-    loop raises pi_at's WellPosednessViolation for the first such block.
-    """
-    t0 = model.check_theta(theta0)
-    blocks = list(blocks)
-    kernels = [f.V2 for f in numkit.svd_stack([g.G_yv for g in blocks])]
-    return _pi_factors(model, t0, blocks, kernels)
+    """:func:`pi_at` at each of the transfer blocks ``blocks``, in stacked SVD calls:
+    views into the stacks, bitwise equal to one pi_at call per block.  A singular
+    loop raises pi_at's WellPosednessViolation for the first such block."""
+    return _sweep(model, model.check_theta(theta0), list(blocks))[0]
 
 
-def _pi_factors(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GBlocks],
-                kernels: list[np.ndarray]) -> list[PiDecomposition]:
+def _by_value(values: np.ndarray):
+    """``(value, selection)`` for each distinct entry of the integer array
+    ``values``, ascending; the selection is a view-preserving ``slice(None)``
+    when all are equal.  Not np.unique: it imports numpy.ma (about 1 MB)."""
+    distinct = sorted(set(values.tolist()))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(v, np.flatnonzero(values == v)) for v in distinct]
+
+
+def _sweep(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GBlocks],
+           kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
+    """The Pi decompositions of ``blocks`` at the checked ``t0`` from ``kernels``
+    (``(indices, K stack)`` pairs, by default of the G_yv), and their Xi as
+    ``(indices, Xi stack)`` pairs.  A point whose rank differs from its stack's
+    continues in its own group.  Each slice keeps the memory layout of the
+    one-matrix route, on which BLAS results depend."""
+    if kernels is None:
+        kernels = []
+        for idx, G in numkit._stacks([g.G_yv for g in blocks]):
+            _, _, V, rank = numkit.svd_stack(G)
+            kernels += [(idx[sel], V[sel][:, :, r:]) for r, sel in _by_value(rank)]
     m_v = model.dims.m_v
-    for K in kernels:
-        if K.shape[0] != m_v:
-            raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[0]}")
+    for _, K in kernels:
+        if K.shape[1] != m_v:
+            raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
     P0 = model.p_of(t0)
     loops = np.eye(m_v) - P0 @ np.array([g.G_zv for g in blocks])
     numkit.loop_guard_stack(
         loops, lambda i: f"I - P(theta0) G_zv singular at omega={blocks[i].omega}"
     )
-    Pis = [loop @ K for loop, K in zip(loops, kernels)]
-    bars_r = [np.hstack([Pi.real, -Pi.imag]) for Pi in Pis]
-    bars_j = [np.hstack([Pi.imag, Pi.real]) for Pi in Pis]
-    Ts = [R @ f.V2 for R, f in zip(bars_r, numkit.svd_stack(bars_j))]
-    Xis = [f.U2.conj().T.real for f in numkit.svd_stack(Ts)]
-    # The side condition feeds verdicts, so it must hold with the margin.
-    side = [r == T.shape[1]
-            for (r,), T in zip(numkit.stacked_ranks(Ts, (DECISION_RTOL,)), Ts)]
-    U2s = [f.U2 for f in numkit.svd_stack(Pis)]
-    return [
-        PiDecomposition(g=g, K=K, Pi=Pi, Pi_bar_r=R, Pi_bar_j=J, Xi=Xi, U_Pi2=U2, side_fcr=fcr)
-        for g, K, Pi, R, J, Xi, U2, fcr in zip(blocks, kernels, Pis, bars_r, bars_j, Xis, U2s,
-                                                side)
-    ]
+    pis: list = [None] * len(blocks)
+    xis = []
+    for idx, K in kernels:
+        Pi = loops[idx] @ K
+        R = np.concatenate([Pi.real, -Pi.imag], axis=2)
+        J = np.concatenate([Pi.imag, Pi.real], axis=2)
+        U, _, _, rank = numkit.svd_stack(Pi)
+        _, _, VJ, rank_j = numkit.svd_stack(J)
+        for r, sel in _by_value(rank_j):
+            T = R[sel] @ VJ[sel][:, :, r:]
+            UT, _, _, rank_t = numkit.svd_stack(T)
+            # The side condition feeds verdicts, so it must hold with the margin.
+            side = numkit.stacked_ranks(T, (DECISION_RTOL,), 1.0)[1][0] == T.shape[2]
+            for rt, sub in _by_value(rank_t):
+                pos = np.arange(len(idx))[sel][sub]
+                xis.append((idx[pos], UT[sub][:, :, rt:].transpose(0, 2, 1).real))
+                for j, Xi, fcr in zip(pos, xis[-1][1], side[sub]):
+                    pis[idx[j]] = PiDecomposition(
+                        g=blocks[idx[j]], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j], Xi=Xi,
+                        U_Pi2=U[j, :, rank[j]:], side_fcr=bool(fcr))
+    return pis, xis
 
 
 def shortcut_flags(pis) -> list[bool]:
     """Per Pi decomposition, whether Pi_bar_j is full column rank with the
     ROBUST_RTOL margin, so that its frequency certifies on its own; decided
     in stacked rank tests."""
-    mats = [p.Pi_bar_j for p in pis]
-    return [r == M.shape[1] for (r,), M in zip(numkit.stacked_ranks(mats, (ROBUST_RTOL,)), mats)]
+    flags = np.zeros(len(pis), dtype=bool)
+    for idx, J in numkit._stacks([p.Pi_bar_j for p in pis]):
+        flags[idx] = numkit.stacked_ranks(J, (ROBUST_RTOL,), 1.0)[1][0] == J.shape[2]
+    return flags.tolist()
 
 
 def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
@@ -242,21 +272,35 @@ def check_fnrr(model: DescriptorModel, seed: int = 20260808) -> int:
 def upsilon_block(pi: PiDecomposition, psi_dec: PsiDecomposition, first: bool,
                   m_z: int) -> np.ndarray:
     """One row block of the reduced stacked test matrix, with columns in the
-    coordinates of the columns of U_Psi1."""
-    W = pi.Xi if first else pi.u2_stack
+    coordinates of the columns of U_Psi1: the one-matrix case of
+    :func:`upsilon_rows`."""
+    return upsilon_rows((pi.Xi if first else pi.u2_stack)[None], psi_dec, m_z)[0]
+
+
+def upsilon_rows(W: np.ndarray, psi_dec: PsiDecomposition, m_z: int) -> np.ndarray:
+    """The row blocks (I_mz kron W_i) U_Psi1 of a stack ``W`` of Xi or
+    u2_stack blocks, one per candidate frequency."""
     # (I_mz kron W) @ U1, applying W to each of the m_z row blocks of U1.
     k = psi_dec.U1.shape[1]
-    return (W @ psi_dec.U1.reshape(m_z, -1, k)).reshape(-1, k)
+    return (W[:, None] @ psi_dec.U1.reshape(m_z, -1, k)).reshape(len(W), -1, k)
 
 
-def candidate_scores(blocks) -> list[tuple[int, int]]:
-    """(robust rank, margin rank) of each candidate row block, in stacked SVD calls.
+def greedy_rows(pis, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``upsilon_block(p, psi_dec, False, m_z)`` of each of ``pis``, grouped by
+    shape and stacked in chunks: a list of ``(indices, row stack)``."""
+    return [(idx, upsilon_rows(_u2_stack(U), psi_dec, m_z))
+            for idx, U in numkit._stacks([p.U_Pi2 for p in pis])]
+
+
+def candidate_scores(blocks: np.ndarray) -> np.ndarray:
+    """(robust rank, margin rank) of each candidate row block of the stack
+    ``blocks``: a 2 x k integer array, from one stacked SVD.
 
     Adjacent grid points often add rows that are nearly dependent on what is
     already absorbed; counting only margin-level gains would let the
     smallest-omega tie-break select exactly those fragile candidates.
     """
-    return numkit.stacked_ranks(blocks, (ROBUST_RTOL, DECISION_RTOL))
+    return numkit.stacked_ranks(blocks, (ROBUST_RTOL, DECISION_RTOL), 1.0)[1]
 
 
 def chain_null_basis(block: np.ndarray) -> np.ndarray:

@@ -167,15 +167,16 @@ class DescriptorModel:
             raise InvalidInput("theta contains non-finite entries")
         return t
 
-    def loop_matrix(self, theta) -> np.ndarray:
-        """I - P(theta) D_zv, the well-posedness loop matrix."""
-        return np.eye(self.dims.m_v) - self.p_of(theta) @ self.D_zv
-
     def assembled(self, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """System matrices A(theta), B(theta), C(theta), D(theta)."""
+        return self._guarded_assembly(theta)[1:]
+
+    def _guarded_assembly(self, theta):
+        """``(sig, A, B, C, D)``: the loop guard's singular values of
+        I - P(theta) D_zv, then :meth:`assembled`."""
         P = self.p_of(theta)
         loop = np.eye(self.dims.m_v) - P @ self.D_zv
-        numkit.loop_guard(loop, f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
+        sig = numkit.loop_guard(loop, f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
         mid = np.linalg.solve(loop, P @ np.hstack([self.C_zx, self.D_zu]))
         left = np.vstack([self.B_xv, self.D_yv])
         corr = left @ mid
@@ -184,7 +185,7 @@ class DescriptorModel:
         B = self.B_xu + corr[:m_x, m_x:]
         C = self.C_yx + corr[m_x:, :m_x]
         D = self.D_yu + corr[m_x:, m_x:]
-        return A, B, C, D
+        return sig, A, B, C, D
 
 
 def _as_real_matrix(raw, key: str) -> np.ndarray:
@@ -322,11 +323,8 @@ def validate_assumptions(model: DescriptorModel, theta_samples,
     for theta in theta_samples:
         t = model.check_theta(theta)
         samples.append(tuple(float(v) for v in t))
-        sig = numkit.loop_guard(
-            model.loop_matrix(t), f"I - P(theta) D_zv singular at theta={t.tolist()}"
-        )
+        sig, A_t, _, _, _ = model._guarded_assembly(t)
         worst_cond = max(worst_cond, float(sig[0] / sig[-1]))
-        A_t, _, _, _ = model.assembled(t)
         for lam in lams:
             det = np.linalg.det(lam * model.E - A_t)
             mag = abs(det)

@@ -2,22 +2,16 @@
 
 Rank decisions share one tolerance policy, the cut
 ``tol = max(sigma_max, scale_floor) * max(rows, cols) * rtol`` of
-``_rank_tol``, so that full-column-rank / full-row-rank claims are
-deterministic and scale-invariant.  The single-matrix calls
-(:func:`rank_of`, :func:`svd_full` and the helpers built on it) and the
-stacked ones below all apply it.  The default ``rtol`` is the fixed constant
-``DEFAULT_RANK_RTOL = 1e-10``; callers that need another margin pass
-``rtol`` explicitly, and no call can change the default for later ones.
-Loop matrices such as ``I - P(theta) G_zv`` are checked by
-:func:`loop_guard`, which rejects a smallest singular value below
-``LOOP_GUARD_RTOL = 1e-12`` times ``max(sigma_max, 1)``.
-
-The stacked helpers (:func:`svd_stack`, :func:`stacked_ranks`,
-:func:`loop_guard_stack`) decide many matrices at once: numpy's stacked
-``svd`` runs the same LAPACK routine on each matrix, so their results are
-bitwise equal to one single-matrix call each.  Matrices are grouped by shape
-and dtype and stacked in chunks of a fixed size, so the memory a long
-frequency grid stacks stays bounded.
+``_rank_tol``, with the fixed default ``rtol = DEFAULT_RANK_RTOL``.  One
+stacked rank engine applies it, one vectorised cut per ``(k, m, n)`` stack:
+:func:`svd_stack` (full SVDs and ranks) and :func:`stacked_ranks` (singular
+values of numpy's ``compute_uv=False`` routine, whose last bits can differ
+from the full SVD's, and ranks).  :func:`svd_full` and :func:`rank_of` are
+their one-matrix cases, as :func:`loop_guard` is of :func:`loop_guard_stack`;
+numpy's stacked ``svd`` runs the same LAPACK routine on each matrix, so the
+results are bitwise equal.  Callers stack at most ``_CHUNK`` matrices of one
+shape and dtype at a time (``_stacks`` groups a list so), so the memory a
+long frequency grid stacks stays bounded.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -104,16 +98,15 @@ def _svd(S: np.ndarray, compute_uv: bool):
             np.repeat(np.eye(n, dtype=S.dtype)[None], k, axis=0))
 
 
-def _svd_groups(mats, compute_uv: bool):
-    """:func:`_svd` over the 2-D arrays of ``mats`` that share a shape and dtype,
-    stacked in chunks; yields ``(indices, shape, result)``."""
+def _stacks(mats):
+    """The 2-D arrays ``mats`` grouped by shape and dtype and stacked in chunks:
+    yields ``(indices, stack)`` with ``stack[j] = mats[indices[j]]``."""
     groups: dict = {}
     for i, M in enumerate(mats):
         groups.setdefault((M.shape, M.dtype), []).append(i)
-    for (shape, _), members in groups.items():
+    for members in groups.values():
         for idx in _chunks(members):
-            S = _checked(np.array([mats[i] for i in idx]))
-            yield idx, shape, _svd(S, compute_uv)
+            yield np.array(idx), np.array([mats[i] for i in idx])
 
 
 def _rank_tol(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: float):
@@ -167,8 +160,37 @@ class SvdFactors:
         return self.decision.rank
 
 
+def svd_stack(S, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0):
+    """``U`` (k, m, m), ``sigma`` (k, min(m, n), descending), ``V`` (k, n, n) with
+    ``S[i] = U[i] diag(sigma[i]) V[i]^H``, and the integer ranks (k,) of the
+    ``(k, m, n)`` stack ``S``; raises InvalidInput on non-finite entries."""
+    S = _checked(np.asarray(S))
+    U, sigma, Vh = _svd(S, True)
+    return U, sigma, Vh.conj().transpose(0, 2, 1), _ranks(sigma, S.shape[1:], rtol, scale_floor)
+
+
+def stacked_ranks(S, rtols, scale_floor: float = 0.0):
+    """Singular values (``compute_uv=False``) of each matrix of the ``(k, m, n)``
+    stack ``S``, and their ranks at each of ``rtols``, one row of k per rtol."""
+    S = _checked(np.asarray(S))
+    sigma = _svd(S, False)
+    return sigma, np.array([_ranks(sigma, S.shape[1:], r, scale_floor) for r in rtols])
+
+
+def _ranks(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: float) -> np.ndarray:
+    """Count of each row of ``sigma`` strictly above its ``_rank_tol`` cut."""
+    return (sigma > _rank_tol(sigma, shape, rtol, floor)[:, None]).sum(axis=1)
+
+
+def _decision(sigma: np.ndarray, rank, shape: tuple[int, int], rtol: float,
+              floor: float) -> RankDecision:
+    return RankDecision(rank=int(rank), tol=float(_rank_tol(sigma, shape, rtol, floor)),
+                        singular_values=sigma)
+
+
 def svd_full(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> SvdFactors:
-    """Full SVD of ``A`` with range/null factors split at the rank tolerance.
+    """Full SVD of ``A`` with range/null factors split at the rank tolerance:
+    the one-matrix case of :func:`svd_stack`.
 
     ``scale_floor`` anchors the relative tolerance when the matrix is known
     to live on a fixed natural scale (for instance products of orthonormal
@@ -178,55 +200,18 @@ def svd_full(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> Sv
     ``V2`` is ``0 x 0``.
     """
     M = as_matrix(A)
-    U, sigma, Vh = (x[0] for x in _svd(M[None], True))
-    return _factors(U, Vh.conj().T, _decision(sigma, M.shape, rtol, scale_floor))
-
-
-def svd_stack(mats) -> list[SvdFactors]:
-    """:func:`svd_full` (default tolerance) of each 2-D array in ``mats``, in
-    stacked LAPACK calls."""
-    out: list = [None] * len(mats)
-    for idx, shape, (U, sigma, Vh) in _svd_groups(mats, True):
-        V = Vh.conj().transpose(0, 2, 1)
-        for j, i in enumerate(idx):
-            out[i] = _factors(U[j], V[j], _decision(sigma[j], shape, DEFAULT_RANK_RTOL, 0.0))
-    return out
-
-
-def _factors(U: np.ndarray, V: np.ndarray, decision: RankDecision) -> SvdFactors:
-    r = decision.rank
-    return SvdFactors(
-        U1=U[:, :r],
-        U2=U[:, r:],
-        sigma=decision.singular_values[:r],
-        V1=V[:, :r],
-        V2=V[:, r:],
-        decision=decision,
-    )
-
-
-def _decision(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: float) -> RankDecision:
-    cut = float(_rank_tol(sigma, shape, rtol, floor))
-    return RankDecision(rank=int(np.count_nonzero(sigma > cut)), tol=cut, singular_values=sigma)
+    U, sigma, V, rank = (x[0] for x in svd_stack(M[None], rtol, scale_floor))
+    r = int(rank)
+    return SvdFactors(U1=U[:, :r], U2=U[:, r:], sigma=sigma[:r], V1=V[:, :r], V2=V[:, r:],
+                      decision=_decision(sigma, r, M.shape, rtol, scale_floor))
 
 
 def rank_of(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> RankDecision:
-    """Rank of ``A`` under the shared tolerance policy."""
+    """Rank of ``A`` under the shared tolerance policy: the one-matrix case of
+    :func:`stacked_ranks`."""
     M = as_matrix(A)
-    return _decision(_svd(M[None], False)[0], M.shape, rtol, scale_floor)
-
-
-def stacked_ranks(mats, rtols) -> list[tuple[int, ...]]:
-    """Rank of each 2-D array in ``mats`` at each of ``rtols``, as
-    ``rank_of(M, rtol=rtol, scale_floor=1.0)`` decides it, from one stacked
-    singular-value computation."""
-    out: list = [None] * len(mats)
-    for idx, shape, sigma in _svd_groups(mats, False):
-        ranks = [(sigma > _rank_tol(sigma, shape, rtol, 1.0)[:, None]).sum(axis=1).tolist()
-                 for rtol in rtols]
-        for j, i in enumerate(idx):
-            out[i] = tuple(r[j] for r in ranks)
-    return out
+    sigma, ranks = stacked_ranks(M[None], (rtol,), scale_floor)
+    return _decision(sigma[0], ranks[0, 0], M.shape, rtol, scale_floor)
 
 
 def is_fcr(A) -> bool:

@@ -276,7 +276,7 @@ def ellipsoid_empirical_check(
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     blocks = [response.g_blocks(model, wi) for wi in w]
-    pis = [identifiability.pi_at(model, t0, g) for g in blocks]
+    pis = identifiability.pi_sweep(model, t0, blocks)
     S = sloppiness.s_matrices(model, t0, w, pis=pis)
     ell = sloppiness.frobenius_ellipsoid(S, eps)
     base = [response.h_lft(model, t0, g) for g in blocks]

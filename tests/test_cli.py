@@ -90,6 +90,48 @@ def test_ident_dup2(dup2_path, capsys):
     assert doc["result"]["verdict"]["psi_fcr"] is False
 
 
+
+@pytest.mark.parametrize("command", ["ident", "sloppiness", "oracle"])
+def test_leading_negative_theta0(command, dup2_path, siso1_path, capsys):
+    # A value that starts with '-' and holds a comma or an exponent once read
+    # as an option.
+    path = dup2_path if command == "ident" else siso1_path
+    theta0 = "-0.1,0" if command == "ident" else "-2.5e-1"
+    rest = SISO1_RUNS[command][2:] if command != "ident" else ["--freqs", "1,2"]
+    spaced = run([command, "--model", str(path), "--theta0", theta0, *rest], capsys)
+    joined = run([command, "--model", str(path), f"--theta0={theta0}", *rest], capsys)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced[1] == joined[1]
+    assert parse(spaced[1])["parameters"]["theta0"] == theta0
+
+
+def test_leading_negative_discrete_freqs(tmp_path, capsys):
+    m = testing.random_regular_model(0, kernel_rich=True, time_domain="discrete")
+    path = tmp_path / "dt.json"
+    model_mod.save_model(m, path)
+    base = ["ident", "--model", str(path), "--theta0", ",".join(["0"] * m.dims.q)]
+    spaced = run([*base, "--freqs", "-3.14,1"], capsys)
+    joined = run([*base, "--freqs=-3.14,1"], capsys)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced[1] == joined[1]
+    doc = parse(spaced[1])
+    assert doc["parameters"]["freqs"] == "-3.14,1"
+    assert doc["result"]["verdict"]["frequencies"] == [-3.14, 1.0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--theta0", "--freqs", "1,2"], "argument --theta0: expected one argument"),
+    (["--theta0", "-x", "--freqs", "1,2"], "argument --theta0: expected one argument"),
+    (["--theta0", "0,0", "-0.5", "--freqs", "1,2"], "unrecognized arguments: -0.5"),
+    (["--theta0", "0,0", "--freqs", "1,2", "--timing", "-1"], "unrecognized arguments: -1"),
+])
+def test_negative_values_keep_usage_errors(argv, message, dup2_path, capsys):
+    # Only a token that starts like a number joins the option before it.
+    code, out, err = run(["ident", "--model", str(dup2_path), *argv], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert message in err
+
 def test_ident_duplicate_freqs_usage_error(siso1_path, capsys):
     code, _, err = run(
         ["ident", "--model", str(siso1_path), "--theta0", "0", "--freqs", "1,1"], capsys

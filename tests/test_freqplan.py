@@ -111,6 +111,11 @@ class TestSearch:
         assert plan.refine_hint is None
 
 
+def scores_of(blocks):
+    """candidate_scores of each block on its own, as (robust, margin) tuples."""
+    return [tuple(ident.candidate_scores(B[None])[:, 0].tolist()) for B in blocks]
+
+
 def per_step_rebuild(model, theta0, grid):
     """The S1-S5 selection with every candidate's rows rebuilt at every greedy
     step: (status, selected, rank_trace, verdict reason or None)."""
@@ -119,7 +124,7 @@ def per_step_rebuild(model, theta0, grid):
     cand = ident.pi_sweep(model, theta0, grid.blocks)
     anchors = [p for p in cand if p.side_fcr]
     blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
-    scores = ident.candidate_scores(blocks)
+    scores = scores_of(blocks)
     best = max(range(len(scores)), key=scores.__getitem__)
     pis = [anchors[best]]
     Z = ident.chain_null_basis(blocks[best])
@@ -127,7 +132,7 @@ def per_step_rebuild(model, theta0, grid):
     while Z.shape[1] > 0:
         rest = [p for p in cand if p.omega not in [s.omega for s in pis]]
         blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
-        scores = ident.candidate_scores(blocks)
+        scores = scores_of(blocks)
         best = max(range(len(scores)), key=scores.__getitem__)
         if scores[best] == (0, 0):
             return freqplan.NO_PROGRESS_ON_GRID, tuple(p.omega for p in pis), tuple(trace), None

@@ -118,6 +118,27 @@ def reference_pi(model, theta0, g):
     )
 
 
+def isolated_kernel_changes(seed, kind):
+    """A model, theta0 and a 2*_CHUNK + 5 point grid whose G_yv is zeroed or
+    made rank one at isolated points, two of them on either side of the
+    first chunk boundary, so that their kernel dimension changes."""
+    m = testing.random_regular_model(seed, **kind)
+    t0 = interior_theta(m, seed)
+    blocks = list(freqplan.default_grid(m, n_points=2 * numkit._CHUNK + 5).blocks)
+    for i in (3, numkit._CHUNK - 1, numkit._CHUNK, len(blocks) - 1):
+        G = blocks[i].G_yv
+        G = np.zeros_like(G) if i % 2 else np.repeat(G[:1], G.shape[0], axis=0) * (1 + 0.5j)
+        blocks[i] = dataclasses.replace(blocks[i], G_yv=G)
+    return m, t0, blocks
+
+
+KERNEL_CHANGE_CASES = [
+    (3, dict(kernel_rich=True)),
+    (5, dict(dims=Dims(m_x=3, m_u=2, m_y=2, m_z=2, m_v=4, q=3))),
+    (7, dict(dims=Dims(m_x=2, m_u=2, m_y=2, m_z=2, m_v=3, q=2), time_domain="discrete")),
+]
+
+
 class TestPiSweep:
     """Stacked Pi factors equal the unstacked ones, bit for bit, at every grid point."""
 
@@ -157,6 +178,52 @@ class TestPiSweep:
             ident.pi_sweep(siso1, t0, blocks)
         assert str(swept.value) == str(single.value)
         assert f"omega={blocks[3].omega}" in str(swept.value)
+
+    @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
+    def test_isolated_kernel_changes_equal_pointwise(self, seed, kind):
+        m, t0, blocks = isolated_kernel_changes(seed, kind)
+        swept = ident.pi_sweep(m, t0, blocks)
+        flags = ident.shortcut_flags(swept)
+        assert len({p.kernel_dim for p in swept}) > 1
+        assert len(swept) == len(blocks)
+        for p, flag, g in zip(swept, flags, blocks):
+            assert p.g is g
+            ref = reference_pi(m, t0, g)
+            for name in ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2"):
+                assert np.array_equal(getattr(p, name), ref[name]), name
+            assert (p.side_fcr, flag) == (ref["side_fcr"], ref["shortcut"])
+
+    @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
+    def test_stacked_rows_times_z_equal_upsilon_block(self, seed, kind):
+        # The search multiplies stacked rows by Z; each product must equal the
+        # one-candidate upsilon_block(p) @ Z that the re-verification computes.
+        # Both also equal the rows of the one-matrix route, (W @ U1) with the
+        # Xi and [U_Pi2r U_Pi2j]^T of reference_pi.
+        m, t0, blocks = isolated_kernel_changes(seed, kind)
+        psi_dec, m_z, q = ident.psi(m), m.dims.m_z, m.dims.q
+        U1 = psi_dec.U1.reshape(m_z, -1, psi_dec.U1.shape[1])
+        refs = [reference_pi(m, t0, g) for g in blocks]
+        pis, xis = ident._sweep(m, t0, blocks)
+        rng = np.random.default_rng(seed)
+        for Z in (np.eye(q), np.linalg.qr(rng.standard_normal((q, q)))[0][:, :max(q - 1, 1)]):
+            seen = []
+            for idx, R in ident.greedy_rows(pis, psi_dec, m_z):
+                for i, B in zip(idx, R @ Z):
+                    U2 = refs[i]["U_Pi2"]
+                    W = np.hstack([U2.real, U2.imag]).T
+                    assert np.array_equal(B, ident.upsilon_block(pis[i], psi_dec, False, m_z) @ Z)
+                    assert np.array_equal(B, (W @ U1).reshape(-1, U1.shape[2]) @ Z)
+                seen += idx.tolist()
+            assert sorted(seen) == list(range(len(pis)))
+            seen = []
+            for idx, xi in xis:
+                keep = np.arange(len(idx)) % 2 == 0  # a selection, as the anchor step makes
+                for i, B in zip(idx[keep], ident.upsilon_rows(xi[keep], psi_dec, m_z) @ Z):
+                    assert np.array_equal(B, ident.upsilon_block(pis[i], psi_dec, True, m_z) @ Z)
+                    assert np.array_equal(B, (refs[i]["Xi"] @ U1).reshape(-1, U1.shape[2]) @ Z)
+                assert all(np.array_equal(x, pis[i].Xi) for i, x in zip(idx, xi))
+                seen += idx.tolist()
+            assert sorted(seen) == list(range(len(pis)))
 
 
 class TestNormalRowRank:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lftident import model as model_mod
-from lftident import response, testing
+from lftident import numkit, response, testing
 from lftident.errors import (
     ModelFormatError,
     ModelShapeError,
@@ -139,6 +139,27 @@ class TestValidateAssumptions:
             assert rep.min_abs_pencil_det > 0
             assert len(rep.probe_lambdas) == 5
 
+
+    def test_one_loop_guard_per_sample(self, siso1, monkeypatch):
+        m = model_pool(1, start=70)[0]
+        thetas = [np.zeros(m.dims.q), interior_theta(m, 1), interior_theta(m, 2)]
+        calls = []
+        guard = numkit.loop_guard
+        monkeypatch.setattr(numkit, "loop_guard", lambda M, msg: calls.append(msg) or guard(M, msg))
+        rep = model_mod.validate_assumptions(m, thetas)
+        assert len(calls) == len(thetas)
+        conds = [1.0]
+        for t in thetas:
+            sig = np.linalg.svd(np.eye(m.dims.m_v) - m.p_of(t) @ m.D_zv, compute_uv=False)
+            conds.append(float(sig[0] / sig[-1]))
+        assert rep.worst_loop_condition == max(conds)
+        # The guard still names the failing sample.
+        calls.clear()
+        singular = dataclasses.replace(siso1, D_zv=np.array([[1.0]]))
+        with pytest.raises(WellPosednessViolation,
+                           match=r"^I - P\(theta\) D_zv singular at theta=\[1\.0\] \(sigma_min="):
+            model_mod.validate_assumptions(singular, [[0.0], [1.0], [0.5]])
+        assert len(calls) == 2
 
 class TestDualize:
     def test_siso1_self_dual(self, siso1):

@@ -204,27 +204,72 @@ class TestStacked:
             mats.append(A)
         return mats
 
+    @staticmethod
+    def assert_engine_matches(mats, rtol, floor):
+        """Every group of numkit._stacks(mats), through svd_stack and
+        stacked_ranks, equals svd_full and rank_of of each member bitwise."""
+        seen = []
+        for idx, S in numkit._stacks(mats):
+            assert S.shape[0] <= numkit._CHUNK
+            U, sigma, V, rank = numkit.svd_stack(S, rtol, floor)
+            sig, (r_only,) = numkit.stacked_ranks(S, (rtol,), floor)
+            for j, i in enumerate(idx):
+                f = numkit.svd_full(mats[i], rtol=rtol, scale_floor=floor)
+                d = numkit.rank_of(mats[i], rtol=rtol, scale_floor=floor)
+                r = int(rank[j])
+                assert (r, int(r_only[j])) == (f.rank, d.rank)
+                for got, want in [(U[j, :, :r], f.U1), (U[j, :, r:], f.U2),
+                                  (sigma[j, :r], f.sigma), (V[j, :, :r], f.V1),
+                                  (V[j, :, r:], f.V2), (sig[j], d.singular_values)]:
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            seen += idx.tolist()
+        assert sorted(seen) == list(range(len(mats)))
+
     def test_svd_stack_equals_svd_full(self):
-        mats = self.mixed(1)
-        for f, M in zip(numkit.svd_stack(mats), mats):
-            g = numkit.svd_full(M)
-            for name in ("U1", "U2", "sigma", "V1", "V2"):
-                assert np.array_equal(getattr(f, name), getattr(g, name))
-            assert (f.rank, f.decision.tol) == (g.rank, g.decision.tol)
+        self.assert_engine_matches(self.mixed(1), numkit.DEFAULT_RANK_RTOL, 0.0)
 
     def test_stacked_ranks_equal_rank_of(self):
         mats = self.mixed(2)
         rtols = (1e-3, 1e-10)
-        expected = [tuple(numkit.rank_of(M, rtol=r, scale_floor=1.0).rank for r in rtols)
-                    for M in mats]
-        assert numkit.stacked_ranks(mats, rtols) == expected
+        expected = [[numkit.rank_of(M, rtol=r, scale_floor=1.0).rank for M in mats]
+                    for r in rtols]
+        got = [[None] * len(mats) for _ in rtols]
+        for idx, S in numkit._stacks(mats):
+            for row, ranks in zip(got, numkit.stacked_ranks(S, rtols, 1.0)[1]):
+                for i, r in zip(idx, ranks):
+                    row[i] = int(r)
+        assert got == expected
+
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([(numkit.DEFAULT_RANK_RTOL, 0.0), (1e-6, 1.0), (1e-3, 1.0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_equals_one_matrix_calls(self, seed, policy):
+        # Mixed shapes, dtypes and scales in one call, empty 0 x n and m x 0
+        # members, rank-deficient and near-tolerance members, and groups
+        # larger than one chunk; the (rtol, floor) pairs are the ones in use.
+        rng = np.random.default_rng(seed)
+        shapes = [(int(rng.integers(0, 5)), int(rng.integers(0, 5))) for _ in range(3)]
+        shapes += [(0, int(rng.integers(1, 4))), (int(rng.integers(1, 4)), 0)]
+        mats = []
+        for _ in range(int(rng.integers(1, 2 * numkit._CHUNK + 5))):
+            m, n = shapes[int(rng.integers(len(shapes)))]
+            A = random_complex(rng, m, n) if rng.random() < 0.5 else rng.standard_normal((m, n))
+            A *= 10.0 ** rng.uniform(-12, 3)
+            if A.size and rng.random() < 0.3:
+                A[:, -1] = A[:, 0] * (1 + policy[0] * rng.standard_normal())
+            mats.append(A)
+        self.assert_engine_matches(mats, *policy)
 
     def test_non_finite_member_rejected(self):
         mats = self.mixed(3)
         mats[9] = mats[9].copy()
         mats[9][0, 0] = np.inf
+        stacks = list(numkit._stacks(mats))
+        S = next(S for idx, S in stacks if 9 in idx)
         with pytest.raises(InvalidInput):
-            numkit.stacked_ranks(mats, (1e-10,))
+            numkit.stacked_ranks(S, (1e-10,))
+        with pytest.raises(InvalidInput):
+            numkit.svd_stack(S)
 
     def test_loop_guard_stack_names_first_failure(self):
         M = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))])

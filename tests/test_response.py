@@ -254,6 +254,10 @@ class TestEvaluatedOnce:
         orig = ident.pi_at
         monkeypatch.setattr(ident, "pi_at",
                             lambda m, t0, g, **kw: pis.append(g.omega) or orig(m, t0, g, **kw))
+        sweep = ident.pi_sweep
+        monkeypatch.setattr(ident, "pi_sweep",
+                            lambda m, t0, blocks: pis.extend(g.omega for g in blocks)
+                            or sweep(m, t0, blocks))
         path = tmp_path / "model.json"
         save_model(model, path)
         code = cli.main(["oracle", "--model", str(path),

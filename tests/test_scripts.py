@@ -1,0 +1,33 @@
+import hashlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_report_digests_tiny():
+    # A fresh process and this reused one must print the same digests.
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--seed", "7", "--size", "tiny"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *op_lines, last = proc.stdout.splitlines()
+    mod = load_script()
+    fixtures = mod.workloads.TINY_FIXTURES
+    commands = {name: len(w.commands) for name, w in mod.workloads.WORKLOADS.items()}
+    assert len(op_lines) == sum(fixtures[name] * commands[name] for name in fixtures)
+    rows = [line.split("  ") for line in op_lines]
+    assert all(len(h) == 64 and rc == "0" for h, rc, _ in rows)
+    assert len({op_id for _, _, op_id in rows}) == len(rows)
+    total = hashlib.sha256("".join(f"{line}\n" for line in op_lines).encode()).hexdigest()
+    assert last == f"{total}  all"
+    in_process = [f"{h}  {rc}  {op_id}" for h, rc, op_id in mod.op_lines(7, "tiny")]
+    assert in_process == op_lines
