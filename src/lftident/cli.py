@@ -292,7 +292,12 @@ def _write_csv(path: str, rows: list[list]) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts like a negative number ("-0.1,0", "-1e-3") as a
-    value, where argparse's own pattern admits one plain number only."""
+    value, where argparse's own pattern admits one plain number only.
+
+    It replaces argparse's private ``_negative_number_matcher`` (checked on
+    CPython 3.11); if a Python version stops reading it, the leading-minus
+    CLI tests fail and ``--theta0=-0.1,0`` is the form that still parses.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

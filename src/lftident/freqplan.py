@@ -138,8 +138,8 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # block, among those passing the side condition; the first maximum is
     # the smallest omega among ties.
     side = np.array([p.side_fcr for p in cand])
-    found = _best([(idx[side[idx]], ident.upsilon_rows(xi[side[idx]], psi_dec, m_z))
-                   for idx, xi in xis], side)
+    found = _best((idx[side[idx]], ident.upsilon_rows(xi[side[idx]], psi_dec, m_z))
+                  for idx, xi in xis)
     if found is None:
         return plan(NO_PROGRESS_ON_GRID)
     _, best, block = found
@@ -154,7 +154,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # step only multiplies each stack by the current Z.
     rows = ident.greedy_rows(cand, psi_dec, m_z) if Z.shape[1] else []
     while Z.shape[1] > 0:
-        found = _best([(idx, R @ Z) for idx, R in rows], rest)
+        found = _best((idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows)
         if found is None or found[0] == (0, 0):
             return plan(NO_PROGRESS_ON_GRID)
         _, best, block = found
@@ -177,20 +177,19 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                 verdict)
 
 
-def _best(stacks, allowed: np.ndarray):
-    """``(score, grid index, block)`` of the allowed candidate with the largest
-    (robust, margin) score, the first one among ties, from ``(grid indices,
-    block stack)`` pairs; None when no candidate is allowed."""
-    scores = np.full((2, allowed.size), -1)
+def _best(stacks):
+    """``((robust, margin) score, grid index, block)`` of the candidate with the
+    largest score, the smallest grid index among ties, from ``(grid indices,
+    block stack)`` pairs; None when there is no candidate."""
+    top = best = None
     for idx, B in stacks:
-        scores[:, idx] = ident.candidate_scores(B)
-    scores[:, ~allowed] = -1
-    top = scores[0] == scores[0].max()
-    best = int(np.argmax(np.where(top, scores[1], -2)))
-    if scores[0, best] < 0:
-        return None
-    idx, B = next((idx, B) for idx, B in stacks if best in idx)
-    return tuple(scores[:, best].tolist()), best, B[idx.tolist().index(best)]
+        if len(idx):
+            s = ident.candidate_scores(B)
+            j = np.lexsort((-idx, s[1], s[0]))[-1]
+            key = (*s[:, j].tolist(), -int(idx[j]))
+            if top is None or key > top:
+                top, best = key, (key[:2], int(idx[j]), B[j])
+    return best
 
 
 def _hint(grid: FrequencyGrid) -> tuple[float, float, int] | None:

@@ -279,10 +279,10 @@ def upsilon_block(pi: PiDecomposition, psi_dec: PsiDecomposition, first: bool,
 
 def upsilon_rows(W: np.ndarray, psi_dec: PsiDecomposition, m_z: int) -> np.ndarray:
     """The row blocks (I_mz kron W_i) U_Psi1 of a stack ``W`` of Xi or
-    u2_stack blocks, one per candidate frequency."""
+    u2_stack blocks, one per candidate frequency; an empty stack gives none."""
     # (I_mz kron W) @ U1, applying W to each of the m_z row blocks of U1.
     k = psi_dec.U1.shape[1]
-    return (W[:, None] @ psi_dec.U1.reshape(m_z, -1, k)).reshape(len(W), -1, k)
+    return (W[:, None] @ psi_dec.U1.reshape(m_z, -1, k)).reshape(len(W), m_z * W.shape[1], k)
 
 
 def greedy_rows(pis, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:

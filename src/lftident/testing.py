@@ -8,6 +8,8 @@ non-injective; ``theta_free`` severs the parameter channel entirely.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import LftIdentError
@@ -50,45 +52,12 @@ def siso1(radius: float = 0.8) -> DescriptorModel:
 
 def dup2(radius: float = 0.8) -> DescriptorModel:
     """Two-parameter variant of siso1 with P_1 = P_2: only theta_1 + theta_2 acts."""
-    base = siso1(radius)
-    return DescriptorModel(
-        time_domain="continuous",
-        dims=Dims(1, 1, 1, 1, 1, 2),
-        E=base.E,
-        A_xx=base.A_xx,
-        B_xu=base.B_xu,
-        B_xv=base.B_xv,
-        C_yx=base.C_yx,
-        C_zx=base.C_zx,
-        D_yu=base.D_yu,
-        D_yv=base.D_yv,
-        D_zu=base.D_zu,
-        D_zv=base.D_zv,
-        P=(_m([[1.0]]), _m([[1.0]])),
-        theta_domain=ParameterDomain(radius=radius),
-    )
+    return replace(siso1(radius), dims=Dims(1, 1, 1, 1, 1, 2), P=(_m([[1.0]]), _m([[1.0]])))
 
 
 def theta_free(radius: float = 0.8) -> DescriptorModel:
     """Model whose response ignores theta: the v -> y path is severed."""
-    one = _m([[1.0]])
-    zero = _m([[0.0]])
-    return DescriptorModel(
-        time_domain="continuous",
-        dims=Dims(1, 1, 1, 1, 1, 1),
-        E=one,
-        A_xx=_m([[-1.0]]),
-        B_xu=one,
-        B_xv=zero,
-        C_yx=one,
-        C_zx=one,
-        D_yu=zero,
-        D_yv=zero,
-        D_zu=zero,
-        D_zv=zero,
-        P=(one,),
-        theta_domain=ParameterDomain(radius=radius),
-    )
+    return replace(siso1(radius), B_xv=_m([[0.0]]))
 
 
 def _stable_state_blocks(rng, m_x: int, time_domain: str, singular_E: bool):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,8 @@ def per_step_rebuild(model, theta0, grid):
     m_z = model.dims.m_z
     cand = ident.pi_sweep(model, theta0, grid.blocks)
     anchors = [p for p in cand if p.side_fcr]
+    if not anchors:
+        return freqplan.NO_PROGRESS_ON_GRID, (), (), None
     blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
     scores = scores_of(blocks)
     best = max(range(len(scores)), key=scores.__getitem__)
@@ -165,3 +169,36 @@ def test_greedy_stall_matches_per_step_rebuild(theta_free):
     assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.verdict is None
     assert (plan.status, plan.selected, plan.rank_trace, None) == \
         per_step_rebuild(theta_free, [0.0], grid)
+
+
+@pytest.mark.parametrize("failing", ["anchor-group", "whole-grid"])
+def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
+    # Forced failures of the side condition: of every point in the Xi group
+    # of the unforced anchor, or of every grid point.  Such candidates are
+    # skipped as anchors; with none left the grid stalls with a refine hint.
+    m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    anchor = grid.points.tolist().index(
+        freqplan.search_frequencies(m, t0, grid=grid).selected[0])
+    sweep = ident._sweep
+
+    def forced_sweep(*args):
+        pis, xis = sweep(*args)
+        groups = [idx.tolist() for idx, _ in xis]
+        assert len(groups) > 1
+        fail = {i for g in groups if failing == "whole-grid" or anchor in g for i in g}
+        pis = [dataclasses.replace(p, side_fcr=False) if i in fail else p
+               for i, p in enumerate(pis)]
+        return pis, xis
+
+    monkeypatch.setattr(ident, "_sweep", forced_sweep)
+    plan = freqplan.search_frequencies(m, t0, grid=grid)
+    reason = None if plan.verdict is None else plan.verdict.reason
+    assert (plan.status, plan.selected, plan.rank_trace, reason) == \
+        per_step_rebuild(m, t0, grid)
+    if failing == "whole-grid":
+        assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.selected == ()
+        assert plan.refine_hint == (grid.points[0], grid.points[-1], 4 * grid.points.size)
+    else:
+        assert plan.selected[0] != grid.points[anchor]
