@@ -13,7 +13,12 @@ digest, not by path.
 
 Usage, from the root of a checkout (it imports that checkout's ``src``):
 
-    python3 scripts/report_digests.py --seed 7 [--size tiny]
+    python3 scripts/report_digests.py --seed 7 [--size tiny] [--workload NAME ...]
+
+``--workload NAME`` (repeatable) runs only the named workloads, in catalogue
+order: a quick check of a change that touches one path, such as
+``--workload search-wide`` for the frequency search.  Its last line is then a
+digest over those ops only.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ import workloads  # noqa: E402
 from lftident import cli  # noqa: E402
 
 
-def op_lines(seed: int, size: str = "full"):
-    """``(sha256, exit code, op id)`` of every benchmark op at CLI ``--seed seed``."""
+def op_lines(seed: int, size: str = "full", names=None):
+    """``(sha256, exit code, op id)`` of every benchmark op at CLI ``--seed seed``,
+    or of the ops of the workloads ``names`` only."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in workloads.WORKLOADS.items():
+            if names and name not in names:
+                continue
             w = workloads.sized(workload, size)
             models = workloads.write_models(w, Path(tmp) / name)
             for op in workloads.ops(w, models):
@@ -52,9 +60,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True, help="the --seed of every op")
     p.add_argument("--size", choices=("full", "tiny"), default="full",
                    help="every fixture, or the benchmark's few-fixture self-test set")
+    p.add_argument("--workload", action="append", choices=tuple(workloads.WORKLOADS),
+                   metavar="NAME", help="run only this workload's ops (repeatable; "
+                   f"one of {', '.join(workloads.WORKLOADS)}; default: all)")
     args = p.parse_args(argv)
     total = hashlib.sha256()
-    for h, rc, op_id in op_lines(args.seed, args.size):
+    for h, rc, op_id in op_lines(args.seed, args.size, args.workload):
         line = f"{h}  {rc}  {op_id}"
         print(line, flush=True)
         total.update(f"{line}\n".encode())

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, freqplan, identifiability, model as model_mod, numkit, oracle, response, sloppiness
 from .errors import (
     ConstructionError,
+    DeviationSpaceMismatch,
     EmptyGrid,
     FNRRViolation,
     GammaRankDeficient,
@@ -57,6 +58,7 @@ _ASSUMPTION_ERRORS = (
     PoleProximity,
     RankDrop,
     GammaRankDeficient,
+    DeviationSpaceMismatch,
     EmptyGrid,
 )
 

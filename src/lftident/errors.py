@@ -47,6 +47,10 @@ class GammaRankDeficient(LftIdentError):
     """Sloppiness machinery refused: the frequency set does not certify identifiability."""
 
 
+class DeviationSpaceMismatch(LftIdentError):
+    """The admissible first-order deviations do not span q dimensions at these frequencies."""
+
+
 class ConstructionError(LftIdentError):
     """An internal self-check failed; indicates a numerical inconsistency."""
 

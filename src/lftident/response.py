@@ -13,14 +13,18 @@ the same way (one loop guard and one solve per chunk of thetas); :func:`h_lft`
 is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
-sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  The
-solve that gives the blocks also gives the pencil's inverse, and
-sigma_min >= 1/||(lambda E - A_xx)^-1||_F.  A pencil whose bound is at least
-twice the largest floor it could have (bounded through Frobenius norms, with
-sigma_max <= |lambda| ||E|| + ||A_xx||) is kept without an SVD; every other
-pencil, and every pencil of a solve that raised LinAlgError, gets the exact
-SVD and floor.  So the guarded frequencies and their messages are those of an
-SVD of every pencil.
+sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
+keeps a pencil without an SVD only under a certified lower bound on sigma_min
+of at least twice the largest floor the pencil could have (bounded through
+Frobenius norms, with sigma_max <= |lambda| ||E|| + ||A_xx||).  Anchor pencils,
+every few of a chunk, are solved against [B | I]: the inverse bounds
+sigma_min >= 1/||(lambda E - A_xx)^-1||_F.  Weyl's inequality carries an
+anchor's bound to a neighbour, less |lambda - lambda_a| ||E||_2, and a
+neighbour that the carried bound certifies is solved against B alone.  Every
+other pencil is solved against [B | I] as an anchor is.  Only a pencil that no
+bound certifies, or whose solve raised LinAlgError, gets the exact SVD and
+floor.  So the guarded frequencies and their messages are those of an SVD of
+every pencil, and the blocks are those of a solve against B alone.
 """
 
 from __future__ import annotations
@@ -48,10 +52,15 @@ __all__ = [
 # Reject frequencies with sigma_min(lambda E - A_xx) below this multiple of
 # ||A_xx||_2 (with an absolute floor for the all-zero corner case).
 POLE_GUARD_RTOL = 1e-8
-# Output bytes of one stacked solve against [B | I].  With 256 KiB, freed
-# solutions made a search-wide pass fault in up to 865 pages again; 120 KiB
-# faulted none after the first pass.
+# Output bytes of one stacked solve, against [B | I] or B: a solve takes as
+# many pencils as fit.  With 256 KiB of [B | I] solutions, freeing them made
+# a search-wide pass fault in up to 865 pages again; 120 KiB faulted none
+# after the first pass.
 _SOLVE_BYTES = 120 << 10
+# Every _ANCHOR_STRIDE-th pencil of a chunk is solved against [B | I] and
+# certifies its neighbours (see _pencil_solve).  Of strides 4, 8, 16 and 32,
+# 8 gave the fastest search-wide pass.
+_ANCHOR_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,36 @@ def check_freqs(model: DescriptorModel, freqs) -> list[float]:
     return w
 
 
+def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, inv_fro2):
+    """Build the pencils ``lam[idx] E - A`` into the buffer view ``pencils`` and
+    solve them against ``rhs``, [B | I] or B, a slice at a time.
+
+    Writes the B columns to ``X[idx]`` and marks ``solved[idx]``; against
+    [B | I] it also writes the squared Frobenius norm of each inverse to
+    ``inv_fro2[idx]``.  The pencils of a slice whose solve raises LinAlgError
+    stay unsolved.
+    """
+    m_b = X.shape[-1]
+    np.multiply.outer(lam[idx], E, out=pencils)
+    pencils -= A
+    per_slice = max(1, _SOLVE_BYTES // rhs.nbytes)
+    for s in range(0, len(idx), per_slice):
+        P, at = pencils[s:s + per_slice], idx[s:s + per_slice]
+        try:
+            Y = np.linalg.solve(P, np.broadcast_to(rhs, (len(P), *rhs.shape)))
+        except np.linalg.LinAlgError:
+            continue
+        X[at] = Y[..., :m_b]
+        solved[at] = True
+        if rhs.shape[1] > m_b:
+            # Two einsums over views: no temporary the size of the slice.
+            inv_fro2[at] = (np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
+                            + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
+        # Freed here, before the next slice's solve: the order of the frees
+        # decides whether malloc hands the memory back to the system.
+        del Y
+
+
 def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[complex]):
     """Solve (lam E - A) X = B at each of ``lams`` whose pencil passes the pole guard.
 
@@ -101,24 +140,34 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     are a view of a buffer that the next chunk overwrites.
 
     The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
-    1e-14 max(sigma_max, 1)).  Each pencil is solved against [B | I]: the B
-    columns are X, and the I columns give the inverse, whose Frobenius norm
-    bounds sigma_min >= 1/||(lam E - A)^-1||_F (Golub & Van Loan, Matrix
-    Computations, 4th ed., sec. 2.3).  The floor is at most
-    max(POLE_GUARD_RTOL ||A||_F, 1e-14 max(|lam| ||E||_F + ||A||_F, 1)),
-    since ||.||_2 <= ||.||_F and sigma_max <= |lam| ||E||_2 + ||A||_2.  A
-    pencil whose bound is at least twice that largest floor is kept without
-    an SVD.  The others, and every pencil of a solve slice that raises
-    LinAlgError, get the exact SVD and floor, so the kept set, the
-    complaints and the solutions are those of an SVD of every pencil.
+    1e-14 max(sigma_max, 1)).  That floor is at most max(POLE_GUARD_RTOL
+    ||A||_F, 1e-14 max(|lam| ||E||_F + ||A||_F, 1)), since ||.||_2 <= ||.||_F
+    and sigma_max <= |lam| ||E||_2 + ||A||_2.  A pencil is kept without an
+    SVD when a lower bound on its sigma_min is at least twice that largest
+    floor.  The bounds come in two kinds:
+
+    * Every ``_ANCHOR_STRIDE``-th pencil of a chunk is an anchor, solved
+      against [B | I]: the B columns are X, and the I columns give the
+      inverse, whose Frobenius norm bounds sigma_min >= 1/||(lam E - A)^-1||_F
+      (Golub & Van Loan, Matrix Computations, 4th ed., sec. 2.3).
+    * By Weyl's inequality (ibid., sec. 8.6), sigma_min(lam E - A) >=
+      sigma_min(lam_a E - A) - |lam - lam_a| ||E||_2 for each anchor lam_a.
+      A pencil for which the best such bound clears the factor two is solved
+      against B alone.  ||E||_2 is computed once per call, and only when a
+      chunk has a pencil that is not an anchor.
+
+    Every other pencil is solved against [B | I] and bounded as an anchor is.
+    Pencils whose bound does not clear the factor two, and every pencil of a
+    solve slice that raises LinAlgError, get the exact SVD and floor.  So the
+    kept set, the complaints and the solutions are those of an SVD of every
+    pencil: numpy's solve against B gives the B columns of its solve against
+    [B | I] bit for bit (tests/test_response.py checks this on this LAPACK).
     """
     n, m_b = B.shape
     # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
     a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
+    e_norm = None  # ||E||_2, raised by a relative 1e-12 to stay an upper bound
     BI = np.hstack([B, np.eye(n)]).astype(complex)
-    # Pencils per solve: a slice's solution stays far below a chunk of pencils
-    # in bytes, so a chunk costs little more memory than its pencils.
-    per_slice = max(1, _SOLVE_BYTES // BI.nbytes)
     # Built once and filled in place: chunk-sized temporaries freed on every
     # chunk let malloc return them to the system and fault them back in.
     size = min(len(lams), numkit._CHUNK)
@@ -127,43 +176,47 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     for part in numkit._chunks(lams):
         k = len(part)
         lam = np.array(part)
-        P, Xk = pencils[:k], X[:k]
-        np.multiply.outer(lam, E, out=P)
-        P -= A
+        Xk = X[:k]
+        solved = np.zeros(k, dtype=bool)
         inv_fro2 = np.full(k, np.inf)
-        raised = np.zeros(k, dtype=bool)
-        for s in range(0, k, per_slice):
-            piece = slice(s, s + per_slice)
-            try:
-                Y = np.linalg.solve(P[piece], np.broadcast_to(BI, (len(P[piece]), *BI.shape)))
-            except np.linalg.LinAlgError:
-                raised[piece] = True
-                continue
-            Xk[piece] = Y[..., :m_b]
-            # Two einsums over views: no temporary the size of the slice.
-            inv_fro2[piece] = (np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
-                               + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
-            # Freed here, before the next slice's solve: the order of the frees
-            # decides whether malloc hands the memory back to the system.
-            del Y
         largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
                                    1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+        # The buffer holds the pencils in the order they are solved: the
+        # anchors, the pencils an anchor covers, then the rest.  So each
+        # solve takes a view of it.
+        anchors = np.arange(0, k, _ANCHOR_STRIDE)
+        rest = np.flatnonzero(np.arange(k) % _ANCHOR_STRIDE)
+        _solve_group(pencils[:anchors.size], anchors, lam, E, A, BI, Xk, solved, inv_fro2)
+        covered = rest[:0]
+        if rest.size:
+            if e_norm is None:
+                e_norm = float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
+            reach = (1.0 / np.sqrt(inv_fro2[anchors])
+                     - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
+            cover = reach >= 2.0 * largest_floor[rest]
+            covered, rest = rest[cover], rest[~cover]
+            end = anchors.size + covered.size
+            _solve_group(pencils[anchors.size:end], covered, lam, E, A, B, Xk, solved, inv_fro2)
+            _solve_group(pencils[end:k], rest, lam, E, A, BI, Xk, solved, inv_fro2)
+        at = np.empty(k, dtype=int)
+        at[np.concatenate([anchors, covered, rest])] = np.arange(k)
         kept = 1.0 / np.sqrt(inv_fro2) >= 2.0 * largest_floor
+        kept[covered] = solved[covered]
         complaints: list[str | None] = [None] * k
         undecided = np.flatnonzero(~kept)
         if undecided.size:
             a_norm = float(np.linalg.norm(A, 2))
-            sig = np.linalg.svd(P[undecided], compute_uv=False)
+            sig = np.linalg.svd(pencils[at[undecided]], compute_uv=False)
             floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
             low = sig[:, -1] < floor
             kept[undecided] = ~low
             for i in np.flatnonzero(low):
                 complaints[undecided[i]] = (
                     f"sigma_min(lambda E - A) = {sig[i, -1]:.3e} below guard {floor[i]:.3e}")
-            unsolved = undecided[~low & raised[undecided]]
+            unsolved = undecided[~low & ~solved[undecided]]
             if unsolved.size:
                 Xk[unsolved] = np.linalg.solve(
-                    P[unsolved], np.broadcast_to(B, (unsolved.size, n, m_b)))
+                    pencils[at[unsolved]], np.broadcast_to(B, (unsolved.size, n, m_b)))
         yield (Xk if kept.all() else Xk[kept]), complaints
 
 

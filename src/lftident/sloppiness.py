@@ -23,7 +23,8 @@ import numpy as np
 
 from . import identifiability as ident
 from . import numkit, response
-from .errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
+from .errors import (ConstructionError, DeviationSpaceMismatch, GammaRankDeficient,
+                     InvalidInput, RankDrop)
 from .model import DescriptorModel
 
 __all__ = [
@@ -289,7 +290,8 @@ def _complex_block(block: np.ndarray, r_yv: int, r_zu: int) -> np.ndarray:
 
 def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
                factors=None) -> SMatrices:
-    """Build the S matrices; refuses when Gamma is not full column rank.
+    """Build the S matrices; refuses when Gamma is not full column rank, or
+    when the admissible deviations S_H do not span q dimensions.
 
     The parameter map at frequency k is
 
@@ -313,6 +315,15 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
     S_A = numkit.pinv(Gamma) @ Omega @ S_H
 
     n_s = S_H.shape[1]
+    if n_s != model.dims.q:
+        # One relative null cut over every frequency's rows: when the
+        # frequencies' response scales lie far apart, it can drop a genuine
+        # constraint of the smaller-scaled rows.
+        raise DeviationSpaceMismatch(
+            f"the admissible deviations span n_s={n_s} dimensions, not q={model.dims.q}: "
+            "one rank cut cannot resolve the response scales of these frequencies; "
+            "pick frequencies whose responses are of closer magnitude"
+        )
     o_block = 2 * factors[0].r_yv * factors[0].r_zu
     g_block = 2 * pis[0].kernel_dim * m_z
     S_H_blocks = tuple(S_H[k * o_block:(k + 1) * o_block, :] for k in range(N))

@@ -244,6 +244,31 @@ def test_sloppiness_non_certifying_exit_3(tmp_path, capsys):
     assert code == cli.EXIT_ASSUMPTION
 
 
+def test_sloppiness_mixed_scales_exit_3(tmp_path, capsys):
+    # At omega = 1e6 both G_yv and G_zu are about 1e-6, so the rows of that
+    # frequency scale about 1e12 above those of omega = 1, and one relative
+    # null cut drops the genuine constraint sigma = 2: n_s = 2 > q = 1.  The
+    # report used to carry sm_rel = [inf] and exit 4.
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    m = model_mod.DescriptorModel(
+        time_domain="continuous", dims=Dims(1, 1, 2, 1, 1, 1),
+        E=one, A_xx=-one, B_xu=-one, B_xv=one, C_yx=np.array([[1.0], [0.0]]), C_zx=-one,
+        D_yu=np.zeros((2, 1)), D_yv=np.zeros((2, 1)), D_zu=zero, D_zv=one,
+        P=(np.array([[0.7858449702906646]]),),
+        theta_domain=model_mod.ParameterDomain(radius=0.5))
+    p = tmp_path / "mixed.json"
+    model_mod.save_model(m, p)
+    code, out, _ = run(["ident", "--model", str(p), "--theta0", "0", "--freqs", "1,1000000"],
+                       capsys)
+    assert code == cli.EXIT_OK and parse(out)["result"]["verdict"]["status"] == "identifiable"
+    argv = ["sloppiness", "--model", str(p), "--theta0", "0", "--eps", "1e-3", "--freqs"]
+    code, _, err = run([*argv, "1,1000000"], capsys)
+    assert code == cli.EXIT_ASSUMPTION
+    assert "n_s=2" in err and "q=1" in err
+    code, out, _ = run([*argv, "1,10000"], capsys)
+    assert code == cli.EXIT_OK and parse(out)["result"]["n_s"] == 1
+
+
 def test_find_freqs(siso1_path, capsys):
     code, out, _ = run(
         ["find-freqs", "--model", str(siso1_path), "--theta0", "0"], capsys

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lftident import cli, freqplan, identifiability as ident, numkit, oracle, response
 from lftident import sloppiness as slop, testing
@@ -50,16 +52,8 @@ class TestGBlocks:
             assert abs(block[0, 0] - 1.0) < 1e-12
 
     def test_pole_proximity(self):
-        one = np.array([[1.0]])
-        m = DescriptorModel(
-            time_domain="continuous",
-            dims=Dims(1, 1, 1, 1, 1, 1),
-            E=one, A_xx=0 * one, B_xu=one, B_xv=one, C_yx=one, C_zx=one,
-            D_yu=0 * one, D_yv=0 * one, D_zu=0 * one, D_zv=0 * one,
-            P=(one,), theta_domain=ParameterDomain(radius=0.5),
-        )
         with pytest.raises(PoleProximity):
-            response.g_blocks(m, 0.0)  # integrator pole sits at the origin
+            response.g_blocks(integrator(), 0.0)  # the pole sits at the origin
 
 
 class TestHRoutes:
@@ -270,6 +264,18 @@ class TestEvaluatedOnce:
         assert pis == self.FREQS
 
 
+def integrator() -> DescriptorModel:
+    """1/s: the pencil at j*omega is j*omega itself, so its sigma_min is |omega|."""
+    one = np.array([[1.0]])
+    return DescriptorModel(
+        time_domain="continuous",
+        dims=Dims(1, 1, 1, 1, 1, 1),
+        E=one, A_xx=0 * one, B_xu=one, B_xv=one, C_yx=one, C_zx=one,
+        D_yu=0 * one, D_yv=0 * one, D_zu=0 * one, D_zv=0 * one,
+        P=(one,), theta_domain=ParameterDomain(radius=0.5),
+    )
+
+
 def oscillator(w_star: float) -> DescriptorModel:
     """Undamped oscillator: poles at +- j w_star on the imaginary axis."""
     one = np.ones((2, 1))
@@ -312,15 +318,54 @@ def svd_everything_pencil_solve(E, A, lams, rhs, guard_scale):
     return X, complaints
 
 
-def near_pole_model(w_star: float) -> DescriptorModel:
-    """A 60-state model whose pencil has an undamped oscillator block with
-    poles at +- j w_star; the other 58 states are a random model's."""
-    m = testing.random_regular_model(1, dims=Dims(60, 4, 2, 4, 8, 16))
+def with_pole(m: DescriptorModel, w_star: float) -> DescriptorModel:
+    """``m`` with its first two states replaced by an undamped block whose
+    poles are lambda(w_star) and its conjugate: +- j w_star in continuous
+    time, on the unit circle in discrete time."""
+    lam = response.lambda_at(m.time_domain, w_star)
     E, A = m.E.copy(), m.A_xx.copy()
     E[:2, :], E[:, :2], A[:2, :], A[:, :2] = 0.0, 0.0, 0.0, 0.0
     E[:2, :2] = np.eye(2)
-    A[:2, :2] = [[0.0, w_star], [-w_star, 0.0]]
+    A[:2, :2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
     return dataclasses.replace(m, E=E, A_xx=A)
+
+
+def near_pole_model(w_star: float) -> DescriptorModel:
+    """A 60-state continuous-time model with poles at +- j w_star; the other
+    58 states are a random model's."""
+    return with_pole(testing.random_regular_model(1, dims=FIXTURE_DIMS["d60"]), w_star)
+
+
+# The benchmark's fixture dimensions (D12, D40 and D60 of bench/workloads.py).
+FIXTURE_DIMS = {"d12": Dims(12, 2, 1, 2, 5, 10), "d40": Dims(40, 3, 1, 2, 6, 12),
+                "d60": Dims(60, 4, 2, 4, 8, 16)}
+KINDS = {"ct": {}, "dt": dict(time_domain="discrete"), "se": dict(singular_E=True)}
+
+
+def largest_floor(model, lam) -> float:
+    """The largest pole-guard floor the pencil at ``lam`` could have, through
+    Frobenius norms (see response._pencil_solve)."""
+    a_fro, e_fro = np.linalg.norm(model.A_xx), np.linalg.norm(model.E)
+    return max(response.POLE_GUARD_RTOL * a_fro, 1e-14 * max(abs(lam) * e_fro + a_fro, 1.0))
+
+
+def spy_routes(monkeypatch) -> list[tuple[np.ndarray, bool]]:
+    """Record each group of pencils ``response._pencil_solve`` solves: its
+    lams, and whether it was solved against B alone (covered by an anchor)
+    rather than against [B | I]."""
+    routes = []
+    solve_group = response._solve_group
+
+    def spy(pencils, idx, lam, E, A, rhs, X, *rest):
+        routes.append((lam[idx].copy(), rhs.shape[1] == X.shape[-1]))
+        return solve_group(pencils, idx, lam, E, A, rhs, X, *rest)
+
+    monkeypatch.setattr(response, "_solve_group", spy)
+    return routes
+
+
+def covered_lams(routes) -> list[complex]:
+    return [lam for lams, b_only in routes if b_only for lam in lams.tolist()]
 
 
 class TestSweep:
@@ -409,13 +454,16 @@ class TestSweep:
         self.assert_matches_svd_everything(m, omegas)
 
     @pytest.mark.parametrize("per_slice", [1, 3])
-    def test_undecided_pencils_get_the_exact_svd(self, per_slice, monkeypatch):
+    def test_undecided_pencils_get_the_exact_svd(self, per_slice):
         # In one chunk: a pencil exactly singular at w* (its solve slice
         # raises LinAlgError), one kept with sigma_min 1.5x the guard's floor
-        # and one guarded at 0.5x.  The Frobenius bound decides neither of
-        # the last two; it decides every other pencil, the singular one's
-        # slice-mates excepted, which are solved again after their SVD.
-        monkeypatch.setattr(response, "_SOLVE_BYTES", per_slice * 60 * (60 + 12) * 16)
+        # and one guarded at 0.5x.  No bound decides either of the last two.
+        # Every other pencil is decided by its own inverse or by an anchor's,
+        # except the singular one's slice-mates, which are solved again after
+        # their SVD.  At stride 1 every pencil is an anchor, so the [B | I]
+        # slices run over the chunk in order.  At the default stride the
+        # singular pencil's slice runs, in order, over the pencils that are
+        # not anchors and that no anchor covers.
         w_star = 1.0
         m = near_pole_model(w_star)
         floor = response.POLE_GUARD_RTOL * float(np.linalg.norm(m.A_xx, 2))
@@ -424,25 +472,135 @@ class TestSweep:
         omegas[singular] = w_star
         omegas[kept_near] = w_star + 1.5 * floor
         omegas[guarded_near] = w_star + 0.5 * floor
-        start = singular - singular % per_slice
-        undecided = [*range(start, start + per_slice), kept_near, guarded_near]
-
-        seen = []
+        lams = 1j * np.array(omegas)
+        pencils = np.multiply.outer(lams, m.E) - m.A_xx
         svd = np.linalg.svd
 
-        def spy(a, *args, **kwargs):
-            seen.append(a.copy())
-            return svd(a, *args, **kwargs)
+        for stride in (1, response._ANCHOR_STRIDE):
+            seen = []
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+            def spy(a, *args, **kwargs):
+                seen.append(a.copy())
+                return svd(a, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(response, "_SOLVE_BYTES", per_slice * 60 * (60 + 12) * 16)
+                mp.setattr(response, "_ANCHOR_STRIDE", stride)
+                mp.setattr(np.linalg, "svd", spy)
+                routes = spy_routes(mp)
+                kept, guarded = response.g_sweep(m, omegas)
+            covered = covered_lams(routes)
+            assert bool(covered) == (stride > 1)
+            anchor = singular % stride == 0
+            group = [i for i in range(self.CHUNK)
+                     if (i % stride == 0) == anchor and lams[i] not in covered]
+            start = group.index(singular) - group.index(singular) % per_slice
+            undecided = sorted({*group[start:start + per_slice], kept_near, guarded_near})
+            assert len(seen) == 1 and np.array_equal(seen[0], pencils[undecided])
+            assert [str(e).split(":")[0] for e in guarded] == [
+                f"omega={omegas[singular]}", f"omega={omegas[guarded_near]}"]
+            assert len(kept) == self.CHUNK - 2
+        self.assert_matches_svd_everything(m, omegas)
+
+    def test_anchors_on_both_sides_of_a_pole(self, monkeypatch):
+        # Two chunks across the pole at w* = 1: anchors below and above it
+        # cover neighbours on both sides, and no anchor covers the pencils
+        # nearest the pole, one kept at 1.5x the guard's floor and one
+        # guarded at 0.5x.
+        w_star = 1.0
+        m = near_pole_model(w_star)
+        floor = response.POLE_GUARD_RTOL * float(np.linalg.norm(m.A_xx, 2))
+        omegas = np.linspace(0.5, 1.5, 2 * self.CHUNK).tolist()
+        kept_near, guarded_near = self.CHUNK - 1, self.CHUNK + 1
+        assert kept_near % response._ANCHOR_STRIDE and guarded_near % response._ANCHOR_STRIDE
+        omegas[kept_near] = w_star - 1.5 * floor
+        omegas[guarded_near] = w_star + 0.5 * floor
+        routes = spy_routes(monkeypatch)
         kept, guarded = response.g_sweep(m, omegas)
         monkeypatch.undo()
-        pencils = np.multiply.outer(1j * np.array(omegas), m.E) - m.A_xx
-        assert len(seen) == 1 and np.array_equal(seen[0], pencils[undecided])
-        assert [str(e).split(":")[0] for e in guarded] == [
-            f"omega={omegas[singular]}", f"omega={omegas[guarded_near]}"]
-        assert len(kept) == self.CHUNK - 2
+        covered = [lam.imag for lam in covered_lams(routes)]
+        assert min(covered) < w_star < max(covered)
+        assert omegas[kept_near] not in covered and omegas[guarded_near] not in covered
+        assert [str(e).split(":")[0] for e in guarded] == [f"omega={omegas[guarded_near]}"]
+        assert len(kept) == len(omegas) - 1
+        self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
+
+    def test_cover_needs_twice_the_floor(self, monkeypatch):
+        # For 1/s the anchor bound and Weyl's bound are exact: at omega, the
+        # anchor at 1e-3 carries sigma_min >= omega (to rounding), against a
+        # largest floor of 1e-14.  So only 3e-14 is covered; 1.5e-14 is kept
+        # by its SVD, and 0.5e-14 is guarded.
+        m = integrator()
+        omegas = [1e-3, 3e-14, 1.5e-14, 0.5e-14]
+        routes = spy_routes(monkeypatch)
+        kept, guarded = response.g_sweep(m, omegas)
+        monkeypatch.undo()
+        assert [lam.imag for lam in covered_lams(routes)] == [3e-14]
+        assert [g.omega for g in kept] == omegas[:3]
+        assert [str(e).split(":")[0] for e in guarded] == ["omega=5e-15"]
+        self.assert_matches_svd_everything(m, omegas)
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(KINDS)),
+           m_x=st.integers(3, 8), pole=st.booleans(), n=st.integers(2, 2 * numkit._CHUNK + 8),
+           center=st.floats(0.2, 2.0), width=st.floats(1e-3, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_covered_pencils_clear_twice_the_floor(self, seed, kind, m_x, pole, n, center, width):
+        # Weyl's bound is sound: every pencil solved against B alone, because
+        # an anchor covered it, has an exact sigma_min of at least twice its
+        # largest floor.  With ``pole``, a pole sits in the middle of the grid.
+        m = testing.random_model(seed, dims=Dims(m_x, 2, 1, 2, 3, 2), **KINDS[kind])
+        if pole:
+            m = with_pole(m, center)
+        if m.time_domain == "continuous":
+            omegas = np.geomspace(center / (1 + width), center * (1 + width), n).tolist()
+        else:
+            omegas = np.linspace(center - width, center + width, n).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            routes = spy_routes(mp)
+            response.g_sweep(m, omegas)
+        covered = covered_lams(routes)
+        if covered:
+            sig = np.linalg.svd(np.multiply.outer(np.array(covered), m.E) - m.A_xx,
+                                compute_uv=False)
+            assert all(s >= 2 * largest_floor(m, lam) for s, lam in zip(sig[:, -1], covered))
+        self.assert_matches_svd_everything(m, omegas)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("dims", sorted(FIXTURE_DIMS))
+    def test_b_only_solve_is_bitwise_the_b_columns(self, dims, kind):
+        # A covered pencil is solved against B alone and an anchor against
+        # [B | I]; the blocks stay those of the SVD-of-every-pencil reference
+        # only because both give the same B columns, bit for bit, here one
+        # pencil at a time and stacked.
+        m = testing.random_regular_model(2, dims=FIXTURE_DIMS[dims], **KINDS[kind])
+        omegas = (np.geomspace(1e-2, 1e2, self.CHUNK) if m.time_domain == "continuous"
+                  else np.linspace(np.pi / self.CHUNK, np.pi, self.CHUNK))
+        lams = [response.lambda_at(m.time_domain, w) for w in omegas.tolist()]
+        B = np.hstack([m.B_xu, m.B_xv]).astype(complex)
+        BI = np.hstack([B, np.eye(m.dims.m_x)]).astype(complex)
+        pencils = np.multiply.outer(np.array(lams), m.E) - m.A_xx
+        X = np.linalg.solve(pencils, np.broadcast_to(B, (len(lams), *B.shape)))
+        Y = np.linalg.solve(pencils, np.broadcast_to(BI, (len(lams), *BI.shape)))
+        assert np.array_equal(X, Y[..., :B.shape[1]])
+        for P, x in zip(pencils, X):
+            assert np.array_equal(np.linalg.solve(P, B), x)
+            assert np.array_equal(np.linalg.solve(P, BI)[:, :B.shape[1]], x)
+
+    def test_one_frequency_costs_one_solve(self, monkeypatch):
+        # One pencil is its own anchor: one solve against [B | I], and no
+        # SVD, neither for ||E||_2 nor for the guard.
+        m = testing.random_regular_model(1, dims=FIXTURE_DIMS["d60"])
+        calls = []
+        for name in ("solve", "svd", "norm"):
+            def counting(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, args[1:2] + tuple(kwargs.values()) if _name == "norm" else ()))
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        response.g_blocks(m, 1.0)
+        monkeypatch.undo()
+        assert [name for name, _ in calls if name != "norm"] == ["solve"]
+        assert all(2 not in ords for name, ords in calls if name == "norm")
 
     def test_holds_one_chunk_of_pencils(self):
         # Each chunk's pencils are built in place and copied only around a

@@ -14,12 +14,16 @@ def load_script():
     return mod
 
 
-def test_report_digests_tiny():
-    # A fresh process and this reused one must print the same digests.
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--seed", "7", "--size", "tiny"],
+def digest_lines(*args):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--seed", "7", "--size", "tiny", *args],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    *op_lines, last = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_report_digests_tiny():
+    # A fresh process and this reused one must print the same digests.
+    *op_lines, last = digest_lines()
     mod = load_script()
     fixtures = mod.workloads.TINY_FIXTURES
     commands = {name: len(w.commands) for name, w in mod.workloads.WORKLOADS.items()}
@@ -31,3 +35,14 @@ def test_report_digests_tiny():
     assert last == f"{total}  all"
     in_process = [f"{h}  {rc}  {op_id}" for h, rc, op_id in mod.op_lines(7, "tiny")]
     assert in_process == op_lines
+
+    # --workload keeps the lines of the named workloads, in catalogue order
+    # whatever the order of the flags, and digests only those.
+    blocks, start = {}, 0
+    for name in mod.workloads.WORKLOADS:
+        blocks[name] = op_lines[start:start + fixtures[name] * commands[name]]
+        start += len(blocks[name])
+    *some, last = digest_lines("--workload", "reports", "--workload", "search-pool")
+    assert some == blocks["search-pool"] + blocks["reports"]
+    total = hashlib.sha256("".join(f"{line}\n" for line in some).encode()).hexdigest()
+    assert last == f"{total}  all"
