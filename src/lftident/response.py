@@ -61,6 +61,10 @@ _SOLVE_BYTES = 120 << 10
 # certifies its neighbours (see _pencil_solve).  Of strides 4, 8, 16 and 32,
 # 8 gave the fastest search-wide pass.
 _ANCHOR_STRIDE = 8
+# Pencils with fewer states are each their own anchor, all solved in one
+# call per chunk: below about 10 states the I columns cost less than the
+# second solve call per chunk that covered pencils need.
+_ANCHOR_MIN_STATES = 10
 
 
 @dataclass(frozen=True)
@@ -102,14 +106,14 @@ def check_freqs(model: DescriptorModel, freqs) -> list[float]:
     return w
 
 
-def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, inv_fro2):
+def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
     """Build the pencils ``lam[idx] E - A`` into the buffer view ``pencils`` and
     solve them against ``rhs``, [B | I] or B, a slice at a time.
 
     Writes the B columns to ``X[idx]`` and marks ``solved[idx]``; against
-    [B | I] it also writes the squared Frobenius norm of each inverse to
-    ``inv_fro2[idx]``.  The pencils of a slice whose solve raises LinAlgError
-    stay unsolved.
+    [B | I] it also writes each pencil's bound sigma_min >= 1/||inverse||_F
+    to ``bound[idx]``.  The pencils of a slice whose solve raises
+    LinAlgError stay unsolved.
     """
     m_b = X.shape[-1]
     np.multiply.outer(lam[idx], E, out=pencils)
@@ -125,8 +129,9 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, inv_fro2):
         solved[at] = True
         if rhs.shape[1] > m_b:
             # Two einsums over views: no temporary the size of the slice.
-            inv_fro2[at] = (np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
-                            + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
+            bound[at] = 1.0 / np.sqrt(
+                np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
+                + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
         # Freed here, before the next slice's solve: the order of the frees
         # decides whether malloc hands the memory back to the system.
         del Y
@@ -146,10 +151,11 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     SVD when a lower bound on its sigma_min is at least twice that largest
     floor.  The bounds come in two kinds:
 
-    * Every ``_ANCHOR_STRIDE``-th pencil of a chunk is an anchor, solved
-      against [B | I]: the B columns are X, and the I columns give the
-      inverse, whose Frobenius norm bounds sigma_min >= 1/||(lam E - A)^-1||_F
-      (Golub & Van Loan, Matrix Computations, 4th ed., sec. 2.3).
+    * Every ``_ANCHOR_STRIDE``-th pencil of a chunk is an anchor (every
+      pencil, below ``_ANCHOR_MIN_STATES`` states), solved against [B | I]:
+      the B columns are X, and the I columns give the inverse, whose
+      Frobenius norm bounds sigma_min >= 1/||(lam E - A)^-1||_F (Golub &
+      Van Loan, Matrix Computations, 4th ed., sec. 2.3).
     * By Weyl's inequality (ibid., sec. 8.6), sigma_min(lam E - A) >=
       sigma_min(lam_a E - A) - |lam - lam_a| ||E||_2 for each anchor lam_a.
       A pencil for which the best such bound clears the factor two is solved
@@ -161,13 +167,15 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     solve slice that raises LinAlgError, get the exact SVD and floor.  So the
     kept set, the complaints and the solutions are those of an SVD of every
     pencil: numpy's solve against B gives the B columns of its solve against
-    [B | I] bit for bit (tests/test_response.py checks this on this LAPACK).
+    [B | I] bit for bit.  That is a property of the LAPACK numpy links, not a
+    guarantee; tests/test_response.py checks it on the benchmark's shapes.
     """
     n, m_b = B.shape
     # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
     a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
     e_norm = None  # ||E||_2, raised by a relative 1e-12 to stay an upper bound
     BI = np.hstack([B, np.eye(n)]).astype(complex)
+    stride = _ANCHOR_STRIDE if n >= _ANCHOR_MIN_STATES else 1
     # Built once and filled in place: chunk-sized temporaries freed on every
     # chunk let malloc return them to the system and fault them back in.
     size = min(len(lams), numkit._CHUNK)
@@ -178,45 +186,44 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
         lam = np.array(part)
         Xk = X[:k]
         solved = np.zeros(k, dtype=bool)
-        inv_fro2 = np.full(k, np.inf)
+        bound = np.zeros(k)  # certified lower bounds on sigma_min
         largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
                                    1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
         # The buffer holds the pencils in the order they are solved: the
         # anchors, the pencils an anchor covers, then the rest.  So each
         # solve takes a view of it.
-        anchors = np.arange(0, k, _ANCHOR_STRIDE)
-        rest = np.flatnonzero(np.arange(k) % _ANCHOR_STRIDE)
-        _solve_group(pencils[:anchors.size], anchors, lam, E, A, BI, Xk, solved, inv_fro2)
-        covered = rest[:0]
-        if rest.size:
+        anchors = np.arange(0, k, stride)
+        _solve_group(pencils[:anchors.size], anchors, lam, E, A, BI, Xk, solved, bound)
+        order = anchors
+        if anchors.size < k:
             if e_norm is None:
                 e_norm = float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
-            reach = (1.0 / np.sqrt(inv_fro2[anchors])
-                     - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
+            rest = np.flatnonzero(np.arange(k) % stride)
+            reach = (bound[anchors] - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
             cover = reach >= 2.0 * largest_floor[rest]
             covered, rest = rest[cover], rest[~cover]
+            bound[covered] = reach[cover]
             end = anchors.size + covered.size
-            _solve_group(pencils[anchors.size:end], covered, lam, E, A, B, Xk, solved, inv_fro2)
-            _solve_group(pencils[end:k], rest, lam, E, A, BI, Xk, solved, inv_fro2)
-        at = np.empty(k, dtype=int)
-        at[np.concatenate([anchors, covered, rest])] = np.arange(k)
-        kept = 1.0 / np.sqrt(inv_fro2) >= 2.0 * largest_floor
-        kept[covered] = solved[covered]
+            _solve_group(pencils[anchors.size:end], covered, lam, E, A, B, Xk, solved, bound)
+            _solve_group(pencils[end:k], rest, lam, E, A, BI, Xk, solved, bound)
+            order = np.concatenate([anchors, covered, rest])
+        kept = solved & (bound >= 2.0 * largest_floor)
         complaints: list[str | None] = [None] * k
         undecided = np.flatnonzero(~kept)
         if undecided.size:
+            at = np.argsort(order)[undecided]  # their places in the buffer
             a_norm = float(np.linalg.norm(A, 2))
-            sig = np.linalg.svd(pencils[at[undecided]], compute_uv=False)
+            sig = np.linalg.svd(pencils[at], compute_uv=False)
             floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
             low = sig[:, -1] < floor
             kept[undecided] = ~low
             for i in np.flatnonzero(low):
                 complaints[undecided[i]] = (
                     f"sigma_min(lambda E - A) = {sig[i, -1]:.3e} below guard {floor[i]:.3e}")
-            unsolved = undecided[~low & ~solved[undecided]]
-            if unsolved.size:
-                Xk[unsolved] = np.linalg.solve(
-                    pencils[at[unsolved]], np.broadcast_to(B, (unsolved.size, n, m_b)))
+            unsolved = ~low & ~solved[undecided]
+            if unsolved.any():
+                Xk[undecided[unsolved]] = np.linalg.solve(
+                    pencils[at[unsolved]], np.broadcast_to(B, (unsolved.sum(), n, m_b)))
         yield (Xk if kept.all() else Xk[kept]), complaints
 
 

@@ -531,6 +531,7 @@ class TestSweep:
         # anchor at 1e-3 carries sigma_min >= omega (to rounding), against a
         # largest floor of 1e-14.  So only 3e-14 is covered; 1.5e-14 is kept
         # by its SVD, and 0.5e-14 is guarded.
+        monkeypatch.setattr(response, "_ANCHOR_MIN_STATES", 1)
         m = integrator()
         omegas = [1e-3, 3e-14, 1.5e-14, 0.5e-14]
         routes = spy_routes(monkeypatch)
@@ -549,6 +550,7 @@ class TestSweep:
         # Weyl's bound is sound: every pencil solved against B alone, because
         # an anchor covered it, has an exact sigma_min of at least twice its
         # largest floor.  With ``pole``, a pole sits in the middle of the grid.
+        # Models this small are anchored only with the state floor lowered.
         m = testing.random_model(seed, dims=Dims(m_x, 2, 1, 2, 3, 2), **KINDS[kind])
         if pole:
             m = with_pole(m, center)
@@ -557,6 +559,7 @@ class TestSweep:
         else:
             omegas = np.linspace(center - width, center + width, n).tolist()
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(response, "_ANCHOR_MIN_STATES", 1)
             routes = spy_routes(mp)
             response.g_sweep(m, omegas)
         covered = covered_lams(routes)
@@ -586,6 +589,26 @@ class TestSweep:
         for P, x in zip(pencils, X):
             assert np.array_equal(np.linalg.solve(P, B), x)
             assert np.array_equal(np.linalg.solve(P, BI)[:, :B.shape[1]], x)
+
+    @pytest.mark.parametrize("m_x", [response._ANCHOR_MIN_STATES - 1, response._ANCHOR_MIN_STATES])
+    def test_small_pencils_are_their_own_anchors(self, m_x, monkeypatch):
+        # Below the state floor each chunk is one solve against [B | I] and
+        # no ||E||_2 is computed; at the floor anchors cover their neighbours.
+        m = testing.random_regular_model(3, dims=Dims(m_x, 2, 1, 2, 5, 2))
+        omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK).tolist()
+        routes = spy_routes(monkeypatch)
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda a, *args, **kw: norms.append(args + tuple(kw.values()))
+                            or norm(a, *args, **kw))
+        response.g_sweep(m, omegas)
+        monkeypatch.undo()
+        anchored = m_x >= response._ANCHOR_MIN_STATES
+        assert bool(covered_lams(routes)) == anchored
+        assert any(2 in ords for ords in norms) == anchored
+        if not anchored:
+            assert [len(lams) for lams, _ in routes if len(lams)] == [self.CHUNK] * 2
 
     def test_one_frequency_costs_one_solve(self, monkeypatch):
         # One pencil is its own anchor: one solve against [B | I], and no
