@@ -14,17 +14,12 @@ is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
-keeps a pencil without an SVD only under a certified lower bound on sigma_min
-of at least twice the largest floor the pencil could have (bounded through
-Frobenius norms, with sigma_max <= |lambda| ||E|| + ||A_xx||).  Anchor pencils,
-every few of a chunk, are solved against [B | I]: the inverse bounds
-sigma_min >= 1/||(lambda E - A_xx)^-1||_F.  Weyl's inequality carries an
-anchor's bound to a neighbour, less |lambda - lambda_a| ||E||_2, and a
-neighbour that the carried bound certifies is solved against B alone.  Every
-other pencil is solved against [B | I] as an anchor is.  Only a pencil that no
-bound certifies, or whose solve raised LinAlgError, gets the exact SVD and
-floor.  So the guarded frequencies and their messages are those of an SVD of
-every pencil, and the blocks are those of a solve against B alone.
+skips the exact SVD only for a pencil whose sigma_min has a certified lower
+bound of at least twice the largest floor the pencil could have.  An anchor
+pencil, solved against [B | I], takes the bound from its inverse.  Weyl's
+inequality carries that bound to the anchor's neighbours, and a neighbour it
+certifies is solved against B alone (see ``_pencil_solve``).  So the guarded
+frequencies and their messages are those of an SVD of every pencil.
 """
 
 from __future__ import annotations

@@ -248,7 +248,7 @@ def test_sloppiness_mixed_scales_exit_3(tmp_path, capsys):
     # At omega = 1e6 both G_yv and G_zu are about 1e-6, so the rows of that
     # frequency scale about 1e12 above those of omega = 1, and one relative
     # null cut drops the genuine constraint sigma = 2: n_s = 2 > q = 1.  The
-    # report used to carry sm_rel = [inf] and exit 4.
+    # sloppiness report used to carry sm_rel = [inf] and exit 4.
     one, zero = np.ones((1, 1)), np.zeros((1, 1))
     m = model_mod.DescriptorModel(
         time_domain="continuous", dims=Dims(1, 1, 2, 1, 1, 1),
@@ -267,6 +267,11 @@ def test_sloppiness_mixed_scales_exit_3(tmp_path, capsys):
     assert "n_s=2" in err and "q=1" in err
     code, out, _ = run([*argv, "1,10000"], capsys)
     assert code == cli.EXIT_OK and parse(out)["result"]["n_s"] == 1
+    # The oracle's pencil spectrum comes from the same S matrices; it used
+    # to report mu_pencil = [6.48, 0.0] for one parameter.
+    code, _, err = run(["oracle", "--model", str(p), "--theta0", "0", "--freqs", "1,1000000",
+                        "--trials", "10"], capsys)
+    assert code == cli.EXIT_ASSUMPTION and "n_s=2" in err
 
 
 def test_find_freqs(siso1_path, capsys):

@@ -368,6 +368,24 @@ def covered_lams(routes) -> list[complex]:
     return [lam for lams, b_only in routes if b_only for lam in lams.tolist()]
 
 
+def spy_linalg(monkeypatch, *names) -> list[tuple[str, tuple]]:
+    """Record each call of the named ``np.linalg`` functions: its name and
+    its arguments after the first."""
+    calls = []
+    for name in names:
+        def counting(a, *args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, args + tuple(kwargs.values())))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def takes_a_two_norm(calls) -> bool:
+    """Whether any recorded ``np.linalg.norm`` call asked for a 2-norm (an SVD)."""
+    return any(name == "norm" and 2 in args for name, args in calls)
+
+
 class TestSweep:
     """A stacked sweep equals one g_blocks call per frequency, bit for bit."""
 
@@ -597,16 +615,12 @@ class TestSweep:
         m = testing.random_regular_model(3, dims=Dims(m_x, 2, 1, 2, 5, 2))
         omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK).tolist()
         routes = spy_routes(monkeypatch)
-        norms = []
-        norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm",
-                            lambda a, *args, **kw: norms.append(args + tuple(kw.values()))
-                            or norm(a, *args, **kw))
+        calls = spy_linalg(monkeypatch, "norm")
         response.g_sweep(m, omegas)
         monkeypatch.undo()
         anchored = m_x >= response._ANCHOR_MIN_STATES
         assert bool(covered_lams(routes)) == anchored
-        assert any(2 in ords for ords in norms) == anchored
+        assert takes_a_two_norm(calls) == anchored
         if not anchored:
             assert [len(lams) for lams, _ in routes if len(lams)] == [self.CHUNK] * 2
 
@@ -614,16 +628,11 @@ class TestSweep:
         # One pencil is its own anchor: one solve against [B | I], and no
         # SVD, neither for ||E||_2 nor for the guard.
         m = testing.random_regular_model(1, dims=FIXTURE_DIMS["d60"])
-        calls = []
-        for name in ("solve", "svd", "norm"):
-            def counting(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, args[1:2] + tuple(kwargs.values()) if _name == "norm" else ()))
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counting)
+        calls = spy_linalg(monkeypatch, "solve", "svd", "norm")
         response.g_blocks(m, 1.0)
         monkeypatch.undo()
         assert [name for name, _ in calls if name != "norm"] == ["solve"]
-        assert all(2 not in ords for name, ords in calls if name == "norm")
+        assert not takes_a_two_norm(calls)
 
     def test_holds_one_chunk_of_pencils(self):
         # Each chunk's pencils are built in place and copied only around a
