@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, response
-from .errors import FNRRViolation, InvalidInput, PoleProximity
+from .errors import FNRRViolation, InvalidInput
 from .model import DescriptorModel
 
 __all__ = [
@@ -232,23 +232,28 @@ def shortcut_flags(pis) -> list[bool]:
 def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
     """Normal row rank of G_zu, probed at random guarded frequencies.
 
-    Raises FNRRViolation when the probe ranks disagree, since that leaves the
-    normal rank undecided at the working tolerance.
+    Each round draws as many frequencies as probes are still missing, in the
+    order of one draw per attempt, evaluates them in one :func:`response.g_sweep`
+    and ranks the unguarded G_zu in one stacked rank test; at most
+    20 * _RANK_PROBES frequencies are drawn.  Raises FNRRViolation when the
+    probe ranks disagree, since that leaves the normal rank undecided at the
+    working tolerance.
     """
     rng = np.random.default_rng(seed)
-    ranks = []
+    ranks: list[int] = []
     attempts = 0
     while len(ranks) < _RANK_PROBES and attempts < 20 * _RANK_PROBES:
-        attempts += 1
+        n = min(_RANK_PROBES - len(ranks), 20 * _RANK_PROBES - attempts)
+        attempts += n
         if model.time_domain == "continuous":
-            w = float(10.0 ** rng.uniform(-2.0, 2.0))
+            # Scalar powers: numpy's array ** may round differently.
+            w = [float(10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(n)]
         else:
-            w = float(rng.uniform(0.05, np.pi - 0.05))
-        try:
-            g = response.g_blocks(model, w)
-        except PoleProximity:
-            continue
-        ranks.append(numkit.rank_of(g.G_zu).rank)
+            w = [float(rng.uniform(0.05, np.pi - 0.05)) for _ in range(n)]
+        kept, _ = response.g_sweep(model, w)
+        if kept:
+            G = np.array([g.G_zu for g in kept])
+            ranks += numkit.stacked_ranks(G, (numkit.DEFAULT_RANK_RTOL,))[1][0].tolist()
     if len(ranks) < _RANK_PROBES:
         raise FNRRViolation("could not place rank probes away from poles")
     if min(ranks) != max(ranks):
@@ -369,10 +374,8 @@ def _direct_stack(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
     """Constraint stack whose null space is exactly the set of undetectable
     vec(sum_k d_k P_k): membership in range(Psi) plus, per frequency,
     columns inside range(Pi)."""
-    rows = [psi_dec.U2.T]
-    for p in pis:
-        rows.append(np.kron(np.eye(m_z), p.u2_stack))
-    return np.vstack(rows)
+    I_mz = np.eye(m_z)
+    return np.vstack([psi_dec.U2.T, *(numkit._kron(I_mz, p.u2_stack) for p in pis)])
 
 
 def _residual_direction(direct: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: int):

@@ -140,73 +140,86 @@ class QPair:
 
 
 def q_pair(factors: PointwiseFactors) -> QPair:
-    """Assemble the Q pair from the pointwise factors; self-checks the action."""
-    L, R = factors.Phi_l, factors.Phi_r
-    Lr, Lj = L.real, L.imag
-    Rr, Rj = R.real, R.imag
-    r_yv, r_zu = factors.r_yv, factors.r_zu
-    cols = _th_columns(r_yv, r_zu)
-    Q_r = np.hstack([
-        np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
-        -np.kron(Rj.T, Lr) - np.kron(Rr.T, Lj),
-    ])[:, cols]
-    Q_j = np.hstack([
-        np.kron(Rj.T, Lr) + np.kron(Rr.T, Lj),
-        np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
-    ])[:, cols]
+    """Assemble the Q pair from the pointwise factors; self-checks the action.
 
-    rng = np.random.default_rng(_Q_CHECK_SEED)
-    scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
-    probes = _Q_CHECK_PROBES if r_yv * r_zu else 0
-    for _ in range(probes):
-        D = rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
-        xi = numkit.vec(np.vstack([D.real, D.imag]))
-        prod = L @ D @ R
-        err_r = np.max(np.abs(Q_r @ xi - numkit.vec(prod.real)))
-        err_j = np.max(np.abs(Q_j @ xi - numkit.vec(prod.imag)))
-        if max(err_r, err_j) > 1e-10 * scale * max(1.0, float(np.max(np.abs(D)))):
+    With K[s, t] = kron(R_s^T, L_t) over the real and imaginary parts of
+    R = Phi_r and L = Phi_l, all four from one broadcast product, vec(L D R)
+    has real part re vec(Re D) - im vec(Im D) and imaginary part
+    im vec(Re D) + re vec(Im D), where re = K[r, r] - K[j, j] and
+    im = K[j, r] + K[r, j].  The columns are then interleaved to act on
+    xi = vec(col{Re D; Im D}).
+
+    The self-check compares Q_r xi and Q_j xi with vec Re/Im(L D R) for
+    _Q_CHECK_PROBES random complex D (:func:`_q_probes`), all in one stacked
+    product.  A probe whose residual exceeds 1e-10 * scale * max(1, max|D|)
+    fails it, and the ConstructionError names the first such residual.
+    """
+    L, R = factors.Phi_l, factors.Phi_r
+    r_yv, r_zu = factors.r_yv, factors.r_zu
+    K = numkit._kron(np.stack([R.real.T, R.imag.T])[:, None], np.stack([L.real, L.imag]))
+    re, im = K[0, 0] - K[1, 1], K[1, 0] + K[0, 1]
+    cols = _th_columns(r_yv, r_zu)
+    # -K[j, r] - K[r, j] rather than -im: where K[j, r] = -K[r, j], -im is
+    # -0.0 and this is +0.0.  A zero's sign can steer a Householder step.
+    Q_r = np.hstack([re, -K[1, 0] - K[0, 1]])[:, cols]
+    Q_j = np.hstack([im, re])[:, cols]
+
+    if r_yv * r_zu:
+        D = _q_probes(r_yv, r_zu)
+        k = len(D)
+        xi = np.concatenate([D.real, D.imag], axis=1).transpose(0, 2, 1).reshape(k, -1)
+        prod = (L @ D @ R).transpose(0, 2, 1).reshape(k, -1)  # vec(L D R) per probe
+        err = np.maximum(np.abs(xi @ Q_r.T - prod.real).max(axis=1, initial=0.0),
+                         np.abs(xi @ Q_j.T - prod.imag).max(axis=1, initial=0.0))
+        scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
+        bad = np.flatnonzero(err > 1e-10 * scale * np.maximum(1.0, np.abs(D).max(axis=(1, 2))))
+        if bad.size:
             raise ConstructionError(
                 f"Q action self-check failed at omega={factors.omega}: "
-                f"residual {max(err_r, err_j):.3e}"
+                f"residual {err[bad[0]]:.3e}"
             )
     return QPair(omega=factors.omega, Q_r=Q_r, Q_j=Q_j)
 
 
+def _q_probes(r_yv: int, r_zu: int) -> np.ndarray:
+    """The (_Q_CHECK_PROBES, r_yv, r_zu) stack of complex deviations on which
+    q_pair checks its action: one bulk draw, the same stream as drawing the
+    real and then the imaginary part of each probe in turn."""
+    Z = np.random.default_rng(_Q_CHECK_SEED).standard_normal((_Q_CHECK_PROBES, 2, r_yv, r_zu))
+    return Z[:, 0] + 1j * Z[:, 1]
+
+
 def _block_rows(psi_dec, pis, qpairs, m_z: int):
-    """Per-frequency column blocks of (Gamma | Omega) in row-block order."""
-    N = len(pis)
-    q = psi_dec.rank
+    """(Gamma, Omega) over the frequencies, and I_mz kron Pi_bar_r of each."""
     U1t, U2t = psi_dec.U1.T, psi_dec.U2.T
-    g_cols = [2 * p.kernel_dim * m_z for p in pis]
-    o_cols = [qp.Q_r.shape[1] for qp in qpairs]
     I_mz = np.eye(m_z)
+    kr = [numkit._kron(I_mz, p.Pi_bar_r) for p in pis]
+    Gamma = _assemble([U1t @ K for K in kr], [U2t @ K for K in kr],
+                      [numkit._kron(I_mz, p.Pi_bar_j) for p in pis])
+    Omega = _assemble([U1t @ qp.Q_r for qp in qpairs], [U2t @ qp.Q_r for qp in qpairs],
+                      [qp.Q_j for qp in qpairs])
+    return Gamma, Omega, kr
 
-    g_r = [U1t @ np.kron(I_mz, p.Pi_bar_r) for p in pis]
-    o_r = [U1t @ qp.Q_r for qp in qpairs]
-    g_s = [U2t @ np.kron(I_mz, p.Pi_bar_r) for p in pis]
-    o_s = [U2t @ qp.Q_r for qp in qpairs]
-    g_j = [np.kron(I_mz, p.Pi_bar_j) for p in pis]
-    o_j = [qp.Q_j for qp in qpairs]
 
-    def assemble(first, diag_rows, widths):
-        """Rows: (N-1) consistency blocks, then N solvability, then N realness."""
-        rows = []
-        for i in range(1, N):
-            row = [np.zeros((first[0].shape[0], wdt)) for wdt in widths]
-            row[0] = first[0]
-            row[i] = -first[i]
-            rows.append(np.hstack(row))
-        for kind in diag_rows:
-            for i in range(N):
-                row = [np.zeros((kind[i].shape[0], wdt)) for wdt in widths]
-                row[i] = kind[i]
-                rows.append(np.hstack(row))
-        total = sum(widths)
-        return np.vstack(rows) if rows else np.zeros((0, total))
+def _assemble(first, solvability, realness) -> np.ndarray:
+    """The block matrix of per-frequency blocks, frequency i in column block i.
 
-    Gamma = assemble(g_r, (g_s, g_j), g_cols)
-    Omega = assemble(o_r, (o_s, o_j), o_cols)
-    return Gamma, Omega
+    Rows: N - 1 consistency blocks [first_0, ..., -first_i, ...], then the
+    N solvability and the N realness blocks on the block diagonal.
+    """
+    col = np.cumsum([0] + [b.shape[1] for b in first])
+    blocks = [(b, i) for kind in (solvability, realness) for i, b in enumerate(kind)]
+    rows = (len(first) - 1) * first[0].shape[0] + sum(b.shape[0] for b, _ in blocks)
+    out = np.zeros((rows, col[-1]))
+    r, h = 0, first[0].shape[0]
+    for i in range(1, len(first)):
+        out[r:r + h, :col[1]] = first[0]
+        out[r:r + h, col[i]:col[i + 1]] = -first[i]
+        r += h
+    for b, i in blocks:
+        out[r:r + b.shape[0], col[i]:col[i + 1]] = b
+        r += b.shape[0]
+    return out
 
 
 def _context(model, theta0, freqs, pis=None, factors=None):
@@ -242,7 +255,7 @@ def gamma_omega(model: DescriptorModel, theta0, freqs, pis=None,
                 factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the paired constraint stacks (Gamma, Omega) over the frequencies."""
     _, _, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
-    return _block_rows(psi_dec, pis, qpairs, model.dims.m_z)
+    return _block_rows(psi_dec, pis, qpairs, model.dims.m_z)[:2]
 
 
 @dataclass(frozen=True)
@@ -303,7 +316,7 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
     t0, w, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
     m_z = model.dims.m_z
     N = len(w)
-    Gamma, Omega = _block_rows(psi_dec, pis, qpairs, m_z)
+    Gamma, Omega, kr = _block_rows(psi_dec, pis, qpairs, m_z)
 
     if not numkit.is_fcr(Gamma):
         raise GammaRankDeficient(
@@ -334,14 +347,14 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
     U1t = psi_dec.U1.T
     S_k = []
     for k in range(N):
-        core = qpairs[k].Q_r @ S_H_blocks[k] - np.kron(np.eye(m_z), pis[k].Pi_bar_r) @ S_A_blocks[k]
+        core = qpairs[k].Q_r @ S_H_blocks[k] - kr[k] @ S_A_blocks[k]
         S_k.append(V1 @ (np.diag(1.0 / sig) @ (U1t @ core)))
 
     S_tilde = []
     M = np.zeros((n_s, n_s))
     for k in range(N):
         X = _complex_block(S_H_blocks[k], factors[k].r_yv, factors[k].r_zu)
-        St = np.kron(factors[k].V_zu1, factors[k].U_yv1) @ X
+        St = numkit._kron(factors[k].V_zu1, factors[k].U_yv1) @ X
         S_tilde.append(St)
         M += St.real.T @ St.real + St.imag.T @ St.imag
     M = 0.5 * (M + M.T)

@@ -6,7 +6,8 @@ from scipy.linalg import subspace_angles
 
 from lftident import freqplan, identifiability as ident
 from lftident import numkit, oracle, response, testing
-from lftident.errors import FNRRViolation, InvalidInput, LftIdentError, WellPosednessViolation
+from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PoleProximity,
+                             WellPosednessViolation)
 from lftident.model import DescriptorModel, Dims
 
 from conftest import full_rank_above, interior_theta, model_pool
@@ -226,9 +227,80 @@ class TestPiSweep:
             assert sorted(seen) == list(range(len(pis)))
 
 
+def reference_normal_row_rank(model, seed):
+    """normal_row_rank with one g_blocks call per draw: the rank or the
+    FNRRViolation message, and the frequencies drawn."""
+    rng = np.random.default_rng(seed)
+    ranks, drawn = [], []
+    while len(ranks) < ident._RANK_PROBES and len(drawn) < 20 * ident._RANK_PROBES:
+        if model.time_domain == "continuous":
+            w = float(10.0 ** rng.uniform(-2.0, 2.0))
+        else:
+            w = float(rng.uniform(0.05, np.pi - 0.05))
+        drawn.append(w)
+        try:
+            g = response.g_blocks(model, w)
+        except PoleProximity:
+            continue
+        ranks.append(numkit.rank_of(g.G_zu).rank)
+    if len(ranks) < ident._RANK_PROBES:
+        return "could not place rank probes away from poles", drawn
+    if min(ranks) != max(ranks):
+        return f"G_zu rank probes disagree: {ranks}; normal rank undecided", drawn
+    return max(ranks), drawn
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except FNRRViolation as exc:
+        return str(exc)
+
+
 class TestNormalRowRank:
     def test_siso1_fnrr(self, siso1):
         assert ident.check_fnrr(siso1) == 1
+
+    @pytest.mark.parametrize("time_domain,split", [("continuous", 1.0), ("discrete", 1.5)])
+    @pytest.mark.parametrize("scenario", ["plain", "guard-low", "guard-all", "zero-low"])
+    def test_stacked_probes_equal_one_call_per_draw(self, monkeypatch, time_domain, split,
+                                                    scenario):
+        # The guard (or a vanished G_zu) is forced below ``split``, a
+        # deterministic rule on the frequency that both routes see.
+        m = testing.random_regular_model(4, time_domain=time_domain)
+        sweep, rounds = response.g_sweep, []
+
+        def forced(model, omegas):
+            omegas = list(omegas)
+            rounds.append(omegas)
+            kept, guarded = sweep(model, omegas)
+            if scenario == "guard-all":
+                return [], guarded + [PoleProximity(f"omega={g.omega}: forced") for g in kept]
+            if scenario == "guard-low":
+                low = [g for g in kept if g.omega < split]
+                return ([g for g in kept if g.omega >= split],
+                        guarded + [PoleProximity(f"omega={g.omega}: forced") for g in low])
+            if scenario == "zero-low":
+                kept = [dataclasses.replace(g, G_zu=0 * g.G_zu) if g.omega < split else g
+                        for g in kept]
+            return kept, guarded
+
+        monkeypatch.setattr(response, "g_sweep", forced)
+        for seed in range(3):
+            expected, drawn = reference_normal_row_rank(m, seed)
+            rounds.clear()
+            assert outcome(lambda: ident.normal_row_rank(m, seed=seed)) == expected
+            assert [w for r in rounds for w in r] == drawn
+            # Each seed's draws straddle ``split``, so every forced path runs.
+            if scenario == "plain":
+                assert isinstance(expected, int)
+            if scenario == "guard-low":
+                assert len(rounds) > 1  # a guarded draw cost another round
+            if scenario == "guard-all":
+                assert len(drawn) == 20 * ident._RANK_PROBES
+                assert expected == "could not place rank probes away from poles"
+            if scenario == "zero-low":
+                assert expected.startswith("G_zu rank probes disagree: [")
 
     def test_fnrr_violation_when_mz_exceeds_mu(self):
         # m_z = 2 > m_u = 1 makes full row rank impossible.

@@ -448,3 +448,34 @@ class TestKronVec:
         lhs = numkit.vec(A @ X @ B)
         rhs = np.kron(B.T, A) @ numkit.vec(X)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.linalg.norm(lhs)))
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_kron_is_numpy_kron(self, seed):
+        # Zero-sized dimensions, real and complex operands, and entries of
+        # +-0 next to negative ones, so that products of zeros carry a sign.
+        rng = np.random.default_rng(seed)
+
+        def operand(lead=()):
+            shape = (*lead, *(int(k) for k in rng.integers(0, 4, size=2)))
+            A = rng.standard_normal(shape)
+            if rng.random() < 0.5:
+                A = A + 1j * rng.standard_normal(shape)
+            zero = rng.random(shape) < 0.3
+            A[zero] = rng.choice([0.0, -0.0]) * A[zero]
+            return A
+
+        A, B = operand(), operand()
+        K = numkit._kron(A, B)
+        ref = np.kron(A, B)
+        assert K.shape == ref.shape and K.dtype == ref.dtype
+        assert np.array_equal(K, ref)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(K)), np.signbit(part(ref)))
+        # Broadcast stacks: each pair's product, bit for bit.
+        As, Bs = operand((2, 1)), operand((3,))
+        Ks = numkit._kron(As, Bs)
+        assert Ks.shape[:2] == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert Ks[i, j].tobytes() == np.kron(As[i, 0], Bs[j]).tobytes()

@@ -1,11 +1,14 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lftident import freqplan, identifiability as ident
 from lftident import numkit, oracle, response, sloppiness as slop, testing
-from lftident.errors import GammaRankDeficient, InvalidInput, RankDrop
+from lftident.errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
 
@@ -79,6 +82,58 @@ class TestPointwiseFactors:
         slop.pointwise_factors(m, [0.0], response.g_blocks(m, 0.5))  # fine away from the zero
 
 
+def synthetic_factors(Phi_l, Phi_r, omega=1.0):
+    """PointwiseFactors carrying only the loop-corrected factors Phi_l, Phi_r."""
+    (m_v, r_yv), r_zu = Phi_l.shape, Phi_r.shape[0]
+    return slop.PointwiseFactors(
+        omega=omega,
+        U_yv1=np.zeros((1, r_yv)), sigma_yv=np.ones(r_yv), V_yv1=np.zeros((m_v, r_yv)),
+        U_zu=np.zeros((r_zu, r_zu)), sigma_zu=np.ones(r_zu), V_zu1=np.zeros((1, r_zu)),
+        Phi_l=Phi_l, Phi_r=Phi_r,
+    )
+
+
+def random_complex(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def reference_q(f):
+    """Q_r and Q_j from eight np.kron calls, as the pair was first assembled."""
+    Lr, Lj, Rr, Rj = f.Phi_l.real, f.Phi_l.imag, f.Phi_r.real, f.Phi_r.imag
+    idx = np.arange(f.r_yv * f.r_zu).reshape(f.r_zu, f.r_yv)
+    cols = np.hstack([idx, idx + f.r_yv * f.r_zu]).reshape(-1)
+    Q_r = np.hstack([np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
+                     -np.kron(Rj.T, Lr) - np.kron(Rr.T, Lj)])[:, cols]
+    Q_j = np.hstack([np.kron(Rj.T, Lr) + np.kron(Rr.T, Lj),
+                     np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj)])[:, cols]
+    return Q_r, Q_j
+
+
+def assert_same_bits(A, B):
+    assert A.shape == B.shape and A.dtype == B.dtype
+    assert np.array_equal(A, B) and A.tobytes() == B.tobytes()
+
+
+D12 = Dims(12, 2, 1, 2, 5, 10)  # the benchmark's 12-state shape
+
+# The reports workload's fixtures at their stored frequencies (bench/workloads.py).
+REPORTS_FIXTURES = [
+    (testing.siso1, (0.01,)),
+    (lambda: testing.random_regular_model(0, kernel_rich=True), (0.01,)),
+    (lambda: testing.random_regular_model(22, kernel_rich=True), (0.01, 0.16070528182616392)),
+    (lambda: testing.random_regular_model(53, kernel_rich=True), (0.01, 0.352970730273065)),
+    (lambda: testing.random_regular_model(0, kernel_rich=True, time_domain="discrete"),
+     (0.015707963267948967,)),
+    (lambda: testing.random_regular_model(0, kernel_rich=True, singular_E=True), (0.01,)),
+    (lambda: testing.random_regular_model(1, dims=D12),
+     (0.01, 1.1226677735108135, 2.354286414322418)),
+    (lambda: testing.random_regular_model(2, dims=D12, time_domain="discrete"),
+     (0.015707963267948967, 0.3298672286269283, 0.6754424205218056)),
+    (lambda: testing.random_regular_model(0, dims=D12, singular_E=True),
+     (0.01, 1.0718913192051276, 2.1461411978584035)),
+]
+
+
 class TestQPair:
     def test_identity_factors(self, siso1):
         qp = slop.q_pair(slop.pointwise_factors(siso1, [0.0], response.g_blocks(siso1, 0.0)))
@@ -97,15 +152,9 @@ class TestQPair:
     def test_action_identity_random(self, seed):
         rng = np.random.default_rng(seed)
         r_yv, r_zu, m_v = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 4
-        Phi_l = rng.standard_normal((m_v, r_yv)) + 1j * rng.standard_normal((m_v, r_yv))
-        Phi_r = rng.standard_normal((r_zu, r_zu)) + 1j * rng.standard_normal((r_zu, r_zu))
-        f = slop.PointwiseFactors(
-            omega=1.0,
-            U_yv1=np.zeros((1, r_yv)), sigma_yv=np.ones(r_yv), V_yv1=np.zeros((m_v, r_yv)),
-            U_zu=np.zeros((r_zu, r_zu)), sigma_zu=np.ones(r_zu), V_zu1=np.zeros((1, r_zu)),
-            Phi_l=Phi_l, Phi_r=Phi_r,
-        )
-        qp = slop.q_pair(f)
+        Phi_l = random_complex(rng, m_v, r_yv)
+        Phi_r = random_complex(rng, r_zu, r_zu)
+        qp = slop.q_pair(synthetic_factors(Phi_l, Phi_r))
         for _ in range(5):
             D = rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
             xi = numkit.vec(np.vstack([D.real, D.imag]))
@@ -116,6 +165,83 @@ class TestQPair:
             assert np.max(np.abs(qp.Q_j @ xi - numkit.vec(prod.imag))) <= 1e-10 * max(
                 1.0, np.max(np.abs(prod))
             )
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_action_identity_property(self, seed):
+        # Real, imaginary and general complex factors; r_yv = 0 has no action.
+        rng = np.random.default_rng(seed)
+        m_v, r_yv, m_z = (int(k) for k in rng.integers([1, 0, 1], [5, 4, 4]))
+        Phi_l = random_complex(rng, m_v, r_yv) * rng.choice([1, 1j, 1 + 0j])
+        Phi_r = random_complex(rng, m_z, m_z) * rng.choice([1, 1j, 1 + 0j])
+        qp = slop.q_pair(synthetic_factors(Phi_l, Phi_r))
+        assert qp.Q_r.shape == qp.Q_j.shape == (m_v * m_z, 2 * r_yv * m_z)
+        D = random_complex(rng, r_yv, m_z)
+        xi = numkit.vec(np.vstack([D.real, D.imag]))
+        prod = Phi_l @ D @ Phi_r
+        tol = 1e-12 * max(1.0, np.abs(Phi_l).max(initial=0)) * max(1.0, np.abs(Phi_r).max()) * max(
+            1.0, np.abs(D).max(initial=0)) * max(r_yv, 1) * m_z
+        assert np.abs(qp.Q_r @ xi - numkit.vec(prod.real)).max(initial=0) <= tol
+        assert np.abs(qp.Q_j @ xi - numkit.vec(prod.imag)).max(initial=0) <= tol
+
+    @pytest.mark.parametrize("case", range(len(REPORTS_FIXTURES)))
+    def test_reports_fixtures_equal_kron_reference(self, case):
+        build, freqs = REPORTS_FIXTURES[case]
+        m = build()
+        t0 = np.zeros(m.dims.q)
+        for w in freqs:
+            f = slop.pointwise_factors(m, t0, response.g_blocks(m, w))
+            qp = slop.q_pair(f)
+            Q_r, Q_j = reference_q(f)
+            assert_same_bits(qp.Q_r, Q_r)
+            assert_same_bits(qp.Q_j, Q_j)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("m_v,r_yv,m_z", [(3, 0, 2), (2, 0, 1), (4, 2, 1), (1, 1, 1), (3, 2, 2)])
+    def test_edge_shapes_equal_kron_reference(self, m_v, r_yv, m_z, real):
+        # Zero imaginary parts of either sign, as real responses (omega = 0)
+        # give them, make signed zeros in the products; Q keeps their signs.
+        rng = np.random.default_rng(m_v + 10 * r_yv + 100 * m_z)
+        Phi_l = random_complex(rng, m_v, r_yv)
+        Phi_r = random_complex(rng, m_z, m_z)
+        Phi_l.imag[:, :1] = -0.0
+        if real:
+            Phi_l.imag[:] = -0.0
+            Phi_r.imag[:] = 0.0
+        f = synthetic_factors(Phi_l, Phi_r)
+        qp = slop.q_pair(f)
+        Q_r, Q_j = reference_q(f)
+        assert_same_bits(qp.Q_r, Q_r)
+        assert_same_bits(qp.Q_j, Q_j)
+
+    @pytest.mark.parametrize("r_yv,r_zu", [(1, 1), (3, 2), (2, 4)])
+    def test_bulk_probes_equal_per_probe_draws(self, r_yv, r_zu):
+        rng = np.random.default_rng(slop._Q_CHECK_SEED)
+        per_probe = [rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
+                     for _ in range(slop._Q_CHECK_PROBES)]
+        assert_same_bits(slop._q_probes(r_yv, r_zu), np.array(per_probe))
+
+    def test_corrupted_q_raises(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        f = synthetic_factors(random_complex(rng, 3, 2), random_complex(rng, 2, 2), omega=0.25)
+        kron = numkit._kron
+        monkeypatch.setattr(numkit, "_kron", lambda A, B: kron(A, B) * (1 + 1e-6))
+        with pytest.raises(ConstructionError) as err:
+            slop.q_pair(f)
+        found = re.fullmatch(r"Q action self-check failed at omega=0\.25: residual (\S+)",
+                             str(err.value))
+        assert found
+        # The first failing probe's residual, one probe at a time.
+        Q_r, Q_j = (Q * (1 + 1e-6) for Q in reference_q(f))
+        scale = max(np.linalg.norm(f.Phi_l), 1.0) * max(np.linalg.norm(f.Phi_r), 1.0)
+        for D in slop._q_probes(f.r_yv, f.r_zu):
+            xi = numkit.vec(np.vstack([D.real, D.imag]))
+            prod = f.Phi_l @ D @ f.Phi_r
+            res = max(np.abs(Q_r @ xi - numkit.vec(prod.real)).max(),
+                      np.abs(Q_j @ xi - numkit.vec(prod.imag)).max())
+            if res > 1e-10 * scale * max(1.0, np.abs(D).max()):
+                break
+        assert float(found.group(1)) == pytest.approx(res, rel=1e-2)
 
 
 class TestGammaOmega:
