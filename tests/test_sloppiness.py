@@ -117,21 +117,24 @@ def assert_same_bits(A, B):
 D12 = Dims(12, 2, 1, 2, 5, 10)  # the benchmark's 12-state shape
 
 # The reports workload's fixtures at their stored frequencies (bench/workloads.py).
-REPORTS_FIXTURES = [
-    (testing.siso1, (0.01,)),
-    (lambda: testing.random_regular_model(0, kernel_rich=True), (0.01,)),
-    (lambda: testing.random_regular_model(22, kernel_rich=True), (0.01, 0.16070528182616392)),
-    (lambda: testing.random_regular_model(53, kernel_rich=True), (0.01, 0.352970730273065)),
-    (lambda: testing.random_regular_model(0, kernel_rich=True, time_domain="discrete"),
-     (0.015707963267948967,)),
-    (lambda: testing.random_regular_model(0, kernel_rich=True, singular_E=True), (0.01,)),
-    (lambda: testing.random_regular_model(1, dims=D12),
-     (0.01, 1.1226677735108135, 2.354286414322418)),
-    (lambda: testing.random_regular_model(2, dims=D12, time_domain="discrete"),
-     (0.015707963267948967, 0.3298672286269283, 0.6754424205218056)),
-    (lambda: testing.random_regular_model(0, dims=D12, singular_E=True),
-     (0.01, 1.0718913192051276, 2.1461411978584035)),
-]
+REPORTS_FIXTURES = {
+    "siso1": (testing.siso1, (0.01,)),
+    "kr-00": (lambda: testing.random_regular_model(0, kernel_rich=True), (0.01,)),
+    "kr-22": (lambda: testing.random_regular_model(22, kernel_rich=True),
+              (0.01, 0.16070528182616392)),
+    "kr-53": (lambda: testing.random_regular_model(53, kernel_rich=True),
+              (0.01, 0.352970730273065)),
+    "kr-dt-00": (lambda: testing.random_regular_model(0, kernel_rich=True, time_domain="discrete"),
+                 (0.015707963267948967,)),
+    "kr-se-00": (lambda: testing.random_regular_model(0, kernel_rich=True, singular_E=True),
+                 (0.01,)),
+    "d12-01": (lambda: testing.random_regular_model(1, dims=D12),
+               (0.01, 1.1226677735108135, 2.354286414322418)),
+    "d12-dt-02": (lambda: testing.random_regular_model(2, dims=D12, time_domain="discrete"),
+                  (0.015707963267948967, 0.3298672286269283, 0.6754424205218056)),
+    "d12-se-00": (lambda: testing.random_regular_model(0, dims=D12, singular_E=True),
+                  (0.01, 1.0718913192051276, 2.1461411978584035)),
+}
 
 
 class TestQPair:
@@ -172,8 +175,13 @@ class TestQPair:
         # Real, imaginary and general complex factors; r_yv = 0 has no action.
         rng = np.random.default_rng(seed)
         m_v, r_yv, m_z = (int(k) for k in rng.integers([1, 0, 1], [5, 4, 4]))
-        Phi_l = random_complex(rng, m_v, r_yv) * rng.choice([1, 1j, 1 + 0j])
-        Phi_r = random_complex(rng, m_z, m_z) * rng.choice([1, 1j, 1 + 0j])
+
+        def factor(m, n):
+            A = random_complex(rng, m, n)
+            kind = rng.integers(3)
+            return A if kind == 0 else A.real + 0j if kind == 1 else 1j * A.imag
+
+        Phi_l, Phi_r = factor(m_v, r_yv), factor(m_z, m_z)
         qp = slop.q_pair(synthetic_factors(Phi_l, Phi_r))
         assert qp.Q_r.shape == qp.Q_j.shape == (m_v * m_z, 2 * r_yv * m_z)
         D = random_complex(rng, r_yv, m_z)
@@ -184,9 +192,9 @@ class TestQPair:
         assert np.abs(qp.Q_r @ xi - numkit.vec(prod.real)).max(initial=0) <= tol
         assert np.abs(qp.Q_j @ xi - numkit.vec(prod.imag)).max(initial=0) <= tol
 
-    @pytest.mark.parametrize("case", range(len(REPORTS_FIXTURES)))
-    def test_reports_fixtures_equal_kron_reference(self, case):
-        build, freqs = REPORTS_FIXTURES[case]
+    @pytest.mark.parametrize("name", REPORTS_FIXTURES)
+    def test_reports_fixtures_equal_kron_reference(self, name):
+        build, freqs = REPORTS_FIXTURES[name]
         m = build()
         t0 = np.zeros(m.dims.q)
         for w in freqs:
