@@ -208,10 +208,10 @@ def _assemble(first, solvability, realness) -> np.ndarray:
     N solvability and the N realness blocks on the block diagonal.
     """
     col = np.cumsum([0] + [b.shape[1] for b in first])
+    h = first[0].shape[0]
     blocks = [(b, i) for kind in (solvability, realness) for i, b in enumerate(kind)]
-    rows = (len(first) - 1) * first[0].shape[0] + sum(b.shape[0] for b, _ in blocks)
-    out = np.zeros((rows, col[-1]))
-    r, h = 0, first[0].shape[0]
+    out = np.zeros(((len(first) - 1) * h + sum(b.shape[0] for b, _ in blocks), col[-1]))
+    r = 0
     for i in range(1, len(first)):
         out[r:r + h, :col[1]] = first[0]
         out[r:r + h, col[i]:col[i + 1]] = -first[i]
