@@ -5,6 +5,12 @@ rank of its Xi block, keep a right-null basis Z of everything absorbed so
 far, then greedily add the frequency whose U_Pi2 block removes the most of
 Z, until Z is empty (certified) or no grid point makes progress.
 
+The grid is scored from one :class:`identifiability.GridSweep`: its shortcut
+flags, side array and Xi stacks cover every grid point.  Only the flagged
+shortcut candidates, the anchor and the greedy winners are materialized as
+Pi decompositions; the U_Pi2 of every point is formed only when the anchor
+leaves Z non-empty and the greedy rows are built.
+
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
 exists.  The plan carries a densification hint and the search accepts a
@@ -111,7 +117,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR."""
     m_z = model.dims.m_z
     q = model.dims.q
-    cand, xis = ident._sweep(model, theta0, list(grid.blocks))
+    sweep = ident.GridSweep(model, theta0, grid.blocks)
     pis: list[ident.PiDecomposition] = []
     trace: list[int] = []
 
@@ -123,28 +129,28 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
     # point may carry a healthier margin.
-    for p, shortcut in zip(cand, ident.shortcut_flags(cand)):
-        if shortcut:
-            verdict = ident._decide(model, theta0, [p], psi_dec)
-            if verdict.status == ident.IDENTIFIABLE:
-                return FrequencyPlan(status=CERTIFIED, selected=(p.omega,), rank_trace=(0,),
-                                     verdict=verdict)
-            if verdict.status == ident.NOT_IDENTIFIABLE:
-                raise ConstructionError(
-                    f"shortcut frequency omega={p.omega} certified the opposite verdict"
-                )
+    for i in np.flatnonzero(sweep.shortcut):
+        p = sweep.at(i)
+        verdict = ident._decide(model, theta0, [p], psi_dec)
+        if verdict.status == ident.IDENTIFIABLE:
+            return FrequencyPlan(status=CERTIFIED, selected=(p.omega,), rank_trace=(0,),
+                                 verdict=verdict)
+        if verdict.status == ident.NOT_IDENTIFIABLE:
+            raise ConstructionError(
+                f"shortcut frequency omega={p.omega} certified the opposite verdict"
+            )
 
     # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
     # block, among those passing the side condition; the first maximum is
     # the smallest omega among ties.
-    side = np.array([p.side_fcr for p in cand])
+    side = sweep.side
     found = _best((idx[side[idx]], ident.upsilon_rows(xi[side[idx]], psi_dec, m_z))
-                  for idx, xi in xis)
+                  for idx, xi in sweep.xis)
     if found is None:
         return plan(NO_PROGRESS_ON_GRID)
     _, best, block = found
-    pis.append(cand[best])
-    rest = np.ones(len(cand), dtype=bool)
+    pis.append(sweep.at(best))
+    rest = np.ones(len(sweep.blocks), dtype=bool)
     rest[best] = False
     Z = ident.chain_null_basis(block)
     trace.append(Z.shape[1])
@@ -152,13 +158,13 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # S3-S5: greedy absorption with strictly shrinking Z.  Each candidate's
     # rows are built once, as stacks, if the anchor leaves Z non-empty; a
     # step only multiplies each stack by the current Z.
-    rows = ident.greedy_rows(cand, psi_dec, m_z) if Z.shape[1] else []
+    rows = sweep.greedy_rows(psi_dec, m_z) if Z.shape[1] else []
     while Z.shape[1] > 0:
         found = _best((idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows)
         if found is None or found[0] == (0, 0):
             return plan(NO_PROGRESS_ON_GRID)
         _, best, block = found
-        pis.append(cand[best])
+        pis.append(sweep.at(best))
         rest[best] = False
         Z = Z @ ident.chain_null_basis(block)
         trace.append(Z.shape[1])

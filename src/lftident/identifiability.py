@@ -12,7 +12,13 @@ condition is decided through a stacked rank test built from two objects:
   and the SVD complement ``U_Pi2`` furnish the row blocks of the stacked test
   matrix, which is verified recursively by chaining right-null bases.
 
-All rank decisions go through :mod:`lftident.numkit`.
+:class:`GridSweep` builds these factors for a list of transfer blocks.  Per
+grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
+the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
+full SVD, which only U_Pi2 needs, runs per kernel group when a point of the
+group is materialized as a :class:`PiDecomposition` or when the greedy rows
+of the frequency search are built.  All rank decisions go through
+:mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
@@ -37,14 +43,13 @@ __all__ = [
     "PiDecomposition",
     "IdentifiabilityVerdict",
     "psi",
+    "GridSweep",
     "pi_at",
     "pi_sweep",
-    "shortcut_flags",
     "normal_row_rank",
     "check_fnrr",
     "upsilon_block",
     "upsilon_rows",
-    "greedy_rows",
     "candidate_scores",
     "chain_null_basis",
     "sensitivity_stack",
@@ -114,8 +119,11 @@ class PiDecomposition:
     ``Pi`` is full column rank by construction; ``Pi_bar_r``/``Pi_bar_j`` are
     its [real, -imag] / [imag, real] stackings; ``Xi`` annihilates
     Pi_bar_r times a right-null basis of Pi_bar_j from the left; ``U_Pi2``
-    spans the orthogonal complement of range(Pi).  ``g`` holds the transfer
-    blocks Pi was built from.
+    spans the orthogonal complement of range(Pi).  ``side_fcr`` is the side
+    condition (Pi_bar_r times that null basis is full column rank at the
+    DECISION_RTOL margin); ``shortcut`` says Pi_bar_j is full column rank with
+    the ROBUST_RTOL margin, so that the frequency certifies on its own.  ``g``
+    holds the transfer blocks Pi was built from.
     """
 
     g: response.GBlocks
@@ -126,6 +134,7 @@ class PiDecomposition:
     Xi: np.ndarray
     U_Pi2: np.ndarray
     side_fcr: bool
+    shortcut: bool
 
     @property
     def omega(self) -> float:
@@ -148,21 +157,23 @@ def _u2_stack(U: np.ndarray) -> np.ndarray:
 
 def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
           kernel: np.ndarray | None = None) -> PiDecomposition:
-    """Build the Pi decomposition from the transfer blocks ``g`` at one frequency.
+    """Build the Pi decomposition from the transfer blocks ``g`` at one frequency:
+    the one-point case of :class:`GridSweep`.
 
     ``kernel`` overrides the computed kernel basis of G_yv (any basis of the
     same column span gives the same verdicts; the override exists to exercise
     exactly that invariance).
     """
     K = None if kernel is None else [(np.zeros(1, dtype=int), np.asarray(kernel, dtype=complex)[None])]
-    return _sweep(model, model.check_theta(theta0), [g], K)[0][0]
+    return GridSweep(model, theta0, [g], K).at(0)
 
 
 def pi_sweep(model: DescriptorModel, theta0, blocks) -> list[PiDecomposition]:
-    """:func:`pi_at` at each of the transfer blocks ``blocks``, in stacked SVD calls:
-    views into the stacks, bitwise equal to one pi_at call per block.  A singular
+    """:func:`pi_at` at each of the transfer blocks ``blocks``: every point of a
+    :class:`GridSweep`, bitwise equal to one pi_at call per block.  A singular
     loop raises pi_at's WellPosednessViolation for the first such block."""
-    return _sweep(model, model.check_theta(theta0), list(blocks))[0]
+    sweep = GridSweep(model, theta0, blocks)
+    return [sweep.at(i) for i in range(len(sweep.blocks))]
 
 
 def _by_value(values: np.ndarray):
@@ -175,58 +186,90 @@ def _by_value(values: np.ndarray):
     return [(v, np.flatnonzero(values == v)) for v in distinct]
 
 
-def _sweep(model: DescriptorModel, t0: np.ndarray, blocks: list[response.GBlocks],
-           kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
-    """The Pi decompositions of ``blocks`` at the checked ``t0`` from ``kernels``
-    (``(indices, K stack)`` pairs, by default of the G_yv), and their Xi as
-    ``(indices, Xi stack)`` pairs.  A point whose rank differs from its stack's
-    continues in its own group.  Each slice keeps the memory layout of the
-    one-matrix route, on which BLAS results depend."""
-    if kernels is None:
-        kernels = []
-        for idx, G in numkit._stacks([g.G_yv for g in blocks]):
-            _, _, V, rank = numkit.svd_stack(G)
-            kernels += [(idx[sel], V[sel][:, :, r:]) for r, sel in _by_value(rank)]
-    m_v = model.dims.m_v
-    for _, K in kernels:
-        if K.shape[1] != m_v:
-            raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-    P0 = model.p_of(t0)
-    loops = np.eye(m_v) - P0 @ np.array([g.G_zv for g in blocks])
-    numkit.loop_guard_stack(
-        loops, lambda i: f"I - P(theta0) G_zv singular at omega={blocks[i].omega}"
-    )
-    pis: list = [None] * len(blocks)
-    xis = []
-    for idx, K in kernels:
-        Pi = loops[idx] @ K
-        R = np.concatenate([Pi.real, -Pi.imag], axis=2)
-        J = np.concatenate([Pi.imag, Pi.real], axis=2)
-        U, _, _, rank = numkit.svd_stack(Pi)
-        _, _, VJ, rank_j = numkit.svd_stack(J)
-        for r, sel in _by_value(rank_j):
-            T = R[sel] @ VJ[sel][:, :, r:]
-            UT, _, _, rank_t = numkit.svd_stack(T)
-            # The side condition feeds verdicts, so it must hold with the margin.
-            side = numkit.stacked_ranks(T, (DECISION_RTOL,), 1.0)[1][0] == T.shape[2]
-            for rt, sub in _by_value(rank_t):
-                pos = np.arange(len(idx))[sel][sub]
-                xis.append((idx[pos], UT[sub][:, :, rt:].transpose(0, 2, 1).real))
-                for j, Xi, fcr in zip(pos, xis[-1][1], side[sub]):
-                    pis[idx[j]] = PiDecomposition(
-                        g=blocks[idx[j]], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j], Xi=Xi,
-                        U_Pi2=U[j, :, rank[j]:], side_fcr=bool(fcr))
-    return pis, xis
+class GridSweep:
+    """The Pi factors of the transfer blocks ``blocks`` at ``theta0``, as stacks.
 
+    The points are split into kernel groups, one per stacked SVD of their G_yv
+    and kernel dimension (``kernels``, ``(indices, K stack)`` pairs, overrides
+    the computed bases); a point whose rank differs from its stack's continues
+    in its own group.  Per group the sweep keeps the stacks of K, Pi, Pi_bar_r
+    and Pi_bar_j, and the Xi stacks as ``xis`` (``(indices, Xi stack)``
+    pairs).  Per grid point it keeps the side condition ``side`` and the
+    one-frequency shortcut flag ``shortcut`` as boolean arrays.
 
-def shortcut_flags(pis) -> list[bool]:
-    """Per Pi decomposition, whether Pi_bar_j is full column rank with the
-    ROBUST_RTOL margin, so that its frequency certifies on its own; decided
-    in stacked rank tests."""
-    flags = np.zeros(len(pis), dtype=bool)
-    for idx, J in numkit._stacks([p.Pi_bar_j for p in pis]):
-        flags[idx] = numkit.stacked_ranks(J, (ROBUST_RTOL,), 1.0)[1][0] == J.shape[2]
-    return flags.tolist()
+    Pi's full SVD feeds only U_Pi2.  It runs for a group when :meth:`at`
+    first builds the :class:`PiDecomposition` of one of its points, or when
+    :meth:`greedy_rows` is called.  Each slice keeps the memory layout of the
+    one-matrix route, on which BLAS results depend.
+    """
+
+    def __init__(self, model: DescriptorModel, theta0, blocks,
+                 kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
+        t0 = model.check_theta(theta0)
+        self.blocks = blocks = list(blocks)
+        if kernels is None:
+            kernels = []
+            for idx, G in numkit._stacks([g.G_yv for g in blocks]):
+                _, _, V, rank = numkit.svd_stack(G)
+                kernels += [(idx[sel], V[sel][:, :, r:]) for r, sel in _by_value(rank)]
+        m_v = model.dims.m_v
+        for _, K in kernels:
+            if K.shape[1] != m_v:
+                raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
+        loops = np.eye(m_v) - model.p_of(t0) @ np.array([g.G_zv for g in blocks])
+        numkit.loop_guard_stack(
+            loops, lambda i: f"I - P(theta0) G_zv singular at omega={blocks[i].omega}"
+        )
+        n = len(blocks)
+        self.side = np.zeros(n, dtype=bool)
+        self.shortcut = np.zeros(n, dtype=bool)
+        self.xis: list[tuple[np.ndarray, np.ndarray]] = []
+        self._groups = []
+        self._u_pi2_views: list = [None] * len(kernels)
+        # Per point: its kernel group, its position there, its Xi group and
+        # its position there.
+        self._slots = np.zeros((4, n), dtype=int)
+        for grp, (idx, K) in enumerate(kernels):
+            Pi = loops[idx] @ K
+            R = np.concatenate([Pi.real, -Pi.imag], axis=2)
+            J = np.concatenate([Pi.imag, Pi.real], axis=2)
+            self._groups.append((K, Pi, R, J))
+            self._slots[0, idx], self._slots[1, idx] = grp, np.arange(len(idx))
+            self.shortcut[idx] = numkit.fcr_stack(J, ROBUST_RTOL, 1.0)
+            _, _, VJ, rank_j = numkit.svd_stack(J)
+            for r, sel in _by_value(rank_j):
+                T = R[sel] @ VJ[sel][:, :, r:]
+                UT, _, _, rank_t = numkit.svd_stack(T)
+                # The side condition feeds verdicts, so it must hold with the margin.
+                self.side[idx[sel]] = numkit.fcr_stack(T, DECISION_RTOL, 1.0)
+                for rt, sub in _by_value(rank_t):
+                    at = idx[sel][sub]
+                    self._slots[2, at], self._slots[3, at] = len(self.xis), np.arange(len(at))
+                    self.xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
+
+    def _u_pi2s(self, grp: int) -> list[np.ndarray]:
+        """U_Pi2 of each member of kernel group ``grp``, from the group's Pi SVD,
+        which runs on first use."""
+        if self._u_pi2_views[grp] is None:
+            U, _, _, rank = numkit.svd_stack(self._groups[grp][1])
+            self._u_pi2_views[grp] = [U[j, :, r:] for j, r in enumerate(rank.tolist())]
+        return self._u_pi2_views[grp]
+
+    def at(self, i: int) -> PiDecomposition:
+        """The :class:`PiDecomposition` of grid point ``i``: views into the stacks."""
+        grp, j, x, k = self._slots[:, i].tolist()
+        K, Pi, R, J = self._groups[grp]
+        return PiDecomposition(
+            g=self.blocks[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
+            Xi=self.xis[x][1][k], U_Pi2=self._u_pi2s(grp)[j],
+            side_fcr=bool(self.side[i]), shortcut=bool(self.shortcut[i]))
+
+    def greedy_rows(self, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``upsilon_block(self.at(i), psi_dec, False, m_z)`` of every grid point,
+        from compact copies of the U_Pi2 grouped by shape in grid order and
+        stacked in chunks: a list of ``(indices, row stack)``."""
+        U2 = [self._u_pi2s(grp)[j] for grp, j in zip(*self._slots[:2].tolist())]
+        return [(idx, upsilon_rows(_u2_stack(U), psi_dec, m_z)) for idx, U in numkit._stacks(U2)]
 
 
 def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
@@ -288,13 +331,6 @@ def upsilon_rows(W: np.ndarray, psi_dec: PsiDecomposition, m_z: int) -> np.ndarr
     # (I_mz kron W) @ U1, applying W to each of the m_z row blocks of U1.
     k = psi_dec.U1.shape[1]
     return (W[:, None] @ psi_dec.U1.reshape(m_z, -1, k)).reshape(len(W), m_z * W.shape[1], k)
-
-
-def greedy_rows(pis, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``upsilon_block(p, psi_dec, False, m_z)`` of each of ``pis``, grouped by
-    shape and stacked in chunks: a list of ``(indices, row stack)``."""
-    return [(idx, upsilon_rows(_u2_stack(U), psi_dec, m_z))
-            for idx, U in numkit._stacks([p.U_Pi2 for p in pis])]
 
 
 def candidate_scores(blocks: np.ndarray) -> np.ndarray:
@@ -457,7 +493,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
     # Single-frequency certificate at the smallest qualifying omega.  The
     # sensitivity gate reads every listed frequency, so it runs at most once:
     # a shortcut it vetoes also vetoes the chain's positive verdict below.
-    shortcut = min((p.omega for p, ok in zip(pis, shortcut_flags(pis)) if ok), default=None)
+    shortcut = min((p.omega for p in pis if p.shortcut), default=None)
     if shortcut is not None and _sensitivity_margin_ok(model, t0, pis):
         return IdentifiabilityVerdict(
             status=IDENTIFIABLE,

@@ -9,7 +9,9 @@ values of numpy's ``compute_uv=False`` routine, whose last bits can differ
 from the full SVD's, and ranks).  :func:`svd_full` and :func:`rank_of` are
 their one-matrix cases, as :func:`loop_guard` is of :func:`loop_guard_stack`;
 numpy's stacked ``svd`` runs the same LAPACK routine on each matrix, so the
-results are bitwise equal.  Callers stack at most ``_CHUNK`` matrices of one
+results are bitwise equal.  :func:`fcr_stack` answers "full column rank?"
+through :func:`stacked_ranks`, or by shape alone for a wide stack, whose rank
+cannot reach its column count.  Callers stack at most ``_CHUNK`` matrices of one
 shape and dtype at a time (``_stacks`` groups a list so), so the memory a
 long frequency grid stacks stays bounded.
 
@@ -37,6 +39,7 @@ __all__ = [
     "svd_stack",
     "rank_of",
     "stacked_ranks",
+    "fcr_stack",
     "is_fcr",
     "loop_guard",
     "loop_guard_stack",
@@ -214,10 +217,22 @@ def rank_of(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> Ran
     return _decision(sigma[0], ranks[0, 0], M.shape, rtol, scale_floor)
 
 
+def fcr_stack(S, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> np.ndarray:
+    """Whether each matrix of the ``(k, m, n)`` stack ``S`` has full column rank
+    at ``rtol`` and ``scale_floor``: ``stacked_ranks(S, (rtol,), scale_floor)[1][0]
+    == n``.  A wide stack (n > m) has rank at most m < n, so it is decided by
+    its shape, without an SVD; zero columns count as full column rank."""
+    S = _checked(np.asarray(S))
+    k, m, n = S.shape
+    if n > m:
+        return np.zeros(k, dtype=bool)
+    return stacked_ranks(S, (rtol,), scale_floor)[1][0] == n
+
+
 def is_fcr(A) -> bool:
-    """True when ``A`` has full column rank (zero columns count as FCR)."""
-    M = as_matrix(A)
-    return rank_of(M).rank == M.shape[1]
+    """True when ``A`` has full column rank (zero columns count as FCR): the
+    one-matrix case of :func:`fcr_stack`."""
+    return bool(fcr_stack(as_matrix(A)[None])[0])
 
 
 def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> np.ndarray:

@@ -1,11 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lftident import cli, model as model_mod, oracle, testing
 from lftident.model import Dims
@@ -422,3 +428,68 @@ def test_usage_error_then_run_matches_fresh_run(siso1_path, tmp_path, capsys):
     assert run_fresh([args + ["--output", str(fresh)]])["codes"] == [0]
     assert reused.read_bytes() == fresh.read_bytes()
     capsys.readouterr()
+
+
+# Mutations of the fuzz test: each maps (model, rng) to keyword changes.
+BLOCKS = ("B_xu", "B_xv", "C_yx", "C_zx", "D_yu", "D_yv", "D_zu", "D_zv")
+
+
+def _zeroed(m, rng):
+    name = BLOCKS[int(rng.integers(len(BLOCKS)))]
+    return {name: np.zeros_like(getattr(m, name))}
+
+
+def _rounded(m, rng):
+    return {name: np.round(getattr(m, name)) for name in ("A_xx", *BLOCKS)}
+
+
+def _rank_one_bxv(m, rng):
+    return {"B_xv": np.outer(rng.standard_normal(m.dims.m_x), rng.standard_normal(m.dims.m_v))}
+
+
+def _scaled(factor):
+    def scale(m, rng):
+        name = BLOCKS[int(rng.integers(len(BLOCKS)))]
+        return {name: factor * getattr(m, name)}
+    return scale
+
+
+MUTATIONS = {"zeroed": _zeroed, "rounded": _rounded, "rank-one B_xv": _rank_one_bxv,
+             "x1e8": _scaled(1e8), "x1e-8": _scaled(1e-8)}
+FUZZ_FREQS = {"continuous": (0.0, 1e-9, 1.0, 1e6),
+              "discrete": (np.pi, -np.pi + 1e-12, 0.0, 1.0)}
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["continuous", "discrete", "singular E"]),
+       st.sampled_from(sorted(MUTATIONS)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fuzz_exit_codes_and_repeatable_reports(seed, kind, mutation):
+    # Every subcommand on a small mutated random model exits with a
+    # documented code, never with an escaping exception, and an identical
+    # second call in the same process gives the same report byte for byte.
+    rng = np.random.default_rng(seed)
+    time_domain = "discrete" if kind == "discrete" else "continuous"
+    m = testing.random_model(seed, time_domain=time_domain, singular_E=kind == "singular E")
+    m = dataclasses.replace(m, **MUTATIONS[mutation](m, rng))
+    freqs = ",".join(repr(float(w)) for w in rng.choice(FUZZ_FREQS[time_domain], 2, replace=False))
+    model = ["--theta0", ",".join(["0"] * m.dims.q)]
+    runs = {
+        "validate": [],
+        "ident": [*model, "--freqs", freqs],
+        "find-freqs": model,
+        "sloppiness": [*model, "--freqs", freqs, "--eps", "1e-3"],
+        "oracle": [*model, "--freqs", freqs, "--trials", "10"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model_mod.save_model(m, path)
+        for command, extra in runs.items():
+            seen = []
+            for i in range(2):
+                out, err = Path(tmp) / f"{command}{i}.json", io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--model", str(path), *extra, "--output", str(out)])
+                assert code in (0, 1, 2, 3, 4), (command, code, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                seen.append((code, out.read_bytes() if code == 0 else err.getvalue()))
+            assert seen[0] == seen[1], command

@@ -1,9 +1,8 @@
-import dataclasses
 
 import numpy as np
 import pytest
 
-from lftident import freqplan, identifiability as ident, testing
+from lftident import freqplan, identifiability as ident, numkit, testing
 from lftident.errors import EmptyGrid
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
@@ -181,18 +180,17 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
     grid = freqplan.default_grid(m)
     anchor = grid.points.tolist().index(
         freqplan.search_frequencies(m, t0, grid=grid).selected[0])
-    sweep = ident._sweep
+    init = ident.GridSweep.__init__
 
-    def forced_sweep(*args):
-        pis, xis = sweep(*args)
-        groups = [idx.tolist() for idx, _ in xis]
+    def forced_init(self, *args):
+        init(self, *args)
+        groups = [idx.tolist() for idx, _ in self.xis]
         assert len(groups) > 1
-        fail = {i for g in groups if failing == "whole-grid" or anchor in g for i in g}
-        pis = [dataclasses.replace(p, side_fcr=False) if i in fail else p
-               for i, p in enumerate(pis)]
-        return pis, xis
+        fail = [i for g in groups if failing == "whole-grid" or anchor in g for i in g]
+        self.side[fail] = False
 
-    monkeypatch.setattr(ident, "_sweep", forced_sweep)
+    # Both the search and the reference's pi_sweep see the forced failures.
+    monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
     plan = freqplan.search_frequencies(m, t0, grid=grid)
     reason = None if plan.verdict is None else plan.verdict.reason
     assert (plan.status, plan.selected, plan.rank_trace, reason) == \
@@ -202,3 +200,49 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
         assert plan.refine_hint == (grid.points[0], grid.points[-1], 4 * grid.points.size)
     else:
         assert plan.selected[0] != grid.points[anchor]
+
+
+def pi_svd_points(monkeypatch, model, theta0, grid):
+    """The search's plan and, per numkit.svd_stack call it made on a stack of
+    Pi, the grid indices of that stack's members, in call order."""
+    index = {p.Pi.tobytes(): i for i, p in enumerate(ident.pi_sweep(model, theta0, grid.blocks))}
+    calls = []
+    svd_stack = numkit.svd_stack
+
+    def spy(S, *args):
+        S = np.asarray(S)
+        if S.ndim == 3 and len(S) and all(M.tobytes() in index for M in S):
+            calls.append([index[M.tobytes()] for M in S])
+        return svd_stack(S, *args)
+
+    monkeypatch.setattr(numkit, "svd_stack", spy)
+    plan = freqplan.search_frequencies(model, theta0, grid=grid)
+    monkeypatch.undo()
+    return plan, calls
+
+
+def test_anchor_certified_search_factors_only_the_anchor_group(monkeypatch):
+    # kr-00 of the search-pool workload: no shortcut flag (its Pi_bar_j are
+    # 3 x 4), and the anchor certifies alone, so no greedy rows are built.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    assert plan.status == freqplan.CERTIFIED and plan.rank_trace == (0,)
+    anchor = grid.points.tolist().index(plan.selected[0])
+    assert len(calls) == 1 and anchor in calls[0]
+    assert len(calls[0]) < grid.points.size
+
+
+@pytest.mark.parametrize("seed,kind", [
+    (22, dict(kernel_rich=True)),
+    (1, dict(dims=Dims(12, 2, 1, 2, 5, 10))),
+])
+def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
+    m = testing.random_regular_model(seed, **kind)
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    assert len(plan.rank_trace) > 1
+    assert len(calls) > 1
+    assert sorted(i for c in calls for i in c) == list(range(grid.points.size))

@@ -68,7 +68,7 @@ class TestPiAt:
         p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0))
         assert p.Pi.shape == (1, 0)
         assert p.Pi_bar_j.shape == (1, 0)
-        assert ident.shortcut_flags([p]) == [True]
+        assert p.shortcut
 
     def test_theta_zero_pi_equals_kernel(self):
         m = testing.random_regular_model(8, kernel_rich=True)
@@ -90,15 +90,12 @@ class TestPiAt:
             assert np.linalg.norm(p.Xi @ (p.Pi_bar_r @ W)) < 1e-9
 
     def test_shortcut_fails_on_wide(self):
-        # A 1 x 2 realified stack cannot be FCR.
-        one = np.array([[1.0]])
-        p = ident.PiDecomposition(
-            g=response.g_blocks(testing.siso1(), 1.0), K=one.astype(complex), Pi=one.astype(complex),
-            Pi_bar_r=np.array([[1.0, 0.0]]), Pi_bar_j=np.array([[0.0, 1.0]]),
-            Xi=np.zeros((0, 1)), U_Pi2=np.zeros((1, 0), dtype=complex),
-            side_fcr=True,
-        )
-        assert ident.shortcut_flags([p]) == [False]
+        # A 1 x 2 realified stack cannot be FCR: siso1 with a one-column
+        # kernel override gives Pi = 1 and Pi_bar_j = [0 1].
+        siso1 = testing.siso1()
+        p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0), kernel=np.eye(1))
+        assert np.array_equal(p.Pi_bar_j, [[0.0, 1.0]])
+        assert not p.shortcut
 
 
 def reference_pi(model, theta0, g):
@@ -140,8 +137,36 @@ KERNEL_CHANGE_CASES = [
 ]
 
 
+FIELDS = ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2")
+
+
+def assert_equals_reference(model, theta0, p, g):
+    """``p`` equals reference_pi and pi_at at the blocks ``g``, bit for bit."""
+    ref = reference_pi(model, theta0, g)
+    one = ident.pi_at(model, theta0, g)
+    assert p.g is g
+    for name in FIELDS:
+        assert np.array_equal(getattr(p, name), ref[name]), name
+        assert np.array_equal(getattr(one, name), ref[name]), name
+    assert p.side_fcr == one.side_fcr == ref["side_fcr"]
+    assert p.shortcut == one.shortcut == ref["shortcut"]
+
+
+def search_materialized(monkeypatch, model, theta0, blocks):
+    """The Pi decompositions that a search over ``blocks`` builds, in order."""
+    built = []
+    at = ident.GridSweep.at
+    monkeypatch.setattr(ident.GridSweep, "at", lambda self, i: built.append(at(self, i)) or built[-1])
+    grid = freqplan.FrequencyGrid(blocks=tuple(blocks), time_domain=model.time_domain, n_guarded=0)
+    plan = freqplan.search_frequencies(model, theta0, grid=grid)
+    monkeypatch.undo()
+    assert tuple(p.omega for p in built[len(built) - len(plan.selected):]) == plan.selected
+    return built
+
+
 class TestPiSweep:
-    """Stacked Pi factors equal the unstacked ones, bit for bit, at every grid point."""
+    """Stacked Pi factors equal the unstacked ones, bit for bit, at every grid
+    point and at every candidate the search materializes."""
 
     @pytest.mark.parametrize("seed,kind", [
         (3, dict(kernel_rich=True)),
@@ -150,22 +175,16 @@ class TestPiSweep:
         (0, dict(kernel_rich=True, singular_E=True)),
         (1, dict()),
     ])
-    def test_equals_pointwise(self, seed, kind):
+    def test_equals_pointwise(self, monkeypatch, seed, kind):
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
         blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).blocks
         swept = ident.pi_sweep(m, t0, blocks)
-        flags = ident.shortcut_flags(swept)
-        assert len(swept) == len(flags) == len(blocks)
-        for p, flag, g in zip(swept, flags, blocks):
-            ref = reference_pi(m, t0, g)
-            one = ident.pi_at(m, t0, g)
-            assert p.g is g
-            for name in ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2"):
-                assert np.array_equal(getattr(p, name), ref[name]), name
-                assert np.array_equal(getattr(one, name), ref[name]), name
-            assert p.side_fcr == one.side_fcr == ref["side_fcr"]
-            assert flag == ident.shortcut_flags([p])[0] == ref["shortcut"]
+        assert len(swept) == len(blocks)
+        for p, g in zip(swept, blocks):
+            assert_equals_reference(m, t0, p, g)
+        for p in search_materialized(monkeypatch, m, t0, blocks):
+            assert_equals_reference(m, t0, p, p.g)
 
     def test_first_singular_loop_raises(self, siso1):
         # With theta0 = 0.5, I - theta0 G_zv is singular where G_zv = 2.
@@ -181,18 +200,15 @@ class TestPiSweep:
         assert f"omega={blocks[3].omega}" in str(swept.value)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
-    def test_isolated_kernel_changes_equal_pointwise(self, seed, kind):
+    def test_isolated_kernel_changes_equal_pointwise(self, monkeypatch, seed, kind):
         m, t0, blocks = isolated_kernel_changes(seed, kind)
         swept = ident.pi_sweep(m, t0, blocks)
-        flags = ident.shortcut_flags(swept)
         assert len({p.kernel_dim for p in swept}) > 1
         assert len(swept) == len(blocks)
-        for p, flag, g in zip(swept, flags, blocks):
-            assert p.g is g
-            ref = reference_pi(m, t0, g)
-            for name in ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2"):
-                assert np.array_equal(getattr(p, name), ref[name]), name
-            assert (p.side_fcr, flag) == (ref["side_fcr"], ref["shortcut"])
+        for p, g in zip(swept, blocks):
+            assert_equals_reference(m, t0, p, g)
+        for p in search_materialized(monkeypatch, m, t0, blocks):
+            assert_equals_reference(m, t0, p, p.g)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_stacked_rows_times_z_equal_upsilon_block(self, seed, kind):
@@ -204,11 +220,12 @@ class TestPiSweep:
         psi_dec, m_z, q = ident.psi(m), m.dims.m_z, m.dims.q
         U1 = psi_dec.U1.reshape(m_z, -1, psi_dec.U1.shape[1])
         refs = [reference_pi(m, t0, g) for g in blocks]
-        pis, xis = ident._sweep(m, t0, blocks)
+        sweep = ident.GridSweep(m, t0, blocks)
+        pis = [sweep.at(i) for i in range(len(blocks))]
         rng = np.random.default_rng(seed)
         for Z in (np.eye(q), np.linalg.qr(rng.standard_normal((q, q)))[0][:, :max(q - 1, 1)]):
             seen = []
-            for idx, R in ident.greedy_rows(pis, psi_dec, m_z):
+            for idx, R in sweep.greedy_rows(psi_dec, m_z):
                 for i, B in zip(idx, R @ Z):
                     U2 = refs[i]["U_Pi2"]
                     W = np.hstack([U2.real, U2.imag]).T
@@ -217,7 +234,7 @@ class TestPiSweep:
                 seen += idx.tolist()
             assert sorted(seen) == list(range(len(pis)))
             seen = []
-            for idx, xi in xis:
+            for idx, xi in sweep.xis:
                 keep = np.arange(len(idx)) % 2 == 0  # a selection, as the anchor step makes
                 for i, B in zip(idx[keep], ident.upsilon_rows(xi[keep], psi_dec, m_z) @ Z):
                     assert np.array_equal(B, ident.upsilon_block(pis[i], psi_dec, True, m_z) @ Z)
@@ -410,7 +427,7 @@ class TestUpsilon:
                 p = ident.pi_at(m, t0, response.g_blocks(m, w))
             except LftIdentError:
                 continue
-            if ident.shortcut_flags([p])[0]:
+            if p.shortcut:
                 v = ident.upsilon_test(m, t0, [w])
                 if v.status == ident.INCONCLUSIVE:
                     continue  # sensitivity margin may veto; never a negative

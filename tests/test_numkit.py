@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -277,6 +278,37 @@ class TestStacked:
             numkit.loop_guard_stack(M, lambda i: f"loop {i}")
         sig = numkit.loop_guard_stack(M[[0, 2]], lambda i: f"loop {i}")
         assert np.array_equal(sig, np.ones((2, 2)))
+
+
+class TestFcrStack:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+           st.sampled_from([(numkit.DEFAULT_RANK_RTOL, 0.0), (1e-6, 1.0), (1e-3, 1.0)]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_stacked_ranks_without_svd_when_wide(self, seed, k, m, n, policy):
+        # Real and complex stacks over many scales, with zero-sized
+        # dimensions and rank-deficient members; the (rtol, floor) pairs are
+        # the ones in use.
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((k, m, n))
+        if rng.random() < 0.5:
+            S = S + 1j * rng.standard_normal((k, m, n))
+        if n > 1 and rng.random() < 0.5:
+            S[:, :, -1] = S[:, :, 0]
+        S *= 10.0 ** rng.uniform(-12, 3)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            got = numkit.fcr_stack(S, *policy)
+        assert got.dtype == bool and got.shape == (k,)
+        assert np.array_equal(got, numkit.stacked_ranks(S, policy[:1], policy[1])[1][0] == n)
+        if n > m:
+            assert svd.call_count == 0
+
+    def test_is_fcr_is_the_one_matrix_case(self):
+        assert numkit.is_fcr(np.zeros((2, 0)))
+        assert numkit.is_fcr(np.eye(3)[:, :2])
+        assert not numkit.is_fcr(np.ones((3, 2)))
+        with mock.patch.object(np.linalg, "svd") as svd:
+            assert not numkit.is_fcr(np.eye(2, 3))
+        svd.assert_not_called()
 
 
 class TestPinvSolvable:
