@@ -187,20 +187,15 @@ def _by_value(values: np.ndarray):
 
 
 class GridSweep:
-    """The Pi factors of the transfer blocks ``blocks`` at ``theta0``, as stacks.
+    """The Pi factors of the transfer blocks ``blocks`` at ``theta0``, kept as stacks.
 
-    The points are split into kernel groups, one per stacked SVD of their G_yv
-    and kernel dimension (``kernels``, ``(indices, K stack)`` pairs, overrides
-    the computed bases); a point whose rank differs from its stack's continues
-    in its own group.  Per group the sweep keeps the stacks of K, Pi, Pi_bar_r
-    and Pi_bar_j, and the Xi stacks as ``xis`` (``(indices, Xi stack)``
-    pairs).  Per grid point it keeps the side condition ``side`` and the
-    one-frequency shortcut flag ``shortcut`` as boolean arrays.
-
-    Pi's full SVD feeds only U_Pi2.  It runs for a group when :meth:`at`
-    first builds the :class:`PiDecomposition` of one of its points, or when
-    :meth:`greedy_rows` is called.  Each slice keeps the memory layout of the
-    one-matrix route, on which BLAS results depend.
+    Points that share a G_yv stack and a kernel dimension form a kernel group
+    (``kernels``, ``(indices, K stack)`` pairs, overrides the computed bases).
+    ``xis`` holds the Xi stacks as ``(indices, Xi stack)`` pairs; ``side`` and
+    ``shortcut`` hold each point's side condition and shortcut flag.  :meth:`at`
+    builds one point's PiDecomposition and runs its group's Pi SVD on first
+    use.  Slices keep the memory layout of the one-matrix route, on which BLAS
+    results depend.
     """
 
     def __init__(self, model: DescriptorModel, theta0, blocks,
