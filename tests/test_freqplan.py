@@ -215,9 +215,9 @@ def pi_svd_points(monkeypatch, model, theta0, grid):
             calls.append([index[M.tobytes()] for M in S])
         return svd_stack(S, *args)
 
-    monkeypatch.setattr(numkit, "svd_stack", spy)
-    plan = freqplan.search_frequencies(model, theta0, grid=grid)
-    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr(numkit, "svd_stack", spy)
+        plan = freqplan.search_frequencies(model, theta0, grid=grid)
     return plan, calls
 
 

@@ -156,11 +156,11 @@ def search_materialized(monkeypatch, model, theta0, blocks):
     """The Pi decompositions that a search over ``blocks`` builds, in order."""
     built = []
     at = ident.GridSweep.at
-    monkeypatch.setattr(ident.GridSweep, "at", lambda self, i: built.append(at(self, i)) or built[-1])
     grid = freqplan.FrequencyGrid(blocks=tuple(blocks), time_domain=model.time_domain, n_guarded=0)
-    plan = freqplan.search_frequencies(model, theta0, grid=grid)
-    monkeypatch.undo()
-    assert tuple(p.omega for p in built[len(built) - len(plan.selected):]) == plan.selected
+    with monkeypatch.context() as mp:
+        mp.setattr(ident.GridSweep, "at", lambda self, i: built.append(at(self, i)) or built[-1])
+        plan = freqplan.search_frequencies(model, theta0, grid=grid)
+    assert built and tuple(p.omega for p in built[len(built) - len(plan.selected):]) == plan.selected
     return built
 
 
