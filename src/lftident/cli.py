@@ -247,7 +247,7 @@ def run_oracle(args) -> tuple:
             "step": est.step,
             "scheme": est.scheme,
             "step_halving_change": est.step_halving_change,
-            "singular_values": np.linalg.svd(est.J, compute_uv=False).tolist(),
+            "singular_values": est.decision.singular_values.tolist(),
         },
         "local_identifiability": bool(local),
         "verdict": _verdict_payload(verdict),

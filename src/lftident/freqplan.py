@@ -218,8 +218,11 @@ def search_frequencies(
 
     A rank-deficient Psi short-circuits to ``not-identifiable`` (no frequency
     set can help).  A stalled grid search is *not* a negative certificate and
-    is reported as ``no-progress-on-grid`` with a refinement hint.
+    is reported as ``no-progress-on-grid`` with a refinement hint.  Raises
+    InvalidInput when ``refine`` is negative.
     """
+    if refine < 0:
+        raise InvalidInput(f"refine must be a non-negative integer, got {refine}")
     theta0 = model.check_theta(theta0)
     psi_dec = ident.psi(model)
     if not psi_dec.is_fcr:

@@ -186,6 +186,12 @@ def _by_value(values: np.ndarray):
     return [(v, np.flatnonzero(values == v)) for v in distinct]
 
 
+def _fcr(sigma: np.ndarray, shape: tuple[int, int, int], rtol: float) -> np.ndarray:
+    """Whether each matrix of a ``shape`` stack with singular values ``sigma``
+    has full column rank at ``rtol`` on the unit scale floor."""
+    return numkit._ranks(sigma, shape[1:], rtol, 1.0) == shape[2]
+
+
 class GridSweep:
     """The Pi factors of the transfer blocks ``blocks`` at ``theta0``, kept as stacks.
 
@@ -230,13 +236,13 @@ class GridSweep:
             J = np.concatenate([Pi.imag, Pi.real], axis=2)
             self._groups.append((K, Pi, R, J))
             self._slots[0, idx], self._slots[1, idx] = grp, np.arange(len(idx))
-            self.shortcut[idx] = numkit.fcr_stack(J, ROBUST_RTOL, 1.0)
-            _, _, VJ, rank_j = numkit.svd_stack(J)
+            _, sigma_j, VJ, rank_j = numkit.svd_stack(J)
+            self.shortcut[idx] = _fcr(sigma_j, J.shape, ROBUST_RTOL)
             for r, sel in _by_value(rank_j):
                 T = R[sel] @ VJ[sel][:, :, r:]
-                UT, _, _, rank_t = numkit.svd_stack(T)
+                UT, sigma_t, _, rank_t = numkit.svd_stack(T)
                 # The side condition feeds verdicts, so it must hold with the margin.
-                self.side[idx[sel]] = numkit.fcr_stack(T, DECISION_RTOL, 1.0)
+                self.side[idx[sel]] = _fcr(sigma_t, T.shape, DECISION_RTOL)
                 for rt, sub in _by_value(rank_t):
                     at = idx[sel][sub]
                     self._slots[2, at], self._slots[3, at] = len(self.xis), np.arange(len(at))
@@ -409,19 +415,18 @@ def _direct_stack(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
     return np.vstack([psi_dec.U2.T, *(numkit._kron(I_mz, p.u2_stack) for p in pis)])
 
 
-def _residual_direction(direct: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: int):
-    """Null direction of the direct constraint stack ``direct``, mapped to
-    parameter space.
+def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: int):
+    """The first of the null directions ``null`` of the direct constraint stack,
+    mapped to parameter space.
 
     Returns (delta_unit, nullity, worst_certificate_residual).  The residual
     is the largest violation of the range conditions by the extracted
     direction; a sound negative verdict requires it below CERT_TOL.
     """
-    null = chain_null_basis(direct)
     if null.shape[1] == 0:
         return None, 0, 0.0
     v = null[:, 0].real
-    v /= np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
     worst = float(np.linalg.norm(psi_dec.U2.T @ v))
     dP = numkit.unvec(v, pis[0].Pi.shape[0], m_z)
     for p in pis:
@@ -500,10 +505,11 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
             shortcut_omega=shortcut,
         )
 
-    direct = _direct_stack(psi_dec, pis, m_z)
+    # One SVD of the direct stack serves its rank check and its null basis.
+    direct = numkit.svd_full(_direct_stack(psi_dec, pis, m_z), DECISION_RTOL, 1.0)
 
     def negative_or_inconclusive(trace: tuple[int, ...], context: str) -> IdentifiabilityVerdict:
-        delta, dim, worst = _residual_direction(direct, psi_dec, pis, m_z)
+        delta, dim, worst = _residual_direction(direct.V2, psi_dec, pis, m_z)
         if delta is not None and worst <= CERT_TOL:
             return IdentifiabilityVerdict(
                 status=NOT_IDENTIFIABLE,
@@ -545,8 +551,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
     if Z.shape[1] == 0:
         # Confirm on the explicitly stacked matrix, then pass the sensitivity
         # gate before claiming identifiability.
-        dec = numkit.rank_of(direct, rtol=DECISION_RTOL, scale_floor=1.0)
-        if dec.rank == direct.shape[1]:
+        if direct.V2.shape[1] == 0:
             if shortcut is None and _sensitivity_margin_ok(model, t0, pis):
                 return IdentifiabilityVerdict(
                     status=IDENTIFIABLE,

@@ -42,7 +42,6 @@ __all__ = [
     "save_model",
     "dumps_model",
     "validate_assumptions",
-    "dualize",
 ]
 
 TIME_DOMAINS = ("continuous", "discrete")
@@ -338,30 +337,4 @@ def validate_assumptions(model: DescriptorModel, theta_samples,
         worst_loop_condition=worst_cond,
         min_abs_pencil_det=float(min_det),
         probe_lambdas=lams,
-    )
-
-
-def dualize(model: DescriptorModel) -> DescriptorModel:
-    """Transpose the system: the dual's response is H(lambda, theta)^T.
-
-    Swaps the roles of inputs/outputs and of the auxiliary channels, so the
-    dual's G_zu block is the transpose of the original's G_yv.  Applying it
-    twice reproduces the model exactly.
-    """
-    d = model.dims
-    return DescriptorModel(
-        time_domain=model.time_domain,
-        dims=Dims(m_x=d.m_x, m_u=d.m_y, m_y=d.m_u, m_z=d.m_v, m_v=d.m_z, q=d.q),
-        E=model.E.T.copy(),
-        A_xx=model.A_xx.T.copy(),
-        B_xu=model.C_yx.T.copy(),
-        B_xv=model.C_zx.T.copy(),
-        C_yx=model.B_xu.T.copy(),
-        C_zx=model.B_xv.T.copy(),
-        D_yu=model.D_yu.T.copy(),
-        D_yv=model.D_zu.T.copy(),
-        D_zu=model.D_yv.T.copy(),
-        D_zv=model.D_zv.T.copy(),
-        P=tuple(Pk.T.copy() for Pk in model.P),
-        theta_domain=model.theta_domain,
     )

@@ -9,11 +9,13 @@ values of numpy's ``compute_uv=False`` routine, whose last bits can differ
 from the full SVD's, and ranks).  :func:`svd_full` and :func:`rank_of` are
 their one-matrix cases, as :func:`loop_guard` is of :func:`loop_guard_stack`;
 numpy's stacked ``svd`` runs the same LAPACK routine on each matrix, so the
-results are bitwise equal.  :func:`fcr_stack` answers "full column rank?"
-through :func:`stacked_ranks`, or by shape alone for a wide stack, whose rank
-cannot reach its column count.  Callers stack at most ``_CHUNK`` matrices of one
-shape and dtype at a time (``_stacks`` groups a list so), so the memory a
-long frequency grid stacks stays bounded.
+results are bitwise equal.  Each matrix is decomposed once: a caller that
+holds a full SVD reads every other rank decision, null basis and 2-norm of
+that matrix from it, through ``_ranks`` (the cut at another tolerance) and
+``_split`` (the factors split at a cut chosen after the decomposition).
+Callers stack at most ``_CHUNK`` matrices of one shape and dtype at a time
+(``_stacks`` groups a list so), so the memory a long frequency grid stacks
+stays bounded.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -39,13 +41,9 @@ __all__ = [
     "svd_stack",
     "rank_of",
     "stacked_ranks",
-    "fcr_stack",
-    "is_fcr",
     "loop_guard",
     "loop_guard_stack",
     "right_null_basis",
-    "left_null_basis",
-    "pinv",
     "gen_eig_psd_pencil_pairs",
     "sign_flip",
     "vec",
@@ -203,10 +201,16 @@ def svd_full(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> Sv
     ``V2`` is ``0 x 0``.
     """
     M = as_matrix(A)
-    U, sigma, V, rank = (x[0] for x in svd_stack(M[None], rtol, scale_floor))
-    r = int(rank)
+    U, sigma, Vh = (x[0] for x in _svd(M[None], True))
+    return _split(U, sigma, Vh.conj().T, M.shape, rtol, scale_floor)
+
+
+def _split(U, sigma, V, shape: tuple[int, int], rtol: float, floor: float) -> SvdFactors:
+    """The full SVD ``U diag(sigma) V^H`` of one ``shape`` matrix, split at the
+    cut of ``rtol`` and ``floor``."""
+    r = int(_ranks(sigma[None], shape, rtol, floor)[0])
     return SvdFactors(U1=U[:, :r], U2=U[:, r:], sigma=sigma[:r], V1=V[:, :r], V2=V[:, r:],
-                      decision=_decision(sigma, r, M.shape, rtol, scale_floor))
+                      decision=_decision(sigma, r, shape, rtol, floor))
 
 
 def rank_of(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> RankDecision:
@@ -217,24 +221,6 @@ def rank_of(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> Ran
     return _decision(sigma[0], ranks[0, 0], M.shape, rtol, scale_floor)
 
 
-def fcr_stack(S, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> np.ndarray:
-    """Whether each matrix of the ``(k, m, n)`` stack ``S`` has full column rank
-    at ``rtol`` and ``scale_floor``: ``stacked_ranks(S, (rtol,), scale_floor)[1][0]
-    == n``.  A wide stack (n > m) has rank at most m < n, so it is decided by
-    its shape, without an SVD; zero columns count as full column rank."""
-    S = _checked(np.asarray(S))
-    k, m, n = S.shape
-    if n > m:
-        return np.zeros(k, dtype=bool)
-    return stacked_ranks(S, (rtol,), scale_floor)[1][0] == n
-
-
-def is_fcr(A) -> bool:
-    """True when ``A`` has full column rank (zero columns count as FCR): the
-    one-matrix case of :func:`fcr_stack`."""
-    return bool(fcr_stack(as_matrix(A)[None])[0])
-
-
 def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal columns spanning the right null space of ``A``.
 
@@ -243,11 +229,6 @@ def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.
     identity-sized completion.
     """
     return svd_full(A, rtol=rtol, scale_floor=scale_floor).V2
-
-
-def left_null_basis(A) -> np.ndarray:
-    """Orthonormal rows spanning the left null space of ``A``."""
-    return svd_full(A).U2.conj().T
 
 
 def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
@@ -277,14 +258,6 @@ def _loop_guard_violations(M: np.ndarray, message_of):
     bad = np.flatnonzero(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
     return sig, {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")
                  for i in bad}
-
-
-def pinv(A) -> np.ndarray:
-    """Moore-Penrose inverse (empty-safe)."""
-    M = as_matrix(A)
-    if min(M.shape) == 0:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=M.dtype)
-    return np.linalg.pinv(M)
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:

@@ -6,17 +6,20 @@ probes and empirical boundary sampling.  None of it uses the Pi factors, the
 stacked rank test or the sloppiness eigenpencil it checks.  It shares the
 evaluation of H (``response.g_blocks``, and ``response.h_sweep`` over a stack
 of thetas at one frequency, of which ``h_lft`` is the one-theta case),
-numkit's default rank decisions on the Jacobian and on Psi, and, for the
-empirical boundary, the S matrices and ellipsoid that ``sloppiness`` builds
-(from Pi factors of the blocks the check evaluated).
+numkit's default rank decision on the Jacobian, Psi's decomposition
+(``identifiability.psi``) and, for the empirical boundary, the S matrices and
+ellipsoid that ``sloppiness`` builds (from Pi factors of the blocks the check
+evaluated).
 
 Each frequency's blocks are evaluated once: :func:`fd_jacobian` keeps them on
-its :class:`JacobianEstimate`, and the probe reads them there.  The perturbed
-thetas of one finite-difference step go through one ``h_sweep`` per
-frequency; the probe's candidates and the boundary samples do so one chunk
-at a time, drawn in order, so their memory stays bounded and the probe stops
-at the first chunk with a match.  Every result equals one ``h_lft`` call per
-theta, bit for bit.
+its :class:`JacobianEstimate`, and the probe reads them there.  The estimate
+also keeps the one rank decision on its Jacobian, which the report's
+singular values, :func:`local_identifiability` and :func:`jacobian_sloppiness`
+read.  The perturbed thetas of one finite-difference step go through one
+``h_sweep`` per frequency; the probe's candidates and the boundary samples do
+so one chunk at a time, drawn in order, so their memory stays bounded and the
+probe stops at the first chunk with a match.  Every result equals one
+``h_lft`` call per theta, bit for bit.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class JacobianEstimate:
 
     ``step_halving_change`` is the relative change when the step is halved,
     a direct read on the truncation error.  ``blocks`` holds the evaluated
-    transfer blocks of ``freqs``, in order.
+    transfer blocks of ``freqs``, in order.  ``decision`` is the rank decision
+    on ``J`` at numkit's default tolerance, with its singular values.
     """
 
     J: np.ndarray
@@ -95,6 +99,7 @@ class JacobianEstimate:
     theta0: np.ndarray
     scheme: str
     step_halving_change: float
+    decision: numkit.RankDecision
 
     @property
     def freqs(self) -> tuple[float, ...]:
@@ -144,13 +149,22 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
         theta0=t0,
         scheme="central",
         step_halving_change=change,
+        decision=numkit.rank_of(J_half),
     )
+
+
+def _decision(J: JacobianEstimate | np.ndarray) -> tuple[numkit.RankDecision, int]:
+    """The default rank decision on the Jacobian ``J`` and its column count."""
+    if isinstance(J, JacobianEstimate):
+        return J.decision, J.J.shape[1]
+    M = numkit.as_matrix(J)
+    return numkit.rank_of(M), M.shape[1]
 
 
 def local_identifiability(J: JacobianEstimate | np.ndarray) -> bool:
     """Full-column-rank decision on the response Jacobian."""
-    M = J.J if isinstance(J, JacobianEstimate) else np.asarray(J)
-    return numkit.is_fcr(M)
+    dec, q = _decision(J)
+    return dec.rank == q
 
 
 def jacobian_sloppiness(J: JacobianEstimate | np.ndarray) -> np.ndarray:
@@ -159,11 +173,10 @@ def jacobian_sloppiness(J: JacobianEstimate | np.ndarray) -> np.ndarray:
     Refuses rank-deficient Jacobians: the corresponding sloppiness would be
     infinite and the comparison meaningless.
     """
-    M = J.J if isinstance(J, JacobianEstimate) else np.asarray(J)
-    dec = numkit.rank_of(M)
-    if dec.rank < M.shape[1]:
+    dec, q = _decision(J)
+    if dec.rank < q:
         raise InvalidInput(
-            f"Jacobian is rank deficient ({dec.rank} < {M.shape[1]}): sloppiness is infinite"
+            f"Jacobian is rank deficient ({dec.rank} < {q}): sloppiness is infinite"
         )
     sigma = dec.singular_values
     return np.sort(1.0 / (sigma * sigma))[::-1]
@@ -190,15 +203,16 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     candidates are tested a chunk at a time, in that order (:func:`_first_match`),
     and the search stops at the first chunk with a match.  Returns the first
     counterexample in draw order or None; absence of a counterexample proves
-    nothing.
+    nothing.  Raises InvalidInput when ``trials`` is negative.
     """
+    if trials < 0:
+        raise InvalidInput(f"trials must be a non-negative integer, got {trials}")
     t0 = est.theta0
     base = [response.h_lft(model, t0, g) for g in est.blocks]
     rng = np.random.default_rng(seed)
 
     directions = []
-    psi_cols = np.column_stack([numkit.vec(Pk) for Pk in model.P])
-    ker_psi = numkit.right_null_basis(psi_cols).real
+    ker_psi = identifiability.psi(model).factors.V2.real
     directions.extend(ker_psi[:, j] for j in range(ker_psi.shape[1]))
     # Null directions of est.J: singular values at or below an absolute cut.
     _, sig, Vh = np.linalg.svd(est.J)

@@ -88,18 +88,21 @@ def pointwise_factors(model: DescriptorModel, theta0, g: response.GBlocks) -> Po
 
     # Rank decisions here are anchored at the overall response scale at this
     # frequency: a block vanishing at an isolated omega must read as a rank
-    # drop, not be ranked by its numerical dust.
+    # drop, not be ranked by its numerical dust.  The 2-norms of G_zu and G_yv
+    # are the largest singular values of their own SVDs, split at that scale.
+    svds = [numkit.svd_stack(B[None]) for B in (g.G_zu, g.G_yv)]
     scale = max(
-        (float(np.linalg.norm(B, 2)) for B in (g.G_yu, g.G_yv, g.G_zu, g.G_zv) if B.size),
+        [float(sigma[0, 0]) for _, sigma, _, _ in svds if sigma.size]
+        + [float(np.linalg.norm(B, 2)) for B in (g.G_yu, g.G_zv) if B.size],
         default=1.0,
     )
     scale = max(scale, 1e-300)
-    zu = numkit.svd_full(g.G_zu, scale_floor=scale)
+    zu, yv = (numkit._split(U[0], sigma[0], V[0], B.shape, numkit.DEFAULT_RANK_RTOL, scale)
+              for (U, sigma, V, _), B in zip(svds, (g.G_zu, g.G_yv)))
     if zu.rank < m_z:
         raise RankDrop(
             f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={g.omega}; pick another frequency"
         )
-    yv = numkit.svd_full(g.G_yv, scale_floor=scale)
 
     P0 = model.p_of(t0)
     loop_l = np.eye(m_v) - P0 @ g.G_zv
@@ -318,14 +321,16 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
     N = len(w)
     Gamma, Omega, kr = _block_rows(psi_dec, pis, qpairs, m_z)
 
-    if not numkit.is_fcr(Gamma):
+    # One SVD of Gamma gives its rank and its left annihilator.
+    gamma = numkit.svd_full(Gamma)
+    if gamma.rank < Gamma.shape[1]:
         raise GammaRankDeficient(
             "Gamma is rank deficient: these frequencies do not certify "
             "identifiability at theta0; run the frequency search first"
         )
-    Gl = numkit.left_null_basis(Gamma).real
+    Gl = gamma.U2.T
     S_H = numkit.right_null_basis(Gl @ Omega).real
-    S_A = numkit.pinv(Gamma) @ Omega @ S_H
+    S_A = np.linalg.pinv(Gamma) @ Omega @ S_H
 
     n_s = S_H.shape[1]
     if n_s != model.dims.q:

@@ -277,7 +277,7 @@ def test_criterion_8_frequency_search():
             for B in blocks:
                 Z = Z @ numkit.right_null_basis(B @ Z, scale_floor=scale)
             recursive_fcr = Z.shape[1] == 0
-            direct_fcr = numkit.is_fcr(stack)
+            direct_fcr = numkit.rank_of(stack).rank == n
             assert recursive_fcr == direct_fcr
 
 

@@ -179,6 +179,20 @@ def test_negative_seed_usage_error(command, siso1_path, capsys):
     assert err.startswith("error: --seed must be a non-negative integer")
 
 
+@pytest.mark.parametrize("command,flag", [("find-freqs", "--refine"), ("oracle", "--trials")])
+@pytest.mark.parametrize("value", ["-2", "-1", "0"])
+def test_negative_count_usage_error(command, flag, value, siso1_path, capsys):
+    argv = [command, "--model", str(siso1_path), *SISO1_RUNS[command]]
+    argv += [flag, value]
+    code, out, err = run(argv, capsys)
+    if value == "0":
+        assert code == 0 and parse(out)["subcommand"] == command
+        return
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]} must be a non-negative integer, got {value}")
+
+
 def test_sloppiness_infinite_eps_usage_error(siso1_path, capsys):
     argv = ["sloppiness", "--model", str(siso1_path), *SISO1_RUNS["sloppiness"]]
     argv[argv.index("--eps") + 1] = "inf"

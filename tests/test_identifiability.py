@@ -109,7 +109,7 @@ def reference_pi(model, theta0, g):
     T = Pi_bar_r @ numkit.right_null_basis(Pi_bar_j)
     return dict(
         K=K, Pi=Pi, Pi_bar_r=Pi_bar_r, Pi_bar_j=Pi_bar_j,
-        Xi=numkit.left_null_basis(T).real, U_Pi2=numkit.svd_full(Pi).U2,
+        Xi=numkit.svd_full(T).U2.conj().T.real, U_Pi2=numkit.svd_full(Pi).U2,
         side_fcr=numkit.rank_of(T, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank == T.shape[1],
         shortcut=numkit.rank_of(Pi_bar_j, rtol=ident.ROBUST_RTOL,
                                 scale_floor=1.0).rank == Pi_bar_j.shape[1],
@@ -242,6 +242,52 @@ class TestPiSweep:
                 assert all(np.array_equal(x, pis[i].Xi) for i, x in zip(idx, xi))
                 seen += idx.tolist()
             assert sorted(seen) == list(range(len(pis)))
+
+
+def stacked_ranks_fcr(M, rtol):
+    """Full column rank of ``M`` at ``rtol`` on the unit scale floor, through
+    stacked_ranks: the reference route of the sweep's shortcut and side flags."""
+    return bool(numkit.stacked_ranks(M[None], (rtol,), 1.0)[1][0, 0] == M.shape[1])
+
+
+D12 = Dims(m_x=12, m_u=2, m_y=1, m_z=2, m_v=5, q=10)
+D4 = Dims(m_x=3, m_u=2, m_y=2, m_z=2, m_v=4, q=3)
+
+
+class TestSweepFlags:
+    """The shortcut and side flags that GridSweep reads from its own SVDs equal
+    the decisions of a second, compute_uv=False SVD of each matrix."""
+
+    @pytest.mark.parametrize("seed,kind", [
+        (0, dict(kernel_rich=True)),                         # wide Pi_bar_j, 3 x 4
+        (0, dict(kernel_rich=True, time_domain="discrete")),
+        (1, dict(dims=D12)),                                 # wide, 5 x 8
+        (2, dict(dims=D12, time_domain="discrete")),
+        (5, dict(dims=D4)),                                  # tall, 4 x 4
+        (6, dict(dims=D4, time_domain="discrete")),
+    ])
+    @pytest.mark.parametrize("near_cut", [False, True])
+    def test_flags_equal_stacked_ranks(self, seed, kind, near_cut):
+        m = testing.random_regular_model(seed, **kind)
+        t0 = interior_theta(m, seed)
+        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).blocks
+        kernels = None
+        if near_cut:
+            # Kernel bases whose two first columns lie 1e-12 to 1 apart put
+            # Pi_bar_j and T on both sides of their cuts along the grid.
+            K = np.array([numkit.right_null_basis(g.G_yv) for g in blocks])
+            K[:, :, 1] = K[:, :, 0] + np.geomspace(1e-12, 1.0, len(blocks))[:, None] * K[:, :, 1]
+            kernels = [(np.arange(len(blocks)), K)]
+        sweep = ident.GridSweep(m, t0, blocks, kernels)
+        for i in range(len(blocks)):
+            p = sweep.at(i)
+            T = p.Pi_bar_r @ numkit.right_null_basis(p.Pi_bar_j)
+            assert sweep.shortcut[i] == stacked_ranks_fcr(p.Pi_bar_j, ident.ROBUST_RTOL)
+            assert sweep.side[i] == stacked_ranks_fcr(T, ident.DECISION_RTOL)
+        if near_cut:
+            assert 0 < sweep.side.sum() < len(blocks)
+            if p.Pi_bar_j.shape[0] >= p.Pi_bar_j.shape[1]:
+                assert 0 < sweep.shortcut.sum() < len(blocks)
 
 
 def reference_normal_row_rank(model, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lftident import model as model_mod
-from lftident import numkit, response, testing
+from lftident import numkit
 from lftident.errors import (
     ModelFormatError,
     ModelShapeError,
@@ -160,33 +160,3 @@ class TestValidateAssumptions:
                            match=r"^I - P\(theta\) D_zv singular at theta=\[1\.0\] \(sigma_min="):
             model_mod.validate_assumptions(singular, [[0.0], [1.0], [0.5]])
         assert len(calls) == 2
-
-class TestDualize:
-    def test_siso1_self_dual(self, siso1):
-        d = model_mod.dualize(siso1)
-        for key in ("E", "A_xx", "B_xu", "C_yx", "D_yu"):
-            assert np.allclose(getattr(d, key), getattr(siso1, key))
-
-    def test_shape_swap(self):
-        m = testing.random_regular_model(11, dims=Dims(m_x=2, m_u=3, m_y=2, m_z=1, m_v=2, q=2))
-        d = model_mod.dualize(m)
-        assert d.dims.m_u == m.dims.m_y and d.dims.m_y == m.dims.m_u
-        assert d.dims.m_z == m.dims.m_v and d.dims.m_v == m.dims.m_z
-
-    def test_involution_exact(self):
-        for m in model_pool(4, start=90):
-            dd = model_mod.dualize(model_mod.dualize(m))
-            for key in ("E", "A_xx", "B_xu", "B_xv", "C_yx", "C_zx",
-                        "D_yu", "D_yv", "D_zu", "D_zv"):
-                assert np.array_equal(getattr(dd, key), getattr(m, key))
-            for Pk, Pk2 in zip(m.P, dd.P):
-                assert np.array_equal(Pk, Pk2)
-
-    def test_transposes_response(self):
-        for m in model_pool(4, start=110):
-            theta = interior_theta(m, 5)
-            d = model_mod.dualize(m)
-            w = 0.7
-            H = response.h_lft(m, theta, response.g_blocks(m, w))
-            Hd = response.h_lft(d, theta, response.g_blocks(d, w))
-            assert np.linalg.norm(Hd - H.T) <= 1e-12 * max(1.0, np.linalg.norm(H))

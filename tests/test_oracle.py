@@ -206,6 +206,27 @@ class TestLocalIdentifiability:
     def test_theta_free_false(self, theta_free):
         assert not oracle.local_identifiability(oracle.fd_jacobian(theta_free, [0.0], [1.0]))
 
+    def test_estimate_carries_the_one_rank_decision(self, siso1, dup2, theta_free):
+        # The report's singular values, the local verdict and the Jacobian
+        # spectrum all read est.decision: the singular values of numpy's
+        # compute_uv=False SVD of J, bit for bit, and the decisions of an
+        # independent rank_of(J).  A 2 x 3 Jacobian is wide.
+        wide = testing.random_regular_model(4, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=1, m_v=2, q=3))
+        cases = [(siso1, [1.0]), (siso1, [0.0, 1.0]), (dup2, [1.0]), (theta_free, [1.0]),
+                 (wide, [1.0])] + [(m, [0.5, 2.0]) for m in model_pool(3, start=30)]
+        for m, freqs in cases:
+            est = oracle.fd_jacobian(m, np.zeros(m.dims.q), freqs)
+            sigma = est.decision.singular_values
+            assert np.array_equal(sigma, np.linalg.svd(est.J, compute_uv=False))
+            assert est.decision.rank == numkit.rank_of(est.J).rank
+            local = oracle.local_identifiability(est)
+            assert local == oracle.local_identifiability(est.J)
+            assert local == (numkit.rank_of(est.J).rank == m.dims.q)
+            if local:
+                assert np.array_equal(oracle.jacobian_sloppiness(est),
+                                      oracle.jacobian_sloppiness(est.J))
+        assert not oracle.local_identifiability(oracle.fd_jacobian(wide, np.zeros(3), [1.0]))
+
 
 class TestJacobianSloppiness:
     def test_unit_column(self):
