@@ -49,19 +49,22 @@ DEFAULT_W_MAX = 1e2
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Ascending pole-guarded candidate frequencies, kept as their transfer blocks."""
+    """Ascending pole-guarded candidate frequencies and the sweep of their transfer blocks."""
 
-    blocks: tuple[response.GBlocks, ...]
+    sweep: response.GSweep
     time_domain: str
-    n_guarded: int
 
     def __post_init__(self):
-        if not self.blocks:
+        if not len(self.sweep):
             raise EmptyGrid("every candidate frequency was removed by the pole guard")
 
     @property
     def points(self) -> np.ndarray:
-        return np.array([g.omega for g in self.blocks])
+        return np.array(self.sweep.omegas)
+
+    @property
+    def n_guarded(self) -> int:
+        return len(self.sweep.guarded)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def default_grid(
     """Logarithmic grid over [w_min, w_max] (continuous) or uniform over (0, pi].
 
     Points failing the pole guard are removed; an empty result raises
-    EmptyGrid.  The kept points carry the transfer blocks the guard evaluated.
+    EmptyGrid.  The grid keeps the sweep of transfer blocks the guard evaluated.
     Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
     ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``.
     """
@@ -107,9 +110,8 @@ def default_grid(
         raw = np.geomspace(w_min, w_max, n_points)
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
-    kept, guarded = response.g_sweep(model, raw.tolist())
-    return FrequencyGrid(blocks=tuple(kept), time_domain=model.time_domain,
-                         n_guarded=len(guarded))
+    return FrequencyGrid(sweep=response.g_sweep(model, raw.tolist()),
+                         time_domain=model.time_domain)
 
 
 def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
@@ -117,7 +119,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR."""
     m_z = model.dims.m_z
     q = model.dims.q
-    sweep = ident.GridSweep(model, theta0, grid.blocks)
+    sweep = ident.GridSweep(model, theta0, grid.sweep)
     pis: list[ident.PiDecomposition] = []
     trace: list[int] = []
 
@@ -150,7 +152,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         return plan(NO_PROGRESS_ON_GRID)
     _, best, block = found
     pis.append(sweep.at(best))
-    rest = np.ones(len(sweep.blocks), dtype=bool)
+    rest = np.ones(len(sweep.g), dtype=bool)
     rest[best] = False
     Z = ident.chain_null_basis(block)
     trace.append(Z.shape[1])

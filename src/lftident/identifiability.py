@@ -12,7 +12,7 @@ condition is decided through a stacked rank test built from two objects:
   and the SVD complement ``U_Pi2`` furnish the row blocks of the stacked test
   matrix, which is verified recursively by chaining right-null bases.
 
-:class:`GridSweep` builds these factors for a list of transfer blocks.  Per
+:class:`GridSweep` builds these factors for a :class:`response.GSweep`.  Per
 grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
 full SVD, which only U_Pi2 needs, runs per kernel group when a point of the
@@ -123,10 +123,10 @@ class PiDecomposition:
     condition (Pi_bar_r times that null basis is full column rank at the
     DECISION_RTOL margin); ``shortcut`` says Pi_bar_j is full column rank with
     the ROBUST_RTOL margin, so that the frequency certifies on its own.  ``g``
-    holds the transfer blocks Pi was built from.
+    is the one-point sweep of the transfer blocks Pi was built from.
     """
 
-    g: response.GBlocks
+    g: response.GSweep
     K: np.ndarray
     Pi: np.ndarray
     Pi_bar_r: np.ndarray
@@ -138,7 +138,7 @@ class PiDecomposition:
 
     @property
     def omega(self) -> float:
-        return self.g.omega
+        return self.g.omegas[0]
 
     @property
     def kernel_dim(self) -> int:
@@ -155,25 +155,25 @@ def _u2_stack(U: np.ndarray) -> np.ndarray:
     return np.concatenate([U.real, U.imag], axis=-1).swapaxes(-1, -2)
 
 
-def pi_at(model: DescriptorModel, theta0, g: response.GBlocks,
+def pi_at(model: DescriptorModel, theta0, g: response.GSweep,
           kernel: np.ndarray | None = None) -> PiDecomposition:
-    """Build the Pi decomposition from the transfer blocks ``g`` at one frequency:
-    the one-point case of :class:`GridSweep`.
+    """Build the Pi decomposition from the one-point sweep ``g`` of transfer
+    blocks: the one-point case of :class:`GridSweep`.
 
     ``kernel`` overrides the computed kernel basis of G_yv (any basis of the
     same column span gives the same verdicts; the override exists to exercise
     exactly that invariance).
     """
     K = None if kernel is None else [(np.zeros(1, dtype=int), np.asarray(kernel, dtype=complex)[None])]
-    return GridSweep(model, theta0, [g], K).at(0)
+    return GridSweep(model, theta0, g, K).at(0)
 
 
-def pi_sweep(model: DescriptorModel, theta0, blocks) -> list[PiDecomposition]:
-    """:func:`pi_at` at each of the transfer blocks ``blocks``: every point of a
-    :class:`GridSweep`, bitwise equal to one pi_at call per block.  A singular
-    loop raises pi_at's WellPosednessViolation for the first such block."""
-    sweep = GridSweep(model, theta0, blocks)
-    return [sweep.at(i) for i in range(len(sweep.blocks))]
+def pi_sweep(model: DescriptorModel, theta0, g: response.GSweep) -> list[PiDecomposition]:
+    """:func:`pi_at` at each point of the sweep ``g``: every point of a
+    :class:`GridSweep`, bitwise equal to one pi_at call per point.  A singular
+    loop raises pi_at's WellPosednessViolation for the first such point."""
+    sweep = GridSweep(model, theta0, g)
+    return [sweep.at(i) for i in range(len(g))]
 
 
 def _by_value(values: np.ndarray):
@@ -193,35 +193,37 @@ def _fcr(sigma: np.ndarray, shape: tuple[int, int, int], rtol: float) -> np.ndar
 
 
 class GridSweep:
-    """The Pi factors of the transfer blocks ``blocks`` at ``theta0``, kept as stacks.
+    """The Pi factors of the transfer-block sweep ``g`` at ``theta0``, kept as stacks.
 
-    Points that share a G_yv stack and a kernel dimension form a kernel group
-    (``kernels``, ``(indices, K stack)`` pairs, overrides the computed bases).
-    ``xis`` holds the Xi stacks as ``(indices, Xi stack)`` pairs; ``side`` and
-    ``shortcut`` hold each point's side condition and shortcut flag.  :meth:`at`
-    builds one point's PiDecomposition and runs its group's Pi SVD on first
-    use.  Slices keep the memory layout of the one-matrix route, on which BLAS
-    results depend.
+    Points that share a chunk of the G_yv stack and a kernel dimension form a
+    kernel group (``kernels``, ``(indices, K stack)`` pairs, overrides the
+    computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
+    pairs; ``side`` and ``shortcut`` hold each point's side condition and
+    shortcut flag.  :meth:`at` builds one point's PiDecomposition and runs its
+    group's Pi SVD on first use.  Slices keep the memory layout of the
+    one-matrix route, on which BLAS results depend.
     """
 
-    def __init__(self, model: DescriptorModel, theta0, blocks,
+    def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
                  kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
         t0 = model.check_theta(theta0)
-        self.blocks = blocks = list(blocks)
+        self.g = g
         if kernels is None:
             kernels = []
-            for idx, G in numkit._stacks([g.G_yv for g in blocks]):
-                _, _, V, rank = numkit.svd_stack(G)
-                kernels += [(idx[sel], V[sel][:, :, r:]) for r, sel in _by_value(rank)]
+            for start in range(0, len(g), numkit._CHUNK):
+                _, _, V, rank = numkit.svd_stack(g.G_yv[start:start + numkit._CHUNK])
+                kernels += [(start + np.arange(len(rank))[sel], V[sel][:, :, r:])
+                            for r, sel in _by_value(rank)]
         m_v = model.dims.m_v
         for _, K in kernels:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-        loops = np.eye(m_v) - model.p_of(t0) @ np.array([g.G_zv for g in blocks])
+        # A compact copy of G_zv: the product's bits depend on the operand's layout.
+        loops = np.eye(m_v) - model.p_of(t0) @ np.ascontiguousarray(g.G_zv)
         numkit.loop_guard_stack(
-            loops, lambda i: f"I - P(theta0) G_zv singular at omega={blocks[i].omega}"
+            loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}"
         )
-        n = len(blocks)
+        n = len(g)
         self.side = np.zeros(n, dtype=bool)
         self.shortcut = np.zeros(n, dtype=bool)
         self.xis: list[tuple[np.ndarray, np.ndarray]] = []
@@ -261,7 +263,7 @@ class GridSweep:
         grp, j, x, k = self._slots[:, i].tolist()
         K, Pi, R, J = self._groups[grp]
         return PiDecomposition(
-            g=self.blocks[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
+            g=self.g[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
             Xi=self.xis[x][1][k], U_Pi2=self._u_pi2s(grp)[j],
             side_fcr=bool(self.side[i]), shortcut=bool(self.shortcut[i]))
 
@@ -278,7 +280,7 @@ def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
 
     Each round draws as many frequencies as probes are still missing, in the
     order of one draw per attempt, evaluates them in one :func:`response.g_sweep`
-    and ranks the unguarded G_zu in one stacked rank test; at most
+    and ranks its stacked G_zu in one stacked rank test; at most
     20 * _RANK_PROBES frequencies are drawn.  Raises FNRRViolation when the
     probe ranks disagree, since that leaves the normal rank undecided at the
     working tolerance.
@@ -294,10 +296,8 @@ def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
             w = [float(10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(n)]
         else:
             w = [float(rng.uniform(0.05, np.pi - 0.05)) for _ in range(n)]
-        kept, _ = response.g_sweep(model, w)
-        if kept:
-            G = np.array([g.G_zu for g in kept])
-            ranks += numkit.stacked_ranks(G, (numkit.DEFAULT_RANK_RTOL,))[1][0].tolist()
+        kept = response.g_sweep(model, w)
+        ranks += numkit.stacked_ranks(kept.G_zu, (numkit.DEFAULT_RANK_RTOL,))[1][0].tolist()
     if len(ranks) < _RANK_PROBES:
         raise FNRRViolation("could not place rank probes away from poles")
     if min(ranks) != max(ranks):
@@ -313,7 +313,7 @@ def check_fnrr(model: DescriptorModel, seed: int = 20260808) -> int:
     if r < model.dims.m_z:
         raise FNRRViolation(
             f"G_zu has normal row rank {r} < m_z={model.dims.m_z}; the stacked "
-            "rank test does not apply (consider dualizing the model)"
+            "rank test needs full normal row rank and does not apply to this model"
         )
     return r
 
@@ -378,7 +378,7 @@ class IdentifiabilityVerdict:
 def sensitivity_stack(model: DescriptorModel, theta0, blocks) -> np.ndarray:
     """Exact first-order response-sensitivity map as a real stacked matrix.
 
-    Column k holds, for the transfer blocks of each frequency in turn, the
+    Column k holds, for each of the one-point sweeps ``blocks`` in turn, the
     real and imaginary parts of vec of G_yv (I - P0 G_zv)^-1 P_k
     (I - G_zv P0)^-1 G_zu, which is the derivative of the response with
     respect to theta_k at theta0.
@@ -388,8 +388,8 @@ def sensitivity_stack(model: DescriptorModel, theta0, blocks) -> np.ndarray:
     m_v, m_z = model.dims.m_v, model.dims.m_z
     cols = [[] for _ in range(model.dims.q)]
     for g in blocks:
-        L = np.linalg.solve((np.eye(m_v) - P0 @ g.G_zv).T, g.G_yv.T).T
-        R = np.linalg.solve(np.eye(m_z) - g.G_zv @ P0, g.G_zu)
+        L = np.linalg.solve((np.eye(m_v) - P0 @ g.G_zv[0]).T, g.G_yv[0].T).T
+        R = np.linalg.solve(np.eye(m_z) - g.G_zv[0] @ P0, g.G_zu[0])
         for k, Pk in enumerate(model.P):
             dH = L @ Pk @ R
             cols[k].append(numkit.vec(dH.real))

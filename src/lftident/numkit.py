@@ -13,9 +13,9 @@ results are bitwise equal.  Each matrix is decomposed once: a caller that
 holds a full SVD reads every other rank decision, null basis and 2-norm of
 that matrix from it, through ``_ranks`` (the cut at another tolerance) and
 ``_split`` (the factors split at a cut chosen after the decomposition).
-Callers stack at most ``_CHUNK`` matrices of one shape and dtype at a time
-(``_stacks`` groups a list so), so the memory a long frequency grid stacks
-stays bounded.
+Callers stack at most ``_CHUNK`` matrices at a time, so the memory a long
+frequency grid stacks stays bounded: they slice an existing stack in chunks,
+and ``_stacks`` groups a list of matrices of differing shapes into chunks.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -100,8 +100,8 @@ def _svd(S: np.ndarray, compute_uv: bool):
 
 
 def _stacks(mats):
-    """The 2-D arrays ``mats`` grouped by shape and dtype and stacked in chunks:
-    yields ``(indices, stack)`` with ``stack[j] = mats[indices[j]]``."""
+    """Chunked stacks of the 2-D arrays ``mats``, which differ in shape (the greedy U_Pi2):
+    yields ``(indices, stack)`` with ``stack[j] = mats[indices[j]]``, one shape and dtype each."""
     groups: dict = {}
     for i, M in enumerate(mats):
         groups.setdefault((M.shape, M.dtype), []).append(i)

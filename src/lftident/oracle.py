@@ -4,16 +4,16 @@ Everything here is deliberately dumb: central finite differences of the
 stacked response map, direct singular-value arithmetic, random falsification
 probes and empirical boundary sampling.  None of it uses the Pi factors, the
 stacked rank test or the sloppiness eigenpencil it checks.  It shares the
-evaluation of H (``response.g_blocks``, and ``response.h_sweep`` over a stack
-of thetas at one frequency, of which ``h_lft`` is the one-theta case),
+evaluation of H (``response.g_sweep``, and ``response.h_sweep`` over a stack
+of thetas at one of its points, of which ``h_lft`` is the one-theta case),
 numkit's default rank decision on the Jacobian, Psi's decomposition
 (``identifiability.psi``) and, for the empirical boundary, the S matrices and
 ellipsoid that ``sloppiness`` builds (from Pi factors of the blocks the check
 evaluated).
 
-Each frequency's blocks are evaluated once: :func:`fd_jacobian` keeps them on
-its :class:`JacobianEstimate`, and the probe reads them there.  The estimate
-also keeps the one rank decision on its Jacobian, which the report's
+The frequencies are evaluated once, in one sweep: :func:`fd_jacobian` keeps
+it on its :class:`JacobianEstimate`, and the probe reads it there.  The
+estimate also keeps the one rank decision on its Jacobian, which the report's
 singular values, :func:`local_identifiability` and :func:`jacobian_sloppiness`
 read.  The perturbed thetas of one finite-difference step go through one
 ``h_sweep`` per frequency; the probe's candidates and the boundary samples do
@@ -49,7 +49,7 @@ RESPONSE_MATCH_TOL = 1e-10
 
 def response_stack(model: DescriptorModel, thetas, blocks) -> np.ndarray:
     """Real stacked response map of each row of ``thetas``: one row per theta
-    holding, per frequency's transfer blocks, Re vec H then Im vec H.
+    holding, per point of the transfer-block sweep ``blocks``, Re vec H then Im vec H.
 
     One :func:`response.h_sweep` per frequency.  Raises the loop guard's
     WellPosednessViolation of the first theta, then the first frequency, whose
@@ -88,14 +88,14 @@ class JacobianEstimate:
     """Central-difference Jacobian of the stacked response map.
 
     ``step_halving_change`` is the relative change when the step is halved,
-    a direct read on the truncation error.  ``blocks`` holds the evaluated
+    a direct read on the truncation error.  ``blocks`` is the sweep of the
     transfer blocks of ``freqs``, in order.  ``decision`` is the rank decision
     on ``J`` at numkit's default tolerance, with its singular values.
     """
 
     J: np.ndarray
     step: float
-    blocks: tuple[response.GBlocks, ...]
+    blocks: response.GSweep
     theta0: np.ndarray
     scheme: str
     step_halving_change: float
@@ -103,7 +103,7 @@ class JacobianEstimate:
 
     @property
     def freqs(self) -> tuple[float, ...]:
-        return tuple(g.omega for g in self.blocks)
+        return self.blocks.omegas
 
 
 def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -> JacobianEstimate:
@@ -119,7 +119,7 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
         raise InvalidInput(f"finite-difference step must be finite and > 0, got {h}")
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    blocks = tuple(response.g_blocks(model, wi) for wi in w)
+    blocks = response.g_sweep(model, w).raise_guarded()
     if h is None:
         h = 1e-5 * max(1.0, float(np.max(np.abs(t0))) if t0.size else 1.0)
     q = model.dims.q
@@ -289,7 +289,7 @@ def ellipsoid_empirical_check(
     """
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
-    blocks = [response.g_blocks(model, wi) for wi in w]
+    blocks = response.g_sweep(model, w).raise_guarded()
     pis = identifiability.pi_sweep(model, t0, blocks)
     S = sloppiness.s_matrices(model, t0, w, pis=pis)
     ell = sloppiness.frobenius_ellipsoid(S, eps)

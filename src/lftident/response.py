@@ -5,12 +5,12 @@ H is evaluated from the transfer blocks through the interconnection form
     H = G_yu + G_yv (I - P(theta) G_zv)^-1 P(theta) G_zu.
 
 :func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
-stacked numpy calls (chunks of pencils); :func:`g_blocks` is its one-point
-case.  numpy's stacked ``svd`` and ``solve`` run the same LAPACK routine on
-each pencil, so a sweep and one call per frequency give bitwise equal blocks.
-:func:`h_sweep` evaluates H at one frequency's blocks for a stack of thetas in
-the same way (one loop guard and one solve per chunk of thetas); :func:`h_lft`
-is its one-theta case.
+stacked numpy calls (chunks of pencils) into one :class:`GSweep`;
+:func:`g_blocks` is its one-point case.  numpy's stacked ``svd`` and ``solve``
+run the same LAPACK routine on each pencil, so a sweep and one call per
+frequency give bitwise equal blocks.  :func:`h_sweep` evaluates H at one point
+of a sweep for a stack of thetas in the same way (one loop guard and one solve
+per chunk of thetas); :func:`h_lft` is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
@@ -18,7 +18,7 @@ skips the exact SVD only for a pencil whose sigma_min has a certified lower
 bound of at least twice the largest floor the pencil could have.  An anchor
 pencil, solved against [B | I], takes the bound from its inverse.  Weyl's
 inequality carries that bound to the anchor's neighbours, and a neighbour it
-certifies is solved against B alone (see ``_pencil_solve``).  So the guarded
+certifies is solved against B alone (see :func:`g_sweep`).  So the guarded
 frequencies and their messages are those of an SVD of every pencil.
 """
 
@@ -35,7 +35,7 @@ from .errors import InvalidInput, PoleProximity
 from .model import DescriptorModel
 
 __all__ = [
-    "GBlocks",
+    "GSweep",
     "lambda_at",
     "check_freqs",
     "g_sweep",
@@ -53,7 +53,7 @@ POLE_GUARD_RTOL = 1e-8
 # after the first pass.
 _SOLVE_BYTES = 120 << 10
 # Every _ANCHOR_STRIDE-th pencil of a chunk is solved against [B | I] and
-# certifies its neighbours (see _pencil_solve).  Of strides 4, 8, 16 and 32,
+# certifies its neighbours (see g_sweep).  Of strides 4, 8, 16 and 32,
 # 8 gave the fastest search-wide pass.
 _ANCHOR_STRIDE = 8
 # Pencils with fewer states are each their own anchor, all solved in one
@@ -62,16 +62,40 @@ _ANCHOR_STRIDE = 8
 _ANCHOR_MIN_STATES = 10
 
 
-@dataclass(frozen=True)
-class GBlocks:
-    """The four transfer blocks of the parameter-free interconnection at one frequency."""
+@dataclass(frozen=True, eq=False)
+class GSweep:
+    """The four transfer blocks of the parameter-free interconnection over a
+    frequency list: ``G[i]`` is [[G_yu, G_yv], [G_zu, G_zv]] at ``omegas[i]``,
+    and the block properties are stacked views of ``G``.  ``guarded`` holds
+    the pole guard's PoleProximity for each dropped frequency, in order.
+    ``sweep[i]`` is point i as a one-point sweep with the strides of the
+    point's matrix (BLAS results depend on them); functions of one frequency
+    take such a point and read ``g.G_yu[0]``."""
 
-    omega: float
-    lam: complex
-    G_yu: np.ndarray
-    G_yv: np.ndarray
-    G_zu: np.ndarray
-    G_zv: np.ndarray
+    omegas: tuple[float, ...]
+    lams: tuple[complex, ...]
+    G: np.ndarray
+    m_y: int
+    m_u: int
+    guarded: tuple[PoleProximity, ...] = ()
+
+    G_yu = property(lambda self: self.G[:, :self.m_y, :self.m_u])
+    G_yv = property(lambda self: self.G[:, :self.m_y, self.m_u:])
+    G_zu = property(lambda self: self.G[:, self.m_y:, :self.m_u])
+    G_zv = property(lambda self: self.G[:, self.m_y:, self.m_u:])
+
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+    def __getitem__(self, i: int) -> GSweep:
+        i = range(len(self))[i]  # its IndexError also ends iteration
+        return GSweep(self.omegas[i:i + 1], self.lams[i:i + 1], self.G[i:i + 1], self.m_y, self.m_u)
+
+    def raise_guarded(self) -> GSweep:
+        """This sweep; raises the guard's first complaint if it dropped a frequency."""
+        if self.guarded:
+            raise self.guarded[0]
+        return self
 
 
 def lambda_at(time_domain: str, omega: float) -> complex:
@@ -132,12 +156,9 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
         del Y
 
 
-def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[complex]):
-    """Solve (lam E - A) X = B at each of ``lams`` whose pencil passes the pole guard.
-
-    Yields, per chunk of ``lams``, the solutions of the kept lams, stacked in
-    order, and per lam None (kept) or the guard's complaint.  The solutions
-    are a view of a buffer that the next chunk overwrites.
+def g_sweep(model: DescriptorModel, omegas) -> GSweep:
+    """The four G blocks at each of ``omegas`` that passes the pole guard: the
+    pencils are solved in stacked chunks, and each chunk's D + C X fills one buffer.
 
     The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
     1e-14 max(sigma_max, 1)).  That floor is at most max(POLE_GUARD_RTOL
@@ -165,6 +186,13 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     [B | I] bit for bit.  That is a property of the LAPACK numpy links, not a
     guarantee; tests/test_response.py checks it on the benchmark's shapes.
     """
+    omegas = list(omegas)
+    lams = [lambda_at(model.time_domain, w) for w in omegas]
+    E, A = model.E, model.A_xx
+    B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
+    C = np.vstack([model.C_yx, model.C_zx])
+    D = np.vstack([np.hstack([model.D_yu, model.D_yv]),
+                   np.hstack([model.D_zu, model.D_zv])])
     n, m_b = B.shape
     # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
     a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
@@ -176,9 +204,12 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
     size = min(len(lams), numkit._CHUNK)
     pencils = np.empty((size, n, n), complex)
     X = np.empty((size, n, m_b), complex)
-    for part in numkit._chunks(lams):
-        k = len(part)
-        lam = np.array(part)
+    G = np.empty((len(lams), *D.shape), complex)
+    kept_at: list[int] = []  # the kept points, whose rows of G are filled in order
+    guarded: list[PoleProximity] = []
+    for start in range(0, len(lams), numkit._CHUNK):
+        lam = np.array(lams[start:start + numkit._CHUNK])
+        k = len(lam)
         Xk = X[:k]
         solved = np.zeros(k, dtype=bool)
         bound = np.zeros(k)  # certified lower bounds on sigma_min
@@ -203,7 +234,6 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
             _solve_group(pencils[end:k], rest, lam, E, A, BI, Xk, solved, bound)
             order = np.concatenate([anchors, covered, rest])
         kept = solved & (bound >= 2.0 * largest_floor)
-        complaints: list[str | None] = [None] * k
         undecided = np.flatnonzero(~kept)
         if undecided.size:
             at = np.argsort(order)[undecided]  # their places in the buffer
@@ -212,60 +242,28 @@ def _pencil_solve(E: np.ndarray, A: np.ndarray, B: np.ndarray, lams: list[comple
             floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
             low = sig[:, -1] < floor
             kept[undecided] = ~low
-            for i in np.flatnonzero(low):
-                complaints[undecided[i]] = (
-                    f"sigma_min(lambda E - A) = {sig[i, -1]:.3e} below guard {floor[i]:.3e}")
+            guarded += [PoleProximity(
+                f"omega={omegas[start + undecided[i]]}: sigma_min(lambda E - A) = "
+                f"{sig[i, -1]:.3e} below guard {floor[i]:.3e}") for i in np.flatnonzero(low)]
             unsolved = ~low & ~solved[undecided]
             if unsolved.any():
                 Xk[undecided[unsolved]] = np.linalg.solve(
                     pencils[at[unsolved]], np.broadcast_to(B, (unsolved.sum(), n, m_b)))
-        yield (Xk if kept.all() else Xk[kept]), complaints
+            Xk = Xk[kept]
+        kept_at += (start + np.flatnonzero(kept)).tolist()
+        G[len(kept_at) - len(Xk):len(kept_at)] = D + C @ Xk
+    return GSweep(omegas=tuple(float(omegas[i]) for i in kept_at),
+                  lams=tuple(lams[i] for i in kept_at), G=G[:len(kept_at)],
+                  m_y=model.dims.m_y, m_u=model.dims.m_u, guarded=tuple(guarded))
 
 
-def g_sweep(model: DescriptorModel, omegas) -> tuple[list[GBlocks], list[PoleProximity]]:
-    """Evaluate the four G blocks at each of ``omegas``, in stacked chunks.
-
-    Returns the blocks of the frequencies that pass the pole guard, in order,
-    and the PoleProximity the guard raises for each of the others, in order.
-    """
-    omegas = list(omegas)
-    lams = [lambda_at(model.time_domain, w) for w in omegas]
-    B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
-    C = np.vstack([model.C_yx, model.C_zx])
-    D = np.vstack([np.hstack([model.D_yu, model.D_yv]),
-                   np.hstack([model.D_zu, model.D_zv])])
-    m_y, m_u = model.dims.m_y, model.dims.m_u
-    kept: list[GBlocks] = []
-    guarded: list[PoleProximity] = []
-    solved = _pencil_solve(model.E, model.A_xx, B, lams)
-    for part, (X, complaints) in zip(numkit._chunks(list(zip(omegas, lams))), solved):
-        G = iter(D + C @ X)
-        for (omega, lam), complaint in zip(part, complaints):
-            if complaint is not None:
-                guarded.append(PoleProximity(f"omega={omega}: {complaint}"))
-                continue
-            Gi = next(G)
-            kept.append(GBlocks(
-                omega=float(omega),
-                lam=lam,
-                G_yu=Gi[:m_y, :m_u],
-                G_yv=Gi[:m_y, m_u:],
-                G_zu=Gi[m_y:, :m_u],
-                G_zv=Gi[m_y:, m_u:],
-            ))
-    return kept, guarded
+def g_blocks(model: DescriptorModel, omega: float) -> GSweep:
+    """The one-point :func:`g_sweep` of ``omega``; raises its PoleProximity."""
+    return g_sweep(model, [omega]).raise_guarded()
 
 
-def g_blocks(model: DescriptorModel, omega: float) -> GBlocks:
-    """Evaluate the four G blocks at one frequency (pole-guarded)."""
-    kept, guarded = g_sweep(model, [omega])
-    if guarded:
-        raise guarded[0]
-    return kept[0]
-
-
-def h_sweep(model: DescriptorModel, thetas, g: GBlocks):
-    """H at ``g.omega`` for each row of ``thetas`` (an n x q stack), in stacked chunks.
+def h_sweep(model: DescriptorModel, thetas, g: GSweep):
+    """H at the one-point sweep ``g`` for each row of ``thetas`` (an n x q stack), in chunks.
 
     P(theta) accumulates theta_k P_k in the order of ``model.p_of``, and the loop
     guard and the solve run once per chunk, so each H is bitwise equal to an
@@ -286,23 +284,24 @@ def h_sweep(model: DescriptorModel, thetas, g: GBlocks):
         P = np.zeros((len(part), m_v, model.dims.m_z))
         for k, Pk in enumerate(model.P):
             P += part[:, k, None, None] * Pk
-        loops = np.eye(m_v) - P @ g.G_zv
+        loops = np.eye(m_v) - P @ g.G_zv[0]
         _, bad = numkit._loop_guard_violations(
             loops,
-            lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={part[i].tolist()}",
+            lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[0]}, "
+                      f"theta={part[i].tolist()}",
         )
         if bad:
             ok = np.ones(len(part), dtype=bool)
             ok[list(bad)] = False
             loops, P = loops[ok], P[ok]
             violations.update((start + i, exc) for i, exc in bad.items())
-        Hs.append(g.G_yu + g.G_yv @ np.linalg.solve(loops, P @ g.G_zu))
+        Hs.append(g.G_yu[0] + g.G_yv[0] @ np.linalg.solve(loops, P @ g.G_zu[0]))
     return np.concatenate(Hs), violations
 
 
-def h_lft(model: DescriptorModel, theta, g: GBlocks) -> np.ndarray:
-    """H at ``g.omega`` via the interconnection route of the transfer blocks ``g``
-    (see g_blocks): the one-theta case of :func:`h_sweep`."""
+def h_lft(model: DescriptorModel, theta, g: GSweep) -> np.ndarray:
+    """H at the one-point sweep ``g`` via the interconnection route of its
+    transfer blocks (see g_blocks): the one-theta case of :func:`h_sweep`."""
     t = model.check_theta(theta)
     H, violations = h_sweep(model, t[None], g)
     if violations:

@@ -80,8 +80,8 @@ class PointwiseFactors:
         return int(self.sigma_zu.size)
 
 
-def pointwise_factors(model: DescriptorModel, theta0, g: response.GBlocks) -> PointwiseFactors:
-    """Factor G_yv and G_zu of the transfer blocks ``g`` at one frequency;
+def pointwise_factors(model: DescriptorModel, theta0, g: response.GSweep) -> PointwiseFactors:
+    """Factor G_yv and G_zu of the one-point sweep ``g`` of transfer blocks;
     requires G_zu full row rank there."""
     t0 = model.check_theta(theta0)
     m_z, m_v = model.dims.m_z, model.dims.m_v
@@ -90,27 +90,27 @@ def pointwise_factors(model: DescriptorModel, theta0, g: response.GBlocks) -> Po
     # frequency: a block vanishing at an isolated omega must read as a rank
     # drop, not be ranked by its numerical dust.  The 2-norms of G_zu and G_yv
     # are the largest singular values of their own SVDs, split at that scale.
-    svds = [numkit.svd_stack(B[None]) for B in (g.G_zu, g.G_yv)]
+    svds = [numkit.svd_stack(B) for B in (g.G_zu, g.G_yv)]
     scale = max(
         [float(sigma[0, 0]) for _, sigma, _, _ in svds if sigma.size]
-        + [float(np.linalg.norm(B, 2)) for B in (g.G_yu, g.G_zv) if B.size],
+        + [float(np.linalg.norm(B[0], 2)) for B in (g.G_yu, g.G_zv) if B.size],
         default=1.0,
     )
     scale = max(scale, 1e-300)
-    zu, yv = (numkit._split(U[0], sigma[0], V[0], B.shape, numkit.DEFAULT_RANK_RTOL, scale)
+    zu, yv = (numkit._split(U[0], sigma[0], V[0], B.shape[1:], numkit.DEFAULT_RANK_RTOL, scale)
               for (U, sigma, V, _), B in zip(svds, (g.G_zu, g.G_yv)))
     if zu.rank < m_z:
         raise RankDrop(
-            f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={g.omega}; pick another frequency"
+            f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={g.omegas[0]}; pick another frequency"
         )
 
     P0 = model.p_of(t0)
-    loop_l = np.eye(m_v) - P0 @ g.G_zv
-    loop_r = np.eye(m_z) - g.G_zv @ P0
+    loop_l = np.eye(m_v) - P0 @ g.G_zv[0]
+    loop_r = np.eye(m_z) - g.G_zv[0] @ P0
     Phi_l = loop_l @ yv.V1 @ np.diag(1.0 / yv.sigma) if yv.rank else np.zeros((m_v, 0))
     Phi_r = np.diag(1.0 / zu.sigma) @ zu.U1.conj().T @ loop_r
     return PointwiseFactors(
-        omega=g.omega,
+        omega=g.omegas[0],
         U_yv1=yv.U1,
         sigma_yv=yv.sigma,
         V_yv1=yv.V1,

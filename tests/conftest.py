@@ -62,16 +62,16 @@ def full_rank_above(J, tol):
 
 
 def per_theta_h_lft(model, theta, g):
-    """Reference H at ``g.omega`` for one theta: P(theta) from ``model.p_of``,
-    one loop guard and one solve, as H was evaluated before the stacked
-    ``response.h_sweep``."""
+    """Reference H at the one point of the sweep ``g`` for one theta: P(theta)
+    from ``model.p_of``, one loop guard and one solve, as H was evaluated before
+    the stacked ``response.h_sweep``."""
     t = model.check_theta(theta)
     P = model.p_of(t)
-    loop = np.eye(model.dims.m_v) - P @ g.G_zv
+    loop = np.eye(model.dims.m_v) - P @ g.G_zv[0]
     numkit.loop_guard(
-        loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omega}, theta={t.tolist()}"
+        loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[0]}, theta={t.tolist()}"
     )
-    return g.G_yu + g.G_yv @ np.linalg.solve(loop, P @ g.G_zu)
+    return g.G_yu[0] + g.G_yv[0] @ np.linalg.solve(loop, P @ g.G_zu[0])
 
 
 def h_statespace(model, theta, omega):

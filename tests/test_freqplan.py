@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from lftident import freqplan, identifiability as ident, numkit, testing
-from lftident.errors import EmptyGrid
+from lftident import freqplan, identifiability as ident, numkit, response, testing
+from lftident.errors import EmptyGrid, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
 
@@ -41,8 +41,11 @@ class TestDefaultGrid:
         assert not np.any(np.isclose(g.points, w_star))
 
     def test_empty_grid_raises(self):
+        guarded = tuple(PoleProximity(f"omega={w}: near a pole") for w in range(5))
+        sweep = response.GSweep(omegas=(), lams=(), G=np.zeros((0, 2, 2), complex),
+                                m_y=1, m_u=1, guarded=guarded)
         with pytest.raises(EmptyGrid):
-            freqplan.FrequencyGrid(blocks=(), time_domain="continuous", n_guarded=5)
+            freqplan.FrequencyGrid(sweep=sweep, time_domain="continuous")
 
 
 class TestSearch:
@@ -122,7 +125,7 @@ def per_step_rebuild(model, theta0, grid):
     step: (status, selected, rank_trace, verdict reason or None)."""
     psi_dec = ident.psi(model)
     m_z = model.dims.m_z
-    cand = ident.pi_sweep(model, theta0, grid.blocks)
+    cand = ident.pi_sweep(model, theta0, grid.sweep)
     anchors = [p for p in cand if p.side_fcr]
     if not anchors:
         return freqplan.NO_PROGRESS_ON_GRID, (), (), None
@@ -205,7 +208,7 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
 def pi_svd_points(monkeypatch, model, theta0, grid):
     """The search's plan and, per numkit.svd_stack call it made on a stack of
     Pi, the grid indices of that stack's members, in call order."""
-    index = {p.Pi.tobytes(): i for i, p in enumerate(ident.pi_sweep(model, theta0, grid.blocks))}
+    index = {p.Pi.tobytes(): i for i, p in enumerate(ident.pi_sweep(model, theta0, grid.sweep))}
     calls = []
     svd_stack = numkit.svd_stack
 

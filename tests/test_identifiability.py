@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lftident import freqplan, identifiability as ident
 from lftident import numkit, oracle, response, testing
 from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PoleProximity,
                              WellPosednessViolation)
+from lftident import model as model_module
 from lftident.model import DescriptorModel, Dims
 
 from conftest import full_rank_above, interior_theta, model_pool
@@ -50,7 +52,7 @@ class TestKernelBasis:
     def test_wide_row(self):
         # G_yv(j w) = [g1 g2]: kernel is the orthogonal complement of the row.
         m = testing.random_regular_model(3, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=1, m_v=2, q=2))
-        g = response.g_blocks(m, 0.9).G_yv
+        g = response.g_blocks(m, 0.9).G_yv[0]
         K = ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.9)).K
         assert K.shape == (2, 1)
         assert np.linalg.norm(g @ K) < 1e-10 * np.linalg.norm(g)
@@ -80,7 +82,7 @@ class TestPiAt:
         t0 = np.zeros(m.dims.q)
         g = response.g_blocks(m, 1.3)
         p = ident.pi_at(m, t0, g)
-        assert np.linalg.norm(g.G_yv @ p.K) < 1e-10
+        assert np.linalg.norm(g.G_yv[0] @ p.K) < 1e-10
         assert np.allclose(p.K.conj().T @ p.K, np.eye(p.kernel_dim), atol=1e-12)
         assert np.linalg.norm(p.U_Pi2.conj().T @ p.Pi) < 1e-10
         assert np.allclose(p.U_Pi2.conj().T @ p.U_Pi2,
@@ -99,10 +101,11 @@ class TestPiAt:
 
 
 def reference_pi(model, theta0, g):
-    """pi_at as one single-matrix numkit call per factor (the unstacked route)."""
-    K = numkit.right_null_basis(g.G_yv)
-    loop = np.eye(model.dims.m_v) - model.p_of(theta0) @ g.G_zv
-    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omega}")
+    """pi_at as one single-matrix numkit call per factor (the unstacked route),
+    at the one point of the sweep ``g``."""
+    K = numkit.right_null_basis(g.G_yv[0])
+    loop = np.eye(model.dims.m_v) - model.p_of(theta0) @ g.G_zv[0]
+    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omegas[0]}")
     Pi = loop @ K
     Pi_bar_r = np.hstack([Pi.real, -Pi.imag])
     Pi_bar_j = np.hstack([Pi.imag, Pi.real])
@@ -116,18 +119,28 @@ def reference_pi(model, theta0, g):
     )
 
 
+def with_blocks(sweep, changes):
+    """``sweep`` with, for each ``(i, name, block)`` of ``changes``, the block
+    ``name`` of point i replaced by ``block``, in a copy of its G."""
+    changed = dataclasses.replace(sweep, G=sweep.G.copy())
+    for i, name, block in changes:
+        getattr(changed, name)[i] = block
+    return changed
+
+
 def isolated_kernel_changes(seed, kind):
-    """A model, theta0 and a 2*_CHUNK + 5 point grid whose G_yv is zeroed or
-    made rank one at isolated points, two of them on either side of the
+    """A model, theta0 and a 2*_CHUNK + 5 point grid sweep whose G_yv is zeroed
+    or made rank one at isolated points, two of them on either side of the
     first chunk boundary, so that their kernel dimension changes."""
     m = testing.random_regular_model(seed, **kind)
     t0 = interior_theta(m, seed)
-    blocks = list(freqplan.default_grid(m, n_points=2 * numkit._CHUNK + 5).blocks)
-    for i in (3, numkit._CHUNK - 1, numkit._CHUNK, len(blocks) - 1):
-        G = blocks[i].G_yv
+    sweep = freqplan.default_grid(m, n_points=2 * numkit._CHUNK + 5).sweep
+    changes = []
+    for i in (3, numkit._CHUNK - 1, numkit._CHUNK, len(sweep) - 1):
+        G = sweep.G_yv[i]
         G = np.zeros_like(G) if i % 2 else np.repeat(G[:1], G.shape[0], axis=0) * (1 + 0.5j)
-        blocks[i] = dataclasses.replace(blocks[i], G_yv=G)
-    return m, t0, blocks
+        changes.append((i, "G_yv", G))
+    return m, t0, with_blocks(sweep, changes)
 
 
 KERNEL_CHANGE_CASES = [
@@ -140,11 +153,20 @@ KERNEL_CHANGE_CASES = [
 FIELDS = ("K", "Pi", "Pi_bar_r", "Pi_bar_j", "Xi", "U_Pi2")
 
 
+def assert_same_point(a, b):
+    """The one-point sweeps ``a`` and ``b`` are the same point of one sweep: the
+    same frequency, and G views of the same memory with the same layout."""
+    assert (a.omegas, a.lams, a.m_y, a.m_u) == (b.omegas, b.lams, b.m_y, b.m_u)
+    assert a.G.base is b.G.base and a.G.__array_interface__ == b.G.__array_interface__
+
+
 def assert_equals_reference(model, theta0, p, g):
-    """``p`` equals reference_pi and pi_at at the blocks ``g``, bit for bit."""
+    """``p`` equals reference_pi and pi_at at the one-point sweep ``g``, bit
+    for bit, and was built from the point ``g``."""
     ref = reference_pi(model, theta0, g)
     one = ident.pi_at(model, theta0, g)
-    assert p.g is g
+    assert_same_point(p.g, g)
+    assert_same_point(one.g, g)
     for name in FIELDS:
         assert np.array_equal(getattr(p, name), ref[name]), name
         assert np.array_equal(getattr(one, name), ref[name]), name
@@ -152,11 +174,11 @@ def assert_equals_reference(model, theta0, p, g):
     assert p.shortcut == one.shortcut == ref["shortcut"]
 
 
-def search_materialized(monkeypatch, model, theta0, blocks):
-    """The Pi decompositions that a search over ``blocks`` builds, in order."""
+def search_materialized(monkeypatch, model, theta0, sweep):
+    """The Pi decompositions that a search over ``sweep`` builds, in order."""
     built = []
     at = ident.GridSweep.at
-    grid = freqplan.FrequencyGrid(blocks=tuple(blocks), time_domain=model.time_domain, n_guarded=0)
+    grid = freqplan.FrequencyGrid(sweep=sweep, time_domain=model.time_domain)
     with monkeypatch.context() as mp:
         mp.setattr(ident.GridSweep, "at", lambda self, i: built.append(at(self, i)) or built[-1])
         plan = freqplan.search_frequencies(model, theta0, grid=grid)
@@ -178,36 +200,35 @@ class TestPiSweep:
     def test_equals_pointwise(self, monkeypatch, seed, kind):
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
-        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).blocks
-        swept = ident.pi_sweep(m, t0, blocks)
-        assert len(swept) == len(blocks)
-        for p, g in zip(swept, blocks):
+        sweep = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).sweep
+        swept = ident.pi_sweep(m, t0, sweep)
+        assert len(swept) == len(sweep)
+        for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
-        for p in search_materialized(monkeypatch, m, t0, blocks):
+        for p in search_materialized(monkeypatch, m, t0, sweep):
             assert_equals_reference(m, t0, p, p.g)
 
     def test_first_singular_loop_raises(self, siso1):
         # With theta0 = 0.5, I - theta0 G_zv is singular where G_zv = 2.
         t0 = [0.5]
-        blocks = [response.g_blocks(siso1, w) for w in np.geomspace(0.1, 10.0, 40)]
-        for i in (numkit._CHUNK + 1, 3, 17):
-            blocks[i] = dataclasses.replace(blocks[i], G_zv=np.array([[2.0 + 0j]]))
+        sweep = with_blocks(response.g_sweep(siso1, np.geomspace(0.1, 10.0, 40)),
+                            [(i, "G_zv", 2.0) for i in (numkit._CHUNK + 1, 3, 17)])
         with pytest.raises(WellPosednessViolation) as single:
-            ident.pi_at(siso1, t0, blocks[3])
+            ident.pi_at(siso1, t0, sweep[3])
         with pytest.raises(WellPosednessViolation) as swept:
-            ident.pi_sweep(siso1, t0, blocks)
+            ident.pi_sweep(siso1, t0, sweep)
         assert str(swept.value) == str(single.value)
-        assert f"omega={blocks[3].omega}" in str(swept.value)
+        assert f"omega={sweep.omegas[3]}" in str(swept.value)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_isolated_kernel_changes_equal_pointwise(self, monkeypatch, seed, kind):
-        m, t0, blocks = isolated_kernel_changes(seed, kind)
-        swept = ident.pi_sweep(m, t0, blocks)
+        m, t0, sweep = isolated_kernel_changes(seed, kind)
+        swept = ident.pi_sweep(m, t0, sweep)
         assert len({p.kernel_dim for p in swept}) > 1
-        assert len(swept) == len(blocks)
-        for p, g in zip(swept, blocks):
+        assert len(swept) == len(sweep)
+        for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
-        for p in search_materialized(monkeypatch, m, t0, blocks):
+        for p in search_materialized(monkeypatch, m, t0, sweep):
             assert_equals_reference(m, t0, p, p.g)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
@@ -270,12 +291,12 @@ class TestSweepFlags:
     def test_flags_equal_stacked_ranks(self, seed, kind, near_cut):
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
-        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).blocks
+        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).sweep
         kernels = None
         if near_cut:
             # Kernel bases whose two first columns lie 1e-12 to 1 apart put
             # Pi_bar_j and T on both sides of their cuts along the grid.
-            K = np.array([numkit.right_null_basis(g.G_yv) for g in blocks])
+            K = np.array([numkit.right_null_basis(G) for G in blocks.G_yv])
             K[:, :, 1] = K[:, :, 0] + np.geomspace(1e-12, 1.0, len(blocks))[:, None] * K[:, :, 1]
             kernels = [(np.arange(len(blocks)), K)]
         sweep = ident.GridSweep(m, t0, blocks, kernels)
@@ -305,7 +326,7 @@ def reference_normal_row_rank(model, seed):
             g = response.g_blocks(model, w)
         except PoleProximity:
             continue
-        ranks.append(numkit.rank_of(g.G_zu).rank)
+        ranks.append(numkit.rank_of(g.G_zu[0]).rank)
     if len(ranks) < ident._RANK_PROBES:
         return "could not place rank probes away from poles", drawn
     if min(ranks) != max(ranks):
@@ -336,17 +357,19 @@ class TestNormalRowRank:
         def forced(model, omegas):
             omegas = list(omegas)
             rounds.append(omegas)
-            kept, guarded = sweep(model, omegas)
-            if scenario == "guard-all":
-                return [], guarded + [PoleProximity(f"omega={g.omega}: forced") for g in kept]
-            if scenario == "guard-low":
-                low = [g for g in kept if g.omega < split]
-                return ([g for g in kept if g.omega >= split],
-                        guarded + [PoleProximity(f"omega={g.omega}: forced") for g in low])
+            s = sweep(model, omegas)
+            low = [w < split for w in s.omegas]
+            if scenario in ("guard-all", "guard-low"):
+                drop = [True] * len(s) if scenario == "guard-all" else low
+                keep = [not d for d in drop]
+                return dataclasses.replace(
+                    s, omegas=tuple(compress(s.omegas, keep)), lams=tuple(compress(s.lams, keep)),
+                    G=s.G[np.array(keep, dtype=bool)],
+                    guarded=s.guarded + tuple(PoleProximity(f"omega={w}: forced")
+                                              for w in compress(s.omegas, drop)))
             if scenario == "zero-low":
-                kept = [dataclasses.replace(g, G_zu=0 * g.G_zu) if g.omega < split else g
-                        for g in kept]
-            return kept, guarded
+                s = with_blocks(s, [(i, "G_zu", 0.0) for i in np.flatnonzero(low)])
+            return s
 
         monkeypatch.setattr(response, "g_sweep", forced)
         for seed in range(3):
@@ -370,6 +393,18 @@ class TestNormalRowRank:
         m = testing.random_regular_model(2, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=2, m_v=2, q=2))
         with pytest.raises(FNRRViolation):
             ident.check_fnrr(m)
+
+    def test_fnrr_violation_names_no_removed_operation(self):
+        # The message once suggested dualizing the model, an operation that
+        # lftident no longer has.
+        m = testing.random_regular_model(2, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=2, m_v=2, q=2))
+        with pytest.raises(FNRRViolation) as exc:
+            ident.check_fnrr(m)
+        message = str(exc.value)
+        assert message.startswith("G_zu has normal row rank 1 < m_z=2")
+        assert "full normal row rank" in message
+        assert "dual" not in message.lower()
+        assert not hasattr(model_module, "dualize")
 
 
 class TestUpsilon:

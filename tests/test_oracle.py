@@ -160,7 +160,7 @@ class TestFdJacobian:
         J, change = per_theta_fd_jacobian(m, t0, freqs, est.step)
         assert np.array_equal(est.J, J) and est.J.flags.c_contiguous
         assert est.step_halving_change == change
-        assert est.freqs == tuple(freqs) and [g.omega for g in est.blocks] == freqs
+        assert est.freqs == tuple(freqs) and [g.omegas for g in est.blocks] == [(w,) for w in freqs]
 
     # (theta0, h, freqs, box radius, error): two_loop_model fails its loop
     # guard at theta_1 = 1 (omega = 0) and at theta_2 = 1 (omega = 1).
@@ -371,7 +371,7 @@ class TestEllipsoidEmpirical:
         n = 2 * numkit._CHUNK + 3
         stats = oracle.ellipsoid_empirical_check(siso1, [0.0], [0.0, 1.0],
                                                  eps=1e-3, samples=n, seed=4)
-        assert seen == [[0.0], [1.0]]
+        assert seen == [[0.0, 1.0]]
         monkeypatch.setattr(response, "g_sweep", orig)
         # The per-sample loop: S from a fresh evaluation, H one theta at a time.
         t0, freqs, eps = np.zeros(1), [0.0, 1.0], 1e-3

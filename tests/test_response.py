@@ -44,12 +44,12 @@ class TestGBlocks:
         g = response.g_blocks(siso1, 1.0)
         expected = 0.5 - 0.5j  # 1/(j+1)
         for block in (g.G_yu, g.G_yv, g.G_zu, g.G_zv):
-            assert abs(block[0, 0] - expected) < 1e-12
+            assert abs(block[0, 0, 0] - expected) < 1e-12
 
     def test_siso1_at_zero(self, siso1):
         g = response.g_blocks(siso1, 0.0)
         for block in (g.G_yu, g.G_yv, g.G_zu, g.G_zv):
-            assert abs(block[0, 0] - 1.0) < 1e-12
+            assert abs(block[0, 0, 0] - 1.0) < 1e-12
 
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):
@@ -74,7 +74,7 @@ class TestHRoutes:
     def test_theta_zero_collapses_to_gyu(self, siso1):
         g = response.g_blocks(siso1, 0.7)
         h = response.h_lft(siso1, [0.0], g)
-        assert np.allclose(h, g.G_yu)
+        assert np.allclose(h, g.G_yu[0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_route_equivalence_random(self, seed):
@@ -149,7 +149,7 @@ class TestHSweep:
         g = response.g_blocks(m, 0.0)
         for _ in range(20):
             d = rng.standard_normal(m.dims.q)
-            lam = np.linalg.eigvals(m.p_of(d) @ g.G_zv.real)
+            lam = np.linalg.eigvals(m.p_of(d) @ g.G_zv[0].real)
             real = lam[(lam.imag == 0) & (lam.real != 0)].real
             if real.size:
                 break
@@ -247,11 +247,10 @@ class TestEvaluatedOnce:
         pis = []
         orig = ident.pi_at
         monkeypatch.setattr(ident, "pi_at",
-                            lambda m, t0, g, **kw: pis.append(g.omega) or orig(m, t0, g, **kw))
+                            lambda m, t0, g, **kw: pis.extend(g.omegas) or orig(m, t0, g, **kw))
         sweep = ident.pi_sweep
         monkeypatch.setattr(ident, "pi_sweep",
-                            lambda m, t0, blocks: pis.extend(g.omega for g in blocks)
-                            or sweep(m, t0, blocks))
+                            lambda m, t0, g: pis.extend(g.omegas) or sweep(m, t0, g))
         path = tmp_path / "model.json"
         save_model(model, path)
         code = cli.main(["oracle", "--model", str(path),
@@ -302,7 +301,7 @@ def reference_g(model, omega) -> np.ndarray:
 
 def svd_everything_pencil_solve(E, A, lams, rhs, guard_scale):
     """The pole guard by a full SVD of every pencil, kept as the reference for
-    response._pencil_solve: the solutions of the kept lams and per lam None or
+    response.g_sweep: the solutions of the kept lams and per lam None or
     the guard's complaint."""
     pencils = np.multiply.outer(np.array(lams), E)
     pencils -= A
@@ -344,13 +343,13 @@ KINDS = {"ct": {}, "dt": dict(time_domain="discrete"), "se": dict(singular_E=Tru
 
 def largest_floor(model, lam) -> float:
     """The largest pole-guard floor the pencil at ``lam`` could have, through
-    Frobenius norms (see response._pencil_solve)."""
+    Frobenius norms (see response.g_sweep)."""
     a_fro, e_fro = np.linalg.norm(model.A_xx), np.linalg.norm(model.E)
     return max(response.POLE_GUARD_RTOL * a_fro, 1e-14 * max(abs(lam) * e_fro + a_fro, 1.0))
 
 
 def spy_routes(monkeypatch) -> list[tuple[np.ndarray, bool]]:
-    """Record each group of pencils ``response._pencil_solve`` solves: its
+    """Record each group of pencils ``response.g_sweep`` solves: its
     lams, and whether it was solved against B alone (covered by an anchor)
     rather than against [B | I]."""
     routes = []
@@ -387,7 +386,8 @@ def takes_a_two_norm(calls) -> bool:
 
 
 class TestSweep:
-    """A stacked sweep equals one g_blocks call per frequency, bit for bit."""
+    """A stacked sweep equals one g_blocks call per frequency, bit for bit, and
+    each point's blocks keep the strides of a one-matrix evaluation's blocks."""
 
     CHUNK = numkit._CHUNK
     # (points, index of the guarded oscillator point): the last point of a
@@ -396,8 +396,8 @@ class TestSweep:
 
     @staticmethod
     def assert_matches_pointwise(model, omegas):
-        kept, guarded = response.g_sweep(model, omegas)
-        kept, guarded = iter(kept), iter(guarded)
+        sweep = response.g_sweep(model, omegas)
+        kept, guarded = iter(sweep), iter(sweep.guarded)
         for w in omegas:
             try:
                 g = response.g_blocks(model, w)
@@ -405,14 +405,20 @@ class TestSweep:
                 assert str(next(guarded)) == str(exc)
                 continue
             s = next(kept)
-            assert (s.omega, s.lam) == (g.omega, g.lam)
+            assert (s.omegas, s.lams) == (g.omegas, g.lams)
             G = reference_g(model, w)
             for name, ref in (("G_yu", G[:model.dims.m_y, :model.dims.m_u]),
                               ("G_yv", G[:model.dims.m_y, model.dims.m_u:]),
                               ("G_zu", G[model.dims.m_y:, :model.dims.m_u]),
                               ("G_zv", G[model.dims.m_y:, model.dims.m_u:])):
-                assert np.array_equal(getattr(s, name), getattr(g, name))
-                assert np.array_equal(getattr(s, name), ref)
+                block = getattr(s, name)
+                assert block.shape == (1, *ref.shape)
+                assert np.array_equal(block[0], getattr(g, name)[0])
+                assert np.array_equal(block[0], ref)
+                # The strides of the one-matrix route's views, on which BLAS
+                # results depend, for the point and for the whole stack.
+                assert block[0].strides == getattr(g, name)[0].strides == ref.strides
+                assert getattr(sweep, name).strides[1:] == ref.strides
         assert next(kept, None) is None and next(guarded, None) is None
 
     @staticmethod
@@ -423,12 +429,12 @@ class TestSweep:
             model.E, model.A_xx, lams, B, float(np.linalg.norm(model.A_xx, 2)))
         G = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]]) \
             + np.vstack([model.C_yx, model.C_zx]) @ X
-        kept, guarded = response.g_sweep(model, omegas)
-        assert [str(e) for e in guarded] == [
+        sweep = response.g_sweep(model, omegas)
+        assert [str(e) for e in sweep.guarded] == [
             f"omega={w}: {c}" for w, c in zip(omegas, complaints) if c is not None]
-        assert [g.omega for g in kept] == [w for w, c in zip(omegas, complaints) if c is None]
-        for g, ref in zip(kept, G, strict=True):
-            assert np.array_equal(np.block([[g.G_yu, g.G_yv], [g.G_zu, g.G_zv]]), ref)
+        assert list(sweep.omegas) == [w for w, c in zip(omegas, complaints) if c is None]
+        assert np.array_equal(
+            np.block([[sweep.G_yu, sweep.G_yv], [sweep.G_zu, sweep.G_zv]]), G)
 
     @pytest.mark.parametrize("n,_", SIZES)
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
@@ -439,6 +445,39 @@ class TestSweep:
             omegas = np.geomspace(1e-2, 1e2, n).tolist()
         else:
             omegas = np.linspace(np.pi / n, np.pi, n).tolist()
+        self.assert_matches_pointwise(m, omegas)
+        self.assert_matches_svd_everything(m, omegas)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
+                                      dict(dims=FIXTURE_DIMS["d12"], singular_E=True)])
+    def test_blocks_equal_one_call_per_frequency_at_chunk_edges(self, kind, n):
+        m = testing.random_regular_model(7, **kind)
+        if m.time_domain == "continuous":
+            omegas = np.geomspace(1e-2, 1e2, n).tolist()
+        else:
+            omegas = np.linspace(np.pi / n, np.pi, n).tolist()
+        sweep = response.g_sweep(m, omegas)
+        assert len(sweep) == n and sweep.G.shape == (n, m.dims.m_y + m.dims.m_z,
+                                                     m.dims.m_u + m.dims.m_v)
+        self.assert_matches_pointwise(m, omegas)
+        self.assert_matches_svd_everything(m, omegas)
+
+    @pytest.mark.parametrize("model", [oscillator, near_pole_model])
+    def test_poles_inside_a_chunk_and_on_its_boundary(self, model):
+        # -w* sits inside the first chunk and w* opens the second: both drop
+        # out, in order, with the complaints of one g_blocks call each.
+        w_star = 0.7
+        m = model(w_star)
+        omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK + 1).tolist()
+        inside, boundary = 10, self.CHUNK
+        omegas[inside], omegas[boundary] = -w_star, w_star
+        sweep = response.g_sweep(m, omegas)
+        assert [str(e).split(":")[0] for e in sweep.guarded] == [
+            f"omega={-w_star}", f"omega={w_star}"]
+        assert list(sweep.omegas) == [w for i, w in enumerate(omegas)
+                                      if i not in (inside, boundary)]
+        assert len(sweep) == sweep.G.shape[0] == len(omegas) - 2
         self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
 
@@ -454,10 +493,10 @@ class TestSweep:
         B = np.hstack([m.B_xu, m.B_xv]).astype(complex)
         C = np.vstack([m.C_yx, m.C_zx])
         D = np.block([[m.D_yu, m.D_yv], [m.D_zu, m.D_zv]])
-        for g in freqplan.default_grid(m, n_points=40).blocks:
-            pencil = g.lam * m.E - m.A_xx
+        sweep = freqplan.default_grid(m, n_points=40).sweep
+        for lam, G in zip(sweep.lams, sweep.G, strict=True):
+            pencil = lam * m.E - m.A_xx
             X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(pencil), B)
-            G = np.block([[g.G_yu, g.G_yv], [g.G_zu, g.G_zv]])
             bound = 1e-13 * np.linalg.cond(pencil) * np.linalg.norm(C) * np.linalg.norm(X)
             assert np.linalg.norm(G - (D + C @ X)) <= bound
 
@@ -465,9 +504,9 @@ class TestSweep:
     def test_guarded_point_on_chunk_boundary(self, n, hit):
         omegas = np.geomspace(1e-2, 1e2, n).tolist()
         m = oscillator(omegas[hit])
-        kept, guarded = response.g_sweep(m, omegas)
-        assert len(guarded) == 1 and len(kept) == n - 1
-        assert omegas[hit] not in [g.omega for g in kept]
+        sweep = response.g_sweep(m, omegas)
+        assert len(sweep.guarded) == 1 and len(sweep) == n - 1
+        assert omegas[hit] not in sweep.omegas
         self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
 
@@ -506,7 +545,7 @@ class TestSweep:
                 mp.setattr(response, "_ANCHOR_STRIDE", stride)
                 mp.setattr(np.linalg, "svd", spy)
                 routes = spy_routes(mp)
-                kept, guarded = response.g_sweep(m, omegas)
+                sweep = response.g_sweep(m, omegas)
             covered = covered_lams(routes)
             assert bool(covered) == (stride > 1)
             anchor = singular % stride == 0
@@ -515,9 +554,9 @@ class TestSweep:
             start = group.index(singular) - group.index(singular) % per_slice
             undecided = sorted({*group[start:start + per_slice], kept_near, guarded_near})
             assert len(seen) == 1 and np.array_equal(seen[0], pencils[undecided])
-            assert [str(e).split(":")[0] for e in guarded] == [
+            assert [str(e).split(":")[0] for e in sweep.guarded] == [
                 f"omega={omegas[singular]}", f"omega={omegas[guarded_near]}"]
-            assert len(kept) == self.CHUNK - 2
+            assert len(sweep) == self.CHUNK - 2
         self.assert_matches_svd_everything(m, omegas)
 
     def test_anchors_on_both_sides_of_a_pole(self, monkeypatch):
@@ -534,13 +573,13 @@ class TestSweep:
         omegas[kept_near] = w_star - 1.5 * floor
         omegas[guarded_near] = w_star + 0.5 * floor
         routes = spy_routes(monkeypatch)
-        kept, guarded = response.g_sweep(m, omegas)
+        sweep = response.g_sweep(m, omegas)
         monkeypatch.undo()
         covered = [lam.imag for lam in covered_lams(routes)]
         assert min(covered) < w_star < max(covered)
         assert omegas[kept_near] not in covered and omegas[guarded_near] not in covered
-        assert [str(e).split(":")[0] for e in guarded] == [f"omega={omegas[guarded_near]}"]
-        assert len(kept) == len(omegas) - 1
+        assert [str(e).split(":")[0] for e in sweep.guarded] == [f"omega={omegas[guarded_near]}"]
+        assert len(sweep) == len(omegas) - 1
         self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
 
@@ -553,11 +592,11 @@ class TestSweep:
         m = integrator()
         omegas = [1e-3, 3e-14, 1.5e-14, 0.5e-14]
         routes = spy_routes(monkeypatch)
-        kept, guarded = response.g_sweep(m, omegas)
+        sweep = response.g_sweep(m, omegas)
         monkeypatch.undo()
         assert [lam.imag for lam in covered_lams(routes)] == [3e-14]
-        assert [g.omega for g in kept] == omegas[:3]
-        assert [str(e).split(":")[0] for e in guarded] == ["omega=5e-15"]
+        assert list(sweep.omegas) == omegas[:3]
+        assert [str(e).split(":")[0] for e in sweep.guarded] == ["omega=5e-15"]
         self.assert_matches_svd_everything(m, omegas)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(KINDS)),
@@ -640,8 +679,7 @@ class TestSweep:
         # back to the system and fault it in again on every chunk.
         m = testing.random_regular_model(1, dims=Dims(60, 4, 2, 4, 8, 16))
         omegas = np.geomspace(1e-2, 1e2, self.CHUNK).tolist()
-        _, guarded = response.g_sweep(m, omegas)
-        assert not guarded
+        assert not response.g_sweep(m, omegas).guarded
         tracemalloc.start()
         try:
             response.g_sweep(m, omegas)
@@ -655,7 +693,7 @@ class TestSweep:
         m = oscillator(w_star)
         with pytest.raises(PoleProximity) as first:
             response.g_blocks(m, -w_star)
-        _, guarded = response.g_sweep(m, [1.0, -w_star, 2.0, w_star])
+        guarded = response.g_sweep(m, [1.0, -w_star, 2.0, w_star]).guarded
         assert [str(e) for e in guarded][0] == str(first.value)
         with pytest.raises(PoleProximity) as listed:
             oracle.fd_jacobian(m, [0.0], [1.0, -w_star, 2.0, w_star])
