@@ -220,15 +220,16 @@ class GridSweep:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
         # A compact copy of G_zv: the product's bits depend on the operand's layout.
         loops = np.eye(m_v) - model.p_of(t0) @ np.ascontiguousarray(g.G_zv)
-        numkit.loop_guard_stack(
-            loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}"
-        )
+        _, bad = numkit.loop_guard(
+            loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}")
+        if bad:
+            raise bad[min(bad)]
         n = len(g)
         self.side = np.zeros(n, dtype=bool)
         self.shortcut = np.zeros(n, dtype=bool)
         self.xis: list[tuple[np.ndarray, np.ndarray]] = []
         self._groups = []
-        self._u_pi2_views: list = [None] * len(kernels)
+        self._pi_svds: list = [None] * len(kernels)
         # Per point: its kernel group, its position there, its Xi group and
         # its position there.
         self._slots = np.zeros((4, n), dtype=int)
@@ -236,7 +237,7 @@ class GridSweep:
             Pi = loops[idx] @ K
             R = np.concatenate([Pi.real, -Pi.imag], axis=2)
             J = np.concatenate([Pi.imag, Pi.real], axis=2)
-            self._groups.append((K, Pi, R, J))
+            self._groups.append((idx, K, Pi, R, J))
             self._slots[0, idx], self._slots[1, idx] = grp, np.arange(len(idx))
             _, sigma_j, VJ, rank_j = numkit.svd_stack(J)
             self.shortcut[idx] = _fcr(sigma_j, J.shape, ROBUST_RTOL)
@@ -250,29 +251,34 @@ class GridSweep:
                     self._slots[2, at], self._slots[3, at] = len(self.xis), np.arange(len(at))
                     self.xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
 
-    def _u_pi2s(self, grp: int) -> list[np.ndarray]:
-        """U_Pi2 of each member of kernel group ``grp``, from the group's Pi SVD,
-        which runs on first use."""
-        if self._u_pi2_views[grp] is None:
-            U, _, _, rank = numkit.svd_stack(self._groups[grp][1])
-            self._u_pi2_views[grp] = [U[j, :, r:] for j, r in enumerate(rank.tolist())]
-        return self._u_pi2_views[grp]
+    def _pi_svd(self, grp: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, ranks)`` of the Pi SVD of kernel group ``grp``, which runs on
+        first use: member j's U_Pi2 is ``U[j, :, ranks[j]:]``."""
+        if self._pi_svds[grp] is None:
+            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2])
+            self._pi_svds[grp] = (U, ranks)
+        return self._pi_svds[grp]
 
     def at(self, i: int) -> PiDecomposition:
         """The :class:`PiDecomposition` of grid point ``i``: views into the stacks."""
         grp, j, x, k = self._slots[:, i].tolist()
-        K, Pi, R, J = self._groups[grp]
+        _, K, Pi, R, J = self._groups[grp]
+        U, ranks = self._pi_svd(grp)
         return PiDecomposition(
             g=self.g[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
-            Xi=self.xis[x][1][k], U_Pi2=self._u_pi2s(grp)[j],
+            Xi=self.xis[x][1][k], U_Pi2=U[j, :, ranks[j]:],
             side_fcr=bool(self.side[i]), shortcut=bool(self.shortcut[i]))
 
     def greedy_rows(self, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """``upsilon_block(self.at(i), psi_dec, False, m_z)`` of every grid point,
-        from compact copies of the U_Pi2 grouped by shape in grid order and
-        stacked in chunks: a list of ``(indices, row stack)``."""
-        U2 = [self._u_pi2s(grp)[j] for grp, j in zip(*self._slots[:2].tolist())]
-        return [(idx, upsilon_rows(_u2_stack(U), psi_dec, m_z)) for idx, U in numkit._stacks(U2)]
+        one row stack per Pi rank of each kernel group: a list of
+        ``(indices, row stack)``."""
+        rows = []
+        for grp, (idx, *_) in enumerate(self._groups):
+            U, ranks = self._pi_svd(grp)
+            rows += [(idx[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
+                     for r, sel in _by_value(ranks)]
+        return rows
 
 
 def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
@@ -461,7 +467,10 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     stack); the rest contribute their U_Pi2 rows.  The stacked full-column-rank
     test is carried out recursively: a shrinking right-null basis Z is chained
     through the per-frequency blocks and the verdict is identifiable exactly
-    when Z shrinks to zero columns.
+    when Z shrinks to zero columns.  Without ``pis``, the frequencies are
+    evaluated in one :func:`response.g_sweep` and decomposed by
+    :func:`pi_sweep`, so a pole anywhere in the list is reported before a
+    singular loop.
     """
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
@@ -473,7 +482,7 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     check_fnrr(model, seed=fnrr_seed)
 
     if pis is None:
-        pis = [pi_at(model, t0, response.g_blocks(model, wi)) for wi in w]
+        pis = pi_sweep(model, t0, response.g_sweep(model, w).raise_guarded())
     else:
         pis = list(pis)
         if [p.omega for p in pis] != w:

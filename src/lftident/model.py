@@ -175,7 +175,10 @@ class DescriptorModel:
         I - P(theta) D_zv, then :meth:`assembled`."""
         P = self.p_of(theta)
         loop = np.eye(self.dims.m_v) - P @ self.D_zv
-        sig = numkit.loop_guard(loop, f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
+        (sig,), bad = numkit.loop_guard(
+            loop[None], lambda _: f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
+        if bad:
+            raise bad[0]
         mid = np.linalg.solve(loop, P @ np.hstack([self.C_zx, self.D_zu]))
         left = np.vstack([self.B_xv, self.D_yv])
         corr = left @ mid

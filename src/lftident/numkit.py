@@ -7,15 +7,15 @@ stacked rank engine applies it, one vectorised cut per ``(k, m, n)`` stack:
 :func:`svd_stack` (full SVDs and ranks) and :func:`stacked_ranks` (singular
 values of numpy's ``compute_uv=False`` routine, whose last bits can differ
 from the full SVD's, and ranks).  :func:`svd_full` and :func:`rank_of` are
-their one-matrix cases, as :func:`loop_guard` is of :func:`loop_guard_stack`;
-numpy's stacked ``svd`` runs the same LAPACK routine on each matrix, so the
-results are bitwise equal.  Each matrix is decomposed once: a caller that
-holds a full SVD reads every other rank decision, null basis and 2-norm of
-that matrix from it, through ``_ranks`` (the cut at another tolerance) and
-``_split`` (the factors split at a cut chosen after the decomposition).
-Callers stack at most ``_CHUNK`` matrices at a time, so the memory a long
-frequency grid stacks stays bounded: they slice an existing stack in chunks,
-and ``_stacks`` groups a list of matrices of differing shapes into chunks.
+their one-matrix cases; numpy's stacked ``svd`` runs the same LAPACK routine
+on each matrix, so the results are bitwise equal.  Each matrix is decomposed
+once: a caller that holds a full SVD reads every other rank decision, null
+basis and 2-norm of that matrix from it, through ``_ranks`` (the cut at
+another tolerance) and ``_split`` (the factors split at a cut chosen after
+the decomposition).  Callers slice their stacks into chunks of at most
+``_CHUNK`` matrices, so the memory a long frequency grid stacks stays
+bounded.  :func:`loop_guard` is the one well-posedness guard: it checks a
+stack of loop matrices and returns its complaints for the caller to raise.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -42,7 +42,6 @@ __all__ = [
     "rank_of",
     "stacked_ranks",
     "loop_guard",
-    "loop_guard_stack",
     "right_null_basis",
     "gen_eig_psd_pencil_pairs",
     "sign_flip",
@@ -97,17 +96,6 @@ def _svd(S: np.ndarray, compute_uv: bool):
         return sigma
     return (np.repeat(np.eye(m, dtype=S.dtype)[None], k, axis=0), sigma,
             np.repeat(np.eye(n, dtype=S.dtype)[None], k, axis=0))
-
-
-def _stacks(mats):
-    """Chunked stacks of the 2-D arrays ``mats``, which differ in shape (the greedy U_Pi2):
-    yields ``(indices, stack)`` with ``stack[j] = mats[indices[j]]``, one shape and dtype each."""
-    groups: dict = {}
-    for i, M in enumerate(mats):
-        groups.setdefault((M.shape, M.dtype), []).append(i)
-    for members in groups.values():
-        for idx in _chunks(members):
-            yield np.array(idx), np.array([mats[i] for i in idx])
 
 
 def _rank_tol(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: float):
@@ -231,29 +219,11 @@ def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.
     return svd_full(A, rtol=rtol, scale_floor=scale_floor).V2
 
 
-def loop_guard(M: np.ndarray, message: str) -> np.ndarray:
-    """Singular values of the square loop matrix ``M``, descending.
-
-    Raises WellPosednessViolation with ``message`` (and sigma_min appended)
-    when sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max, 1).
-    """
-    return loop_guard_stack(np.asarray(M)[None], lambda i: message)[0]
-
-
-def loop_guard_stack(M: np.ndarray, message_of) -> np.ndarray:
-    """:func:`loop_guard` of each matrix in the stack ``M``, one row of singular
-    values each; the error names ``message_of(i)`` for the first failing ``M[i]``."""
-    sig, violations = _loop_guard_violations(M, message_of)
-    if violations:
-        raise violations[min(violations)]
-    return sig
-
-
-def _loop_guard_violations(M: np.ndarray, message_of):
-    """:func:`loop_guard` of each matrix in the stack ``M``, without raising:
-    the singular values (one row each) and, by index, the WellPosednessViolation
-    that loop_guard raises for each failing matrix (``message_of(i)`` with
-    sigma_min appended)."""
+def loop_guard(M: np.ndarray, message_of):
+    """Singular values of each square loop matrix of the stack ``M``, one
+    descending row each, and, by index, a WellPosednessViolation for each
+    matrix whose sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max, 1):
+    ``message_of(i)`` with sigma_min appended.  The caller chooses what to raise."""
     sig = np.linalg.svd(M, compute_uv=False)
     bad = np.flatnonzero(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
     return sig, {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")

@@ -153,27 +153,19 @@ def fd_jacobian(model: DescriptorModel, theta0, freqs, h: float | None = None) -
     )
 
 
-def _decision(J: JacobianEstimate | np.ndarray) -> tuple[numkit.RankDecision, int]:
-    """The default rank decision on the Jacobian ``J`` and its column count."""
-    if isinstance(J, JacobianEstimate):
-        return J.decision, J.J.shape[1]
-    M = numkit.as_matrix(J)
-    return numkit.rank_of(M), M.shape[1]
+def local_identifiability(est: JacobianEstimate) -> bool:
+    """Full-column-rank decision on the response Jacobian of ``est``."""
+    return est.decision.rank == est.J.shape[1]
 
 
-def local_identifiability(J: JacobianEstimate | np.ndarray) -> bool:
-    """Full-column-rank decision on the response Jacobian."""
-    dec, q = _decision(J)
-    return dec.rank == q
-
-
-def jacobian_sloppiness(J: JacobianEstimate | np.ndarray) -> np.ndarray:
-    """Reference spectrum 1/sigma_i^2 (ascending sigma) of the response Jacobian.
+def jacobian_sloppiness(est: JacobianEstimate) -> np.ndarray:
+    """Reference spectrum 1/sigma_i^2 (ascending sigma) of the response Jacobian
+    of ``est``.
 
     Refuses rank-deficient Jacobians: the corresponding sloppiness would be
     infinite and the comparison meaningless.
     """
-    dec, q = _decision(J)
+    dec, q = est.decision, est.J.shape[1]
     if dec.rank < q:
         raise InvalidInput(
             f"Jacobian is rank deficient ({dec.rank} < {q}): sloppiness is infinite"
@@ -285,8 +277,10 @@ def ellipsoid_empirical_check(
     Draws random boundary points xi (xi^T M xi = eps^2), reconstructs
     theta = theta0 + S_1 xi, and reports statistics of
     sum_i ||H(j w_i, theta) - H(j w_i, theta0)||_F^2 / eps^2, which tends to 1
-    as eps -> 0.
+    as eps -> 0.  Raises InvalidInput unless ``samples`` is positive.
     """
+    if samples < 1:
+        raise InvalidInput(f"samples must be a positive integer, got {samples}")
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     blocks = response.g_sweep(model, w).raise_guarded()

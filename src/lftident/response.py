@@ -285,7 +285,7 @@ def h_sweep(model: DescriptorModel, thetas, g: GSweep):
         for k, Pk in enumerate(model.P):
             P += part[:, k, None, None] * Pk
         loops = np.eye(m_v) - P @ g.G_zv[0]
-        _, bad = numkit._loop_guard_violations(
+        _, bad = numkit.loop_guard(
             loops,
             lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[0]}, "
                       f"theta={part[i].tolist()}",

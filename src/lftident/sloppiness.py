@@ -235,7 +235,7 @@ def _context(model, theta0, freqs, pis=None, factors=None):
         )
     pis = (
         list(pis) if pis is not None
-        else [ident.pi_at(model, t0, response.g_blocks(model, wi)) for wi in w]
+        else ident.pi_sweep(model, t0, response.g_sweep(model, w).raise_guarded())
     )
     factors = (
         list(factors) if factors is not None
@@ -412,6 +412,8 @@ class EllipsoidModel:
     def boundary_point(self, direction) -> np.ndarray:
         """Scale ``direction`` onto the boundary xi^T M xi = eps^2."""
         u = np.asarray(direction, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(u)):
+            raise InvalidInput("direction contains non-finite entries")
         quad = float(u @ self.M @ u)
         if quad <= 0.0:
             raise InvalidInput("direction carries no deviation energy")
@@ -488,6 +490,8 @@ def deviation_sigmas(S: SMatrices, xi) -> np.ndarray:
     x = np.asarray(xi, dtype=float).reshape(-1)
     if x.size != S.n_s:
         raise InvalidInput(f"xi must have length n_s={S.n_s}, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("xi contains non-finite entries")
     out = []
     for k, f in enumerate(S.factors):
         coords = S.complex_block(k) @ x
@@ -502,7 +506,7 @@ def spectral_membership(S: SMatrices, xi, eps: float) -> bool:
 
     The predicate intersects the constraint over all frequency blocks.
     """
-    if eps < 0.0:
-        raise InvalidInput(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise InvalidInput(f"eps must be finite and nonnegative, got {eps}")
     sig = deviation_sigmas(S, xi)
     return bool(np.all(sig <= eps * (1.0 + 1e-12)))

@@ -61,6 +61,15 @@ def full_rank_above(J, tol):
     return np.count_nonzero(np.linalg.svd(J, compute_uv=False) > tol) == J.shape[1]
 
 
+def guard_one(loop, message):
+    """``numkit.loop_guard`` of the one loop matrix ``loop``: its singular values;
+    raises the guard's WellPosednessViolation, named ``message``."""
+    (sig,), bad = numkit.loop_guard(np.asarray(loop)[None], lambda _: message)
+    if bad:
+        raise bad[0]
+    return sig
+
+
 def per_theta_h_lft(model, theta, g):
     """Reference H at the one point of the sweep ``g`` for one theta: P(theta)
     from ``model.p_of``, one loop guard and one solve, as H was evaluated before
@@ -68,7 +77,7 @@ def per_theta_h_lft(model, theta, g):
     t = model.check_theta(theta)
     P = model.p_of(t)
     loop = np.eye(model.dims.m_v) - P @ g.G_zv[0]
-    numkit.loop_guard(
+    guard_one(
         loop, f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[0]}, theta={t.tolist()}"
     )
     return g.G_yu[0] + g.G_yv[0] @ np.linalg.solve(loop, P @ g.G_zu[0])

@@ -236,6 +236,35 @@ def test_assumption_violation_exit_3(tmp_path, capsys):
     assert "row rank" in err
 
 
+def loop_and_pole_model():
+    """At theta = 1 the loop I - theta G_zv is singular at omega = 0, where
+    G_zv = 1; an undamped oscillator puts a pole at omega = 2."""
+    e = np.eye(3)
+    return model_mod.DescriptorModel(
+        time_domain="continuous", dims=Dims(3, 1, 1, 1, 1, 1),
+        E=e, A_xx=np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, -2.0, 0.0]]),
+        B_xu=e[:, [1]] + e[:, [2]], B_xv=e[:, [0]], C_yx=e[[1]] + e[[2]], C_zx=e[[0]],
+        D_yu=np.zeros((1, 1)), D_yv=np.zeros((1, 1)), D_zu=np.ones((1, 1)),
+        D_zv=np.zeros((1, 1)), P=(np.ones((1, 1)),),
+        theta_domain=model_mod.ParameterDomain(radius=2.0))
+
+
+@pytest.mark.parametrize("command,extra", [("ident", []), ("sloppiness", ["--eps", "1e-3"])])
+def test_pole_reported_before_singular_loop(command, extra, tmp_path, capsys):
+    # The listed frequencies pass the pole guard together before any loop is
+    # checked: the pole at the second frequency is reported, not the singular
+    # loop at the first.  Each alone keeps its own message.
+    p = tmp_path / "loop_pole.json"
+    model_mod.save_model(loop_and_pole_model(), p)
+    base = [command, "--model", str(p), "--theta0", "1", *extra]
+    pole = "omega=2.0: sigma_min(lambda E - A)"
+    loop = "I - P(theta0) G_zv singular at omega=0.0"
+    code, _, err = run(base + ["--freqs", "0,2"], capsys)
+    assert code == cli.EXIT_ASSUMPTION and pole in err and loop not in err
+    code, _, err = run(base + ["--freqs", "0"], capsys)
+    assert code == cli.EXIT_ASSUMPTION and loop in err
+
+
 def test_sloppiness_siso1(siso1_path, tmp_path, capsys):
     csv = tmp_path / "mu.csv"
     code, out, _ = run(

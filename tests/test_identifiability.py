@@ -12,7 +12,7 @@ from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PolePro
 from lftident import model as model_module
 from lftident.model import DescriptorModel, Dims
 
-from conftest import full_rank_above, interior_theta, model_pool
+from conftest import full_rank_above, guard_one, interior_theta, model_pool
 
 
 def kernel_pool(n, start=0):
@@ -105,7 +105,7 @@ def reference_pi(model, theta0, g):
     at the one point of the sweep ``g``."""
     K = numkit.right_null_basis(g.G_yv[0])
     loop = np.eye(model.dims.m_v) - model.p_of(theta0) @ g.G_zv[0]
-    numkit.loop_guard(loop, f"I - P(theta0) G_zv singular at omega={g.omegas[0]}")
+    guard_one(loop, f"I - P(theta0) G_zv singular at omega={g.omegas[0]}")
     Pi = loop @ K
     Pi_bar_r = np.hstack([Pi.real, -Pi.imag])
     Pi_bar_j = np.hstack([Pi.imag, Pi.real])

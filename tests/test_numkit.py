@@ -172,24 +172,50 @@ class TestRealifyProjector:
 
 
 class TestLoopGuard:
+    @staticmethod
+    def guard(M, message="loop"):
+        return numkit.loop_guard(np.asarray(M)[None], lambda _: message)
+
     def test_threshold_passes(self):
-        sig = numkit.loop_guard(np.diag([1.0, 1e-12]), "loop")
-        assert np.array_equal(sig, [1.0, 1e-12])
+        (sig,), bad = self.guard(np.diag([1.0, 1e-12]))
+        assert np.array_equal(sig, [1.0, 1e-12]) and not bad
 
     def test_just_below_threshold_raises(self):
         below = np.nextafter(1e-12, 0.0)
+        _, bad = self.guard(np.diag([1.0, below]), "loop singular")
+        assert list(bad) == [0]
         with pytest.raises(WellPosednessViolation, match="^loop singular"):
-            numkit.loop_guard(np.diag([1.0, below]), "loop singular")
+            raise bad[0]
 
     def test_zero_scalar_raises(self):
-        with pytest.raises(WellPosednessViolation):
-            numkit.loop_guard(np.zeros((1, 1)), "loop")
+        _, bad = self.guard(np.zeros((1, 1)))
+        assert isinstance(bad[0], WellPosednessViolation)
 
     def test_threshold_scales_with_sigma_max(self):
         cut = numkit.LOOP_GUARD_RTOL * 1e3
-        numkit.loop_guard(np.diag([1e3, cut]), "loop")
-        with pytest.raises(WellPosednessViolation):
-            numkit.loop_guard(np.diag([1e3, np.nextafter(cut, 0.0)]), "loop")
+        assert not self.guard(np.diag([1e3, cut]))[1]
+        assert list(self.guard(np.diag([1e3, np.nextafter(cut, 0.0)]))[1]) == [0]
+
+    def test_loop_guard_names_each_failure(self):
+        M = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))])
+        sig, bad = numkit.loop_guard(M, lambda i: f"loop {i}")
+        assert list(bad) == [1, 3]
+        assert all(isinstance(e, WellPosednessViolation) for e in bad.values())
+        assert str(bad[1]).startswith("loop 1 (sigma_min=0")
+        assert str(bad[3]).startswith("loop 3 (sigma_min=0")
+        assert np.array_equal(sig[[0, 2]], np.ones((2, 2)))
+
+
+def shape_groups(mats):
+    """``(indices, stack)`` of the matrices ``mats`` grouped by shape and dtype,
+    in chunks of at most ``numkit._CHUNK``: ``stack[j] = mats[indices[j]]``."""
+    groups: dict = {}
+    for i, M in enumerate(mats):
+        groups.setdefault((M.shape, M.dtype), []).append(i)
+    for members in groups.values():
+        for start in range(0, len(members), numkit._CHUNK):
+            idx = members[start:start + numkit._CHUNK]
+            yield np.array(idx), np.array([mats[i] for i in idx])
 
 
 class TestStacked:
@@ -211,11 +237,11 @@ class TestStacked:
 
     @staticmethod
     def assert_engine_matches(mats, rtol, floor):
-        """Every group of numkit._stacks(mats), through svd_stack and
+        """Every group of shape_groups(mats), through svd_stack and
         stacked_ranks, equals svd_full and rank_of of each member bitwise;
         so does _split of a default-policy svd_stack at the policy."""
         seen = []
-        for idx, S in numkit._stacks(mats):
+        for idx, S in shape_groups(mats):
             assert S.shape[0] <= numkit._CHUNK
             U, sigma, V, rank = numkit.svd_stack(S, rtol, floor)
             sig, (r_only,) = numkit.stacked_ranks(S, (rtol,), floor)
@@ -245,7 +271,7 @@ class TestStacked:
         expected = [[numkit.rank_of(M, rtol=r, scale_floor=1.0).rank for M in mats]
                     for r in rtols]
         got = [[None] * len(mats) for _ in rtols]
-        for idx, S in numkit._stacks(mats):
+        for idx, S in shape_groups(mats):
             for row, ranks in zip(got, numkit.stacked_ranks(S, rtols, 1.0)[1]):
                 for i, r in zip(idx, ranks):
                     row[i] = int(r)
@@ -275,19 +301,12 @@ class TestStacked:
         mats = self.mixed(3)
         mats[9] = mats[9].copy()
         mats[9][0, 0] = np.inf
-        stacks = list(numkit._stacks(mats))
+        stacks = list(shape_groups(mats))
         S = next(S for idx, S in stacks if 9 in idx)
         with pytest.raises(InvalidInput):
             numkit.stacked_ranks(S, (1e-10,))
         with pytest.raises(InvalidInput):
             numkit.svd_stack(S)
-
-    def test_loop_guard_stack_names_first_failure(self):
-        M = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))])
-        with pytest.raises(WellPosednessViolation, match=r"^loop 1 \(sigma_min=0"):
-            numkit.loop_guard_stack(M, lambda i: f"loop {i}")
-        sig = numkit.loop_guard_stack(M[[0, 2]], lambda i: f"loop {i}")
-        assert np.array_equal(sig, np.ones((2, 2)))
 
 
 class TestFullColumnRank:

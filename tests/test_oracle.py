@@ -220,29 +220,37 @@ class TestLocalIdentifiability:
             assert np.array_equal(sigma, np.linalg.svd(est.J, compute_uv=False))
             assert est.decision.rank == numkit.rank_of(est.J).rank
             local = oracle.local_identifiability(est)
-            assert local == oracle.local_identifiability(est.J)
             assert local == (numkit.rank_of(est.J).rank == m.dims.q)
             if local:
                 assert np.array_equal(oracle.jacobian_sloppiness(est),
-                                      oracle.jacobian_sloppiness(est.J))
+                                      np.sort(1.0 / numkit.rank_of(est.J).singular_values ** 2)[::-1])
         assert not oracle.local_identifiability(oracle.fd_jacobian(wide, np.zeros(3), [1.0]))
+
+
+def estimate_of(J):
+    """A JacobianEstimate carrying the Jacobian ``J`` and its rank decision."""
+    est = oracle.fd_jacobian(testing.siso1(), [0.0], [1.0])
+    J = np.asarray(J, dtype=float)
+    return dataclasses.replace(est, J=J, decision=numkit.rank_of(J))
 
 
 class TestJacobianSloppiness:
     def test_unit_column(self):
-        assert np.allclose(oracle.jacobian_sloppiness(np.array([[1.0], [0.0]])), [1.0])
+        assert np.allclose(oracle.jacobian_sloppiness(estimate_of([[1.0], [0.0]])), [1.0])
 
     def test_siso1_two_freqs(self):
         J = np.array([[1.0], [0.0], [0.0], [-0.5]])
-        assert np.allclose(oracle.jacobian_sloppiness(J), [0.8])
+        assert np.allclose(oracle.jacobian_sloppiness(estimate_of(J)), [0.8])
 
     def test_diagonal(self):
         J = np.diag([1.0, 10.0])
-        assert np.allclose(oracle.jacobian_sloppiness(J), [1.0, 0.01])
+        assert np.allclose(oracle.jacobian_sloppiness(estimate_of(J)), [1.0, 0.01])
 
     def test_refuses_rank_deficient(self):
+        est = estimate_of([[1.0, 1.0], [0.0, 0.0]])
+        assert not oracle.local_identifiability(est)
         with pytest.raises(InvalidInput):
-            oracle.jacobian_sloppiness(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            oracle.jacobian_sloppiness(est)
 
 
 class TestEquivalenceProbe:
@@ -393,6 +401,12 @@ class TestEllipsoidEmpirical:
         r = np.asarray(ratios)
         assert stats == oracle.RatioStats(eps=eps, samples=len(ratios), min_ratio=float(r.min()),
                                           mean_ratio=float(r.mean()), max_ratio=float(r.max()))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, siso1, samples):
+        with pytest.raises(InvalidInput, match="samples must be a positive integer"):
+            oracle.ellipsoid_empirical_check(siso1, [0.0], [0.0, 1.0], eps=1e-3,
+                                             samples=samples)
 
     def test_band_shrinks_linearly(self, siso1):
         devs = []

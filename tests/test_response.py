@@ -239,6 +239,37 @@ class TestEvaluatedOnce:
         assert v.status == ident.IDENTIFIABLE  # the sensitivity gate ran
         assert Counter(calls) == probes + Counter(self.FREQS)
 
+    def test_listed_ops_sweep_once(self, model, monkeypatch):
+        # upsilon_test and s_matrices evaluate their listed frequencies in one
+        # g_sweep and decompose them in one GridSweep; only the FNRR probes
+        # of upsilon_test sweep besides.
+        freqs = self.FREQS + [1.0]
+        t0 = np.zeros(model.dims.q)
+        sweeps, builds, probing = [], [], []
+        g_sweep, build, rank = response.g_sweep, ident.GridSweep.__init__, ident.normal_row_rank
+
+        def probe(*args, **kwargs):
+            probing.append(True)
+            try:
+                return rank(*args, **kwargs)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(ident, "normal_row_rank", probe)
+        monkeypatch.setattr(response, "g_sweep",
+                            lambda m, w: sweeps.append((list(w), bool(probing))) or g_sweep(m, w))
+        monkeypatch.setattr(ident.GridSweep, "__init__",
+                            lambda self, *a: builds.append(a[2].omegas) or build(self, *a))
+        assert ident.upsilon_test(model, t0, freqs).status == ident.IDENTIFIABLE
+        assert [w for w, probe in sweeps if not probe] == [freqs]
+        assert any(probe for _, probe in sweeps)
+        assert builds == [tuple(freqs)]
+        sweeps.clear()
+        builds.clear()
+        assert slop.s_matrices(model, t0, freqs).n_s == model.dims.q
+        assert sweeps == [(freqs, False)]
+        assert builds == [tuple(freqs)]
+
     def test_oracle_op(self, model, calls, monkeypatch, tmp_path, capsys):
         # fd_jacobian's blocks serve the Pi factors, the verdict, the S
         # matrices and the probe: one G and one Pi evaluation per frequency.

@@ -434,6 +434,12 @@ class TestEllipsoid:
             with pytest.raises(InvalidInput):
                 slop.frobenius_ellipsoid(S, eps)
 
+    @pytest.mark.parametrize("direction", [[np.nan], [np.inf], [-np.inf]])
+    def test_non_finite_direction_rejected(self, siso1, direction):
+        ell = slop.frobenius_ellipsoid(slop.s_matrices(siso1, [0.0], [0.0, 1.0]), 1e-3)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            ell.boundary_point(direction)
+
 
 class TestSpectralMembership:
     def test_zero_inside(self, siso1):
@@ -459,6 +465,21 @@ class TestSpectralMembership:
         assert not slop.spectral_membership(S, xi_out, eps)
         xi_in = xi * (0.99 * eps / sig.max())
         assert slop.spectral_membership(S, xi_in, eps)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-3])
+    def test_invalid_eps(self, siso1, eps):
+        S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
+        with pytest.raises(InvalidInput, match="eps must be finite and nonnegative"):
+            slop.spectral_membership(S, np.zeros(S.n_s), eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_xi_rejected(self, siso1, bad):
+        S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
+        xi = np.full(S.n_s, bad)
+        with pytest.raises(InvalidInput, match="xi contains non-finite entries"):
+            slop.deviation_sigmas(S, xi)
+        with pytest.raises(InvalidInput, match="xi contains non-finite entries"):
+            slop.spectral_membership(S, xi, 1e-3)
 
     def test_sigmas_match_direct_reconstruction(self):
         rng = np.random.default_rng(8)
