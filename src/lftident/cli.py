@@ -239,9 +239,9 @@ def run_oracle(args) -> tuple:
     w = _freqs(args, m)
     est = oracle.fd_jacobian(m, t0, w, h=args.step)
     local = oracle.local_identifiability(est)
-    # One Pi decomposition per frequency, from the blocks fd_jacobian evaluated.
-    pis = identifiability.pi_sweep(m, t0, est.blocks)
-    verdict = identifiability.upsilon_test(m, t0, w, pis=pis, fnrr_seed=args.seed)
+    # One Pi sweep of the blocks fd_jacobian evaluated serves the verdict and the S matrices.
+    sweep = identifiability.GridSweep(m, t0, est.blocks)
+    verdict = identifiability.upsilon_test(m, t0, w, sweep=sweep, fnrr_seed=args.seed)
     payload: dict = {
         "fd_jacobian": {
             "step": est.step,
@@ -255,7 +255,7 @@ def run_oracle(args) -> tuple:
     agreement = None
     if local and verdict.status == identifiability.IDENTIFIABLE:
         mu_hat = oracle.jacobian_sloppiness(est)
-        S = sloppiness.s_matrices(m, t0, w, pis=pis)
+        S = sloppiness.s_matrices(m, t0, w, sweep=sweep)
         rep = sloppiness.metrics(S, k=1)
         rel = [
             abs(rep.mu[i] - mu_hat[i]) / abs(rep.mu[i])

@@ -17,8 +17,9 @@ grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
 full SVD, which only U_Pi2 needs, runs per kernel group when a point of the
 group is materialized as a :class:`PiDecomposition` or when the greedy rows
-of the frequency search are built.  All rank decisions go through
-:mod:`lftident.numkit`.
+of the frequency search are built.  A listed frequency set travels between
+layers as one GridSweep, checked or built by :func:`listed_sweep`.  All rank
+decisions go through :mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit, response
-from .errors import FNRRViolation, InvalidInput
+from .errors import FNRRViolation, InvalidInput, RankDrop
 from .model import DescriptorModel
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "psi",
     "GridSweep",
     "pi_at",
-    "pi_sweep",
+    "listed_sweep",
     "normal_row_rank",
     "check_fnrr",
     "upsilon_block",
@@ -168,14 +169,6 @@ def pi_at(model: DescriptorModel, theta0, g: response.GSweep,
     return GridSweep(model, theta0, g, K).at(0)
 
 
-def pi_sweep(model: DescriptorModel, theta0, g: response.GSweep) -> list[PiDecomposition]:
-    """:func:`pi_at` at each point of the sweep ``g``: every point of a
-    :class:`GridSweep`, bitwise equal to one pi_at call per point.  A singular
-    loop raises pi_at's WellPosednessViolation for the first such point."""
-    sweep = GridSweep(model, theta0, g)
-    return [sweep.at(i) for i in range(len(g))]
-
-
 def _by_value(values: np.ndarray):
     """``(value, selection)`` for each distinct entry of the integer array
     ``values``, ascending; the selection is a view-preserving ``slice(None)``
@@ -199,14 +192,16 @@ class GridSweep:
     kernel group (``kernels``, ``(indices, K stack)`` pairs, overrides the
     computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
     pairs; ``side`` and ``shortcut`` hold each point's side condition and
-    shortcut flag.  :meth:`at` builds one point's PiDecomposition and runs its
-    group's Pi SVD on first use.  Slices keep the memory layout of the
-    one-matrix route, on which BLAS results depend.
+    shortcut flag; ``theta0`` is the checked parameter vector.  :meth:`at`
+    builds one point's PiDecomposition and runs its group's Pi SVD on first
+    use; :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices keep
+    the memory layout of the one-matrix route, on which BLAS results depend.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
                  kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
         t0 = model.check_theta(theta0)
+        self.theta0 = t0
         self.g = g
         if kernels is None:
             kernels = []
@@ -269,6 +264,16 @@ class GridSweep:
             Xi=self.xis[x][1][k], U_Pi2=U[j, :, ranks[j]:],
             side_fcr=bool(self.side[i]), shortcut=bool(self.shortcut[i]))
 
+    def bars(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pi_bar_r and Pi_bar_j of every point as two stacks, in point order;
+        RankDrop when the kernel dimension varies between points."""
+        dims = sorted({K.shape[2] for _, K, *_ in self._groups})
+        if len(dims) > 1:
+            raise RankDrop(f"the kernel dimension of G_yv varies across the chosen frequencies "
+                           f"(kernel={dims}); pick frequencies at the normal rank")
+        order = np.argsort(np.concatenate([idx for idx, *_ in self._groups]))
+        return tuple(np.concatenate([grp[k] for grp in self._groups])[order] for k in (3, 4))
+
     def greedy_rows(self, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """``upsilon_block(self.at(i), psi_dec, False, m_z)`` of every grid point,
         one row stack per Pi rank of each kernel group: a list of
@@ -279,6 +284,19 @@ class GridSweep:
             rows += [(idx[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
                      for r, sel in _by_value(ranks)]
         return rows
+
+
+def listed_sweep(model: DescriptorModel, t0: np.ndarray, w: list[float],
+                 sweep: GridSweep | None = None) -> GridSweep:
+    """The GridSweep of the checked frequencies ``w`` at the checked ``t0``:
+    ``sweep`` if it was built at ``w``, in order, and at ``t0`` (InvalidInput
+    otherwise), or else one built from one :func:`response.g_sweep`."""
+    if sweep is None:
+        return GridSweep(model, t0, response.g_sweep(model, w).raise_guarded())
+    if list(sweep.g.omegas) != w or not np.array_equal(sweep.theta0, t0):
+        raise InvalidInput(
+            f"sweep must be built at freqs {w}, in order, and at theta0={t0.tolist()}")
+    return sweep
 
 
 def normal_row_rank(model: DescriptorModel, seed: int = 20260808) -> int:
@@ -459,7 +477,7 @@ def _psi_deficient_verdict(psi_dec: PsiDecomposition, freqs) -> IdentifiabilityV
     )
 
 
-def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
+def upsilon_test(model: DescriptorModel, theta0, freqs, sweep: GridSweep | None = None,
                  fnrr_seed: int = 20260808) -> IdentifiabilityVerdict:
     """Decide identifiability at ``theta0`` from the given distinct frequencies.
 
@@ -467,9 +485,9 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
     stack); the rest contribute their U_Pi2 rows.  The stacked full-column-rank
     test is carried out recursively: a shrinking right-null basis Z is chained
     through the per-frequency blocks and the verdict is identifiable exactly
-    when Z shrinks to zero columns.  Without ``pis``, the frequencies are
-    evaluated in one :func:`response.g_sweep` and decomposed by
-    :func:`pi_sweep`, so a pole anywhere in the list is reported before a
+    when Z shrinks to zero columns.  The Pi factors come from ``sweep``, the
+    GridSweep of ``freqs`` at ``theta0``, checked and by default built by
+    :func:`listed_sweep`, so a pole anywhere in the list is reported before a
     singular loop.
     """
     t0 = model.check_theta(theta0)
@@ -481,13 +499,8 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, pis=None,
 
     check_fnrr(model, seed=fnrr_seed)
 
-    if pis is None:
-        pis = pi_sweep(model, t0, response.g_sweep(model, w).raise_guarded())
-    else:
-        pis = list(pis)
-        if [p.omega for p in pis] != w:
-            raise InvalidInput(f"pis must be built at freqs {w}, in order")
-    return _decide(model, t0, pis, psi_dec)
+    sweep = listed_sweep(model, t0, w, sweep)
+    return _decide(model, t0, [sweep.at(i) for i in range(len(w))], psi_dec)
 
 
 def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],

@@ -8,8 +8,8 @@ evaluation of H (``response.g_sweep``, and ``response.h_sweep`` over a stack
 of thetas at one of its points, of which ``h_lft`` is the one-theta case),
 numkit's default rank decision on the Jacobian, Psi's decomposition
 (``identifiability.psi``) and, for the empirical boundary, the S matrices and
-ellipsoid that ``sloppiness`` builds (from Pi factors of the blocks the check
-evaluated).
+ellipsoid that ``sloppiness`` builds from one ``identifiability.GridSweep`` of
+the blocks the check evaluated.
 
 The frequencies are evaluated once, in one sweep: :func:`fd_jacobian` keeps
 it on its :class:`JacobianEstimate`, and the probe reads it there.  The
@@ -284,8 +284,7 @@ def ellipsoid_empirical_check(
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     blocks = response.g_sweep(model, w).raise_guarded()
-    pis = identifiability.pi_sweep(model, t0, blocks)
-    S = sloppiness.s_matrices(model, t0, w, pis=pis)
+    S = sloppiness.s_matrices(model, t0, w, sweep=identifiability.GridSweep(model, t0, blocks))
     ell = sloppiness.frobenius_ellipsoid(S, eps)
     base = [response.h_lft(model, t0, g) for g in blocks]
     rng = np.random.default_rng(seed)

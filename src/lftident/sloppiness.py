@@ -13,6 +13,9 @@ module derives
 * absolute/relative sloppiness metrics as generalized eigenvalues of the
   pencil (S_k^T S_k, M) with M the deviation-energy Gram matrix, and
 * a per-frequency spectral-norm membership predicate.
+
+A frequency list arrives as its :class:`identifiability.GridSweep`; the
+pointwise factors and the Q pairs are (N, ...) stacks over that list.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ _Q_CHECK_SEED = 1
 
 @dataclass(frozen=True)
 class PointwiseFactors:
-    """Thin-SVD data of G_yv and G_zu at one frequency plus the loop-corrected factors.
+    """Thin-SVD data of G_yv and G_zu plus the loop-corrected factors at each
+    frequency of ``omegas``: every other field is an (N, ...) stack.
 
     ``Phi_l`` maps deviation coordinates into the parameter block from the
     left, ``Phi_r`` from the right:
@@ -61,7 +65,7 @@ class PointwiseFactors:
         Phi_r = Sigma_zu^-1 U_zu^H (I - G_zv P(theta0))     (m_z x m_z)
     """
 
-    omega: float
+    omegas: tuple[float, ...]
     U_yv1: np.ndarray
     sigma_yv: np.ndarray
     V_yv1: np.ndarray
@@ -73,52 +77,56 @@ class PointwiseFactors:
 
     @property
     def r_yv(self) -> int:
-        return int(self.sigma_yv.size)
+        return self.sigma_yv.shape[1]
 
     @property
     def r_zu(self) -> int:
-        return int(self.sigma_zu.size)
+        return self.sigma_zu.shape[1]
 
 
 def pointwise_factors(model: DescriptorModel, theta0, g: response.GSweep) -> PointwiseFactors:
-    """Factor G_yv and G_zu of the one-point sweep ``g`` of transfer blocks;
-    requires G_zu full row rank there."""
+    """Factor G_yv and G_zu at every point of the transfer-block sweep ``g``,
+    with one stacked SVD per block.
+
+    Raises RankDrop, naming the first such omega, where G_zu is not of full
+    row rank, and when the rank of G_yv differs between points.
+    """
     t0 = model.check_theta(theta0)
     m_z, m_v = model.dims.m_z, model.dims.m_v
 
-    # Rank decisions here are anchored at the overall response scale at this
+    # Rank decisions here are anchored at the overall response scale at each
     # frequency: a block vanishing at an isolated omega must read as a rank
     # drop, not be ranked by its numerical dust.  The 2-norms of G_zu and G_yv
     # are the largest singular values of their own SVDs, split at that scale.
-    svds = [numkit.svd_stack(B) for B in (g.G_zu, g.G_yv)]
-    scale = max(
-        [float(sigma[0, 0]) for _, sigma, _, _ in svds if sigma.size]
-        + [float(np.linalg.norm(B[0], 2)) for B in (g.G_yu, g.G_zv) if B.size],
-        default=1.0,
-    )
-    scale = max(scale, 1e-300)
-    zu, yv = (numkit._split(U[0], sigma[0], V[0], B.shape[1:], numkit.DEFAULT_RANK_RTOL, scale)
-              for (U, sigma, V, _), B in zip(svds, (g.G_zu, g.G_yv)))
-    if zu.rank < m_z:
-        raise RankDrop(
-            f"G_zu drops to rank {zu.rank} < m_z={m_z} at omega={g.omegas[0]}; pick another frequency"
-        )
+    (U_zu, s_zu, V_zu, _), (U_yv, s_yv, V_yv, _) = (numkit.svd_stack(B) for B in (g.G_zu, g.G_yv))
+    scale = np.maximum.reduce([s_zu[:, 0], s_yv[:, 0], np.linalg.norm(g.G_yu, 2, axis=(1, 2)),
+                               np.linalg.norm(g.G_zv, 2, axis=(1, 2)), np.full(len(g), 1e-300)])
+    r_zu, r_yv = (numkit._ranks(sigma, B.shape[1:], numkit.DEFAULT_RANK_RTOL, scale)
+                  for sigma, B in ((s_zu, g.G_zu), (s_yv, g.G_yv)))
+    drop = np.flatnonzero(r_zu < m_z)
+    if drop.size:
+        raise RankDrop(f"G_zu drops to rank {r_zu[drop[0]]} < m_z={m_z} "
+                       f"at omega={g.omegas[drop[0]]}; pick another frequency")
+    if r_yv.min() != r_yv.max():
+        raise RankDrop(f"G_yv rank varies across the chosen frequencies "
+                       f"(r_yv={sorted(set(r_yv.tolist()))}); pick frequencies at the normal rank")
+    r = int(r_yv[0])
 
+    # G_zu has full row rank: U_zu and s_zu are whole.  The eye divided by
+    # sigma is the stack of diag(1 / sigma), zeros included, bit for bit.
     P0 = model.p_of(t0)
-    loop_l = np.eye(m_v) - P0 @ g.G_zv[0]
-    loop_r = np.eye(m_z) - g.G_zv[0] @ P0
-    Phi_l = loop_l @ yv.V1 @ np.diag(1.0 / yv.sigma) if yv.rank else np.zeros((m_v, 0))
-    Phi_r = np.diag(1.0 / zu.sigma) @ zu.U1.conj().T @ loop_r
+    loop_l = np.eye(m_v) - P0 @ g.G_zv
+    loop_r = np.eye(m_z) - g.G_zv @ P0
     return PointwiseFactors(
-        omega=g.omegas[0],
-        U_yv1=yv.U1,
-        sigma_yv=yv.sigma,
-        V_yv1=yv.V1,
-        U_zu=zu.U1,
-        sigma_zu=zu.sigma,
-        V_zu1=zu.V1,
-        Phi_l=Phi_l,
-        Phi_r=Phi_r,
+        omegas=g.omegas,
+        U_yv1=U_yv[:, :, :r],
+        sigma_yv=s_yv[:, :r],
+        V_yv1=V_yv[:, :, :r],
+        U_zu=U_zu,
+        sigma_zu=s_zu,
+        V_zu1=V_zu[:, :, :m_z],
+        Phi_l=loop_l @ V_yv[:, :, :r] @ (np.eye(r) / s_yv[:, None, :r]),
+        Phi_r=(np.eye(m_z) / s_zu[:, None]) @ U_zu.conj().transpose(0, 2, 1) @ loop_r,
     )
 
 
@@ -131,19 +139,21 @@ def _th_columns(r_yv: int, r_zu: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QPair:
-    """Real matrices acting on interleaved deviation coordinates.
+    """Real matrices acting on interleaved deviation coordinates, one of each
+    per frequency of ``omegas``, stacked.
 
     For any complex D (r_yv x r_zu) with xi = vec(col{Re D; Im D}):
-    ``Q_r @ xi = vec(Re(Phi_l D Phi_r))`` and ``Q_j @ xi`` its imaginary part.
+    ``Q_r[k] @ xi = vec(Re(Phi_l D Phi_r))`` at frequency k and ``Q_j[k] @ xi``
+    its imaginary part.
     """
 
-    omega: float
+    omegas: tuple[float, ...]
     Q_r: np.ndarray
     Q_j: np.ndarray
 
 
 def q_pair(factors: PointwiseFactors) -> QPair:
-    """Assemble the Q pair from the pointwise factors; self-checks the action.
+    """Assemble the Q pairs of the stacked pointwise factors; self-checks the action.
 
     With K[s, t] = kron(R_s^T, L_t) over the real and imaginary parts of
     R = Phi_r and L = Phi_l, all four from one broadcast product, vec(L D R)
@@ -153,35 +163,40 @@ def q_pair(factors: PointwiseFactors) -> QPair:
     xi = vec(col{Re D; Im D}).
 
     The self-check compares Q_r xi and Q_j xi with vec Re/Im(L D R) for
-    _Q_CHECK_PROBES random complex D (:func:`_q_probes`), all in one stacked
-    product.  A probe whose residual exceeds 1e-10 * scale * max(1, max|D|)
-    fails it, and the ConstructionError names the first such residual.
+    _Q_CHECK_PROBES random complex D (:func:`_q_probes`) at every frequency,
+    all in one stacked product.  A probe whose residual exceeds
+    1e-10 * scale * max(1, max|D|) fails it, and the ConstructionError names
+    the first failing frequency and that frequency's first failing residual.
     """
     L, R = factors.Phi_l, factors.Phi_r
     r_yv, r_zu = factors.r_yv, factors.r_zu
-    K = numkit._kron(np.stack([R.real.T, R.imag.T])[:, None], np.stack([L.real, L.imag]))
-    re, im = K[0, 0] - K[1, 1], K[1, 0] + K[0, 1]
+    K = numkit._kron(np.stack([R.real, R.imag], axis=1).swapaxes(2, 3)[:, :, None],
+                     np.stack([L.real, L.imag], axis=1)[:, None])
+    re, im = K[:, 0, 0] - K[:, 1, 1], K[:, 1, 0] + K[:, 0, 1]
     cols = _th_columns(r_yv, r_zu)
     # -K[j, r] - K[r, j] rather than -im: where K[j, r] = -K[r, j], -im is
     # -0.0 and this is +0.0.  A zero's sign can steer a Householder step.
-    Q_r = np.hstack([re, -K[1, 0] - K[0, 1]])[:, cols]
-    Q_j = np.hstack([im, re])[:, cols]
+    Q_r = np.concatenate([re, -K[:, 1, 0] - K[:, 0, 1]], axis=2)[:, :, cols]
+    Q_j = np.concatenate([im, re], axis=2)[:, :, cols]
 
     if r_yv * r_zu:
         D = _q_probes(r_yv, r_zu)
-        k = len(D)
+        n, k = len(L), len(D)
         xi = np.concatenate([D.real, D.imag], axis=1).transpose(0, 2, 1).reshape(k, -1)
-        prod = (L @ D @ R).transpose(0, 2, 1).reshape(k, -1)  # vec(L D R) per probe
-        err = np.maximum(np.abs(xi @ Q_r.T - prod.real).max(axis=1, initial=0.0),
-                         np.abs(xi @ Q_j.T - prod.imag).max(axis=1, initial=0.0))
-        scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
-        bad = np.flatnonzero(err > 1e-10 * scale * np.maximum(1.0, np.abs(D).max(axis=(1, 2))))
+        # vec(L D R) per frequency and probe.
+        prod = (L[:, None] @ D @ R[:, None]).transpose(0, 1, 3, 2).reshape(n, k, -1)
+        err = np.maximum(np.abs(xi @ Q_r.transpose(0, 2, 1) - prod.real).max(axis=2, initial=0.0),
+                         np.abs(xi @ Q_j.transpose(0, 2, 1) - prod.imag).max(axis=2, initial=0.0))
+        scale = (np.maximum(np.linalg.norm(L, axis=(1, 2)), 1.0)
+                 * np.maximum(np.linalg.norm(R, axis=(1, 2)), 1.0))
+        bad = np.argwhere(err > 1e-10 * scale[:, None] * np.maximum(1.0, np.abs(D).max(axis=(1, 2))))
         if bad.size:
+            i, j = bad[0]
             raise ConstructionError(
-                f"Q action self-check failed at omega={factors.omega}: "
-                f"residual {err[bad[0]]:.3e}"
+                f"Q action self-check failed at omega={factors.omegas[i]}: "
+                f"residual {err[i, j]:.3e}"
             )
-    return QPair(omega=factors.omega, Q_r=Q_r, Q_j=Q_j)
+    return QPair(omegas=factors.omegas, Q_r=Q_r, Q_j=Q_j)
 
 
 def _q_probes(r_yv: int, r_zu: int) -> np.ndarray:
@@ -192,40 +207,37 @@ def _q_probes(r_yv: int, r_zu: int) -> np.ndarray:
     return Z[:, 0] + 1j * Z[:, 1]
 
 
-def _block_rows(psi_dec, pis, qpairs, m_z: int):
-    """(Gamma, Omega) over the frequencies, and I_mz kron Pi_bar_r of each."""
+def _block_rows(psi_dec, bars, qpairs: QPair, m_z: int):
+    """(Gamma, Omega) over the frequencies, and the stack of I_mz kron Pi_bar_r,
+    from the stacks ``bars`` of Pi_bar_r and Pi_bar_j."""
     U1t, U2t = psi_dec.U1.T, psi_dec.U2.T
     I_mz = np.eye(m_z)
-    kr = [numkit._kron(I_mz, p.Pi_bar_r) for p in pis]
-    Gamma = _assemble([U1t @ K for K in kr], [U2t @ K for K in kr],
-                      [numkit._kron(I_mz, p.Pi_bar_j) for p in pis])
-    Omega = _assemble([U1t @ qp.Q_r for qp in qpairs], [U2t @ qp.Q_r for qp in qpairs],
-                      [qp.Q_j for qp in qpairs])
+    kr = numkit._kron(I_mz, bars[0])
+    Gamma = _assemble(U1t @ kr, U2t @ kr, numkit._kron(I_mz, bars[1]))
+    Omega = _assemble(U1t @ qpairs.Q_r, U2t @ qpairs.Q_r, qpairs.Q_j)
     return Gamma, Omega, kr
 
 
 def _assemble(first, solvability, realness) -> np.ndarray:
-    """The block matrix of per-frequency blocks, frequency i in column block i.
+    """The block matrix of the (N, ., n) stacks of per-frequency blocks,
+    frequency i in column block i.
 
     Rows: N - 1 consistency blocks [first_0, ..., -first_i, ...], then the
     N solvability and the N realness blocks on the block diagonal.
     """
-    col = np.cumsum([0] + [b.shape[1] for b in first])
-    h = first[0].shape[0]
-    blocks = [(b, i) for kind in (solvability, realness) for i, b in enumerate(kind)]
-    out = np.zeros(((len(first) - 1) * h + sum(b.shape[0] for b, _ in blocks), col[-1]))
-    r = 0
-    for i in range(1, len(first)):
-        out[r:r + h, :col[1]] = first[0]
-        out[r:r + h, col[i]:col[i + 1]] = -first[i]
-        r += h
-    for b, i in blocks:
-        out[r:r + b.shape[0], col[i]:col[i + 1]] = b
-        r += b.shape[0]
-    return out
+    consistency = np.hstack([np.tile(first[0], (len(first) - 1, 1)), _block_diag(-first[1:])])
+    return np.vstack([consistency, _block_diag(solvability), _block_diag(realness)])
 
 
-def _context(model, theta0, freqs, pis=None, factors=None):
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the (N, m, n) stack ``blocks``."""
+    N, m, n = blocks.shape
+    out = np.zeros((N, m, N, n))
+    out[range(N), :, range(N)] = blocks
+    return out.reshape(N * m, N * n)
+
+
+def _context(model, theta0, freqs, sweep):
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     psi_dec = ident.psi(model)
@@ -233,32 +245,17 @@ def _context(model, theta0, freqs, pis=None, factors=None):
         raise GammaRankDeficient(
             "Psi is rank deficient: no frequency set certifies identifiability"
         )
-    pis = (
-        list(pis) if pis is not None
-        else ident.pi_sweep(model, t0, response.g_sweep(model, w).raise_guarded())
-    )
-    factors = (
-        list(factors) if factors is not None
-        else [pointwise_factors(model, t0, p.g) for p in pis]
-    )
-    if [p.omega for p in pis] != w or [f.omega for f in factors] != w:
-        raise InvalidInput(f"pis/factors must be built at freqs {w}, in order")
-    r_yv = {f.r_yv for f in factors}
-    c_dim = {p.kernel_dim for p in pis}
-    if len(r_yv) > 1 or len(c_dim) > 1:
-        raise RankDrop(
-            f"G_yv rank varies across the chosen frequencies (r_yv={sorted(r_yv)}, "
-            f"kernel={sorted(c_dim)}); pick frequencies at the normal rank"
-        )
-    qpairs = [q_pair(f) for f in factors]
-    return t0, w, psi_dec, pis, factors, qpairs
+    sweep = ident.listed_sweep(model, t0, w, sweep)
+    factors = pointwise_factors(model, t0, sweep.g)
+    return t0, w, psi_dec, sweep.bars(), factors, q_pair(factors)
 
 
-def gamma_omega(model: DescriptorModel, theta0, freqs, pis=None,
-                factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the paired constraint stacks (Gamma, Omega) over the frequencies."""
-    _, _, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
-    return _block_rows(psi_dec, pis, qpairs, model.dims.m_z)[:2]
+def gamma_omega(model: DescriptorModel, theta0, freqs,
+                sweep: ident.GridSweep | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the paired constraint stacks (Gamma, Omega) over the frequencies;
+    ``sweep`` as in :func:`s_matrices`."""
+    _, _, psi_dec, bars, _, qpairs = _context(model, theta0, freqs, sweep)
+    return _block_rows(psi_dec, bars, qpairs, model.dims.m_z)[:2]
 
 
 @dataclass(frozen=True)
@@ -268,8 +265,9 @@ class SMatrices:
     ``S_H`` spans the admissible deviation coordinates, ``S_A`` the induced
     kernel coordinates (Gamma @ S_A = Omega @ S_H), ``S_k[k]`` the affine
     parameter maps (one per frequency), ``S_tilde[k]`` the complex deviation
-    reconstruction at frequency k, and ``M`` the deviation-energy Gram matrix
-    (equal to S_H^T S_H).
+    reconstruction at frequency k (one stack), ``M`` the deviation-energy
+    Gram matrix (equal to S_H^T S_H), and ``factors`` the stacked pointwise
+    factors.
     """
 
     theta0: np.ndarray
@@ -279,10 +277,9 @@ class SMatrices:
     S_H: np.ndarray
     S_A: np.ndarray
     S_k: tuple[np.ndarray, ...]
-    S_H_blocks: tuple[np.ndarray, ...]
-    S_tilde: tuple[np.ndarray, ...]
+    S_tilde: np.ndarray
     M: np.ndarray
-    factors: tuple[PointwiseFactors, ...]
+    factors: PointwiseFactors
 
     @property
     def n_s(self) -> int:
@@ -291,35 +288,34 @@ class SMatrices:
     def complex_block(self, k: int) -> np.ndarray:
         """Stack (S_H,k(2c-1) + j S_H,k(2c)) over the r_zu column groups:
         maps xi to vec of the complex deviation coordinates at frequency k."""
-        f = self.factors[k]
-        return _complex_block(self.S_H_blocks[k], f.r_yv, f.r_zu)
+        return _complex_blocks(self.S_H, self.factors)[k]
 
 
-def _complex_block(block: np.ndarray, r_yv: int, r_zu: int) -> np.ndarray:
-    rows = [
-        block[2 * c * r_yv:(2 * c + 1) * r_yv, :]
-        + 1j * block[(2 * c + 1) * r_yv:(2 * c + 2) * r_yv, :]
-        for c in range(r_zu)
-    ]
-    return np.vstack(rows) if rows else np.zeros((0, block.shape[1]), dtype=complex)
+def _complex_blocks(S_H: np.ndarray, factors: PointwiseFactors) -> np.ndarray:
+    """:meth:`SMatrices.complex_block` of every frequency, as one stack."""
+    N, r_yv, r_zu, n = len(factors.omegas), factors.r_yv, factors.r_zu, S_H.shape[1]
+    B = S_H.reshape(N, r_zu, 2, r_yv, n)
+    return (B[:, :, 0] + 1j * B[:, :, 1]).reshape(N, r_zu * r_yv, n)
 
 
-def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
-               factors=None) -> SMatrices:
+def s_matrices(model: DescriptorModel, theta0, freqs,
+               sweep: ident.GridSweep | None = None) -> SMatrices:
     """Build the S matrices; refuses when Gamma is not full column rank, or
     when the admissible deviations S_H do not span q dimensions.
 
-    The parameter map at frequency k is
+    ``sweep`` is the GridSweep of ``freqs`` at ``theta0``, checked and by
+    default built by :func:`identifiability.listed_sweep`.  The parameter map
+    at frequency k is
 
         S_k = V_Psi Sigma_Psi^-1 U_Psi1^T (Q_r(w_k) S_H,k - (I kron Pi_bar_r(w_k)) S_A,k)
 
     the minus sign following from Gamma a + Omega xi = 0 with S_A defined as
-    Gamma^+ Omega S_H.
+    Gamma^+ Omega S_H.  Each product with a block of S_H or S_A, and the sum
+    that forms M, run one frequency at a time: BLAS results depend on the
+    operands' layout, and a stacked sum can flip a signed zero.
     """
-    t0, w, psi_dec, pis, factors, qpairs = _context(model, theta0, freqs, pis, factors)
-    m_z = model.dims.m_z
-    N = len(w)
-    Gamma, Omega, kr = _block_rows(psi_dec, pis, qpairs, m_z)
+    t0, w, psi_dec, bars, factors, qpairs = _context(model, theta0, freqs, sweep)
+    Gamma, Omega, kr = _block_rows(psi_dec, bars, qpairs, model.dims.m_z)
 
     # One SVD of Gamma gives its rank and its left annihilator.
     gamma = numkit.svd_full(Gamma)
@@ -342,25 +338,18 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
             "one rank cut cannot resolve the response scales of these frequencies; "
             "pick frequencies whose responses are of closer magnitude"
         )
-    o_block = 2 * factors[0].r_yv * factors[0].r_zu
-    g_block = 2 * pis[0].kernel_dim * m_z
-    S_H_blocks = tuple(S_H[k * o_block:(k + 1) * o_block, :] for k in range(N))
-    S_A_blocks = tuple(S_A[k * g_block:(k + 1) * g_block, :] for k in range(N))
-
+    o, g = qpairs.Q_r.shape[2], kr.shape[2]  # rows of S_H and S_A per frequency
     V1 = psi_dec.factors.V1.real
     sig = psi_dec.factors.sigma
     U1t = psi_dec.U1.T
     S_k = []
-    for k in range(N):
-        core = qpairs[k].Q_r @ S_H_blocks[k] - kr[k] @ S_A_blocks[k]
+    for k in range(len(w)):
+        core = qpairs.Q_r[k] @ S_H[k * o:(k + 1) * o, :] - kr[k] @ S_A[k * g:(k + 1) * g, :]
         S_k.append(V1 @ (np.diag(1.0 / sig) @ (U1t @ core)))
 
-    S_tilde = []
+    S_tilde = numkit._kron(factors.V_zu1, factors.U_yv1) @ _complex_blocks(S_H, factors)
     M = np.zeros((n_s, n_s))
-    for k in range(N):
-        X = _complex_block(S_H_blocks[k], factors[k].r_yv, factors[k].r_zu)
-        St = numkit._kron(factors[k].V_zu1, factors[k].U_yv1) @ X
-        S_tilde.append(St)
+    for St in S_tilde:
         M += St.real.T @ St.real + St.imag.T @ St.imag
     M = 0.5 * (M + M.T)
 
@@ -377,11 +366,20 @@ def s_matrices(model: DescriptorModel, theta0, freqs, pis=None,
         S_H=S_H,
         S_A=S_A,
         S_k=tuple(S_k),
-        S_H_blocks=S_H_blocks,
-        S_tilde=tuple(S_tilde),
+        S_tilde=S_tilde,
         M=M,
-        factors=tuple(factors),
+        factors=factors,
     )
+
+
+def _checked_xi(xi, n: int, name: str = "xi") -> np.ndarray:
+    """``xi`` as a float vector of length ``n`` with finite entries; InvalidInput otherwise."""
+    x = np.asarray(xi, dtype=float).reshape(-1)
+    if x.size != n:
+        raise InvalidInput(f"{name} must have length n_s={n}, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return x
 
 
 @dataclass(frozen=True)
@@ -400,20 +398,18 @@ class EllipsoidModel:
     convention: str = EPS_CONVENTION
 
     def quad(self, xi) -> float:
-        x = np.asarray(xi, dtype=float).reshape(-1)
+        x = _checked_xi(xi, len(self.M))
         return float(x @ self.M @ x)
 
     def contains(self, xi) -> bool:
         return self.quad(xi) <= self.eps ** 2 * (1.0 + 1e-12)
 
     def theta_of(self, xi) -> np.ndarray:
-        return self.theta0 + self.S_k @ np.asarray(xi, dtype=float).reshape(-1)
+        return self.theta0 + self.S_k @ _checked_xi(xi, len(self.M))
 
     def boundary_point(self, direction) -> np.ndarray:
         """Scale ``direction`` onto the boundary xi^T M xi = eps^2."""
-        u = np.asarray(direction, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(u)):
-            raise InvalidInput("direction contains non-finite entries")
+        u = _checked_xi(direction, len(self.M), "direction")
         quad = float(u @ self.M @ u)
         if quad <= 0.0:
             raise InvalidInput("direction carries no deviation energy")
@@ -454,8 +450,8 @@ class SloppinessReport:
 
 
 def _check_k(S: SMatrices, k: int) -> None:
-    if not 1 <= k <= len(S.freqs):
-        raise InvalidInput(f"k must be in 1..{len(S.freqs)}, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= len(S.freqs):
+        raise InvalidInput(f"k must be an integer in 1..{len(S.freqs)}, got {k!r}")
 
 
 def metrics(S: SMatrices, k: int = 1) -> SloppinessReport:
@@ -487,18 +483,11 @@ def metrics(S: SMatrices, k: int = 1) -> SloppinessReport:
 
 def deviation_sigmas(S: SMatrices, xi) -> np.ndarray:
     """Maximum singular value of the first-order deviation at every frequency."""
-    x = np.asarray(xi, dtype=float).reshape(-1)
-    if x.size != S.n_s:
-        raise InvalidInput(f"xi must have length n_s={S.n_s}, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("xi contains non-finite entries")
-    out = []
-    for k, f in enumerate(S.factors):
-        coords = S.complex_block(k) @ x
-        D = numkit.unvec(coords, f.r_yv, f.r_zu) if coords.size else np.zeros((f.r_yv, f.r_zu))
-        full = f.U_yv1 @ D @ f.V_zu1.T
-        out.append(float(np.linalg.svd(full, compute_uv=False)[0]) if full.size else 0.0)
-    return np.asarray(out)
+    x = _checked_xi(xi, S.n_s)
+    f = S.factors
+    coords = _complex_blocks(S.S_H, f) @ x
+    D = coords.reshape(len(coords), f.r_zu, f.r_yv).transpose(0, 2, 1)  # unvec per frequency
+    return np.linalg.svd(f.U_yv1 @ D @ f.V_zu1.transpose(0, 2, 1), compute_uv=False)[:, 0]
 
 
 def spectral_membership(S: SMatrices, xi, eps: float) -> bool:

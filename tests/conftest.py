@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lftident import model as model_mod
-from lftident import numkit, response, testing
+from lftident import identifiability as ident
+from lftident import numkit, response, sloppiness, testing
 from lftident.errors import PoleProximity
 
 
@@ -47,6 +50,35 @@ def model_pool(n, start=0):
     for i in range(n):
         out.append(testing.random_regular_model(start + i, **kinds[i % len(kinds)]))
     return out
+
+
+def every_point(model, theta0, sweep):
+    """The PiDecomposition of every point of the transfer-block sweep ``sweep``,
+    in order, from one GridSweep."""
+    grid = ident.GridSweep(model, theta0, sweep)
+    return [grid.at(i) for i in range(len(sweep))]
+
+
+def rotate_factors(monkeypatch, rng):
+    """Make sloppiness.pointwise_factors return its factors with the singular
+    vectors of each frequency rotated by unit phases d1 (G_yv) and d2 (G_zu),
+    drawn from ``rng`` for each frequency in turn."""
+    factors = sloppiness.pointwise_factors
+
+    def rotated(model, theta0, g):
+        f = factors(model, theta0, g)
+        draws = [(np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_yv)),
+                  np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_zu))) for _ in f.omegas]
+        d1 = np.array([d for d, _ in draws])[:, None]
+        d2 = np.array([d for _, d in draws])[:, None]
+        return dataclasses.replace(
+            f,
+            U_yv1=f.U_yv1 * d1, V_yv1=f.V_yv1 * d1,
+            U_zu=f.U_zu * d2, V_zu1=f.V_zu1 * d2,
+            Phi_l=f.Phi_l * d1, Phi_r=np.conj(d2).transpose(0, 2, 1) * f.Phi_r,
+        )
+
+    monkeypatch.setattr(sloppiness, "pointwise_factors", rotated)
 
 
 def interior_theta(model, seed, scale=0.5):

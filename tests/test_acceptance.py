@@ -6,7 +6,6 @@ per criterion.  Desk scale throughout: state dimension <= 8, parameter count
 """
 
 import contextlib
-import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +18,7 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import LftIdentError
 
 from conftest import (h_statespace, interior_theta, model_pool,
-                      regularity_identity_check)
+                      regularity_identity_check, rotate_factors)
 
 
 @contextlib.contextmanager
@@ -95,20 +94,20 @@ def test_criterion_3_q_action_identity():
             Phi_l = rng.standard_normal((m_v, r_yv)) + 1j * rng.standard_normal((m_v, r_yv))
             Phi_r = rng.standard_normal((r_zu, r_zu)) + 1j * rng.standard_normal((r_zu, r_zu))
             f = slop.PointwiseFactors(
-                omega=1.0,
-                U_yv1=np.zeros((1, r_yv)), sigma_yv=np.ones(r_yv),
-                V_yv1=np.zeros((m_v, r_yv)),
-                U_zu=np.zeros((r_zu, r_zu)), sigma_zu=np.ones(r_zu),
-                V_zu1=np.zeros((1, r_zu)),
-                Phi_l=Phi_l, Phi_r=Phi_r,
+                omegas=(1.0,),
+                U_yv1=np.zeros((1, 1, r_yv)), sigma_yv=np.ones((1, r_yv)),
+                V_yv1=np.zeros((1, m_v, r_yv)),
+                U_zu=np.zeros((1, r_zu, r_zu)), sigma_zu=np.ones((1, r_zu)),
+                V_zu1=np.zeros((1, 1, r_zu)),
+                Phi_l=Phi_l[None], Phi_r=Phi_r[None],
             )
             qp = slop.q_pair(f)
             for _ in range(5):
                 D = rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
                 xi = numkit.vec(np.vstack([D.real, D.imag]))
                 prod = Phi_l @ D @ Phi_r
-                worst = max(worst, float(np.max(np.abs(qp.Q_r @ xi - numkit.vec(prod.real)))))
-                worst = max(worst, float(np.max(np.abs(qp.Q_j @ xi - numkit.vec(prod.imag)))))
+                worst = max(worst, float(np.max(np.abs(qp.Q_r[0] @ xi - numkit.vec(prod.real)))))
+                worst = max(worst, float(np.max(np.abs(qp.Q_j[0] @ xi - numkit.vec(prod.imag)))))
         assert worst <= 1e-10, f"worst Q action residual {worst:.3e}"
 
 
@@ -151,20 +150,23 @@ def test_criterion_4_verdict_soundness():
                 assert np.linalg.norm(H1 - H0) <= 1e-10
 
 
-def test_criterion_5_basis_and_unitary_invariance():
+def test_criterion_5_basis_and_unitary_invariance(monkeypatch):
     with criterion(5, "verdict/mu invariance under kernel and unitary changes"):
         rng = np.random.default_rng(5)
         fixtures = certified_fixtures(8)
         for m, t0, w in fixtures:
-            pis = [ident.pi_at(m, t0, response.g_blocks(m, wi)) for wi in w]
-            pis_rot = []
-            for p in pis:
+            sweep = ident.GridSweep(m, t0, response.g_sweep(m, w))
+            pis = [sweep.at(i) for i in range(len(w))]
+            kernels = []
+            for i, p in enumerate(pis):
                 c = p.kernel_dim
                 M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
                 M += 2.0 * np.eye(c)
-                pis_rot.append(ident.pi_at(m, t0, p.g, kernel=p.K @ M))
-            v1 = ident.upsilon_test(m, t0, w, pis=pis)
-            v2 = ident.upsilon_test(m, t0, w, pis=pis_rot)
+                kernels.append((np.array([i]), (p.K @ M)[None]))
+            rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
+            pis_rot = [rotated.at(i) for i in range(len(w))]
+            v1 = ident.upsilon_test(m, t0, w, sweep=sweep)
+            v2 = ident.upsilon_test(m, t0, w, sweep=rotated)
             assert v1.status == v2.status
             assert v1.residual_nullspace_dim == v2.residual_nullspace_dim
             for p, pr in zip(pis, pis_rot):
@@ -175,22 +177,13 @@ def test_criterion_5_basis_and_unitary_invariance():
 
             S1 = slop.s_matrices(m, t0, w)
             mu1 = slop.metrics(S1).mu
-            S2 = slop.s_matrices(m, t0, w, pis=pis_rot)
+            S2 = slop.s_matrices(m, t0, w, sweep=rotated)
             mu2 = slop.metrics(S2).mu
             assert np.max(np.abs(mu1 - mu2) / mu1) <= 1e-6
 
-            facs = [slop.pointwise_factors(m, t0, response.g_blocks(m, wi)) for wi in w]
-            rot = []
-            for f in facs:
-                d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_yv))
-                d2 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_zu))
-                rot.append(dataclasses.replace(
-                    f,
-                    U_yv1=f.U_yv1 * d1, V_yv1=f.V_yv1 * d1,
-                    U_zu=f.U_zu * d2, V_zu1=f.V_zu1 * d2,
-                    Phi_l=f.Phi_l * d1, Phi_r=np.conj(d2)[:, None] * f.Phi_r,
-                ))
-            S3 = slop.s_matrices(m, t0, w, factors=rot)
+            with monkeypatch.context() as mp:
+                rotate_factors(mp, rng)
+                S3 = slop.s_matrices(m, t0, w)
             mu3 = slop.metrics(S3).mu
             assert np.max(np.abs(mu1 - mu3) / mu1) <= 1e-6
 
@@ -297,10 +290,11 @@ def test_criterion_9_spectral_membership_consistency():
                 xi = rng.standard_normal(S.n_s) * rng.uniform(0.1, 3.0) * eps
                 # independent reconstruction of every per-frequency deviation
                 sig_direct = []
-                for k, f in enumerate(S.factors):
+                f = S.factors
+                for k in range(len(w)):
                     coords = S.complex_block(k) @ xi
                     D = coords.reshape((f.r_yv, f.r_zu), order="F")
-                    full = f.U_yv1 @ D @ f.V_zu1.T
+                    full = f.U_yv1[k] @ D @ f.V_zu1[k].T
                     sig_direct.append(np.linalg.svd(full, compute_uv=False)[0] if full.size else 0.0)
                 expect = bool(np.all(np.asarray(sig_direct) <= eps * (1 + 1e-12)))
                 assert slop.spectral_membership(S, xi, eps) == expect

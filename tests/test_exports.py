@@ -18,7 +18,7 @@ UNREFERENCED_OK = {
     "lftident.model.save_model":
         "the canonical model writer: the benchmark and the tests write model files with it",
     "lftident.sloppiness.gamma_omega":
-        "the documented Gamma/Omega stacks, with the validated pis/factors injection hooks",
+        "the documented Gamma/Omega stacks, which take the same checked sweep as s_matrices",
     "lftident.sloppiness.spectral_membership":
         "the documented per-frequency spectral-norm membership predicate",
     "lftident.oracle.ellipsoid_empirical_check":

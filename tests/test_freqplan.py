@@ -6,6 +6,8 @@ from lftident import freqplan, identifiability as ident, numkit, response, testi
 from lftident.errors import EmptyGrid, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
+from conftest import every_point
+
 
 class TestDefaultGrid:
     def test_siso1_full_grid(self, siso1):
@@ -125,7 +127,7 @@ def per_step_rebuild(model, theta0, grid):
     step: (status, selected, rank_trace, verdict reason or None)."""
     psi_dec = ident.psi(model)
     m_z = model.dims.m_z
-    cand = ident.pi_sweep(model, theta0, grid.sweep)
+    cand = every_point(model, theta0, grid.sweep)
     anchors = [p for p in cand if p.side_fcr]
     if not anchors:
         return freqplan.NO_PROGRESS_ON_GRID, (), (), None
@@ -192,7 +194,7 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
         fail = [i for g in groups if failing == "whole-grid" or anchor in g for i in g]
         self.side[fail] = False
 
-    # Both the search and the reference's pi_sweep see the forced failures.
+    # Both the search and the reference's GridSweep see the forced failures.
     monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
     plan = freqplan.search_frequencies(m, t0, grid=grid)
     reason = None if plan.verdict is None else plan.verdict.reason
@@ -208,7 +210,7 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
 def pi_svd_points(monkeypatch, model, theta0, grid):
     """The search's plan and, per numkit.svd_stack call it made on a stack of
     Pi, the grid indices of that stack's members, in call order."""
-    index = {p.Pi.tobytes(): i for i, p in enumerate(ident.pi_sweep(model, theta0, grid.sweep))}
+    index = {p.Pi.tobytes(): i for i, p in enumerate(every_point(model, theta0, grid.sweep))}
     calls = []
     svd_stack = numkit.svd_stack
 

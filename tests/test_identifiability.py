@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import compress
 
 import numpy as np
@@ -8,11 +9,11 @@ from scipy.linalg import subspace_angles
 from lftident import freqplan, identifiability as ident
 from lftident import numkit, oracle, response, testing
 from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PoleProximity,
-                             WellPosednessViolation)
+                             RankDrop, WellPosednessViolation)
 from lftident import model as model_module
 from lftident.model import DescriptorModel, Dims
 
-from conftest import full_rank_above, guard_one, interior_theta, model_pool
+from conftest import every_point, full_rank_above, guard_one, interior_theta, model_pool
 
 
 def kernel_pool(n, start=0):
@@ -201,10 +202,15 @@ class TestPiSweep:
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
         sweep = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).sweep
-        swept = ident.pi_sweep(m, t0, sweep)
+        swept = every_point(m, t0, sweep)
         assert len(swept) == len(sweep)
         for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
+        # Two chunks, so two kernel groups: bars stacks them in point order.
+        for stack, name in zip(ident.GridSweep(m, t0, sweep).bars(), ("Pi_bar_r", "Pi_bar_j")):
+            assert len(stack) == len(sweep)
+            for B, p in zip(stack, swept):
+                assert np.array_equal(B, getattr(p, name))
         for p in search_materialized(monkeypatch, m, t0, sweep):
             assert_equals_reference(m, t0, p, p.g)
 
@@ -216,15 +222,19 @@ class TestPiSweep:
         with pytest.raises(WellPosednessViolation) as single:
             ident.pi_at(siso1, t0, sweep[3])
         with pytest.raises(WellPosednessViolation) as swept:
-            ident.pi_sweep(siso1, t0, sweep)
+            ident.GridSweep(siso1, t0, sweep)
         assert str(swept.value) == str(single.value)
         assert f"omega={sweep.omegas[3]}" in str(swept.value)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_isolated_kernel_changes_equal_pointwise(self, monkeypatch, seed, kind):
         m, t0, sweep = isolated_kernel_changes(seed, kind)
-        swept = ident.pi_sweep(m, t0, sweep)
+        swept = every_point(m, t0, sweep)
         assert len({p.kernel_dim for p in swept}) > 1
+        dims = sorted({p.kernel_dim for p in swept})
+        with pytest.raises(RankDrop, match=re.escape(f"varies across the chosen frequencies "
+                                                     f"(kernel={dims})")):
+            ident.GridSweep(m, t0, sweep).bars()
         assert len(swept) == len(sweep)
         for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
@@ -440,10 +450,10 @@ class TestUpsilon:
             ident.upsilon_test(siso1, [0.0], [])
 
     @pytest.mark.parametrize("built_at,freqs", [([1.0], [0.5]), ([1.0, 0.5], [0.5, 1.0])])
-    def test_pis_built_elsewhere_rejected(self, siso1, built_at, freqs):
-        pis = [ident.pi_at(siso1, [0.0], response.g_blocks(siso1, w)) for w in built_at]
-        with pytest.raises(InvalidInput):
-            ident.upsilon_test(siso1, [0.0], freqs, pis=pis)
+    def test_sweep_built_elsewhere_rejected(self, siso1, built_at, freqs):
+        sweep = ident.GridSweep(siso1, [0.0], response.g_sweep(siso1, built_at))
+        with pytest.raises(InvalidInput, match="sweep must be built at freqs"):
+            ident.upsilon_test(siso1, [0.0], freqs, sweep=sweep)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_necessity_vs_fd_jacobian(self, seed):
@@ -461,8 +471,9 @@ class TestUpsilon:
         t0 = np.zeros(m.dims.q)
         freqs = [0.17, 1.1, 6.4]
         pd = ident.psi(m)
-        pis = [ident.pi_at(m, t0, response.g_blocks(m, w)) for w in freqs]
-        v = ident.upsilon_test(m, t0, freqs, pis=pis)
+        sweep = ident.GridSweep(m, t0, response.g_sweep(m, freqs))
+        pis = [sweep.at(i) for i in range(len(freqs))]
+        v = ident.upsilon_test(m, t0, freqs, sweep=sweep)
         # The explicit stacked test matrix: U_Psi2 rows on top, then the
         # first frequency's Xi rows and the later ones' [U_Pi2r U_Pi2j]^T
         # rows, all acting on vec-space through I kron (.).
@@ -480,15 +491,18 @@ class TestUpsilon:
         m = kernel_pool(1, start=460 + seed)[0]
         t0 = np.zeros(m.dims.q)
         freqs = [0.23, 2.4]
-        pis = [ident.pi_at(m, t0, response.g_blocks(m, w)) for w in freqs]
-        pis_rot = []
-        for p in pis:
+        sweep = ident.GridSweep(m, t0, response.g_sweep(m, freqs))
+        pis = [sweep.at(i) for i in range(len(freqs))]
+        kernels = []
+        for i, p in enumerate(pis):
             c = p.kernel_dim
             M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
             M += 2 * np.eye(c)  # keep comfortably invertible
-            pis_rot.append(ident.pi_at(m, t0, p.g, kernel=p.K @ M))
-        v1 = ident.upsilon_test(m, t0, freqs, pis=pis)
-        v2 = ident.upsilon_test(m, t0, freqs, pis=pis_rot)
+            kernels.append((np.array([i]), (p.K @ M)[None]))
+        rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
+        pis_rot = [rotated.at(i) for i in range(len(freqs))]
+        v1 = ident.upsilon_test(m, t0, freqs, sweep=sweep)
+        v2 = ident.upsilon_test(m, t0, freqs, sweep=rotated)
         assert v1.status == v2.status
         assert v1.residual_nullspace_dim == v2.residual_nullspace_dim
         for p, pr in zip(pis, pis_rot):

@@ -276,12 +276,9 @@ class TestEvaluatedOnce:
         seed = 11
         probes = self.fnrr_probes(model, calls, seed)
         pis = []
-        orig = ident.pi_at
-        monkeypatch.setattr(ident, "pi_at",
-                            lambda m, t0, g, **kw: pis.extend(g.omegas) or orig(m, t0, g, **kw))
-        sweep = ident.pi_sweep
-        monkeypatch.setattr(ident, "pi_sweep",
-                            lambda m, t0, g: pis.extend(g.omegas) or sweep(m, t0, g))
+        build = ident.GridSweep.__init__
+        monkeypatch.setattr(ident.GridSweep, "__init__",
+                            lambda self, *a: pis.extend(a[2].omegas) or build(self, *a))
         path = tmp_path / "model.json"
         save_model(model, path)
         code = cli.main(["oracle", "--model", str(path),

@@ -11,6 +11,8 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
+from conftest import rotate_factors
+
 
 def two_channel(gain2=10.0):
     """Two decoupled first-order channels with parameter gains 1 and gain2."""
@@ -66,14 +68,14 @@ class TestPointwiseFactors:
         m = testing.random_regular_model(9, kernel_rich=True)
         g = response.g_blocks(m, 0.8)
         f = slop.pointwise_factors(m, np.zeros(m.dims.q), g)
-        recon = f.U_yv1 @ np.diag(f.sigma_yv) @ f.V_yv1.conj().T
-        assert np.linalg.norm(recon - g.G_yv) < 1e-10 * max(1.0, np.linalg.norm(g.G_yv))
+        recon = f.U_yv1[0] @ np.diag(f.sigma_yv[0]) @ f.V_yv1[0].conj().T
+        assert np.linalg.norm(recon - g.G_yv[0]) < 1e-10 * max(1.0, np.linalg.norm(g.G_yv[0]))
 
     def test_theta_zero_loop_identity(self):
         m = testing.random_regular_model(9, kernel_rich=True)
         f = slop.pointwise_factors(m, np.zeros(m.dims.q), response.g_blocks(m, 0.8))
-        expected = f.V_yv1 @ np.diag(1.0 / f.sigma_yv)
-        assert np.allclose(f.Phi_l, expected)  # P(0) = 0 makes the loop trivial
+        expected = f.V_yv1[0] @ np.diag(1.0 / f.sigma_yv[0])
+        assert np.allclose(f.Phi_l[0], expected)  # P(0) = 0 makes the loop trivial
 
     def test_rank_drop(self):
         m = zu_rank_drop_model()
@@ -81,15 +83,33 @@ class TestPointwiseFactors:
             slop.pointwise_factors(m, [0.0], response.g_blocks(m, 1.0))
         slop.pointwise_factors(m, [0.0], response.g_blocks(m, 0.5))  # fine away from the zero
 
+    def test_rank_drop_names_first_omega_of_a_sweep(self):
+        m = zu_rank_drop_model()
+        with pytest.raises(RankDrop, match=r"G_zu drops to rank 0 < m_z=1 at omega=1\.0;"):
+            slop.pointwise_factors(m, [0.0], response.g_sweep(m, [0.5, 1.0, 2.0]))
+
+    def test_yv_rank_change_between_points_raises(self):
+        m = testing.random_regular_model(9, kernel_rich=True)
+        sweep = response.g_sweep(m, [0.3, 0.8, 1.7])
+        changed = dataclasses.replace(sweep, G=sweep.G.copy())
+        changed.G_yv[1] = 0.0
+        r_yv = slop.pointwise_factors(m, np.zeros(m.dims.q), sweep).r_yv
+        assert r_yv > 0
+        with pytest.raises(RankDrop, match=rf"G_yv rank varies .*\(r_yv=\[0, {r_yv}\]\)"):
+            slop.pointwise_factors(m, np.zeros(m.dims.q), changed)
+
+FACTOR_FIELDS = ("U_yv1", "sigma_yv", "V_yv1", "U_zu", "sigma_zu", "V_zu1", "Phi_l", "Phi_r")
+
 
 def synthetic_factors(Phi_l, Phi_r, omega=1.0):
-    """PointwiseFactors carrying only the loop-corrected factors Phi_l, Phi_r."""
+    """One-point PointwiseFactors carrying only the loop-corrected factors Phi_l, Phi_r."""
     (m_v, r_yv), r_zu = Phi_l.shape, Phi_r.shape[0]
     return slop.PointwiseFactors(
-        omega=omega,
-        U_yv1=np.zeros((1, r_yv)), sigma_yv=np.ones(r_yv), V_yv1=np.zeros((m_v, r_yv)),
-        U_zu=np.zeros((r_zu, r_zu)), sigma_zu=np.ones(r_zu), V_zu1=np.zeros((1, r_zu)),
-        Phi_l=Phi_l, Phi_r=Phi_r,
+        omegas=(omega,),
+        U_yv1=np.zeros((1, 1, r_yv)), sigma_yv=np.ones((1, r_yv)),
+        V_yv1=np.zeros((1, m_v, r_yv)), U_zu=np.zeros((1, r_zu, r_zu)),
+        sigma_zu=np.ones((1, r_zu)), V_zu1=np.zeros((1, 1, r_zu)),
+        Phi_l=Phi_l[None], Phi_r=Phi_r[None],
     )
 
 
@@ -97,9 +117,10 @@ def random_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-def reference_q(f):
-    """Q_r and Q_j from eight np.kron calls, as the pair was first assembled."""
-    Lr, Lj, Rr, Rj = f.Phi_l.real, f.Phi_l.imag, f.Phi_r.real, f.Phi_r.imag
+def reference_q(f, k=0):
+    """Q_r and Q_j at frequency k of the factors ``f`` from eight np.kron calls,
+    as the pair was first assembled."""
+    Lr, Lj, Rr, Rj = f.Phi_l[k].real, f.Phi_l[k].imag, f.Phi_r[k].real, f.Phi_r[k].imag
     idx = np.arange(f.r_yv * f.r_zu).reshape(f.r_zu, f.r_yv)
     cols = np.hstack([idx, idx + f.r_yv * f.r_zu]).reshape(-1)
     Q_r = np.hstack([np.kron(Rr.T, Lr) - np.kron(Rj.T, Lj),
@@ -137,19 +158,27 @@ REPORTS_FIXTURES = {
 }
 
 
+def three_point_sweep(name):
+    """A reports fixture at theta0 = 0 and a transfer-block sweep of three of
+    its frequencies: the stored ones, then 0.37 and 1.3 as needed."""
+    build, freqs = REPORTS_FIXTURES[name]
+    m = build()
+    return m, np.zeros(m.dims.q), response.g_sweep(m, (freqs + (0.37, 1.3))[:3])
+
+
 class TestQPair:
     def test_identity_factors(self, siso1):
         qp = slop.q_pair(slop.pointwise_factors(siso1, [0.0], response.g_blocks(siso1, 0.0)))
-        assert np.allclose(qp.Q_r, [[1.0, 0.0]])
-        assert np.allclose(qp.Q_j, [[0.0, 1.0]])
+        assert np.allclose(qp.Q_r[0], [[1.0, 0.0]])
+        assert np.allclose(qp.Q_j[0], [[0.0, 1.0]])
 
     def test_imaginary_left_factor(self):
         m = testing.siso1()
         base = slop.pointwise_factors(m, [0.0], response.g_blocks(m, 0.0))
-        f = dataclasses.replace(base, Phi_l=np.array([[1j]]), Phi_r=np.array([[1.0]]))
+        f = dataclasses.replace(base, Phi_l=np.array([[[1j]]]), Phi_r=np.array([[[1.0]]]))
         qp = slop.q_pair(f)
-        assert np.allclose(qp.Q_r, [[0.0, -1.0]])
-        assert np.allclose(qp.Q_j, [[1.0, 0.0]])
+        assert np.allclose(qp.Q_r[0], [[0.0, -1.0]])
+        assert np.allclose(qp.Q_j[0], [[1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_action_identity_random(self, seed):
@@ -162,10 +191,10 @@ class TestQPair:
             D = rng.standard_normal((r_yv, r_zu)) + 1j * rng.standard_normal((r_yv, r_zu))
             xi = numkit.vec(np.vstack([D.real, D.imag]))
             prod = Phi_l @ D @ Phi_r
-            assert np.max(np.abs(qp.Q_r @ xi - numkit.vec(prod.real))) <= 1e-10 * max(
+            assert np.max(np.abs(qp.Q_r[0] @ xi - numkit.vec(prod.real))) <= 1e-10 * max(
                 1.0, np.max(np.abs(prod))
             )
-            assert np.max(np.abs(qp.Q_j @ xi - numkit.vec(prod.imag))) <= 1e-10 * max(
+            assert np.max(np.abs(qp.Q_j[0] @ xi - numkit.vec(prod.imag))) <= 1e-10 * max(
                 1.0, np.max(np.abs(prod))
             )
 
@@ -183,14 +212,14 @@ class TestQPair:
 
         Phi_l, Phi_r = factor(m_v, r_yv), factor(m_z, m_z)
         qp = slop.q_pair(synthetic_factors(Phi_l, Phi_r))
-        assert qp.Q_r.shape == qp.Q_j.shape == (m_v * m_z, 2 * r_yv * m_z)
+        assert qp.Q_r.shape == qp.Q_j.shape == (1, m_v * m_z, 2 * r_yv * m_z)
         D = random_complex(rng, r_yv, m_z)
         xi = numkit.vec(np.vstack([D.real, D.imag]))
         prod = Phi_l @ D @ Phi_r
         tol = 1e-12 * max(1.0, np.abs(Phi_l).max(initial=0)) * max(1.0, np.abs(Phi_r).max()) * max(
             1.0, np.abs(D).max(initial=0)) * max(r_yv, 1) * m_z
-        assert np.abs(qp.Q_r @ xi - numkit.vec(prod.real)).max(initial=0) <= tol
-        assert np.abs(qp.Q_j @ xi - numkit.vec(prod.imag)).max(initial=0) <= tol
+        assert np.abs(qp.Q_r[0] @ xi - numkit.vec(prod.real)).max(initial=0) <= tol
+        assert np.abs(qp.Q_j[0] @ xi - numkit.vec(prod.imag)).max(initial=0) <= tol
 
     @pytest.mark.parametrize("name", REPORTS_FIXTURES)
     def test_reports_fixtures_equal_kron_reference(self, name):
@@ -201,8 +230,22 @@ class TestQPair:
             f = slop.pointwise_factors(m, t0, response.g_blocks(m, w))
             qp = slop.q_pair(f)
             Q_r, Q_j = reference_q(f)
-            assert_same_bits(qp.Q_r, Q_r)
-            assert_same_bits(qp.Q_j, Q_j)
+            assert_same_bits(qp.Q_r[0], Q_r)
+            assert_same_bits(qp.Q_j[0], Q_j)
+
+    @pytest.mark.parametrize("name", REPORTS_FIXTURES)
+    def test_stacked_equal_one_point_calls(self, name):
+        m, t0, sweep = three_point_sweep(name)
+        f = slop.pointwise_factors(m, t0, sweep)
+        qp = slop.q_pair(f)
+        assert f.omegas == qp.omegas == sweep.omegas
+        for i, g in enumerate(sweep):
+            one = slop.pointwise_factors(m, t0, g)
+            for field in FACTOR_FIELDS:
+                assert_same_bits(getattr(f, field)[i], getattr(one, field)[0])
+            one_q = slop.q_pair(one)
+            assert_same_bits(qp.Q_r[i], one_q.Q_r[0])
+            assert_same_bits(qp.Q_j[i], one_q.Q_j[0])
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("m_v,r_yv,m_z", [(3, 0, 2), (2, 0, 1), (4, 2, 1), (1, 1, 1), (3, 2, 2)])
@@ -219,8 +262,19 @@ class TestQPair:
         f = synthetic_factors(Phi_l, Phi_r)
         qp = slop.q_pair(f)
         Q_r, Q_j = reference_q(f)
-        assert_same_bits(qp.Q_r, Q_r)
-        assert_same_bits(qp.Q_j, Q_j)
+        assert_same_bits(qp.Q_r[0], Q_r)
+        assert_same_bits(qp.Q_j[0], Q_j)
+
+    def test_corrupted_q_names_first_failing_omega(self, monkeypatch):
+        m, t0, sweep = three_point_sweep("kr-22")
+        f = slop.pointwise_factors(m, t0, sweep)
+        kron = numkit._kron
+        # Only the frequencies after the first get a corrupted Q.
+        monkeypatch.setattr(numkit, "_kron", lambda A, B: kron(A, B) * np.array(
+            [1.0, 1 + 1e-6, 1 + 1e-6])[:, None, None, None, None])
+        with pytest.raises(ConstructionError,
+                           match=rf"self-check failed at omega={sweep.omegas[1]}: residual"):
+            slop.q_pair(f)
 
     @pytest.mark.parametrize("r_yv,r_zu", [(1, 1), (3, 2), (2, 4)])
     def test_bulk_probes_equal_per_probe_draws(self, r_yv, r_zu):
@@ -241,10 +295,11 @@ class TestQPair:
         assert found
         # The first failing probe's residual, one probe at a time.
         Q_r, Q_j = (Q * (1 + 1e-6) for Q in reference_q(f))
-        scale = max(np.linalg.norm(f.Phi_l), 1.0) * max(np.linalg.norm(f.Phi_r), 1.0)
+        L, R = f.Phi_l[0], f.Phi_r[0]
+        scale = max(np.linalg.norm(L), 1.0) * max(np.linalg.norm(R), 1.0)
         for D in slop._q_probes(f.r_yv, f.r_zu):
             xi = numkit.vec(np.vstack([D.real, D.imag]))
-            prod = f.Phi_l @ D @ f.Phi_r
+            prod = L @ D @ R
             res = max(np.abs(Q_r @ xi - numkit.vec(prod.real)).max(),
                       np.abs(Q_j @ xi - numkit.vec(prod.imag)).max())
             if res > 1e-10 * scale * max(1.0, np.abs(D).max()):
@@ -325,12 +380,39 @@ class TestSMatrices:
             coords = S.complex_block(k) @ xi
             assert abs(np.linalg.norm(S.S_tilde[k] @ xi) - np.linalg.norm(coords)) < 1e-10
 
-    @pytest.mark.parametrize("kind", ["pis", "factors"])
-    def test_injected_factors_built_elsewhere_rejected(self, siso1, kind):
-        g = response.g_blocks(siso1, 1.0)
-        build = ident.pi_at if kind == "pis" else slop.pointwise_factors
-        with pytest.raises(InvalidInput):
-            slop.s_matrices(siso1, [0.0], [0.5], **{kind: [build(siso1, [0.0], g)]})
+    @pytest.mark.parametrize("op", [ident.upsilon_test, slop.gamma_omega, slop.s_matrices])
+    @pytest.mark.parametrize("built", ["other-freqs", "other-order", "other-theta0"])
+    def test_sweep_built_elsewhere_rejected(self, built, op):
+        # kr-22 at its stored frequencies.  Factors built at theta0 = 0.1 * 1
+        # and used at 0 gave mu[0] = 5.36e5 where the right value is 1.09e5.
+        m = testing.random_regular_model(22, kernel_rich=True)
+        t0, w = np.zeros(m.dims.q), [0.01, 0.16070528182616392]
+        at = {"other-freqs": ([0.01, 0.3], t0), "other-order": (w[::-1], t0),
+              "other-theta0": (w, np.full(m.dims.q, 0.1))}[built]
+        sweep = ident.GridSweep(m, at[1], response.g_sweep(m, at[0]))
+        with pytest.raises(InvalidInput, match="sweep must be built at freqs"):
+            op(m, t0, w, sweep=sweep)
+
+    def test_sweep_of_the_listed_freqs_gives_the_default(self):
+        m = testing.random_regular_model(22, kernel_rich=True)
+        t0, w = np.zeros(m.dims.q), [0.01, 0.16070528182616392]
+        S = slop.s_matrices(m, t0, w, sweep=ident.GridSweep(m, t0, response.g_sweep(m, w)))
+        mu = slop.metrics(S).mu
+        assert_same_bits(mu, slop.metrics(slop.s_matrices(m, t0, w)).mu)
+        assert mu[0] == pytest.approx(1.09e5, rel=1e-2)
+
+    def test_one_stacked_svd_per_block(self, monkeypatch):
+        m, t0, sweep = three_point_sweep("kr-22")
+        stacks = []
+        svd_stack = numkit.svd_stack
+        monkeypatch.setattr(numkit, "svd_stack",
+                            lambda S, *a: stacks.append(np.array(S)) or svd_stack(S, *a))
+        slop.s_matrices(m, t0, sweep.omegas)
+        zu = [S for S in stacks if S.shape[1:] == sweep.G_zu.shape[1:]]
+        yv = [S for S in stacks if S.shape[1:] == sweep.G_yv.shape[1:]]
+        assert len(zu) == 1 and np.array_equal(zu[0], sweep.G_zu)
+        # GridSweep's kernel bases, then the pointwise factors.
+        assert len(yv) == 2 and all(np.array_equal(S, sweep.G_yv) for S in yv)
 
 
 class TestMetrics:
@@ -378,22 +460,20 @@ class TestMetrics:
         with pytest.raises(InvalidInput):
             slop.metrics(S, k=2)
 
-    def test_unitary_factor_invariance(self):
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
+    def test_non_integer_k_rejected(self, siso1, k):
+        S = slop.s_matrices(siso1, [0.0], [0.0])
+        with pytest.raises(InvalidInput, match="k must be an integer in 1..1"):
+            slop.metrics(S, k=k)
+        with pytest.raises(InvalidInput, match="k must be an integer in 1..1"):
+            slop.frobenius_ellipsoid(S, 1e-3, k=k)
+
+    def test_unitary_factor_invariance(self, monkeypatch):
         rng = np.random.default_rng(5)
         m, t0, w = certified_fixture(24)
         S1 = slop.s_matrices(m, t0, w)
-        facs = [slop.pointwise_factors(m, t0, response.g_blocks(m, wi)) for wi in w]
-        rot = []
-        for f in facs:
-            d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_yv))
-            d2 = np.exp(1j * rng.uniform(0, 2 * np.pi, f.r_zu))
-            rot.append(dataclasses.replace(
-                f,
-                U_yv1=f.U_yv1 * d1, V_yv1=f.V_yv1 * d1,
-                U_zu=f.U_zu * d2, V_zu1=f.V_zu1 * d2,
-                Phi_l=f.Phi_l * d1, Phi_r=np.conj(d2)[:, None] * f.Phi_r,
-            ))
-        S2 = slop.s_matrices(m, t0, w, factors=rot)
+        rotate_factors(monkeypatch, rng)
+        S2 = slop.s_matrices(m, t0, w)
         mu1, mu2 = slop.metrics(S1).mu, slop.metrics(S2).mu
         assert np.max(np.abs(mu1 - mu2) / mu1) <= 1e-6
 
@@ -441,6 +521,21 @@ class TestEllipsoid:
             ell.boundary_point(direction)
 
 
+    # boundary_point's non-finite directions are test_non_finite_direction_rejected.
+    @pytest.mark.parametrize("method,xi,error", [
+        (method, xi, error) for method in ("quad", "contains", "theta_of", "boundary_point")
+        for xi, error in [([np.nan], "xi contains non-finite entries"),
+                          ([np.inf], "xi contains non-finite entries"),
+                          ([1.0, 2.0], "must have length n_s=1, got 2"),
+                          ([], "must have length n_s=1, got 0")]
+        if method != "boundary_point" or len(xi) != 1
+    ])
+    def test_bad_xi_rejected(self, siso1, method, xi, error):
+        ell = slop.frobenius_ellipsoid(slop.s_matrices(siso1, [0.0], [0.0, 1.0]), 1e-3)
+        with pytest.raises(InvalidInput, match=error):
+            getattr(ell, method)(xi)
+
+
 class TestSpectralMembership:
     def test_zero_inside(self, siso1):
         S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
@@ -481,6 +576,12 @@ class TestSpectralMembership:
         with pytest.raises(InvalidInput, match="xi contains non-finite entries"):
             slop.spectral_membership(S, xi, 1e-3)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_wrong_length_xi_rejected(self, siso1, n):
+        S = slop.s_matrices(siso1, [0.0], [0.0, 1.0])
+        with pytest.raises(InvalidInput, match=f"xi must have length n_s=1, got {n}"):
+            slop.deviation_sigmas(S, np.zeros(n))
+
     def test_sigmas_match_direct_reconstruction(self):
         rng = np.random.default_rng(8)
         m, t0, w = certified_fixture(22)
@@ -488,8 +589,10 @@ class TestSpectralMembership:
         for _ in range(5):
             xi = rng.standard_normal(S.n_s)
             sig = slop.deviation_sigmas(S, xi)
-            for k, f in enumerate(S.factors):
+            f = S.factors
+            assert sig.shape == (len(w),)
+            for k in range(len(w)):
                 coords = S.complex_block(k) @ xi
                 D = numkit.unvec(coords, f.r_yv, f.r_zu)
-                direct = np.linalg.svd(f.U_yv1 @ D @ f.V_zu1.T, compute_uv=False)[0]
+                direct = np.linalg.svd(f.U_yv1[k] @ D @ f.V_zu1[k].T, compute_uv=False)[0]
                 assert abs(direct - sig[k]) <= 1e-12 * max(1.0, direct)
