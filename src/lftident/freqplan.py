@@ -7,9 +7,12 @@ Z, until Z is empty (certified) or no grid point makes progress.
 
 The grid is scored from one :class:`identifiability.GridSweep`: its shortcut
 flags, side array and Xi stacks cover every grid point.  Only the flagged
-shortcut candidates, the anchor and the greedy winners are materialized as
-Pi decompositions; the U_Pi2 of every point is formed only when the anchor
-leaves Z non-empty and the greedy rows are built.
+shortcut candidates and the picks are materialized as Pi decompositions, the
+picks once the greedy rows exist.  The U_Pi2 of every point is formed only
+when the anchor leaves Z non-empty and the greedy rows are built; otherwise
+only the points that a verdict reads factor their Pi.  The
+anchor step scores the smallest side-passing point alone first, and all
+candidates only when that point does not reach the largest score (q, q).
 
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
@@ -120,11 +123,11 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     m_z = model.dims.m_z
     q = model.dims.q
     sweep = ident.GridSweep(model, theta0, grid.sweep)
-    pis: list[ident.PiDecomposition] = []
+    picks: list[int] = []  # grid indices, materialized once the greedy rows exist
     trace: list[int] = []
 
     def plan(status: str, verdict=None) -> FrequencyPlan:
-        return FrequencyPlan(status=status, selected=tuple(p.omega for p in pis),
+        return FrequencyPlan(status=status, selected=tuple(sweep.g.omegas[i] for i in picks),
                              rank_trace=tuple(trace), verdict=verdict,
                              refine_hint=_hint(grid) if status == NO_PROGRESS_ON_GRID else None)
 
@@ -144,14 +147,18 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
 
     # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
     # block, among those passing the side condition; the first maximum is
-    # the smallest omega among ties.
+    # the smallest omega among ties.  The smallest passing point is scored
+    # first, alone: at (q, q) no key beats it and it wins every tie.
     side = sweep.side
-    found = _best((idx[side[idx]], ident.upsilon_rows(xi[side[idx]], psi_dec, m_z))
-                  for idx, xi in sweep.xis)
-    if found is None:
+    passing = [(idx[side[idx]], xi[side[idx]]) for idx, xi in sweep.xis if side[idx].any()]
+    if not passing:
         return plan(NO_PROGRESS_ON_GRID)
+    idx, xi = min(passing, key=lambda c: c[0][0])
+    found = _best([(idx[:1], ident.upsilon_rows(xi[:1], psi_dec, m_z))])
+    if found[0] != (q, q):
+        found = _best((idx, ident.upsilon_rows(xi, psi_dec, m_z)) for idx, xi in passing)
     _, best, block = found
-    pis.append(sweep.at(best))
+    picks.append(best)
     rest = np.ones(len(sweep.g), dtype=bool)
     rest[best] = False
     Z = ident.chain_null_basis(block)
@@ -166,13 +173,14 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         if found is None or found[0] == (0, 0):
             return plan(NO_PROGRESS_ON_GRID)
         _, best, block = found
-        pis.append(sweep.at(best))
+        picks.append(best)
         rest[best] = False
         Z = Z @ ident.chain_null_basis(block)
         trace.append(Z.shape[1])
-        if len(pis) > q + 1:
+        if len(picks) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
 
+    pis = [sweep.at(i) for i in picks]
     verdict = ident._decide(model, theta0, pis, psi_dec)
     if verdict.status == ident.NOT_IDENTIFIABLE:
         raise ConstructionError(

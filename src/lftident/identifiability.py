@@ -15,16 +15,17 @@ condition is decided through a stacked rank test built from two objects:
 :class:`GridSweep` builds these factors for a :class:`response.GSweep`.  Per
 grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
-full SVD, which only U_Pi2 needs, runs per kernel group when a point of the
-group is materialized as a :class:`PiDecomposition` or when the greedy rows
-of the frequency search are built.  A listed frequency set travels between
-layers as one GridSweep, checked or built by :func:`listed_sweep`.  All rank
-decisions go through :mod:`lftident.numkit`.
+full SVD, which only U_Pi2 needs, runs only where U_Pi2 is read: per kernel
+group when the greedy rows of the frequency search are built, else on the
+first read of a :class:`PiDecomposition`'s U_Pi2, for the points built so
+far.  So a shortcut verdict factors no Pi.  A listed frequency set travels between layers as one
+GridSweep, checked or built by :func:`listed_sweep`.  All rank decisions go
+through :mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +125,9 @@ class PiDecomposition:
     condition (Pi_bar_r times that null basis is full column rank at the
     DECISION_RTOL margin); ``shortcut`` says Pi_bar_j is full column rank with
     the ROBUST_RTOL margin, so that the frequency certifies on its own.  ``g``
-    is the one-point sweep of the transfer blocks Pi was built from.
+    is the one-point sweep of the transfer blocks Pi was built from.  The
+    point is point ``index`` of ``grid``, which factors U_Pi2 on first read
+    (see :meth:`GridSweep.u_pi2`).
     """
 
     g: response.GSweep
@@ -133,9 +136,14 @@ class PiDecomposition:
     Pi_bar_r: np.ndarray
     Pi_bar_j: np.ndarray
     Xi: np.ndarray
-    U_Pi2: np.ndarray
     side_fcr: bool
     shortcut: bool
+    grid: GridSweep = field(repr=False)
+    index: int = field(repr=False)
+
+    @property
+    def U_Pi2(self) -> np.ndarray:
+        return self.grid.u_pi2(self.index)
 
     @property
     def omega(self) -> float:
@@ -188,14 +196,16 @@ def _fcr(sigma: np.ndarray, shape: tuple[int, int, int], rtol: float) -> np.ndar
 class GridSweep:
     """The Pi factors of the transfer-block sweep ``g`` at ``theta0``, kept as stacks.
 
-    Points that share a chunk of the G_yv stack and a kernel dimension form a
+    The G_yv stack is factored in chunks of as many points as numkit's byte
+    budget fits.  Points that share a chunk and a kernel dimension form a
     kernel group (``kernels``, ``(indices, K stack)`` pairs, overrides the
     computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
     pairs; ``side`` and ``shortcut`` hold each point's side condition and
     shortcut flag; ``theta0`` is the checked parameter vector.  :meth:`at`
-    builds one point's PiDecomposition and runs its group's Pi SVD on first
-    use; :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices keep
-    the memory layout of the one-matrix route, on which BLAS results depend.
+    builds one point's PiDecomposition without its U_Pi2, which :meth:`u_pi2`
+    factors on first read; :meth:`bars` stacks every point's Pi_bar_r and
+    Pi_bar_j.  Slices keep the memory layout of the one-matrix route, on
+    which BLAS results depend.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
@@ -203,13 +213,16 @@ class GridSweep:
         t0 = model.check_theta(theta0)
         self.theta0 = t0
         self.g = g
+        m_v = model.dims.m_v
         if kernels is None:
             kernels = []
-            for start in range(0, len(g), numkit._CHUNK):
-                _, _, V, rank = numkit.svd_stack(g.G_yv[start:start + numkit._CHUNK])
-                kernels += [(start + np.arange(len(rank))[sel], V[sel][:, :, r:])
+            # A chunk's points hold their factors at once: the SVDs of G_yv,
+            # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
+            # complex m_v x m_v matrices per point.
+            for part in numkit._chunks(len(g), 16 * 16 * m_v * m_v):
+                _, _, V, rank = numkit.svd_stack(g.G_yv[part])
+                kernels += [(part.start + np.arange(len(rank))[sel], V[sel][:, :, r:])
                             for r, sel in _by_value(rank)]
-        m_v = model.dims.m_v
         for _, K in kernels:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
@@ -225,6 +238,8 @@ class GridSweep:
         self.xis: list[tuple[np.ndarray, np.ndarray]] = []
         self._groups = []
         self._pi_svds: list = [None] * len(kernels)
+        self._u_pi2: dict[int, np.ndarray] = {}
+        self._unread: set[int] = set()  # points built by at() whose Pi is not factored
         # Per point: its kernel group, its position there, its Xi group and
         # its position there.
         self._slots = np.zeros((4, n), dtype=int)
@@ -254,15 +269,34 @@ class GridSweep:
             self._pi_svds[grp] = (U, ranks)
         return self._pi_svds[grp]
 
+    def u_pi2(self, i: int) -> np.ndarray:
+        """U_Pi2 of grid point ``i``: a slice of its kernel group's Pi SVD once
+        :meth:`greedy_rows` has run it.  Else the first read factors, in one
+        stack, the Pi of ``i`` and of every other point of its group that
+        :meth:`at` has built and that is not factored yet: a verdict reads the
+        U_Pi2 of all its points or of none.  Each is the same bits in the same
+        layout."""
+        grp, j = self._slots[:2, i].tolist()
+        if self._pi_svds[grp] is not None:
+            U, ranks = self._pi_svds[grp]
+            return U[j, :, ranks[j]:]
+        if i not in self._u_pi2:
+            points = sorted({i} | {k for k in self._unread if self._slots[0, k] == grp})
+            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, points]])
+            self._u_pi2.update((k, U[n, :, r:]) for n, (k, r) in enumerate(zip(points, ranks)))
+            self._unread.difference_update(points)
+        return self._u_pi2[i]
+
     def at(self, i: int) -> PiDecomposition:
         """The :class:`PiDecomposition` of grid point ``i``: views into the stacks."""
         grp, j, x, k = self._slots[:, i].tolist()
         _, K, Pi, R, J = self._groups[grp]
-        U, ranks = self._pi_svd(grp)
+        if i not in self._u_pi2:
+            self._unread.add(i)
         return PiDecomposition(
             g=self.g[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
-            Xi=self.xis[x][1][k], U_Pi2=U[j, :, ranks[j]:],
-            side_fcr=bool(self.side[i]), shortcut=bool(self.shortcut[i]))
+            Xi=self.xis[x][1][k], side_fcr=bool(self.side[i]),
+            shortcut=bool(self.shortcut[i]), grid=self, index=i)
 
     def bars(self) -> tuple[np.ndarray, np.ndarray]:
         """Pi_bar_r and Pi_bar_j of every point as two stacks, in point order;

@@ -12,9 +12,14 @@ on each matrix, so the results are bitwise equal.  Each matrix is decomposed
 once: a caller that holds a full SVD reads every other rank decision, null
 basis and 2-norm of that matrix from it, through ``_ranks`` (the cut at
 another tolerance) and ``_split`` (the factors split at a cut chosen after
-the decomposition).  Callers slice their stacks into chunks of at most
-``_CHUNK`` matrices, so the memory a long frequency grid stacks stays
-bounded.  :func:`loop_guard` is the one well-posedness guard: it checks a
+the decomposition).  One byte budget, ``_STACK_BYTES``, bounds what a
+stacked call holds: each caller passes the bytes it stacks per matrix, and
+:func:`_chunks` slices its stack into runs of ``_per_stack`` of them.  So a
+kernel-rich 200-point grid is one stack, and an 800-point grid of 60-state
+pencils is chunks of about 1 MiB.  Every result is per matrix (LAPACK and
+matmul run on each matrix of a stack, and slices are taken along the stack
+axis only), so the budget decides speed and memory, never a bit of a
+result.  :func:`loop_guard` is the one well-posedness guard: it checks a
 stack of loop matrices and returns its complaints for the caller to raise.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
@@ -54,14 +59,22 @@ LOOP_GUARD_RTOL = 1e-12
 # Relative null cut of each matrix of a sloppiness pencil.
 _PENCIL_RTOL = 1e-12
 
-# Matrices per stacked LAPACK call.  Unchunked, one 800-point refine of a
+# Bytes one stacked call may stack.  Unbounded, one 800-point refine of a
 # 60-state model stacks 46 MB of pencils.
-_CHUNK = 32
+_STACK_BYTES = 1 << 20
 
 
-def _chunks(items):
-    """Consecutive slices of ``items`` of at most the stacking chunk size."""
-    return [items[i:i + _CHUNK] for i in range(0, len(items), _CHUNK)]
+def _per_stack(nbytes: int) -> int:
+    """Matrices of ``nbytes`` bytes each that one stacked call takes: as many as
+    fit in the budget, and at least one."""
+    return max(1, _STACK_BYTES // max(nbytes, 1))
+
+
+def _chunks(n: int, nbytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(n)``, of ``_per_stack(nbytes)`` items
+    each but the last."""
+    k = _per_stack(nbytes)
+    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
 
 
 def as_matrix(A, name: str = "A") -> np.ndarray:

@@ -76,11 +76,12 @@ def _h_sweeps(model: DescriptorModel, thetas, blocks) -> list[np.ndarray]:
     return [H for H, _ in sweeps]
 
 
-def _drawn_in_chunks(n: int, draw):
-    """``n`` calls of ``draw()``, in order, in lists of at most the stacking chunk
-    size: a draw that stops early has drawn at most one chunk more."""
-    for start in range(0, n, numkit._CHUNK):
-        yield [draw() for _ in range(min(numkit._CHUNK, n - start))]
+def _drawn_in_chunks(model: DescriptorModel, n: int, draw):
+    """``n`` calls of ``draw()``, in order, in lists of as many thetas as one
+    :func:`response.h_sweep` stack of ``model`` takes: a draw that stops early
+    has drawn at most one chunk more."""
+    for part in numkit._chunks(n, response._theta_bytes(model)):
+        yield [draw() for _ in range(part.start, part.stop)]
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
 
     line = [t0 + t * d for d in directions for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01)]
     line = [c for c in line if model.theta_domain.contains(c)]
-    for part in itertools.chain(numkit._chunks(line),
-                                _drawn_in_chunks(trials, lambda: _domain_sample(rng, model))):
+    for part in itertools.chain(_drawn_in_chunks(model, len(line), iter(line).__next__),
+                                _drawn_in_chunks(model, trials,
+                                                 lambda: _domain_sample(rng, model))):
         hit = _first_match(model, np.array(part), t0, est.blocks, base)
         if hit is not None:
             return hit
@@ -294,7 +296,7 @@ def ellipsoid_empirical_check(
         return ell.theta_of(ell.boundary_point(u)) if float(u @ S.M @ u) > 0.0 else None
 
     ratios = []
-    for drawn in _drawn_in_chunks(samples, boundary_theta):
+    for drawn in _drawn_in_chunks(model, samples, boundary_theta):
         thetas = np.array([t for t in drawn if t is not None]).reshape(-1, model.dims.q)
         sweeps = _h_sweeps(model, thetas, blocks)
         for i in range(len(thetas)):

@@ -5,12 +5,13 @@ H is evaluated from the transfer blocks through the interconnection form
     H = G_yu + G_yv (I - P(theta) G_zv)^-1 P(theta) G_zu.
 
 :func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
-stacked numpy calls (chunks of pencils) into one :class:`GSweep`;
-:func:`g_blocks` is its one-point case.  numpy's stacked ``svd`` and ``solve``
-run the same LAPACK routine on each pencil, so a sweep and one call per
-frequency give bitwise equal blocks.  :func:`h_sweep` evaluates H at one point
-of a sweep for a stack of thetas in the same way (one loop guard and one solve
-per chunk of thetas); :func:`h_lft` is its one-theta case.
+stacked numpy calls (chunks of pencils, sized by numkit's byte budget) into
+one :class:`GSweep`; :func:`g_blocks` is its one-point case.  numpy's stacked
+``svd`` and ``solve`` run the same LAPACK routine on each pencil, so a sweep
+and one call per frequency give bitwise equal blocks, whatever the chunk
+size.  :func:`h_sweep` evaluates H at one point of a sweep for a stack of
+thetas in the same way (one loop guard and one solve per chunk of thetas);
+:func:`h_lft` is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
@@ -159,6 +160,8 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
 def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     """The four G blocks at each of ``omegas`` that passes the pole guard: the
     pencils are solved in stacked chunks, and each chunk's D + C X fills one buffer.
+    A chunk takes as many pencils, with their solutions, as fit in numkit's
+    byte budget: a 200-point grid of a small model is one chunk.
 
     The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
     1e-14 max(sigma_max, 1)).  That floor is at most max(POLE_GUARD_RTOL
@@ -199,16 +202,18 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     e_norm = None  # ||E||_2, raised by a relative 1e-12 to stay an upper bound
     BI = np.hstack([B, np.eye(n)]).astype(complex)
     stride = _ANCHOR_STRIDE if n >= _ANCHOR_MIN_STATES else 1
-    # Built once and filled in place: chunk-sized temporaries freed on every
-    # chunk let malloc return them to the system and fault them back in.
-    size = min(len(lams), numkit._CHUNK)
+    # A chunk holds each pencil and its solution.  The buffers are built
+    # once and filled in place: chunk-sized temporaries freed on every chunk
+    # let malloc return them to the system and fault them back in.
+    per_pencil = 16 * n * (n + m_b)
+    size = min(len(lams), numkit._per_stack(per_pencil))
     pencils = np.empty((size, n, n), complex)
     X = np.empty((size, n, m_b), complex)
     G = np.empty((len(lams), *D.shape), complex)
     kept_at: list[int] = []  # the kept points, whose rows of G are filled in order
     guarded: list[PoleProximity] = []
-    for start in range(0, len(lams), numkit._CHUNK):
-        lam = np.array(lams[start:start + numkit._CHUNK])
+    for part in numkit._chunks(len(lams), per_pencil):
+        start, lam = part.start, np.array(lams[part])
         k = len(lam)
         Xk = X[:k]
         solved = np.zeros(k, dtype=bool)
@@ -262,6 +267,13 @@ def g_blocks(model: DescriptorModel, omega: float) -> GSweep:
     return g_sweep(model, [omega]).raise_guarded()
 
 
+def _theta_bytes(model: DescriptorModel) -> int:
+    """Bytes that :func:`h_sweep` stacks per theta: P(theta), the loop matrix
+    and the solution against P(theta) G_zu."""
+    d = model.dims
+    return 8 * d.m_v * d.m_z + 16 * d.m_v * (d.m_v + d.m_u)
+
+
 def h_sweep(model: DescriptorModel, thetas, g: GSweep):
     """H at the one-point sweep ``g`` for each row of ``thetas`` (an n x q stack), in chunks.
 
@@ -279,8 +291,8 @@ def h_sweep(model: DescriptorModel, thetas, g: GSweep):
         raise InvalidInput("thetas contain non-finite entries")
     Hs = [np.empty((0, model.dims.m_y, model.dims.m_u), complex)]
     violations = {}
-    for start in range(0, len(T), numkit._CHUNK):
-        part = T[start:start + numkit._CHUNK]
+    for chunk in numkit._chunks(len(T), _theta_bytes(model)):
+        start, part = chunk.start, T[chunk]
         P = np.zeros((len(part), m_v, model.dims.m_z))
         for k, Pk in enumerate(model.P):
             P += part[:, k, None, None] * Pk

@@ -38,6 +38,16 @@ def dup2_path(tmp_path):
     return p
 
 
+# Matrices per stack in the tests that place points at stack boundaries.
+CHUNK = 32
+
+
+def stacks_of(monkeypatch, n: int = CHUNK):
+    """Make every stacked call take ``n`` matrices, whatever their size, in
+    place of as many as fit in numkit's byte budget."""
+    monkeypatch.setattr(numkit, "_per_stack", lambda nbytes: n)
+
+
 def model_pool(n, start=0):
     """Deterministic mixed pool of regular well-posed models."""
     kinds = [
@@ -79,6 +89,18 @@ def rotate_factors(monkeypatch, rng):
         )
 
     monkeypatch.setattr(sloppiness, "pointwise_factors", rotated)
+
+
+def with_pole(m, w_star: float):
+    """``m`` with its first two states replaced by an undamped block whose
+    poles are lambda(w_star) and its conjugate: +- j w_star in continuous
+    time, on the unit circle in discrete time."""
+    lam = response.lambda_at(m.time_domain, w_star)
+    E, A = m.E.copy(), m.A_xx.copy()
+    E[:2, :], E[:, :2], A[:2, :], A[:, :2] = 0.0, 0.0, 0.0, 0.0
+    E[:2, :2] = np.eye(2)
+    A[:2, :2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+    return dataclasses.replace(m, E=E, A_xx=A)
 
 
 def interior_theta(model, seed, scale=0.5):

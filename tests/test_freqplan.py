@@ -1,12 +1,16 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lftident import freqplan, identifiability as ident, numkit, response, testing
-from lftident.errors import EmptyGrid, PoleProximity
+from lftident.errors import EmptyGrid, LftIdentError, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import every_point
+from conftest import every_point, stacks_of, with_pole
 
 
 class TestDefaultGrid:
@@ -180,6 +184,8 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
     # Forced failures of the side condition: of every point in the Xi group
     # of the unforced anchor, or of every grid point.  Such candidates are
     # skipped as anchors; with none left the grid stalls with a refine hint.
+    # Chunks of CHUNK points split the grid into several Xi groups.
+    stacks_of(monkeypatch)
     m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
@@ -207,36 +213,93 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
         assert plan.selected[0] != grid.points[anchor]
 
 
-def pi_svd_points(monkeypatch, model, theta0, grid):
-    """The search's plan and, per numkit.svd_stack call it made on a stack of
-    Pi, the grid indices of that stack's members, in call order."""
-    index = {p.Pi.tobytes(): i for i, p in enumerate(every_point(model, theta0, grid.sweep))}
-    calls = []
-    svd_stack = numkit.svd_stack
+def pi_svd_points(monkeypatch, model, theta0, grid, search=None):
+    """The result of ``search()`` (by default the search over ``grid``) and,
+    per numkit.svd_stack call it made on a stack of Pi of a GridSweep, the
+    indices in that sweep of the stack's members, in call order."""
+    sweeps, calls = [], []
+    init, svd_stack = ident.GridSweep.__init__, numkit.svd_stack
+
+    def built(self, *args):
+        init(self, *args)
+        sweeps.append(self)
 
     def spy(S, *args):
-        S = np.asarray(S)
-        if S.ndim == 3 and len(S) and all(M.tobytes() in index for M in S):
-            calls.append([index[M.tobytes()] for M in S])
+        # A stack of Pi matrices of one kernel group (of siso1's empty Pi, any
+        # stack of as many of that shape), by the group's index of each.
+        for sweep in sweeps:
+            for idx, _, Pi, *_ in sweep._groups:
+                if len(S) and S.dtype == Pi.dtype and S.shape[1:] == Pi.shape[1:]:
+                    members = [M.tobytes() for M in Pi]
+                    if all(M.tobytes() in members for M in S):
+                        calls.append([int(idx[members.index(M.tobytes())]) for M in S])
         return svd_stack(S, *args)
 
     with monkeypatch.context() as mp:
+        mp.setattr(ident.GridSweep, "__init__", built)
         mp.setattr(numkit, "svd_stack", spy)
-        plan = freqplan.search_frequencies(model, theta0, grid=grid)
+        if search is None:
+            plan = freqplan.search_frequencies(model, theta0, grid=grid)
+        else:
+            plan = search()
     return plan, calls
+
+
+def scored_sizes(monkeypatch, model, theta0, grid):
+    """The search's plan and the number of blocks of each candidate_scores call."""
+    sizes = []
+    scores = ident.candidate_scores
+    with monkeypatch.context() as mp:
+        mp.setattr(ident, "candidate_scores", lambda B: sizes.append(len(B)) or scores(B))
+        plan = freqplan.search_frequencies(model, theta0, grid=grid)
+    return plan, sizes
 
 
 def test_anchor_certified_search_factors_only_the_anchor_group(monkeypatch):
     # kr-00 of the search-pool workload: no shortcut flag (its Pi_bar_j are
     # 3 x 4), and the anchor certifies alone, so no greedy rows are built.
+    # Its first side-passing point reaches (q, q): the anchor step scores that
+    # one block, and only the re-verification reads U_Pi2, of that point alone.
     m = testing.random_regular_model(0, kernel_rich=True)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
     plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
     assert plan.status == freqplan.CERTIFIED and plan.rank_trace == (0,)
     anchor = grid.points.tolist().index(plan.selected[0])
-    assert len(calls) == 1 and anchor in calls[0]
-    assert len(calls[0]) < grid.points.size
+    assert calls == [[anchor]]
+    assert scored_sizes(monkeypatch, m, t0, grid)[1] == [1]
+
+
+@pytest.mark.parametrize("model", [
+    testing.siso1,                                                      # empty Pi, 1 x 0
+    lambda: testing.random_regular_model(0, dims=Dims(3, 2, 2, 2, 4, 3)),  # Pi 4 x 2
+], ids=["siso1", "d4-00"])
+def test_shortcut_verdicts_factor_no_pi(monkeypatch, model):
+    # The first flagged point certifies by the shortcut, in upsilon_test and
+    # in the search: no verdict reads U_Pi2, so no Pi is factored.
+    m = model()
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    first = grid.points[np.flatnonzero(ident.GridSweep(m, t0, grid.sweep).shortcut)[0]]
+    verdict, calls = pi_svd_points(monkeypatch, m, t0, grid,
+                                   lambda: ident.upsilon_test(m, t0, [first]))
+    assert verdict.shortcut_omega == first and calls == []
+    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    assert plan.selected == (first,) and plan.verdict.shortcut_omega == first
+    assert calls == []
+
+
+def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
+    # d12-01 of the reports workload at its three certified frequencies: the
+    # verdict reads every point's U_Pi2, and the first read factors the three
+    # points that upsilon_test built, in one stack.
+    m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
+    t0 = np.zeros(m.dims.q)
+    w = [0.01, 1.1226677735108135, 2.354286414322418]
+    verdict, calls = pi_svd_points(monkeypatch, m, t0, None,
+                                   lambda: ident.upsilon_test(m, t0, w))
+    assert verdict.status == ident.IDENTIFIABLE and verdict.shortcut_omega is None
+    assert calls == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize("seed,kind", [
@@ -244,10 +307,130 @@ def test_anchor_certified_search_factors_only_the_anchor_group(monkeypatch):
     (1, dict(dims=Dims(12, 2, 1, 2, 5, 10))),
 ])
 def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
+    # The greedy rows factor each kernel group of the grid once, in one
+    # stack; each point's Pi is factored once, and no point alone.
     m = testing.random_regular_model(seed, **kind)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
     plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
     assert len(plan.rank_trace) > 1
-    assert len(calls) > 1
+    groups = [idx.tolist() for idx, *_ in ident.GridSweep(m, t0, grid.sweep)._groups]
+    assert calls == groups
     assert sorted(i for c in calls for i in c) == list(range(grid.points.size))
+
+
+@pytest.mark.parametrize("seed,kind,forced", [
+    (0, dict(kernel_rich=True), 0),                  # the first point reaches (q, q)
+    (0, dict(kernel_rich=True), 5),                  # so does the first unforced one
+    (22, dict(kernel_rich=True), 0),                 # it does not
+    (1, dict(dims=Dims(12, 2, 1, 2, 5, 10)), 0),     # it does not
+    (1, dict(dims=Dims(12, 2, 1, 2, 5, 10)), 7),
+])
+def test_anchor_probe_equals_full_scoring(monkeypatch, seed, kind, forced):
+    # The anchor step scores the first side-passing point alone and keeps it
+    # when it reaches (q, q); otherwise it scores every candidate, one stack
+    # per Xi group.  Either way the plan is the one-candidate-at-a-time
+    # reference's.  ``forced`` points at the start of the grid fail the side
+    # condition, for the search and the reference alike.
+    m = testing.random_regular_model(seed, **kind)
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    init = ident.GridSweep.__init__
+
+    def forced_init(self, *args):
+        init(self, *args)
+        self.side[:forced] = False
+
+    monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
+    sweep = ident.GridSweep(m, t0, grid.sweep)
+    first = int(np.flatnonzero(sweep.side)[0])
+    block = ident.upsilon_block(sweep.at(first), ident.psi(m), True, m.dims.m_z)
+    certifies = scores_of([block])[0] == (m.dims.q, m.dims.q)
+    assert first >= forced and certifies == (seed == 0)
+    plan, sizes = scored_sizes(monkeypatch, m, t0, grid)
+    reason = None if plan.verdict is None else plan.verdict.reason
+    assert (plan.status, plan.selected, plan.rank_trace, reason) == \
+        per_step_rebuild(m, t0, grid)
+    if certifies:
+        assert plan.selected[0] == grid.points[first] and plan.rank_trace == (0,)
+        assert sizes == [1]
+    else:
+        groups = [int(sweep.side[idx].sum()) for idx, _ in sweep.xis if sweep.side[idx].any()]
+        assert sizes[:1 + len(groups)] == [1, *groups]
+
+
+# tracemalloc peak, in bytes, of search_frequencies(d60-02, refine=1) with
+# chunks of 32 matrices in every stacked call: the reference for the budget.
+D60_02_REFINE_PEAK = 5_057_105
+
+
+def test_refine_peak_memory_stays_pinned():
+    # d60-02 of the search-wide workload stalls on the default grid and pays
+    # an 800-point refine: the byte budget may not raise its peak by more
+    # than 2 % over chunks of 32.
+    m = testing.random_regular_model(2, dims=Dims(60, 4, 2, 4, 8, 16))
+    t0 = np.zeros(m.dims.q)
+    plan = freqplan.search_frequencies(m, t0, refine=1)
+    assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint[2] == 4 * 800
+    tracemalloc.start()
+    try:
+        freqplan.search_frequencies(m, t0, refine=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * D60_02_REFINE_PEAK
+
+
+BUDGET_KINDS = {
+    "kr": dict(kernel_rich=True),
+    "d12": dict(dims=Dims(12, 2, 1, 2, 5, 10)),
+    "d12-dt": dict(dims=Dims(12, 2, 1, 2, 5, 10), time_domain="discrete"),
+    "d12-se": dict(dims=Dims(12, 2, 1, 2, 5, 10), singular_E=True),
+}
+
+
+def budget_run(model, theta0, n_points):
+    """Everything the byte budget could touch, as bytes and strings: the
+    grid's G blocks and guard complaints, each point's GridSweep flags, Xi and
+    U_Pi2, and the search's plan (or its error)."""
+    grid = freqplan.default_grid(model, n_points=n_points)
+    s = grid.sweep
+    out = [s.omegas, s.lams, s.G.tobytes(), [str(e) for e in s.guarded]]
+    sweep = ident.GridSweep(model, theta0, s)
+    out += [sweep.shortcut.tolist(), sweep.side.tolist()]
+    for i in range(len(s)):
+        p = sweep.at(i)
+        out += [(M.shape, M.strides, M.tobytes()) for M in (p.Xi, p.U_Pi2)]
+    try:
+        plan = freqplan.search_frequencies(model, theta0, grid=grid)
+        out += [plan.status, plan.selected, plan.rank_trace, plan.refine_hint,
+                None if plan.verdict is None else plan.verdict.reason]
+    except LftIdentError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(BUDGET_KINDS)),
+       pole=st.booleans(), n_points=st.integers(1, 90))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_results_do_not_depend_on_the_stack_budget(seed, kind, pole, n_points):
+    # One matrix per stacked call, the default budget and one stack per grid
+    # give the same bits.  With ``pole``, a pole sits on a grid point, which
+    # the guard drops.
+    try:
+        m = testing.random_regular_model(seed % 1000, **BUDGET_KINDS[kind])
+    except RuntimeError:
+        return
+    t0 = np.zeros(m.dims.q)
+    if pole:
+        raw = freqplan.default_grid(m, n_points=n_points).points
+        m = with_pole(m, float(raw[len(raw) // 2]))
+    runs = []
+    for budget in (1, numkit._STACK_BYTES, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkit, "_STACK_BYTES", budget)
+            try:
+                runs.append(budget_run(m, t0, n_points))
+            except LftIdentError as exc:
+                runs.append(f"{type(exc).__name__}: {exc}")
+    assert runs[0] == runs[1] == runs[2]

@@ -13,7 +13,8 @@ from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PolePro
 from lftident import model as model_module
 from lftident.model import DescriptorModel, Dims
 
-from conftest import every_point, full_rank_above, guard_one, interior_theta, model_pool
+from conftest import (CHUNK, every_point, full_rank_above, guard_one, interior_theta, model_pool,
+                      stacks_of)
 
 
 def kernel_pool(n, start=0):
@@ -129,15 +130,17 @@ def with_blocks(sweep, changes):
     return changed
 
 
-def isolated_kernel_changes(seed, kind):
-    """A model, theta0 and a 2*_CHUNK + 5 point grid sweep whose G_yv is zeroed
+def isolated_kernel_changes(monkeypatch, seed, kind):
+    """A model, theta0 and a 2*CHUNK + 5 point grid sweep whose G_yv is zeroed
     or made rank one at isolated points, two of them on either side of the
-    first chunk boundary, so that their kernel dimension changes."""
+    first chunk boundary, so that their kernel dimension changes.  Chunks of
+    CHUNK points are set with ``monkeypatch``."""
+    stacks_of(monkeypatch)
     m = testing.random_regular_model(seed, **kind)
     t0 = interior_theta(m, seed)
-    sweep = freqplan.default_grid(m, n_points=2 * numkit._CHUNK + 5).sweep
+    sweep = freqplan.default_grid(m, n_points=2 * CHUNK + 5).sweep
     changes = []
-    for i in (3, numkit._CHUNK - 1, numkit._CHUNK, len(sweep) - 1):
+    for i in (3, CHUNK - 1, CHUNK, len(sweep) - 1):
         G = sweep.G_yv[i]
         G = np.zeros_like(G) if i % 2 else np.repeat(G[:1], G.shape[0], axis=0) * (1 + 0.5j)
         changes.append((i, "G_yv", G))
@@ -199,9 +202,10 @@ class TestPiSweep:
         (1, dict()),
     ])
     def test_equals_pointwise(self, monkeypatch, seed, kind):
+        stacks_of(monkeypatch)
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
-        sweep = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).sweep
+        sweep = freqplan.default_grid(m, n_points=CHUNK + 1).sweep
         swept = every_point(m, t0, sweep)
         assert len(swept) == len(sweep)
         for p, g in zip(swept, sweep, strict=True):
@@ -218,7 +222,7 @@ class TestPiSweep:
         # With theta0 = 0.5, I - theta0 G_zv is singular where G_zv = 2.
         t0 = [0.5]
         sweep = with_blocks(response.g_sweep(siso1, np.geomspace(0.1, 10.0, 40)),
-                            [(i, "G_zv", 2.0) for i in (numkit._CHUNK + 1, 3, 17)])
+                            [(i, "G_zv", 2.0) for i in (CHUNK + 1, 3, 17)])
         with pytest.raises(WellPosednessViolation) as single:
             ident.pi_at(siso1, t0, sweep[3])
         with pytest.raises(WellPosednessViolation) as swept:
@@ -228,7 +232,7 @@ class TestPiSweep:
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_isolated_kernel_changes_equal_pointwise(self, monkeypatch, seed, kind):
-        m, t0, sweep = isolated_kernel_changes(seed, kind)
+        m, t0, sweep = isolated_kernel_changes(monkeypatch, seed, kind)
         swept = every_point(m, t0, sweep)
         assert len({p.kernel_dim for p in swept}) > 1
         dims = sorted({p.kernel_dim for p in swept})
@@ -242,12 +246,12 @@ class TestPiSweep:
             assert_equals_reference(m, t0, p, p.g)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
-    def test_stacked_rows_times_z_equal_upsilon_block(self, seed, kind):
+    def test_stacked_rows_times_z_equal_upsilon_block(self, monkeypatch, seed, kind):
         # The search multiplies stacked rows by Z; each product must equal the
         # one-candidate upsilon_block(p) @ Z that the re-verification computes.
         # Both also equal the rows of the one-matrix route, (W @ U1) with the
         # Xi and [U_Pi2r U_Pi2j]^T of reference_pi.
-        m, t0, blocks = isolated_kernel_changes(seed, kind)
+        m, t0, blocks = isolated_kernel_changes(monkeypatch, seed, kind)
         psi_dec, m_z, q = ident.psi(m), m.dims.m_z, m.dims.q
         U1 = psi_dec.U1.reshape(m_z, -1, psi_dec.U1.shape[1])
         refs = [reference_pi(m, t0, g) for g in blocks]
@@ -298,10 +302,11 @@ class TestSweepFlags:
         (6, dict(dims=D4, time_domain="discrete")),
     ])
     @pytest.mark.parametrize("near_cut", [False, True])
-    def test_flags_equal_stacked_ranks(self, seed, kind, near_cut):
+    def test_flags_equal_stacked_ranks(self, monkeypatch, seed, kind, near_cut):
+        stacks_of(monkeypatch)
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
-        blocks = freqplan.default_grid(m, n_points=numkit._CHUNK + 1).sweep
+        blocks = freqplan.default_grid(m, n_points=CHUNK + 1).sweep
         kernels = None
         if near_cut:
             # Kernel bases whose two first columns lie 1e-12 to 1 apart put

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from lftident import numkit
 from lftident.errors import InvalidInput, WellPosednessViolation
 
+from conftest import CHUNK
+
 EPS = np.finfo(float).eps
 
 
@@ -208,13 +210,13 @@ class TestLoopGuard:
 
 def shape_groups(mats):
     """``(indices, stack)`` of the matrices ``mats`` grouped by shape and dtype,
-    in chunks of at most ``numkit._CHUNK``: ``stack[j] = mats[indices[j]]``."""
+    in chunks of at most CHUNK: ``stack[j] = mats[indices[j]]``."""
     groups: dict = {}
     for i, M in enumerate(mats):
         groups.setdefault((M.shape, M.dtype), []).append(i)
     for members in groups.values():
-        for start in range(0, len(members), numkit._CHUNK):
-            idx = members[start:start + numkit._CHUNK]
+        for start in range(0, len(members), CHUNK):
+            idx = members[start:start + CHUNK]
             yield np.array(idx), np.array([mats[i] for i in idx])
 
 
@@ -224,10 +226,10 @@ class TestStacked:
     @staticmethod
     def mixed(seed):
         # Two shapes, both dtypes, rank-deficient and empty members, and more
-        # matrices of one group than fit in one stacking chunk.
+        # than CHUNK matrices of one group.
         rng = np.random.default_rng(seed)
         mats = []
-        for i in range(2 * numkit._CHUNK + 3):
+        for i in range(2 * CHUNK + 3):
             m, n = [(4, 3), (2, 5), (3, 0), (0, 2)][i % 4]
             A = random_complex(rng, m, n) if i % 3 else rng.standard_normal((m, n))
             if i % 5 == 0 and A.size:
@@ -242,7 +244,7 @@ class TestStacked:
         so does _split of a default-policy svd_stack at the policy."""
         seen = []
         for idx, S in shape_groups(mats):
-            assert S.shape[0] <= numkit._CHUNK
+            assert S.shape[0] <= CHUNK
             U, sigma, V, rank = numkit.svd_stack(S, rtol, floor)
             sig, (r_only,) = numkit.stacked_ranks(S, (rtol,), floor)
             U0, sigma0, V0, _ = numkit.svd_stack(S)
@@ -288,7 +290,7 @@ class TestStacked:
         shapes = [(int(rng.integers(0, 5)), int(rng.integers(0, 5))) for _ in range(3)]
         shapes += [(0, int(rng.integers(1, 4))), (int(rng.integers(1, 4)), 0)]
         mats = []
-        for _ in range(int(rng.integers(1, 2 * numkit._CHUNK + 5))):
+        for _ in range(int(rng.integers(1, 2 * CHUNK + 5))):
             m, n = shapes[int(rng.integers(len(shapes)))]
             A = random_complex(rng, m, n) if rng.random() < 0.5 else rng.standard_normal((m, n))
             A *= 10.0 ** rng.uniform(-12, 3)

@@ -7,7 +7,7 @@ from lftident import numkit, oracle, response, sloppiness, testing
 from lftident.errors import InvalidInput, LftIdentError, WellPosednessViolation
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import full_rank_above, model_pool, per_theta_h_lft
+from conftest import CHUNK, full_rank_above, model_pool, per_theta_h_lft, stacks_of
 
 
 # Per-theta references: the loops the stacked oracle replaced.
@@ -322,9 +322,10 @@ class TestEquivalenceProbe:
             return np.array(drawn[-1])
 
         monkeypatch.setattr(oracle, "_domain_sample", draw)
-        got = oracle.random_equivalence_probe(m, est, trials=10 * numkit._CHUNK)
+        stacks_of(monkeypatch)
+        got = oracle.random_equivalence_probe(m, est, trials=10 * CHUNK)
         assert got.tolist() == [0.0, 0.5]
-        assert len(drawn) == numkit._CHUNK
+        assert len(drawn) == CHUNK
         # A line-search match draws no domain sample at all.
         drawn.clear()
         dup2 = testing.dup2()
@@ -376,7 +377,8 @@ class TestEllipsoidEmpirical:
 
         monkeypatch.setattr(response, "g_sweep", spy)
         # Samples in two chunks and a bit.
-        n = 2 * numkit._CHUNK + 3
+        stacks_of(monkeypatch)
+        n = 2 * CHUNK + 3
         stats = oracle.ellipsoid_empirical_check(siso1, [0.0], [0.0, 1.0],
                                                  eps=1e-3, samples=n, seed=4)
         assert seen == [[0.0, 1.0]]

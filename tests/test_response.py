@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -12,8 +11,8 @@ from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity, WellPosednessViolation
 from lftident.model import DescriptorModel, Dims, ParameterDomain, save_model
 
-from conftest import (h_statespace, interior_theta, model_pool, per_theta_h_lft,
-                      regularity_identity_check)
+from conftest import (CHUNK, h_statespace, interior_theta, model_pool, per_theta_h_lft,
+                      regularity_identity_check, stacks_of, with_pole)
 
 
 def closed_form_siso1(theta, omega):
@@ -160,14 +159,15 @@ class TestHSweep:
         g1 = response.g_blocks(m, 0.7)
         assert all(self.assert_matches_per_theta(m, np.array(thetas)[[0, 1, 3, 4, 5]], g1))
 
-    def test_singular_loops_across_chunks(self):
+    def test_singular_loops_across_chunks(self, monkeypatch):
         # Two chunks and a bit; the singular thetas sit in the second chunk
         # and make up the whole third one, whose H stack is then empty.
+        stacks_of(monkeypatch)
         m = testing.siso1(radius=4.0)
         g = response.g_blocks(m, 0.0)
-        n = 2 * numkit._CHUNK + 1
+        n = 2 * CHUNK + 1
         thetas = np.linspace(-0.9, 0.9, n)[:, None]
-        singular = [numkit._CHUNK + 3, n - 1]
+        singular = [CHUNK + 3, n - 1]
         thetas[singular] = 1.0
         mask = self.assert_matches_per_theta(m, thetas, g)
         assert [i for i, passed in enumerate(mask) if not passed] == singular
@@ -345,18 +345,6 @@ def svd_everything_pencil_solve(E, A, lams, rhs, guard_scale):
     return X, complaints
 
 
-def with_pole(m: DescriptorModel, w_star: float) -> DescriptorModel:
-    """``m`` with its first two states replaced by an undamped block whose
-    poles are lambda(w_star) and its conjugate: +- j w_star in continuous
-    time, on the unit circle in discrete time."""
-    lam = response.lambda_at(m.time_domain, w_star)
-    E, A = m.E.copy(), m.A_xx.copy()
-    E[:2, :], E[:, :2], A[:2, :], A[:, :2] = 0.0, 0.0, 0.0, 0.0
-    E[:2, :2] = np.eye(2)
-    A[:2, :2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
-    return dataclasses.replace(m, E=E, A_xx=A)
-
-
 def near_pole_model(w_star: float) -> DescriptorModel:
     """A 60-state continuous-time model with poles at +- j w_star; the other
     58 states are a random model's."""
@@ -415,9 +403,10 @@ def takes_a_two_norm(calls) -> bool:
 
 class TestSweep:
     """A stacked sweep equals one g_blocks call per frequency, bit for bit, and
-    each point's blocks keep the strides of a one-matrix evaluation's blocks."""
+    each point's blocks keep the strides of a one-matrix evaluation's blocks.
+    The tests that place points at chunk edges make chunks of CHUNK pencils."""
 
-    CHUNK = numkit._CHUNK
+    CHUNK = CHUNK
     # (points, index of the guarded oscillator point): the last point of a
     # short grid, the last point of the first chunk, the first of the second.
     SIZES = [(CHUNK - 1, CHUNK - 2), (CHUNK, CHUNK - 1), (CHUNK + 1, CHUNK)]
@@ -467,7 +456,8 @@ class TestSweep:
     @pytest.mark.parametrize("n,_", SIZES)
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
                                       dict(singular_E=True)])
-    def test_random_models(self, kind, n, _):
+    def test_random_models(self, kind, n, _, monkeypatch):
+        stacks_of(monkeypatch)
         m = testing.random_regular_model(5, **kind)
         if m.time_domain == "continuous":
             omegas = np.geomspace(1e-2, 1e2, n).tolist()
@@ -479,7 +469,8 @@ class TestSweep:
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
                                       dict(dims=FIXTURE_DIMS["d12"], singular_E=True)])
-    def test_blocks_equal_one_call_per_frequency_at_chunk_edges(self, kind, n):
+    def test_blocks_equal_one_call_per_frequency_at_chunk_edges(self, kind, n, monkeypatch):
+        stacks_of(monkeypatch)
         m = testing.random_regular_model(7, **kind)
         if m.time_domain == "continuous":
             omegas = np.geomspace(1e-2, 1e2, n).tolist()
@@ -492,9 +483,10 @@ class TestSweep:
         self.assert_matches_svd_everything(m, omegas)
 
     @pytest.mark.parametrize("model", [oscillator, near_pole_model])
-    def test_poles_inside_a_chunk_and_on_its_boundary(self, model):
+    def test_poles_inside_a_chunk_and_on_its_boundary(self, model, monkeypatch):
         # -w* sits inside the first chunk and w* opens the second: both drop
         # out, in order, with the complaints of one g_blocks call each.
+        stacks_of(monkeypatch)
         w_star = 0.7
         m = model(w_star)
         omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK + 1).tolist()
@@ -529,7 +521,8 @@ class TestSweep:
             assert np.linalg.norm(G - (D + C @ X)) <= bound
 
     @pytest.mark.parametrize("n,hit", SIZES)
-    def test_guarded_point_on_chunk_boundary(self, n, hit):
+    def test_guarded_point_on_chunk_boundary(self, n, hit, monkeypatch):
+        stacks_of(monkeypatch)
         omegas = np.geomspace(1e-2, 1e2, n).tolist()
         m = oscillator(omegas[hit])
         sweep = response.g_sweep(m, omegas)
@@ -569,6 +562,7 @@ class TestSweep:
                 return svd(a, *args, **kwargs)
 
             with pytest.MonkeyPatch.context() as mp:
+                stacks_of(mp, self.CHUNK)
                 mp.setattr(response, "_SOLVE_BYTES", per_slice * 60 * (60 + 12) * 16)
                 mp.setattr(response, "_ANCHOR_STRIDE", stride)
                 mp.setattr(np.linalg, "svd", spy)
@@ -600,6 +594,7 @@ class TestSweep:
         assert kept_near % response._ANCHOR_STRIDE and guarded_near % response._ANCHOR_STRIDE
         omegas[kept_near] = w_star - 1.5 * floor
         omegas[guarded_near] = w_star + 0.5 * floor
+        stacks_of(monkeypatch, self.CHUNK)
         routes = spy_routes(monkeypatch)
         sweep = response.g_sweep(m, omegas)
         monkeypatch.undo()
@@ -628,14 +623,15 @@ class TestSweep:
         self.assert_matches_svd_everything(m, omegas)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(KINDS)),
-           m_x=st.integers(3, 8), pole=st.booleans(), n=st.integers(2, 2 * numkit._CHUNK + 8),
+           m_x=st.integers(3, 8), pole=st.booleans(), n=st.integers(2, 2 * CHUNK + 8),
            center=st.floats(0.2, 2.0), width=st.floats(1e-3, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_covered_pencils_clear_twice_the_floor(self, seed, kind, m_x, pole, n, center, width):
         # Weyl's bound is sound: every pencil solved against B alone, because
         # an anchor covered it, has an exact sigma_min of at least twice its
         # largest floor.  With ``pole``, a pole sits in the middle of the grid.
-        # Models this small are anchored only with the state floor lowered.
+        # Models this small are anchored only with the state floor lowered,
+        # and fill a chunk only with chunks of CHUNK pencils.
         m = testing.random_model(seed, dims=Dims(m_x, 2, 1, 2, 3, 2), **KINDS[kind])
         if pole:
             m = with_pole(m, center)
@@ -645,6 +641,7 @@ class TestSweep:
             omegas = np.linspace(center - width, center + width, n).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(response, "_ANCHOR_MIN_STATES", 1)
+            stacks_of(mp, self.CHUNK)
             routes = spy_routes(mp)
             response.g_sweep(m, omegas)
         covered = covered_lams(routes)
@@ -679,17 +676,22 @@ class TestSweep:
     def test_small_pencils_are_their_own_anchors(self, m_x, monkeypatch):
         # Below the state floor each chunk is one solve against [B | I] and
         # no ||E||_2 is computed; at the floor anchors cover their neighbours.
+        # The byte budget fits all 2 * CHUNK pencils in one chunk; chunks of
+        # CHUNK pencils make two.
         m = testing.random_regular_model(3, dims=Dims(m_x, 2, 1, 2, 5, 2))
         omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK).tolist()
-        routes = spy_routes(monkeypatch)
-        calls = spy_linalg(monkeypatch, "norm")
-        response.g_sweep(m, omegas)
-        monkeypatch.undo()
         anchored = m_x >= response._ANCHOR_MIN_STATES
-        assert bool(covered_lams(routes)) == anchored
-        assert takes_a_two_norm(calls) == anchored
-        if not anchored:
-            assert [len(lams) for lams, _ in routes if len(lams)] == [self.CHUNK] * 2
+        for per_stack, chunks in ((None, [len(omegas)]), (self.CHUNK, [self.CHUNK] * 2)):
+            with pytest.MonkeyPatch.context() as mp:
+                if per_stack:
+                    stacks_of(mp, per_stack)
+                routes = spy_routes(mp)
+                calls = spy_linalg(mp, "norm")
+                response.g_sweep(m, omegas)
+            assert bool(covered_lams(routes)) == anchored
+            assert takes_a_two_norm(calls) == anchored
+            if not anchored:
+                assert [len(lams) for lams, _ in routes if len(lams)] == chunks
 
     def test_one_frequency_costs_one_solve(self, monkeypatch):
         # One pencil is its own anchor: one solve against [B | I], and no
@@ -704,9 +706,13 @@ class TestSweep:
     def test_holds_one_chunk_of_pencils(self):
         # Each chunk's pencils are built in place and copied only around a
         # guarded point: spare chunk-sized temporaries made malloc hand memory
-        # back to the system and fault it in again on every chunk.
+        # back to the system and fault it in again on every chunk.  A chunk
+        # holds as many 60-state pencils and solutions as fit in the budget.
         m = testing.random_regular_model(1, dims=Dims(60, 4, 2, 4, 8, 16))
-        omegas = np.geomspace(1e-2, 1e2, self.CHUNK).tolist()
+        chunk_bytes = 16 * 60 * (60 + 4 + 8)
+        per_stack = numkit._per_stack(chunk_bytes)
+        assert 8 <= per_stack < 200
+        omegas = np.geomspace(1e-2, 1e2, 2 * per_stack).tolist()
         assert not response.g_sweep(m, omegas).guarded
         tracemalloc.start()
         try:
@@ -714,7 +720,7 @@ class TestSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * self.CHUNK * m.A_xx.size * 16
+        assert peak < 1.5 * per_stack * chunk_bytes
 
     def test_first_guarded_listed_frequency_raises(self):
         w_star = 0.7
