@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-freqs", help="search a certifying frequency set on a grid")
     common(p, theta0=True,
            csv_help="columns step, omega, unresolved_dim (selection trace)")
-    p.add_argument("--grid-min", type=float, default=freqplan.DEFAULT_W_MIN)
-    p.add_argument("--grid-max", type=float, default=freqplan.DEFAULT_W_MAX)
+    p.add_argument("--grid-min", type=float, help="continuous time only")
+    p.add_argument("--grid-max", type=float, help="continuous time only")
     p.add_argument("--grid-points", type=int, default=freqplan.DEFAULT_GRID_POINTS)
     p.add_argument("--refine", type=int, default=0,
                    help="rounds of x4 grid densification after a stall")
@@ -417,7 +417,9 @@ def main(argv=None) -> int:
             "trials": getattr(args, "trials", None),
             "step": getattr(args, "step", None),
             "grid": (
-                [args.grid_min, args.grid_max, args.grid_points, args.refine]
+                [freqplan.DEFAULT_W_MIN if args.grid_min is None else args.grid_min,
+                 freqplan.DEFAULT_W_MAX if args.grid_max is None else args.grid_max,
+                 args.grid_points, args.refine]
                 if args.command == "find-freqs" else None
             ),
             "tolerances": {

@@ -6,13 +6,13 @@ far, then greedily add the frequency whose U_Pi2 block removes the most of
 Z, until Z is empty (certified) or no grid point makes progress.
 
 The grid is scored from one :class:`identifiability.GridSweep`: its shortcut
-flags, side array and Xi stacks cover every grid point.  Only the flagged
-shortcut candidates and the picks are materialized as Pi decompositions, the
-picks once the greedy rows exist.  The U_Pi2 of every point is formed only
-when the anchor leaves Z non-empty and the greedy rows are built; otherwise
-only the points that a verdict reads factor their Pi.  The
-anchor step scores the smallest side-passing point alone first, and all
-candidates only when that point does not reach the largest score (q, q).
+flags, side array and Xi stacks cover every grid point, and the verdicts on
+the flagged shortcut candidates and on the picks read it by point index.  The
+U_Pi2 of every point is formed only when the anchor leaves Z non-empty and the
+greedy rows are built; otherwise only the points that a verdict reads factor
+their Pi.  The anchor step scores the smallest side-passing point alone first,
+and all candidates only when that point does not reach the largest score
+(q, q).
 
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
@@ -91,19 +91,23 @@ class FrequencyPlan:
 def default_grid(
     model: DescriptorModel,
     n_points: int = DEFAULT_GRID_POINTS,
-    w_min: float = DEFAULT_W_MIN,
-    w_max: float = DEFAULT_W_MAX,
+    w_min: float | None = None,
+    w_max: float | None = None,
 ) -> FrequencyGrid:
-    """Logarithmic grid over [w_min, w_max] (continuous) or uniform over (0, pi].
+    """Logarithmic grid over [w_min, w_max] (continuous time, by default
+    [DEFAULT_W_MIN, DEFAULT_W_MAX]) or uniform over (0, pi] (discrete time).
 
     Points failing the pole guard are removed; an empty result raises
     EmptyGrid.  The grid keeps the sweep of transfer blocks the guard evaluated.
     Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
-    ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``.
+    ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``;
+    a discrete-time grid takes no bounds.
     """
     if n_points < 1:
         raise InvalidInput(f"the grid needs at least one point, got {n_points}")
     if model.time_domain == "continuous":
+        w_min = DEFAULT_W_MIN if w_min is None else w_min
+        w_max = DEFAULT_W_MAX if w_max is None else w_max
         if not 0.0 < w_min <= w_max < np.inf:
             raise InvalidInput(
                 f"grid bounds must satisfy 0 < w_min <= w_max < inf, got {w_min}, {w_max}")
@@ -111,6 +115,9 @@ def default_grid(
             raise InvalidInput(
                 f"a grid of {n_points} points needs w_min < w_max, got {w_min}, {w_max}")
         raw = np.geomspace(w_min, w_max, n_points)
+    elif (w_min, w_max) != (None, None):
+        raise InvalidInput(f"a discrete-time grid spans (0, pi] and takes no bounds, "
+                           f"got {w_min}, {w_max}")
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
     return FrequencyGrid(sweep=response.g_sweep(model, raw.tolist()),
@@ -123,7 +130,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     m_z = model.dims.m_z
     q = model.dims.q
     sweep = ident.GridSweep(model, theta0, grid.sweep)
-    picks: list[int] = []  # grid indices, materialized once the greedy rows exist
+    picks: list[int] = []  # grid indices
     trace: list[int] = []
 
     def plan(status: str, verdict=None) -> FrequencyPlan:
@@ -134,15 +141,14 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
     # point may carry a healthier margin.
-    for i in np.flatnonzero(sweep.shortcut):
-        p = sweep.at(i)
-        verdict = ident._decide(model, theta0, [p], psi_dec)
+    for i in np.flatnonzero(sweep.shortcut).tolist():
+        verdict = ident._decide(model, theta0, sweep, [i], psi_dec)
         if verdict.status == ident.IDENTIFIABLE:
-            return FrequencyPlan(status=CERTIFIED, selected=(p.omega,), rank_trace=(0,),
+            return FrequencyPlan(status=CERTIFIED, selected=verdict.frequencies, rank_trace=(0,),
                                  verdict=verdict)
         if verdict.status == ident.NOT_IDENTIFIABLE:
             raise ConstructionError(
-                f"shortcut frequency omega={p.omega} certified the opposite verdict"
+                f"shortcut frequency omega={sweep.g.omegas[i]} certified the opposite verdict"
             )
 
     # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
@@ -180,11 +186,10 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         if len(picks) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
 
-    pis = [sweep.at(i) for i in picks]
-    verdict = ident._decide(model, theta0, pis, psi_dec)
+    verdict = ident._decide(model, theta0, sweep, picks, psi_dec)
     if verdict.status == ident.NOT_IDENTIFIABLE:
         raise ConstructionError(
-            f"certified selection {[p.omega for p in pis]} failed re-verification: "
+            f"certified selection {list(verdict.frequencies)} failed re-verification: "
             f"{verdict.reason}"
         )
     # Margins too thin to certify (INCONCLUSIVE) are treated like a stall, so

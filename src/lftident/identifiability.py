@@ -16,16 +16,16 @@ condition is decided through a stacked rank test built from two objects:
 grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
 full SVD, which only U_Pi2 needs, runs only where U_Pi2 is read: per kernel
-group when the greedy rows of the frequency search are built, else on the
-first read of a :class:`PiDecomposition`'s U_Pi2, for the points built so
-far.  So a shortcut verdict factors no Pi.  A listed frequency set travels between layers as one
-GridSweep, checked or built by :func:`listed_sweep`.  All rank decisions go
-through :mod:`lftident.numkit`.
+group when the greedy rows of the frequency search are built, else in the one
+:meth:`GridSweep.u_pi2` read of a verdict, for its points.  So a shortcut
+verdict factors no Pi.  The verdict reads a GridSweep by point index; a listed
+frequency set travels between layers as one GridSweep, checked or built by
+:func:`listed_sweep`.  All rank decisions go through :mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "SENSITIVITY_RTOL",
     "CERT_TOL",
     "PsiDecomposition",
-    "PiDecomposition",
     "IdentifiabilityVerdict",
     "psi",
     "GridSweep",
@@ -50,7 +49,6 @@ __all__ = [
     "listed_sweep",
     "normal_row_rank",
     "check_fnrr",
-    "upsilon_block",
     "upsilon_rows",
     "candidate_scores",
     "chain_null_basis",
@@ -114,67 +112,19 @@ def psi(model: DescriptorModel) -> PsiDecomposition:
     return PsiDecomposition(Psi=Psi, factors=numkit.svd_full(Psi))
 
 
-@dataclass(frozen=True)
-class PiDecomposition:
-    """Per-frequency factors feeding the stacked rank test.
-
-    ``Pi`` is full column rank by construction; ``Pi_bar_r``/``Pi_bar_j`` are
-    its [real, -imag] / [imag, real] stackings; ``Xi`` annihilates
-    Pi_bar_r times a right-null basis of Pi_bar_j from the left; ``U_Pi2``
-    spans the orthogonal complement of range(Pi).  ``side_fcr`` is the side
-    condition (Pi_bar_r times that null basis is full column rank at the
-    DECISION_RTOL margin); ``shortcut`` says Pi_bar_j is full column rank with
-    the ROBUST_RTOL margin, so that the frequency certifies on its own.  ``g``
-    is the one-point sweep of the transfer blocks Pi was built from.  The
-    point is point ``index`` of ``grid``, which factors U_Pi2 on first read
-    (see :meth:`GridSweep.u_pi2`).
-    """
-
-    g: response.GSweep
-    K: np.ndarray
-    Pi: np.ndarray
-    Pi_bar_r: np.ndarray
-    Pi_bar_j: np.ndarray
-    Xi: np.ndarray
-    side_fcr: bool
-    shortcut: bool
-    grid: GridSweep = field(repr=False)
-    index: int = field(repr=False)
-
-    @property
-    def U_Pi2(self) -> np.ndarray:
-        return self.grid.u_pi2(self.index)
-
-    @property
-    def omega(self) -> float:
-        return self.g.omegas[0]
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.K.shape[1]
-
-    @property
-    def u2_stack(self) -> np.ndarray:
-        """[U_Pi2r  U_Pi2j]^T: the real row block enforcing columns in range(Pi)."""
-        return _u2_stack(self.U_Pi2)
-
-
 def _u2_stack(U: np.ndarray) -> np.ndarray:
-    """:attr:`PiDecomposition.u2_stack` of U_Pi2, or of each of a stack of them."""
+    """[U_Pi2r  U_Pi2j]^T, the real row block that keeps columns in range(Pi),
+    of U_Pi2 or of each of a stack of them."""
     return np.concatenate([U.real, U.imag], axis=-1).swapaxes(-1, -2)
 
 
 def pi_at(model: DescriptorModel, theta0, g: response.GSweep,
-          kernel: np.ndarray | None = None) -> PiDecomposition:
-    """Build the Pi decomposition from the one-point sweep ``g`` of transfer
-    blocks: the one-point case of :class:`GridSweep`.
-
-    ``kernel`` overrides the computed kernel basis of G_yv (any basis of the
-    same column span gives the same verdicts; the override exists to exercise
-    exactly that invariance).
-    """
+          kernel: np.ndarray | None = None) -> GridSweep:
+    """The one-point :class:`GridSweep` of the one-point sweep ``g``; ``kernel``
+    overrides its kernel basis of G_yv (any basis of the same column span gives
+    the same verdicts, and the override exists to exercise that invariance)."""
     K = None if kernel is None else [(np.zeros(1, dtype=int), np.asarray(kernel, dtype=complex)[None])]
-    return GridSweep(model, theta0, g, K).at(0)
+    return GridSweep(model, theta0, g, K)
 
 
 def _by_value(values: np.ndarray):
@@ -200,12 +150,11 @@ class GridSweep:
     budget fits.  Points that share a chunk and a kernel dimension form a
     kernel group (``kernels``, ``(indices, K stack)`` pairs, overrides the
     computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
-    pairs; ``side`` and ``shortcut`` hold each point's side condition and
-    shortcut flag; ``theta0`` is the checked parameter vector.  :meth:`at`
-    builds one point's PiDecomposition without its U_Pi2, which :meth:`u_pi2`
-    factors on first read; :meth:`bars` stacks every point's Pi_bar_r and
-    Pi_bar_j.  Slices keep the memory layout of the one-matrix route, on
-    which BLAS results depend.
+    pairs, and :meth:`xi` reads one point's; ``side`` and ``shortcut`` hold
+    each point's side condition and shortcut flag; ``theta0`` is the checked
+    parameter vector.  :meth:`u_pi2` reads the U_Pi2 of a list of points;
+    :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices keep the
+    memory layout of the one-matrix route, on which BLAS results depend.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
@@ -238,8 +187,6 @@ class GridSweep:
         self.xis: list[tuple[np.ndarray, np.ndarray]] = []
         self._groups = []
         self._pi_svds: list = [None] * len(kernels)
-        self._u_pi2: dict[int, np.ndarray] = {}
-        self._unread: set[int] = set()  # points built by at() whose Pi is not factored
         # Per point: its kernel group, its position there, its Xi group and
         # its position there.
         self._slots = np.zeros((4, n), dtype=int)
@@ -269,34 +216,27 @@ class GridSweep:
             self._pi_svds[grp] = (U, ranks)
         return self._pi_svds[grp]
 
-    def u_pi2(self, i: int) -> np.ndarray:
-        """U_Pi2 of grid point ``i``: a slice of its kernel group's Pi SVD once
-        :meth:`greedy_rows` has run it.  Else the first read factors, in one
-        stack, the Pi of ``i`` and of every other point of its group that
-        :meth:`at` has built and that is not factored yet: a verdict reads the
-        U_Pi2 of all its points or of none.  Each is the same bits in the same
-        layout."""
-        grp, j = self._slots[:2, i].tolist()
-        if self._pi_svds[grp] is not None:
-            U, ranks = self._pi_svds[grp]
-            return U[j, :, ranks[j]:]
-        if i not in self._u_pi2:
-            points = sorted({i} | {k for k in self._unread if self._slots[0, k] == grp})
-            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, points]])
-            self._u_pi2.update((k, U[n, :, r:]) for n, (k, r) in enumerate(zip(points, ranks)))
-            self._unread.difference_update(points)
-        return self._u_pi2[i]
+    def xi(self, i: int) -> np.ndarray:
+        """Xi of grid point ``i``: a view into its Xi stack."""
+        x, k = self._slots[2:, i].tolist()
+        return self.xis[x][1][k]
 
-    def at(self, i: int) -> PiDecomposition:
-        """The :class:`PiDecomposition` of grid point ``i``: views into the stacks."""
-        grp, j, x, k = self._slots[:, i].tolist()
-        _, K, Pi, R, J = self._groups[grp]
-        if i not in self._u_pi2:
-            self._unread.add(i)
-        return PiDecomposition(
-            g=self.g[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j], Pi_bar_j=J[j],
-            Xi=self.xis[x][1][k], side_fcr=bool(self.side[i]),
-            shortcut=bool(self.shortcut[i]), grid=self, index=i)
+    def u_pi2(self, points: list[int]) -> list[np.ndarray]:
+        """U_Pi2 of each grid point of ``points``: slices of its kernel group's
+        Pi SVD once :meth:`greedy_rows` has run it, else of one stacked SVD of
+        the group's points among ``points``.  Either way the same bits in the
+        same layout."""
+        out = {}
+        for grp in dict.fromkeys(self._slots[0, points].tolist()):
+            at = [i for i in points if self._slots[0, i] == grp]
+            if self._pi_svds[grp] is None:
+                U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, at]])
+                js = range(len(at))
+            else:
+                U, ranks = self._pi_svds[grp]
+                js = self._slots[1, at]
+            out.update((i, U[j, :, ranks[j]:]) for i, j in zip(at, js))
+        return [out[i] for i in points]
 
     def bars(self) -> tuple[np.ndarray, np.ndarray]:
         """Pi_bar_r and Pi_bar_j of every point as two stacks, in point order;
@@ -309,8 +249,8 @@ class GridSweep:
         return tuple(np.concatenate([grp[k] for grp in self._groups])[order] for k in (3, 4))
 
     def greedy_rows(self, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``upsilon_block(self.at(i), psi_dec, False, m_z)`` of every grid point,
-        one row stack per Pi rank of each kernel group: a list of
+        """The U_Pi2 row blocks (:func:`upsilon_rows` of the u2 stacks) of every
+        grid point, one row stack per Pi rank of each kernel group: a list of
         ``(indices, row stack)``."""
         rows = []
         for grp, (idx, *_) in enumerate(self._groups):
@@ -376,17 +316,10 @@ def check_fnrr(model: DescriptorModel, seed: int = 20260808) -> int:
     return r
 
 
-def upsilon_block(pi: PiDecomposition, psi_dec: PsiDecomposition, first: bool,
-                  m_z: int) -> np.ndarray:
-    """One row block of the reduced stacked test matrix, with columns in the
-    coordinates of the columns of U_Psi1: the one-matrix case of
-    :func:`upsilon_rows`."""
-    return upsilon_rows((pi.Xi if first else pi.u2_stack)[None], psi_dec, m_z)[0]
-
-
 def upsilon_rows(W: np.ndarray, psi_dec: PsiDecomposition, m_z: int) -> np.ndarray:
-    """The row blocks (I_mz kron W_i) U_Psi1 of a stack ``W`` of Xi or
-    u2_stack blocks, one per candidate frequency; an empty stack gives none."""
+    """The row blocks (I_mz kron W_i) U_Psi1, in the coordinates of the columns
+    of U_Psi1, of a stack ``W`` of Xi or u2 stack blocks, one per candidate
+    frequency; an empty stack gives none."""
     # (I_mz kron W) @ U1, applying W to each of the m_z row blocks of U1.
     k = psi_dec.U1.shape[1]
     return (W[:, None] @ psi_dec.U1.reshape(m_z, -1, k)).reshape(len(W), m_z * W.shape[1], k)
@@ -455,8 +388,8 @@ def sensitivity_stack(model: DescriptorModel, theta0, blocks) -> np.ndarray:
     return np.column_stack([np.concatenate(c) for c in cols])
 
 
-def _sensitivity_margin_ok(model, theta0, pis) -> bool:
-    J = sensitivity_stack(model, theta0, [p.g for p in pis])
+def _sensitivity_margin_ok(model, theta0, blocks) -> bool:
+    J = sensitivity_stack(model, theta0, blocks)
     if J.shape[1] == 0:
         return True
     if J.shape[0] < J.shape[1]:
@@ -465,17 +398,17 @@ def _sensitivity_margin_ok(model, theta0, pis) -> bool:
     return float(sig[-1]) >= SENSITIVITY_RTOL * max(1.0, float(sig[0]))
 
 
-def _direct_stack(psi_dec: PsiDecomposition, pis, m_z: int) -> np.ndarray:
+def _direct_stack(psi_dec: PsiDecomposition, U_Pi2: list[np.ndarray], m_z: int) -> np.ndarray:
     """Constraint stack whose null space is exactly the set of undetectable
-    vec(sum_k d_k P_k): membership in range(Psi) plus, per frequency,
-    columns inside range(Pi)."""
+    vec(sum_k d_k P_k): membership in range(Psi) plus, per frequency (its
+    U_Pi2), columns inside range(Pi)."""
     I_mz = np.eye(m_z)
-    return np.vstack([psi_dec.U2.T, *(numkit._kron(I_mz, p.u2_stack) for p in pis)])
+    return np.vstack([psi_dec.U2.T, *(numkit._kron(I_mz, _u2_stack(U)) for U in U_Pi2)])
 
 
-def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: int):
-    """The first of the null directions ``null`` of the direct constraint stack,
-    mapped to parameter space.
+def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, U_Pi2, dims):
+    """The first of the null directions ``null`` of the direct constraint stack
+    of ``U_Pi2`` (one per frequency), mapped to parameter space by the model's ``dims``.
 
     Returns (delta_unit, nullity, worst_certificate_residual).  The residual
     is the largest violation of the range conditions by the extracted
@@ -486,9 +419,9 @@ def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, pis, m_z: i
     v = null[:, 0].real
     v = v / np.linalg.norm(v)
     worst = float(np.linalg.norm(psi_dec.U2.T @ v))
-    dP = numkit.unvec(v, pis[0].Pi.shape[0], m_z)
-    for p in pis:
-        worst = max(worst, float(np.linalg.norm(p.U_Pi2.conj().T @ dP)))
+    dP = numkit.unvec(v, dims.m_v, dims.m_z)
+    for U in U_Pi2:
+        worst = max(worst, float(np.linalg.norm(U.conj().T @ dP)))
     delta = psi_dec.factors.V1.real @ (
         (psi_dec.U1.T @ v) / psi_dec.factors.sigma
     )
@@ -534,23 +467,25 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, sweep: GridSweep | None 
     check_fnrr(model, seed=fnrr_seed)
 
     sweep = listed_sweep(model, t0, w, sweep)
-    return _decide(model, t0, [sweep.at(i) for i in range(len(w))], psi_dec)
+    return _decide(model, t0, sweep, list(range(len(w))), psi_dec)
 
 
-def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
+def _decide(model: DescriptorModel, t0: np.ndarray, sweep: GridSweep, points: list[int],
             psi_dec: PsiDecomposition) -> IdentifiabilityVerdict:
     """The verdict of :func:`upsilon_test` from checked inputs: ``t0`` a checked
-    parameter vector, ``pis`` built at distinct frequencies, a full-column-rank
-    ``psi_dec``, and the FNRR hypothesis already verified."""
-    w = [p.omega for p in pis]
+    parameter vector, ``sweep`` its GridSweep, ``points`` indices of distinct
+    frequencies there, the anchor first, a full-column-rank ``psi_dec``, and
+    the FNRR hypothesis already verified."""
+    w = [sweep.g.omegas[i] for i in points]
+    blocks = [sweep.g[i] for i in points]
     m_z = model.dims.m_z
     q = model.dims.q
 
     # Single-frequency certificate at the smallest qualifying omega.  The
     # sensitivity gate reads every listed frequency, so it runs at most once:
     # a shortcut it vetoes also vetoes the chain's positive verdict below.
-    shortcut = min((p.omega for p in pis if p.shortcut), default=None)
-    if shortcut is not None and _sensitivity_margin_ok(model, t0, pis):
+    shortcut = min((w_i for w_i, i in zip(w, points) if sweep.shortcut[i]), default=None)
+    if shortcut is not None and _sensitivity_margin_ok(model, t0, blocks):
         return IdentifiabilityVerdict(
             status=IDENTIFIABLE,
             frequencies=tuple(w),
@@ -562,10 +497,11 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
         )
 
     # One SVD of the direct stack serves its rank check and its null basis.
-    direct = numkit.svd_full(_direct_stack(psi_dec, pis, m_z), DECISION_RTOL, 1.0)
+    U = sweep.u_pi2(points)
+    direct = numkit.svd_full(_direct_stack(psi_dec, U, m_z), DECISION_RTOL, 1.0)
 
     def negative_or_inconclusive(trace: tuple[int, ...], context: str) -> IdentifiabilityVerdict:
-        delta, dim, worst = _residual_direction(direct.V2, psi_dec, pis, m_z)
+        delta, dim, worst = _residual_direction(direct.V2, psi_dec, U, model.dims)
         if delta is not None and worst <= CERT_TOL:
             return IdentifiabilityVerdict(
                 status=NOT_IDENTIFIABLE,
@@ -592,13 +528,14 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
             ),
         )
 
-    if not pis[0].side_fcr:
+    if not sweep.side[points[0]]:
         return negative_or_inconclusive((), f"anchor side condition failed at omega={w[0]}")
 
     Z = np.eye(q)
     trace: list[int] = []
-    for i, p in enumerate(pis):
-        block = upsilon_block(p, psi_dec, first=(i == 0), m_z=m_z)
+    for n, U_n in enumerate(U):
+        W = sweep.xi(points[0]) if n == 0 else _u2_stack(U_n)
+        block = upsilon_rows(W[None], psi_dec, m_z)[0]
         Z = Z @ chain_null_basis(block @ Z)
         trace.append(Z.shape[1])
         if Z.shape[1] == 0:
@@ -608,7 +545,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, pis: list[PiDecomposition],
         # Confirm on the explicitly stacked matrix, then pass the sensitivity
         # gate before claiming identifiability.
         if direct.V2.shape[1] == 0:
-            if shortcut is None and _sensitivity_margin_ok(model, t0, pis):
+            if shortcut is None and _sensitivity_margin_ok(model, t0, blocks):
                 return IdentifiabilityVerdict(
                     status=IDENTIFIABLE,
                     frequencies=tuple(w),

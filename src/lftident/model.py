@@ -69,7 +69,8 @@ class Dims:
     def __post_init__(self):
         for name in ("m_x", "m_u", "m_y", "m_z", "m_v", "q"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass, but JSON true is not a count.
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ModelShapeError(f"dims.{name} must be a positive integer, got {value!r}")
 
 
@@ -193,7 +194,7 @@ class DescriptorModel:
 def _as_real_matrix(raw, key: str) -> np.ndarray:
     try:
         M = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{key} is not a numeric matrix") from exc
     if M.ndim != 2:
         raise ModelShapeError(f"{key} must be a 2-D array of arrays, got ndim={M.ndim}")
@@ -230,7 +231,14 @@ def loads_model(text: str) -> DescriptorModel:
     td_raw = doc["theta_domain"]
     if not isinstance(td_raw, dict) or "radius" not in td_raw:
         raise ModelFormatError("theta_domain must be an object with a radius")
-    domain = ParameterDomain(radius=float(td_raw["radius"]), norm=td_raw.get("type", "ball"))
+    radius = td_raw["radius"]
+    if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+        raise ModelFormatError(f"theta_domain.radius must be a number, got {radius!r}")
+    try:
+        radius = float(radius)
+    except OverflowError:  # an integer beyond the float range; the domain rejects inf
+        radius = np.inf
+    domain = ParameterDomain(radius=radius, norm=td_raw.get("type", "ball"))
 
     return DescriptorModel(
         time_domain=doc["time_domain"],

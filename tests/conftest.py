@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,11 +63,28 @@ def model_pool(n, start=0):
     return out
 
 
-def every_point(model, theta0, sweep):
-    """The PiDecomposition of every point of the transfer-block sweep ``sweep``,
-    in order, from one GridSweep."""
-    grid = ident.GridSweep(model, theta0, sweep)
-    return [grid.at(i) for i in range(len(sweep))]
+def point_views(grid, points=None):
+    """Each point of ``points`` (by default every point) of the GridSweep
+    ``grid``, in order, as views of its stacks: its ``index``, its one-point
+    sweep ``g`` and ``omega``, K, Pi, Pi_bar_r, Pi_bar_j, Xi, U_Pi2 (from one
+    ``grid.u_pi2`` read of all of them) and its ``u2_stack``, ``kernel_dim``,
+    and its ``side_fcr`` and ``shortcut`` flags."""
+    points = list(range(len(grid.g))) if points is None else list(points)
+    views = []
+    for i, U in zip(points, grid.u_pi2(points), strict=True):
+        grp, j = grid._slots[:2, i].tolist()
+        _, K, Pi, R, J = grid._groups[grp]
+        views.append(SimpleNamespace(
+            index=i, g=grid.g[i], omega=grid.g.omegas[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j],
+            Pi_bar_j=J[j], Xi=grid.xi(i), U_Pi2=U, u2_stack=ident._u2_stack(U),
+            kernel_dim=K.shape[2], side_fcr=bool(grid.side[i]), shortcut=bool(grid.shortcut[i])))
+    return views
+
+
+def row_block(W, psi_dec, m_z):
+    """The row block of the reduced stacked test matrix of one Xi or u2 stack
+    block ``W``, as the verdict's chain computes it."""
+    return ident.upsilon_rows(W[None], psi_dec, m_z)[0]
 
 
 def rotate_factors(monkeypatch, rng):

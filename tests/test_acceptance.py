@@ -17,7 +17,7 @@ from lftident import model as model_mod
 from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import LftIdentError
 
-from conftest import (h_statespace, interior_theta, model_pool,
+from conftest import (h_statespace, interior_theta, model_pool, point_views,
                       regularity_identity_check, rotate_factors)
 
 
@@ -156,7 +156,7 @@ def test_criterion_5_basis_and_unitary_invariance(monkeypatch):
         fixtures = certified_fixtures(8)
         for m, t0, w in fixtures:
             sweep = ident.GridSweep(m, t0, response.g_sweep(m, w))
-            pis = [sweep.at(i) for i in range(len(w))]
+            pis = point_views(sweep)
             kernels = []
             for i, p in enumerate(pis):
                 c = p.kernel_dim
@@ -164,7 +164,7 @@ def test_criterion_5_basis_and_unitary_invariance(monkeypatch):
                 M += 2.0 * np.eye(c)
                 kernels.append((np.array([i]), (p.K @ M)[None]))
             rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
-            pis_rot = [rotated.at(i) for i in range(len(w))]
+            pis_rot = point_views(rotated)
             v1 = ident.upsilon_test(m, t0, w, sweep=sweep)
             v2 = ident.upsilon_test(m, t0, w, sweep=rotated)
             assert v1.status == v2.status

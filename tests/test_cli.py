@@ -170,6 +170,27 @@ def test_find_freqs_bad_grid_usage_error(grid, siso1_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("grid", [
+    ["--grid-min", "nan"],
+    ["--grid-min", "-1"],
+    ["--grid-min", "0.5", "--grid-max", "0.6"],
+    ["--grid-max", "3"],
+    ["--grid-min", "0.01"],  # the continuous-time default, given explicitly
+])
+def test_find_freqs_discrete_grid_bounds_usage_error(grid, tmp_path, capsys):
+    # A discrete-time grid spans (0, pi]; bounds it would ignore are refused,
+    # and the default report still echoes the continuous-time defaults.
+    path = tmp_path / "discrete.json"
+    m = testing.random_regular_model(0, kernel_rich=True, time_domain="discrete")
+    model_mod.save_model(m, path)
+    argv = ["find-freqs", "--model", str(path), "--theta0", ",".join(["0"] * m.dims.q)]
+    code, out, err = run([*argv, *grid], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: a discrete-time grid spans (0, pi] and takes no bounds")
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and parse(out)["parameters"]["grid"] == [0.01, 100.0, 200, 0]
+
+
 @pytest.mark.parametrize("command", sorted(SISO1_RUNS))
 def test_negative_seed_usage_error(command, siso1_path, capsys):
     argv = [command, "--model", str(siso1_path), *SISO1_RUNS[command], "--seed", "-1"]
@@ -503,17 +524,22 @@ FUZZ_FREQS = {"continuous": (0.0, 1e-9, 1.0, 1e6),
               "discrete": (np.pi, -np.pi + 1e-12, 0.0, 1.0)}
 
 
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["continuous", "discrete", "singular E"]),
-       st.sampled_from(sorted(MUTATIONS)))
-@settings(max_examples=30, deadline=None, derandomize=True)
-def test_fuzz_exit_codes_and_repeatable_reports(seed, kind, mutation):
-    # Every subcommand on a small mutated random model exits with a
-    # documented code, never with an escaping exception, and an identical
-    # second call in the same process gives the same report byte for byte.
-    rng = np.random.default_rng(seed)
+FUZZ_KINDS = ["continuous", "discrete", "singular E"]
+
+
+def fuzz_model(seed, kind):
+    """The fuzz test's small random model of ``kind`` and its rng."""
     time_domain = "discrete" if kind == "discrete" else "continuous"
-    m = testing.random_model(seed, time_domain=time_domain, singular_E=kind == "singular E")
-    m = dataclasses.replace(m, **MUTATIONS[mutation](m, rng))
+    return (testing.random_model(seed, time_domain=time_domain, singular_E=kind == "singular E"),
+            np.random.default_rng(seed))
+
+
+def assert_documented_exits(m, rng, edit=lambda doc: None):
+    """Run every subcommand twice on the model file of ``m``, changed by
+    ``edit`` of its JSON document: each exits with a documented code, never
+    with an escaping exception, and an identical second call in the same
+    process gives the same report (or error) byte for byte."""
+    time_domain = m.time_domain
     freqs = ",".join(repr(float(w)) for w in rng.choice(FUZZ_FREQS[time_domain], 2, replace=False))
     model = ["--theta0", ",".join(["0"] * m.dims.q)]
     runs = {
@@ -526,6 +552,9 @@ def test_fuzz_exit_codes_and_repeatable_reports(seed, kind, mutation):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         model_mod.save_model(m, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
         for command, extra in runs.items():
             seen = []
             for i in range(2):
@@ -536,3 +565,40 @@ def test_fuzz_exit_codes_and_repeatable_reports(seed, kind, mutation):
                 assert "Traceback" not in err.getvalue()
                 seen.append((code, out.read_bytes() if code == 0 else err.getvalue()))
             assert seen[0] == seen[1], command
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(FUZZ_KINDS), st.sampled_from(sorted(MUTATIONS)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fuzz_exit_codes_and_repeatable_reports(seed, kind, mutation):
+    # Every subcommand on a small mutated random model.
+    m, rng = fuzz_model(seed, kind)
+    m = dataclasses.replace(m, **MUTATIONS[mutation](m, rng))
+    assert_documented_exits(m, rng)
+
+
+# Values that the scalar-field fuzz writes into the model file.
+SCALARS = {"string": "abc", "null": None, "list": [1.0], "bool": True, "negative": -1.0,
+           "inf": float("inf"), "nan": float("nan")}
+SCALAR_CASES = [
+    *((f"theta_domain.{key}={name}", key, value)
+      for key in ("radius", "type") for name, value in SCALARS.items()),
+    ("dims.<one>=bool", "dims", True),
+    ("dims.<one>=float", "dims", 2.0),
+]
+
+
+@pytest.mark.parametrize("key,value", [c[1:] for c in SCALAR_CASES], ids=[c[0] for c in SCALAR_CASES])
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(FUZZ_KINDS))
+@settings(max_examples=3, deadline=None, derandomize=True)
+def test_fuzz_scalar_fields_exit_codes(key, value, seed, kind):
+    # The model file's scalar fields hold a value of the wrong kind: the
+    # theta domain's radius or type, or one dims entry (drawn from the seed).
+    m, rng = fuzz_model(seed, kind)
+
+    def edit(doc):
+        if key == "dims":
+            doc["dims"][sorted(doc["dims"])[int(rng.integers(len(doc["dims"])))]] = value
+        else:
+            doc["theta_domain"][key] = value
+
+    assert_documented_exits(m, rng, edit)

@@ -27,8 +27,7 @@ UNREFERENCED_OK = {
         "the one-point transfer-block sweep: the benchmark tracer spans it and the tests "
         "take it as the per-frequency reference",
     "lftident.identifiability.pi_at":
-        "the one-point Pi decomposition with its kernel override: the benchmark tracer "
-        "spans it and the tests check the kernel-basis invariance through it",
+        "one-point GridSweep with a kernel override",
 }
 
 

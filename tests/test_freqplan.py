@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftident import freqplan, identifiability as ident, numkit, response, testing
-from lftident.errors import EmptyGrid, LftIdentError, PoleProximity
+from lftident.errors import EmptyGrid, InvalidInput, LftIdentError, PoleProximity
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import every_point, stacks_of, with_pole
+from conftest import point_views, row_block, stacks_of, with_pole
 
 
 class TestDefaultGrid:
@@ -26,6 +26,12 @@ class TestDefaultGrid:
         g = freqplan.default_grid(m)
         assert g.points[-1] == pytest.approx(np.pi)
         assert np.all(g.points > 0)
+
+    @pytest.mark.parametrize("bounds", [dict(w_min=0.5), dict(w_max=3.0), dict(w_min=np.nan)])
+    def test_discrete_takes_no_bounds(self, bounds):
+        m = testing.random_regular_model(6, time_domain="discrete")
+        with pytest.raises(InvalidInput, match=r"discrete-time grid spans \(0, pi\]"):
+            freqplan.default_grid(m, **bounds)
 
     def test_imaginary_axis_pole_excluded(self):
         # Oscillator with poles at +- j w*: the grid must drop the hit point.
@@ -131,11 +137,12 @@ def per_step_rebuild(model, theta0, grid):
     step: (status, selected, rank_trace, verdict reason or None)."""
     psi_dec = ident.psi(model)
     m_z = model.dims.m_z
-    cand = every_point(model, theta0, grid.sweep)
+    sweep = ident.GridSweep(model, theta0, grid.sweep)
+    cand = point_views(sweep)
     anchors = [p for p in cand if p.side_fcr]
     if not anchors:
         return freqplan.NO_PROGRESS_ON_GRID, (), (), None
-    blocks = [ident.upsilon_block(p, psi_dec, True, m_z) for p in anchors]
+    blocks = [row_block(p.Xi, psi_dec, m_z) for p in anchors]
     scores = scores_of(blocks)
     best = max(range(len(scores)), key=scores.__getitem__)
     pis = [anchors[best]]
@@ -143,7 +150,7 @@ def per_step_rebuild(model, theta0, grid):
     trace = [Z.shape[1]]
     while Z.shape[1] > 0:
         rest = [p for p in cand if p.omega not in [s.omega for s in pis]]
-        blocks = [ident.upsilon_block(p, psi_dec, False, m_z) @ Z for p in rest]
+        blocks = [row_block(p.u2_stack, psi_dec, m_z) @ Z for p in rest]
         scores = scores_of(blocks)
         best = max(range(len(scores)), key=scores.__getitem__)
         if scores[best] == (0, 0):
@@ -151,7 +158,8 @@ def per_step_rebuild(model, theta0, grid):
         pis.append(rest[best])
         Z = Z @ ident.chain_null_basis(blocks[best])
         trace.append(Z.shape[1])
-    verdict = ident._decide(model, model.check_theta(theta0), pis, psi_dec)
+    verdict = ident._decide(model, model.check_theta(theta0), sweep, [p.index for p in pis],
+                            psi_dec)
     status = (freqplan.CERTIFIED if verdict.status == ident.IDENTIFIABLE
               else freqplan.NO_PROGRESS_ON_GRID)
     return status, tuple(p.omega for p in pis), tuple(trace), verdict.reason
@@ -291,8 +299,8 @@ def test_shortcut_verdicts_factor_no_pi(monkeypatch, model):
 
 def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
     # d12-01 of the reports workload at its three certified frequencies: the
-    # verdict reads every point's U_Pi2, and the first read factors the three
-    # points that upsilon_test built, in one stack.
+    # verdict reads every point's U_Pi2 in one read, which factors the three
+    # points in one stack.
     m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
     t0 = np.zeros(m.dims.q)
     w = [0.01, 1.1226677735108135, 2.354286414322418]
@@ -344,7 +352,7 @@ def test_anchor_probe_equals_full_scoring(monkeypatch, seed, kind, forced):
     monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
     sweep = ident.GridSweep(m, t0, grid.sweep)
     first = int(np.flatnonzero(sweep.side)[0])
-    block = ident.upsilon_block(sweep.at(first), ident.psi(m), True, m.dims.m_z)
+    block = row_block(sweep.xi(first), ident.psi(m), m.dims.m_z)
     certifies = scores_of([block])[0] == (m.dims.q, m.dims.q)
     assert first >= forced and certifies == (seed == 0)
     plan, sizes = scored_sizes(monkeypatch, m, t0, grid)
@@ -398,8 +406,7 @@ def budget_run(model, theta0, n_points):
     out = [s.omegas, s.lams, s.G.tobytes(), [str(e) for e in s.guarded]]
     sweep = ident.GridSweep(model, theta0, s)
     out += [sweep.shortcut.tolist(), sweep.side.tolist()]
-    for i in range(len(s)):
-        p = sweep.at(i)
+    for p in point_views(sweep):
         out += [(M.shape, M.strides, M.tobytes()) for M in (p.Xi, p.U_Pi2)]
     try:
         plan = freqplan.search_frequencies(model, theta0, grid=grid)

@@ -7,14 +7,14 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from lftident import freqplan, identifiability as ident
-from lftident import numkit, oracle, response, testing
+from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import (FNRRViolation, InvalidInput, LftIdentError, PoleProximity,
                              RankDrop, WellPosednessViolation)
 from lftident import model as model_module
 from lftident.model import DescriptorModel, Dims
 
-from conftest import (CHUNK, every_point, full_rank_above, guard_one, interior_theta, model_pool,
-                      stacks_of)
+from conftest import (CHUNK, full_rank_above, guard_one, interior_theta, model_pool, point_views,
+                      row_block, stacks_of)
 
 
 def kernel_pool(n, start=0):
@@ -48,42 +48,43 @@ class TestPsi:
 
 class TestKernelBasis:
     def test_siso1_empty(self, siso1):
-        K = ident.pi_at(siso1, np.zeros(siso1.dims.q), response.g_blocks(siso1, 1.0)).K
+        [p] = point_views(ident.pi_at(siso1, np.zeros(siso1.dims.q), response.g_blocks(siso1, 1.0)))
+        K = p.K
         assert K.shape == (1, 0)
 
     def test_wide_row(self):
         # G_yv(j w) = [g1 g2]: kernel is the orthogonal complement of the row.
         m = testing.random_regular_model(3, dims=Dims(m_x=2, m_u=1, m_y=1, m_z=1, m_v=2, q=2))
         g = response.g_blocks(m, 0.9).G_yv[0]
-        K = ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.9)).K
+        K = point_views(ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.9)))[0].K
         assert K.shape == (2, 1)
         assert np.linalg.norm(g @ K) < 1e-10 * np.linalg.norm(g)
         assert abs(np.linalg.norm(K[:, 0]) - 1.0) < 1e-12
 
     def test_zero_row_full_kernel(self, theta_free):
         g = response.g_blocks(theta_free, 1.0)
-        K = ident.pi_at(theta_free, np.zeros(theta_free.dims.q), g).K
+        K = point_views(ident.pi_at(theta_free, np.zeros(theta_free.dims.q), g))[0].K
         assert K.shape == (1, 1)
         assert np.allclose(np.abs(K), [[1.0]])
 
 
 class TestPiAt:
     def test_siso1_empty(self, siso1):
-        p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0))
+        [p] = point_views(ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0)))
         assert p.Pi.shape == (1, 0)
         assert p.Pi_bar_j.shape == (1, 0)
         assert p.shortcut
 
     def test_theta_zero_pi_equals_kernel(self):
         m = testing.random_regular_model(8, kernel_rich=True)
-        p = ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.8))
+        [p] = point_views(ident.pi_at(m, np.zeros(m.dims.q), response.g_blocks(m, 0.8)))
         assert np.allclose(p.Pi, p.K)  # P(0) = 0 collapses the loop
 
     def test_invariants(self):
         m = testing.random_regular_model(8, kernel_rich=True)
         t0 = np.zeros(m.dims.q)
         g = response.g_blocks(m, 1.3)
-        p = ident.pi_at(m, t0, g)
+        [p] = point_views(ident.pi_at(m, t0, g))
         assert np.linalg.norm(g.G_yv[0] @ p.K) < 1e-10
         assert np.allclose(p.K.conj().T @ p.K, np.eye(p.kernel_dim), atol=1e-12)
         assert np.linalg.norm(p.U_Pi2.conj().T @ p.Pi) < 1e-10
@@ -97,14 +98,14 @@ class TestPiAt:
         # A 1 x 2 realified stack cannot be FCR: siso1 with a one-column
         # kernel override gives Pi = 1 and Pi_bar_j = [0 1].
         siso1 = testing.siso1()
-        p = ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0), kernel=np.eye(1))
+        [p] = point_views(ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0), kernel=np.eye(1)))
         assert np.array_equal(p.Pi_bar_j, [[0.0, 1.0]])
         assert not p.shortcut
 
 
 def reference_pi(model, theta0, g):
-    """pi_at as one single-matrix numkit call per factor (the unstacked route),
-    at the one point of the sweep ``g``."""
+    """The Pi factors of pi_at as one single-matrix numkit call per factor (the
+    unstacked route), at the one point of the sweep ``g``."""
     K = numkit.right_null_basis(g.G_yv[0])
     loop = np.eye(model.dims.m_v) - model.p_of(theta0) @ g.G_zv[0]
     guard_one(loop, f"I - P(theta0) G_zv singular at omega={g.omegas[0]}")
@@ -165,10 +166,10 @@ def assert_same_point(a, b):
 
 
 def assert_equals_reference(model, theta0, p, g):
-    """``p`` equals reference_pi and pi_at at the one-point sweep ``g``, bit
-    for bit, and was built from the point ``g``."""
+    """The point view ``p`` equals reference_pi and pi_at at the one-point
+    sweep ``g``, bit for bit, and was built from the point ``g``."""
     ref = reference_pi(model, theta0, g)
-    one = ident.pi_at(model, theta0, g)
+    [one] = point_views(ident.pi_at(model, theta0, g))
     assert_same_point(p.g, g)
     assert_same_point(one.g, g)
     for name in FIELDS:
@@ -178,21 +179,28 @@ def assert_equals_reference(model, theta0, p, g):
     assert p.shortcut == one.shortcut == ref["shortcut"]
 
 
-def search_materialized(monkeypatch, model, theta0, sweep):
-    """The Pi decompositions that a search over ``sweep`` builds, in order."""
-    built = []
-    at = ident.GridSweep.at
+def search_decided(monkeypatch, model, theta0, sweep):
+    """The point views of every point that a verdict of a search over
+    ``sweep`` reads, in order; the last verdict reads the selection."""
+    decided = []
+    decide = ident._decide
     grid = freqplan.FrequencyGrid(sweep=sweep, time_domain=model.time_domain)
+
+    def spy(model, t0, grid_sweep, points, psi_dec):
+        decided.append((grid_sweep, points))
+        return decide(model, t0, grid_sweep, points, psi_dec)
+
     with monkeypatch.context() as mp:
-        mp.setattr(ident.GridSweep, "at", lambda self, i: built.append(at(self, i)) or built[-1])
+        mp.setattr(ident, "_decide", spy)
         plan = freqplan.search_frequencies(model, theta0, grid=grid)
-    assert built and tuple(p.omega for p in built[len(built) - len(plan.selected):]) == plan.selected
-    return built
+    views = [point_views(s, points) for s, points in decided]
+    assert views and tuple(p.omega for p in views[-1]) == plan.selected
+    return [p for v in views for p in v]
 
 
 class TestPiSweep:
     """Stacked Pi factors equal the unstacked ones, bit for bit, at every grid
-    point and at every candidate the search materializes."""
+    point and at every point that a verdict of the search reads."""
 
     @pytest.mark.parametrize("seed,kind", [
         (3, dict(kernel_rich=True)),
@@ -206,7 +214,7 @@ class TestPiSweep:
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
         sweep = freqplan.default_grid(m, n_points=CHUNK + 1).sweep
-        swept = every_point(m, t0, sweep)
+        swept = point_views(ident.GridSweep(m, t0, sweep))
         assert len(swept) == len(sweep)
         for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
@@ -215,7 +223,7 @@ class TestPiSweep:
             assert len(stack) == len(sweep)
             for B, p in zip(stack, swept):
                 assert np.array_equal(B, getattr(p, name))
-        for p in search_materialized(monkeypatch, m, t0, sweep):
+        for p in search_decided(monkeypatch, m, t0, sweep):
             assert_equals_reference(m, t0, p, p.g)
 
     def test_first_singular_loop_raises(self, siso1):
@@ -233,7 +241,7 @@ class TestPiSweep:
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_isolated_kernel_changes_equal_pointwise(self, monkeypatch, seed, kind):
         m, t0, sweep = isolated_kernel_changes(monkeypatch, seed, kind)
-        swept = every_point(m, t0, sweep)
+        swept = point_views(ident.GridSweep(m, t0, sweep))
         assert len({p.kernel_dim for p in swept}) > 1
         dims = sorted({p.kernel_dim for p in swept})
         with pytest.raises(RankDrop, match=re.escape(f"varies across the chosen frequencies "
@@ -242,13 +250,13 @@ class TestPiSweep:
         assert len(swept) == len(sweep)
         for p, g in zip(swept, sweep, strict=True):
             assert_equals_reference(m, t0, p, g)
-        for p in search_materialized(monkeypatch, m, t0, sweep):
+        for p in search_decided(monkeypatch, m, t0, sweep):
             assert_equals_reference(m, t0, p, p.g)
 
     @pytest.mark.parametrize("seed,kind", KERNEL_CHANGE_CASES)
     def test_stacked_rows_times_z_equal_upsilon_block(self, monkeypatch, seed, kind):
         # The search multiplies stacked rows by Z; each product must equal the
-        # one-candidate upsilon_block(p) @ Z that the re-verification computes.
+        # one-candidate row block @ Z that the re-verification's chain computes.
         # Both also equal the rows of the one-matrix route, (W @ U1) with the
         # Xi and [U_Pi2r U_Pi2j]^T of reference_pi.
         m, t0, blocks = isolated_kernel_changes(monkeypatch, seed, kind)
@@ -256,7 +264,7 @@ class TestPiSweep:
         U1 = psi_dec.U1.reshape(m_z, -1, psi_dec.U1.shape[1])
         refs = [reference_pi(m, t0, g) for g in blocks]
         sweep = ident.GridSweep(m, t0, blocks)
-        pis = [sweep.at(i) for i in range(len(blocks))]
+        pis = point_views(sweep)
         rng = np.random.default_rng(seed)
         for Z in (np.eye(q), np.linalg.qr(rng.standard_normal((q, q)))[0][:, :max(q - 1, 1)]):
             seen = []
@@ -264,7 +272,7 @@ class TestPiSweep:
                 for i, B in zip(idx, R @ Z):
                     U2 = refs[i]["U_Pi2"]
                     W = np.hstack([U2.real, U2.imag]).T
-                    assert np.array_equal(B, ident.upsilon_block(pis[i], psi_dec, False, m_z) @ Z)
+                    assert np.array_equal(B, row_block(pis[i].u2_stack, psi_dec, m_z) @ Z)
                     assert np.array_equal(B, (W @ U1).reshape(-1, U1.shape[2]) @ Z)
                 seen += idx.tolist()
             assert sorted(seen) == list(range(len(pis)))
@@ -272,7 +280,7 @@ class TestPiSweep:
             for idx, xi in sweep.xis:
                 keep = np.arange(len(idx)) % 2 == 0  # a selection, as the anchor step makes
                 for i, B in zip(idx[keep], ident.upsilon_rows(xi[keep], psi_dec, m_z) @ Z):
-                    assert np.array_equal(B, ident.upsilon_block(pis[i], psi_dec, True, m_z) @ Z)
+                    assert np.array_equal(B, row_block(pis[i].Xi, psi_dec, m_z) @ Z)
                     assert np.array_equal(B, (refs[i]["Xi"] @ U1).reshape(-1, U1.shape[2]) @ Z)
                 assert all(np.array_equal(x, pis[i].Xi) for i, x in zip(idx, xi))
                 seen += idx.tolist()
@@ -315,8 +323,7 @@ class TestSweepFlags:
             K[:, :, 1] = K[:, :, 0] + np.geomspace(1e-12, 1.0, len(blocks))[:, None] * K[:, :, 1]
             kernels = [(np.arange(len(blocks)), K)]
         sweep = ident.GridSweep(m, t0, blocks, kernels)
-        for i in range(len(blocks)):
-            p = sweep.at(i)
+        for i, p in enumerate(point_views(sweep)):
             T = p.Pi_bar_r @ numkit.right_null_basis(p.Pi_bar_j)
             assert sweep.shortcut[i] == stacked_ranks_fcr(p.Pi_bar_j, ident.ROBUST_RTOL)
             assert sweep.side[i] == stacked_ranks_fcr(T, ident.DECISION_RTOL)
@@ -477,7 +484,7 @@ class TestUpsilon:
         freqs = [0.17, 1.1, 6.4]
         pd = ident.psi(m)
         sweep = ident.GridSweep(m, t0, response.g_sweep(m, freqs))
-        pis = [sweep.at(i) for i in range(len(freqs))]
+        pis = point_views(sweep)
         v = ident.upsilon_test(m, t0, freqs, sweep=sweep)
         # The explicit stacked test matrix: U_Psi2 rows on top, then the
         # first frequency's Xi rows and the later ones' [U_Pi2r U_Pi2j]^T
@@ -497,7 +504,7 @@ class TestUpsilon:
         t0 = np.zeros(m.dims.q)
         freqs = [0.23, 2.4]
         sweep = ident.GridSweep(m, t0, response.g_sweep(m, freqs))
-        pis = [sweep.at(i) for i in range(len(freqs))]
+        pis = point_views(sweep)
         kernels = []
         for i, p in enumerate(pis):
             c = p.kernel_dim
@@ -505,7 +512,7 @@ class TestUpsilon:
             M += 2 * np.eye(c)  # keep comfortably invertible
             kernels.append((np.array([i]), (p.K @ M)[None]))
         rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
-        pis_rot = [rotated.at(i) for i in range(len(freqs))]
+        pis_rot = point_views(rotated)
         v1 = ident.upsilon_test(m, t0, freqs, sweep=sweep)
         v2 = ident.upsilon_test(m, t0, freqs, sweep=rotated)
         assert v1.status == v2.status
@@ -524,10 +531,10 @@ class TestUpsilon:
             t0 = np.zeros(m.dims.q)
             w = 0.9
             try:
-                p = ident.pi_at(m, t0, response.g_blocks(m, w))
+                shortcut = ident.pi_at(m, t0, response.g_blocks(m, w)).shortcut[0]
             except LftIdentError:
                 continue
-            if p.shortcut:
+            if shortcut:
                 v = ident.upsilon_test(m, t0, [w])
                 if v.status == ident.INCONCLUSIVE:
                     continue  # sensitivity margin may veto; never a negative
@@ -554,6 +561,100 @@ class TestUpsilon:
             h0 = response.h_lft(theta_free, [0.0], g)
             h1 = response.h_lft(theta_free, t * d, g)
             assert np.linalg.norm(h1 - h0) <= 1e-12
+
+
+def verdict_bits(v):
+    """The verdict ``v`` without its residual direction, and that direction's bytes."""
+    d = v.residual_direction
+    return dataclasses.replace(v, residual_direction=None), None if d is None else d.tobytes()
+
+
+def d12_01_listed():
+    # d12-01 of the reports workload at its three certified frequencies: the
+    # chain certifies, and the verdict reads every point's U_Pi2.
+    m = testing.random_regular_model(1, dims=D12)
+    return m, np.zeros(m.dims.q), [0.01, 1.1226677735108135, 2.354286414322418]
+
+
+LISTED = {
+    "d12-01": d12_01_listed,
+    # not-identifiable: the certificate reads every point's U_Pi2
+    "theta_free": lambda: (testing.theta_free(), np.zeros(1), [0.5, 1.5]),
+}
+
+
+class TestStatelessRead:
+    """One GridSweep gives the verdict of a fresh sweep, bit for bit, whatever
+    ran on it before: its reads change nothing but the memo of the greedy
+    rows' Pi SVDs."""
+
+    @pytest.mark.parametrize("per_stack", [None, 1], ids=["budget", "one-per-stack"])
+    @pytest.mark.parametrize("case", sorted(LISTED))
+    def test_listed_verdict_twice(self, monkeypatch, case, per_stack):
+        # One matrix per stack puts each listed point in its own kernel group.
+        if per_stack:
+            stacks_of(monkeypatch, per_stack)
+        m, t0, w = LISTED[case]()
+        fresh = verdict_bits(ident.upsilon_test(m, t0, w))
+        sweep = ident.listed_sweep(m, m.check_theta(t0), w)
+        assert len(sweep._groups) == (len(w) if per_stack else 1)
+        for _ in range(2):
+            assert verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep)) == fresh
+        # Once the greedy rows have factored every kernel group, the read
+        # slices those SVDs.
+        sweep.greedy_rows(ident.psi(m), m.dims.m_z)
+        assert verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep)) == fresh
+
+    def test_verdict_then_s_matrices(self):
+        # The order of cli.run_oracle: one sweep of fd_jacobian's blocks
+        # serves upsilon_test, then s_matrices.
+        m, t0, w = d12_01_listed()
+        blocks = oracle.fd_jacobian(m, t0, w).blocks
+        sweep = ident.GridSweep(m, t0, blocks)
+        verdict = verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep))
+        S = slop.s_matrices(m, t0, w, sweep=sweep)
+        assert verdict == verdict_bits(
+            ident.upsilon_test(m, t0, w, sweep=ident.GridSweep(m, t0, blocks)))
+        fresh = slop.s_matrices(m, t0, w, sweep=ident.GridSweep(m, t0, blocks))
+        for name in ("Gamma", "Omega", "S_H", "S_A", "S_tilde", "M"):
+            assert getattr(S, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert [M.tobytes() for M in S.S_k] == [M.tobytes() for M in fresh.S_k]
+        assert verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep)) == verdict
+
+    @pytest.mark.parametrize("model", [
+        testing.siso1,                                                # empty Pi, 1 x 0
+        lambda: testing.random_regular_model(0, dims=D4),             # Pi 4 x 2
+    ], ids=["siso1", "d4-00"])
+    def test_vetoed_shortcut_verdicts(self, monkeypatch, model):
+        # A forced sensitivity veto makes every S0 verdict of the search read
+        # its point's U_Pi2, one point at a time on the search's sweep.
+        m = model()
+        t0 = m.check_theta(np.zeros(m.dims.q))
+        psi_dec = ident.psi(m)
+        grid = freqplan.default_grid(m)
+        calls, decide = [], ident._decide
+        monkeypatch.setattr(ident, "_sensitivity_margin_ok", lambda *args: False)
+
+        def spy(*args):
+            calls.append((args, decide(*args)))
+            return calls[-1][1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ident, "_decide", spy)
+            freqplan.search_frequencies(m, t0, grid=grid)
+        # The S0 calls: one flagged point each (the re-verification may be one too).
+        one_point = [(args, v) for args, v in calls
+                     if len(args[3]) == 1 and args[2].shortcut[args[3][0]]]
+        assert len(one_point) > 1 and all(v.status == ident.INCONCLUSIVE for _, v in one_point)
+        for (_, _, sweep, points, _), v in one_point:
+            fresh = ident.GridSweep(m, t0, grid.sweep)
+            assert verdict_bits(v) == verdict_bits(decide(m, t0, fresh, points, psi_dec))
+        # Read again, before and after the greedy rows, on the search's sweep.
+        sweep = one_point[0][0][2]
+        for _ in range(2):
+            for (*_, points, _), v in one_point:
+                assert verdict_bits(decide(m, t0, sweep, points, psi_dec)) == verdict_bits(v)
+            sweep.greedy_rows(psi_dec, m.dims.m_z)
 
 
 class TestSufficientCount:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lftident import model as model_mod
+from lftident import cli, model as model_mod
 from lftident import numkit
 from lftident.errors import (
     ModelFormatError,
@@ -80,6 +80,43 @@ def test_non_finite_entry(siso1_path):
 def test_bad_dims():
     with pytest.raises(ModelShapeError):
         Dims(0, 1, 1, 1, 1, 1)
+
+
+def rejected_with_exit_2(path, doc, error, match):
+    """``doc`` fails to load with ``error`` matching ``match``, and ``validate``
+    on it, written to ``path``, exits 2 with a model error."""
+    with pytest.raises(error, match=match):
+        model_mod.loads_model(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--model", str(path)]) == cli.EXIT_MODEL
+
+
+@pytest.mark.parametrize("radius", ["abc", None, [0.5], True, "2"])
+def test_non_numeric_radius_is_a_format_error(siso1_path, capsys, radius):
+    doc = json.loads(siso1_path.read_text())
+    doc["theta_domain"]["radius"] = radius
+    rejected_with_exit_2(siso1_path, doc, ModelFormatError, "theta_domain.radius must be a number")
+    assert capsys.readouterr().err.startswith("model error: theta_domain.radius")
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_bool_or_float_dims_are_shape_errors(siso1_path, capsys, value):
+    # JSON true is a Python bool, which is an int; it is no count.
+    doc = json.loads(siso1_path.read_text())
+    doc["dims"]["m_x"] = value
+    rejected_with_exit_2(siso1_path, doc, ModelShapeError,
+                         f"dims.m_x must be a positive integer, got {value!r}")
+
+
+def test_integers_beyond_the_float_range(siso1_path, capsys):
+    # A JSON integer literal too large for a double: the radius reads as inf,
+    # a matrix entry is not numeric; neither escapes as an OverflowError.
+    doc = json.loads(siso1_path.read_text())
+    doc["theta_domain"]["radius"] = 10 ** 400
+    rejected_with_exit_2(siso1_path, doc, ModelShapeError, "radius must be positive, got inf")
+    doc = json.loads(siso1_path.read_text())
+    doc["A_xx"] = [[-10 ** 400]]
+    rejected_with_exit_2(siso1_path, doc, ModelFormatError, "A_xx is not a numeric matrix")
 
 
 def test_domain_contains():

@@ -11,7 +11,7 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import rotate_factors
+from conftest import point_views, rotate_factors
 
 
 def two_channel(gain2=10.0):
@@ -312,7 +312,7 @@ class TestGammaOmega:
         m, t0, w = certified_fixture(8)
         G, O = slop.gamma_omega(m, t0, [w[0]])
         g = response.g_blocks(m, w[0])
-        p = ident.pi_at(m, t0, g)
+        [p] = point_views(ident.pi_at(m, t0, g))
         f = slop.pointwise_factors(m, t0, g)
         q = m.dims.q
         m_vz = m.dims.m_v * m.dims.m_z
@@ -324,7 +324,7 @@ class TestGammaOmega:
         m, t0, w = certified_fixture(22)
         G, O = slop.gamma_omega(m, t0, w)
         g = response.g_blocks(m, w[0])
-        c = ident.pi_at(m, t0, g).kernel_dim
+        c = point_views(ident.pi_at(m, t0, g))[0].kernel_dim
         r_yv = slop.pointwise_factors(m, t0, g).r_yv
         N = len(w)
         assert G.shape[1] == N * 2 * c * m.dims.m_z
