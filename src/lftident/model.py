@@ -198,6 +198,10 @@ def _as_real_matrix(raw, key: str) -> np.ndarray:
         raise ModelFormatError(f"{key} is not a numeric matrix") from exc
     if M.ndim != 2:
         raise ModelShapeError(f"{key} must be a 2-D array of arrays, got ndim={M.ndim}")
+    # JSON numbers only: numpy reads true as 1.0, "1.5" as 1.5 and null as nan.
+    if not {type(x) for row in raw for x in row} <= {int, float}:
+        bad = next(x for row in raw for x in row if type(x) not in (int, float))
+        raise ModelFormatError(f"{key} is not a numeric matrix: entry {json.dumps(bad)}")
     return M
 
 

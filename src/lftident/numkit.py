@@ -19,8 +19,14 @@ kernel-rich 200-point grid is one stack, and an 800-point grid of 60-state
 pencils is chunks of about 1 MiB.  Every result is per matrix (LAPACK and
 matmul run on each matrix of a stack, and slices are taken along the stack
 axis only), so the budget decides speed and memory, never a bit of a
-result.  :func:`loop_guard` is the one well-posedness guard: it checks a
-stack of loop matrices and returns its complaints for the caller to raise.
+result.  :func:`_chunk_map` runs a caller's chunks: on the calling thread
+when they are one chunk or the process may use one CPU, else at half the
+budget each, the even chunks on the calling thread and the odd ones on one
+helper thread, with the results in chunk order.  The budget is split, so the
+bytes in flight stay at one budget, and like the budget, the thread count
+never decides a bit of a result.  :func:`loop_guard` is the one
+well-posedness guard: it checks a stack of loop matrices and returns its
+complaints for the caller to raise.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -30,6 +36,8 @@ and products over an empty inner dimension are zero.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +83,54 @@ def _chunks(n: int, nbytes: int) -> list[slice]:
     each but the last."""
     k = _per_stack(nbytes)
     return [slice(i, min(i + k, n)) for i in range(0, n, k)]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _chunk_map(n: int, nbytes: int, worker) -> list:
+    """``work(part)`` for each chunk ``part`` of ``range(n)``, in chunk order,
+    where ``work = worker(size)`` and ``size`` is the longest chunk's length.
+
+    When ``_chunks`` gives more than one chunk and the process may use two
+    CPUs, each chunk gets half the budget (``nbytes`` counts twice) and one
+    helper thread runs the odd chunks while the calling thread runs the even
+    ones.  Each thread calls ``worker`` once, so each builds its own buffers,
+    and the bytes in flight stay at one budget.  The helper has ended when
+    this returns; an exception it raised is raised here.
+    """
+    parts = _chunks(n, nbytes)
+    if len(parts) < 2 or _cpus() < 2:
+        work = worker(min(n, _per_stack(nbytes)))
+        return [work(part) for part in parts]
+    parts = _chunks(n, 2 * nbytes)
+    results, errors = [None] * len(parts), []
+
+    def run(first: int) -> None:
+        work = worker(parts[0].stop)
+        for i in range(first, len(parts), 2):
+            results[i] = work(parts[i])
+
+    def helper() -> None:
+        try:
+            run(1)
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="numkit-chunks")
+    thread.start()
+    try:
+        run(0)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def as_matrix(A, name: str = "A") -> np.ndarray:

@@ -6,12 +6,16 @@ H is evaluated from the transfer blocks through the interconnection form
 
 :func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
 stacked numpy calls (chunks of pencils, sized by numkit's byte budget) into
-one :class:`GSweep`; :func:`g_blocks` is its one-point case.  numpy's stacked
-``svd`` and ``solve`` run the same LAPACK routine on each pencil, so a sweep
-and one call per frequency give bitwise equal blocks, whatever the chunk
-size.  :func:`h_sweep` evaluates H at one point of a sweep for a stack of
-thetas in the same way (one loop guard and one solve per chunk of thetas);
-:func:`h_lft` is its one-theta case.
+one :class:`GSweep`; :func:`g_blocks` is its one-point case.  A sweep of
+more than one chunk runs on two threads when the process may use two CPUs
+(see ``numkit._chunk_map``): the chunks get half the budget each, each
+thread builds its own buffers, and the kept points and the guard's
+complaints are assembled in chunk order.  numpy's stacked ``svd`` and
+``solve`` run the same LAPACK routine on each pencil, so a sweep and one
+call per frequency give bitwise equal blocks, whatever the chunk size and
+whichever thread solves a chunk.  :func:`h_sweep` evaluates H at one point
+of a sweep for a stack of thetas in the same way (one loop guard and one
+solve per chunk of thetas); :func:`h_lft` is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
@@ -159,9 +163,12 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
 
 def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     """The four G blocks at each of ``omegas`` that passes the pole guard: the
-    pencils are solved in stacked chunks, and each chunk's D + C X fills one buffer.
-    A chunk takes as many pencils, with their solutions, as fit in numkit's
-    byte budget: a 200-point grid of a small model is one chunk.
+    pencils are solved in stacked chunks, and each chunk's D + C X fills the
+    rows of its kept points in one output array.  A chunk takes as many
+    pencils, with their solutions, as fit in numkit's byte budget: a 200-point
+    grid of a small model is one chunk.  More than one chunk may run on two
+    threads, at half the budget each (``numkit._chunk_map``); the kept points
+    and the complaints are assembled in chunk order.
 
     The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
     1e-14 max(sigma_max, 1)).  That floor is at most max(POLE_GUARD_RTOL
@@ -178,8 +185,9 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     * By Weyl's inequality (ibid., sec. 8.6), sigma_min(lam E - A) >=
       sigma_min(lam_a E - A) - |lam - lam_a| ||E||_2 for each anchor lam_a.
       A pencil for which the best such bound clears the factor two is solved
-      against B alone.  ||E||_2 is computed once per call, and only when a
-      chunk has a pencil that is not an anchor.
+      against B alone.  ||E||_2 is computed once per call, before any chunk
+      runs, and only when anchors are strided and there is more than one
+      pencil.
 
     Every other pencil is solved against [B | I] and bounded as an anchor is.
     Pencils whose bound does not clear the factor two, and every pencil of a
@@ -199,67 +207,82 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     n, m_b = B.shape
     # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
     a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
-    e_norm = None  # ||E||_2, raised by a relative 1e-12 to stay an upper bound
     BI = np.hstack([B, np.eye(n)]).astype(complex)
     stride = _ANCHOR_STRIDE if n >= _ANCHOR_MIN_STATES else 1
-    # A chunk holds each pencil and its solution.  The buffers are built
-    # once and filled in place: chunk-sized temporaries freed on every chunk
-    # let malloc return them to the system and fault them back in.
-    per_pencil = 16 * n * (n + m_b)
-    size = min(len(lams), numkit._per_stack(per_pencil))
-    pencils = np.empty((size, n, n), complex)
-    X = np.empty((size, n, m_b), complex)
+    # ||E||_2, raised by a relative 1e-12 to stay an upper bound.
+    e_norm = (float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
+              if stride > 1 and len(lams) > 1 else None)
     G = np.empty((len(lams), *D.shape), complex)
-    kept_at: list[int] = []  # the kept points, whose rows of G are filled in order
-    guarded: list[PoleProximity] = []
-    for part in numkit._chunks(len(lams), per_pencil):
-        start, lam = part.start, np.array(lams[part])
-        k = len(lam)
-        Xk = X[:k]
-        solved = np.zeros(k, dtype=bool)
-        bound = np.zeros(k)  # certified lower bounds on sigma_min
-        largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
-                                   1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
-        # The buffer holds the pencils in the order they are solved: the
-        # anchors, the pencils an anchor covers, then the rest.  So each
-        # solve takes a view of it.
-        anchors = np.arange(0, k, stride)
-        _solve_group(pencils[:anchors.size], anchors, lam, E, A, BI, Xk, solved, bound)
-        order = anchors
-        if anchors.size < k:
-            if e_norm is None:
-                e_norm = float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
-            rest = np.flatnonzero(np.arange(k) % stride)
-            reach = (bound[anchors] - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
-            cover = reach >= 2.0 * largest_floor[rest]
-            covered, rest = rest[cover], rest[~cover]
-            bound[covered] = reach[cover]
-            end = anchors.size + covered.size
-            _solve_group(pencils[anchors.size:end], covered, lam, E, A, B, Xk, solved, bound)
-            _solve_group(pencils[end:k], rest, lam, E, A, BI, Xk, solved, bound)
-            order = np.concatenate([anchors, covered, rest])
-        kept = solved & (bound >= 2.0 * largest_floor)
-        undecided = np.flatnonzero(~kept)
-        if undecided.size:
-            at = np.argsort(order)[undecided]  # their places in the buffer
-            a_norm = float(np.linalg.norm(A, 2))
-            sig = np.linalg.svd(pencils[at], compute_uv=False)
-            floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
-            low = sig[:, -1] < floor
-            kept[undecided] = ~low
-            guarded += [PoleProximity(
-                f"omega={omegas[start + undecided[i]]}: sigma_min(lambda E - A) = "
-                f"{sig[i, -1]:.3e} below guard {floor[i]:.3e}") for i in np.flatnonzero(low)]
-            unsolved = ~low & ~solved[undecided]
-            if unsolved.any():
-                Xk[undecided[unsolved]] = np.linalg.solve(
-                    pencils[at[unsolved]], np.broadcast_to(B, (unsolved.sum(), n, m_b)))
-            Xk = Xk[kept]
-        kept_at += (start + np.flatnonzero(kept)).tolist()
-        G[len(kept_at) - len(Xk):len(kept_at)] = D + C @ Xk
+    # From a complex E, numpy builds lam E - A into a buffer without a
+    # temporary of cast pencils.
+    E_c = E.astype(complex)
+
+    def worker(size: int):
+        # A chunk holds each pencil and its solution.  The buffers are built
+        # once per thread and filled in place: chunk-sized temporaries freed
+        # on every chunk let malloc return them to the system and fault them
+        # back in.
+        pencils = np.empty((size, n, n), complex)
+        X = np.empty((size, n, m_b), complex)
+
+        def chunk(part: slice):
+            """Fills the rows of G of the chunk's kept points, at their own
+            places; returns their indices and the guard's complaints."""
+            start, lam = part.start, np.array(lams[part])
+            k = len(lam)
+            Xk = X[:k]
+            solved = np.zeros(k, dtype=bool)
+            bound = np.zeros(k)  # certified lower bounds on sigma_min
+            largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
+                                       1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+            # The buffer holds the pencils in the order they are solved: the
+            # anchors, the pencils an anchor covers, then the rest.  So each
+            # solve takes a view of it.
+            anchors = np.arange(0, k, stride)
+            _solve_group(pencils[:anchors.size], anchors, lam, E_c, A, BI, Xk, solved, bound)
+            order = anchors
+            if anchors.size < k:
+                rest = np.flatnonzero(np.arange(k) % stride)
+                reach = (bound[anchors] - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
+                cover = reach >= 2.0 * largest_floor[rest]
+                covered, rest = rest[cover], rest[~cover]
+                bound[covered] = reach[cover]
+                end = anchors.size + covered.size
+                _solve_group(pencils[anchors.size:end], covered, lam, E_c, A, B, Xk, solved, bound)
+                _solve_group(pencils[end:k], rest, lam, E_c, A, BI, Xk, solved, bound)
+                order = np.concatenate([anchors, covered, rest])
+            kept = solved & (bound >= 2.0 * largest_floor)
+            undecided = np.flatnonzero(~kept)
+            guarded = []
+            if undecided.size:
+                at = np.argsort(order)[undecided]  # their places in the buffer
+                a_norm = float(np.linalg.norm(A, 2))
+                sig = np.linalg.svd(pencils[at], compute_uv=False)
+                floor = np.maximum(POLE_GUARD_RTOL * a_norm, 1e-14 * np.maximum(sig[:, 0], 1.0))
+                low = sig[:, -1] < floor
+                kept[undecided] = ~low
+                guarded = [PoleProximity(
+                    f"omega={omegas[start + undecided[i]]}: sigma_min(lambda E - A) = "
+                    f"{sig[i, -1]:.3e} below guard {floor[i]:.3e}") for i in np.flatnonzero(low)]
+                unsolved = ~low & ~solved[undecided]
+                if unsolved.any():
+                    Xk[undecided[unsolved]] = np.linalg.solve(
+                        pencils[at[unsolved]], np.broadcast_to(B, (unsolved.sum(), n, m_b)))
+                Xk = Xk[kept]
+            kept_at = start + np.flatnonzero(kept)
+            G[kept_at] = D + C @ Xk
+            return kept_at.tolist(), guarded
+
+        return chunk
+
+    parts = numkit._chunk_map(len(lams), 16 * n * (n + m_b), worker)
+    kept_at = [i for at, _ in parts for i in at]
+    if len(kept_at) < len(lams):
+        G = G[kept_at]
     return GSweep(omegas=tuple(float(omegas[i]) for i in kept_at),
-                  lams=tuple(lams[i] for i in kept_at), G=G[:len(kept_at)],
-                  m_y=model.dims.m_y, m_u=model.dims.m_u, guarded=tuple(guarded))
+                  lams=tuple(lams[i] for i in kept_at), G=G,
+                  m_y=model.dims.m_y, m_u=model.dims.m_u,
+                  guarded=tuple(e for _, guarded in parts for e in guarded))
 
 
 def g_blocks(model: DescriptorModel, omega: float) -> GSweep:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftident import cli, model as model_mod, oracle, testing
+from lftident.errors import ModelFormatError
 from lftident.model import Dims
 
 # Runs cli.main on each argv of a JSON list in a new interpreter and prints
@@ -584,6 +585,8 @@ SCALAR_CASES = [
       for key in ("radius", "type") for name, value in SCALARS.items()),
     ("dims.<one>=bool", "dims", True),
     ("dims.<one>=float", "dims", 2.0),
+    *((f"<matrix entry>={name}", "matrix", value)
+      for name, value in (("bool", True), ("numeric string", "1.5"), ("null", None))),
 ]
 
 
@@ -592,13 +595,24 @@ SCALAR_CASES = [
 @settings(max_examples=3, deadline=None, derandomize=True)
 def test_fuzz_scalar_fields_exit_codes(key, value, seed, kind):
     # The model file's scalar fields hold a value of the wrong kind: the
-    # theta domain's radius or type, or one dims entry (drawn from the seed).
+    # theta domain's radius or type, one dims entry or one matrix entry
+    # (drawn from the seed).  A wrong matrix entry is a model format error.
     m, rng = fuzz_model(seed, kind)
+    edited = []
 
     def edit(doc):
         if key == "dims":
             doc["dims"][sorted(doc["dims"])[int(rng.integers(len(doc["dims"])))]] = value
+        elif key == "matrix":
+            rows = [row for k in model_mod._MATRIX_KEYS for row in doc[k] if row]
+            rows += [row for Pk in doc["P"] for row in Pk if row]
+            row = rows[int(rng.integers(len(rows)))]
+            row[int(rng.integers(len(row)))] = value
         else:
             doc["theta_domain"][key] = value
+        edited.append(json.dumps(doc))
 
     assert_documented_exits(m, rng, edit)
+    if key == "matrix":
+        with pytest.raises(ModelFormatError, match="is not a numeric matrix: entry "):
+            model_mod.loads_model(edited[0])

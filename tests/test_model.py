@@ -108,6 +108,22 @@ def test_bool_or_float_dims_are_shape_errors(siso1_path, capsys, value):
                          f"dims.m_x must be a positive integer, got {value!r}")
 
 
+@pytest.mark.parametrize("raw,entry", [([[True]], "true"), ([["1.5"]], '"1.5"'),
+                                       ([["-1"]], '"-1"'), ([[None]], "null"),
+                                       ([[-1.0, False]], "false")])
+def test_non_number_matrix_entries_are_format_errors(siso1_path, capsys, raw, entry):
+    # numpy would read true as 1.0, "1.5" as 1.5 and null as nan, and a bool
+    # hides in a row of numbers.
+    text = siso1_path.read_text()
+    doc = json.loads(text)
+    doc["A_xx"] = raw
+    rejected_with_exit_2(siso1_path, doc, ModelFormatError,
+                         f"A_xx is not a numeric matrix: entry {entry}")
+    doc = json.loads(text)
+    doc["P"][0] = raw
+    rejected_with_exit_2(siso1_path, doc, ModelFormatError, r"P\[0\] is not a numeric matrix")
+
+
 def test_integers_beyond_the_float_range(siso1_path, capsys):
     # A JSON integer literal too large for a double: the radius reads as inf,
     # a matrix entry is not numeric; neither escapes as an OverflowError.

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -548,3 +549,26 @@ class TestKronVec:
         for i in range(2):
             for j in range(3):
                 assert Ks[i, j].tobytes() == np.kron(As[i, 0], Bs[j]).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chunk_map_splits_the_budget_between_two_threads(cpus, monkeypatch):
+    # 10 items of a quarter budget each: 3 chunks of at most 4 on one thread,
+    # or 5 chunks of 2 (half the budget each) alternating between the
+    # calling thread and one helper, which each build one worker.
+    monkeypatch.setattr(numkit, "_cpus", lambda: cpus)
+    workers = []
+
+    def worker(size):
+        mine = threading.current_thread() is threading.main_thread()
+        workers.append((mine, size))
+        return lambda part: (mine, part.start, part.stop)
+
+    results = numkit._chunk_map(10, numkit._STACK_BYTES // 4, worker)
+    if cpus == 1:
+        assert workers == [(True, 4)]
+        assert results == [(True, 0, 4), (True, 4, 8), (True, 8, 10)]
+    else:
+        assert sorted(workers) == [(False, 2), (True, 2)]
+        assert results == [(i % 2 == 0, 2 * i, 2 * i + 2) for i in range(5)]
+    assert numkit._chunk_map(0, 8, worker) == []

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -732,6 +734,111 @@ class TestSweep:
         with pytest.raises(PoleProximity) as listed:
             oracle.fd_jacobian(m, [0.0], [1.0, -w_star, 2.0, w_star])
         assert str(listed.value) == str(first.value)
+
+
+def one_or_two_cpus(monkeypatch, cpus: int) -> list[str]:
+    """Make the process look as if it may use ``cpus`` CPUs; returns the
+    names of the threads started from then on."""
+    monkeypatch.setattr(numkit, "_cpus", lambda: cpus)
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+class TestTwoThreads:
+    """A sweep of more than one chunk runs its odd chunks on one helper thread
+    when the process may use two CPUs, and gives the one-CPU sweep's bits."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("dims", ["d40", "d60"])
+    def test_threaded_sweep_is_bitwise_the_one_cpu_sweep(self, dims, kind):
+        # An 800-point refine grid; a short switch interval makes the two
+        # threads interleave often.
+        m = testing.random_regular_model(4, dims=FIXTURE_DIMS[dims], **KINDS[kind])
+        omegas = (np.geomspace(1e-2, 1e2, 800) if m.time_domain == "continuous"
+                  else np.linspace(np.pi / 800, np.pi, 800)).tolist()
+        sweeps = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                started = one_or_two_cpus(mp, cpus)
+                before = threading.active_count()
+                sys.setswitchinterval(1e-6)
+                try:
+                    sweeps[cpus] = response.g_sweep(m, omegas)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert threading.active_count() == before
+            assert len(started) == cpus - 1
+        one, two = sweeps[1], sweeps[2]
+        assert one.omegas == two.omegas and one.lams == two.lams
+        assert one.G.shape == two.G.shape and one.G.tobytes() == two.G.tobytes()
+        assert [str(e) for e in one.guarded] == [str(e) for e in two.guarded]
+
+    def test_guarded_points_in_helper_and_caller_chunks(self, monkeypatch):
+        # Three chunks: the pole at w* falls in the helper's chunk 1 and -w*
+        # in the caller's chunk 2.  Each keeps its complaint and its place.
+        w_star = 0.7
+        m = oscillator(w_star)
+        omegas = np.geomspace(1e-2, 1e2, 3 * CHUNK).tolist()
+        in_helper, in_caller = CHUNK + 5, 2 * CHUNK + 3
+        omegas[in_helper], omegas[in_caller] = w_star, -w_star
+        stacks_of(monkeypatch)
+        started = one_or_two_cpus(monkeypatch, 2)
+        solvers = {}
+        solve_group = response._solve_group
+
+        def spy(pencils, idx, lam, *rest):
+            for w in lam[idx].imag.tolist():
+                solvers[w] = threading.current_thread() is threading.main_thread()
+            return solve_group(pencils, idx, lam, *rest)
+
+        monkeypatch.setattr(response, "_solve_group", spy)
+        sweep = response.g_sweep(m, omegas)
+        assert len(started) == 1
+        assert [solvers[w] for w in omegas] == [i // CHUNK != 1 for i in range(len(omegas))]
+        assert [str(e).split(":")[0] for e in sweep.guarded] == [
+            f"omega={w_star}", f"omega={-w_star}"]
+        assert list(sweep.omegas) == [w for i, w in enumerate(omegas)
+                                      if i not in (in_helper, in_caller)]
+        TestSweep.assert_matches_svd_everything(m, omegas)
+        monkeypatch.setattr(numkit, "_cpus", lambda: 1)
+        one = response.g_sweep(m, omegas)
+        assert [str(e) for e in sweep.guarded] == [str(e) for e in one.guarded]
+        assert sweep.G.tobytes() == one.G.tobytes()
+
+    @pytest.mark.parametrize("in_helper", [True, False])
+    def test_an_exception_in_either_thread_reaches_the_caller(self, in_helper, monkeypatch):
+        # Not a LinAlgError, so no solve slice swallows it.  The helper has
+        # ended when g_sweep raises, whichever thread failed.
+        m = testing.random_regular_model(1, dims=FIXTURE_DIMS["d40"])
+        omegas = np.geomspace(1e-2, 1e2, 200).tolist()
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if (threading.current_thread() is not threading.main_thread()) == in_helper:
+                raise ValueError("injected solve failure")
+            return solve(a, b)
+
+        started = one_or_two_cpus(monkeypatch, 2)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="injected solve failure"):
+            response.g_sweep(m, omegas)
+        assert len(started) == 1 and threading.active_count() == before
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # A 200-point grid of a small model is one chunk at the full budget.
+        started = one_or_two_cpus(monkeypatch, 2)
+        response.g_sweep(testing.random_regular_model(1, kernel_rich=True),
+                         np.geomspace(1e-2, 1e2, 200).tolist())
+        assert started == []
 
 
 class TestRegularityIdentity:

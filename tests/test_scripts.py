@@ -59,12 +59,32 @@ PINNED_DIGESTS = {
 }
 
 
+# BLAS on one thread: a threaded BLAS may sum in another order.
+ONE_BLAS_THREAD = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
 def test_benchmark_reports_are_byte_identical(seed):
-    # BLAS on one thread: a threaded BLAS may sum in another order.
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, str(SCRIPT), "--seed", str(seed)],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300, env=ONE_BLAS_THREAD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == PINNED_DIGESTS[seed]
+
+
+# The last line of report_digests.py --seed 7 --workload search-wide, from a
+# run before pencil sweeps could take a helper thread.
+SEARCH_WIDE_DIGEST = "e7b4277fa63d53ebfa98a42fb26060f5cff53a0494c2d31d0d76034e8bbdc3cf  all"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_one_cpu_search_wide_reports_are_byte_identical():
+    # Pinned to one CPU, every pencil sweep takes the serial route; the full
+    # pins above run on as many CPUs as the process may use.  So the 14
+    # search-wide reports are the same bytes on either route.
+    cpu = min(os.sched_getaffinity(0))
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--seed", "7", "--workload", "search-wide"],
+                          capture_output=True, text=True, timeout=300, env=ONE_BLAS_THREAD,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == SEARCH_WIDE_DIGEST
