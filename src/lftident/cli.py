@@ -152,7 +152,7 @@ def run_validate(args) -> tuple:
             "theta_samples": [list(t) for t in report.theta_samples],
         },
         "psi_rank": psi_dec.rank,
-        "psi_fcr": psi_dec.is_fcr,
+        "psi_fcr": psi_dec.rank == m.dims.q,
         "g_zu_normal_row_rank": zu_rank,
         "g_zu_fnrr": fnrr,
     }
@@ -171,9 +171,11 @@ def run_ident(args) -> tuple:
         "verdict": _verdict_payload(verdict),
         "sufficient_count": identifiability.sufficient_count(m),
     }
+    # A shortcut verdict's one step is its shortcut frequency, not the first listed.
+    steps = w if verdict.shortcut_omega is None else [verdict.shortcut_omega]
     csv_rows = [["step", "omega", "unresolved_dim"]]
-    for i, dim in enumerate(verdict.rank_trace):
-        csv_rows.append([i + 1, w[i] if i < len(w) else "", dim])
+    for i, (wi, dim) in enumerate(zip(steps, verdict.rank_trace)):
+        csv_rows.append([i + 1, wi, dim])
     return payload, csv_rows
 
 

@@ -7,12 +7,12 @@ Z, until Z is empty (certified) or no grid point makes progress.
 
 The grid is scored from one :class:`identifiability.GridSweep`: its shortcut
 flags, side array and Xi stacks cover every grid point, and the verdicts on
-the flagged shortcut candidates and on the picks read it by point index.  The
-U_Pi2 of every point is formed only when the anchor leaves Z non-empty and the
-greedy rows are built; otherwise only the points that a verdict reads factor
-their Pi.  The anchor step scores the smallest side-passing point alone first,
-and all candidates only when that point does not reach the largest score
-(q, q).
+the flagged shortcut candidates and on the picks read it by point index.  Pi
+is factored where U_Pi2 is read, one stack per kernel group: over every group
+when the anchor leaves Z non-empty and the greedy rows are built, and over a
+verdict's own points, so the final verdict re-factors its picks.  The anchor
+step scores the smallest side-passing point alone first, and all candidates
+only when that point does not reach the largest score (q, q).
 
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
@@ -142,7 +142,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
     # point may carry a healthier margin.
     for i in np.flatnonzero(sweep.shortcut).tolist():
-        verdict = ident._decide(model, theta0, sweep, [i], psi_dec)
+        verdict = ident._decide(model, sweep, [i], psi_dec)
         if verdict.status == ident.IDENTIFIABLE:
             return FrequencyPlan(status=CERTIFIED, selected=verdict.frequencies, rank_trace=(0,),
                                  verdict=verdict)
@@ -186,7 +186,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         if len(picks) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
 
-    verdict = ident._decide(model, theta0, sweep, picks, psi_dec)
+    verdict = ident._decide(model, sweep, picks, psi_dec)
     if verdict.status == ident.NOT_IDENTIFIABLE:
         raise ConstructionError(
             f"certified selection {list(verdict.frequencies)} failed re-verification: "
@@ -240,7 +240,7 @@ def search_frequencies(
         raise InvalidInput(f"refine must be a non-negative integer, got {refine}")
     theta0 = model.check_theta(theta0)
     psi_dec = ident.psi(model)
-    if not psi_dec.is_fcr:
+    if psi_dec.V2.shape[1]:
         return FrequencyPlan(
             status=NOT_IDENTIFIABLE,
             selected=(),

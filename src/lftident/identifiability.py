@@ -7,6 +7,7 @@ condition is decided through a stacked rank test built from two objects:
 
 * ``Psi``: columns vec(P_k); rank deficiency makes parameters structurally
   indistinguishable regardless of the experiment (necessity clause).
+  :func:`psi` returns its SVD factors.
 * per-frequency ``Pi = (I - P(theta0) G_zv) K`` with ``K`` an orthonormal
   kernel basis of G_yv; its realified stackings, the left-annihilator ``Xi``
   and the SVD complement ``U_Pi2`` furnish the row blocks of the stacked test
@@ -15,12 +16,13 @@ condition is decided through a stacked rank test built from two objects:
 :class:`GridSweep` builds these factors for a :class:`response.GSweep`.  Per
 grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
-full SVD, which only U_Pi2 needs, runs only where U_Pi2 is read: per kernel
-group when the greedy rows of the frequency search are built, else in the one
-:meth:`GridSweep.u_pi2` read of a verdict, for its points.  So a shortcut
-verdict factors no Pi.  The verdict reads a GridSweep by point index; a listed
-frequency set travels between layers as one GridSweep, checked or built by
-:func:`listed_sweep`.  All rank decisions go through :mod:`lftident.numkit`.
+full SVD, which only U_Pi2 needs, runs where U_Pi2 is read, one stack per
+kernel group: over the whole group for the greedy rows of the frequency
+search, and over a verdict's points in its one :meth:`GridSweep.u_pi2` read.
+So a shortcut verdict factors no Pi.  The verdict and its sensitivity gate
+read a GridSweep by point index; a listed frequency set travels between
+layers as one GridSweep, checked or built by :func:`listed_sweep`.  All rank
+decisions go through :mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "DECISION_RTOL",
     "SENSITIVITY_RTOL",
     "CERT_TOL",
-    "PsiDecomposition",
     "IdentifiabilityVerdict",
     "psi",
     "GridSweep",
@@ -81,35 +82,10 @@ CERT_TOL = 1e-9
 _RANK_PROBES = 3
 
 
-@dataclass(frozen=True)
-class PsiDecomposition:
-    """Stacked parameter-pattern matrix [vec(P_1) ... vec(P_q)] and its SVD."""
-
-    Psi: np.ndarray
-    factors: numkit.SvdFactors
-
-    @property
-    def rank(self) -> int:
-        return self.factors.rank
-
-    @property
-    def is_fcr(self) -> bool:
-        return self.rank == self.Psi.shape[1]
-
-    @property
-    def U1(self) -> np.ndarray:
-        return self.factors.U1.real
-
-    @property
-    def U2(self) -> np.ndarray:
-        return self.factors.U2.real
-
-
-def psi(model: DescriptorModel) -> PsiDecomposition:
-    """Assemble Psi = [vec(P_1) ... vec(P_q)] and decompose it."""
-    cols = [numkit.vec(Pk) for Pk in model.P]
-    Psi = np.column_stack(cols)
-    return PsiDecomposition(Psi=Psi, factors=numkit.svd_full(Psi))
+def psi(model: DescriptorModel) -> numkit.SvdFactors:
+    """The SVD factors of Psi = [vec(P_1) ... vec(P_q)], which is real: Psi has
+    full column rank exactly when ``V2`` has no column."""
+    return numkit.svd_full(np.column_stack([numkit.vec(Pk) for Pk in model.P]))
 
 
 def _u2_stack(U: np.ndarray) -> np.ndarray:
@@ -152,9 +128,11 @@ class GridSweep:
     computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
     pairs, and :meth:`xi` reads one point's; ``side`` and ``shortcut`` hold
     each point's side condition and shortcut flag; ``theta0`` is the checked
-    parameter vector.  :meth:`u_pi2` reads the U_Pi2 of a list of points;
-    :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices keep the
-    memory layout of the one-matrix route, on which BLAS results depend.
+    parameter vector.  :meth:`u_pi2` factors the Pi of a list of points for
+    their U_Pi2, :meth:`greedy_rows` those of every kernel group; no Pi SVD is
+    kept.  :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices
+    keep the memory layout of the one-matrix route, on which BLAS results
+    depend; a point's U_Pi2 has the same bits in any stack.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
@@ -186,7 +164,6 @@ class GridSweep:
         self.shortcut = np.zeros(n, dtype=bool)
         self.xis: list[tuple[np.ndarray, np.ndarray]] = []
         self._groups = []
-        self._pi_svds: list = [None] * len(kernels)
         # Per point: its kernel group, its position there, its Xi group and
         # its position there.
         self._slots = np.zeros((4, n), dtype=int)
@@ -208,34 +185,19 @@ class GridSweep:
                     self._slots[2, at], self._slots[3, at] = len(self.xis), np.arange(len(at))
                     self.xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
 
-    def _pi_svd(self, grp: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(U, ranks)`` of the Pi SVD of kernel group ``grp``, which runs on
-        first use: member j's U_Pi2 is ``U[j, :, ranks[j]:]``."""
-        if self._pi_svds[grp] is None:
-            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2])
-            self._pi_svds[grp] = (U, ranks)
-        return self._pi_svds[grp]
-
     def xi(self, i: int) -> np.ndarray:
         """Xi of grid point ``i``: a view into its Xi stack."""
         x, k = self._slots[2:, i].tolist()
         return self.xis[x][1][k]
 
     def u_pi2(self, points: list[int]) -> list[np.ndarray]:
-        """U_Pi2 of each grid point of ``points``: slices of its kernel group's
-        Pi SVD once :meth:`greedy_rows` has run it, else of one stacked SVD of
-        the group's points among ``points``.  Either way the same bits in the
-        same layout."""
+        """U_Pi2 of each grid point of ``points``: slices of one stacked SVD of
+        the Pi of each kernel group's points among ``points``."""
         out = {}
         for grp in dict.fromkeys(self._slots[0, points].tolist()):
             at = [i for i in points if self._slots[0, i] == grp]
-            if self._pi_svds[grp] is None:
-                U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, at]])
-                js = range(len(at))
-            else:
-                U, ranks = self._pi_svds[grp]
-                js = self._slots[1, at]
-            out.update((i, U[j, :, ranks[j]:]) for i, j in zip(at, js))
+            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, at]])
+            out.update((i, U[j, :, ranks[j]:]) for j, i in enumerate(at))
         return [out[i] for i in points]
 
     def bars(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +210,14 @@ class GridSweep:
         order = np.argsort(np.concatenate([idx for idx, *_ in self._groups]))
         return tuple(np.concatenate([grp[k] for grp in self._groups])[order] for k in (3, 4))
 
-    def greedy_rows(self, psi_dec: PsiDecomposition, m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def greedy_rows(self, psi_dec: numkit.SvdFactors,
+                    m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """The U_Pi2 row blocks (:func:`upsilon_rows` of the u2 stacks) of every
-        grid point, one row stack per Pi rank of each kernel group: a list of
-        ``(indices, row stack)``."""
+        grid point, from one stacked Pi SVD per kernel group, one row stack per
+        Pi rank of each group: a list of ``(indices, row stack)``."""
         rows = []
-        for grp, (idx, *_) in enumerate(self._groups):
-            U, ranks = self._pi_svd(grp)
+        for idx, _, Pi, *_ in self._groups:
+            U, _, _, ranks = numkit.svd_stack(Pi)
             rows += [(idx[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
                      for r, sel in _by_value(ranks)]
         return rows
@@ -316,7 +279,7 @@ def check_fnrr(model: DescriptorModel, seed: int = 20260808) -> int:
     return r
 
 
-def upsilon_rows(W: np.ndarray, psi_dec: PsiDecomposition, m_z: int) -> np.ndarray:
+def upsilon_rows(W: np.ndarray, psi_dec: numkit.SvdFactors, m_z: int) -> np.ndarray:
     """The row blocks (I_mz kron W_i) U_Psi1, in the coordinates of the columns
     of U_Psi1, of a stack ``W`` of Xi or u2 stack blocks, one per candidate
     frequency; an empty stack gives none."""
@@ -366,39 +329,34 @@ class IdentifiabilityVerdict:
     shortcut_omega: float | None = None
 
 
-def sensitivity_stack(model: DescriptorModel, theta0, blocks) -> np.ndarray:
+def sensitivity_stack(model: DescriptorModel, sweep: GridSweep, points: list[int]) -> np.ndarray:
     """Exact first-order response-sensitivity map as a real stacked matrix.
 
-    Column k holds, for each of the one-point sweeps ``blocks`` in turn, the
+    Column k holds, for each point of ``points`` of ``sweep`` in turn, the
     real and imaginary parts of vec of G_yv (I - P0 G_zv)^-1 P_k
     (I - G_zv P0)^-1 G_zu, which is the derivative of the response with
-    respect to theta_k at theta0.
+    respect to theta_k at the sweep's theta0, P0 = P(theta0).  One stacked
+    solve per side serves every point.
     """
-    t0 = model.check_theta(theta0)
-    P0 = model.p_of(t0)
-    m_v, m_z = model.dims.m_v, model.dims.m_z
-    cols = [[] for _ in range(model.dims.q)]
-    for g in blocks:
-        L = np.linalg.solve((np.eye(m_v) - P0 @ g.G_zv[0]).T, g.G_yv[0].T).T
-        R = np.linalg.solve(np.eye(m_z) - g.G_zv[0] @ P0, g.G_zu[0])
-        for k, Pk in enumerate(model.P):
-            dH = L @ Pk @ R
-            cols[k].append(numkit.vec(dH.real))
-            cols[k].append(numkit.vec(dH.imag))
-    return np.column_stack([np.concatenate(c) for c in cols])
+    g, P0 = sweep.g, model.p_of(sweep.theta0)
+    G_zv = g.G_zv[points]
+    L = np.linalg.solve((np.eye(model.dims.m_v) - P0 @ G_zv).swapaxes(1, 2),
+                        g.G_yv[points].swapaxes(1, 2)).swapaxes(1, 2)
+    R = np.linalg.solve(np.eye(model.dims.m_z) - G_zv @ P0, g.G_zu[points])
+    dH = L[:, None] @ np.array(model.P)[None] @ R[:, None]
+    # Rows by point, then real and imaginary part, then vec's column-major order.
+    return np.stack([dH.real, dH.imag], axis=1).transpose(0, 1, 4, 3, 2).reshape(-1, model.dims.q)
 
 
-def _sensitivity_margin_ok(model, theta0, blocks) -> bool:
-    J = sensitivity_stack(model, theta0, blocks)
-    if J.shape[1] == 0:
-        return True
+def _sensitivity_margin_ok(model, sweep: GridSweep, points: list[int]) -> bool:
+    J = sensitivity_stack(model, sweep, points)
     if J.shape[0] < J.shape[1]:
         return False
     sig = np.linalg.svd(J, compute_uv=False)
     return float(sig[-1]) >= SENSITIVITY_RTOL * max(1.0, float(sig[0]))
 
 
-def _direct_stack(psi_dec: PsiDecomposition, U_Pi2: list[np.ndarray], m_z: int) -> np.ndarray:
+def _direct_stack(psi_dec: numkit.SvdFactors, U_Pi2: list[np.ndarray], m_z: int) -> np.ndarray:
     """Constraint stack whose null space is exactly the set of undetectable
     vec(sum_k d_k P_k): membership in range(Psi) plus, per frequency (its
     U_Pi2), columns inside range(Pi)."""
@@ -406,7 +364,7 @@ def _direct_stack(psi_dec: PsiDecomposition, U_Pi2: list[np.ndarray], m_z: int) 
     return np.vstack([psi_dec.U2.T, *(numkit._kron(I_mz, _u2_stack(U)) for U in U_Pi2)])
 
 
-def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, U_Pi2, dims):
+def _residual_direction(null: np.ndarray, psi_dec: numkit.SvdFactors, U_Pi2, dims):
     """The first of the null directions ``null`` of the direct constraint stack
     of ``U_Pi2`` (one per frequency), mapped to parameter space by the model's ``dims``.
 
@@ -422,24 +380,22 @@ def _residual_direction(null: np.ndarray, psi_dec: PsiDecomposition, U_Pi2, dims
     dP = numkit.unvec(v, dims.m_v, dims.m_z)
     for U in U_Pi2:
         worst = max(worst, float(np.linalg.norm(U.conj().T @ dP)))
-    delta = psi_dec.factors.V1.real @ (
-        (psi_dec.U1.T @ v) / psi_dec.factors.sigma
-    )
+    delta = psi_dec.V1 @ ((psi_dec.U1.T @ v) / psi_dec.sigma)
     return numkit.sign_flip(delta / np.linalg.norm(delta)), null.shape[1], worst
 
 
-def _psi_deficient_verdict(psi_dec: PsiDecomposition, freqs) -> IdentifiabilityVerdict:
+def _psi_deficient_verdict(psi_dec: numkit.SvdFactors, freqs) -> IdentifiabilityVerdict:
     """The ``not-identifiable`` verdict of a rank-deficient Psi, listing ``freqs``:
     the parameter patterns are dependent, so no frequency set can help."""
-    q = psi_dec.Psi.shape[1]
-    null = psi_dec.factors.V2.real
+    null = psi_dec.V2
     return IdentifiabilityVerdict(
         status=NOT_IDENTIFIABLE,
         frequencies=tuple(freqs),
-        residual_nullspace_dim=q - psi_dec.rank,
+        residual_nullspace_dim=null.shape[1],
         rank_trace=(),
         psi_fcr=False,
-        reason=f"Psi rank {psi_dec.rank} < q={q}: parameter patterns are linearly dependent",
+        reason=f"Psi rank {psi_dec.rank} < q={null.shape[0]}: parameter patterns are "
+               "linearly dependent",
         residual_direction=numkit.sign_flip(null[:, 0] / np.linalg.norm(null[:, 0])),
     )
 
@@ -461,23 +417,22 @@ def upsilon_test(model: DescriptorModel, theta0, freqs, sweep: GridSweep | None 
     w = response.check_freqs(model, freqs)
 
     psi_dec = psi(model)
-    if not psi_dec.is_fcr:
+    if psi_dec.V2.shape[1]:
         return _psi_deficient_verdict(psi_dec, w)
 
     check_fnrr(model, seed=fnrr_seed)
 
     sweep = listed_sweep(model, t0, w, sweep)
-    return _decide(model, t0, sweep, list(range(len(w))), psi_dec)
+    return _decide(model, sweep, list(range(len(w))), psi_dec)
 
 
-def _decide(model: DescriptorModel, t0: np.ndarray, sweep: GridSweep, points: list[int],
-            psi_dec: PsiDecomposition) -> IdentifiabilityVerdict:
-    """The verdict of :func:`upsilon_test` from checked inputs: ``t0`` a checked
-    parameter vector, ``sweep`` its GridSweep, ``points`` indices of distinct
+def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
+            psi_dec: numkit.SvdFactors) -> IdentifiabilityVerdict:
+    """The verdict of :func:`upsilon_test` from checked inputs: ``sweep`` a
+    GridSweep at the checked theta0, ``points`` indices of distinct
     frequencies there, the anchor first, a full-column-rank ``psi_dec``, and
     the FNRR hypothesis already verified."""
     w = [sweep.g.omegas[i] for i in points]
-    blocks = [sweep.g[i] for i in points]
     m_z = model.dims.m_z
     q = model.dims.q
 
@@ -485,7 +440,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, sweep: GridSweep, points: li
     # sensitivity gate reads every listed frequency, so it runs at most once:
     # a shortcut it vetoes also vetoes the chain's positive verdict below.
     shortcut = min((w_i for w_i, i in zip(w, points) if sweep.shortcut[i]), default=None)
-    if shortcut is not None and _sensitivity_margin_ok(model, t0, blocks):
+    if shortcut is not None and _sensitivity_margin_ok(model, sweep, points):
         return IdentifiabilityVerdict(
             status=IDENTIFIABLE,
             frequencies=tuple(w),
@@ -545,7 +500,7 @@ def _decide(model: DescriptorModel, t0: np.ndarray, sweep: GridSweep, points: li
         # Confirm on the explicitly stacked matrix, then pass the sensitivity
         # gate before claiming identifiability.
         if direct.V2.shape[1] == 0:
-            if shortcut is None and _sensitivity_margin_ok(model, t0, blocks):
+            if shortcut is None and _sensitivity_margin_ok(model, sweep, points):
                 return IdentifiabilityVerdict(
                     status=IDENTIFIABLE,
                     frequencies=tuple(w),

@@ -6,7 +6,7 @@ probes and empirical boundary sampling.  None of it uses the Pi factors, the
 stacked rank test or the sloppiness eigenpencil it checks.  It shares the
 evaluation of H (``response.g_sweep``, and ``response.h_sweep`` over a stack
 of thetas at one of its points, of which ``h_lft`` is the one-theta case),
-numkit's default rank decision on the Jacobian, Psi's decomposition
+numkit's default rank decision on the Jacobian, Psi's SVD factors
 (``identifiability.psi``) and, for the empirical boundary, the S matrices and
 ellipsoid that ``sloppiness`` builds from one ``identifiability.GridSweep`` of
 the blocks the check evaluated.
@@ -205,7 +205,7 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     rng = np.random.default_rng(seed)
 
     directions = []
-    ker_psi = identifiability.psi(model).factors.V2.real
+    ker_psi = identifiability.psi(model).V2
     directions.extend(ker_psi[:, j] for j in range(ker_psi.shape[1]))
     # Null directions of est.J: singular values at or below an absolute cut.
     _, sig, Vh = np.linalg.svd(est.J)

@@ -241,7 +241,7 @@ def _context(model, theta0, freqs, sweep):
     t0 = model.check_theta(theta0)
     w = response.check_freqs(model, freqs)
     psi_dec = ident.psi(model)
-    if not psi_dec.is_fcr:
+    if psi_dec.V2.shape[1]:
         raise GammaRankDeficient(
             "Psi is rank deficient: no frequency set certifies identifiability"
         )
@@ -339,9 +339,7 @@ def s_matrices(model: DescriptorModel, theta0, freqs,
             "pick frequencies whose responses are of closer magnitude"
         )
     o, g = qpairs.Q_r.shape[2], kr.shape[2]  # rows of S_H and S_A per frequency
-    V1 = psi_dec.factors.V1.real
-    sig = psi_dec.factors.sigma
-    U1t = psi_dec.U1.T
+    V1, sig, U1t = psi_dec.V1, psi_dec.sigma, psi_dec.U1.T
     S_k = []
     for k in range(len(w)):
         core = qpairs.Q_r[k] @ S_H[k * o:(k + 1) * o, :] - kr[k] @ S_A[k * g:(k + 1) * g, :]

@@ -8,6 +8,7 @@ from lftident import model as model_mod
 from lftident import identifiability as ident
 from lftident import numkit, response, sloppiness, testing
 from lftident.errors import PoleProximity
+from lftident.model import Dims
 
 
 @pytest.fixture
@@ -49,6 +50,29 @@ def stacks_of(monkeypatch, n: int = CHUNK):
     monkeypatch.setattr(numkit, "_per_stack", lambda nbytes: n)
 
 
+D12 = Dims(12, 2, 1, 2, 5, 10)  # the benchmark's 12-state shape
+
+# The reports workload's fixtures at their stored frequencies (bench/workloads.py).
+REPORTS_FIXTURES = {
+    "siso1": (testing.siso1, (0.01,)),
+    "kr-00": (lambda: testing.random_regular_model(0, kernel_rich=True), (0.01,)),
+    "kr-22": (lambda: testing.random_regular_model(22, kernel_rich=True),
+              (0.01, 0.16070528182616392)),
+    "kr-53": (lambda: testing.random_regular_model(53, kernel_rich=True),
+              (0.01, 0.352970730273065)),
+    "kr-dt-00": (lambda: testing.random_regular_model(0, kernel_rich=True, time_domain="discrete"),
+                 (0.015707963267948967,)),
+    "kr-se-00": (lambda: testing.random_regular_model(0, kernel_rich=True, singular_E=True),
+                 (0.01,)),
+    "d12-01": (lambda: testing.random_regular_model(1, dims=D12),
+               (0.01, 1.1226677735108135, 2.354286414322418)),
+    "d12-dt-02": (lambda: testing.random_regular_model(2, dims=D12, time_domain="discrete"),
+                  (0.015707963267948967, 0.3298672286269283, 0.6754424205218056)),
+    "d12-se-00": (lambda: testing.random_regular_model(0, dims=D12, singular_E=True),
+                  (0.01, 1.0718913192051276, 2.1461411978584035)),
+}
+
+
 def model_pool(n, start=0):
     """Deterministic mixed pool of regular well-posed models."""
     kinds = [
@@ -85,6 +109,36 @@ def row_block(W, psi_dec, m_z):
     """The row block of the reduced stacked test matrix of one Xi or u2 stack
     block ``W``, as the verdict's chain computes it."""
     return ident.upsilon_rows(W[None], psi_dec, m_z)[0]
+
+
+def per_point_sensitivity_stack(model, theta0, blocks):
+    """Reference of ``identifiability.sensitivity_stack``: its first-order
+    response map J at ``theta0`` built one point at a time, two solves per
+    point, over the one-point sweeps ``blocks``, as it was built before the
+    map took stacks."""
+    t0 = model.check_theta(theta0)
+    P0 = model.p_of(t0)
+    m_v, m_z = model.dims.m_v, model.dims.m_z
+    cols = [[] for _ in range(model.dims.q)]
+    for g in blocks:
+        L = np.linalg.solve((np.eye(m_v) - P0 @ g.G_zv[0]).T, g.G_yv[0].T).T
+        R = np.linalg.solve(np.eye(m_z) - g.G_zv[0] @ P0, g.G_zu[0])
+        for k, Pk in enumerate(model.P):
+            dH = L @ Pk @ R
+            cols[k].append(numkit.vec(dH.real))
+            cols[k].append(numkit.vec(dH.imag))
+    return np.column_stack([np.concatenate(c) for c in cols])
+
+
+def per_point_margin_ok(model, theta0, blocks) -> bool:
+    """The sensitivity gate's decision on :func:`per_point_sensitivity_stack`."""
+    J = per_point_sensitivity_stack(model, theta0, blocks)
+    if J.shape[1] == 0:
+        return True
+    if J.shape[0] < J.shape[1]:
+        return False
+    sig = np.linalg.svd(J, compute_uv=False)
+    return float(sig[-1]) >= ident.SENSITIVITY_RTOL * max(1.0, float(sig[0]))
 
 
 def rotate_factors(monkeypatch, rng):

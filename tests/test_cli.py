@@ -97,6 +97,31 @@ def test_ident_dup2(dup2_path, capsys):
     assert doc["result"]["verdict"]["psi_fcr"] is False
 
 
+def test_ident_csv_rows_name_the_deciding_frequencies(siso1_path, tmp_path, capsys):
+    # A shortcut verdict's one row names its shortcut frequency, which need
+    # not be the first listed; a chain's rows name the listed frequencies.
+    csv = tmp_path / "steps.csv"
+    code, out, _ = run(["ident", "--model", str(siso1_path), "--theta0", "0",
+                        "--freqs", "2.0,0.5", "--csv", str(csv)], capsys)
+    assert code == 0
+    verdict = parse(out)["result"]["verdict"]
+    assert verdict["shortcut_omega"] == 0.5 and verdict["rank_trace"] == [0]
+    assert csv.read_text().splitlines() == ["step,omega,unresolved_dim", "1,0.5,0"]
+
+    # d12-01 of the reports workload at its three certified frequencies.
+    p = tmp_path / "d12.json"
+    model_mod.save_model(testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10)), p)
+    w = ["0.01", "1.1226677735108135", "2.354286414322418"]
+    code, out, _ = run(["ident", "--model", str(p), "--theta0", ",".join(["0"] * 10),
+                        "--freqs", ",".join(w), "--csv", str(csv)], capsys)
+    assert code == 0
+    verdict = parse(out)["result"]["verdict"]
+    assert verdict["shortcut_omega"] is None
+    rows = [f"{i + 1},{wi},{dim}" for i, (wi, dim) in enumerate(zip(w, verdict["rank_trace"]))]
+    assert len(rows) == 3
+    assert csv.read_text().splitlines() == ["step,omega,unresolved_dim", *rows]
+
+
 
 @pytest.mark.parametrize("command", ["ident", "sloppiness", "oracle"])
 def test_leading_negative_theta0(command, dup2_path, siso1_path, capsys):

@@ -158,8 +158,7 @@ def per_step_rebuild(model, theta0, grid):
         pis.append(rest[best])
         Z = Z @ ident.chain_null_basis(blocks[best])
         trace.append(Z.shape[1])
-    verdict = ident._decide(model, model.check_theta(theta0), sweep, [p.index for p in pis],
-                            psi_dec)
+    verdict = ident._decide(model, sweep, [p.index for p in pis], psi_dec)
     status = (freqplan.CERTIFIED if verdict.status == ident.IDENTIFIABLE
               else freqplan.NO_PROGRESS_ON_GRID)
     return status, tuple(p.omega for p in pis), tuple(trace), verdict.reason
@@ -316,15 +315,21 @@ def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
 ])
 def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
     # The greedy rows factor each kernel group of the grid once, in one
-    # stack; each point's Pi is factored once, and no point alone.
+    # stack.  Then the final verdict factors exactly its picks, once per
+    # group, in one stack each; nothing else factors a Pi.
     m = testing.random_regular_model(seed, **kind)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
     plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
     assert len(plan.rank_trace) > 1
-    groups = [idx.tolist() for idx, *_ in ident.GridSweep(m, t0, grid.sweep)._groups]
-    assert calls == groups
-    assert sorted(i for c in calls for i in c) == list(range(grid.points.size))
+    sweep = ident.GridSweep(m, t0, grid.sweep)
+    groups = [idx.tolist() for idx, *_ in sweep._groups]
+    assert calls[:len(groups)] == groups
+    assert sorted(i for c in groups for i in c) == list(range(grid.points.size))
+    picks = [grid.points.tolist().index(w) for w in plan.selected]
+    of = sweep._slots[0]
+    assert calls[len(groups):] == [[i for i in picks if of[i] == grp]
+                                   for grp in dict.fromkeys(of[picks].tolist())]
 
 
 @pytest.mark.parametrize("seed,kind,forced", [

@@ -11,7 +11,7 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import point_views, rotate_factors
+from conftest import REPORTS_FIXTURES, point_views, rotate_factors
 
 
 def two_channel(gain2=10.0):
@@ -133,29 +133,6 @@ def reference_q(f, k=0):
 def assert_same_bits(A, B):
     assert A.shape == B.shape and A.dtype == B.dtype
     assert np.array_equal(A, B) and A.tobytes() == B.tobytes()
-
-
-D12 = Dims(12, 2, 1, 2, 5, 10)  # the benchmark's 12-state shape
-
-# The reports workload's fixtures at their stored frequencies (bench/workloads.py).
-REPORTS_FIXTURES = {
-    "siso1": (testing.siso1, (0.01,)),
-    "kr-00": (lambda: testing.random_regular_model(0, kernel_rich=True), (0.01,)),
-    "kr-22": (lambda: testing.random_regular_model(22, kernel_rich=True),
-              (0.01, 0.16070528182616392)),
-    "kr-53": (lambda: testing.random_regular_model(53, kernel_rich=True),
-              (0.01, 0.352970730273065)),
-    "kr-dt-00": (lambda: testing.random_regular_model(0, kernel_rich=True, time_domain="discrete"),
-                 (0.015707963267948967,)),
-    "kr-se-00": (lambda: testing.random_regular_model(0, kernel_rich=True, singular_E=True),
-                 (0.01,)),
-    "d12-01": (lambda: testing.random_regular_model(1, dims=D12),
-               (0.01, 1.1226677735108135, 2.354286414322418)),
-    "d12-dt-02": (lambda: testing.random_regular_model(2, dims=D12, time_domain="discrete"),
-                  (0.015707963267948967, 0.3298672286269283, 0.6754424205218056)),
-    "d12-se-00": (lambda: testing.random_regular_model(0, dims=D12, singular_E=True),
-                  (0.01, 1.0718913192051276, 2.1461411978584035)),
-}
 
 
 def three_point_sweep(name):
