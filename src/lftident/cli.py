@@ -14,6 +14,7 @@ identifiability), 4 internal numerical inconsistency.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -94,19 +95,6 @@ def _jsonable(obj):
     return obj
 
 
-def _verdict_payload(v: identifiability.IdentifiabilityVerdict) -> dict:
-    return {
-        "status": v.status,
-        "frequencies": list(v.frequencies),
-        "residual_nullspace_dim": v.residual_nullspace_dim,
-        "rank_trace": list(v.rank_trace),
-        "psi_fcr": v.psi_fcr,
-        "reason": v.reason,
-        "residual_direction": None if v.residual_direction is None else v.residual_direction.tolist(),
-        "shortcut_omega": v.shortcut_omega,
-    }
-
-
 def _load(args) -> model_mod.DescriptorModel:
     return model_mod.load_model(args.model)
 
@@ -130,10 +118,14 @@ def _freqs(args, m: model_mod.DescriptorModel) -> list[float]:
 def run_validate(args) -> tuple:
     m = _load(args)
     rng = np.random.default_rng(args.seed)
+    dom = m.theta_domain
     thetas = [np.zeros(m.dims.q)]
     for _ in range(5):
         u = rng.standard_normal(m.dims.q)
-        u *= 0.7 * np.sqrt(m.theta_domain.radius) / max(np.linalg.norm(u), 1e-12)
+        if dom.norm == "box":  # max |theta_k| = 0.7 r
+            u *= 0.7 * dom.radius / max(np.abs(u).max(), 1e-12)
+        else:
+            u *= 0.7 * np.sqrt(dom.radius) / max(np.linalg.norm(u), 1e-12)
         thetas.append(u)
     report = model_mod.validate_assumptions(m, thetas, seed=args.seed)
     psi_dec = identifiability.psi(m)
@@ -168,7 +160,7 @@ def run_ident(args) -> tuple:
     w = _freqs(args, m)
     verdict = identifiability.upsilon_test(m, t0, w, fnrr_seed=args.seed)
     payload = {
-        "verdict": _verdict_payload(verdict),
+        "verdict": dataclasses.asdict(verdict),
         "sufficient_count": identifiability.sufficient_count(m),
     }
     # A shortcut verdict's one step is its shortcut frequency, not the first listed.
@@ -193,7 +185,7 @@ def run_find_freqs(args) -> tuple:
             "rank_trace": list(plan.rank_trace),
             "refine_hint": None if plan.refine_hint is None else list(plan.refine_hint),
         },
-        "verdict": None if plan.verdict is None else _verdict_payload(plan.verdict),
+        "verdict": None if plan.verdict is None else dataclasses.asdict(plan.verdict),
         "grid": {
             "points_used": int(grid.points.size),
             "points_guarded_out": grid.n_guarded,
@@ -252,7 +244,7 @@ def run_oracle(args) -> tuple:
             "singular_values": est.decision.singular_values.tolist(),
         },
         "local_identifiability": bool(local),
-        "verdict": _verdict_payload(verdict),
+        "verdict": dataclasses.asdict(verdict),
     }
     agreement = None
     if local and verdict.status == identifiability.IDENTIFIABLE:

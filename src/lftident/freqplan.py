@@ -144,8 +144,9 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     for i in np.flatnonzero(sweep.shortcut).tolist():
         verdict = ident._decide(model, sweep, [i], psi_dec)
         if verdict.status == ident.IDENTIFIABLE:
-            return FrequencyPlan(status=CERTIFIED, selected=verdict.frequencies, rank_trace=(0,),
-                                 verdict=verdict)
+            picks.append(i)
+            trace.append(0)
+            return plan(CERTIFIED, verdict)
         if verdict.status == ident.NOT_IDENTIFIABLE:
             raise ConstructionError(
                 f"shortcut frequency omega={sweep.g.omegas[i]} certified the opposite verdict"

@@ -19,10 +19,12 @@ the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
 full SVD, which only U_Pi2 needs, runs where U_Pi2 is read, one stack per
 kernel group: over the whole group for the greedy rows of the frequency
 search, and over a verdict's points in its one :meth:`GridSweep.u_pi2` read.
-So a shortcut verdict factors no Pi.  The verdict and its sensitivity gate
-read a GridSweep by point index; a listed frequency set travels between
-layers as one GridSweep, checked or built by :func:`listed_sweep`.  All rank
-decisions go through :mod:`lftident.numkit`.
+So a shortcut verdict factors no Pi.  A listed frequency set travels between
+layers as one GridSweep, checked or built by :func:`listed_sweep`, and the
+verdict reads it by point index, in one ladder of checks: the shortcut, the
+anchor's side condition, the chain, the direct stack and the sensitivity
+gate.  The first check that fails names the context of a negative or
+inconclusive reason.  All rank decisions go through :mod:`lftident.numkit`.
 """
 
 from __future__ import annotations
@@ -434,89 +436,61 @@ def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
     the FNRR hypothesis already verified."""
     w = [sweep.g.omegas[i] for i in points]
     m_z = model.dims.m_z
-    q = model.dims.q
+
+    def verdict(status: str, trace, reason: str, dim: int = 0, **extras):
+        return IdentifiabilityVerdict(status=status, frequencies=tuple(w),
+                                      residual_nullspace_dim=dim, rank_trace=tuple(trace),
+                                      psi_fcr=True, reason=reason, **extras)
 
     # Single-frequency certificate at the smallest qualifying omega.  The
     # sensitivity gate reads every listed frequency, so it runs at most once:
     # a shortcut it vetoes also vetoes the chain's positive verdict below.
     shortcut = min((w_i for w_i, i in zip(w, points) if sweep.shortcut[i]), default=None)
     if shortcut is not None and _sensitivity_margin_ok(model, sweep, points):
-        return IdentifiabilityVerdict(
-            status=IDENTIFIABLE,
-            frequencies=tuple(w),
-            residual_nullspace_dim=0,
-            rank_trace=(0,),
-            psi_fcr=True,
-            reason=f"Pi_bar_j is full column rank at omega={shortcut}",
-            shortcut_omega=shortcut,
-        )
+        return verdict(IDENTIFIABLE, (0,), f"Pi_bar_j is full column rank at omega={shortcut}",
+                       shortcut_omega=shortcut)
 
     # One SVD of the direct stack serves its rank check and its null basis.
     U = sweep.u_pi2(points)
     direct = numkit.svd_full(_direct_stack(psi_dec, U, m_z), DECISION_RTOL, 1.0)
 
-    def negative_or_inconclusive(trace: tuple[int, ...], context: str) -> IdentifiabilityVerdict:
-        delta, dim, worst = _residual_direction(direct.V2, psi_dec, U, model.dims)
-        if delta is not None and worst <= CERT_TOL:
-            return IdentifiabilityVerdict(
-                status=NOT_IDENTIFIABLE,
-                frequencies=tuple(w),
-                residual_nullspace_dim=dim,
-                rank_trace=trace,
-                psi_fcr=True,
-                reason=(
-                    f"{context}: {dim} parameter direction(s) leave every listed "
-                    f"frequency response unchanged (certificate residual {worst:.1e})"
-                ),
-                residual_direction=delta,
-            )
-        return IdentifiabilityVerdict(
-            status=INCONCLUSIVE,
-            frequencies=tuple(w),
-            residual_nullspace_dim=0 if delta is None else dim,
-            rank_trace=trace,
-            psi_fcr=True,
-            reason=(
-                f"{context}: rank decision is thinner than the {DECISION_RTOL:.0e} "
-                "margin and no exact-match direction certifies the negative "
-                f"(best certificate residual {worst:.1e})"
-            ),
-        )
-
-    if not sweep.side[points[0]]:
-        return negative_or_inconclusive((), f"anchor side condition failed at omega={w[0]}")
-
-    Z = np.eye(q)
+    side = sweep.side[points[0]]
     trace: list[int] = []
-    for n, U_n in enumerate(U):
-        W = sweep.xi(points[0]) if n == 0 else _u2_stack(U_n)
-        block = upsilon_rows(W[None], psi_dec, m_z)[0]
-        Z = Z @ chain_null_basis(block @ Z)
-        trace.append(Z.shape[1])
-        if Z.shape[1] == 0:
-            break
+    if side:
+        Z = np.eye(model.dims.q)
+        for n, U_n in enumerate(U):
+            W = sweep.xi(points[0]) if n == 0 else _u2_stack(U_n)
+            block = upsilon_rows(W[None], psi_dec, m_z)[0]
+            Z = Z @ chain_null_basis(block @ Z)
+            trace.append(Z.shape[1])
+            if Z.shape[1] == 0:
+                break
 
-    if Z.shape[1] == 0:
-        # Confirm on the explicitly stacked matrix, then pass the sensitivity
-        # gate before claiming identifiability.
-        if direct.V2.shape[1] == 0:
-            if shortcut is None and _sensitivity_margin_ok(model, sweep, points):
-                return IdentifiabilityVerdict(
-                    status=IDENTIFIABLE,
-                    frequencies=tuple(w),
-                    residual_nullspace_dim=0,
-                    rank_trace=tuple(trace),
-                    psi_fcr=True,
-                    reason=f"stacked test reached full column rank after {len(trace)} frequencies",
-                )
-            return negative_or_inconclusive(
-                tuple(trace), "response-sensitivity margin too thin"
-            )
-        return negative_or_inconclusive(
-            tuple(trace), "recursive chain and direct stack disagree"
-        )
+    # A chain that reaches Z = 0 is confirmed on the explicitly stacked
+    # matrix, then must pass the sensitivity gate before claiming identifiability.
+    if not side:
+        context = f"anchor side condition failed at omega={w[0]}"
+    elif trace[-1]:
+        context = "stacked test stalled"
+    elif direct.V2.shape[1]:
+        context = "recursive chain and direct stack disagree"
+    elif shortcut is not None or not _sensitivity_margin_ok(model, sweep, points):
+        context = "response-sensitivity margin too thin"
+    else:
+        return verdict(IDENTIFIABLE, trace,
+                       f"stacked test reached full column rank after {len(trace)} frequencies")
 
-    return negative_or_inconclusive(tuple(trace), "stacked test stalled")
+    delta, dim, worst = _residual_direction(direct.V2, psi_dec, U, model.dims)
+    if delta is not None and worst <= CERT_TOL:
+        return verdict(NOT_IDENTIFIABLE, trace,
+                       f"{context}: {dim} parameter direction(s) leave every listed frequency "
+                       f"response unchanged (certificate residual {worst:.1e})",
+                       dim, residual_direction=delta)
+    return verdict(INCONCLUSIVE, trace,
+                   f"{context}: rank decision is thinner than the {DECISION_RTOL:.0e} margin and "
+                   "no exact-match direction certifies the negative (best certificate residual "
+                   f"{worst:.1e})",
+                   dim)
 
 
 def sufficient_count(model: DescriptorModel) -> int:

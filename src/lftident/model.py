@@ -167,13 +167,10 @@ class DescriptorModel:
             raise InvalidInput("theta contains non-finite entries")
         return t
 
-    def assembled(self, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """System matrices A(theta), B(theta), C(theta), D(theta)."""
-        return self._guarded_assembly(theta)[1:]
-
     def _guarded_assembly(self, theta):
         """``(sig, A, B, C, D)``: the loop guard's singular values of
-        I - P(theta) D_zv, then :meth:`assembled`."""
+        I - P(theta) D_zv, then the system matrices A(theta), B(theta),
+        C(theta) and D(theta)."""
         P = self.p_of(theta)
         loop = np.eye(self.dims.m_v) - P @ self.D_zv
         (sig,), bad = numkit.loop_guard(

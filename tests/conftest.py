@@ -209,10 +209,16 @@ def per_theta_h_lft(model, theta, g):
     return g.G_yu[0] + g.G_yv[0] @ np.linalg.solve(loop, P @ g.G_zu[0])
 
 
+def assembled(model, theta):
+    """The state-space matrices A(theta), B(theta), C(theta), D(theta), behind
+    the model's loop guard."""
+    return model._guarded_assembly(theta)[1:]
+
+
 def h_statespace(model, theta, omega):
     """Reference H at ``omega`` from the assembled state-space matrices
     A(theta)..D(theta), with a plain solve of the pencil (no pole guard)."""
-    A, B, C, D = model.assembled(model.check_theta(theta))
+    A, B, C, D = assembled(model, model.check_theta(theta))
     lam = response.lambda_at(model.time_domain, omega)
     return D + C @ np.linalg.solve(lam * model.E - A, B)
 
@@ -233,7 +239,7 @@ def regularity_identity_check(model, theta, lambda_probes):
     t = model.check_theta(theta)
     P = model.p_of(t)
     d = model.dims
-    A_t, _, _, _ = model.assembled(t)
+    A_t, _, _, _ = assembled(model, t)
     E_big = np.block([
         [model.E, np.zeros((d.m_x, d.m_z))],
         [np.zeros((d.m_z, d.m_x)), np.zeros((d.m_z, d.m_z))],

@@ -77,6 +77,20 @@ def test_validate(siso1_path, capsys):
     assert doc["timing"]["wall_seconds"] is None
 
 
+def test_validate_samples_inside_a_box(tmp_path, capsys):
+    # I - theta D_zv is singular at theta = 0.35, outside the box |theta| < 0.25,
+    # so every loop inside it is well posed and validate must pass.
+    m = dataclasses.replace(testing.siso1(), D_zv=np.array([[1 / 0.35]]),
+                            theta_domain=model_mod.ParameterDomain(radius=0.25, norm="box"))
+    p = tmp_path / "box.json"
+    model_mod.save_model(m, p)
+    code, out, err = run(["validate", "--model", str(p)], capsys)
+    assert code == cli.EXIT_OK, err
+    samples = np.array(parse(out)["result"]["assumptions"]["theta_samples"])
+    assert np.abs(samples).max() == pytest.approx(0.7 * 0.25)
+    assert all(m.theta_domain.contains(t) for t in samples)
+
+
 def test_ident_identifiable(siso1_path, capsys):
     code, out, _ = run(
         ["ident", "--model", str(siso1_path), "--theta0", "0", "--freqs", "1"], capsys

@@ -638,6 +638,67 @@ LISTED = {
     "theta_free": lambda: (testing.theta_free(), np.zeros(1), [0.5, 1.5]),
 }
 
+def siso1_listed():
+    # Both points qualify for the shortcut; the smaller one is named.
+    return testing.siso1(), np.zeros(1), [0.5, 1.0]
+
+# One case per exit of _decide: the listed set, what is forced, and the
+# verdict's status, rank_trace, residual_nullspace_dim, shortcut_omega and
+# the start of its reason.  Forcings: "veto" makes the gate fail, "side"
+# fails every side condition, "chain" makes the first chain step absorb
+# everything, and "cert" lets no certificate residual pass.
+NEGATIVE = ": 1 parameter direction(s) leave every listed frequency response unchanged"
+THIN = ": rank decision is thinner than the 1e-06 margin"
+DECIDE_EXITS = {
+    "shortcut": (siso1_listed, (), ident.IDENTIFIABLE, (0,), 0, 0.5,
+                 "Pi_bar_j is full column rank at omega=0.5"),
+    "chain": (d12_01_listed, (), ident.IDENTIFIABLE, (6, 2, 0), 0, None,
+              "stacked test reached full column rank after 3 frequencies"),
+    "side-negative": (LISTED["theta_free"], ("side",), ident.NOT_IDENTIFIABLE, (), 1, None,
+                      "anchor side condition failed at omega=0.5" + NEGATIVE),
+    "side-inconclusive": (d12_01_listed, ("side",), ident.INCONCLUSIVE, (), 0, None,
+                          "anchor side condition failed at omega=0.01" + THIN),
+    "stalled-negative": (LISTED["theta_free"], (), ident.NOT_IDENTIFIABLE, (1, 1), 1, None,
+                         "stacked test stalled" + NEGATIVE),
+    "stalled-inconclusive": (LISTED["theta_free"], ("cert",), ident.INCONCLUSIVE, (1, 1), 1, None,
+                             "stacked test stalled" + THIN),
+    "disagree-negative": (LISTED["theta_free"], ("chain",), ident.NOT_IDENTIFIABLE, (0,), 1, None,
+                          "recursive chain and direct stack disagree" + NEGATIVE),
+    "disagree-inconclusive": (LISTED["theta_free"], ("chain", "cert"), ident.INCONCLUSIVE, (0,),
+                              1, None, "recursive chain and direct stack disagree" + THIN),
+    "gate-after-shortcut": (siso1_listed, ("veto",), ident.INCONCLUSIVE, (0,), 0, None,
+                            "response-sensitivity margin too thin" + THIN),
+    "gate-after-chain": (d12_01_listed, ("veto",), ident.INCONCLUSIVE, (6, 2, 0), 0, None,
+                         "response-sensitivity margin too thin" + THIN),
+}
+
+
+@pytest.mark.parametrize("case", list(DECIDE_EXITS))
+def test_decide_exits(monkeypatch, case):
+    listed, forced, status, trace, dim, shortcut, reason = DECIDE_EXITS[case]
+    m, t0, w = listed()
+    gate, calls = ident._sensitivity_margin_ok, []
+
+    def spy(*args):
+        calls.append(args)
+        return False if "veto" in forced else gate(*args)
+
+    monkeypatch.setattr(ident, "_sensitivity_margin_ok", spy)
+    if "chain" in forced:
+        monkeypatch.setattr(ident, "chain_null_basis", lambda B: np.zeros((B.shape[1], 0)))
+    if "cert" in forced:
+        monkeypatch.setattr(ident, "CERT_TOL", -1.0)
+    sweep = ident.listed_sweep(m, m.check_theta(t0), w)
+    if "side" in forced:
+        sweep.side[:] = False
+    v = ident.upsilon_test(m, t0, w, sweep=sweep)
+    assert (v.status, v.rank_trace, v.residual_nullspace_dim, v.shortcut_omega) == (
+        status, trace, dim, shortcut)
+    assert v.reason.startswith(reason), v.reason
+    assert v.frequencies == tuple(w) and v.psi_fcr
+    assert (v.residual_direction is not None) == (status == ident.NOT_IDENTIFIABLE)
+    assert len(calls) <= 1
+
 
 class TestStatelessRead:
     """One GridSweep gives the verdict of a fresh sweep, bit for bit, whatever

@@ -14,7 +14,7 @@ from lftident.errors import (
 )
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import interior_theta, model_pool
+from conftest import assembled, interior_theta, model_pool
 
 
 def test_load_siso1(siso1_path):
@@ -151,7 +151,7 @@ def test_assembled_matches_formula(siso1):
         theta = interior_theta(m, 3)
         P = m.p_of(theta)
         loop_inv = np.linalg.inv(np.eye(m.dims.m_v) - P @ m.D_zv)
-        A, B, C, D = m.assembled(theta)
+        A, B, C, D = assembled(m, theta)
         assert np.allclose(A, m.A_xx + m.B_xv @ loop_inv @ P @ m.C_zx, atol=1e-12)
         assert np.allclose(B, m.B_xu + m.B_xv @ loop_inv @ P @ m.D_zu, atol=1e-12)
         assert np.allclose(C, m.C_yx + m.D_yv @ loop_inv @ P @ m.C_zx, atol=1e-12)
@@ -163,7 +163,7 @@ def test_assembled_rejects_a_near_singular_loop(siso1):
     # solving through it would return A ~ 1e14 instead of a guard failure.
     m = dataclasses.replace(siso1, D_zv=np.array([[1.0]]))
     with pytest.raises(WellPosednessViolation, match="sigma_min=9.99"):
-        m.assembled([1.0 - 1e-14])
+        assembled(m, [1.0 - 1e-14])
 
 
 class TestValidateAssumptions:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "report_digests.py"
 
 
 def load_script():
@@ -88,3 +89,14 @@ def test_one_cpu_search_wide_reports_are_byte_identical():
                           preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == SEARCH_WIDE_DIGEST
+
+
+# The scripts that README "Scripts" lists beside report_digests.py, with a small argument list.
+@pytest.mark.parametrize("argv", [["demo_siso1.py"], ["ellipsoid_convergence.py"],
+                                  ["sweep_random_models.py", "3"]], ids=lambda a: a[0])
+def test_readme_script_runs(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
