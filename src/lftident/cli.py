@@ -178,14 +178,12 @@ def run_find_freqs(args) -> tuple:
         m, n_points=args.grid_points, w_min=args.grid_min, w_max=args.grid_max
     )
     plan = freqplan.search_frequencies(m, t0, grid, refine=args.refine, fnrr_seed=args.seed)
+    # The plan's fields, but its verdict, which the report carries at the top.
+    fields = dataclasses.asdict(plan)
+    verdict = fields.pop("verdict")
     payload = {
-        "plan": {
-            "status": plan.status,
-            "selected": list(plan.selected),
-            "rank_trace": list(plan.rank_trace),
-            "refine_hint": None if plan.refine_hint is None else list(plan.refine_hint),
-        },
-        "verdict": None if plan.verdict is None else dataclasses.asdict(plan.verdict),
+        "plan": fields,
+        "verdict": verdict,
         "grid": {
             "points_used": int(grid.points.size),
             "points_guarded_out": grid.n_guarded,

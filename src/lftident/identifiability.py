@@ -24,7 +24,10 @@ layers as one GridSweep, checked or built by :func:`listed_sweep`, and the
 verdict reads it by point index, in one ladder of checks: the shortcut, the
 anchor's side condition, the chain, the direct stack and the sensitivity
 gate.  The first check that fails names the context of a negative or
-inconclusive reason.  All rank decisions go through :mod:`lftident.numkit`.
+inconclusive reason.  Every rank decision but one goes through
+:mod:`lftident.numkit`: the sensitivity gate (``_sensitivity_margin_ok``)
+takes its own values-only SVD of the gate's J and compares sigma_min with
+SENSITIVITY_RTOL * max(1, sigma_max), a margin and not a rank cut.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ stacked response map, direct singular-value arithmetic, random falsification
 probes and empirical boundary sampling.  None of it uses the Pi factors, the
 stacked rank test or the sloppiness eigenpencil it checks.  It shares the
 evaluation of H (``response.g_sweep``, and ``response.h_sweep`` over a stack
-of thetas at one of its points, of which ``h_lft`` is the one-theta case),
-numkit's default rank decision on the Jacobian, Psi's SVD factors
+of thetas at every point of a sweep, of which ``h_lft`` is the one-theta
+case), numkit's default rank decision on the Jacobian, Psi's SVD factors
 (``identifiability.psi``) and, for the empirical boundary, the S matrices and
 ellipsoid that ``sloppiness`` builds from one ``identifiability.GridSweep`` of
 the blocks the check evaluated.
@@ -16,10 +16,11 @@ it on its :class:`JacobianEstimate`, and the probe reads it there.  The
 estimate also keeps the one rank decision on its Jacobian, which the report's
 singular values, :func:`local_identifiability` and :func:`jacobian_sloppiness`
 read.  The perturbed thetas of one finite-difference step go through one
-``h_sweep`` per frequency; the probe's candidates and the boundary samples do
-so one chunk at a time, drawn in order, so their memory stays bounded and the
-probe stops at the first chunk with a match.  Every result equals one
-``h_lft`` call per theta, bit for bit.
+``h_sweep`` of the whole sweep.  The probe's candidates and the boundary
+directions are drawn in bulk a chunk at a time, so their memory stays bounded
+and the probe stops at the first chunk with a match.  A chunk's draws are the
+next numbers of its streams, so the chunk size never changes a candidate, and
+every result equals one ``h_lft`` call per theta, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,37 +52,17 @@ def response_stack(model: DescriptorModel, thetas, blocks) -> np.ndarray:
     """Real stacked response map of each row of ``thetas``: one row per theta
     holding, per point of the transfer-block sweep ``blocks``, Re vec H then Im vec H.
 
-    One :func:`response.h_sweep` per frequency.  Raises the loop guard's
-    WellPosednessViolation of the first theta, then the first frequency, whose
-    loop fails.
+    One :func:`response.h_sweep`.  Raises the loop guard's
+    WellPosednessViolation of the first theta whose loop fails, at its first
+    failing point.
     """
-    rows = []
-    for H in _h_sweeps(model, thetas, blocks):
-        # vec of each H: its transpose's rows, read in C order.
-        n, r, c = H.shape
-        cols = H.transpose(0, 2, 1).reshape(n, r * c)
-        rows.extend((cols.real, cols.imag))
-    return np.concatenate(rows, axis=1)
-
-
-def _h_sweeps(model: DescriptorModel, thetas, blocks) -> list[np.ndarray]:
-    """:func:`response.h_sweep` of ``thetas`` at each of ``blocks``: the H stack per
-    frequency.  Raises the loop guard's WellPosednessViolation of the first
-    theta, then the first frequency, whose loop fails."""
-    sweeps = [response.h_sweep(model, thetas, g) for g in blocks]
-    failed = [(i, j) for j, (_, violations) in enumerate(sweeps) for i in violations]
-    if failed:
-        i, j = min(failed)
-        raise sweeps[j][1][i]
-    return [H for H, _ in sweeps]
-
-
-def _drawn_in_chunks(model: DescriptorModel, n: int, draw):
-    """``n`` calls of ``draw()``, in order, in lists of as many thetas as one
-    :func:`response.h_sweep` stack of ``model`` takes: a draw that stops early
-    has drawn at most one chunk more."""
-    for part in numkit._chunks(n, response._theta_bytes(model)):
-        yield [draw() for _ in range(part.start, part.stop)]
+    H, violations = response.h_sweep(model, thetas, blocks)
+    if violations:
+        raise violations[min(violations)]
+    # vec of each H: its transpose's rows, read in C order.
+    n, k, r, c = H.shape
+    cols = H.transpose(0, 1, 3, 2).reshape(n, k, r * c)
+    return np.stack([cols.real, cols.imag], axis=2).reshape(n, 2 * k * r * c)
 
 
 @dataclass(frozen=True)
@@ -175,15 +156,19 @@ def jacobian_sloppiness(est: JacobianEstimate) -> np.ndarray:
     return np.sort(1.0 / (sigma * sigma))[::-1]
 
 
-def _domain_sample(rng, model: DescriptorModel) -> np.ndarray:
-    q = model.dims.q
-    u = rng.standard_normal(q)
-    u /= max(np.linalg.norm(u), 1e-300)
-    if model.theta_domain.norm == "ball":
-        r = np.sqrt(model.theta_domain.radius) * rng.random() ** (1.0 / q)
+def _domain_draws(model: DescriptorModel, dirs, radii, n: int) -> np.ndarray:
+    """``n`` thetas (an n x q stack) drawn from the parameter domain: a direction
+    from the generator ``dirs`` and a radius from ``radii`` each.  Each theta
+    takes the same numbers from each generator whatever ``n`` is, so the
+    draws of consecutive calls concatenate to the draws of one call."""
+    q, dom = model.dims.q, model.theta_domain
+    u = dirs.standard_normal((n, q))
+    u /= np.maximum(np.linalg.norm(u, axis=1), 1e-300)[:, None]
+    if dom.norm == "ball":
+        r = np.sqrt(dom.radius) * radii.random(n) ** (1.0 / q)
     else:
-        r = model.theta_domain.radius * rng.random()
-    return r * u
+        r = dom.radius * radii.random(n)
+    return r[:, None] * u
 
 
 def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
@@ -201,8 +186,7 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     if trials < 0:
         raise InvalidInput(f"trials must be a non-negative integer, got {trials}")
     t0 = est.theta0
-    base = [response.h_lft(model, t0, g) for g in est.blocks]
-    rng = np.random.default_rng(seed)
+    base = response.h_lft(model, t0, est.blocks)
 
     directions = []
     ker_psi = identifiability.psi(model).V2
@@ -213,11 +197,15 @@ def random_equivalence_probe(model: DescriptorModel, est: JacobianEstimate,
     directions.extend(Vh[np.count_nonzero(sig > cut):])
 
     line = [t0 + t * d for d in directions for t in (0.3, 0.1, 0.01, -0.3, -0.1, -0.01)]
-    line = [c for c in line if model.theta_domain.contains(c)]
-    for part in itertools.chain(_drawn_in_chunks(model, len(line), iter(line).__next__),
-                                _drawn_in_chunks(model, trials,
-                                                 lambda: _domain_sample(rng, model))):
-        hit = _first_match(model, np.array(part), t0, est.blocks, base)
+    line = np.array([c for c in line if model.theta_domain.contains(c)]).reshape(-1, model.dims.q)
+    # Two streams, so that a chunk draws what its thetas draw in any chunking.
+    dirs, radii = np.random.default_rng(seed).spawn(2)
+    nbytes = response._theta_bytes(model, 1)
+    for cands in itertools.chain(
+            (line[part] for part in numkit._chunks(len(line), nbytes)),
+            (_domain_draws(model, dirs, radii, part.stop - part.start)
+             for part in numkit._chunks(trials, nbytes))):
+        hit = _first_match(model, cands, t0, est.blocks, base)
         if hit is not None:
             return hit
     return None
@@ -236,7 +224,7 @@ def _first_match(model: DescriptorModel, cands: np.ndarray, t0, blocks, base):
         H, violations = response.h_sweep(model, cands[idx], g)
         passed = np.delete(idx, list(violations))
         alive[idx] = False
-        alive[passed] = ~_norms_above(H - H0, RESPONSE_MATCH_TOL)
+        alive[passed] = ~_norms_above(H[:, 0] - H0, RESPONSE_MATCH_TOL)
     hits = np.flatnonzero(alive)
     return cands[hits[0]] if hits.size else None
 
@@ -288,21 +276,18 @@ def ellipsoid_empirical_check(
     blocks = response.g_sweep(model, w).raise_guarded()
     S = sloppiness.s_matrices(model, t0, w, sweep=identifiability.GridSweep(model, t0, blocks))
     ell = sloppiness.frobenius_ellipsoid(S, eps)
-    base = [response.h_lft(model, t0, g) for g in blocks]
+    base = response.h_lft(model, t0, blocks)
     rng = np.random.default_rng(seed)
-
-    def boundary_theta():
-        u = rng.standard_normal(S.n_s)
-        return ell.theta_of(ell.boundary_point(u)) if float(u @ S.M @ u) > 0.0 else None
-
     ratios = []
-    for drawn in _drawn_in_chunks(model, samples, boundary_theta):
-        thetas = np.array([t for t in drawn if t is not None]).reshape(-1, model.dims.q)
-        sweeps = _h_sweeps(model, thetas, blocks)
-        for i in range(len(thetas)):
-            energy = 0.0
-            for H, H0 in zip(sweeps, base):
-                energy += float(np.linalg.norm(H[i] - H0) ** 2)
+    for part in numkit._chunks(samples, response._theta_bytes(model, len(blocks))):
+        U = rng.standard_normal((part.stop - part.start, S.n_s))
+        thetas = np.array([ell.theta_of(ell.boundary_point(u)) for u in U
+                           if float(u @ S.M @ u) > 0.0]).reshape(-1, model.dims.q)
+        H, violations = response.h_sweep(model, thetas, blocks)
+        if violations:
+            raise violations[min(violations)]
+        for Hi in H:
+            energy = sum(float(np.linalg.norm(Hij - H0) ** 2) for Hij, H0 in zip(Hi, base))
             ratios.append(energy / eps ** 2)
     if not ratios:
         raise InvalidInput("no boundary sample carried deviation energy")

@@ -13,9 +13,10 @@ thread builds its own buffers, and the kept points and the guard's
 complaints are assembled in chunk order.  numpy's stacked ``svd`` and
 ``solve`` run the same LAPACK routine on each pencil, so a sweep and one
 call per frequency give bitwise equal blocks, whatever the chunk size and
-whichever thread solves a chunk.  :func:`h_sweep` evaluates H at one point
-of a sweep for a stack of thetas in the same way (one loop guard and one
-solve per chunk of thetas); :func:`h_lft` is its one-theta case.
+whichever thread solves a chunk.  :func:`h_sweep` evaluates H at every
+point of a sweep for a stack of thetas in the same way: one loop guard and
+one solve per chunk of thetas, over all their points, with chunk bytes that
+scale with the sweep's length.  :func:`h_lft` is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
@@ -23,7 +24,8 @@ skips the exact SVD only for a pencil whose sigma_min has a certified lower
 bound of at least twice the largest floor the pencil could have.  An anchor
 pencil, solved against [B | I], takes the bound from its inverse.  Weyl's
 inequality carries that bound to the anchor's neighbours, and a neighbour it
-certifies is solved against B alone (see :func:`g_sweep`).  So the guarded
+certifies is solved against B alone (see :func:`g_sweep`).  An inverse whose
+squared norm underflows (at a huge |lambda|) gives no bound.  So the guarded
 frequencies and their messages are those of an SVD of every pencil.
 """
 
@@ -78,7 +80,6 @@ class GSweep:
     take such a point and read ``g.G_yu[0]``."""
 
     omegas: tuple[float, ...]
-    lams: tuple[complex, ...]
     G: np.ndarray
     m_y: int
     m_u: int
@@ -94,7 +95,7 @@ class GSweep:
 
     def __getitem__(self, i: int) -> GSweep:
         i = range(len(self))[i]  # its IndexError also ends iteration
-        return GSweep(self.omegas[i:i + 1], self.lams[i:i + 1], self.G[i:i + 1], self.m_y, self.m_u)
+        return GSweep(self.omegas[i:i + 1], self.G[i:i + 1], self.m_y, self.m_u)
 
     def raise_guarded(self) -> GSweep:
         """This sweep; raises the guard's first complaint if it dropped a frequency."""
@@ -153,9 +154,12 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
         solved[at] = True
         if rhs.shape[1] > m_b:
             # Two einsums over views: no temporary the size of the slice.
-            bound[at] = 1.0 / np.sqrt(
-                np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
-                + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
+            sq = (np.einsum("kij,kij->k", Y.real[..., m_b:], Y.real[..., m_b:])
+                  + np.einsum("kij,kij->k", Y.imag[..., m_b:], Y.imag[..., m_b:]))
+            # An underflowed squared norm (a huge |lam|) bounds nothing: the
+            # bound 1/inf = 0 leaves the pencil to the exact SVD.
+            sq[sq < np.finfo(float).tiny] = np.inf
+            bound[at] = 1.0 / np.sqrt(sq)
         # Freed here, before the next slice's solve: the order of the frees
         # decides whether malloc hands the memory back to the system.
         del Y
@@ -279,8 +283,7 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     kept_at = [i for at, _ in parts for i in at]
     if len(kept_at) < len(lams):
         G = G[kept_at]
-    return GSweep(omegas=tuple(float(omegas[i]) for i in kept_at),
-                  lams=tuple(lams[i] for i in kept_at), G=G,
+    return GSweep(omegas=tuple(float(omegas[i]) for i in kept_at), G=G,
                   m_y=model.dims.m_y, m_u=model.dims.m_u,
                   guarded=tuple(e for _, guarded in parts for e in guarded))
 
@@ -290,53 +293,57 @@ def g_blocks(model: DescriptorModel, omega: float) -> GSweep:
     return g_sweep(model, [omega]).raise_guarded()
 
 
-def _theta_bytes(model: DescriptorModel) -> int:
-    """Bytes that :func:`h_sweep` stacks per theta: P(theta), the loop matrix
-    and the solution against P(theta) G_zu."""
+def _theta_bytes(model: DescriptorModel, k: int) -> int:
+    """Bytes that :func:`h_sweep` stacks per theta of a ``k``-point sweep: P(theta),
+    and per point the loop matrix and the solution against P(theta) G_zu."""
     d = model.dims
-    return 8 * d.m_v * d.m_z + 16 * d.m_v * (d.m_v + d.m_u)
+    return 8 * d.m_v * d.m_z + 16 * k * d.m_v * (d.m_v + d.m_u)
 
 
 def h_sweep(model: DescriptorModel, thetas, g: GSweep):
-    """H at the one-point sweep ``g`` for each row of ``thetas`` (an n x q stack), in chunks.
+    """H at every point of the sweep ``g`` for each row of ``thetas`` (an n x q stack), in chunks.
 
     P(theta) accumulates theta_k P_k in the order of ``model.p_of``, and the loop
     guard and the solve run once per chunk, so each H is bitwise equal to an
-    evaluation of its theta alone.  Returns the H of the thetas whose loop
-    passes the guard, stacked in order, and, by index, the
-    WellPosednessViolation that :func:`h_lft` raises for each of the others.
+    evaluation of its theta at its point alone.  Returns the ``(n_kept, len(g),
+    m_y, m_u)`` stack of H of the thetas whose loop passes the guard at every
+    point, in order, and, by index, the WellPosednessViolation of the first
+    failing point of each of the others, which :func:`h_lft` raises.
     """
     T = np.asarray(thetas, dtype=float)
-    q, m_v = model.dims.q, model.dims.m_v
-    if T.ndim != 2 or T.shape[1] != q:
-        raise InvalidInput(f"thetas must be an n x q={q} stack, got shape {T.shape}")
+    d, k = model.dims, len(g)
+    if T.ndim != 2 or T.shape[1] != d.q:
+        raise InvalidInput(f"thetas must be an n x q={d.q} stack, got shape {T.shape}")
     if not np.all(np.isfinite(T)):
         raise InvalidInput("thetas contain non-finite entries")
-    Hs = [np.empty((0, model.dims.m_y, model.dims.m_u), complex)]
+    Hs = [np.empty((0, k, d.m_y, d.m_u), complex)]
     violations = {}
-    for chunk in numkit._chunks(len(T), _theta_bytes(model)):
+    for chunk in numkit._chunks(len(T), _theta_bytes(model, k)):
         start, part = chunk.start, T[chunk]
-        P = np.zeros((len(part), m_v, model.dims.m_z))
-        for k, Pk in enumerate(model.P):
-            P += part[:, k, None, None] * Pk
-        loops = np.eye(m_v) - P @ g.G_zv[0]
+        P = np.zeros((len(part), 1, d.m_v, d.m_z))
+        for j, Pj in enumerate(model.P):
+            P += part[:, j, None, None, None] * Pj
+        loops = np.eye(d.m_v) - P @ g.G_zv
         _, bad = numkit.loop_guard(
-            loops,
-            lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[0]}, "
-                      f"theta={part[i].tolist()}",
+            loops.reshape(-1, d.m_v, d.m_v),
+            lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[i % k]}, "
+                      f"theta={part[i // k].tolist()}",
         )
         if bad:
+            first = {}
+            for i, exc in bad.items():  # in index order: a theta's first failing point wins
+                first.setdefault(i // k, exc)
             ok = np.ones(len(part), dtype=bool)
-            ok[list(bad)] = False
+            ok[list(first)] = False
             loops, P = loops[ok], P[ok]
-            violations.update((start + i, exc) for i, exc in bad.items())
-        Hs.append(g.G_yu[0] + g.G_yv[0] @ np.linalg.solve(loops, P @ g.G_zu[0]))
+            violations.update((start + i, exc) for i, exc in first.items())
+        Hs.append(g.G_yu + g.G_yv @ np.linalg.solve(loops, P @ g.G_zu))
     return np.concatenate(Hs), violations
 
 
 def h_lft(model: DescriptorModel, theta, g: GSweep) -> np.ndarray:
-    """H at the one-point sweep ``g`` via the interconnection route of its
-    transfer blocks (see g_blocks): the one-theta case of :func:`h_sweep`."""
+    """H at every point of the sweep ``g``, a ``(len(g), m_y, m_u)`` stack, via the
+    interconnection route of its transfer blocks: the one-theta case of :func:`h_sweep`."""
     t = model.check_theta(theta)
     H, violations = h_sweep(model, t[None], g)
     if violations:

@@ -560,7 +560,7 @@ def _scaled(factor):
 
 MUTATIONS = {"zeroed": _zeroed, "rounded": _rounded, "rank-one B_xv": _rank_one_bxv,
              "x1e8": _scaled(1e8), "x1e-8": _scaled(1e-8)}
-FUZZ_FREQS = {"continuous": (0.0, 1e-9, 1.0, 1e6),
+FUZZ_FREQS = {"continuous": (0.0, 1e-9, 1.0, 1e6, 1e200),
               "discrete": (np.pi, -np.pi + 1e-12, 0.0, 1.0)}
 
 

@@ -54,7 +54,7 @@ class TestDefaultGrid:
 
     def test_empty_grid_raises(self):
         guarded = tuple(PoleProximity(f"omega={w}: near a pole") for w in range(5))
-        sweep = response.GSweep(omegas=(), lams=(), G=np.zeros((0, 2, 2), complex),
+        sweep = response.GSweep(omegas=(), G=np.zeros((0, 2, 2), complex),
                                 m_y=1, m_u=1, guarded=guarded)
         with pytest.raises(EmptyGrid):
             freqplan.FrequencyGrid(sweep=sweep, time_domain="continuous")
@@ -408,7 +408,7 @@ def budget_run(model, theta0, n_points):
     U_Pi2, and the search's plan (or its error)."""
     grid = freqplan.default_grid(model, n_points=n_points)
     s = grid.sweep
-    out = [s.omegas, s.lams, s.G.tobytes(), [str(e) for e in s.guarded]]
+    out = [s.omegas, s.G.tobytes(), [str(e) for e in s.guarded]]
     sweep = ident.GridSweep(model, theta0, s)
     out += [sweep.shortcut.tolist(), sweep.side.tolist()]
     for p in point_views(sweep):

@@ -7,7 +7,7 @@ from lftident import numkit, oracle, response, sloppiness, testing
 from lftident.errors import InvalidInput, LftIdentError, WellPosednessViolation
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import CHUNK, full_rank_above, model_pool, per_theta_h_lft, stacks_of
+from conftest import CHUNK, D12, full_rank_above, model_pool, per_theta_h_lft, stacks_of
 
 
 # Per-theta references: the loops the stacked oracle replaced.
@@ -48,12 +48,27 @@ def per_theta_fd_jacobian(model, theta0, freqs, h):
     return J_half, float(np.linalg.norm(J - J_half)) / scale
 
 
-def per_theta_probe(model, est, trials, seed):
-    """The first matching candidate, tested one theta and one frequency at a time."""
+def per_theta_sample(model, dirs, radii):
+    """One domain sample, drawn alone: a direction from ``dirs`` and a radius
+    from ``radii``, with the array arithmetic of the probe's stacked draw."""
+    q, dom = model.dims.q, model.theta_domain
+    u = dirs.standard_normal((1, q))
+    u /= np.maximum(np.linalg.norm(u, axis=1), 1e-300)[:, None]
+    if dom.norm == "ball":
+        r = np.sqrt(dom.radius) * radii.random(1) ** (1.0 / q)
+    else:
+        r = dom.radius * radii.random(1)
+    return r[0] * u[0]
+
+
+def per_theta_probe(model, est, trials, seed, sample=per_theta_sample):
+    """The first matching candidate, tested one theta and one frequency at a
+    time; each domain sample is drawn alone by ``sample``, from two streams
+    spawned from ``seed`` (directions, then radii)."""
     t0 = est.theta0
     blocks = [response.g_blocks(model, w) for w in est.freqs]
     base = [per_theta_h_lft(model, t0, g) for g in blocks]
-    rng = np.random.default_rng(seed)
+    dirs, radii = np.random.default_rng(seed).spawn(2)
 
     def matches(theta):
         if np.linalg.norm(theta - t0) <= 1e-9:
@@ -76,7 +91,7 @@ def per_theta_probe(model, est, trials, seed):
             if model.theta_domain.contains(cand) and matches(cand):
                 return cand
     for _ in range(trials):
-        cand = oracle._domain_sample(rng, model)
+        cand = sample(model, dirs, radii)
         if matches(cand):
             return cand
     return None
@@ -103,11 +118,23 @@ def two_loop_model(radius: float) -> DescriptorModel:
 
 class TestResponseStack:
     def test_ordering(self, siso1):
-        blocks = [response.g_blocks(siso1, w) for w in (0.0, 1.0)]
+        blocks = response.g_sweep(siso1, [0.0, 1.0])
         r = oracle.response_stack(siso1, [[0.0]], blocks)
         # One row per theta: [Re H(0); Im H(0); Re H(j); Im H(j)] for H = 1/(jw + 1)
         assert r.shape == (1, 4)
         assert np.allclose(r[0], [1.0, 0.0, 0.5, -0.5])
+
+    def test_raises_the_first_failing_theta_at_its_first_failing_point(self):
+        # theta = (1, 1) fails at both points, theta = (0, 1) at omega = 1 only.
+        m = two_loop_model(3.0)
+        blocks = response.g_sweep(m, [1.0, 0.0])
+        thetas = [[0.5, 0.5], [1.0, 1.0], [0.0, 1.0]]
+        _, violations = response.h_sweep(m, thetas, blocks)
+        assert sorted(violations) == [1, 2]
+        assert all("singular at omega=1.0," in str(v) for v in violations.values())
+        with pytest.raises(WellPosednessViolation, match=r"omega=1\.0, theta=\[1\.0, 1\.0\]"):
+            oracle.response_stack(m, thetas, blocks)
+        assert oracle.response_stack(m, np.zeros((0, 2)), blocks).shape == (0, 4)
 
 
 @pytest.mark.parametrize("freqs", [[], [1.0, 1.0]])
@@ -300,12 +327,14 @@ class TestEquivalenceProbe:
         est = dataclasses.replace(est, J=np.eye(2))
         samples = [[0.0, 1.0], [0.5, 0.2], [0.0, 0.5], [0.0, 0.4]]
         draws = iter(np.array(samples))
-        monkeypatch.setattr(oracle, "_domain_sample", lambda rng, model: next(draws))
+        monkeypatch.setattr(oracle, "_domain_draws",
+                            lambda model, dirs, radii, n: np.array([next(draws) for _ in range(n)]))
         got = oracle.random_equivalence_probe(m, est, trials=4)
         draws = iter(np.array(samples))
         with pytest.raises(WellPosednessViolation):
             per_theta_h_lft(m, samples[0], est.blocks[1])
-        assert np.array_equal(got, per_theta_probe(m, est, 4, 0))
+        ref = per_theta_probe(m, est, 4, 0, sample=lambda model, dirs, radii: next(draws))
+        assert np.array_equal(got, ref)
         assert got.tolist() == [0.0, 0.5]
         # A chunk whose every candidate fails the guard is a chunk without a match.
         draws = iter(np.array(samples[:1]))
@@ -317,11 +346,12 @@ class TestEquivalenceProbe:
         est = dataclasses.replace(oracle.fd_jacobian(m, [0.0, 0.0], [0.0, 1.0]), J=np.eye(2))
         drawn = []
 
-        def draw(rng, model):
-            drawn.append([0.0, 0.5] if len(drawn) == 2 else [0.5, 0.2])
-            return np.array(drawn[-1])
+        def draw(model, dirs, radii, n):
+            rows = [[0.0, 0.5] if len(drawn) + i == 2 else [0.5, 0.2] for i in range(n)]
+            drawn.extend(rows)
+            return np.array(rows)
 
-        monkeypatch.setattr(oracle, "_domain_sample", draw)
+        monkeypatch.setattr(oracle, "_domain_draws", draw)
         stacks_of(monkeypatch)
         got = oracle.random_equivalence_probe(m, est, trials=10 * CHUNK)
         assert got.tolist() == [0.0, 0.5]
@@ -332,6 +362,42 @@ class TestEquivalenceProbe:
         est = oracle.fd_jacobian(dup2, [0.0, 0.0], [1.0, 2.0])
         assert oracle.random_equivalence_probe(dup2, est, trials=1000) is not None
         assert drawn == []
+
+    @pytest.mark.parametrize("budget", [1, 2000])
+    def test_draws_do_not_depend_on_the_stack_budget(self, budget, monkeypatch):
+        # With numkit's budget at 1 byte each chunk holds one candidate; at
+        # 2000 bytes a few.  The candidates tested and the result are those
+        # of the default budget (on their common prefix when a match stops
+        # the probe early).  two_loop_model draws from a box domain.
+        def run(m, est):
+            seen = []
+            first_match = oracle._first_match
+
+            def spy(model, cands, *rest):
+                seen.append(cands.copy())
+                return first_match(model, cands, *rest)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_first_match", spy)
+                hit = oracle.random_equivalence_probe(m, est, trials=70, seed=11)
+            return hit, np.concatenate(seen)
+
+        models = [testing.siso1(), testing.theta_free(), testing.random_model(4),
+                  testing.random_model(6, time_domain="discrete", duplicate_P=True),
+                  two_loop_model(0.5)]
+        for m in models:
+            est = oracle.fd_jacobian(m, np.zeros(m.dims.q), [0.4, 1.3])
+            hit, cands = run(m, est)
+            monkeypatch.setattr(numkit, "_STACK_BYTES", budget)
+            small_hit, small_cands = run(m, est)
+            monkeypatch.undo()
+            assert (hit is None) == (small_hit is None)
+            if hit is not None:
+                assert np.array_equal(hit, small_hit)
+            n = min(len(cands), len(small_cands))
+            assert n > 0 and np.array_equal(cands[:n], small_cands[:n])
+            if hit is None:
+                assert len(cands) == len(small_cands)
 
     def test_programming_error_propagates(self, siso1, monkeypatch):
         # Only lftident errors read as "no match"; a bug must not pass for
@@ -403,6 +469,20 @@ class TestEllipsoidEmpirical:
         r = np.asarray(ratios)
         assert stats == oracle.RatioStats(eps=eps, samples=len(ratios), min_ratio=float(r.min()),
                                           mean_ratio=float(r.mean()), max_ratio=float(r.max()))
+
+    @pytest.mark.parametrize("budget", [1, 2000])
+    def test_stats_do_not_depend_on_the_stack_budget(self, budget, monkeypatch):
+        # The boundary directions of a chunk are the next rows of one normal
+        # stream, so the statistics are those of the default budget.
+        cases = [(testing.siso1(), [0.0, 1.0]), (testing.random_regular_model(1, dims=D12),
+                                                 [0.01, 1.1226677735108135, 2.354286414322418])]
+        for m, freqs in cases:
+            t0 = np.zeros(m.dims.q)
+            ref = oracle.ellipsoid_empirical_check(m, t0, freqs, eps=1e-3, samples=45, seed=6)
+            with monkeypatch.context() as mp:
+                mp.setattr(numkit, "_STACK_BYTES", budget)
+                got = oracle.ellipsoid_empirical_check(m, t0, freqs, eps=1e-3, samples=45, seed=6)
+            assert got == ref
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, siso1, samples):

@@ -13,8 +13,8 @@ from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity, WellPosednessViolation
 from lftident.model import DescriptorModel, Dims, ParameterDomain, save_model
 
-from conftest import (CHUNK, h_statespace, interior_theta, model_pool, per_theta_h_lft,
-                      regularity_identity_check, stacks_of, with_pole)
+from conftest import (CHUNK, REPORTS_FIXTURES, h_statespace, interior_theta, model_pool,
+                      per_theta_h_lft, regularity_identity_check, stacks_of, with_pole)
 
 
 def closed_form_siso1(theta, omega):
@@ -68,7 +68,7 @@ class TestHRoutes:
     )
     def test_siso1_closed_form(self, siso1, theta, omega, expected):
         h = response.h_lft(siso1, [theta], response.g_blocks(siso1, omega))
-        assert abs(h[0, 0] - expected) < 1e-12
+        assert abs(h[0, 0, 0] - expected) < 1e-12
         hs = h_statespace(siso1, [theta], omega)
         assert abs(hs[0, 0] - expected) < 1e-12
 
@@ -99,17 +99,19 @@ class TestHRoutes:
 
 
 class TestHSweep:
-    """A stacked h_sweep equals one per-theta evaluation (``per_theta_h_lft``)
-    bit for bit, with the same loop-guard complaints."""
+    """A stacked h_sweep equals one evaluation per theta and point
+    (``per_theta_h_lft``) bit for bit, with the loop-guard complaint of each
+    failing theta's first failing point."""
 
     @staticmethod
     def assert_matches_per_theta(model, thetas, g) -> list[bool]:
         H, violations = response.h_sweep(model, thetas, g)
+        assert H.shape[1:] == (len(g), model.dims.m_y, model.dims.m_u)
         kept = iter(H)
         mask = []
         for i, theta in enumerate(thetas):
             try:
-                ref = per_theta_h_lft(model, theta, g)
+                ref = np.array([per_theta_h_lft(model, theta, point) for point in g])
             except WellPosednessViolation as exc:
                 mask.append(False)
                 assert str(violations[i]) == str(exc)
@@ -160,6 +162,22 @@ class TestHSweep:
         assert self.assert_matches_per_theta(m, thetas, g) == [True] * 2 + [False] + [True] * 3
         g1 = response.g_blocks(m, 0.7)
         assert all(self.assert_matches_per_theta(m, np.array(thetas)[[0, 1, 3, 4, 5]], g1))
+        # Over three points the singular loop fails at the second one only.
+        g3 = response.g_sweep(m, [0.7, 0.0, 1.3]).raise_guarded()
+        assert self.assert_matches_per_theta(m, thetas, g3) == [True] * 2 + [False] + [True] * 3
+        assert "omega=0.0," in str(response.h_sweep(m, thetas, g3)[1][2])
+
+    @pytest.mark.parametrize("name", REPORTS_FIXTURES)
+    def test_reports_fixtures_over_their_frequencies(self, name, monkeypatch):
+        # The benchmark's reports shapes over their stored frequency sets, in
+        # one chunk and in chunks of three thetas.
+        build, freqs = REPORTS_FIXTURES[name]
+        m = build()
+        g = response.g_sweep(m, freqs).raise_guarded()
+        thetas = [np.zeros(m.dims.q)] + [interior_theta(m, s) for s in range(6)]
+        assert all(self.assert_matches_per_theta(m, thetas, g))
+        stacks_of(monkeypatch, 3)
+        assert all(self.assert_matches_per_theta(m, thetas, g))
 
     def test_singular_loops_across_chunks(self, monkeypatch):
         # Two chunks and a bit; the singular thetas sit in the second chunk
@@ -175,8 +193,9 @@ class TestHSweep:
         assert [i for i, passed in enumerate(mask) if not passed] == singular
 
     def test_empty_stack(self, siso1):
-        H, violations = response.h_sweep(siso1, np.zeros((0, 1)), response.g_blocks(siso1, 1.0))
-        assert H.shape == (0, 1, 1) and violations == {}
+        for freqs in ([1.0], [0.5, 1.0, 2.0]):
+            H, violations = response.h_sweep(siso1, np.zeros((0, 1)), response.g_sweep(siso1, freqs))
+            assert H.shape == (0, len(freqs), 1, 1) and violations == {}
 
     @pytest.mark.parametrize("thetas", [[0.1], [[0.1, 0.2]], [[np.nan]]])
     def test_bad_stack(self, siso1, thetas):
@@ -424,7 +443,7 @@ class TestSweep:
                 assert str(next(guarded)) == str(exc)
                 continue
             s = next(kept)
-            assert (s.omegas, s.lams) == (g.omegas, g.lams)
+            assert s.omegas == g.omegas
             G = reference_g(model, w)
             for name, ref in (("G_yu", G[:model.dims.m_y, :model.dims.m_u]),
                               ("G_yv", G[:model.dims.m_y, model.dims.m_u:]),
@@ -516,8 +535,8 @@ class TestSweep:
         C = np.vstack([m.C_yx, m.C_zx])
         D = np.block([[m.D_yu, m.D_yv], [m.D_zu, m.D_zv]])
         sweep = freqplan.default_grid(m, n_points=40).sweep
-        for lam, G in zip(sweep.lams, sweep.G, strict=True):
-            pencil = lam * m.E - m.A_xx
+        for w, G in zip(sweep.omegas, sweep.G, strict=True):
+            pencil = response.lambda_at(m.time_domain, w) * m.E - m.A_xx
             X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(pencil), B)
             bound = 1e-13 * np.linalg.cond(pencil) * np.linalg.norm(C) * np.linalg.norm(X)
             assert np.linalg.norm(G - (D + C @ X)) <= bound
@@ -607,6 +626,16 @@ class TestSweep:
         assert len(sweep) == len(omegas) - 1
         self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
+
+    @pytest.mark.parametrize("model", [testing.siso1, lambda: testing.random_regular_model(
+        1, dims=FIXTURE_DIMS["d12"])], ids=["siso1", "d12"])
+    def test_huge_omega_is_decided_by_the_exact_svd(self, model):
+        # At |lam| ~ 1e200 the squared norm of the pencil's inverse underflows
+        # to 0.  Its bound must not become inf (a divide by zero, and inf - inf
+        # in the Weyl reach of a 12-state chunk): the exact SVD decides these
+        # pencils, and the kept set and G are those of an SVD of every pencil.
+        omegas = [0.5, 1e200, 2e200, *np.linspace(1.0, 3.0, 9).tolist(), 5e200]
+        self.assert_matches_svd_everything(model(), omegas)
 
     def test_cover_needs_twice_the_floor(self, monkeypatch):
         # For 1/s the anchor bound and Weyl's bound are exact: at omega, the
@@ -777,7 +806,7 @@ class TestTwoThreads:
                 assert threading.active_count() == before
             assert len(started) == cpus - 1
         one, two = sweeps[1], sweeps[2]
-        assert one.omegas == two.omegas and one.lams == two.lams
+        assert one.omegas == two.omegas
         assert one.G.shape == two.G.shape and one.G.tobytes() == two.G.tobytes()
         assert [str(e) for e in one.guarded] == [str(e) for e in two.guarded]
 
