@@ -5,14 +5,25 @@ rank of its Xi block, keep a right-null basis Z of everything absorbed so
 far, then greedily add the frequency whose U_Pi2 block removes the most of
 Z, until Z is empty (certified) or no grid point makes progress.
 
-The grid is scored from one :class:`identifiability.GridSweep`: its shortcut
-flags, side array and Xi stacks cover every grid point, and the verdicts on
-the flagged shortcut candidates and on the picks read it by point index.  Pi
-is factored where U_Pi2 is read, one stack per kernel group: over every group
-when the anchor leaves Z non-empty and the greedy rows are built, and over a
-verdict's own points, so the final verdict re-factors its picks.  The anchor
-step scores the smallest side-passing point alone first, and all candidates
-only when that point does not reach the largest score (q, q).
+Before any grid-wide work, an anchor probe tries the grid's smallest point
+alone.  When m_v > 2 m_y, Pi_bar_j has 2 (m_v - rank G_yv) > m_v columns at
+every point, so no point is a shortcut.  When also q <= 2 m_y m_z, the most
+rows an anchor's Xi block can have, a one-point
+:class:`identifiability.GridSweep` of the smallest point is built.  If that
+point passes the side condition, its Xi block scores (q, q) and its chain
+leaves Z empty, it is the anchor the full search would pick, and the plan is
+its verdict on the one-point sweep.  The whole grid's loop guard
+(:func:`identifiability.guarded_loops`) still runs first, so a singular loop
+anywhere on the grid raises as before.  Otherwise the search reads one
+GridSweep of the whole grid.  Its shortcut flags, side array and Xi stacks
+cover every grid point, and the verdicts on the flagged shortcut candidates
+and on the picks read it by point index.  Pi is factored where U_Pi2 is
+read, one stack per kernel group: over every group when the anchor leaves Z
+non-empty and the greedy rows are built, and over a verdict's own points, so
+the final verdict re-factors its picks.  The anchor step scores the smallest
+side-passing point alone first, and all candidates only when that point does
+not reach the largest score (q, q).  Either way one re-verification
+(``_decide``) turns the picks into the plan's verdict and status.
 
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
@@ -126,17 +137,63 @@ def default_grid(
 
 def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                  psi_dec) -> FrequencyPlan:
-    """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR."""
+    """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR.
+
+    The anchor probe, or else the selection over the whole grid's GridSweep,
+    chooses the sweep and the picks; a chain that reaches Z = 0 either way
+    ends in the one re-verification below."""
+    sweep = _probe(model, theta0, grid, psi_dec)
+    if sweep is not None:
+        picks, trace, status, verdict = [0], [0], None, None
+    else:
+        sweep = ident.GridSweep(model, theta0, grid.sweep)
+        picks, trace, status, verdict = _select(model, sweep, psi_dec)
+    if status is None:
+        verdict = ident._decide(model, sweep, picks, psi_dec)
+        if verdict.status == ident.NOT_IDENTIFIABLE:
+            raise ConstructionError(
+                f"certified selection {list(verdict.frequencies)} failed re-verification: "
+                f"{verdict.reason}"
+            )
+        # Margins too thin to certify (INCONCLUSIVE) are treated like a stall, so
+        # that refinement can try better-conditioned frequencies.
+        status = CERTIFIED if verdict.status == ident.IDENTIFIABLE else NO_PROGRESS_ON_GRID
+    return FrequencyPlan(status=status, selected=tuple(sweep.g.omegas[i] for i in picks),
+                         rank_trace=tuple(trace), verdict=verdict,
+                         refine_hint=_hint(grid) if status == NO_PROGRESS_ON_GRID else None)
+
+
+def _probe(model: DescriptorModel, theta0, grid: FrequencyGrid,
+           psi_dec) -> ident.GridSweep | None:
+    """The one-point GridSweep of the grid's smallest point when that point
+    settles the selection alone, else None.
+
+    With m_v > 2 m_y, every Pi_bar_j has 2 (m_v - rank G_yv) > m_v columns,
+    so no grid point is a shortcut and S0 is empty.  The smallest point, when
+    it passes the side condition, is then scored first, and at (q, q) it is
+    the anchor; when its chain null basis is also empty, no other point is
+    read.  A side-passing Xi has at most 2 m_y rows, so its row block has at
+    most 2 m_y m_z, and with fewer than q no point reaches (q, q).  The whole
+    grid's loop guard runs before the sweep is returned."""
+    d = model.dims
+    if d.m_v <= 2 * d.m_y or 2 * d.m_y * d.m_z < d.q:
+        return None
+    probe = ident.GridSweep(model, theta0, grid.sweep[0])
+    found = _first_anchor(_passing(probe), psi_dec, d.m_z)
+    if found is None or found[0] != (d.q, d.q) or ident.chain_null_basis(found[2]).shape[1]:
+        return None
+    ident.guarded_loops(model, probe.theta0, grid.sweep)
+    return probe
+
+
+def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
+    """S0-S5 over every point of ``sweep``: ``(picks, rank trace, status,
+    verdict)``, where the status is None when the chain reached Z = 0 and the
+    picks still need their re-verification."""
     m_z = model.dims.m_z
     q = model.dims.q
-    sweep = ident.GridSweep(model, theta0, grid.sweep)
     picks: list[int] = []  # grid indices
     trace: list[int] = []
-
-    def plan(status: str, verdict=None) -> FrequencyPlan:
-        return FrequencyPlan(status=status, selected=tuple(sweep.g.omegas[i] for i in picks),
-                             rank_trace=tuple(trace), verdict=verdict,
-                             refine_hint=_hint(grid) if status == NO_PROGRESS_ON_GRID else None)
 
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
@@ -144,9 +201,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     for i in np.flatnonzero(sweep.shortcut).tolist():
         verdict = ident._decide(model, sweep, [i], psi_dec)
         if verdict.status == ident.IDENTIFIABLE:
-            picks.append(i)
-            trace.append(0)
-            return plan(CERTIFIED, verdict)
+            return [i], [0], CERTIFIED, verdict
         if verdict.status == ident.NOT_IDENTIFIABLE:
             raise ConstructionError(
                 f"shortcut frequency omega={sweep.g.omegas[i]} certified the opposite verdict"
@@ -156,12 +211,10 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     # block, among those passing the side condition; the first maximum is
     # the smallest omega among ties.  The smallest passing point is scored
     # first, alone: at (q, q) no key beats it and it wins every tie.
-    side = sweep.side
-    passing = [(idx[side[idx]], xi[side[idx]]) for idx, xi in sweep.xis if side[idx].any()]
-    if not passing:
-        return plan(NO_PROGRESS_ON_GRID)
-    idx, xi = min(passing, key=lambda c: c[0][0])
-    found = _best([(idx[:1], ident.upsilon_rows(xi[:1], psi_dec, m_z))])
+    passing = _passing(sweep)
+    found = _first_anchor(passing, psi_dec, m_z)
+    if found is None:
+        return picks, trace, NO_PROGRESS_ON_GRID, None
     if found[0] != (q, q):
         found = _best((idx, ident.upsilon_rows(xi, psi_dec, m_z)) for idx, xi in passing)
     _, best, block = found
@@ -178,7 +231,7 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
     while Z.shape[1] > 0:
         found = _best((idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows)
         if found is None or found[0] == (0, 0):
-            return plan(NO_PROGRESS_ON_GRID)
+            return picks, trace, NO_PROGRESS_ON_GRID, None
         _, best, block = found
         picks.append(best)
         rest[best] = False
@@ -186,17 +239,23 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
         trace.append(Z.shape[1])
         if len(picks) > q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
+    return picks, trace, None, None
 
-    verdict = ident._decide(model, sweep, picks, psi_dec)
-    if verdict.status == ident.NOT_IDENTIFIABLE:
-        raise ConstructionError(
-            f"certified selection {list(verdict.frequencies)} failed re-verification: "
-            f"{verdict.reason}"
-        )
-    # Margins too thin to certify (INCONCLUSIVE) are treated like a stall, so
-    # that refinement can try better-conditioned frequencies.
-    return plan(CERTIFIED if verdict.status == ident.IDENTIFIABLE else NO_PROGRESS_ON_GRID,
-                verdict)
+
+def _passing(sweep: ident.GridSweep) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(grid indices, Xi stack)`` of the side-passing points of each Xi
+    group of ``sweep`` that has any."""
+    side = sweep.side
+    return [(idx[side[idx]], xi[side[idx]]) for idx, xi in sweep.xis if side[idx].any()]
+
+
+def _first_anchor(passing, psi_dec, m_z: int):
+    """:func:`_best` of the smallest point of ``passing`` alone; None when
+    nothing passes."""
+    if not passing:
+        return None
+    idx, xi = min(passing, key=lambda c: c[0][0])
+    return _best([(idx[:1], ident.upsilon_rows(xi[:1], psi_dec, m_z))])
 
 
 def _best(stacks):

@@ -13,8 +13,9 @@ condition is decided through a stacked rank test built from two objects:
   and the SVD complement ``U_Pi2`` furnish the row blocks of the stacked test
   matrix, which is verified recursively by chaining right-null bases.
 
-:class:`GridSweep` builds these factors for a :class:`response.GSweep`.  Per
-grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
+:class:`GridSweep` builds these factors for a :class:`response.GSweep`.  It
+first checks every point's loop I - P(theta0) G_zv with :func:`guarded_loops`.
+Per grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
 the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
 full SVD, which only U_Pi2 needs, runs where U_Pi2 is read, one stack per
 kernel group: over the whole group for the greedy rows of the frequency
@@ -51,6 +52,7 @@ __all__ = [
     "IdentifiabilityVerdict",
     "psi",
     "GridSweep",
+    "guarded_loops",
     "pi_at",
     "listed_sweep",
     "normal_row_rank",
@@ -158,12 +160,7 @@ class GridSweep:
         for _, K in kernels:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-        # A compact copy of G_zv: the product's bits depend on the operand's layout.
-        loops = np.eye(m_v) - model.p_of(t0) @ np.ascontiguousarray(g.G_zv)
-        _, bad = numkit.loop_guard(
-            loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}")
-        if bad:
-            raise bad[min(bad)]
+        loops = guarded_loops(model, t0, g)
         n = len(g)
         self.side = np.zeros(n, dtype=bool)
         self.shortcut = np.zeros(n, dtype=bool)
@@ -226,6 +223,18 @@ class GridSweep:
             rows += [(idx[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
                      for r, sel in _by_value(ranks)]
         return rows
+
+
+def guarded_loops(model: DescriptorModel, t0: np.ndarray, g: response.GSweep) -> np.ndarray:
+    """The loop matrices I - P(t0) G_zv of every point of ``g``, at the checked
+    ``t0``; raises the WellPosednessViolation of the first singular one."""
+    # A compact copy of G_zv: the product's bits depend on the operand's layout.
+    loops = np.eye(model.dims.m_v) - model.p_of(t0) @ np.ascontiguousarray(g.G_zv)
+    _, bad = numkit.loop_guard(
+        loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}")
+    if bad:
+        raise bad[min(bad)]
+    return loops
 
 
 def listed_sweep(model: DescriptorModel, t0: np.ndarray, w: list[float],

@@ -157,17 +157,20 @@ def jacobian_sloppiness(est: JacobianEstimate) -> np.ndarray:
 
 
 def _domain_draws(model: DescriptorModel, dirs, radii, n: int) -> np.ndarray:
-    """``n`` thetas (an n x q stack) drawn from the parameter domain: a direction
-    from the generator ``dirs`` and a radius from ``radii`` each.  Each theta
+    """``n`` thetas (an n x q stack) drawn uniformly from the parameter domain:
+    in a ball, a direction from the generator ``dirs`` and a radius from
+    ``radii`` each; in a box, q coordinates from ``dirs`` each.  Each theta
     takes the same numbers from each generator whatever ``n`` is, so the
     draws of consecutive calls concatenate to the draws of one call."""
     q, dom = model.dims.q, model.theta_domain
+    if dom.norm == "box":
+        # random() is k 2^-53 with k < 2^53, so 2 u - 1 + 2^-53 is exactly the
+        # midpoint of one of 2^53 equal cells of (-1, 1), at most 1 - 2^-53
+        # in size; times a normal radius it rounds to inside (-radius, radius).
+        return dom.radius * (2.0 * dirs.random((n, q)) - 1.0 + 2.0 ** -53)
     u = dirs.standard_normal((n, q))
     u /= np.maximum(np.linalg.norm(u, axis=1), 1e-300)[:, None]
-    if dom.norm == "ball":
-        r = np.sqrt(dom.radius) * radii.random(n) ** (1.0 / q)
-    else:
-        r = dom.radius * radii.random(n)
+    r = np.sqrt(dom.radius) * radii.random(n) ** (1.0 / q)
     return r[:, None] * u
 
 

@@ -73,6 +73,15 @@ REPORTS_FIXTURES = {
 }
 
 
+def with_blocks(sweep, changes):
+    """``sweep`` with, for each ``(i, name, block)`` of ``changes``, the block
+    ``name`` of point i replaced by ``block``, in a copy of its G."""
+    changed = dataclasses.replace(sweep, G=sweep.G.copy())
+    for i, name, block in changes:
+        getattr(changed, name)[i] = block
+    return changed
+
+
 def model_pool(n, start=0):
     """Deterministic mixed pool of regular well-posed models."""
     kinds = [

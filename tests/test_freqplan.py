@@ -1,4 +1,5 @@
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftident import freqplan, identifiability as ident, numkit, response, testing
-from lftident.errors import EmptyGrid, InvalidInput, LftIdentError, PoleProximity
+from lftident.errors import (EmptyGrid, InvalidInput, LftIdentError, PoleProximity,
+                             WellPosednessViolation)
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import point_views, row_block, stacks_of, with_pole
+from conftest import (interior_theta, point_views, row_block, stacks_of, with_blocks,
+                      with_pole)
 
 
 class TestDefaultGrid:
@@ -199,15 +202,18 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
     anchor = grid.points.tolist().index(
         freqplan.search_frequencies(m, t0, grid=grid).selected[0])
     init = ident.GridSweep.__init__
+    groups = [idx.tolist() for idx, _ in ident.GridSweep(m, t0, grid.sweep).xis]
+    assert len(groups) > 1
+    fail = {grid.sweep.omegas[i] for g in groups if failing == "whole-grid" or anchor in g
+            for i in g}
 
     def forced_init(self, *args):
         init(self, *args)
-        groups = [idx.tolist() for idx, _ in self.xis]
-        assert len(groups) > 1
-        fail = [i for g in groups if failing == "whole-grid" or anchor in g for i in g]
-        self.side[fail] = False
+        self.side[[w in fail for w in self.g.omegas]] = False
 
-    # Both the search and the reference's GridSweep see the forced failures.
+    # Every GridSweep sees the forced failures at the same frequencies: the
+    # search's anchor probe of the grid's smallest point, its whole-grid
+    # sweep and the reference's.
     monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
     plan = freqplan.search_frequencies(m, t0, grid=grid)
     reason = None if plan.verdict is None else plan.verdict.reason
@@ -394,6 +400,28 @@ def test_refine_peak_memory_stays_pinned():
     assert peak <= 1.02 * D60_02_REFINE_PEAK
 
 
+# The same reference for d40-01 of the search-wide workload, whose search
+# stalls on the whole grid's GridSweep and refines on another.  d60-02
+# settles both of its grids at their smallest point (a 2,749,751 B peak), so
+# the pin above does not reach a whole-grid GridSweep.
+D40_01_REFINE_PEAK = 3_130_764
+
+
+def test_whole_grid_refine_peak_memory_stays_pinned():
+    m = testing.random_regular_model(1, dims=Dims(40, 3, 1, 2, 6, 12))
+    t0 = np.zeros(m.dims.q)
+    plan = freqplan.search_frequencies(m, t0, refine=1)
+    assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint[2] == 4 * 800
+    assert freqplan._probe(m, m.check_theta(t0), freqplan.default_grid(m), ident.psi(m)) is None
+    tracemalloc.start()
+    try:
+        freqplan.search_frequencies(m, t0, refine=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * D40_01_REFINE_PEAK
+
+
 BUDGET_KINDS = {
     "kr": dict(kernel_rich=True),
     "d12": dict(dims=Dims(12, 2, 1, 2, 5, 10)),
@@ -446,3 +474,137 @@ def test_results_do_not_depend_on_the_stack_budget(seed, kind, pole, n_points):
             except LftIdentError as exc:
                 runs.append(f"{type(exc).__name__}: {exc}")
     assert runs[0] == runs[1] == runs[2]
+
+
+def plan_bits(plan):
+    """The plan without its verdict, the verdict without its residual
+    direction, and that direction's bytes."""
+    v = plan.verdict
+    d = None if v is None else v.residual_direction
+    return (dataclasses.replace(plan, verdict=None),
+            None if v is None else dataclasses.replace(v, residual_direction=None),
+            None if d is None else d.tobytes())
+
+
+def probe_and_full(monkeypatch, model, theta0, grid, refine):
+    """Whether the anchor probe settled each searched grid, in order, and the
+    plan bits of the search and of the search with the probe switched off."""
+    settled, probe = [], freqplan._probe
+    with monkeypatch.context() as mp:
+        mp.setattr(freqplan, "_probe",
+                   lambda *args: settled.append(probe(*args)) or settled[-1])
+        plan = freqplan.search_frequencies(model, theta0, grid=grid, refine=refine)
+        mp.setattr(freqplan, "_probe", lambda *args: None)
+        full = freqplan.search_frequencies(model, theta0, grid=grid, refine=refine)
+    return [s is not None for s in settled], plan_bits(plan), plan_bits(full)
+
+
+def side_failing_first_point(model, theta0, grid):
+    """``grid`` with its smallest point changed so that the point fails the
+    side condition: u = P(theta0) e_1 joins the kernel of G_yv, and
+    I - P(theta0) G_zv maps u to 1e-8 u, a loop that passes the guard
+    (sigma_min >= 1e-12) but leaves Pi thinner than the decision margin."""
+    g = grid.sweep
+    u = model.p_of(theta0)[:, 0]
+    G_zv = np.zeros_like(g.G_zv[0])
+    G_zv[0] = (1.0 - 1e-8) * u / (u @ u)
+    changed = with_blocks(g, [(0, "G_yv", g.G_yv[0] - np.outer(g.G_yv[0] @ u, u) / (u @ u)),
+                              (0, "G_zv", G_zv)])
+    return freqplan.FrequencyGrid(sweep=changed, time_domain=grid.time_domain)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(BUDGET_KINDS)),
+       interior=st.booleans(), refine=st.sampled_from([0, 1]), side_fail=st.booleans())
+@settings(max_examples=16, deadline=None, derandomize=True)
+def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, side_fail):
+    # The plan of a search whose smallest grid point may settle it alone
+    # equals, bit for bit, the plan of the same search over the whole grid's
+    # GridSweep: status, picks, rank trace, refine hint, and the verdict with
+    # its reason and residual direction.  ``side_fail`` (at an interior
+    # theta0) makes the smallest point fail the side condition.  The probe
+    # is skipped when q > 2 m_y m_z, which rests on every side-passing Xi
+    # having at most 2 m_y rows.
+    try:
+        m = testing.random_regular_model(seed % 1000, **BUDGET_KINDS[kind])
+    except RuntimeError:
+        return
+    t0 = interior_theta(m, seed) if interior else np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    if interior and side_fail:
+        grid = side_failing_first_point(m, t0, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        settled, plan, full = probe_and_full(mp, m, t0, grid, refine)
+    assert plan == full
+    if interior and side_fail:
+        assert settled[0] is False
+    sweep = ident.GridSweep(m, t0, grid.sweep)
+    assert all(sweep.xi(i).shape[0] <= 2 * m.dims.m_y for i in np.flatnonzero(sweep.side))
+
+
+@pytest.mark.parametrize("case,settled", [
+    ("kr-00", [True]),             # certified at the smallest point
+    ("kr-22", [False]),            # the smallest point scores below (q, q)
+    ("kr-00-side", [False]),       # the smallest point fails the side condition
+    ("d60-02", [True, True]),      # (q, q) at the smallest point; the gate vetoes
+], ids=str)
+@pytest.mark.parametrize("refine", [0, 1])
+def test_anchor_probe_cases_give_the_full_build_plan(monkeypatch, case, settled, refine):
+    if case.startswith("d60"):
+        m = testing.random_regular_model(2, dims=Dims(60, 4, 2, 4, 8, 16))
+    else:
+        m = testing.random_regular_model(int(case[3:5]), kernel_rich=True)
+    t0 = interior_theta(m, 0) if case.endswith("side") else np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    if case.endswith("side"):
+        grid = side_failing_first_point(m, t0, grid)
+        assert not ident.GridSweep(m, t0, grid.sweep[0]).side[0]
+    taken, plan, full = probe_and_full(monkeypatch, m, t0, grid, refine)
+    assert taken == settled[:1 + refine] and plan == full
+    if case == "d60-02":
+        # The probe's verdict is the gate's inconclusive one, on both grids.
+        assert plan[0].status == freqplan.NO_PROGRESS_ON_GRID and plan[0].rank_trace == (0,)
+        assert plan[1].status == ident.INCONCLUSIVE
+        assert "response-sensitivity margin too thin" in plan[1].reason
+
+
+def test_probe_path_runs_the_whole_grid_loop_guard(monkeypatch):
+    # kr-00 at an interior theta0 certifies at the grid's smallest point
+    # alone.  A loop made singular at a later point must still stop the
+    # search with the whole-grid sweep's complaint, before any verdict.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    t0 = interior_theta(m, 0)
+    grid = freqplan.default_grid(m)
+    assert freqplan._probe(m, m.check_theta(t0), grid, ident.psi(m)) is not None
+    u = m.p_of(t0)[:, 0]
+    bad = np.zeros_like(grid.sweep.G_zv[0])
+    bad[0] = u / (u @ u)  # P(theta0) G_zv u = u
+    at = [37, 150]
+    sweep = with_blocks(grid.sweep, [(i, "G_zv", bad) for i in at])
+    with pytest.raises(WellPosednessViolation) as whole:
+        ident.GridSweep(m, t0, sweep)
+    assert f"omega={sweep.omegas[at[0]]}" in str(whole.value)
+    decided = []
+    decide = ident._decide
+    monkeypatch.setattr(ident, "_decide", lambda *args: decided.append(args) or decide(*args))
+    with pytest.raises(WellPosednessViolation) as searched:
+        freqplan.search_frequencies(
+            m, t0, grid=freqplan.FrequencyGrid(sweep=sweep, time_domain=m.time_domain))
+    assert str(searched.value) == str(whole.value) and decided == []
+
+
+def test_search_settled_at_the_smallest_point_factors_one_point(monkeypatch):
+    # kr-00 certifies at its smallest grid point: every stacked SVD and
+    # every candidate scoring of the search holds one matrix, and the only
+    # multi-matrix stack is the whole grid's loop guard, run once.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    t0 = np.zeros(m.dims.q)
+    grid = freqplan.default_grid(m)
+    stacks, guards = [], []
+    svd_stack, scores, guard = numkit.svd_stack, ident.candidate_scores, numkit.loop_guard
+    monkeypatch.setattr(numkit, "svd_stack", lambda S, *a: stacks.append(len(S)) or svd_stack(S, *a))
+    monkeypatch.setattr(ident, "candidate_scores", lambda B: stacks.append(len(B)) or scores(B))
+    monkeypatch.setattr(numkit, "loop_guard", lambda M, *a: guards.append(len(M)) or guard(M, *a))
+    plan = freqplan.search_frequencies(m, t0, grid=grid)
+    assert plan.status == freqplan.CERTIFIED and plan.selected == (grid.points[0],)
+    assert stacks and set(stacks) == {1}
+    assert [n for n in guards if n > 1] == [grid.points.size]

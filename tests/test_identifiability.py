@@ -15,7 +15,7 @@ from lftident.model import DescriptorModel, Dims
 
 from conftest import (CHUNK, D12, REPORTS_FIXTURES, full_rank_above, guard_one, interior_theta,
                       model_pool, per_point_margin_ok, per_point_sensitivity_stack, point_views,
-                      row_block, stacks_of)
+                      row_block, stacks_of, with_blocks)
 
 
 def kernel_pool(n, start=0):
@@ -129,15 +129,6 @@ def reference_pi(model, theta0, g):
         shortcut=numkit.rank_of(Pi_bar_j, rtol=ident.ROBUST_RTOL,
                                 scale_floor=1.0).rank == Pi_bar_j.shape[1],
     )
-
-
-def with_blocks(sweep, changes):
-    """``sweep`` with, for each ``(i, name, block)`` of ``changes``, the block
-    ``name`` of point i replaced by ``block``, in a copy of its G."""
-    changed = dataclasses.replace(sweep, G=sweep.G.copy())
-    for i, name, block in changes:
-        getattr(changed, name)[i] = block
-    return changed
 
 
 def isolated_kernel_changes(monkeypatch, seed, kind):

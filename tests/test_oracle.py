@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,15 +50,15 @@ def per_theta_fd_jacobian(model, theta0, freqs, h):
 
 
 def per_theta_sample(model, dirs, radii):
-    """One domain sample, drawn alone: a direction from ``dirs`` and a radius
-    from ``radii``, with the array arithmetic of the probe's stacked draw."""
+    """One domain sample, drawn alone: in a ball, a direction from ``dirs``
+    and a radius from ``radii``; in a box, its coordinates from ``dirs``;
+    with the array arithmetic of the probe's stacked draw."""
     q, dom = model.dims.q, model.theta_domain
+    if dom.norm == "box":
+        return dom.radius * (2.0 * dirs.random((1, q)) - 1.0 + 2.0 ** -53)[0]
     u = dirs.standard_normal((1, q))
     u /= np.maximum(np.linalg.norm(u, axis=1), 1e-300)[:, None]
-    if dom.norm == "ball":
-        r = np.sqrt(dom.radius) * radii.random(1) ** (1.0 / q)
-    else:
-        r = dom.radius * radii.random(1)
+    r = np.sqrt(dom.radius) * radii.random(1) ** (1.0 / q)
     return r[0] * u[0]
 
 
@@ -398,6 +399,32 @@ class TestEquivalenceProbe:
             assert n > 0 and np.array_equal(cands[:n], small_cands[:n])
             if hit is None:
                 assert len(cands) == len(small_cands)
+
+    def test_box_draws_fill_the_open_box(self):
+        # A box sample is uniform in |theta_k| < r: every draw is inside the
+        # domain, and about 1 - pi/4 of them lie outside the inscribed ball
+        # (none did when a box sample was a radius times a unit direction).
+        # Consecutive calls concatenate to one call's draws.
+        m = two_loop_model(0.5)
+        r = m.theta_domain.radius
+        draws = oracle._domain_draws(m, *np.random.default_rng(3).spawn(2), 2000)
+        assert all(m.theta_domain.contains(t) for t in draws)
+        outside = np.linalg.norm(draws, axis=1) >= r
+        assert outside.any() and abs(outside.mean() - (1 - np.pi / 4)) < 0.05
+        dirs, radii = np.random.default_rng(3).spawn(2)
+        parts = [oracle._domain_draws(m, dirs, radii, n) for n in (700, 1, 1299)]
+        assert np.array_equal(np.concatenate(parts), draws)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 3.0, np.pi, 1e-300, 7e300])
+    def test_box_draws_stay_inside_at_the_extreme_numbers(self, radius):
+        # The smallest and largest numbers random() returns, 0 and 1 - 2^-53,
+        # give the extreme coordinates, which round to inside the open box.
+        m = dataclasses.replace(two_loop_model(0.5),
+                                theta_domain=ParameterDomain(radius=radius, norm="box"))
+        for u in (0.0, 1.0 - 2.0 ** -53):
+            dirs = SimpleNamespace(random=lambda shape: np.full(shape, u))
+            (t,) = oracle._domain_draws(m, dirs, None, 1)
+            assert m.theta_domain.contains(t) and abs(t[0]) == radius * (1.0 - 2.0 ** -53)
 
     def test_programming_error_propagates(self, siso1, monkeypatch):
         # Only lftident errors read as "no match"; a bug must not pass for
