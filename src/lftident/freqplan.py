@@ -5,25 +5,23 @@ rank of its Xi block, keep a right-null basis Z of everything absorbed so
 far, then greedily add the frequency whose U_Pi2 block removes the most of
 Z, until Z is empty (certified) or no grid point makes progress.
 
-Before any grid-wide work, an anchor probe tries the grid's smallest point
-alone.  When m_v > 2 m_y, Pi_bar_j has 2 (m_v - rank G_yv) > m_v columns at
-every point, so no point is a shortcut.  When also q <= 2 m_y m_z, the most
-rows an anchor's Xi block can have, a one-point
-:class:`identifiability.GridSweep` of the smallest point is built.  If that
-point passes the side condition, its Xi block scores (q, q) and its chain
-leaves Z empty, it is the anchor the full search would pick, and the plan is
-its verdict on the one-point sweep.  The whole grid's loop guard
-(:func:`identifiability.guarded_loops`) still runs first, so a singular loop
-anywhere on the grid raises as before.  Otherwise the search reads one
-GridSweep of the whole grid.  Its shortcut flags, side array and Xi stacks
-cover every grid point, and the verdicts on the flagged shortcut candidates
-and on the picks read it by point index.  Pi is factored where U_Pi2 is
-read, one stack per kernel group: over every group when the anchor leaves Z
-non-empty and the greedy rows are built, and over a verdict's own points, so
-the final verdict re-factors its picks.  The anchor step scores the smallest
-side-passing point alone first, and all candidates only when that point does
-not reach the largest score (q, q).  Either way one re-verification
-(``_decide``) turns the picks into the plan's verdict and status.
+The search reads one :class:`identifiability.GridSweep` of the grid, which
+runs the whole grid's loop guard when built and factors a point only when the
+search first reads it.  Each step reads the grid's parts in ascending order:
+the smallest point alone, then chunks of the rest (``GridSweep.parts``).  Ties
+go to the smallest index, so a running best over the parts is the best over
+the whole grid, and a step stops after the first part whose best score
+reaches the most any candidate can score:
+
+* S0, the one-frequency shortcut, runs only when m_v <= 2 m_y: Pi_bar_j has
+  2 (m_v - rank G_yv) columns and m_v rows, so otherwise no point is one;
+* S1, the anchor, stops at (b, b) with b = min(q, 2 m_y m_z): a side-passing
+  Xi has at most 2 m_y rows, and robust <= margin <= min(rows, cols);
+* each greedy step stops at (c, c) for Z's c columns, and reuses the U_Pi2
+  rows of the parts an earlier step built.
+
+One re-verification (``_decide``) turns the picks into the plan's verdict and
+status.
 
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
@@ -139,15 +137,9 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                  psi_dec) -> FrequencyPlan:
     """One S0-S5 pass over ``grid``; the caller has verified Psi and FNRR.
 
-    The anchor probe, or else the selection over the whole grid's GridSweep,
-    chooses the sweep and the picks; a chain that reaches Z = 0 either way
-    ends in the one re-verification below."""
-    sweep = _probe(model, theta0, grid, psi_dec)
-    if sweep is not None:
-        picks, trace, status, verdict = [0], [0], None, None
-    else:
-        sweep = ident.GridSweep(model, theta0, grid.sweep)
-        picks, trace, status, verdict = _select(model, sweep, psi_dec)
+    A chain that reaches Z = 0 ends in the one re-verification below."""
+    sweep = ident.GridSweep(model, theta0, grid.sweep)
+    picks, trace, status, verdict = _select(model, sweep, psi_dec)
     if status is None:
         verdict = ident._decide(model, sweep, picks, psi_dec)
         if verdict.status == ident.NOT_IDENTIFIABLE:
@@ -163,60 +155,35 @@ def _search_once(model: DescriptorModel, theta0, grid: FrequencyGrid,
                          refine_hint=_hint(grid) if status == NO_PROGRESS_ON_GRID else None)
 
 
-def _probe(model: DescriptorModel, theta0, grid: FrequencyGrid,
-           psi_dec) -> ident.GridSweep | None:
-    """The one-point GridSweep of the grid's smallest point when that point
-    settles the selection alone, else None.
-
-    With m_v > 2 m_y, every Pi_bar_j has 2 (m_v - rank G_yv) > m_v columns,
-    so no grid point is a shortcut and S0 is empty.  The smallest point, when
-    it passes the side condition, is then scored first, and at (q, q) it is
-    the anchor; when its chain null basis is also empty, no other point is
-    read.  A side-passing Xi has at most 2 m_y rows, so its row block has at
-    most 2 m_y m_z, and with fewer than q no point reaches (q, q).  The whole
-    grid's loop guard runs before the sweep is returned."""
-    d = model.dims
-    if d.m_v <= 2 * d.m_y or 2 * d.m_y * d.m_z < d.q:
-        return None
-    probe = ident.GridSweep(model, theta0, grid.sweep[0])
-    found = _first_anchor(_passing(probe), psi_dec, d.m_z)
-    if found is None or found[0] != (d.q, d.q) or ident.chain_null_basis(found[2]).shape[1]:
-        return None
-    ident.guarded_loops(model, probe.theta0, grid.sweep)
-    return probe
-
-
 def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
-    """S0-S5 over every point of ``sweep``: ``(picks, rank trace, status,
-    verdict)``, where the status is None when the chain reached Z = 0 and the
-    picks still need their re-verification."""
-    m_z = model.dims.m_z
-    q = model.dims.q
+    """S0-S5 over the points of ``sweep``, read part by part in grid order:
+    ``(picks, rank trace, status, verdict)``, where the status is None when
+    the chain reached Z = 0 and the picks still need their re-verification."""
+    d = model.dims
+    parts = sweep.parts()
     picks: list[int] = []  # grid indices
     trace: list[int] = []
 
     # S0: a frequency whose Pi_bar_j is FCR certifies on its own.  Candidates
     # vetoed by the sensitivity gate are skipped, not fatal: another grid
     # point may carry a healthier margin.
-    for i in np.flatnonzero(sweep.shortcut).tolist():
-        verdict = ident._decide(model, sweep, [i], psi_dec)
-        if verdict.status == ident.IDENTIFIABLE:
-            return [i], [0], CERTIFIED, verdict
-        if verdict.status == ident.NOT_IDENTIFIABLE:
-            raise ConstructionError(
-                f"shortcut frequency omega={sweep.g.omegas[i]} certified the opposite verdict"
-            )
+    for part in (parts if d.m_v <= 2 * d.m_y else []):
+        for i in part[sweep.flags(part)[0]].tolist():
+            verdict = ident._decide(model, sweep, [i], psi_dec)
+            if verdict.status == ident.IDENTIFIABLE:
+                return [i], [0], CERTIFIED, verdict
+            if verdict.status == ident.NOT_IDENTIFIABLE:
+                raise ConstructionError(
+                    f"shortcut frequency omega={sweep.g.omegas[i]} certified the opposite verdict"
+                )
 
     # S1: anchor frequency maximizing the (robust, margin) rank of its Xi
-    # block, among those passing the side condition; the first maximum is
-    # the smallest omega among ties.  The smallest passing point is scored
-    # first, alone: at (q, q) no key beats it and it wins every tie.
-    passing = _passing(sweep)
-    found = _first_anchor(passing, psi_dec, m_z)
+    # block, among those passing the side condition.
+    top = min(d.q, 2 * d.m_y * d.m_z)
+    found = _best(([(idx, ident.upsilon_rows(xi, psi_dec, d.m_z)) for idx, xi in sweep.xis(part)]
+                   for part in parts), (top, top))
     if found is None:
         return picks, trace, NO_PROGRESS_ON_GRID, None
-    if found[0] != (q, q):
-        found = _best((idx, ident.upsilon_rows(xi, psi_dec, m_z)) for idx, xi in passing)
     _, best, block = found
     picks.append(best)
     rest = np.ones(len(sweep.g), dtype=bool)
@@ -224,12 +191,18 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
     Z = ident.chain_null_basis(block)
     trace.append(Z.shape[1])
 
-    # S3-S5: greedy absorption with strictly shrinking Z.  Each candidate's
-    # rows are built once, as stacks, if the anchor leaves Z non-empty; a
-    # step only multiplies each stack by the current Z.
-    rows = sweep.greedy_rows(psi_dec, m_z) if Z.shape[1] else []
+    # S3-S5: greedy absorption with strictly shrinking Z.  Each part's rows
+    # are built once, as stacks, when a step first reads the part; a step
+    # only multiplies each stack by the current Z.
+    rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
+
+    def step(part: int):
+        if part == len(rows):
+            rows.append(sweep.greedy_rows(parts[part], psi_dec, d.m_z))
+        return [(idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows[part]]
+
     while Z.shape[1] > 0:
-        found = _best((idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows)
+        found = _best(map(step, range(len(parts))), (Z.shape[1], Z.shape[1]))
         if found is None or found[0] == (0, 0):
             return picks, trace, NO_PROGRESS_ON_GRID, None
         _, best, block = found
@@ -237,39 +210,29 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
         rest[best] = False
         Z = Z @ ident.chain_null_basis(block)
         trace.append(Z.shape[1])
-        if len(picks) > q + 1:
+        if len(picks) > d.q + 1:
             raise ConstructionError("selection exceeded the parameter dimension bound")
     return picks, trace, None, None
 
 
-def _passing(sweep: ident.GridSweep) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(grid indices, Xi stack)`` of the side-passing points of each Xi
-    group of ``sweep`` that has any."""
-    side = sweep.side
-    return [(idx[side[idx]], xi[side[idx]]) for idx, xi in sweep.xis if side[idx].any()]
-
-
-def _first_anchor(passing, psi_dec, m_z: int):
-    """:func:`_best` of the smallest point of ``passing`` alone; None when
-    nothing passes."""
-    if not passing:
-        return None
-    idx, xi = min(passing, key=lambda c: c[0][0])
-    return _best([(idx[:1], ident.upsilon_rows(xi[:1], psi_dec, m_z))])
-
-
-def _best(stacks):
+def _best(parts, bound: tuple[int, int]):
     """``((robust, margin) score, grid index, block)`` of the candidate with the
-    largest score, the smallest grid index among ties, from ``(grid indices,
-    block stack)`` pairs; None when there is no candidate."""
+    largest score, the smallest grid index among ties, from the ``(grid
+    indices, block stack)`` pairs of each part of ``parts``; None when there is
+    no candidate.  The parts come in ascending grid order, so the reading
+    stops after the first part whose best score reaches ``bound``, which no
+    candidate exceeds: a later part can only lose the tie."""
     top = best = None
-    for idx, B in stacks:
-        if len(idx):
-            s = ident.candidate_scores(B)
-            j = np.lexsort((-idx, s[1], s[0]))[-1]
-            key = (*s[:, j].tolist(), -int(idx[j]))
-            if top is None or key > top:
-                top, best = key, (key[:2], int(idx[j]), B[j])
+    for stacks in parts:
+        for idx, B in stacks:
+            if len(idx):
+                s = ident.candidate_scores(B)
+                j = np.lexsort((-idx, s[1], s[0]))[-1]
+                key = (*s[:, j].tolist(), -int(idx[j]))
+                if top is None or key > top:
+                    top, best = key, (key[:2], int(idx[j]), B[j])
+        if best is not None and best[0] == bound:
+            break
     return best
 
 

@@ -13,13 +13,14 @@ condition is decided through a stacked rank test built from two objects:
   and the SVD complement ``U_Pi2`` furnish the row blocks of the stacked test
   matrix, which is verified recursively by chaining right-null bases.
 
-:class:`GridSweep` builds these factors for a :class:`response.GSweep`.  It
-first checks every point's loop I - P(theta0) G_zv with :func:`guarded_loops`.
-Per grid, in stacked calls per kernel group, it forms K, Pi, Pi_bar_r, Pi_bar_j,
-the Xi stacks, the side condition and the one-frequency shortcut flag.  Pi's
-full SVD, which only U_Pi2 needs, runs where U_Pi2 is read, one stack per
-kernel group: over the whole group for the greedy rows of the frequency
-search, and over a verdict's points in its one :meth:`GridSweep.u_pi2` read.
+:class:`GridSweep` builds these factors for a :class:`response.GSweep`.  When
+built, it checks that the blocks are finite and runs every point's loop
+I - P(theta0) G_zv through :func:`guarded_loops`.  Every other factor is built
+when first read, for the points read, in stacked calls per kernel group: K
+and Pi; the anchor factors (the shortcut flag, the side condition and Xi,
+from the J and T SVDs); and U_Pi2, from Pi's full SVD, which is not kept.
+A listed verdict reads all its points in one request, so it gets one stack
+per kernel group of them; the frequency search reads the grid part by part.
 So a shortcut verdict factors no Pi.  A listed frequency set travels between
 layers as one GridSweep, checked or built by :func:`listed_sweep`, and the
 verdict reads it by point index, in one ladder of checks: the shortcut, the
@@ -126,20 +127,30 @@ def _fcr(sigma: np.ndarray, shape: tuple[int, int, int], rtol: float) -> np.ndar
     return numkit._ranks(sigma, shape[1:], rtol, 1.0) == shape[2]
 
 
-class GridSweep:
-    """The Pi factors of the transfer-block sweep ``g`` at ``theta0``, kept as stacks.
+def _bars(Pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pi_bar_r = [Re Pi, -Im Pi] and Pi_bar_j = [Im Pi, Re Pi] of Pi or of a stack of them."""
+    return (np.concatenate([Pi.real, -Pi.imag], axis=-1),
+            np.concatenate([Pi.imag, Pi.real], axis=-1))
 
-    The G_yv stack is factored in chunks of as many points as numkit's byte
-    budget fits.  Points that share a chunk and a kernel dimension form a
-    kernel group (``kernels``, ``(indices, K stack)`` pairs, overrides the
-    computed bases).  ``xis`` holds the Xi stacks as ``(indices, Xi stack)``
-    pairs, and :meth:`xi` reads one point's; ``side`` and ``shortcut`` hold
-    each point's side condition and shortcut flag; ``theta0`` is the checked
-    parameter vector.  :meth:`u_pi2` factors the Pi of a list of points for
-    their U_Pi2, :meth:`greedy_rows` those of every kernel group; no Pi SVD is
-    kept.  :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.  Slices
-    keep the memory layout of the one-matrix route, on which BLAS results
-    depend; a point's U_Pi2 has the same bits in any stack.
+
+class GridSweep:
+    """The Pi factors of the transfer-block sweep ``g`` at ``theta0``, built as they are read.
+
+    Construction refuses non-finite blocks (InvalidInput) and runs
+    :func:`guarded_loops` on every point, keeping the loop matrices.  Each
+    other factor is built, and kept, when a method first reads its point: K
+    and Pi, from G_yv SVDs in chunks of as many points as numkit's byte budget
+    fits, where points that share a chunk and a kernel dimension form a kernel
+    group (``kernels``, ``(indices, K stack)`` pairs, overrides the computed
+    bases); the anchor factors (:meth:`flags`, :meth:`xis`, :meth:`xi`), from
+    one J SVD per kernel group and one T SVD per J rank; and the U_Pi2 of
+    :meth:`u_pi2` and :meth:`greedy_rows`, from one Pi SVD per kernel group of
+    the points read, which is not kept.  :meth:`parts` orders the points for
+    a search, and :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.
+    ``theta0`` is the checked parameter vector.  Slices keep the memory layout
+    of the one-matrix route, on which BLAS results depend; a point's factors
+    have the same bits in any stack, so the order of reads never changes a
+    result.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
@@ -148,79 +159,119 @@ class GridSweep:
         self.theta0 = t0
         self.g = g
         m_v = model.dims.m_v
-        if kernels is None:
-            kernels = []
-            # A chunk's points hold their factors at once: the SVDs of G_yv,
-            # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
-            # complex m_v x m_v matrices per point.
-            for part in numkit._chunks(len(g), 16 * 16 * m_v * m_v):
-                _, _, V, rank = numkit.svd_stack(g.G_yv[part])
-                kernels += [(part.start + np.arange(len(rank))[sel], V[sel][:, :, r:])
-                            for r, sel in _by_value(rank)]
-        for _, K in kernels:
+        numkit._checked(g.G, "G")
+        for _, K in kernels or []:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-        loops = guarded_loops(model, t0, g)
+        self._loops = guarded_loops(model, t0, g)
         n = len(g)
-        self.side = np.zeros(n, dtype=bool)
-        self.shortcut = np.zeros(n, dtype=bool)
-        self.xis: list[tuple[np.ndarray, np.ndarray]] = []
-        self._groups = []
+        # A chunk's points hold their factors at once: the SVDs of G_yv,
+        # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
+        # complex m_v x m_v matrices per point.
+        self._nbytes = 16 * 16 * m_v * m_v
+        self._shortcut = np.zeros(n, dtype=bool)
+        self._side = np.zeros(n, dtype=bool)
+        self._xis: list[tuple[np.ndarray, np.ndarray]] = []
+        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # Per point: its kernel group, its position there, its Xi group and
-        # its position there.
-        self._slots = np.zeros((4, n), dtype=int)
-        for grp, (idx, K) in enumerate(kernels):
-            Pi = loops[idx] @ K
-            R = np.concatenate([Pi.real, -Pi.imag], axis=2)
-            J = np.concatenate([Pi.imag, Pi.real], axis=2)
-            self._groups.append((idx, K, Pi, R, J))
-            self._slots[0, idx], self._slots[1, idx] = grp, np.arange(len(idx))
+        # its position there; -1 until built.
+        self._slots = np.full((4, n), -1)
+        for idx, K in kernels or []:
+            self._add(idx, K)
+
+    def _add(self, idx: np.ndarray, K: np.ndarray) -> None:
+        self._slots[0, idx], self._slots[1, idx] = len(self._groups), np.arange(len(idx))
+        self._groups.append((idx, K, self._loops[idx] @ K))
+
+    def _by_group(self, points) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(points, Pi stack)`` of each kernel group among ``points``, in order
+        of first appearance, once K and Pi of every point of ``points`` are built."""
+        points = np.asarray(points, dtype=int)
+        new = points[self._slots[0, points] < 0]
+        for part in numkit._chunks(len(new), self._nbytes):
+            at = new[part]
+            _, _, V, rank = numkit.svd_stack(self.g.G_yv[at])
+            for r, sel in _by_value(rank):
+                self._add(at[sel], V[sel][:, :, r:])
+        of = self._slots[0, points]
+        out = []
+        for grp in dict.fromkeys(of.tolist()):
+            at = points[of == grp]
+            out.append((at, self._groups[grp][2][self._slots[1, at]]))
+        return out
+
+    def _anchor(self, points) -> None:
+        """Builds the anchor factors of the points of ``points`` that have none."""
+        points = np.asarray(points, dtype=int)
+        for idx, Pi in self._by_group(points[self._slots[2, points] < 0]):
+            R, J = _bars(Pi)
             _, sigma_j, VJ, rank_j = numkit.svd_stack(J)
-            self.shortcut[idx] = _fcr(sigma_j, J.shape, ROBUST_RTOL)
+            self._shortcut[idx] = _fcr(sigma_j, J.shape, ROBUST_RTOL)
             for r, sel in _by_value(rank_j):
                 T = R[sel] @ VJ[sel][:, :, r:]
                 UT, sigma_t, _, rank_t = numkit.svd_stack(T)
                 # The side condition feeds verdicts, so it must hold with the margin.
-                self.side[idx[sel]] = _fcr(sigma_t, T.shape, DECISION_RTOL)
+                self._side[idx[sel]] = _fcr(sigma_t, T.shape, DECISION_RTOL)
                 for rt, sub in _by_value(rank_t):
                     at = idx[sel][sub]
-                    self._slots[2, at], self._slots[3, at] = len(self.xis), np.arange(len(at))
-                    self.xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
+                    self._slots[2, at], self._slots[3, at] = len(self._xis), np.arange(len(at))
+                    self._xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
+
+    def parts(self) -> list[np.ndarray]:
+        """The points in the order a search reads them: the smallest alone, then
+        the rest in ascending runs of as many points as one chunk takes."""
+        rest = np.arange(1, len(self.g))
+        return [np.arange(1)] + [rest[p] for p in numkit._chunks(len(rest), self._nbytes)]
+
+    def flags(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The shortcut flags and the side conditions of ``points``."""
+        self._anchor(points)
+        return self._shortcut[points], self._side[points]
+
+    def xis(self, points) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(grid indices, Xi stack)`` of the side-passing points of ``points``
+        in each Xi group that has any."""
+        self._anchor(points)
+        read = np.zeros(len(self.g), dtype=bool)
+        read[points] = True
+        read &= self._side
+        return [(idx[read[idx]], xi[read[idx]]) for idx, xi in self._xis if read[idx].any()]
 
     def xi(self, i: int) -> np.ndarray:
         """Xi of grid point ``i``: a view into its Xi stack."""
+        self._anchor([i])
         x, k = self._slots[2:, i].tolist()
-        return self.xis[x][1][k]
+        return self._xis[x][1][k]
 
     def u_pi2(self, points: list[int]) -> list[np.ndarray]:
         """U_Pi2 of each grid point of ``points``: slices of one stacked SVD of
         the Pi of each kernel group's points among ``points``."""
         out = {}
-        for grp in dict.fromkeys(self._slots[0, points].tolist()):
-            at = [i for i in points if self._slots[0, i] == grp]
-            U, _, _, ranks = numkit.svd_stack(self._groups[grp][2][self._slots[1, at]])
-            out.update((i, U[j, :, ranks[j]:]) for j, i in enumerate(at))
+        for at, Pi in self._by_group(points):
+            U, _, _, ranks = numkit.svd_stack(Pi)
+            out.update((i, U[j, :, ranks[j]:]) for j, i in enumerate(at.tolist()))
         return [out[i] for i in points]
 
     def bars(self) -> tuple[np.ndarray, np.ndarray]:
         """Pi_bar_r and Pi_bar_j of every point as two stacks, in point order;
         RankDrop when the kernel dimension varies between points."""
-        dims = sorted({K.shape[2] for _, K, *_ in self._groups})
+        groups = self._by_group(range(len(self.g)))
+        dims = sorted({Pi.shape[2] for _, Pi in groups})
         if len(dims) > 1:
             raise RankDrop(f"the kernel dimension of G_yv varies across the chosen frequencies "
                            f"(kernel={dims}); pick frequencies at the normal rank")
-        order = np.argsort(np.concatenate([idx for idx, *_ in self._groups]))
-        return tuple(np.concatenate([grp[k] for grp in self._groups])[order] for k in (3, 4))
+        order = np.argsort(np.concatenate([at for at, _ in groups]))
+        return tuple(np.concatenate(s)[order] for s in zip(*(_bars(Pi) for _, Pi in groups)))
 
-    def greedy_rows(self, psi_dec: numkit.SvdFactors,
+    def greedy_rows(self, points, psi_dec: numkit.SvdFactors,
                     m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The U_Pi2 row blocks (:func:`upsilon_rows` of the u2 stacks) of every
-        grid point, from one stacked Pi SVD per kernel group, one row stack per
-        Pi rank of each group: a list of ``(indices, row stack)``."""
+        """The U_Pi2 row blocks (:func:`upsilon_rows` of the u2 stacks) of
+        ``points``, from one stacked Pi SVD per kernel group among them, one row
+        stack per Pi rank of each group: a list of ``(indices, row stack)``."""
         rows = []
-        for idx, _, Pi, *_ in self._groups:
+        for at, Pi in self._by_group(points):
             U, _, _, ranks = numkit.svd_stack(Pi)
-            rows += [(idx[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
+            rows += [(at[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
                      for r, sel in _by_value(ranks)]
         return rows
 
@@ -457,7 +508,8 @@ def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
     # Single-frequency certificate at the smallest qualifying omega.  The
     # sensitivity gate reads every listed frequency, so it runs at most once:
     # a shortcut it vetoes also vetoes the chain's positive verdict below.
-    shortcut = min((w_i for w_i, i in zip(w, points) if sweep.shortcut[i]), default=None)
+    flagged, side = sweep.flags(points)
+    shortcut = min((w_i for w_i, f in zip(w, flagged) if f), default=None)
     if shortcut is not None and _sensitivity_margin_ok(model, sweep, points):
         return verdict(IDENTIFIABLE, (0,), f"Pi_bar_j is full column rank at omega={shortcut}",
                        shortcut_omega=shortcut)
@@ -466,9 +518,8 @@ def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
     U = sweep.u_pi2(points)
     direct = numkit.svd_full(_direct_stack(psi_dec, U, m_z), DECISION_RTOL, 1.0)
 
-    side = sweep.side[points[0]]
     trace: list[int] = []
-    if side:
+    if side[0]:
         Z = np.eye(model.dims.q)
         for n, U_n in enumerate(U):
             W = sweep.xi(points[0]) if n == 0 else _u2_stack(U_n)
@@ -480,7 +531,7 @@ def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
 
     # A chain that reaches Z = 0 is confirmed on the explicitly stacked
     # matrix, then must pass the sensitivity gate before claiming identifiability.
-    if not side:
+    if not side[0]:
         context = f"anchor side condition failed at omega={w[0]}"
     elif trace[-1]:
         context = "stacked test stalled"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,19 @@ class DescriptorModel:
         for tk, Pk in zip(t, self.P):
             P += tk * Pk
         return P
+
+    @cached_property
+    def sweep_blocks(self) -> tuple[np.ndarray, ...]:
+        """``(E, B, C, D, [B | I])`` as :func:`response.g_sweep` reads them, with
+        B = [B_xu B_xv], C = [C_yx; C_zx], D = [[D_yu D_yv]; [D_zu D_zv]], and E,
+        B and [B | I] complex: built on first use, kept read-only, and not a field."""
+        B = np.hstack([self.B_xu, self.B_xv]).astype(complex)
+        blocks = (self.E.astype(complex), B, np.vstack([self.C_yx, self.C_zx]),
+                  np.vstack([np.hstack([self.D_yu, self.D_yv]), np.hstack([self.D_zu, self.D_zv])]),
+                  np.hstack([B, np.eye(self.dims.m_x)]).astype(complex))
+        for M in blocks:
+            M.flags.writeable = False
+        return blocks
 
     def check_theta(self, theta) -> np.ndarray:
         t = np.asarray(theta, dtype=float).reshape(-1)

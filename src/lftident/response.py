@@ -204,22 +204,17 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     omegas = list(omegas)
     lams = [lambda_at(model.time_domain, w) for w in omegas]
     E, A = model.E, model.A_xx
-    B = np.hstack([model.B_xu, model.B_xv]).astype(complex)
-    C = np.vstack([model.C_yx, model.C_zx])
-    D = np.vstack([np.hstack([model.D_yu, model.D_yv]),
-                   np.hstack([model.D_zu, model.D_zv])])
+    # From a complex E, numpy builds lam E - A into a buffer without a
+    # temporary of cast pencils.
+    E_c, B, C, D, BI = model.sweep_blocks
     n, m_b = B.shape
     # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
     a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
-    BI = np.hstack([B, np.eye(n)]).astype(complex)
     stride = _ANCHOR_STRIDE if n >= _ANCHOR_MIN_STATES else 1
     # ||E||_2, raised by a relative 1e-12 to stay an upper bound.
     e_norm = (float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
               if stride > 1 and len(lams) > 1 else None)
     G = np.empty((len(lams), *D.shape), complex)
-    # From a complex E, numpy builds lam E - A into a buffer without a
-    # temporary of cast pencils.
-    E_c = E.astype(complex)
 
     def worker(size: int):
         # A chunk holds each pencil and its solution.  The buffers are built

@@ -103,14 +103,16 @@ def point_views(grid, points=None):
     ``grid.u_pi2`` read of all of them) and its ``u2_stack``, ``kernel_dim``,
     and its ``side_fcr`` and ``shortcut`` flags."""
     points = list(range(len(grid.g))) if points is None else list(points)
+    shortcut, side = grid.flags(points)
     views = []
-    for i, U in zip(points, grid.u_pi2(points), strict=True):
+    for n, (i, U) in enumerate(zip(points, grid.u_pi2(points), strict=True)):
         grp, j = grid._slots[:2, i].tolist()
-        _, K, Pi, R, J = grid._groups[grp]
+        _, K, Pi = grid._groups[grp]
+        R, J = ident._bars(Pi)
         views.append(SimpleNamespace(
             index=i, g=grid.g[i], omega=grid.g.omegas[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j],
             Pi_bar_j=J[j], Xi=grid.xi(i), U_Pi2=U, u2_stack=ident._u2_stack(U),
-            kernel_dim=K.shape[2], side_fcr=bool(grid.side[i]), shortcut=bool(grid.shortcut[i])))
+            kernel_dim=K.shape[2], side_fcr=bool(side[n]), shortcut=bool(shortcut[n])))
     return views
 
 

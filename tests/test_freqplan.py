@@ -189,6 +189,18 @@ def test_greedy_stall_matches_per_step_rebuild(theta_free):
         per_step_rebuild(theta_free, [0.0], grid)
 
 
+def force_side(monkeypatch, failing):
+    """Make the side condition of every GridSweep fail at the frequencies of
+    the set ``failing``, whenever the sweep builds anchor factors."""
+    anchor = ident.GridSweep._anchor
+
+    def forced(self, points):
+        anchor(self, points)
+        self._side[[w in failing for w in self.g.omegas]] = False
+
+    monkeypatch.setattr(ident.GridSweep, "_anchor", forced)
+
+
 @pytest.mark.parametrize("failing", ["anchor-group", "whole-grid"])
 def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
     # Forced failures of the side condition: of every point in the Xi group
@@ -201,20 +213,16 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
     grid = freqplan.default_grid(m)
     anchor = grid.points.tolist().index(
         freqplan.search_frequencies(m, t0, grid=grid).selected[0])
-    init = ident.GridSweep.__init__
-    groups = [idx.tolist() for idx, _ in ident.GridSweep(m, t0, grid.sweep).xis]
+    sweep = ident.GridSweep(m, t0, grid.sweep)
+    sweep.flags(range(len(grid.sweep)))
+    groups = [idx.tolist() for idx, _ in sweep._xis]
     assert len(groups) > 1
     fail = {grid.sweep.omegas[i] for g in groups if failing == "whole-grid" or anchor in g
             for i in g}
-
-    def forced_init(self, *args):
-        init(self, *args)
-        self.side[[w in fail for w in self.g.omegas]] = False
-
-    # Every GridSweep sees the forced failures at the same frequencies: the
-    # search's anchor probe of the grid's smallest point, its whole-grid
-    # sweep and the reference's.
-    monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
+    # Every GridSweep sees the forced failures at the same frequencies, in
+    # whatever parts it builds its anchor factors: the search's sweep, which
+    # reads the grid part by part, and the reference's, which reads it whole.
+    force_side(monkeypatch, fail)
     plan = freqplan.search_frequencies(m, t0, grid=grid)
     reason = None if plan.verdict is None else plan.verdict.reason
     assert (plan.status, plan.selected, plan.rank_trace, reason) == \
@@ -226,36 +234,46 @@ def test_side_condition_failing_groups_are_skipped(monkeypatch, failing):
         assert plan.selected[0] != grid.points[anchor]
 
 
-def pi_svd_points(monkeypatch, model, theta0, grid, search=None):
-    """The result of ``search()`` (by default the search over ``grid``) and,
-    per numkit.svd_stack call it made on a stack of Pi of a GridSweep, the
-    indices in that sweep of the stack's members, in call order."""
-    sweeps, calls = [], []
-    init, svd_stack = ident.GridSweep.__init__, numkit.svd_stack
+def sweeps_of(monkeypatch, search, sweeps=None):
+    """The result of ``search()`` and the list ``sweeps`` (by default a new
+    one) of every GridSweep it built, in order."""
+    sweeps = [] if sweeps is None else sweeps
+    init = ident.GridSweep.__init__
 
     def built(self, *args):
         init(self, *args)
         sweeps.append(self)
 
+    with monkeypatch.context() as mp:
+        mp.setattr(ident.GridSweep, "__init__", built)
+        return search(), sweeps
+
+
+def pi_svd_points(monkeypatch, model, theta0, grid, search=None):
+    """The result of ``search()`` (by default the search over ``grid``), per
+    numkit.svd_stack call it made on a stack of Pi of a GridSweep, the
+    indices in that sweep of the stack's members, in call order, and the
+    GridSweeps it built."""
+    sweeps, calls = [], []
+    svd_stack = numkit.svd_stack
+
     def spy(S, *args):
         # A stack of Pi matrices of one kernel group (of siso1's empty Pi, any
         # stack of as many of that shape), by the group's index of each.
         for sweep in sweeps:
-            for idx, _, Pi, *_ in sweep._groups:
+            for idx, _, Pi in sweep._groups:
                 if len(S) and S.dtype == Pi.dtype and S.shape[1:] == Pi.shape[1:]:
                     members = [M.tobytes() for M in Pi]
                     if all(M.tobytes() in members for M in S):
                         calls.append([int(idx[members.index(M.tobytes())]) for M in S])
         return svd_stack(S, *args)
 
+    if search is None:
+        search = lambda: freqplan.search_frequencies(model, theta0, grid=grid)  # noqa: E731
     with monkeypatch.context() as mp:
-        mp.setattr(ident.GridSweep, "__init__", built)
         mp.setattr(numkit, "svd_stack", spy)
-        if search is None:
-            plan = freqplan.search_frequencies(model, theta0, grid=grid)
-        else:
-            plan = search()
-    return plan, calls
+        plan, _ = sweeps_of(mp, search, sweeps)
+    return plan, calls, sweeps
 
 
 def scored_sizes(monkeypatch, model, theta0, grid):
@@ -276,7 +294,7 @@ def test_anchor_certified_search_factors_only_the_anchor_group(monkeypatch):
     m = testing.random_regular_model(0, kernel_rich=True)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
-    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    plan, calls, _ = pi_svd_points(monkeypatch, m, t0, grid)
     assert plan.status == freqplan.CERTIFIED and plan.rank_trace == (0,)
     anchor = grid.points.tolist().index(plan.selected[0])
     assert calls == [[anchor]]
@@ -293,11 +311,12 @@ def test_shortcut_verdicts_factor_no_pi(monkeypatch, model):
     m = model()
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
-    first = grid.points[np.flatnonzero(ident.GridSweep(m, t0, grid.sweep).shortcut)[0]]
-    verdict, calls = pi_svd_points(monkeypatch, m, t0, grid,
-                                   lambda: ident.upsilon_test(m, t0, [first]))
+    shortcut, _ = ident.GridSweep(m, t0, grid.sweep).flags(range(grid.points.size))
+    first = grid.points[np.flatnonzero(shortcut)[0]]
+    verdict, calls, _ = pi_svd_points(monkeypatch, m, t0, grid,
+                                      lambda: ident.upsilon_test(m, t0, [first]))
     assert verdict.shortcut_omega == first and calls == []
-    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    plan, calls, _ = pi_svd_points(monkeypatch, m, t0, grid)
     assert plan.selected == (first,) and plan.verdict.shortcut_omega == first
     assert calls == []
 
@@ -309,8 +328,8 @@ def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
     m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
     t0 = np.zeros(m.dims.q)
     w = [0.01, 1.1226677735108135, 2.354286414322418]
-    verdict, calls = pi_svd_points(monkeypatch, m, t0, None,
-                                   lambda: ident.upsilon_test(m, t0, w))
+    verdict, calls, _ = pi_svd_points(monkeypatch, m, t0, None,
+                                      lambda: ident.upsilon_test(m, t0, w))
     assert verdict.status == ident.IDENTIFIABLE and verdict.shortcut_omega is None
     assert calls == [[0, 1, 2]]
 
@@ -321,14 +340,14 @@ def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
 ])
 def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
     # The greedy rows factor each kernel group of the grid once, in one
-    # stack.  Then the final verdict factors exactly its picks, once per
+    # stack, part by part from the smallest point: both searches read every
+    # part.  Then the final verdict factors exactly its picks, once per
     # group, in one stack each; nothing else factors a Pi.
     m = testing.random_regular_model(seed, **kind)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
-    plan, calls = pi_svd_points(monkeypatch, m, t0, grid)
+    plan, calls, [sweep] = pi_svd_points(monkeypatch, m, t0, grid)
     assert len(plan.rank_trace) > 1
-    sweep = ident.GridSweep(m, t0, grid.sweep)
     groups = [idx.tolist() for idx, *_ in sweep._groups]
     assert calls[:len(groups)] == groups
     assert sorted(i for c in groups for i in c) == list(range(grid.points.size))
@@ -338,56 +357,67 @@ def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
                                    for grp in dict.fromkeys(of[picks].tolist())]
 
 
+D60 = Dims(60, 4, 2, 4, 8, 16)  # the benchmark's 60-state shape
+
+
 @pytest.mark.parametrize("seed,kind,forced", [
     (0, dict(kernel_rich=True), 0),                  # the first point reaches (q, q)
     (0, dict(kernel_rich=True), 5),                  # so does the first unforced one
-    (22, dict(kernel_rich=True), 0),                 # it does not
-    (1, dict(dims=Dims(12, 2, 1, 2, 5, 10)), 0),     # it does not
+    (22, dict(kernel_rich=True), 0),                 # it reaches (2, 2) < (q, q)
+    (1, dict(dims=Dims(12, 2, 1, 2, 5, 10)), 0),     # it reaches (4, 4) < (q, q)
     (1, dict(dims=Dims(12, 2, 1, 2, 5, 10)), 7),
+    (1, dict(dims=D60), 0),                          # d60-01: it scores (15, 16)
 ])
 def test_anchor_probe_equals_full_scoring(monkeypatch, seed, kind, forced):
-    # The anchor step scores the first side-passing point alone and keeps it
-    # when it reaches (q, q); otherwise it scores every candidate, one stack
-    # per Xi group.  Either way the plan is the one-candidate-at-a-time
+    # The anchor step scores the grid's parts in order, the smallest point
+    # alone first, one stack per Xi group of each part's side-passing points.
+    # It stops after the first part whose best block reaches (b, b), with
+    # b = min(q, 2 m_y m_z): a side-passing Xi has at most 2 m_y rows, so no
+    # block scores more.  Either way the plan is the one-candidate-at-a-time
     # reference's.  ``forced`` points at the start of the grid fail the side
     # condition, for the search and the reference alike.
     m = testing.random_regular_model(seed, **kind)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
-    init = ident.GridSweep.__init__
-
-    def forced_init(self, *args):
-        init(self, *args)
-        self.side[:forced] = False
-
-    monkeypatch.setattr(ident.GridSweep, "__init__", forced_init)
+    force_side(monkeypatch, set(grid.sweep.omegas[:forced]))
     sweep = ident.GridSweep(m, t0, grid.sweep)
-    first = int(np.flatnonzero(sweep.side)[0])
-    block = row_block(sweep.xi(first), ident.psi(m), m.dims.m_z)
-    certifies = scores_of([block])[0] == (m.dims.q, m.dims.q)
-    assert first >= forced and certifies == (seed == 0)
+    psi_dec, m_z, b = ident.psi(m), m.dims.m_z, min(m.dims.q, 2 * m.dims.m_y * m.dims.m_z)
+    first = int(np.flatnonzero(sweep.flags(range(grid.points.size))[1])[0])
+    reaches = scores_of([row_block(sweep.xi(first), psi_dec, m_z)])[0] == (b, b)
+    assert first >= forced and reaches == (m.dims.m_x < 60)
+    # The Xi group sizes of each part up to the first that reaches (b, b), on
+    # a sweep read part by part, as the search reads its own.
+    scan = ident.GridSweep(m, t0, grid.sweep)
+    groups, parts = [], scan.parts()
+    for k, part in enumerate(parts):
+        stacks = scan.xis(part)
+        groups += [len(idx) for idx, _ in stacks]
+        if (b, b) in scores_of([B for _, xi in stacks
+                                for B in ident.upsilon_rows(xi, psi_dec, m_z)]):
+            break
+    assert (first in parts[k]) == reaches
     plan, sizes = scored_sizes(monkeypatch, m, t0, grid)
     reason = None if plan.verdict is None else plan.verdict.reason
     assert (plan.status, plan.selected, plan.rank_trace, reason) == \
         per_step_rebuild(m, t0, grid)
-    if certifies:
+    if reaches and b == m.dims.q:
         assert plan.selected[0] == grid.points[first] and plan.rank_trace == (0,)
-        assert sizes == [1]
+        assert sizes == groups
     else:
-        groups = [int(sweep.side[idx].sum()) for idx, _ in sweep.xis if sweep.side[idx].any()]
-        assert sizes[:1 + len(groups)] == [1, *groups]
+        assert sizes[:len(groups)] == groups
 
 
-# tracemalloc peak, in bytes, of search_frequencies(d60-02, refine=1) with
-# chunks of 32 matrices in every stacked call: the reference for the budget.
-D60_02_REFINE_PEAK = 5_057_105
+# tracemalloc peak, in bytes, of search_frequencies(d60-02, refine=1) at
+# numkit's byte budget, on two CPUs (one CPU peaks 0.1 % lower).  Its anchor
+# step reads only the smallest point of each grid, so the peak is that of the
+# two grids' pencil sweeps and loop guards.
+D60_02_REFINE_PEAK = 2_741_789
 
 
 def test_refine_peak_memory_stays_pinned():
     # d60-02 of the search-wide workload stalls on the default grid and pays
-    # an 800-point refine: the byte budget may not raise its peak by more
-    # than 2 % over chunks of 32.
-    m = testing.random_regular_model(2, dims=Dims(60, 4, 2, 4, 8, 16))
+    # an 800-point refine: its peak may not rise by more than 2 %.
+    m = testing.random_regular_model(2, dims=D60)
     t0 = np.zeros(m.dims.q)
     plan = freqplan.search_frequencies(m, t0, refine=1)
     assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint[2] == 4 * 800
@@ -400,19 +430,22 @@ def test_refine_peak_memory_stays_pinned():
     assert peak <= 1.02 * D60_02_REFINE_PEAK
 
 
-# The same reference for d40-01 of the search-wide workload, whose search
-# stalls on the whole grid's GridSweep and refines on another.  d60-02
-# settles both of its grids at their smallest point (a 2,749,751 B peak), so
-# the pin above does not reach a whole-grid GridSweep.
+# tracemalloc peak, in bytes, of search_frequencies(d40-01, refine=1) with
+# chunks of 32 matrices in every stacked call: the reference for the budget.
+# d40-01 of the search-wide workload stalls on the default grid and refines
+# on another, and on both its greedy steps read K and Pi of every point.
+# d60-02 reads only the smallest point of each grid, so the pin above does
+# not reach a whole-grid read.
 D40_01_REFINE_PEAK = 3_130_764
 
 
-def test_whole_grid_refine_peak_memory_stays_pinned():
+def test_whole_grid_refine_peak_memory_stays_pinned(monkeypatch):
     m = testing.random_regular_model(1, dims=Dims(40, 3, 1, 2, 6, 12))
     t0 = np.zeros(m.dims.q)
-    plan = freqplan.search_frequencies(m, t0, refine=1)
+    plan, sweeps = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(m, t0, refine=1))
     assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint[2] == 4 * 800
-    assert freqplan._probe(m, m.check_theta(t0), freqplan.default_grid(m), ident.psi(m)) is None
+    assert [len(s.g) for s in sweeps] == [200, 800]
+    assert all((s._slots[0] >= 0).all() for s in sweeps)
     tracemalloc.start()
     try:
         freqplan.search_frequencies(m, t0, refine=1)
@@ -438,7 +471,7 @@ def budget_run(model, theta0, n_points):
     s = grid.sweep
     out = [s.omegas, s.G.tobytes(), [str(e) for e in s.guarded]]
     sweep = ident.GridSweep(model, theta0, s)
-    out += [sweep.shortcut.tolist(), sweep.side.tolist()]
+    out += [flags.tolist() for flags in sweep.flags(range(len(s)))]
     for p in point_views(sweep):
         out += [(M.shape, M.strides, M.tobytes()) for M in (p.Xi, p.U_Pi2)]
     try:
@@ -486,17 +519,30 @@ def plan_bits(plan):
             None if d is None else d.tobytes())
 
 
-def probe_and_full(monkeypatch, model, theta0, grid, refine):
-    """Whether the anchor probe settled each searched grid, in order, and the
-    plan bits of the search and of the search with the probe switched off."""
-    settled, probe = [], freqplan._probe
+def read_points(sweep):
+    """The points of a GridSweep whose K and Pi were built, ascending."""
+    return np.flatnonzero(sweep._slots[0] >= 0).tolist()
+
+
+def lazy_and_full(monkeypatch, model, theta0, grid, refine):
+    """The number of points the search read on each grid it searched, in
+    order, and the plan bits of the search and of the search over full
+    builds: each GridSweep builds the anchor factors of every point when it
+    is constructed, and the search reads all points as one part, so its
+    first greedy step builds the rows of every point."""
+    plan, sweeps = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(
+        model, theta0, grid=grid, refine=refine))
+    init = ident.GridSweep.__init__
+
+    def built(self, *args):
+        init(self, *args)
+        self.flags(range(len(self.g)))
+
     with monkeypatch.context() as mp:
-        mp.setattr(freqplan, "_probe",
-                   lambda *args: settled.append(probe(*args)) or settled[-1])
-        plan = freqplan.search_frequencies(model, theta0, grid=grid, refine=refine)
-        mp.setattr(freqplan, "_probe", lambda *args: None)
+        mp.setattr(ident.GridSweep, "__init__", built)
+        mp.setattr(ident.GridSweep, "parts", lambda self: [np.arange(len(self.g))])
         full = freqplan.search_frequencies(model, theta0, grid=grid, refine=refine)
-    return [s is not None for s in settled], plan_bits(plan), plan_bits(full)
+    return [len(read_points(s)) for s in sweeps], plan_bits(plan), plan_bits(full)
 
 
 def side_failing_first_point(model, theta0, grid):
@@ -517,13 +563,14 @@ def side_failing_first_point(model, theta0, grid):
        interior=st.booleans(), refine=st.sampled_from([0, 1]), side_fail=st.booleans())
 @settings(max_examples=16, deadline=None, derandomize=True)
 def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, side_fail):
-    # The plan of a search whose smallest grid point may settle it alone
-    # equals, bit for bit, the plan of the same search over the whole grid's
-    # GridSweep: status, picks, rank trace, refine hint, and the verdict with
-    # its reason and residual direction.  ``side_fail`` (at an interior
-    # theta0) makes the smallest point fail the side condition.  The probe
-    # is skipped when q > 2 m_y m_z, which rests on every side-passing Xi
-    # having at most 2 m_y rows.
+    # The plan of a search that reads the grid part by part, from its
+    # smallest point, and stops each step at the most a block can score
+    # equals, bit for bit, the plan of the same search over a full build:
+    # status, picks, rank trace, refine hint, and the verdict with its reason
+    # and residual direction.  ``side_fail`` (at an interior theta0) makes
+    # the smallest point fail the side condition.  The anchor step's bound
+    # min(q, 2 m_y m_z) rests on every side-passing Xi having at most 2 m_y
+    # rows.
     try:
         m = testing.random_regular_model(seed % 1000, **BUDGET_KINDS[kind])
     except RuntimeError:
@@ -533,12 +580,23 @@ def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, si
     if interior and side_fail:
         grid = side_failing_first_point(m, t0, grid)
     with pytest.MonkeyPatch.context() as mp:
-        settled, plan, full = probe_and_full(mp, m, t0, grid, refine)
+        reads, plan, full = lazy_and_full(mp, m, t0, grid, refine)
     assert plan == full
     if interior and side_fail:
-        assert settled[0] is False
+        assert reads[0] > 1
     sweep = ident.GridSweep(m, t0, grid.sweep)
-    assert all(sweep.xi(i).shape[0] <= 2 * m.dims.m_y for i in np.flatnonzero(sweep.side))
+    side = sweep.flags(range(grid.points.size))[1]
+    assert all(sweep.xi(i).shape[0] <= 2 * m.dims.m_y for i in np.flatnonzero(side))
+
+
+SCAN_CASES = {
+    "kr-00": lambda: testing.random_regular_model(0, kernel_rich=True),
+    "kr-22": lambda: testing.random_regular_model(22, kernel_rich=True),
+    "kr-35": lambda: testing.random_regular_model(35, kernel_rich=True),
+    "d60-01": lambda: testing.random_regular_model(1, dims=D60),
+    "d60-02": lambda: testing.random_regular_model(2, dims=D60),
+    "d4-03": lambda: testing.random_regular_model(3, dims=Dims(3, 2, 2, 2, 4, 3)),
+}
 
 
 @pytest.mark.parametrize("case,settled", [
@@ -546,25 +604,29 @@ def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, si
     ("kr-22", [False]),            # the smallest point scores below (q, q)
     ("kr-00-side", [False]),       # the smallest point fails the side condition
     ("d60-02", [True, True]),      # (q, q) at the smallest point; the gate vetoes
+    ("d60-01", [False]),           # (15, 16) at the smallest point, below (16, 16)
+    ("kr-35", [False, False]),     # the greedy reads every point of both grids
+    ("d4-03", [False]),            # m_v <= 2 m_y: S0 runs, and certifies at a later point
 ], ids=str)
 @pytest.mark.parametrize("refine", [0, 1])
 def test_anchor_probe_cases_give_the_full_build_plan(monkeypatch, case, settled, refine):
-    if case.startswith("d60"):
-        m = testing.random_regular_model(2, dims=Dims(60, 4, 2, 4, 8, 16))
-    else:
-        m = testing.random_regular_model(int(case[3:5]), kernel_rich=True)
+    # ``settled``: whether the search read only the smallest point of each
+    # grid it searched.
+    m = SCAN_CASES[case.removesuffix("-side")]()
     t0 = interior_theta(m, 0) if case.endswith("side") else np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
     if case.endswith("side"):
         grid = side_failing_first_point(m, t0, grid)
-        assert not ident.GridSweep(m, t0, grid.sweep[0]).side[0]
-    taken, plan, full = probe_and_full(monkeypatch, m, t0, grid, refine)
-    assert taken == settled[:1 + refine] and plan == full
+        assert not ident.GridSweep(m, t0, grid.sweep[0]).flags([0])[1][0]
+    reads, plan, full = lazy_and_full(monkeypatch, m, t0, grid, refine)
+    assert [n == 1 for n in reads] == settled[:1 + refine] and plan == full
     if case == "d60-02":
-        # The probe's verdict is the gate's inconclusive one, on both grids.
+        # The verdict at the smallest point is the gate's inconclusive one, on both grids.
         assert plan[0].status == freqplan.NO_PROGRESS_ON_GRID and plan[0].rank_trace == (0,)
         assert plan[1].status == ident.INCONCLUSIVE
         assert "response-sensitivity margin too thin" in plan[1].reason
+    if case in ("kr-35", "d4-03"):
+        assert reads == [200, 800][:len(reads)]
 
 
 def test_probe_path_runs_the_whole_grid_loop_guard(monkeypatch):
@@ -574,7 +636,8 @@ def test_probe_path_runs_the_whole_grid_loop_guard(monkeypatch):
     m = testing.random_regular_model(0, kernel_rich=True)
     t0 = interior_theta(m, 0)
     grid = freqplan.default_grid(m)
-    assert freqplan._probe(m, m.check_theta(t0), grid, ident.psi(m)) is not None
+    plan, [searched] = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(m, t0, grid=grid))
+    assert plan.selected == (grid.points[0],) and read_points(searched) == [0]
     u = m.p_of(t0)[:, 0]
     bad = np.zeros_like(grid.sweep.G_zv[0])
     bad[0] = u / (u @ u)  # P(theta0) G_zv u = u
@@ -608,3 +671,68 @@ def test_search_settled_at_the_smallest_point_factors_one_point(monkeypatch):
     assert plan.status == freqplan.CERTIFIED and plan.selected == (grid.points[0],)
     assert stacks and set(stacks) == {1}
     assert [n for n in guards if n > 1] == [grid.points.size]
+
+
+def test_search_factors_only_the_points_it_reads(monkeypatch):
+    # kr-00 certifies at its smallest point, and no other point is factored.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    plan, [sweep] = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(m, [0.0] * m.dims.q))
+    assert plan.rank_trace == (0,)
+    assert np.flatnonzero((sweep._slots >= 0).any(axis=0)).tolist() == [0]
+
+    # d40-01 scores its smallest point at (4, 4), the most a side-passing Xi
+    # block of 2 m_y m_z = 4 rows can score.  So on both of its grids the J
+    # and T SVDs (the only real stacks factored) run for its picks alone,
+    # that point among them, though its greedy steps read every point.
+    m = testing.random_regular_model(1, dims=Dims(40, 3, 1, 2, 6, 12))
+    decided, real = [], []
+    decide, svd_stack = ident._decide, numkit.svd_stack
+
+    def spy(S, *args):
+        if np.isrealobj(S):
+            real.append(len(S))
+        return svd_stack(S, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ident, "_decide", lambda *args: decided.append(args[1:3]) or decide(*args))
+        mp.setattr(numkit, "svd_stack", spy)
+        plan, sweeps = sweeps_of(mp, lambda: freqplan.search_frequencies(
+            m, [0.0] * m.dims.q, refine=1))
+    assert plan.refine_hint[2] == 4 * 800 and [s for s, _ in decided] == sweeps
+    for sweep, picks in decided:
+        assert 0 in picks and np.flatnonzero(sweep._slots[2] >= 0).tolist() == sorted(picks)
+        assert read_points(sweep) == list(range(len(sweep.g)))
+    assert sum(real) == 2 * sum(len(picks) for _, picks in decided)
+
+    # kr-18's greedy step stops at the part that holds its pick: the pick
+    # scores (c, c) for Z's c columns, the most any block can.
+    m = testing.random_regular_model(18, kernel_rich=True)
+    decided, rows, greedy_rows = [], [], ident.GridSweep.greedy_rows
+    with monkeypatch.context() as mp:
+        mp.setattr(ident, "_decide", lambda *args: decided.append(args[1:3]) or decide(*args))
+        mp.setattr(ident.GridSweep, "greedy_rows",
+                   lambda self, points, *args: rows.append((self, points.tolist()))
+                   or greedy_rows(self, points, *args))
+        plan, sweeps = sweeps_of(mp, lambda: freqplan.search_frequencies(
+            m, [0.0] * m.dims.q, refine=1))
+    assert plan.rank_trace == (2, 0) and [s for s, _ in decided] == sweeps
+    for sweep, picks in decided:
+        parts = [p.tolist() for p in sweep.parts()]
+        last = next(k for k, p in enumerate(parts) if picks[1] in p)
+        assert [points for s, points in rows if s is sweep] == parts[:last + 1]
+    assert last + 1 < len(parts) == 5
+
+
+@pytest.mark.parametrize("block", ["G_yu", "G_yv", "G_zu", "G_zv"])
+def test_non_finite_block_at_an_unread_point_raises(block):
+    # kr-00 certifies at its smallest point and reads no other, but a
+    # non-finite block anywhere on the grid refuses the sweep before any
+    # point is factored.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    grid = freqplan.default_grid(m)
+    sweep = with_blocks(grid.sweep, [(150, block, np.nan)])
+    with pytest.raises(InvalidInput, match="G contains non-finite entries"):
+        ident.GridSweep(m, np.zeros(m.dims.q), sweep)
+    with pytest.raises(InvalidInput, match="G contains non-finite entries"):
+        freqplan.search_frequencies(m, np.zeros(m.dims.q), grid=freqplan.FrequencyGrid(
+            sweep=sweep, time_domain=m.time_domain))

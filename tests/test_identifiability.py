@@ -268,7 +268,7 @@ class TestPiSweep:
         rng = np.random.default_rng(seed)
         for Z in (np.eye(q), np.linalg.qr(rng.standard_normal((q, q)))[0][:, :max(q - 1, 1)]):
             seen = []
-            for idx, R in sweep.greedy_rows(psi_dec, m_z):
+            for idx, R in sweep.greedy_rows(range(len(pis)), psi_dec, m_z):
                 for i, B in zip(idx, R @ Z):
                     U2 = refs[i]["U_Pi2"]
                     W = np.hstack([U2.real, U2.imag]).T
@@ -277,7 +277,7 @@ class TestPiSweep:
                 seen += idx.tolist()
             assert sorted(seen) == list(range(len(pis)))
             seen = []
-            for idx, xi in sweep.xis:
+            for idx, xi in sweep._xis:
                 keep = np.arange(len(idx)) % 2 == 0  # a selection, as the anchor step makes
                 for i, B in zip(idx[keep], ident.upsilon_rows(xi[keep], psi_dec, m_z) @ Z):
                     assert np.array_equal(B, row_block(pis[i].Xi, psi_dec, m_z) @ Z)
@@ -322,14 +322,15 @@ class TestSweepFlags:
             K[:, :, 1] = K[:, :, 0] + np.geomspace(1e-12, 1.0, len(blocks))[:, None] * K[:, :, 1]
             kernels = [(np.arange(len(blocks)), K)]
         sweep = ident.GridSweep(m, t0, blocks, kernels)
+        shortcut, side = sweep.flags(range(len(blocks)))
         for i, p in enumerate(point_views(sweep)):
             T = p.Pi_bar_r @ numkit.right_null_basis(p.Pi_bar_j)
-            assert sweep.shortcut[i] == stacked_ranks_fcr(p.Pi_bar_j, ident.ROBUST_RTOL)
-            assert sweep.side[i] == stacked_ranks_fcr(T, ident.DECISION_RTOL)
+            assert shortcut[i] == stacked_ranks_fcr(p.Pi_bar_j, ident.ROBUST_RTOL)
+            assert side[i] == stacked_ranks_fcr(T, ident.DECISION_RTOL)
         if near_cut:
-            assert 0 < sweep.side.sum() < len(blocks)
+            assert 0 < side.sum() < len(blocks)
             if p.Pi_bar_j.shape[0] >= p.Pi_bar_j.shape[1]:
-                assert 0 < sweep.shortcut.sum() < len(blocks)
+                assert 0 < shortcut.sum() < len(blocks)
 
 
 def reference_normal_row_rank(model, seed):
@@ -529,7 +530,7 @@ class TestUpsilon:
             t0 = np.zeros(m.dims.q)
             w = 0.9
             try:
-                shortcut = ident.pi_at(m, t0, response.g_blocks(m, w)).shortcut[0]
+                shortcut = ident.pi_at(m, t0, response.g_blocks(m, w)).flags([0])[0][0]
             except LftIdentError:
                 continue
             if shortcut:
@@ -680,7 +681,8 @@ def test_decide_exits(monkeypatch, case):
         monkeypatch.setattr(ident, "CERT_TOL", -1.0)
     sweep = ident.listed_sweep(m, m.check_theta(t0), w)
     if "side" in forced:
-        sweep.side[:] = False
+        sweep.flags(range(len(w)))
+        sweep._side[:] = False
     v = ident.upsilon_test(m, t0, w, sweep=sweep)
     assert (v.status, v.rank_trace, v.residual_nullspace_dim, v.shortcut_omega) == (
         status, trace, dim, shortcut)
@@ -703,11 +705,11 @@ class TestStatelessRead:
         m, t0, w = LISTED[case]()
         fresh = verdict_bits(ident.upsilon_test(m, t0, w))
         sweep = ident.listed_sweep(m, m.check_theta(t0), w)
-        assert len(sweep._groups) == (len(w) if per_stack else 1)
         for _ in range(2):
             assert verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep)) == fresh
+            assert len(sweep._groups) == (len(w) if per_stack else 1)
         # The greedy rows factor every kernel group, and keep nothing on the sweep.
-        sweep.greedy_rows(ident.psi(m), m.dims.m_z)
+        sweep.greedy_rows(range(len(w)), ident.psi(m), m.dims.m_z)
         assert verdict_bits(ident.upsilon_test(m, t0, w, sweep=sweep)) == fresh
 
     def test_verdict_then_s_matrices(self):
@@ -749,7 +751,7 @@ class TestStatelessRead:
             freqplan.search_frequencies(m, t0, grid=grid)
         # The S0 calls: one flagged point each (the re-verification may be one too).
         one_point = [(args, v) for args, v in calls
-                     if len(args[2]) == 1 and args[1].shortcut[args[2][0]]]
+                     if len(args[2]) == 1 and args[1].flags(args[2])[0][0]]
         assert len(one_point) > 1 and all(v.status == ident.INCONCLUSIVE for _, v in one_point)
         for (_, sweep, points, _), v in one_point:
             fresh = ident.GridSweep(m, t0, grid.sweep)
@@ -759,7 +761,7 @@ class TestStatelessRead:
         for _ in range(2):
             for (*_, points, _), v in one_point:
                 assert verdict_bits(decide(m, sweep, points, psi_dec)) == verdict_bits(v)
-            sweep.greedy_rows(psi_dec, m.dims.m_z)
+            sweep.greedy_rows(range(len(sweep.g)), psi_dec, m.dims.m_z)
 
 
 class TestSufficientCount:

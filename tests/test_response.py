@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from lftident import cli, freqplan, identifiability as ident, numkit, oracle, response
 from lftident import sloppiness as slop, testing
 from lftident.errors import InvalidInput, PoleProximity, WellPosednessViolation
-from lftident.model import DescriptorModel, Dims, ParameterDomain, save_model
+from lftident.model import DescriptorModel, Dims, ParameterDomain, dumps_model, save_model
 
 from conftest import (CHUNK, REPORTS_FIXTURES, h_statespace, interior_theta, model_pool,
                       per_theta_h_lft, regularity_identity_check, stacks_of, with_pole)
@@ -763,6 +764,26 @@ class TestSweep:
         with pytest.raises(PoleProximity) as listed:
             oracle.fd_jacobian(m, [0.0], [1.0, -w_star, 2.0, w_star])
         assert str(listed.value) == str(first.value)
+
+    def test_model_blocks_are_stacked_once(self, monkeypatch):
+        # A model's first sweep stacks B, C, D and [B | I]; a second sweep
+        # stacks nothing and gives the first's bits.  The kept blocks are not
+        # fields: the model still equals a copy without them, and saves to
+        # the same file.
+        m = testing.random_regular_model(1, dims=Dims(12, 2, 1, 2, 5, 10))
+        saved = dumps_model(m)
+        w = np.geomspace(1e-2, 1e2, 40).tolist()
+        first = response.g_sweep(m, w)
+        stacked = []
+        for name in ("hstack", "vstack"):
+            f = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, f=f: stacked.append(a) or f(*a))
+        second = response.g_sweep(m, w)
+        monkeypatch.undo()
+        assert stacked == []
+        assert second.omegas == first.omegas and second.G.tobytes() == first.G.tobytes()
+        assert m == dataclasses.replace(m) and dumps_model(m) == saved
+        assert "sweep_blocks" not in {f.name for f in dataclasses.fields(m)}
 
 
 def one_or_two_cpus(monkeypatch, cpus: int) -> list[str]:
