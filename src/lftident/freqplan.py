@@ -6,9 +6,10 @@ far, then greedily add the frequency whose U_Pi2 block removes the most of
 Z, until Z is empty (certified) or no grid point makes progress.
 
 The search reads one :class:`identifiability.GridSweep` of the grid, which
-runs the whole grid's loop guard when built and factors a point only when the
-search first reads it.  Each step reads the grid's parts in ascending order:
-the smallest point alone, then chunks of the rest (``GridSweep.parts``).  Ties
+runs the whole grid's guards when built and factors a point only when the
+search first reads it; the grid's pencils are solved the same way
+(:func:`response.grid_sweep`).  Each step reads the grid's parts in ascending
+order: the smallest point alone, then chunks of the rest (``GridSweep.parts``).  Ties
 go to the smallest index, so a running best over the parts is the best over
 the whole grid, and a step stops after the first part whose best score
 reaches the most any candidate can score:
@@ -107,7 +108,7 @@ def default_grid(
     [DEFAULT_W_MIN, DEFAULT_W_MAX]) or uniform over (0, pi] (discrete time).
 
     Points failing the pole guard are removed; an empty result raises
-    EmptyGrid.  The grid keeps the sweep of transfer blocks the guard evaluated.
+    EmptyGrid.  The grid keeps the :func:`response.grid_sweep` of its points.
     Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
     ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``;
     a discrete-time grid takes no bounds.
@@ -129,7 +130,7 @@ def default_grid(
                            f"got {w_min}, {w_max}")
     else:
         raw = np.linspace(np.pi / n_points, np.pi, n_points)
-    return FrequencyGrid(sweep=response.g_sweep(model, raw.tolist()),
+    return FrequencyGrid(sweep=response.grid_sweep(model, raw.tolist()),
                          time_domain=model.time_domain)
 
 

@@ -14,8 +14,8 @@ condition is decided through a stacked rank test built from two objects:
   matrix, which is verified recursively by chaining right-null bases.
 
 :class:`GridSweep` builds these factors for a :class:`response.GSweep`.  When
-built, it checks that the blocks are finite and runs every point's loop
-I - P(theta0) G_zv through :func:`guarded_loops`.  Every other factor is built
+built, it checks every point's blocks and loop I - P(theta0) G_zv through
+:func:`guarded_loops`.  Every other factor is built
 when first read, for the points read, in stacked calls per kernel group: K
 and Pi; the anchor factors (the shortcut flag, the side condition and Xi,
 from the J and T SVDs); and U_Pi2, from Pi's full SVD, which is not kept.
@@ -136,10 +136,9 @@ def _bars(Pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GridSweep:
     """The Pi factors of the transfer-block sweep ``g`` at ``theta0``, built as they are read.
 
-    Construction refuses non-finite blocks (InvalidInput) and runs
-    :func:`guarded_loops` on every point, keeping the loop matrices.  Each
-    other factor is built, and kept, when a method first reads its point: K
-    and Pi, from G_yv SVDs in chunks of as many points as numkit's byte budget
+    Construction runs :func:`guarded_loops` on every point.  Each other
+    factor is built, and kept, when a method first reads its point (``g.at``):
+    K and Pi, from G_yv SVDs in chunks of as many points as numkit's byte budget
     fits, where points that share a chunk and a kernel dimension form a kernel
     group (``kernels``, ``(indices, K stack)`` pairs, overrides the computed
     bases); the anchor factors (:meth:`flags`, :meth:`xis`, :meth:`xi`), from
@@ -159,11 +158,10 @@ class GridSweep:
         self.theta0 = t0
         self.g = g
         m_v = model.dims.m_v
-        numkit._checked(g.G, "G")
         for _, K in kernels or []:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-        self._loops = guarded_loops(model, t0, g)
+        self._p0 = guarded_loops(model, t0, g)
         n = len(g)
         # A chunk's points hold their factors at once: the SVDs of G_yv,
         # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
@@ -181,7 +179,7 @@ class GridSweep:
 
     def _add(self, idx: np.ndarray, K: np.ndarray) -> None:
         self._slots[0, idx], self._slots[1, idx] = len(self._groups), np.arange(len(idx))
-        self._groups.append((idx, K, self._loops[idx] @ K))
+        self._groups.append((idx, K, _loops(self._p0, self.g.at(idx)) @ K))
 
     def _by_group(self, points) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(points, Pi stack)`` of each kernel group among ``points``, in order
@@ -190,7 +188,7 @@ class GridSweep:
         new = points[self._slots[0, points] < 0]
         for part in numkit._chunks(len(new), self._nbytes):
             at = new[part]
-            _, _, V, rank = numkit.svd_stack(self.g.G_yv[at])
+            _, _, V, rank = numkit.svd_stack(self.g.at(at).G_yv)
             for r, sel in _by_value(rank):
                 self._add(at[sel], V[sel][:, :, r:])
         of = self._slots[0, points]
@@ -276,16 +274,26 @@ class GridSweep:
         return rows
 
 
-def guarded_loops(model: DescriptorModel, t0: np.ndarray, g: response.GSweep) -> np.ndarray:
-    """The loop matrices I - P(t0) G_zv of every point of ``g``, at the checked
-    ``t0``; raises the WellPosednessViolation of the first singular one."""
+def _loops(P0: np.ndarray, g: response.GSweep) -> np.ndarray:
+    """The loop matrices I - P0 G_zv of every point of ``g``."""
     # A compact copy of G_zv: the product's bits depend on the operand's layout.
-    loops = np.eye(model.dims.m_v) - model.p_of(t0) @ np.ascontiguousarray(g.G_zv)
-    _, bad = numkit.loop_guard(
-        loops, lambda i: f"I - P(theta0) G_zv singular at omega={g.omegas[i]}")
+    return np.eye(P0.shape[0]) - P0 @ np.ascontiguousarray(g.G_zv)
+
+
+def guarded_loops(model: DescriptorModel, t0: np.ndarray, g: response.GSweep) -> np.ndarray:
+    """P(t0), at the checked ``t0``, once every point of ``g`` has finite blocks
+    (else InvalidInput) and a loop I - P(t0) G_zv that passes the loop guard
+    (else the WellPosednessViolation of the first singular one).  At P(t0) = 0
+    every loop is I and the pending points of a grid have finite blocks (see
+    :func:`response.grid_sweep`), so only its solved points are checked."""
+    P0 = model.p_of(t0)
+    checked = g if g.pending is None or P0.any() else g.at(np.flatnonzero(~g.pending[0]))
+    numkit._checked(checked.G, "G")
+    bad = numkit.loop_guard(_loops(P0, checked),
+                            lambda i: f"I - P(theta0) G_zv singular at omega={checked.omegas[i]}")
     if bad:
         raise bad[min(bad)]
-    return loops
+    return P0
 
 
 def listed_sweep(model: DescriptorModel, t0: np.ndarray, w: list[float],
@@ -403,11 +411,11 @@ def sensitivity_stack(model: DescriptorModel, sweep: GridSweep, points: list[int
     respect to theta_k at the sweep's theta0, P0 = P(theta0).  One stacked
     solve per side serves every point.
     """
-    g, P0 = sweep.g, model.p_of(sweep.theta0)
-    G_zv = g.G_zv[points]
+    g, P0 = sweep.g.at(points), model.p_of(sweep.theta0)
+    G_zv = np.ascontiguousarray(g.G_zv)
     L = np.linalg.solve((np.eye(model.dims.m_v) - P0 @ G_zv).swapaxes(1, 2),
-                        g.G_yv[points].swapaxes(1, 2)).swapaxes(1, 2)
-    R = np.linalg.solve(np.eye(model.dims.m_z) - G_zv @ P0, g.G_zu[points])
+                        g.G_yv.swapaxes(1, 2)).swapaxes(1, 2)
+    R = np.linalg.solve(np.eye(model.dims.m_z) - G_zv @ P0, g.G_zu)
     dH = L[:, None] @ np.array(model.P)[None] @ R[:, None]
     # Rows by point, then real and imaginary part, then vec's column-major order.
     return np.stack([dH.real, dH.imag], axis=1).transpose(0, 1, 4, 3, 2).reshape(-1, model.dims.q)

@@ -173,6 +173,12 @@ class DescriptorModel:
             M.flags.writeable = False
         return blocks
 
+    @cached_property
+    def pencil_bound(self):
+        """:func:`numkit.pencil_bound` of (E, A_xx), which a grid sweep reads
+        (:func:`response.grid_sweep`): built on first use, kept, and not a field."""
+        return numkit.pencil_bound(self.E, self.A_xx)
+
     def check_theta(self, theta) -> np.ndarray:
         t = np.asarray(theta, dtype=float).reshape(-1)
         if t.size != self.dims.q:
@@ -187,8 +193,10 @@ class DescriptorModel:
         C(theta) and D(theta)."""
         P = self.p_of(theta)
         loop = np.eye(self.dims.m_v) - P @ self.D_zv
-        (sig,), bad = numkit.loop_guard(
-            loop[None], lambda _: f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}")
+        sig = np.linalg.svd(loop, compute_uv=False)
+        bad = numkit.loop_guard(
+            loop[None], lambda _: f"I - P(theta) D_zv singular at theta={np.asarray(theta).tolist()}",
+            sig[None])
         if bad:
             raise bad[0]
         mid = np.linalg.solve(loop, P @ np.hstack([self.C_zx, self.D_zu]))

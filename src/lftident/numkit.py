@@ -25,8 +25,8 @@ budget each, the even chunks on the calling thread and the odd ones on one
 helper thread, with the results in chunk order.  The budget is split, so the
 bytes in flight stay at one budget, and like the budget, the thread count
 never decides a bit of a result.  :func:`loop_guard` is the one
-well-posedness guard: it checks a stack of loop matrices and returns its
-complaints for the caller to raise.
+well-posedness guard: it checks a stack of loop matrices, by a certificate
+or an SVD, and returns its complaints for the caller to raise.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -35,6 +35,7 @@ and products over an empty inner dimension are zero.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -55,6 +56,7 @@ __all__ = [
     "rank_of",
     "stacked_ranks",
     "loop_guard",
+    "pencil_bound",
     "right_null_basis",
     "gen_eig_psd_pencil_pairs",
     "sign_flip",
@@ -288,15 +290,63 @@ def right_null_basis(A, rtol: float = DEFAULT_RANK_RTOL, scale_floor: float = 0.
     return svd_full(A, rtol=rtol, scale_floor=scale_floor).V2
 
 
-def loop_guard(M: np.ndarray, message_of):
-    """Singular values of each square loop matrix of the stack ``M``, one
-    descending row each, and, by index, a WellPosednessViolation for each
-    matrix whose sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max, 1):
-    ``message_of(i)`` with sigma_min appended.  The caller chooses what to raise."""
-    sig = np.linalg.svd(M, compute_uv=False)
-    bad = np.flatnonzero(sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0))
-    return sig, {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={sig[i, -1]:.3e})")
-                 for i in bad}
+def loop_guard(M: np.ndarray, message_of, sig: np.ndarray | None = None) -> dict:
+    """By index, a WellPosednessViolation for each square loop matrix of the
+    stack ``M`` whose sigma_min falls below LOOP_GUARD_RTOL times max(sigma_max,
+    1): ``message_of(i)`` with sigma_min appended; the caller chooses what to
+    raise.  ``sig``, the singular values of every matrix, decides each if
+    given.  Else a matrix L with f = ||I - L||_F and 1 - f >= 2 LOOP_GUARD_RTOL
+    (1 + f) passes without an SVD: sigma_min(L) >= 1 - f, sigma_max(L) <= 1 + f."""
+    undecided = np.arange(len(M))
+    if sig is None:
+        f = np.linalg.norm(np.eye(M.shape[-1]) - M, axis=(1, 2))
+        undecided = np.flatnonzero(~(1.0 - f >= 2.0 * LOOP_GUARD_RTOL * (1.0 + f)))  # NaN: undecided
+        if not undecided.size:
+            return {}
+        sig = np.linalg.svd(M[undecided], compute_uv=False)
+    low = sig[:, -1] < LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0)
+    return {int(i): WellPosednessViolation(f"{message_of(i)} (sigma_min={s:.3e})")
+            for i, s in zip(undecided[low], sig[low, -1])}
+
+
+def pencil_bound(E: np.ndarray, A: np.ndarray):
+    """A function giving certified lower bounds on sigma_min(lam E - A) for a
+    stack of lam; None when F = A - s E is singular at s = 0 and at s = 1, or
+    no eigendecomposition is found.  With eig(F^-1 E) = (theta, V) and R = E V
+    - F V diag(theta), (lam E - A) V = -F V (I - (lam - s) diag(theta)) +
+    (lam - s) R, so (a Bauer-Fike-type bound; Numer. Math. 2, 1960)
+
+        sigma_min(lam E - A) >= [sigma_min(F V) min_i |1 - (lam - s) theta_i|
+                                 - |lam - s| ||R||_2] / ||V||_2,
+
+    with each computed term moved to its safe side by its rounding allowance.
+    The bound is evaluated one budget chunk of lams at a time."""
+    n, theta = A.shape[0], None
+    for s in (0.0, 1.0):
+        F = A - s * E
+        with contextlib.suppress(np.linalg.LinAlgError):
+            theta, V = np.linalg.eig(np.linalg.solve(F, E))
+            break
+    if theta is None or not (np.isfinite(theta).all() and np.isfinite(V).all()):
+        return None
+    tol = 8 * n * np.finfo(float).eps
+    FV = F.astype(V.dtype) @ V  # one complex dtype: a real-complex matmul skips BLAS
+    sig = np.linalg.svd(FV, compute_uv=False)
+    f_fro, e_fro, v_fro = (float(np.linalg.norm(M)) for M in (F, E, V))
+    low = sig[-1] - tol * (sig[0] + f_fro * v_fro)
+    r = (np.linalg.norm(E.astype(V.dtype) @ V - FV * theta)
+         + tol * v_fro * (e_fro + f_fro * np.abs(theta).max())) * (1 + tol)
+    v = float(np.linalg.norm(V, 2)) * (1 + tol)
+
+    def bound(lams: np.ndarray) -> np.ndarray:
+        z, out = np.asarray(lams) - s, np.empty(len(lams))
+        for part in _chunks(len(z), 64 * n):
+            zt = np.multiply.outer(z[part], theta)
+            d = (np.abs(1 - zt) - tol * (1 + np.abs(zt))).min(axis=1)
+            out[part] = ((low * d - np.abs(z[part]) * r) / v - tol * f_fro) * (1 - tol)
+        return out
+
+    return bound if low > 0 else None
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:

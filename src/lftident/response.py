@@ -4,36 +4,37 @@ H is evaluated from the transfer blocks through the interconnection form
 
     H = G_yu + G_yv (I - P(theta) G_zv)^-1 P(theta) G_zu.
 
-:func:`g_sweep` evaluates the transfer blocks of a whole frequency list in
-stacked numpy calls (chunks of pencils, sized by numkit's byte budget) into
-one :class:`GSweep`; :func:`g_blocks` is its one-point case.  A sweep of
-more than one chunk runs on two threads when the process may use two CPUs
-(see ``numkit._chunk_map``): the chunks get half the budget each, each
-thread builds its own buffers, and the kept points and the guard's
-complaints are assembled in chunk order.  numpy's stacked ``svd`` and
-``solve`` run the same LAPACK routine on each pencil, so a sweep and one
-call per frequency give bitwise equal blocks, whatever the chunk size and
-whichever thread solves a chunk.  :func:`h_sweep` evaluates H at every
-point of a sweep for a stack of thetas in the same way: one loop guard and
-one solve per chunk of thetas, over all their points, with chunk bytes that
-scale with the sweep's length.  :func:`h_lft` is its one-theta case.
+:func:`g_sweep`, the only solve of lambda E - A_xx, evaluates the transfer
+blocks of a frequency list in stacked numpy calls (chunks of pencils, sized
+by numkit's byte budget, on two threads when the process may use two CPUs)
+into one :class:`GSweep`; :func:`g_blocks` is its one-point case.  numpy's
+stacked ``svd`` and ``solve`` run the same LAPACK routine on each pencil, so
+a sweep and one call per frequency give bitwise equal blocks, whatever the
+chunk size and whichever thread solves a chunk.  :func:`grid_sweep`
+evaluates a search grid in two g_sweep passes: its smallest point at once,
+the others on the first read of any of them.  :func:`h_sweep` evaluates H at
+every point of a sweep for a stack of thetas in the same way: one loop guard
+and one solve per chunk of thetas, over all their points, with chunk bytes
+that scale with the sweep's length.  :func:`h_lft` is its one-theta case.
 
 The pole guard rejects a frequency whose pencil lambda E - A_xx has
 sigma_min < max(POLE_GUARD_RTOL ||A_xx||_2, 1e-14 max(sigma_max, 1)).  It
 skips the exact SVD only for a pencil whose sigma_min has a certified lower
-bound of at least twice the largest floor the pencil could have.  An anchor
-pencil, solved against [B | I], takes the bound from its inverse.  Weyl's
-inequality carries that bound to the anchor's neighbours, and a neighbour it
-certifies is solved against B alone (see :func:`g_sweep`).  An inverse whose
-squared norm underflows (at a huge |lambda|) gives no bound.  So the guarded
-frequencies and their messages are those of an SVD of every pencil.
+bound of at least twice the largest floor the pencil could have.  A grid
+pencil takes the Bauer-Fike-type bound of :func:`numkit.pencil_bound`, built
+from one eigendecomposition per model (see :func:`g_sweep`), which decides
+the guard at every grid point without a solve.  Any other
+pencil is solved against [B | I] and takes the bound 1/||inverse||_F; an
+inverse whose squared norm underflows (at a huge |lambda|) gives none.  The
+rest get the exact SVD.  So the guarded frequencies, their messages and the
+solved blocks are those of an SVD of every pencil.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "lambda_at",
     "check_freqs",
     "g_sweep",
+    "grid_sweep",
     "g_blocks",
     "h_sweep",
     "h_lft",
@@ -59,14 +61,21 @@ POLE_GUARD_RTOL = 1e-8
 # a search-wide pass fault in up to 865 pages again; 120 KiB faulted none
 # after the first pass.
 _SOLVE_BYTES = 120 << 10
-# Every _ANCHOR_STRIDE-th pencil of a chunk is solved against [B | I] and
-# certifies its neighbours (see g_sweep).  Of strides 4, 8, 16 and 32,
-# 8 gave the fastest search-wide pass.
-_ANCHOR_STRIDE = 8
-# Pencils with fewer states are each their own anchor, all solved in one
-# call per chunk: below about 10 states the I columns cost less than the
-# second solve call per chunk that covered pencils need.
-_ANCHOR_MIN_STATES = 10
+
+
+class _Blocks:
+    """The ``G`` field of :class:`GSweep`, whose read first solves any pending points."""
+
+    def __get__(self, sweep, owner=None):
+        if sweep is None:
+            raise AttributeError("G")  # so that the field takes no default
+        if sweep.pending is not None:
+            sweep.pending[1]()
+            object.__setattr__(sweep, "pending", None)
+        return sweep.__dict__["G"]
+
+    def __set__(self, sweep, G):
+        sweep.__dict__["G"] = G
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +86,18 @@ class GSweep:
     the pole guard's PoleProximity for each dropped frequency, in order.
     ``sweep[i]`` is point i as a one-point sweep with the strides of the
     point's matrix (BLAS results depend on them); functions of one frequency
-    take such a point and read ``g.G_yu[0]``."""
+    take such a point and read ``g.G_yu[0]``.
+
+    A :func:`grid_sweep` holds ``pending`` points, not solved yet, as ``(mask,
+    the pass that solves them)``: reading ``G`` runs that pass first, and
+    :meth:`at` only when it reads one of them."""
 
     omegas: tuple[float, ...]
-    G: np.ndarray
+    G: np.ndarray = _Blocks()
     m_y: int
     m_u: int
     guarded: tuple[PoleProximity, ...] = ()
+    pending: tuple | None = field(default=None, repr=False)
 
     G_yu = property(lambda self: self.G[:, :self.m_y, :self.m_u])
     G_yv = property(lambda self: self.G[:, :self.m_y, self.m_u:])
@@ -96,6 +110,14 @@ class GSweep:
     def __getitem__(self, i: int) -> GSweep:
         i = range(len(self))[i]  # its IndexError also ends iteration
         return GSweep(self.omegas[i:i + 1], self.G[i:i + 1], self.m_y, self.m_u)
+
+    def at(self, points) -> GSweep:
+        """The points ``points`` (indices) as a sweep of their own, a copy."""
+        points = np.asarray(points, dtype=int)
+        pending = self.pending is not None and self.pending[0][points].any()
+        G = self.G if pending else self.__dict__["G"]
+        return GSweep(tuple(self.omegas[i] for i in points.tolist()), G[points],
+                      self.m_y, self.m_u)
 
     def raise_guarded(self) -> GSweep:
         """This sweep; raises the guard's first complaint if it dropped a frequency."""
@@ -165,7 +187,15 @@ def _solve_group(pencils, idx, lam, E, A, rhs, X, solved, bound):
         del Y
 
 
-def g_sweep(model: DescriptorModel, omegas) -> GSweep:
+def _largest_floor(model: DescriptorModel, lam: np.ndarray) -> np.ndarray:
+    """The largest pole-guard floor each pencil at ``lam`` could have: the
+    guard's floor through Frobenius norms, which bound the 2-norms."""
+    a_fro, e_fro = float(np.linalg.norm(model.A_xx)), float(np.linalg.norm(model.E))
+    return np.maximum(POLE_GUARD_RTOL * a_fro,
+                      1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+
+
+def g_sweep(model: DescriptorModel, omegas, bound: np.ndarray | None = None) -> GSweep:
     """The four G blocks at each of ``omegas`` that passes the pole guard: the
     pencils are solved in stacked chunks, and each chunk's D + C X fills the
     rows of its kept points in one output array.  A chunk takes as many
@@ -175,45 +205,33 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     and the complaints are assembled in chunk order.
 
     The guard keeps a pencil when sigma_min >= max(POLE_GUARD_RTOL ||A||_2,
-    1e-14 max(sigma_max, 1)).  That floor is at most max(POLE_GUARD_RTOL
-    ||A||_F, 1e-14 max(|lam| ||E||_F + ||A||_F, 1)), since ||.||_2 <= ||.||_F
-    and sigma_max <= |lam| ||E||_2 + ||A||_2.  A pencil is kept without an
-    SVD when a lower bound on its sigma_min is at least twice that largest
-    floor.  The bounds come in two kinds:
+    1e-14 max(sigma_max, 1)), and without an SVD when a certified lower bound
+    on its sigma_min is at least twice the largest floor it could have
+    (``_largest_floor``).  A grid (:func:`grid_sweep`) passes ``bound``, the
+    bound of :func:`numkit.pencil_bound`,
 
-    * Every ``_ANCHOR_STRIDE``-th pencil of a chunk is an anchor (every
-      pencil, below ``_ANCHOR_MIN_STATES`` states), solved against [B | I]:
-      the B columns are X, and the I columns give the inverse, whose
-      Frobenius norm bounds sigma_min >= 1/||(lam E - A)^-1||_F (Golub &
-      Van Loan, Matrix Computations, 4th ed., sec. 2.3).
-    * By Weyl's inequality (ibid., sec. 8.6), sigma_min(lam E - A) >=
-      sigma_min(lam_a E - A) - |lam - lam_a| ||E||_2 for each anchor lam_a.
-      A pencil for which the best such bound clears the factor two is solved
-      against B alone.  ||E||_2 is computed once per call, before any chunk
-      runs, and only when anchors are strided and there is more than one
-      pencil.
+        sigma_min(lam E - A) >= [sigma_min(F V) min_i |1 - (lam - s) theta_i|
+                                 - |lam - s| ||R||_2] / ||V||_2,
 
-    Every other pencil is solved against [B | I] and bounded as an anchor is.
-    Pencils whose bound does not clear the factor two, and every pencil of a
-    solve slice that raises LinAlgError, get the exact SVD and floor.  So the
-    kept set, the complaints and the solutions are those of an SVD of every
-    pencil: numpy's solve against B gives the B columns of its solve against
-    [B | I] bit for bit.  That is a property of the LAPACK numpy links, not a
-    guarantee; tests/test_response.py checks it on the benchmark's shapes.
+    and a pencil it certifies is solved against B alone.  Every other
+    pencil, and every pencil of a listed sweep, is solved against [B | I]:
+    the I columns give the inverse, and sigma_min >= 1/||(lam E - A)^-1||_F
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 2.3).  Pencils whose
+    bound does not clear the factor two, and every pencil of a solve slice
+    that raises LinAlgError, get the exact SVD and floor.  So the kept set, the
+    complaints and the solutions are those of an SVD of every pencil: numpy's
+    solve against B gives the B columns of its solve against [B | I] bit for
+    bit.  That is a property of the LAPACK numpy links, not a guarantee;
+    tests/test_response.py checks it on the benchmark's shapes.
     """
     omegas = list(omegas)
-    lams = [lambda_at(model.time_domain, w) for w in omegas]
+    lams = np.array([lambda_at(model.time_domain, w) for w in omegas], dtype=complex)
+    bound = np.zeros(len(lams)) if bound is None else bound
     E, A = model.E, model.A_xx
     # From a complex E, numpy builds lam E - A into a buffer without a
     # temporary of cast pencils.
     E_c, B, C, D, BI = model.sweep_blocks
     n, m_b = B.shape
-    # Frobenius norms: upper bounds on the 2-norms that cost no SVD.
-    a_fro, e_fro = float(np.linalg.norm(A)), float(np.linalg.norm(E))
-    stride = _ANCHOR_STRIDE if n >= _ANCHOR_MIN_STATES else 1
-    # ||E||_2, raised by a relative 1e-12 to stay an upper bound.
-    e_norm = (float(np.linalg.norm(E, 2)) * (1.0 + 1e-12)
-              if stride > 1 and len(lams) > 1 else None)
     G = np.empty((len(lams), *D.shape), complex)
 
     def worker(size: int):
@@ -227,30 +245,19 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
         def chunk(part: slice):
             """Fills the rows of G of the chunk's kept points, at their own
             places; returns their indices and the guard's complaints."""
-            start, lam = part.start, np.array(lams[part])
+            start, lam, b = part.start, lams[part], bound[part].copy()
             k = len(lam)
             Xk = X[:k]
             solved = np.zeros(k, dtype=bool)
-            bound = np.zeros(k)  # certified lower bounds on sigma_min
-            largest_floor = np.maximum(POLE_GUARD_RTOL * a_fro,
-                                       1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+            cut = 2.0 * _largest_floor(model, lam)
             # The buffer holds the pencils in the order they are solved: the
-            # anchors, the pencils an anchor covers, then the rest.  So each
-            # solve takes a view of it.
-            anchors = np.arange(0, k, stride)
-            _solve_group(pencils[:anchors.size], anchors, lam, E_c, A, BI, Xk, solved, bound)
-            order = anchors
-            if anchors.size < k:
-                rest = np.flatnonzero(np.arange(k) % stride)
-                reach = (bound[anchors] - e_norm * np.abs(lam[rest, None] - lam[anchors])).max(axis=1)
-                cover = reach >= 2.0 * largest_floor[rest]
-                covered, rest = rest[cover], rest[~cover]
-                bound[covered] = reach[cover]
-                end = anchors.size + covered.size
-                _solve_group(pencils[anchors.size:end], covered, lam, E_c, A, B, Xk, solved, bound)
-                _solve_group(pencils[end:k], rest, lam, E_c, A, BI, Xk, solved, bound)
-                order = np.concatenate([anchors, covered, rest])
-            kept = solved & (bound >= 2.0 * largest_floor)
+            # certified ones, then the rest.  So each solve takes a view of it.
+            certified = b >= cut
+            order = np.concatenate([np.flatnonzero(certified), np.flatnonzero(~certified)])
+            c = int(certified.sum())
+            _solve_group(pencils[:c], order[:c], lam, E_c, A, B, Xk, solved, b)
+            _solve_group(pencils[c:k], order[c:], lam, E_c, A, BI, Xk, solved, b)
+            kept = solved & (b >= cut)
             undecided = np.flatnonzero(~kept)
             guarded = []
             if undecided.size:
@@ -281,6 +288,39 @@ def g_sweep(model: DescriptorModel, omegas) -> GSweep:
     return GSweep(omegas=tuple(float(omegas[i]) for i in kept_at), G=G,
                   m_y=model.dims.m_y, m_u=model.dims.m_u,
                   guarded=tuple(e for _, guarded in parts for e in guarded))
+
+
+def grid_sweep(model: DescriptorModel, omegas) -> GSweep:
+    """The :func:`g_sweep` of the distinct grid frequencies ``omegas``, in two passes.
+
+    The model's :func:`numkit.pencil_bound` b decides the pole guard at every
+    point.  The pencils b does not certify, and the smallest one it does, are
+    solved now; the others are ``pending``, solved in one pass on the first
+    read of any of them.  Their blocks are finite: ||G||_2 <= ||D||_F +
+    ||C||_F ||B||_F / (b / 2), with b halved for the solve's backward error and
+    b >= 2e-14 where it certifies; a model whose norms could overflow that
+    has no pending point."""
+    omegas = [float(w) for w in omegas]
+    lams = np.array([lambda_at(model.time_domain, w) for w in omegas], dtype=complex)
+    b = np.zeros(len(lams)) if model.pencil_bound is None else model.pencil_bound(lams)
+    # Bounds on ||B||_F, ||C||_F and ||D||_F that cannot overflow.
+    B, C, D = (math.sqrt(M.size) * float(np.abs(M.real).max(initial=0.0))
+               for M in model.sweep_blocks[1:4])
+    later = (b >= 2.0 * _largest_floor(model, lams)) & (D + 1e14 * C * B < 1e300)
+    later[np.argmax(later)] = False  # the smallest certified point is solved now
+    now = g_sweep(model, [w for w, wait in zip(omegas, later) if not wait], b[~later])
+    kept = set(now.omegas)
+    keep = np.array([wait or w in kept for w, wait in zip(omegas, later)], dtype=bool)
+    rows = np.cumsum(keep) - 1
+    G = np.empty((int(keep.sum()), *now.G.shape[1:]), complex)
+    G[rows[keep & ~later]] = now.G
+    mask, later = np.zeros(len(G), dtype=bool), np.flatnonzero(later)
+    mask[rows[later]] = True
+
+    def solve():
+        G[rows[later]] = g_sweep(model, [omegas[i] for i in later], b[later]).G
+    return GSweep(omegas=tuple(w for w, k in zip(omegas, keep) if k), G=G, m_y=now.m_y,
+                  m_u=now.m_u, guarded=now.guarded, pending=(mask, solve) if later.size else None)
 
 
 def g_blocks(model: DescriptorModel, omega: float) -> GSweep:
@@ -319,7 +359,7 @@ def h_sweep(model: DescriptorModel, thetas, g: GSweep):
         for j, Pj in enumerate(model.P):
             P += part[:, j, None, None, None] * Pj
         loops = np.eye(d.m_v) - P @ g.G_zv
-        _, bad = numkit.loop_guard(
+        bad = numkit.loop_guard(
             loops.reshape(-1, d.m_v, d.m_v),
             lambda i: f"I - P(theta) G_zv(j*omega) singular at omega={g.omegas[i % k]}, "
                       f"theta={part[i // k].tolist()}",

@@ -201,7 +201,8 @@ def full_rank_above(J, tol):
 def guard_one(loop, message):
     """``numkit.loop_guard`` of the one loop matrix ``loop``: its singular values;
     raises the guard's WellPosednessViolation, named ``message``."""
-    (sig,), bad = numkit.loop_guard(np.asarray(loop)[None], lambda _: message)
+    sig = np.linalg.svd(loop, compute_uv=False)
+    bad = numkit.loop_guard(np.asarray(loop)[None], lambda _: message, sig[None])
     if bad:
         raise bad[0]
     return sig

@@ -15,6 +15,20 @@ from lftident.model import DescriptorModel, Dims, ParameterDomain
 from conftest import (interior_theta, point_views, row_block, stacks_of, with_blocks,
                       with_pole)
 
+D12, D40, D60 = Dims(12, 2, 1, 2, 5, 10), Dims(40, 3, 1, 2, 6, 12), Dims(60, 4, 2, 4, 8, 16)
+# The 54 fixtures of the benchmark's search-pool and search-wide workloads.
+SEARCH_FIXTURES = {
+    **{f"kr-{s:02d}": (lambda s=s: testing.random_regular_model(s, kernel_rich=True))
+       for s in range(40)},
+    **{f"{label}-{seed:02d}": (lambda seed=seed, kw=kw: testing.random_regular_model(seed, **kw))
+       for seed in (1, 2)
+       for label, kw in (("d60", dict(dims=D60)), ("d40", dict(dims=D40)), ("d12", dict(dims=D12)),
+                         ("d40-dt", dict(dims=D40, time_domain="discrete")),
+                         ("d12-dt", dict(dims=D12, time_domain="discrete")),
+                         ("d40-se", dict(dims=D40, singular_E=True)),
+                         ("d12-se", dict(dims=D12, singular_E=True)))},
+}
+
 
 class TestDefaultGrid:
     def test_siso1_full_grid(self, siso1):
@@ -357,9 +371,6 @@ def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
                                    for grp in dict.fromkeys(of[picks].tolist())]
 
 
-D60 = Dims(60, 4, 2, 4, 8, 16)  # the benchmark's 60-state shape
-
-
 @pytest.mark.parametrize("seed,kind,forced", [
     (0, dict(kernel_rich=True), 0),                  # the first point reaches (q, q)
     (0, dict(kernel_rich=True), 5),                  # so does the first unforced one
@@ -408,10 +419,11 @@ def test_anchor_probe_equals_full_scoring(monkeypatch, seed, kind, forced):
 
 
 # tracemalloc peak, in bytes, of search_frequencies(d60-02, refine=1) at
-# numkit's byte budget, on two CPUs (one CPU peaks 0.1 % lower).  Its anchor
-# step reads only the smallest point of each grid, so the peak is that of the
-# two grids' pencil sweeps and loop guards.
-D60_02_REFINE_PEAK = 2_741_789
+# numkit's byte budget, on two CPUs (one CPU peaks 111 B higher), with the
+# model's pencil bound already built.  Its anchor step reads only the
+# smallest point of each grid, so each grid solves that one pencil: the peak
+# is that of the bound's evaluation over each grid and of each grid's blocks.
+D60_02_REFINE_PEAK = 1_322_488
 
 
 def test_refine_peak_memory_stays_pinned():
@@ -657,20 +669,30 @@ def test_probe_path_runs_the_whole_grid_loop_guard(monkeypatch):
 
 def test_search_settled_at_the_smallest_point_factors_one_point(monkeypatch):
     # kr-00 certifies at its smallest grid point: every stacked SVD and
-    # every candidate scoring of the search holds one matrix, and the only
-    # multi-matrix stack is the whole grid's loop guard, run once.
+    # every candidate scoring of the search holds one matrix.  The loop guard
+    # runs once, on the one solved point: at theta0 = 0 every loop is I, so
+    # the pending points need no check, and the solved point's loop passes
+    # the guard's certificate without an SVD.
     m = testing.random_regular_model(0, kernel_rich=True)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
-    stacks, guards = [], []
+    stacks, guards, loop_svds = [], [], []
     svd_stack, scores, guard = numkit.svd_stack, ident.candidate_scores, numkit.loop_guard
+    svd = np.linalg.svd
+
+    def guard_spy(M, *a):
+        guards.append(len(M))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", lambda *b, **k: loop_svds.append(b) or svd(*b, **k))
+            return guard(M, *a)
+
     monkeypatch.setattr(numkit, "svd_stack", lambda S, *a: stacks.append(len(S)) or svd_stack(S, *a))
     monkeypatch.setattr(ident, "candidate_scores", lambda B: stacks.append(len(B)) or scores(B))
-    monkeypatch.setattr(numkit, "loop_guard", lambda M, *a: guards.append(len(M)) or guard(M, *a))
+    monkeypatch.setattr(numkit, "loop_guard", guard_spy)
     plan = freqplan.search_frequencies(m, t0, grid=grid)
     assert plan.status == freqplan.CERTIFIED and plan.selected == (grid.points[0],)
     assert stacks and set(stacks) == {1}
-    assert [n for n in guards if n > 1] == [grid.points.size]
+    assert guards == [1] and loop_svds == []
 
 
 def test_search_factors_only_the_points_it_reads(monkeypatch):
@@ -736,3 +758,96 @@ def test_non_finite_block_at_an_unread_point_raises(block):
     with pytest.raises(InvalidInput, match="G contains non-finite entries"):
         freqplan.search_frequencies(m, np.zeros(m.dims.q), grid=freqplan.FrequencyGrid(
             sweep=sweep, time_domain=m.time_domain))
+
+
+def test_a_model_whose_blocks_could_overflow_defers_no_pencil():
+    # A pending point's blocks are finite by ||G||_2 <= ||D||_F + 2 ||C||_F
+    # ||B||_F / b.  Where that bound could overflow, every grid pencil is
+    # solved and checked when the grid is built, so the search refuses the
+    # grid as an eager build does.
+    m = testing.random_regular_model(0, kernel_rich=True)
+    big = dataclasses.replace(m, B_xu=m.B_xu * 1e160, C_yx=m.C_yx * 1e160)
+    assert freqplan.default_grid(m).sweep.pending is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = freqplan.default_grid(big)
+        assert grid.sweep.pending is None
+        with pytest.raises(InvalidInput, match="G contains non-finite entries"):
+            freqplan.search_frequencies(big, np.zeros(m.dims.q), grid=grid)
+
+
+def eager_plan(monkeypatch, model, theta0, refine):
+    """The plan of a search whose grids solve every pencil when built, with
+    no pencil bound, and whose loop guards take an SVD of every loop."""
+    guard = numkit.loop_guard
+    with monkeypatch.context() as mp:
+        mp.setattr(response, "grid_sweep", lambda m, omegas: response.g_sweep(m, omegas))
+        mp.setattr(numkit, "loop_guard",
+                   lambda M, msg, *_: guard(M, msg, np.linalg.svd(M, compute_uv=False)))
+        return freqplan.search_frequencies(model, theta0, refine=refine)
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_FIXTURES))
+def test_lazy_grids_give_the_eager_plan_on_the_search_fixtures(monkeypatch, case):
+    # The benchmark's searches, at theta0 = 0 and refine 1: the plan bits of
+    # the lazy grids equal those of eager ones, verdict and residual
+    # direction included.
+    m = SEARCH_FIXTURES[case]()
+    t0 = np.zeros(m.dims.q)
+    lazy = freqplan.search_frequencies(m, t0, refine=1)
+    assert plan_bits(lazy) == plan_bits(eager_plan(monkeypatch, m, t0, 1))
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(BUDGET_KINDS)),
+       interior=st.booleans(), refine=st.sampled_from([0, 1]))
+@settings(max_examples=24, deadline=None, derandomize=True)
+def test_lazy_grids_give_the_eager_plan(seed, kind, interior, refine):
+    # As above over seeded models, at theta0 = 0 or at an interior theta0,
+    # where the grid-wide guards solve every point; the search's errors must
+    # match too.
+    try:
+        m = testing.random_regular_model(seed % 1000, **BUDGET_KINDS[kind])
+    except RuntimeError:
+        return
+    t0 = interior_theta(m, seed) if interior else np.zeros(m.dims.q)
+    plans = []
+    with pytest.MonkeyPatch.context() as mp:
+        for search in (lambda: freqplan.search_frequencies(m, t0, refine=refine),
+                       lambda: eager_plan(mp, m, t0, refine)):
+            try:
+                plans.append(plan_bits(search()))
+            except LftIdentError as exc:
+                plans.append(f"{type(exc).__name__}: {exc}")
+    assert plans[0] == plans[1]
+
+
+@pytest.mark.parametrize("case,refine,whole", [
+    ("kr-00", 0, False),   # certified at the smallest point
+    ("d60-02", 1, False),  # (q, q) at the smallest point of both grids; the gate vetoes
+    ("d40-01", 1, True),   # the greedy reads every point of both grids
+])
+def test_grid_pencils_are_solved_as_the_search_reads_them(monkeypatch, case, refine, whole):
+    # A search settled at the smallest point of a grid solves that one grid
+    # pencil; a search that reads every point solves each grid pencil once.
+    # Each grid is searched before the next is built, so the pencils solved
+    # from one grid's build to the next's are that grid's.
+    m = SEARCH_FIXTURES[case]()
+    grids, starts, solved = [], [], []
+    default_grid, solve_group = freqplan.default_grid, response._solve_group
+
+    def grid_spy(model, n_points=freqplan.DEFAULT_GRID_POINTS, w_min=None, w_max=None):
+        grids.append(np.geomspace(w_min or freqplan.DEFAULT_W_MIN,
+                                  w_max or freqplan.DEFAULT_W_MAX, n_points).tolist())
+        starts.append(len(solved))
+        return default_grid(model, n_points, w_min, w_max)
+
+    def solve_spy(pencils, idx, lam, *rest):
+        solved.extend(lam[idx].imag.tolist())
+        return solve_group(pencils, idx, lam, *rest)
+
+    monkeypatch.setattr(freqplan, "default_grid", grid_spy)
+    monkeypatch.setattr(response, "_solve_group", solve_spy)
+    freqplan.search_frequencies(m, np.zeros(m.dims.q), refine=refine)
+    assert [len(g) for g in grids] == [200, 800][:1 + refine]
+    for omegas, own in zip(grids, np.split(np.array(solved), starts[1:])):
+        counts = [int((own == w).sum()) for w in omegas]
+        assert counts == ([1] * len(omegas) if whole else [1] + [0] * (len(omegas) - 1))

@@ -198,7 +198,7 @@ class TestValidateAssumptions:
         thetas = [np.zeros(m.dims.q), interior_theta(m, 1), interior_theta(m, 2)]
         calls = []
         guard = numkit.loop_guard
-        monkeypatch.setattr(numkit, "loop_guard", lambda M, msg: calls.append(msg) or guard(M, msg))
+        monkeypatch.setattr(numkit, "loop_guard", lambda M, msg, *a: calls.append(msg) or guard(M, msg, *a))
         rep = model_mod.validate_assumptions(m, thetas)
         assert len(calls) == len(thetas)
         conds = [1.0]

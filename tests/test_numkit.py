@@ -174,10 +174,28 @@ class TestRealifyProjector:
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
+def guarded(M, message_of):
+    """``numkit.loop_guard(M, message_of)``, and the singular values of each
+    matrix it took an SVD of, one row each, with those matrices."""
+    seen, sigs = [], []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.extend(a)
+        sigs.extend(out := svd(a, *args, **kwargs))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", spy)
+        bad = numkit.loop_guard(M, message_of)
+    return np.array(sigs), np.array(seen), bad
+
+
 class TestLoopGuard:
     @staticmethod
     def guard(M, message="loop"):
-        return numkit.loop_guard(np.asarray(M)[None], lambda _: message)
+        sig, _, bad = guarded(np.asarray(M)[None], lambda _: message)
+        return sig, bad
 
     def test_threshold_passes(self):
         (sig,), bad = self.guard(np.diag([1.0, 1e-12]))
@@ -200,13 +218,46 @@ class TestLoopGuard:
         assert list(self.guard(np.diag([1e3, np.nextafter(cut, 0.0)]))[1]) == [0]
 
     def test_loop_guard_names_each_failure(self):
+        # The identities pass by the certificate (||I - L||_F = 0): only the
+        # other two take an SVD.
         M = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2))])
-        sig, bad = numkit.loop_guard(M, lambda i: f"loop {i}")
+        _, seen, bad = guarded(M, lambda i: f"loop {i}")
         assert list(bad) == [1, 3]
         assert all(isinstance(e, WellPosednessViolation) for e in bad.values())
         assert str(bad[1]).startswith("loop 1 (sigma_min=0")
         assert str(bad[3]).startswith("loop 3 (sigma_min=0")
-        assert np.array_equal(sig[[0, 2]], np.ones((2, 2)))
+        assert np.array_equal(seen, M[[1, 3]])
+
+    def test_certificate_edge(self):
+        # f = ||I - L||_F of diag(1 - f, ...): L certifies exactly when
+        # 1 - f >= 2 LOOP_GUARD_RTOL (1 + f), and otherwise takes an SVD.
+        for f, certified in ((0.5, True), (1.0 - 4.1e-12, True), (1.0 - 3.9e-12, False)):
+            sig, _, bad = guarded(np.diag([1.0 - f, 1.0])[None], lambda _: "loop")
+            assert (len(sig) == 0) == certified and not bad
+
+    def test_non_finite_loops_are_not_certified(self):
+        # f = ||I - L||_F is NaN: the loop goes to the SVD, which refuses it.
+        with pytest.raises(np.linalg.LinAlgError):
+            numkit.loop_guard(np.stack([np.eye(2), np.full((2, 2), np.nan)]), str)
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 6), k=st.integers(1, 8),
+           scale=st.floats(1e-6, 1.5), complex_=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_certified_loops_clear_the_cut(self, seed, n, k, scale, complex_):
+        # Every matrix the certificate passes without an SVD has an exact
+        # sigma_min that clears the guard's cut, and the guard's complaints
+        # are those of an SVD of every matrix.
+        rng = np.random.default_rng(seed)
+        D = random_complex(rng, k * n, n) if complex_ else rng.standard_normal((k * n, n))
+        D = D.reshape(k, n, n)
+        D *= scale / np.linalg.norm(D, axis=(1, 2))[:, None, None] * rng.uniform(0, 1, (k, 1, 1))
+        M = np.eye(n) - D
+        _, seen, bad = guarded(M, lambda i: f"loop {i}")
+        sig = np.linalg.svd(M, compute_uv=False)
+        cut = numkit.LOOP_GUARD_RTOL * np.maximum(sig[:, 0], 1.0)
+        certified = [i for i in range(k) if not any(np.array_equal(M[i], S) for S in seen)]
+        assert all(sig[i, -1] >= cut[i] for i in certified)
+        assert sorted(bad) == np.flatnonzero(sig[:, -1] < cut).tolist()
 
 
 def shape_groups(mats):

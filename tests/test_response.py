@@ -219,10 +219,10 @@ class TestEvaluatedOnce:
         omegas = []
         orig = response.g_sweep
 
-        def counting(model, freqs):
+        def counting(model, freqs, *bound):
             freqs = list(freqs)
             omegas.extend(float(w) for w in freqs)
-            return orig(model, freqs)
+            return orig(model, freqs, *bound)
 
         monkeypatch.setattr(response, "g_sweep", counting)
         return omegas
@@ -387,9 +387,9 @@ def largest_floor(model, lam) -> float:
 
 
 def spy_routes(monkeypatch) -> list[tuple[np.ndarray, bool]]:
-    """Record each group of pencils ``response.g_sweep`` solves: its
-    lams, and whether it was solved against B alone (covered by an anchor)
-    rather than against [B | I]."""
+    """Record each group of pencils a sweep solves: its lams, and whether it
+    was solved against B alone (certified by the model's pencil bound) rather
+    than against [B | I]."""
     routes = []
     solve_group = response._solve_group
 
@@ -401,7 +401,7 @@ def spy_routes(monkeypatch) -> list[tuple[np.ndarray, bool]]:
     return routes
 
 
-def covered_lams(routes) -> list[complex]:
+def b_only_lams(routes) -> list[complex]:
     return [lam for lams, b_only in routes if b_only for lam in lams.tolist()]
 
 
@@ -424,9 +424,10 @@ def takes_a_two_norm(calls) -> bool:
 
 
 class TestSweep:
-    """A stacked sweep equals one g_blocks call per frequency, bit for bit, and
-    each point's blocks keep the strides of a one-matrix evaluation's blocks.
-    The tests that place points at chunk edges make chunks of CHUNK pencils."""
+    """A stacked sweep, listed or of a grid, equals one g_blocks call per
+    frequency, bit for bit, and each point's blocks keep the strides of a
+    one-matrix evaluation's blocks.  The tests that place points at chunk
+    edges make chunks of CHUNK pencils."""
 
     CHUNK = CHUNK
     # (points, index of the guarded oscillator point): the last point of a
@@ -435,7 +436,11 @@ class TestSweep:
 
     @staticmethod
     def assert_matches_pointwise(model, omegas):
-        sweep = response.g_sweep(model, omegas)
+        for sweep_of in (response.g_sweep, response.grid_sweep):
+            TestSweep.assert_sweep_matches_pointwise(model, omegas, sweep_of(model, omegas))
+
+    @staticmethod
+    def assert_sweep_matches_pointwise(model, omegas, sweep):
         kept, guarded = iter(sweep), iter(sweep.guarded)
         for w in omegas:
             try:
@@ -468,12 +473,13 @@ class TestSweep:
             model.E, model.A_xx, lams, B, float(np.linalg.norm(model.A_xx, 2)))
         G = np.block([[model.D_yu, model.D_yv], [model.D_zu, model.D_zv]]) \
             + np.vstack([model.C_yx, model.C_zx]) @ X
-        sweep = response.g_sweep(model, omegas)
-        assert [str(e) for e in sweep.guarded] == [
-            f"omega={w}: {c}" for w, c in zip(omegas, complaints) if c is not None]
-        assert list(sweep.omegas) == [w for w, c in zip(omegas, complaints) if c is None]
-        assert np.array_equal(
-            np.block([[sweep.G_yu, sweep.G_yv], [sweep.G_zu, sweep.G_zv]]), G)
+        for sweep_of in (response.g_sweep, response.grid_sweep):
+            sweep = sweep_of(model, omegas)
+            assert [str(e) for e in sweep.guarded] == [
+                f"omega={w}: {c}" for w, c in zip(omegas, complaints) if c is not None]
+            assert list(sweep.omegas) == [w for w, c in zip(omegas, complaints) if c is None]
+            assert np.array_equal(
+                np.block([[sweep.G_yu, sweep.G_yv], [sweep.G_zu, sweep.G_zv]]), G)
 
     @pytest.mark.parametrize("n,_", SIZES)
     @pytest.mark.parametrize("kind", [dict(kernel_rich=True), dict(time_domain="discrete"),
@@ -558,12 +564,11 @@ class TestSweep:
         # In one chunk: a pencil exactly singular at w* (its solve slice
         # raises LinAlgError), one kept with sigma_min 1.5x the guard's floor
         # and one guarded at 0.5x.  No bound decides either of the last two.
-        # Every other pencil is decided by its own inverse or by an anchor's,
-        # except the singular one's slice-mates, which are solved again after
-        # their SVD.  At stride 1 every pencil is an anchor, so the [B | I]
-        # slices run over the chunk in order.  At the default stride the
-        # singular pencil's slice runs, in order, over the pencils that are
-        # not anchors and that no anchor covers.
+        # Every other pencil is decided by its own inverse or by the model's
+        # pencil bound, except the singular one's slice-mates, which are
+        # solved again after their SVD.  A listed sweep solves every pencil
+        # against [B | I], in order.  A grid sweep solves against [B | I],
+        # in order, only the pencils its bound does not certify.
         w_star = 1.0
         m = near_pole_model(w_star)
         floor = response.POLE_GUARD_RTOL * float(np.linalg.norm(m.A_xx, 2))
@@ -575,8 +580,9 @@ class TestSweep:
         lams = 1j * np.array(omegas)
         pencils = np.multiply.outer(lams, m.E) - m.A_xx
         svd = np.linalg.svd
+        assert m.pencil_bound is not None  # built here, before the spy
 
-        for stride in (1, response._ANCHOR_STRIDE):
+        for sweep_of in (response.g_sweep, response.grid_sweep):
             seen = []
 
             def spy(a, *args, **kwargs):
@@ -586,45 +592,42 @@ class TestSweep:
             with pytest.MonkeyPatch.context() as mp:
                 stacks_of(mp, self.CHUNK)
                 mp.setattr(response, "_SOLVE_BYTES", per_slice * 60 * (60 + 12) * 16)
-                mp.setattr(response, "_ANCHOR_STRIDE", stride)
                 mp.setattr(np.linalg, "svd", spy)
                 routes = spy_routes(mp)
-                sweep = response.g_sweep(m, omegas)
-            covered = covered_lams(routes)
-            assert bool(covered) == (stride > 1)
-            anchor = singular % stride == 0
-            group = [i for i in range(self.CHUNK)
-                     if (i % stride == 0) == anchor and lams[i] not in covered]
+                sweep = sweep_of(m, omegas)
+                assert sweep.G.shape[0] == self.CHUNK - 2  # solves a grid's pending points
+            b_only = b_only_lams(routes)
+            assert bool(b_only) == (sweep_of is response.grid_sweep)
+            group = [i for i in range(self.CHUNK) if lams[i] not in b_only]
             start = group.index(singular) - group.index(singular) % per_slice
             undecided = sorted({*group[start:start + per_slice], kept_near, guarded_near})
             assert len(seen) == 1 and np.array_equal(seen[0], pencils[undecided])
             assert [str(e).split(":")[0] for e in sweep.guarded] == [
                 f"omega={omegas[singular]}", f"omega={omegas[guarded_near]}"]
-            assert len(sweep) == self.CHUNK - 2
         self.assert_matches_svd_everything(m, omegas)
 
     def test_anchors_on_both_sides_of_a_pole(self, monkeypatch):
-        # Two chunks across the pole at w* = 1: anchors below and above it
-        # cover neighbours on both sides, and no anchor covers the pencils
-        # nearest the pole, one kept at 1.5x the guard's floor and one
-        # guarded at 0.5x.
+        # Two chunks across the pole at w* = 1: the pencil bound certifies
+        # pencils below and above it, which are solved against B alone, but
+        # not the pencils nearest the pole, one kept at 1.5x the guard's floor
+        # and one guarded at 0.5x.
         w_star = 1.0
         m = near_pole_model(w_star)
         floor = response.POLE_GUARD_RTOL * float(np.linalg.norm(m.A_xx, 2))
         omegas = np.linspace(0.5, 1.5, 2 * self.CHUNK).tolist()
         kept_near, guarded_near = self.CHUNK - 1, self.CHUNK + 1
-        assert kept_near % response._ANCHOR_STRIDE and guarded_near % response._ANCHOR_STRIDE
         omegas[kept_near] = w_star - 1.5 * floor
         omegas[guarded_near] = w_star + 0.5 * floor
         stacks_of(monkeypatch, self.CHUNK)
         routes = spy_routes(monkeypatch)
-        sweep = response.g_sweep(m, omegas)
+        sweep = response.grid_sweep(m, omegas)
+        assert len(sweep) == sweep.G.shape[0] == len(omegas) - 1
         monkeypatch.undo()
-        covered = [lam.imag for lam in covered_lams(routes)]
-        assert min(covered) < w_star < max(covered)
-        assert omegas[kept_near] not in covered and omegas[guarded_near] not in covered
+        b_only = [lam.imag for lam in b_only_lams(routes)]
+        assert min(b_only) < w_star < max(b_only)
+        assert omegas[kept_near] not in b_only and omegas[guarded_near] not in b_only
+        assert len(b_only) == len(omegas) - 2
         assert [str(e).split(":")[0] for e in sweep.guarded] == [f"omega={omegas[guarded_near]}"]
-        assert len(sweep) == len(omegas) - 1
         self.assert_matches_pointwise(m, omegas)
         self.assert_matches_svd_everything(m, omegas)
 
@@ -632,24 +635,25 @@ class TestSweep:
         1, dims=FIXTURE_DIMS["d12"])], ids=["siso1", "d12"])
     def test_huge_omega_is_decided_by_the_exact_svd(self, model):
         # At |lam| ~ 1e200 the squared norm of the pencil's inverse underflows
-        # to 0.  Its bound must not become inf (a divide by zero, and inf - inf
-        # in the Weyl reach of a 12-state chunk): the exact SVD decides these
-        # pencils, and the kept set and G are those of an SVD of every pencil.
+        # to 0.  Its bound must not become inf (a divide by zero): the exact
+        # SVD decides such pencils, unless the pencil bound certifies them,
+        # and the kept set and G are those of an SVD of every pencil.
         omegas = [0.5, 1e200, 2e200, *np.linspace(1.0, 3.0, 9).tolist(), 5e200]
         self.assert_matches_svd_everything(model(), omegas)
 
     def test_cover_needs_twice_the_floor(self, monkeypatch):
-        # For 1/s the anchor bound and Weyl's bound are exact: at omega, the
-        # anchor at 1e-3 carries sigma_min >= omega (to rounding), against a
-        # largest floor of 1e-14.  So only 3e-14 is covered; 1.5e-14 is kept
-        # by its SVD, and 0.5e-14 is guarded.
-        monkeypatch.setattr(response, "_ANCHOR_MIN_STATES", 1)
+        # For 1/s, A_xx = 0 is singular, so the pencil bound takes the shift
+        # s = 1.  It is exact up to a few 1e-15: at omega it gives sigma_min
+        # >= omega - 1e-14 at worst, against a largest floor of 1e-14.  So it
+        # certifies 1e-3 and 3e-14, which are solved against B alone;
+        # 1.5e-14 is kept by its SVD, and 0.5e-14 is guarded.
         m = integrator()
         omegas = [1e-3, 3e-14, 1.5e-14, 0.5e-14]
         routes = spy_routes(monkeypatch)
-        sweep = response.g_sweep(m, omegas)
+        sweep = response.grid_sweep(m, omegas)
+        assert sweep.G.shape[0] == 3
         monkeypatch.undo()
-        assert [lam.imag for lam in covered_lams(routes)] == [3e-14]
+        assert sorted(lam.imag for lam in b_only_lams(routes)) == [3e-14, 1e-3]
         assert list(sweep.omegas) == omegas[:3]
         assert [str(e).split(":")[0] for e in sweep.guarded] == ["omega=5e-15"]
         self.assert_matches_svd_everything(m, omegas)
@@ -659,11 +663,11 @@ class TestSweep:
            center=st.floats(0.2, 2.0), width=st.floats(1e-3, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_covered_pencils_clear_twice_the_floor(self, seed, kind, m_x, pole, n, center, width):
-        # Weyl's bound is sound: every pencil solved against B alone, because
-        # an anchor covered it, has an exact sigma_min of at least twice its
-        # largest floor.  With ``pole``, a pole sits in the middle of the grid.
-        # Models this small are anchored only with the state floor lowered,
-        # and fill a chunk only with chunks of CHUNK pencils.
+        # The pencil bound is sound: every pencil a grid sweep solves against
+        # B alone, because the bound certified it, has an exact sigma_min of
+        # at least twice its largest floor.  With ``pole``, a pole sits in
+        # the middle of the grid.  Models this small fill a chunk only with
+        # chunks of CHUNK pencils.
         m = testing.random_model(seed, dims=Dims(m_x, 2, 1, 2, 3, 2), **KINDS[kind])
         if pole:
             m = with_pole(m, center)
@@ -672,21 +676,63 @@ class TestSweep:
         else:
             omegas = np.linspace(center - width, center + width, n).tolist()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(response, "_ANCHOR_MIN_STATES", 1)
             stacks_of(mp, self.CHUNK)
             routes = spy_routes(mp)
-            response.g_sweep(m, omegas)
-        covered = covered_lams(routes)
+            response.grid_sweep(m, omegas).G
+        covered = b_only_lams(routes)
         if covered:
             sig = np.linalg.svd(np.multiply.outer(np.array(covered), m.E) - m.A_xx,
                                 compute_uv=False)
             assert all(s >= 2 * largest_floor(m, lam) for s, lam in zip(sig[:, -1], covered))
         self.assert_matches_svd_everything(m, omegas)
 
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from(["ct", "dt-pi", "se", "pole", "integrator"]),
+           m_x=st.integers(2, 12), n=st.integers(1, 2 * CHUNK + 8), width=st.floats(1e-6, 1.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pencil_bound_is_sound(self, seed, kind, m_x, n, width):
+        # Over testing.random_model kinds: continuous time; discrete time with
+        # omega near +-pi; singular E; an undamped pole amid the grid; and an
+        # integrator state, whose singular A_xx makes the bound shift.
+        # The bound never exceeds the exact sigma_min; every pencil a grid
+        # sweep solves against B alone has an exact sigma_min of at least
+        # twice its largest floor; and the kept set, the complaints and the
+        # blocks are those of an SVD of every pencil and of a listed sweep.
+        kw = {"dt-pi": dict(time_domain="discrete"), "se": dict(singular_E=True)}.get(kind, {})
+        m = testing.random_model(seed, dims=Dims(m_x, 2, 1, 2, 3, 2), **kw)
+        u = np.linspace(0.0, 1.0, n)
+        if kind == "dt-pi":
+            omegas = np.concatenate([np.pi - width * u[::2], -np.pi + width * (u[1::2] + 1e-9)])
+        else:
+            omegas = np.geomspace(0.7 / (1 + width), 0.7 * (1 + width), n)
+        if kind == "pole":
+            m = with_pole(m, 0.7)
+        elif kind == "integrator":
+            E, A = m.E.copy(), m.A_xx.copy()
+            E[0], E[:, 0], A[0], A[:, 0] = 0.0, 0.0, 0.0, 0.0
+            E[0, 0] = 1.0
+            m = dataclasses.replace(m, E=E, A_xx=A)
+        omegas = omegas.tolist()
+        lams = np.array([response.lambda_at(m.time_domain, w) for w in omegas])
+        sig = np.linalg.svd(np.multiply.outer(lams, m.E) - m.A_xx, compute_uv=False)[:, -1]
+        if m.pencil_bound is not None:
+            assert np.all(m.pencil_bound(lams) <= sig)
+        with pytest.MonkeyPatch.context() as mp:
+            stacks_of(mp, self.CHUNK)
+            routes = spy_routes(mp)
+            grid = response.grid_sweep(m, omegas)
+            G = grid.G
+        b_only = np.isin(lams, b_only_lams(routes))
+        assert np.all(sig[b_only] >= 2 * np.array([largest_floor(m, lam) for lam in lams[b_only]]))
+        listed = response.g_sweep(m, omegas)
+        assert grid.omegas == listed.omegas and G.tobytes() == listed.G.tobytes()
+        assert [str(e) for e in grid.guarded] == [str(e) for e in listed.guarded]
+        self.assert_matches_svd_everything(m, omegas)
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("dims", sorted(FIXTURE_DIMS))
     def test_b_only_solve_is_bitwise_the_b_columns(self, dims, kind):
-        # A covered pencil is solved against B alone and an anchor against
+        # A certified pencil is solved against B alone and any other against
         # [B | I]; the blocks stay those of the SVD-of-every-pencil reference
         # only because both give the same B columns, bit for bit, here one
         # pencil at a time and stacked.
@@ -704,30 +750,38 @@ class TestSweep:
             assert np.array_equal(np.linalg.solve(P, B), x)
             assert np.array_equal(np.linalg.solve(P, BI)[:, :B.shape[1]], x)
 
-    @pytest.mark.parametrize("m_x", [response._ANCHOR_MIN_STATES - 1, response._ANCHOR_MIN_STATES])
+    @pytest.mark.parametrize("m_x", [9, 10])
     def test_small_pencils_are_their_own_anchors(self, m_x, monkeypatch):
-        # Below the state floor each chunk is one solve against [B | I] and
-        # no ||E||_2 is computed; at the floor anchors cover their neighbours.
-        # The byte budget fits all 2 * CHUNK pencils in one chunk; chunks of
-        # CHUNK pencils make two.
+        # A listed sweep bounds every pencil by its own inverse: each chunk is
+        # one solve against [B | I], and no 2-norm is taken.  A grid sweep
+        # solves its smallest pencil alone, then the others on first read,
+        # all against B alone, which its pencil bound certifies.  The byte
+        # budget fits all 2 * CHUNK pencils in one chunk; chunks of CHUNK
+        # pencils make two.
         m = testing.random_regular_model(3, dims=Dims(m_x, 2, 1, 2, 5, 2))
         omegas = np.geomspace(1e-2, 1e2, 2 * self.CHUNK).tolist()
-        anchored = m_x >= response._ANCHOR_MIN_STATES
-        for per_stack, chunks in ((None, [len(omegas)]), (self.CHUNK, [self.CHUNK] * 2)):
+        for per_stack, chunks, rest in ((None, [len(omegas)], [len(omegas) - 1]),
+                                        (self.CHUNK, [self.CHUNK] * 2, [self.CHUNK, self.CHUNK - 1])):
             with pytest.MonkeyPatch.context() as mp:
                 if per_stack:
                     stacks_of(mp, per_stack)
                 routes = spy_routes(mp)
                 calls = spy_linalg(mp, "norm")
                 response.g_sweep(m, omegas)
-            assert bool(covered_lams(routes)) == anchored
-            assert takes_a_two_norm(calls) == anchored
-            if not anchored:
-                assert [len(lams) for lams, _ in routes if len(lams)] == chunks
+            assert not b_only_lams(routes) and not takes_a_two_norm(calls)
+            assert [len(lams) for lams, _ in routes if len(lams)] == chunks
+            with pytest.MonkeyPatch.context() as mp:
+                if per_stack:
+                    stacks_of(mp, per_stack)
+                routes = spy_routes(mp)
+                response.grid_sweep(m, omegas).G
+            # The helper thread may solve the second chunk first.
+            assert sorted((len(lams), b_only) for lams, b_only in routes if len(lams)) == [
+                (k, True) for k in sorted([1, *rest])]
 
     def test_one_frequency_costs_one_solve(self, monkeypatch):
-        # One pencil is its own anchor: one solve against [B | I], and no
-        # SVD, neither for ||E||_2 nor for the guard.
+        # A listed pencil is bounded by its own inverse: one solve against
+        # [B | I], and no SVD, neither for a bound nor for the guard.
         m = testing.random_regular_model(1, dims=FIXTURE_DIMS["d60"])
         calls = spy_linalg(monkeypatch, "solve", "svd", "norm")
         response.g_blocks(m, 1.0)
