@@ -18,8 +18,12 @@ reaches the most any candidate can score:
   2 (m_v - rank G_yv) columns and m_v rows, so otherwise no point is one;
 * S1, the anchor, stops at (b, b) with b = min(q, 2 m_y m_z): a side-passing
   Xi has at most 2 m_y rows, and robust <= margin <= min(rows, cols);
-* each greedy step stops at (c, c) for Z's c columns, and reuses the U_Pi2
-  rows of the parts an earlier step built.
+* each greedy step stops at (c', c') for Z's c columns, and reuses the U_Pi2
+  rows of the parts an earlier step built.  A U_Pi2 row block has 2 m_z
+  (m_v - rank Pi) rows.  At P(theta0) = 0 every loop is I, so Pi = K, an
+  orthonormal basis of m_v - rank G_yv columns: no block has more than
+  2 m_z min(m_y, m_v) rows, and c' = min(c, 2 m_z min(m_y, m_v)).  At any
+  other theta0, c' = c.
 
 One re-verification (``_decide``) turns the picks into the plan's verdict and
 status.
@@ -196,6 +200,8 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
     # are built once, as stacks, when a step first reads the part; a step
     # only multiplies each stack by the current Z.
     rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    # The most rows a U_Pi2 block can have at P(theta0) = 0; Z has at most q columns.
+    cap = 2 * d.m_z * min(d.m_y, d.m_v) if not sweep.p0.any() else d.q
 
     def step(part: int):
         if part == len(rows):
@@ -203,7 +209,8 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
         return [(idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows[part]]
 
     while Z.shape[1] > 0:
-        found = _best(map(step, range(len(parts))), (Z.shape[1], Z.shape[1]))
+        c = min(Z.shape[1], cap)
+        found = _best(map(step, range(len(parts))), (c, c))
         if found is None or found[0] == (0, 0):
             return picks, trace, NO_PROGRESS_ON_GRID, None
         _, best, block = found

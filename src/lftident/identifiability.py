@@ -146,10 +146,10 @@ class GridSweep:
     :meth:`u_pi2` and :meth:`greedy_rows`, from one Pi SVD per kernel group of
     the points read, which is not kept.  :meth:`parts` orders the points for
     a search, and :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.
-    ``theta0`` is the checked parameter vector.  Slices keep the memory layout
-    of the one-matrix route, on which BLAS results depend; a point's factors
-    have the same bits in any stack, so the order of reads never changes a
-    result.
+    ``theta0`` is the checked parameter vector and ``p0`` is P(theta0).
+    Slices keep the memory layout of the one-matrix route, on which BLAS
+    results depend; a point's factors have the same bits in any stack, so the
+    order of reads never changes a result.
     """
 
     def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
@@ -161,7 +161,7 @@ class GridSweep:
         for _, K in kernels or []:
             if K.shape[1] != m_v:
                 raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
-        self._p0 = guarded_loops(model, t0, g)
+        self.p0 = guarded_loops(model, t0, g)
         n = len(g)
         # A chunk's points hold their factors at once: the SVDs of G_yv,
         # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
@@ -179,7 +179,8 @@ class GridSweep:
 
     def _add(self, idx: np.ndarray, K: np.ndarray) -> None:
         self._slots[0, idx], self._slots[1, idx] = len(self._groups), np.arange(len(idx))
-        self._groups.append((idx, K, _loops(self._p0, self.g.at(idx)) @ K))
+        # At P(theta0) = 0 every loop is I, so Pi = K.
+        self._groups.append((idx, K, _loops(self.p0, self.g.at(idx)) @ K if self.p0.any() else K))
 
     def _by_group(self, points) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(points, Pi stack)`` of each kernel group among ``points``, in order

@@ -11,8 +11,8 @@ into one :class:`GSweep`; :func:`g_blocks` is its one-point case.  numpy's
 stacked ``svd`` and ``solve`` run the same LAPACK routine on each pencil, so
 a sweep and one call per frequency give bitwise equal blocks, whatever the
 chunk size and whichever thread solves a chunk.  :func:`grid_sweep`
-evaluates a search grid in two g_sweep passes: its smallest point at once,
-the others on the first read of any of them.  :func:`h_sweep` evaluates H at
+evaluates a search grid's smallest point at once and each other point when
+it is first read, one g_sweep pass per read.  :func:`h_sweep` evaluates H at
 every point of a sweep for a stack of thetas in the same way: one loop guard
 and one solve per chunk of thetas, over all their points, with chunk bytes
 that scale with the sweep's length.  :func:`h_lft` is its one-theta case.
@@ -70,7 +70,8 @@ class _Blocks:
         if sweep is None:
             raise AttributeError("G")  # so that the field takes no default
         if sweep.pending is not None:
-            sweep.pending[1]()
+            mask, solve = sweep.pending
+            solve(np.flatnonzero(mask))
             object.__setattr__(sweep, "pending", None)
         return sweep.__dict__["G"]
 
@@ -89,8 +90,9 @@ class GSweep:
     take such a point and read ``g.G_yu[0]``.
 
     A :func:`grid_sweep` holds ``pending`` points, not solved yet, as ``(mask,
-    the pass that solves them)``: reading ``G`` runs that pass first, and
-    :meth:`at` only when it reads one of them."""
+    solve)``: ``solve(rows)`` solves the pending rows ``rows`` in one pass and
+    clears their bits.  :meth:`at` solves the pending points it reads, and
+    reading ``G`` all that are left."""
 
     omegas: tuple[float, ...]
     G: np.ndarray = _Blocks()
@@ -114,10 +116,13 @@ class GSweep:
     def at(self, points) -> GSweep:
         """The points ``points`` (indices) as a sweep of their own, a copy."""
         points = np.asarray(points, dtype=int)
-        pending = self.pending is not None and self.pending[0][points].any()
-        G = self.G if pending else self.__dict__["G"]
-        return GSweep(tuple(self.omegas[i] for i in points.tolist()), G[points],
-                      self.m_y, self.m_u)
+        if self.pending is not None:
+            mask, solve = self.pending
+            read = np.zeros(len(self), dtype=bool)  # not np.unique, which imports numpy.ma
+            read[points] = True
+            solve(np.flatnonzero(read & mask))
+        return GSweep(tuple(self.omegas[i] for i in points.tolist()),
+                      self.__dict__["G"][points], self.m_y, self.m_u)
 
     def raise_guarded(self) -> GSweep:
         """This sweep; raises the guard's first complaint if it dropped a frequency."""
@@ -291,15 +296,15 @@ def g_sweep(model: DescriptorModel, omegas, bound: np.ndarray | None = None) -> 
 
 
 def grid_sweep(model: DescriptorModel, omegas) -> GSweep:
-    """The :func:`g_sweep` of the distinct grid frequencies ``omegas``, in two passes.
+    """The :func:`g_sweep` of the distinct grid frequencies ``omegas``, solved as they are read.
 
     The model's :func:`numkit.pencil_bound` b decides the pole guard at every
     point.  The pencils b does not certify, and the smallest one it does, are
-    solved now; the others are ``pending``, solved in one pass on the first
-    read of any of them.  Their blocks are finite: ||G||_2 <= ||D||_F +
-    ||C||_F ||B||_F / (b / 2), with b halved for the solve's backward error and
-    b >= 2e-14 where it certifies; a model whose norms could overflow that
-    has no pending point."""
+    solved now; the others are ``pending``, and each read solves the ones it
+    reads, in one pass (:meth:`GSweep.at`).  Their blocks are finite: ||G||_2
+    <= ||D||_F + ||C||_F ||B||_F / (b / 2), with b halved for the solve's
+    backward error and b >= 2e-14 where it certifies; a model whose norms
+    could overflow that has no pending point."""
     omegas = [float(w) for w in omegas]
     lams = np.array([lambda_at(model.time_domain, w) for w in omegas], dtype=complex)
     b = np.zeros(len(lams)) if model.pencil_bound is None else model.pencil_bound(lams)
@@ -311,16 +316,16 @@ def grid_sweep(model: DescriptorModel, omegas) -> GSweep:
     now = g_sweep(model, [w for w, wait in zip(omegas, later) if not wait], b[~later])
     kept = set(now.omegas)
     keep = np.array([wait or w in kept for w, wait in zip(omegas, later)], dtype=bool)
-    rows = np.cumsum(keep) - 1
     G = np.empty((int(keep.sum()), *now.G.shape[1:]), complex)
-    G[rows[keep & ~later]] = now.G
-    mask, later = np.zeros(len(G), dtype=bool), np.flatnonzero(later)
-    mask[rows[later]] = True
+    G[~later[keep]] = now.G
+    mask, at = later[keep], np.flatnonzero(keep)  # per row of G: pending, grid index
 
-    def solve():
-        G[rows[later]] = g_sweep(model, [omegas[i] for i in later], b[later]).G
+    def solve(rows):
+        if rows.size:
+            G[rows] = g_sweep(model, [omegas[i] for i in at[rows]], b[at[rows]]).G
+            mask[rows] = False
     return GSweep(omegas=tuple(w for w, k in zip(omegas, keep) if k), G=G, m_y=now.m_y,
-                  m_u=now.m_u, guarded=now.guarded, pending=(mask, solve) if later.size else None)
+                  m_u=now.m_u, guarded=now.guarded, pending=(mask, solve) if mask.any() else None)
 
 
 def g_blocks(model: DescriptorModel, omega: float) -> GSweep:

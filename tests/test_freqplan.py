@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftident import freqplan, identifiability as ident, numkit, response, testing
@@ -353,10 +353,12 @@ def test_listed_verdict_factors_its_points_in_one_stack(monkeypatch):
     (1, dict(dims=Dims(12, 2, 1, 2, 5, 10))),
 ])
 def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
-    # The greedy rows factor each kernel group of the grid once, in one
-    # stack, part by part from the smallest point: both searches read every
-    # part.  Then the final verdict factors exactly its picks, once per
-    # group, in one stack each; nothing else factors a Pi.
+    # The greedy rows factor each kernel group of the points read once, in
+    # one stack, part by part from the smallest point: kr-22 reads every
+    # part, and d12-01 the first 164 points, where its last greedy step
+    # reaches the cap.  Then the final verdict factors exactly its picks, once
+    # per group, in one stack each; nothing else factors a Pi.
+    read = {22: 200, 1: 164}[seed]
     m = testing.random_regular_model(seed, **kind)
     t0 = np.zeros(m.dims.q)
     grid = freqplan.default_grid(m)
@@ -364,7 +366,7 @@ def test_greedy_search_factors_each_group_once(monkeypatch, seed, kind):
     assert len(plan.rank_trace) > 1
     groups = [idx.tolist() for idx, *_ in sweep._groups]
     assert calls[:len(groups)] == groups
-    assert sorted(i for c in groups for i in c) == list(range(grid.points.size))
+    assert sorted(i for c in groups for i in c) == list(range(read))
     picks = [grid.points.tolist().index(w) for w in plan.selected]
     of = sweep._slots[0]
     assert calls[len(groups):] == [[i for i in picks if of[i] == grp]
@@ -442,13 +444,14 @@ def test_refine_peak_memory_stays_pinned():
     assert peak <= 1.02 * D60_02_REFINE_PEAK
 
 
-# tracemalloc peak, in bytes, of search_frequencies(d40-01, refine=1) with
-# chunks of 32 matrices in every stacked call: the reference for the budget.
+# tracemalloc peak, in bytes, of search_frequencies(d40-01, refine=1) at
+# numkit's byte budget, on two CPUs (one CPU peaks about 230 kB lower).
 # d40-01 of the search-wide workload stalls on the default grid and refines
-# on another, and on both its greedy steps read K and Pi of every point.
-# d60-02 reads only the smallest point of each grid, so the pin above does
-# not reach a whole-grid read.
-D40_01_REFINE_PEAK = 3_130_764
+# on another; its greedy steps read K and Pi of the first 200 and 566 points
+# and solve their pencils part by part, so the peak is a part's solve on top
+# of the factors of the parts before it.  d60-02 reads only the smallest
+# point of each grid, so the pin above does not reach a many-part read.
+D40_01_REFINE_PEAK = 2_520_682
 
 
 def test_whole_grid_refine_peak_memory_stays_pinned(monkeypatch):
@@ -457,7 +460,7 @@ def test_whole_grid_refine_peak_memory_stays_pinned(monkeypatch):
     plan, sweeps = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(m, t0, refine=1))
     assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint[2] == 4 * 800
     assert [len(s.g) for s in sweeps] == [200, 800]
-    assert all((s._slots[0] >= 0).all() for s in sweeps)
+    assert [read_points(s) for s in sweeps] == [list(range(200)), list(range(566))]
     tracemalloc.start()
     try:
         freqplan.search_frequencies(m, t0, refine=1)
@@ -601,6 +604,32 @@ def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, si
     assert all(sweep.xi(i).shape[0] <= 2 * m.dims.m_y for i in np.flatnonzero(side))
 
 
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(BUDGET_KINDS) + ["fcr"]))
+@example(seed=0, kind="fcr")
+@settings(max_examples=16, deadline=None, derandomize=True)
+def test_greedy_blocks_stay_within_the_cap(seed, kind):
+    # At theta0 = 0 every loop is I, so Pi = K has m_v - rank G_yv columns
+    # and U_Pi2 has rank G_yv <= min(m_y, m_v) columns: no row block has more
+    # than 2 m_z min(m_y, m_v) rows, which lets a greedy step stop at that
+    # cap.  "fcr" models have m_v = m_y = 2, so G_yv has full column rank and
+    # Pi no columns.
+    dims = Dims(3, 2, 2, 1, 2, 2) if kind == "fcr" else None
+    try:
+        m = testing.random_regular_model(seed % 1000, **(
+            dict(dims=dims) if dims else BUDGET_KINDS[kind]))
+    except RuntimeError:
+        return
+    d = m.dims
+    grid = freqplan.default_grid(m)
+    sweep = ident.GridSweep(m, np.zeros(d.q), grid.sweep)
+    points = np.arange(len(grid.sweep))
+    rows = sweep.greedy_rows(points, ident.psi(m), d.m_z)
+    assert sorted(i for idx, _ in rows for i in idx.tolist()) == points.tolist()
+    assert all(R.shape[1] <= 2 * d.m_z * min(d.m_y, d.m_v) for _, R in rows)
+    if dims:
+        assert {Pi.shape[2] for _, _, Pi in sweep._groups} == {0}
+
+
 SCAN_CASES = {
     "kr-00": lambda: testing.random_regular_model(0, kernel_rich=True),
     "kr-22": lambda: testing.random_regular_model(22, kernel_rich=True),
@@ -705,7 +734,9 @@ def test_search_factors_only_the_points_it_reads(monkeypatch):
     # d40-01 scores its smallest point at (4, 4), the most a side-passing Xi
     # block of 2 m_y m_z = 4 rows can score.  So on both of its grids the J
     # and T SVDs (the only real stacks factored) run for its picks alone,
-    # that point among them, though its greedy steps read every point.
+    # that point among them, though its greedy steps read K and Pi of the
+    # first 200 and 566 points: a U_Pi2 block has at most 2 m_z min(m_y,
+    # m_v) = 4 rows, and the step stops at the first part that scores (4, 4).
     m = testing.random_regular_model(1, dims=Dims(40, 3, 1, 2, 6, 12))
     decided, real = [], []
     decide, svd_stack = ident._decide, numkit.svd_stack
@@ -721,9 +752,9 @@ def test_search_factors_only_the_points_it_reads(monkeypatch):
         plan, sweeps = sweeps_of(mp, lambda: freqplan.search_frequencies(
             m, [0.0] * m.dims.q, refine=1))
     assert plan.refine_hint[2] == 4 * 800 and [s for s, _ in decided] == sweeps
-    for sweep, picks in decided:
+    for (sweep, picks), read in zip(decided, [200, 566]):
         assert 0 in picks and np.flatnonzero(sweep._slots[2] >= 0).tolist() == sorted(picks)
-        assert read_points(sweep) == list(range(len(sweep.g)))
+        assert read_points(sweep) == list(range(read))
     assert sum(real) == 2 * sum(len(picks) for _, picks in decided)
 
     # kr-18's greedy step stops at the part that holds its pick: the pick
@@ -820,16 +851,16 @@ def test_lazy_grids_give_the_eager_plan(seed, kind, interior, refine):
     assert plans[0] == plans[1]
 
 
-@pytest.mark.parametrize("case,refine,whole", [
+@pytest.mark.parametrize("case,refine,past", [
     ("kr-00", 0, False),   # certified at the smallest point
     ("d60-02", 1, False),  # (q, q) at the smallest point of both grids; the gate vetoes
-    ("d40-01", 1, True),   # the greedy reads every point of both grids
+    ("d40-01", 1, True),   # the greedy reads the first 200 and 566 points
 ])
-def test_grid_pencils_are_solved_as_the_search_reads_them(monkeypatch, case, refine, whole):
-    # A search settled at the smallest point of a grid solves that one grid
-    # pencil; a search that reads every point solves each grid pencil once.
-    # Each grid is searched before the next is built, so the pencils solved
-    # from one grid's build to the next's are that grid's.
+def test_grid_pencils_are_solved_as_the_search_reads_them(monkeypatch, case, refine, past):
+    # A search solves each grid pencil it reads exactly once and no other:
+    # settled at the smallest point of a grid (not ``past`` it), that one
+    # pencil.  Each grid is searched before the next is built, so the
+    # pencils solved from one grid's build to the next's are that grid's.
     m = SEARCH_FIXTURES[case]()
     grids, starts, solved = [], [], []
     default_grid, solve_group = freqplan.default_grid, response._solve_group
@@ -846,8 +877,51 @@ def test_grid_pencils_are_solved_as_the_search_reads_them(monkeypatch, case, ref
 
     monkeypatch.setattr(freqplan, "default_grid", grid_spy)
     monkeypatch.setattr(response, "_solve_group", solve_spy)
-    freqplan.search_frequencies(m, np.zeros(m.dims.q), refine=refine)
-    assert [len(g) for g in grids] == [200, 800][:1 + refine]
-    for omegas, own in zip(grids, np.split(np.array(solved), starts[1:])):
+    _, sweeps = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(
+        m, np.zeros(m.dims.q), refine=refine))
+    assert [len(g) for g in grids] == [len(s.g) for s in sweeps] == [200, 800][:1 + refine]
+    for omegas, own, sweep in zip(grids, np.split(np.array(solved), starts[1:]), sweeps):
+        read = read_points(sweep)
+        assert (read != [0]) == past
         counts = [int((own == w).sum()) for w in omegas]
-        assert counts == ([1] * len(omegas) if whole else [1] + [0] * (len(omegas) - 1))
+        assert counts == [int(i in read) for i in range(len(omegas))]
+    if past:
+        assert [len(read_points(s)) for s in sweeps] == [200, 566]
+
+
+# Per search-wide fixture at refine 1: the grid pencils its search solves and
+# the grid points it factors (K, Pi, U_Pi2), summed over its grids.  Each is
+# the number of points its greedy steps read; a U_Pi2 block's row cap stops
+# the d12 and d40 steps short of the whole grid.
+SEARCH_WIDE_WORK = {
+    "d60-01": (129, 129), "d40-01": (766, 766), "d12-01": (164, 164),
+    "d40-dt-01": (454, 454), "d12-dt-01": (491, 491), "d40-se-01": (766, 766),
+    "d12-se-01": (164, 164), "d60-02": (2, 2), "d40-02": (567, 567),
+    "d12-02": (164, 164), "d40-dt-02": (454, 454), "d12-dt-02": (164, 164),
+    "d40-se-02": (567, 567), "d12-se-02": (164, 164),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_WIDE_WORK))
+def test_search_wide_work_stays_pinned(monkeypatch, case):
+    # A change that makes a search read more of its grids fails here, with
+    # no timing.  The pencils solved before the first grid is built are the
+    # normal-rank probes'.
+    m = SEARCH_FIXTURES[case]()
+    sizes, starts = [], []
+    default_grid, solve_group = freqplan.default_grid, response._solve_group
+
+    def grid_spy(*args, **kwargs):
+        starts.append(len(sizes))
+        return default_grid(*args, **kwargs)
+
+    def solve_spy(pencils, idx, *rest):
+        sizes.append(len(idx))
+        return solve_group(pencils, idx, *rest)
+
+    monkeypatch.setattr(freqplan, "default_grid", grid_spy)
+    monkeypatch.setattr(response, "_solve_group", solve_spy)
+    _, sweeps = sweeps_of(monkeypatch, lambda: freqplan.search_frequencies(
+        m, np.zeros(m.dims.q), refine=1))
+    factored = sum(len(read_points(s)) for s in sweeps)
+    assert (sum(sizes[starts[0]:]), factored) == SEARCH_WIDE_WORK[case]

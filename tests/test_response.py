@@ -779,6 +779,36 @@ class TestSweep:
             assert sorted((len(lams), b_only) for lams, b_only in routes if len(lams)) == [
                 (k, True) for k in sorted([1, *rest])]
 
+    @pytest.mark.parametrize("kind", [dict(kernel_rich=True),
+                                      dict(dims=FIXTURE_DIMS["d12"], time_domain="discrete")])
+    def test_pending_points_are_solved_as_they_are_read(self, kind, monkeypatch):
+        # A grid sweep solves its smallest point when built.  ``at`` solves
+        # the pending points among those it reads, in one g_sweep pass; a
+        # second read of them solves nothing, and reading G solves the rest
+        # in one more pass.  The blocks and the kept omegas end as those of
+        # an eager g_sweep.
+        m = testing.random_regular_model(4, **kind)
+        n = 60
+        omegas = (np.geomspace(1e-2, 1e2, n) if m.time_domain == "continuous"
+                  else np.linspace(np.pi / n, np.pi, n)).tolist()
+        eager = response.g_sweep(m, omegas)
+        assert not eager.guarded
+        sweep = response.grid_sweep(m, omegas)
+        assert sweep.pending[0].tolist() == [False] + [True] * (n - 1)
+        passes, g_sweep = [], response.g_sweep
+        monkeypatch.setattr(response, "g_sweep",
+                            lambda model, w, *a: passes.append(list(w)) or g_sweep(model, w, *a))
+        read = [7, 3, 0, 7, 41]
+        part = sweep.at(read)
+        assert passes == [[omegas[i] for i in (3, 7, 41)]]
+        assert part.omegas == tuple(omegas[i] for i in read)
+        assert part.G.tobytes() == eager.G[read].tobytes()
+        assert sweep.at([41, 3]).G.tobytes() == eager.G[[41, 3]].tobytes()
+        assert len(passes) == 1
+        assert sweep.G.tobytes() == eager.G.tobytes() and sweep.omegas == eager.omegas
+        assert passes[1:] == [[w for i, w in enumerate(omegas) if i not in (0, 3, 7, 41)]]
+        assert sweep.pending is None
+
     def test_one_frequency_costs_one_solve(self, monkeypatch):
         # A listed pencil is bounded by its own inverse: one solve against
         # [B | I], and no SVD, neither for a bound nor for the guard.
