@@ -74,25 +74,13 @@ def _csv_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _jsonable(obj):
-    """Recursively convert numpy/complex payloads into JSON-safe structures."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return _jsonable([[float(v.real), float(v.imag)] for v in obj.reshape(-1)])
-        return _jsonable(obj.tolist())
+def _json_default(obj):
+    """The JSON form of a numpy array or scalar, or of a complex number, in a report."""
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _load(args) -> model_mod.DescriptorModel:
@@ -419,11 +407,11 @@ def main(argv=None) -> int:
                 "pole_guard_rtol": response.POLE_GUARD_RTOL,
             },
         },
-        "result": _jsonable(result),
+        "result": result,
         "timing": {"wall_seconds": elapsed if args.timing else None},
     }
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False, default=_json_default) + "\n"
     except ValueError:
         print("internal inconsistency: report contains non-finite numbers", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -18,12 +18,9 @@ reaches the most any candidate can score:
   2 (m_v - rank G_yv) columns and m_v rows, so otherwise no point is one;
 * S1, the anchor, stops at (b, b) with b = min(q, 2 m_y m_z): a side-passing
   Xi has at most 2 m_y rows, and robust <= margin <= min(rows, cols);
-* each greedy step stops at (c', c') for Z's c columns, and reuses the U_Pi2
-  rows of the parts an earlier step built.  A U_Pi2 row block has 2 m_z
-  (m_v - rank Pi) rows.  At P(theta0) = 0 every loop is I, so Pi = K, an
-  orthonormal basis of m_v - rank G_yv columns: no block has more than
-  2 m_z min(m_y, m_v) rows, and c' = min(c, 2 m_z min(m_y, m_v)).  At any
-  other theta0, c' = c.
+* each greedy step stops at (c', c') for Z's c columns, with
+  c' = min(c, ``GridSweep.row_cap``), the most rows a U_Pi2 row block can
+  have, and reuses the U_Pi2 rows of the parts an earlier step built.
 
 One re-verification (``_decide``) turns the picks into the plan's verdict and
 status.
@@ -31,7 +28,7 @@ status.
 A stall is reported as ``no-progress-on-grid``, never as a negative
 identifiability certificate: a finite grid cannot prove that no frequency
 exists.  The plan carries a densification hint and the search accepts a
-number of refinement rounds.
+number of refinement rounds; neither goes past MAX_GRID_POINTS.
 """
 
 from __future__ import annotations
@@ -60,6 +57,9 @@ NO_PROGRESS_ON_GRID = "no-progress-on-grid"
 NOT_IDENTIFIABLE = ident.NOT_IDENTIFIABLE
 
 DEFAULT_GRID_POINTS = 200
+# The most points a grid may have, so that its size is refused before
+# anything is allocated; a refinement stops short of it.
+MAX_GRID_POINTS = 2**18
 DEFAULT_W_MIN = 1e-2
 DEFAULT_W_MAX = 1e2
 
@@ -113,12 +113,12 @@ def default_grid(
 
     Points failing the pole guard are removed; an empty result raises
     EmptyGrid.  The grid keeps the :func:`response.grid_sweep` of its points.
-    Raises InvalidInput unless ``n_points >= 1`` and, in continuous time,
+    Raises InvalidInput unless ``1 <= n_points <= MAX_GRID_POINTS`` and, in continuous time,
     ``0 < w_min <= w_max < inf`` with ``w_min < w_max`` when ``n_points > 1``;
     a discrete-time grid takes no bounds.
     """
-    if n_points < 1:
-        raise InvalidInput(f"the grid needs at least one point, got {n_points}")
+    if not 1 <= n_points <= MAX_GRID_POINTS:
+        raise InvalidInput(f"the grid needs 1 to {MAX_GRID_POINTS} points, got {n_points}")
     if model.time_domain == "continuous":
         w_min = DEFAULT_W_MIN if w_min is None else w_min
         w_max = DEFAULT_W_MAX if w_max is None else w_max
@@ -200,8 +200,6 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
     # are built once, as stacks, when a step first reads the part; a step
     # only multiplies each stack by the current Z.
     rows: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    # The most rows a U_Pi2 block can have at P(theta0) = 0; Z has at most q columns.
-    cap = 2 * d.m_z * min(d.m_y, d.m_v) if not sweep.p0.any() else d.q
 
     def step(part: int):
         if part == len(rows):
@@ -209,7 +207,7 @@ def _select(model: DescriptorModel, sweep: ident.GridSweep, psi_dec):
         return [(idx[rest[idx]], (R @ Z)[rest[idx]]) for idx, R in rows[part]]
 
     while Z.shape[1] > 0:
-        c = min(Z.shape[1], cap)
+        c = min(Z.shape[1], sweep.row_cap)
         found = _best(map(step, range(len(parts))), (c, c))
         if found is None or found[0] == (0, 0):
             return picks, trace, NO_PROGRESS_ON_GRID, None
@@ -245,10 +243,11 @@ def _best(parts, bound: tuple[int, int]):
 
 
 def _hint(grid: FrequencyGrid) -> tuple[float, float, int] | None:
-    """Bounds and size of a x4 denser grid, or None for a continuous-time
-    grid of one frequency, which no denser grid over its bounds extends."""
+    """Bounds and size of a x4 denser grid, or None when that size exceeds
+    MAX_GRID_POINTS or for a continuous-time grid of one frequency, which no
+    denser grid over its bounds extends."""
     pts = grid.points
-    if grid.time_domain == "continuous" and pts[0] == pts[-1]:
+    if 4 * pts.size > MAX_GRID_POINTS or (grid.time_domain == "continuous" and pts[0] == pts[-1]):
         return None
     return (float(pts[0]), float(pts[-1]), 4 * pts.size)
 

@@ -102,13 +102,9 @@ def _u2_stack(U: np.ndarray) -> np.ndarray:
     return np.concatenate([U.real, U.imag], axis=-1).swapaxes(-1, -2)
 
 
-def pi_at(model: DescriptorModel, theta0, g: response.GSweep,
-          kernel: np.ndarray | None = None) -> GridSweep:
-    """The one-point :class:`GridSweep` of the one-point sweep ``g``; ``kernel``
-    overrides its kernel basis of G_yv (any basis of the same column span gives
-    the same verdicts, and the override exists to exercise that invariance)."""
-    K = None if kernel is None else [(np.zeros(1, dtype=int), np.asarray(kernel, dtype=complex)[None])]
-    return GridSweep(model, theta0, g, K)
+def pi_at(model: DescriptorModel, theta0, g: response.GSweep) -> GridSweep:
+    """The one-point :class:`GridSweep` of the one-point sweep ``g``."""
+    return GridSweep(model, theta0, g)
 
 
 def _by_value(values: np.ndarray):
@@ -140,42 +136,39 @@ class GridSweep:
     factor is built, and kept, when a method first reads its point (``g.at``):
     K and Pi, from G_yv SVDs in chunks of as many points as numkit's byte budget
     fits, where points that share a chunk and a kernel dimension form a kernel
-    group (``kernels``, ``(indices, K stack)`` pairs, overrides the computed
-    bases); the anchor factors (:meth:`flags`, :meth:`xis`, :meth:`xi`), from
-    one J SVD per kernel group and one T SVD per J rank; and the U_Pi2 of
-    :meth:`u_pi2` and :meth:`greedy_rows`, from one Pi SVD per kernel group of
-    the points read, which is not kept.  :meth:`parts` orders the points for
-    a search, and :meth:`bars` stacks every point's Pi_bar_r and Pi_bar_j.
-    ``theta0`` is the checked parameter vector and ``p0`` is P(theta0).
+    group; the anchor factors (:meth:`flags` and :meth:`xis`), from one J SVD
+    per kernel group and one T SVD per J rank; and U_Pi2, from one Pi SVD per
+    kernel group of the points read, which is not kept and which both
+    :meth:`u_pi2` and :meth:`greedy_rows` read.  :meth:`parts` orders the
+    points for a search, and :meth:`bars` stacks every point's Pi_bar_r and
+    Pi_bar_j.  ``theta0`` is the checked parameter vector, ``p0`` is
+    P(theta0), and ``row_cap`` bounds the rows of a :meth:`greedy_rows` block.
     Slices keep the memory layout of the one-matrix route, on which BLAS
     results depend; a point's factors have the same bits in any stack, so the
     order of reads never changes a result.
     """
 
-    def __init__(self, model: DescriptorModel, theta0, g: response.GSweep,
-                 kernels: list[tuple[np.ndarray, np.ndarray]] | None = None):
+    def __init__(self, model: DescriptorModel, theta0, g: response.GSweep):
         t0 = model.check_theta(theta0)
         self.theta0 = t0
         self.g = g
-        m_v = model.dims.m_v
-        for _, K in kernels or []:
-            if K.shape[1] != m_v:
-                raise InvalidInput(f"kernel basis must have {m_v} rows, got {K.shape[1]}")
+        d = model.dims
         self.p0 = guarded_loops(model, t0, g)
+        # A U_Pi2 row block has 2 m_z (m_v - rank Pi) rows.  At P(theta0) = 0
+        # every loop is I, so Pi = K has at least m_v - m_y columns.
+        self.row_cap = 2 * d.m_z * (d.m_v if self.p0.any() else min(d.m_y, d.m_v))
         n = len(g)
         # A chunk's points hold their factors at once: the SVDs of G_yv,
         # Pi_bar_j and T, K, Pi and its stackings, at most about sixteen
         # complex m_v x m_v matrices per point.
-        self._nbytes = 16 * 16 * m_v * m_v
+        self._nbytes = 16 * 16 * d.m_v * d.m_v
         self._shortcut = np.zeros(n, dtype=bool)
         self._side = np.zeros(n, dtype=bool)
         self._xis: list[tuple[np.ndarray, np.ndarray]] = []
         self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # Per point: its kernel group, its position there, its Xi group and
-        # its position there; -1 until built.
-        self._slots = np.full((4, n), -1)
-        for idx, K in kernels or []:
-            self._add(idx, K)
+        # Per point: its kernel group, its position there and its Xi group;
+        # -1 until built.
+        self._slots = np.full((3, n), -1)
 
     def _add(self, idx: np.ndarray, K: np.ndarray) -> None:
         self._slots[0, idx], self._slots[1, idx] = len(self._groups), np.arange(len(idx))
@@ -213,7 +206,7 @@ class GridSweep:
                 self._side[idx[sel]] = _fcr(sigma_t, T.shape, DECISION_RTOL)
                 for rt, sub in _by_value(rank_t):
                     at = idx[sel][sub]
-                    self._slots[2, at], self._slots[3, at] = len(self._xis), np.arange(len(at))
+                    self._slots[2, at] = len(self._xis)
                     self._xis.append((at, UT[sub][:, :, rt:].transpose(0, 2, 1).real))
 
     def parts(self) -> list[np.ndarray]:
@@ -236,19 +229,19 @@ class GridSweep:
         read &= self._side
         return [(idx[read[idx]], xi[read[idx]]) for idx, xi in self._xis if read[idx].any()]
 
-    def xi(self, i: int) -> np.ndarray:
-        """Xi of grid point ``i``: a view into its Xi stack."""
-        self._anchor([i])
-        x, k = self._slots[2:, i].tolist()
-        return self._xis[x][1][k]
-
-    def u_pi2(self, points: list[int]) -> list[np.ndarray]:
-        """U_Pi2 of each grid point of ``points``: slices of one stacked SVD of
-        the Pi of each kernel group's points among ``points``."""
-        out = {}
+    def _u_pi2s(self, points):
+        """``(indices, U_Pi2 stack)`` of the points of ``points`` for each Pi
+        rank of each kernel group among them, from one stacked Pi SVD per group."""
         for at, Pi in self._by_group(points):
             U, _, _, ranks = numkit.svd_stack(Pi)
-            out.update((i, U[j, :, ranks[j]:]) for j, i in enumerate(at.tolist()))
+            for r, sel in _by_value(ranks):
+                yield at[sel], U[sel][:, :, r:]
+
+    def u_pi2(self, points: list[int]) -> list[np.ndarray]:
+        """U_Pi2 of each grid point of ``points``, in order (:meth:`_u_pi2s`)."""
+        out = {}
+        for at, U in self._u_pi2s(points):
+            out.update(zip(at.tolist(), U))
         return [out[i] for i in points]
 
     def bars(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,14 +258,9 @@ class GridSweep:
     def greedy_rows(self, points, psi_dec: numkit.SvdFactors,
                     m_z: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """The U_Pi2 row blocks (:func:`upsilon_rows` of the u2 stacks) of
-        ``points``, from one stacked Pi SVD per kernel group among them, one row
-        stack per Pi rank of each group: a list of ``(indices, row stack)``."""
-        rows = []
-        for at, Pi in self._by_group(points):
-            U, _, _, ranks = numkit.svd_stack(Pi)
-            rows += [(at[sel], upsilon_rows(_u2_stack(U[sel][:, :, r:]), psi_dec, m_z))
-                     for r, sel in _by_value(ranks)]
-        return rows
+        ``points``, one row stack per U_Pi2 stack of :meth:`_u_pi2s`: a list of
+        ``(indices, row stack)``."""
+        return [(at, upsilon_rows(_u2_stack(U), psi_dec, m_z)) for at, U in self._u_pi2s(points)]
 
 
 def _loops(P0: np.ndarray, g: response.GSweep) -> np.ndarray:
@@ -530,8 +518,9 @@ def _decide(model: DescriptorModel, sweep: GridSweep, points: list[int],
     trace: list[int] = []
     if side[0]:
         Z = np.eye(model.dims.q)
+        [(_, xi)] = sweep.xis(points[:1])
         for n, U_n in enumerate(U):
-            W = sweep.xi(points[0]) if n == 0 else _u2_stack(U_n)
+            W = xi[0] if n == 0 else _u2_stack(U_n)
             block = upsilon_rows(W[None], psi_dec, m_z)[0]
             Z = Z @ chain_null_basis(block @ Z)
             trace.append(Z.shape[1])

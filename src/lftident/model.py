@@ -91,7 +91,8 @@ class ParameterDomain:
     def contains(self, theta: np.ndarray) -> bool:
         t = np.asarray(theta, dtype=float).reshape(-1)
         if self.norm == "ball":
-            return float(np.sum(t * t)) < self.radius
+            with np.errstate(over="ignore"):  # an overflow to inf lies outside
+                return float(np.sum(t * t)) < self.radius
         return bool(np.all(np.abs(t) < self.radius))
 
 

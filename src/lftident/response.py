@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,23 +62,6 @@ POLE_GUARD_RTOL = 1e-8
 _SOLVE_BYTES = 120 << 10
 
 
-class _Blocks:
-    """The ``G`` field of :class:`GSweep`, whose read first solves any pending points."""
-
-    def __get__(self, sweep, owner=None):
-        if sweep is None:
-            raise AttributeError("G")  # so that the field takes no default
-        if sweep.pending is not None:
-            mask, solve = sweep.pending
-            solve(np.flatnonzero(mask))
-            object.__setattr__(sweep, "pending", None)
-        return sweep.__dict__["G"]
-
-    def __set__(self, sweep, G):
-        sweep.__dict__["G"] = G
-
-
-@dataclass(frozen=True, eq=False)
 class GSweep:
     """The four transfer blocks of the parameter-free interconnection over a
     frequency list: ``G[i]`` is [[G_yu, G_yv], [G_zu, G_zv]] at ``omegas[i]``,
@@ -92,14 +74,20 @@ class GSweep:
     A :func:`grid_sweep` holds ``pending`` points, not solved yet, as ``(mask,
     solve)``: ``solve(rows)`` solves the pending rows ``rows`` in one pass and
     clears their bits.  :meth:`at` solves the pending points it reads, and
-    reading ``G`` all that are left."""
+    reading ``G`` or a block all that are left."""
 
-    omegas: tuple[float, ...]
-    G: np.ndarray = _Blocks()
-    m_y: int
-    m_u: int
-    guarded: tuple[PoleProximity, ...] = ()
-    pending: tuple | None = field(default=None, repr=False)
+    def __init__(self, omegas: tuple[float, ...], G: np.ndarray, m_y: int, m_u: int,
+                 guarded: tuple[PoleProximity, ...] = (), pending: tuple | None = None):
+        self.omegas, self._G, self.m_y, self.m_u = omegas, G, m_y, m_u
+        self.guarded, self.pending = guarded, pending
+
+    @property
+    def G(self) -> np.ndarray:
+        if self.pending is not None:
+            mask, solve = self.pending
+            solve(np.flatnonzero(mask))
+            self.pending = None
+        return self._G
 
     G_yu = property(lambda self: self.G[:, :self.m_y, :self.m_u])
     G_yv = property(lambda self: self.G[:, :self.m_y, self.m_u:])
@@ -122,7 +110,7 @@ class GSweep:
             read[points] = True
             solve(np.flatnonzero(read & mask))
         return GSweep(tuple(self.omegas[i] for i in points.tolist()),
-                      self.__dict__["G"][points], self.m_y, self.m_u)
+                      self._G[points], self.m_y, self.m_u)
 
     def raise_guarded(self) -> GSweep:
         """This sweep; raises the guard's first complaint if it dropped a frequency."""

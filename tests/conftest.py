@@ -76,7 +76,7 @@ REPORTS_FIXTURES = {
 def with_blocks(sweep, changes):
     """``sweep`` with, for each ``(i, name, block)`` of ``changes``, the block
     ``name`` of point i replaced by ``block``, in a copy of its G."""
-    changed = dataclasses.replace(sweep, G=sweep.G.copy())
+    changed = response.GSweep(sweep.omegas, sweep.G.copy(), sweep.m_y, sweep.m_u, sweep.guarded)
     for i, name, block in changes:
         getattr(changed, name)[i] = block
     return changed
@@ -96,22 +96,40 @@ def model_pool(n, start=0):
     return out
 
 
+def with_kernels(model, theta0, g, kernels):
+    """The GridSweep of the sweep ``g`` at ``theta0`` whose kernel bases of
+    G_yv are the ``(indices, K stack)`` pairs ``kernels``, given before any
+    read, in place of the computed ones (any basis of the same column span
+    gives the same verdicts)."""
+    sweep = ident.GridSweep(model, theta0, g)
+    for idx, K in kernels:
+        sweep._add(idx, K)
+    return sweep
+
+
 def point_views(grid, points=None):
     """Each point of ``points`` (by default every point) of the GridSweep
     ``grid``, in order, as views of its stacks: its ``index``, its one-point
-    sweep ``g`` and ``omega``, K, Pi, Pi_bar_r, Pi_bar_j, Xi, U_Pi2 (from one
-    ``grid.u_pi2`` read of all of them) and its ``u2_stack``, ``kernel_dim``,
-    and its ``side_fcr`` and ``shortcut`` flags."""
+    sweep ``g`` and ``omega``, K, Pi, Pi_bar_r, Pi_bar_j, Xi (from one
+    ``grid.xis`` read, or for a side-failing point from its Xi group), U_Pi2
+    (from one ``grid.u_pi2`` read of all of them) and its ``u2_stack``,
+    ``kernel_dim``, and its ``side_fcr`` and ``shortcut`` flags."""
     points = list(range(len(grid.g))) if points is None else list(points)
     shortcut, side = grid.flags(points)
+    xis = {i: xi for idx, stack in grid.xis(points) for i, xi in zip(idx.tolist(), stack)}
     views = []
     for n, (i, U) in enumerate(zip(points, grid.u_pi2(points), strict=True)):
-        grp, j = grid._slots[:2, i].tolist()
+        grp, j, x = grid._slots[:, i].tolist()
         _, K, Pi = grid._groups[grp]
         R, J = ident._bars(Pi)
+        if side[n]:
+            Xi = xis[i]
+        else:  # xis leaves the side-failing points out
+            idx, stack = grid._xis[x]
+            Xi = stack[np.flatnonzero(idx == i)[0]]
         views.append(SimpleNamespace(
             index=i, g=grid.g[i], omega=grid.g.omegas[i], K=K[j], Pi=Pi[j], Pi_bar_r=R[j],
-            Pi_bar_j=J[j], Xi=grid.xi(i), U_Pi2=U, u2_stack=ident._u2_stack(U),
+            Pi_bar_j=J[j], Xi=Xi, U_Pi2=U, u2_stack=ident._u2_stack(U),
             kernel_dim=K.shape[2], side_fcr=bool(side[n]), shortcut=bool(shortcut[n])))
     return views
 

@@ -18,7 +18,7 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import LftIdentError
 
 from conftest import (h_statespace, interior_theta, model_pool, point_views,
-                      regularity_identity_check, rotate_factors)
+                      regularity_identity_check, rotate_factors, with_kernels)
 
 
 @contextlib.contextmanager
@@ -163,7 +163,7 @@ def test_criterion_5_basis_and_unitary_invariance(monkeypatch):
                 M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
                 M += 2.0 * np.eye(c)
                 kernels.append((np.array([i]), (p.K @ M)[None]))
-            rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
+            rotated = with_kernels(m, t0, sweep.g, kernels)
             pis_rot = point_views(rotated)
             v1 = ident.upsilon_test(m, t0, w, sweep=sweep)
             v2 = ident.upsilon_test(m, t0, w, sweep=rotated)

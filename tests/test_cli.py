@@ -278,6 +278,38 @@ def test_theta0_outside_domain(siso1_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["ident", "--theta0", "1e200", "--freqs", "1"],
+    ["oracle", "--theta0", "0", "--freqs", "1", "--step", "1e300"],
+])
+def test_huge_theta_outside_domain_warns_nothing(argv, siso1_path, capsys):
+    # The ball test squares the huge entries to inf, which lies outside.
+    code, out, err = run([argv[0], "--model", str(siso1_path), *argv[1:]], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "parameter domain" in err
+
+
+def test_huge_grid_usage_error_before_allocating(siso1_path, capsys, monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("an oversized grid reached its allocation")
+
+    monkeypatch.setattr(np, "geomspace", spy)
+    code, out, err = run(["find-freqs", "--model", str(siso1_path), "--theta0", "0",
+                          "--grid-points", "100000000000"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "100000000000" in err
+
+
+def test_json_default_covers_numpy_and_complex_values():
+    doc = {"a": np.arange(2), "i": np.int64(3), "b": np.bool_(True), "f": np.float32(0.5),
+           "c": 1.5 - 2j, "nc": np.complex128(1j), "z": np.array([1 + 2j])}
+    assert json.loads(json.dumps(doc, default=cli._json_default)) == {
+        "a": [0, 1], "i": 3, "b": True, "f": 0.5, "c": [1.5, -2.0], "nc": [0.0, 1.0],
+        "z": [[1.0, 2.0]]}
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json.dumps({"o": object()}, default=cli._json_default)
+
+
 def test_invalid_model_exit_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{}")

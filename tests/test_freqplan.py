@@ -50,6 +50,19 @@ class TestDefaultGrid:
         with pytest.raises(InvalidInput, match=r"discrete-time grid spans \(0, pi\]"):
             freqplan.default_grid(m, **bounds)
 
+    @pytest.mark.parametrize("kind", [dict(), dict(time_domain="discrete")])
+    def test_oversized_grid_refused_before_allocating(self, kind, monkeypatch):
+        m = testing.random_regular_model(6, **kind)
+
+        def spy(*args, **kwargs):
+            raise AssertionError("an oversized grid reached its allocation")
+
+        monkeypatch.setattr(np, "geomspace", spy)
+        monkeypatch.setattr(np, "linspace", spy)
+        for n in (freqplan.MAX_GRID_POINTS + 1, 10**11):
+            with pytest.raises(InvalidInput, match=rf"1 to {freqplan.MAX_GRID_POINTS} points"):
+                freqplan.default_grid(m, n_points=n)
+
     def test_imaginary_axis_pole_excluded(self):
         # Oscillator with poles at +- j w*: the grid must drop the hit point.
         w_star = float(np.geomspace(1e-2, 1e2, 200)[120])
@@ -142,6 +155,34 @@ class TestSearch:
         plan = freqplan.search_frequencies(theta_free, [0.0], grid=g, refine=1)
         assert plan.status == freqplan.NO_PROGRESS_ON_GRID
         assert plan.refine_hint is None
+
+
+def test_hint_stops_at_the_grid_size_bound():
+    # A x4 denser grid past MAX_GRID_POINTS is not hinted; one that reaches
+    # it exactly is.
+    for n, hinted in ((freqplan.MAX_GRID_POINTS // 4, True),
+                      (freqplan.MAX_GRID_POINTS // 4 + 1, False)):
+        sweep = response.GSweep(tuple(np.linspace(1.0, 2.0, n).tolist()),
+                                np.zeros((n, 2, 2), complex), 1, 1)
+        hint = freqplan._hint(freqplan.FrequencyGrid(sweep=sweep, time_domain="continuous"))
+        assert hint == ((1.0, 2.0, 4 * n) if hinted else None)
+
+
+def test_refine_stops_at_the_grid_size_bound(theta_free, monkeypatch):
+    # With the bound at 800 points, the stalling search refines 200 -> 800
+    # once and then stops, hintless, however many rounds it may take.
+    monkeypatch.setattr(freqplan, "MAX_GRID_POINTS", 800)
+    sizes = []
+    default_grid = freqplan.default_grid
+
+    def spy(model, n_points=freqplan.DEFAULT_GRID_POINTS, **bounds):
+        sizes.append(n_points)
+        return default_grid(model, n_points, **bounds)
+
+    monkeypatch.setattr(freqplan, "default_grid", spy)
+    plan = freqplan.search_frequencies(theta_free, [0.0], refine=3)
+    assert plan.status == freqplan.NO_PROGRESS_ON_GRID and plan.refine_hint is None
+    assert sizes == [200, 800]
 
 
 def scores_of(blocks):
@@ -396,7 +437,8 @@ def test_anchor_probe_equals_full_scoring(monkeypatch, seed, kind, forced):
     sweep = ident.GridSweep(m, t0, grid.sweep)
     psi_dec, m_z, b = ident.psi(m), m.dims.m_z, min(m.dims.q, 2 * m.dims.m_y * m.dims.m_z)
     first = int(np.flatnonzero(sweep.flags(range(grid.points.size))[1])[0])
-    reaches = scores_of([row_block(sweep.xi(first), psi_dec, m_z)])[0] == (b, b)
+    [(_, xi)] = sweep.xis([first])
+    reaches = scores_of([row_block(xi[0], psi_dec, m_z)])[0] == (b, b)
     assert first >= forced and reaches == (m.dims.m_x < 60)
     # The Xi group sizes of each part up to the first that reaches (b, b), on
     # a sweep read part by part, as the search reads its own.
@@ -601,7 +643,9 @@ def test_anchor_probe_gives_the_full_build_plan(seed, kind, interior, refine, si
         assert reads[0] > 1
     sweep = ident.GridSweep(m, t0, grid.sweep)
     side = sweep.flags(range(grid.points.size))[1]
-    assert all(sweep.xi(i).shape[0] <= 2 * m.dims.m_y for i in np.flatnonzero(side))
+    stacks = sweep.xis(np.flatnonzero(side))
+    assert sum(len(idx) for idx, _ in stacks) == side.sum()
+    assert all(xi.shape[1] <= 2 * m.dims.m_y for _, xi in stacks)
 
 
 @given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(sorted(BUDGET_KINDS) + ["fcr"]))

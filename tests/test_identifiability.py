@@ -15,7 +15,7 @@ from lftident.model import DescriptorModel, Dims
 
 from conftest import (CHUNK, D12, REPORTS_FIXTURES, full_rank_above, guard_one, interior_theta,
                       model_pool, per_point_margin_ok, per_point_sensitivity_stack, point_views,
-                      row_block, stacks_of, with_blocks)
+                      row_block, stacks_of, with_blocks, with_kernels)
 
 
 def kernel_pool(n, start=0):
@@ -107,7 +107,8 @@ class TestPiAt:
         # A 1 x 2 realified stack cannot be FCR: siso1 with a one-column
         # kernel override gives Pi = 1 and Pi_bar_j = [0 1].
         siso1 = testing.siso1()
-        [p] = point_views(ident.pi_at(siso1, [0.0], response.g_blocks(siso1, 1.0), kernel=np.eye(1)))
+        one = [(np.zeros(1, dtype=int), np.eye(1, dtype=complex)[None])]
+        [p] = point_views(with_kernels(siso1, [0.0], response.g_blocks(siso1, 1.0), one))
         assert np.array_equal(p.Pi_bar_j, [[0.0, 1.0]])
         assert not p.shortcut
 
@@ -314,14 +315,14 @@ class TestSweepFlags:
         m = testing.random_regular_model(seed, **kind)
         t0 = interior_theta(m, seed)
         blocks = freqplan.default_grid(m, n_points=CHUNK + 1).sweep
-        kernels = None
+        kernels = []
         if near_cut:
             # Kernel bases whose two first columns lie 1e-12 to 1 apart put
             # Pi_bar_j and T on both sides of their cuts along the grid.
             K = np.array([numkit.right_null_basis(G) for G in blocks.G_yv])
             K[:, :, 1] = K[:, :, 0] + np.geomspace(1e-12, 1.0, len(blocks))[:, None] * K[:, :, 1]
             kernels = [(np.arange(len(blocks)), K)]
-        sweep = ident.GridSweep(m, t0, blocks, kernels)
+        sweep = with_kernels(m, t0, blocks, kernels)
         shortcut, side = sweep.flags(range(len(blocks)))
         for i, p in enumerate(point_views(sweep)):
             T = p.Pi_bar_r @ numkit.right_null_basis(p.Pi_bar_j)
@@ -384,10 +385,10 @@ class TestNormalRowRank:
             if scenario in ("guard-all", "guard-low"):
                 drop = [True] * len(s) if scenario == "guard-all" else low
                 keep = [not d for d in drop]
-                return dataclasses.replace(
-                    s, omegas=tuple(compress(s.omegas, keep)), G=s.G[np.array(keep, dtype=bool)],
-                    guarded=s.guarded + tuple(PoleProximity(f"omega={w}: forced")
-                                              for w in compress(s.omegas, drop)))
+                return response.GSweep(
+                    tuple(compress(s.omegas, keep)), s.G[np.array(keep, dtype=bool)], s.m_y, s.m_u,
+                    s.guarded + tuple(PoleProximity(f"omega={w}: forced")
+                                      for w in compress(s.omegas, drop)))
             if scenario == "zero-low":
                 s = with_blocks(s, [(i, "G_zu", 0.0) for i in np.flatnonzero(low)])
             return s
@@ -510,7 +511,7 @@ class TestUpsilon:
             M = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
             M += 2 * np.eye(c)  # keep comfortably invertible
             kernels.append((np.array([i]), (p.K @ M)[None]))
-        rotated = ident.GridSweep(m, t0, sweep.g, kernels=kernels)
+        rotated = with_kernels(m, t0, sweep.g, kernels)
         pis_rot = point_views(rotated)
         v1 = ident.upsilon_test(m, t0, freqs, sweep=sweep)
         v2 = ident.upsilon_test(m, t0, freqs, sweep=rotated)

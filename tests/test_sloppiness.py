@@ -91,7 +91,7 @@ class TestPointwiseFactors:
     def test_yv_rank_change_between_points_raises(self):
         m = testing.random_regular_model(9, kernel_rich=True)
         sweep = response.g_sweep(m, [0.3, 0.8, 1.7])
-        changed = dataclasses.replace(sweep, G=sweep.G.copy())
+        changed = response.GSweep(sweep.omegas, sweep.G.copy(), sweep.m_y, sweep.m_u)
         changed.G_yv[1] = 0.0
         r_yv = slop.pointwise_factors(m, np.zeros(m.dims.q), sweep).r_yv
         assert r_yv > 0
