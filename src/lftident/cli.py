@@ -189,10 +189,6 @@ def run_sloppiness(args) -> tuple[dict, list[list]]:
     w = _freqs(args, m)
     S = sloppiness.s_matrices(m, t0, w)
     rep = sloppiness.metrics(S, k=args.k)
-    if rep.inconsistent:
-        raise ConstructionError(
-            "infinite sloppiness eigenvalue on a certified-identifiable set"
-        )
     ell = sloppiness.frobenius_ellipsoid(S, args.eps, k=args.k)
     payload = {
         "n_s": S.n_s,
@@ -202,7 +198,7 @@ def run_sloppiness(args) -> tuple[dict, list[list]]:
         "directions": [rep.directions[:, i].tolist() for i in range(rep.directions.shape[1])],
         "k": rep.k,
         "eps": args.eps,
-        "eps_convention": rep.eps_convention,
+        "eps_convention": sloppiness.EPS_CONVENTION,
         "ellipsoid_energy_matrix": ell.M.tolist(),
     }
     csv_rows: list[list] = [["index", "mu", "sm_rel"]
@@ -240,7 +236,7 @@ def run_oracle(args) -> tuple:
         rel = [
             abs(rep.mu[i] - mu_hat[i]) / abs(rep.mu[i])
             for i in range(min(rep.mu.size, mu_hat.size))
-            if np.isfinite(rep.mu[i]) and rep.mu[i] != 0
+            if rep.mu[i] != 0
         ]
         agreement = {
             "mu_pencil": rep.mu.tolist(),

@@ -128,7 +128,8 @@ def default_grid(
         if n_points > 1 and w_min == w_max:
             raise InvalidInput(
                 f"a grid of {n_points} points needs w_min < w_max, got {w_min}, {w_max}")
-        raw = np.geomspace(w_min, w_max, n_points)
+        with np.errstate(over="ignore"):  # 10**log10(w_max) may overflow; the end points are exact
+            raw = np.geomspace(w_min, w_max, n_points)
     elif (w_min, w_max) != (None, None):
         raise InvalidInput(f"a discrete-time grid spans (0, pi] and takes no bounds, "
                            f"got {w_min}, {w_max}")

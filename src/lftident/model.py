@@ -88,12 +88,17 @@ class ParameterDomain:
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise ModelShapeError(f"theta_domain.radius must be positive, got {self.radius!r}")
 
-    def contains(self, theta: np.ndarray) -> bool:
-        t = np.asarray(theta, dtype=float).reshape(-1)
+    def contains(self, theta):
+        """Whether ``theta`` lies inside: a bool for one theta (a vector or a
+        scalar), and for a stack whose last axis holds each theta, a bool
+        array of the leading shape."""
+        t = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.norm == "ball":
             with np.errstate(over="ignore"):  # an overflow to inf lies outside
-                return float(np.sum(t * t)) < self.radius
-        return bool(np.all(np.abs(t) < self.radius))
+                inside = np.sum(t * t, axis=-1) < self.radius
+        else:
+            inside = np.all(np.abs(t) < self.radius, axis=-1)
+        return bool(inside) if t.ndim < 2 else inside
 
 
 def _expected_shapes(d: Dims) -> dict[str, tuple[int, int]]:

@@ -27,6 +27,8 @@ bytes in flight stay at one budget, and like the budget, the thread count
 never decides a bit of a result.  :func:`loop_guard` is the one
 well-posedness guard: it checks a stack of loop matrices, by a certificate
 or an SVD, and returns its complaints for the caller to raise.
+:func:`gen_eig_psd_pencil_pairs` takes a sloppiness pencil (S, M) with M
+positive definite only, and returns finite eigenvalues.
 
 Empty matrices are first-class citizens throughout: a matrix with zero
 columns is of full column rank, its right-null basis is zero-dimensional,
@@ -36,7 +38,6 @@ and products over an empty inner dimension are zero.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ __all__ = [
 
 DEFAULT_RANK_RTOL = 1e-10
 LOOP_GUARD_RTOL = 1e-12
-# Relative null cut of each matrix of a sloppiness pencil.
+# Relative cut below which an eigenvalue of a sloppiness pencil's M counts as zero.
 _PENCIL_RTOL = 1e-12
 
 # Bytes one stacked call may stack.  Unbounded, one 800-point refine of a
@@ -180,23 +181,12 @@ def _rank_tol(sigma: np.ndarray, shape: tuple[int, int], rtol: float, floor: flo
 
 @dataclass(frozen=True)
 class RankDecision:
-    """Outcome of a tolerance-based rank test.
-
-    ``rank`` counts singular values strictly above ``tol``; ``gap`` reports
-    the singular values bracketing the cut so callers can judge how sharp
-    the decision was.
-    """
+    """Outcome of a tolerance-based rank test: ``rank`` counts the
+    ``singular_values`` strictly above ``tol``."""
 
     rank: int
     tol: float
     singular_values: np.ndarray
-
-    @property
-    def gap(self) -> tuple[float, float]:
-        s = self.singular_values
-        above = float(s[self.rank - 1]) if self.rank > 0 else math.inf
-        below = float(s[self.rank]) if self.rank < s.size else 0.0
-        return above, below
 
 
 @dataclass(frozen=True)
@@ -341,9 +331,11 @@ def pencil_bound(E: np.ndarray, A: np.ndarray):
     def bound(lams: np.ndarray) -> np.ndarray:
         z, out = np.asarray(lams) - s, np.empty(len(lams))
         for part in _chunks(len(z), 64 * n):
-            zt = np.multiply.outer(z[part], theta)
-            d = (np.abs(1 - zt) - tol * (1 + np.abs(zt))).min(axis=1)
-            out[part] = ((low * d - np.abs(z[part]) * r) / v - tol * f_fro) * (1 - tol)
+            with np.errstate(over="ignore", invalid="ignore"):  # at a huge |lam|
+                zt = np.multiply.outer(z[part], theta)
+                d = (np.abs(1 - zt) - tol * (1 + np.abs(zt))).min(axis=1)
+                b = ((low * d - np.abs(z[part]) * r) / v - tol * f_fro) * (1 - tol)
+            out[part] = np.where(np.isfinite(b), b, 0.0)  # a non-finite bound certifies nothing
         return out
 
     return bound if low > 0 else None
@@ -359,22 +351,18 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def gen_eig_psd_pencil_pairs(S, M):
-    """Generalized eigenpairs of the PSD pencil ``det(mu*M - S) = 0``.
+    """Generalized eigenpairs of the pencil ``det(mu*M - S) = 0`` for a
+    symmetric positive semidefinite ``S`` and a symmetric positive definite
+    ``M``.  Returns ``(values, vectors)``, the finite values descending and
+    the vectors as columns.
 
-    Directions in the joint null space of ``S`` and ``M`` are excluded (they
-    carry no information).  Directions where ``M`` vanishes but ``S`` stays
-    positive get ``mu = +inf`` (infinite-sloppiness sentinel).  Null-ness is
-    decided against each matrix's own scale, never against the combined one:
-    with spectra spreading over many decades a direction that is tiny next to
-    the dominant matrix is still a perfectly good eigendirection.  Returns
-    ``(values, vectors)`` with values descending and vectors as columns.
-
-    On the range of ``M`` the pencil is ``(S_eff, D)`` with D = diag(lam_p)
-    the positive eigenvalues of ``M`` and S_eff the Schur complement of the
-    infinite directions.  A diagonal B = D reduces the generalized problem to
-    the standard symmetric one ``D^-1/2 S_eff D^-1/2 y' = mu y'``, with
-    ``y = D^-1/2 y'`` (Golub & Van Loan, *Matrix Computations*, sec. 8.7), so
-    the finite eigenvectors keep the normalisation ``Y^T M Y = I``.
+    M counts as positive definite when each eigenvalue lam_i of M exceeds n
+    _PENCIL_RTOL max(lam); InvalidInput otherwise.  With M = Q D Q^T, D =
+    diag(lam), the pencil is the standard symmetric problem ``D^-1/2 Q^T S Q
+    D^-1/2 y' = mu y'`` with ``y = Q D^-1/2 y'`` (Golub & Van Loan, *Matrix
+    Computations*, sec. 8.7), so the eigenvectors keep the normalisation
+    ``Y^T M Y = I``.  The eigenvalues span whatever S's spectrum spans: no
+    direction is dropped against the scale of the dominant one.
     """
     Sm = _check_symmetric(as_matrix(S, "S").real, "S")
     Mm = _check_symmetric(as_matrix(M, "M").real, "M")
@@ -385,23 +373,14 @@ def gen_eig_psd_pencil_pairs(S, M):
         return np.zeros(0), np.zeros((0, 0))
 
     lam, Q = np.linalg.eigh(Mm)
-    lam = np.clip(lam, 0.0, None)
     pos = lam > lam.max() * n * _PENCIL_RTOL
-    Qp, Qn, r = Q[:, pos], Q[:, ~pos], np.sqrt(lam[pos])
-
-    # Split the M-null block by the action of S: positive directions are
-    # infinitely sloppy, S-null directions are jointly degenerate and dropped.
-    S_nn = Qn.T @ Sm @ Qn
-    w2, Y2 = np.linalg.eigh(0.5 * (S_nn + S_nn.T))
-    s_pos = w2 > np.linalg.norm(Sm, 2) * n * _PENCIL_RTOL
-    Qn_pos, w_pos = Qn @ Y2[:, s_pos], w2[s_pos]
-
-    S_ab = Qp.T @ Sm @ Qn_pos
-    S_eff = Qp.T @ Sm @ Qp - S_ab @ (S_ab.T / w_pos[:, None])
+    if not pos.all():
+        raise InvalidInput(f"M must be positive definite; its eigenvalues are {lam.tolist()}")
+    Qp, r = Q[:, pos], np.sqrt(lam[pos])
+    S_eff = Qp.T @ Sm @ Qp
     S_eff = 0.5 * (S_eff + S_eff.T)
     mu, Y = np.linalg.eigh(S_eff / r[:, None] / r)
-    values = np.concatenate([np.full(w_pos.size, np.inf), np.maximum(mu[::-1], 0.0)])
-    return values, np.hstack([Qn_pos, Qp @ (Y[:, ::-1] / r[:, None])])
+    return np.maximum(mu[::-1], 0.0), Qp @ (Y[:, ::-1] / r[:, None])
 
 
 def sign_flip(V) -> np.ndarray:

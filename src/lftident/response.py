@@ -184,8 +184,9 @@ def _largest_floor(model: DescriptorModel, lam: np.ndarray) -> np.ndarray:
     """The largest pole-guard floor each pencil at ``lam`` could have: the
     guard's floor through Frobenius norms, which bound the 2-norms."""
     a_fro, e_fro = float(np.linalg.norm(model.A_xx)), float(np.linalg.norm(model.E))
-    return np.maximum(POLE_GUARD_RTOL * a_fro,
-                      1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
+    with np.errstate(over="ignore"):  # an infinite floor certifies nothing
+        return np.maximum(POLE_GUARD_RTOL * a_fro,
+                          1e-14 * np.maximum(np.abs(lam) * e_fro + a_fro, 1.0))
 
 
 def g_sweep(model: DescriptorModel, omegas, bound: np.ndarray | None = None) -> GSweep:

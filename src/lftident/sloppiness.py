@@ -14,6 +14,10 @@ module derives
   pencil (S_k^T S_k, M) with M the deviation-energy Gram matrix, and
 * a per-frequency spectral-norm membership predicate.
 
+S_H has orthonormal columns, and :func:`s_matrices` holds M to S_H^T S_H,
+so M is the identity up to rounding: the pencil is positive definite and
+every metric is finite.
+
 A frequency list arrives as its :class:`identifiability.GridSweep`; the
 pointwise factors and the Q pairs are (N, ...) stacks over that list.
 """
@@ -38,7 +42,6 @@ __all__ = [
     "SloppinessReport",
     "pointwise_factors",
     "q_pair",
-    "gamma_omega",
     "s_matrices",
     "frobenius_ellipsoid",
     "metrics",
@@ -47,6 +50,10 @@ __all__ = [
 ]
 
 EPS_CONVENTION = "energy<=eps^2"
+
+# The most max(max|Phi_l|, 1) max(max|Phi_r|, 1), which grows as the response
+# vanishes: the metrics' pencil holds its square, its symmetry check the 4th power.
+_FACTOR_MAX = 1e50
 
 # Random deviations on which q_pair checks its Q action, and their seed.
 _Q_CHECK_PROBES = 20
@@ -89,7 +96,8 @@ def pointwise_factors(model: DescriptorModel, theta0, g: response.GSweep) -> Poi
     with one stacked SVD per block.
 
     Raises RankDrop, naming the first such omega, where G_zu is not of full
-    row rank, and when the rank of G_yv differs between points.
+    row rank or the deviation factors exceed ``_FACTOR_MAX``, and when the
+    rank of G_yv differs between points.
     """
     t0 = model.check_theta(theta0)
     m_z, m_v = model.dims.m_z, model.dims.m_v
@@ -117,6 +125,14 @@ def pointwise_factors(model: DescriptorModel, theta0, g: response.GSweep) -> Poi
     P0 = model.p_of(t0)
     loop_l = np.eye(m_v) - P0 @ g.G_zv
     loop_r = np.eye(m_z) - g.G_zv @ P0
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / sigma overflows as G vanishes
+        Phi_l = loop_l @ V_yv[:, :, :r] @ (np.eye(r) / s_yv[:, None, :r])
+        Phi_r = (np.eye(m_z) / s_zu[:, None]) @ U_zu.conj().transpose(0, 2, 1) @ loop_r
+        size = np.abs(Phi_l).max(axis=(1, 2), initial=1.0) * np.abs(Phi_r).max(axis=(1, 2), initial=1.0)
+    huge = np.flatnonzero(~(size <= _FACTOR_MAX))
+    if huge.size:
+        raise RankDrop(f"the deviation factors of G_yv and G_zu exceed {_FACTOR_MAX:.0e} "
+                       f"at omega={g.omegas[huge[0]]}; pick another frequency")
     return PointwiseFactors(
         omegas=g.omegas,
         U_yv1=U_yv[:, :, :r],
@@ -125,8 +141,8 @@ def pointwise_factors(model: DescriptorModel, theta0, g: response.GSweep) -> Poi
         U_zu=U_zu,
         sigma_zu=s_zu,
         V_zu1=V_zu[:, :, :m_z],
-        Phi_l=loop_l @ V_yv[:, :, :r] @ (np.eye(r) / s_yv[:, None, :r]),
-        Phi_r=(np.eye(m_z) / s_zu[:, None]) @ U_zu.conj().transpose(0, 2, 1) @ loop_r,
+        Phi_l=Phi_l,
+        Phi_r=Phi_r,
     )
 
 
@@ -237,27 +253,6 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(N * m, N * n)
 
 
-def _context(model, theta0, freqs, sweep):
-    t0 = model.check_theta(theta0)
-    w = response.check_freqs(model, freqs)
-    psi_dec = ident.psi(model)
-    if psi_dec.V2.shape[1]:
-        raise GammaRankDeficient(
-            "Psi is rank deficient: no frequency set certifies identifiability"
-        )
-    sweep = ident.listed_sweep(model, t0, w, sweep)
-    factors = pointwise_factors(model, t0, sweep.g)
-    return t0, w, psi_dec, sweep.bars(), factors, q_pair(factors)
-
-
-def gamma_omega(model: DescriptorModel, theta0, freqs,
-                sweep: ident.GridSweep | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the paired constraint stacks (Gamma, Omega) over the frequencies;
-    ``sweep`` as in :func:`s_matrices`."""
-    _, _, psi_dec, bars, _, qpairs = _context(model, theta0, freqs, sweep)
-    return _block_rows(psi_dec, bars, qpairs, model.dims.m_z)[:2]
-
-
 @dataclass(frozen=True)
 class SMatrices:
     """First-order deviation geometry over a certifying frequency set.
@@ -285,14 +280,11 @@ class SMatrices:
     def n_s(self) -> int:
         return self.S_H.shape[1]
 
-    def complex_block(self, k: int) -> np.ndarray:
-        """Stack (S_H,k(2c-1) + j S_H,k(2c)) over the r_zu column groups:
-        maps xi to vec of the complex deviation coordinates at frequency k."""
-        return _complex_blocks(self.S_H, self.factors)[k]
-
 
 def _complex_blocks(S_H: np.ndarray, factors: PointwiseFactors) -> np.ndarray:
-    """:meth:`SMatrices.complex_block` of every frequency, as one stack."""
+    """The stack over frequencies k of (S_H,k(2c-1) + j S_H,k(2c)) over the
+    r_zu column groups: each maps xi to vec of the complex deviation
+    coordinates at frequency k."""
     N, r_yv, r_zu, n = len(factors.omegas), factors.r_yv, factors.r_zu, S_H.shape[1]
     B = S_H.reshape(N, r_zu, 2, r_yv, n)
     return (B[:, :, 0] + 1j * B[:, :, 1]).reshape(N, r_zu * r_yv, n)
@@ -300,8 +292,9 @@ def _complex_blocks(S_H: np.ndarray, factors: PointwiseFactors) -> np.ndarray:
 
 def s_matrices(model: DescriptorModel, theta0, freqs,
                sweep: ident.GridSweep | None = None) -> SMatrices:
-    """Build the S matrices; refuses when Gamma is not full column rank, or
-    when the admissible deviations S_H do not span q dimensions.
+    """Build the S matrices; refuses when Psi or Gamma is not full column
+    rank, when the admissible deviations S_H do not span q dimensions, and
+    (ConstructionError) when M differs from S_H^T S_H.
 
     ``sweep`` is the GridSweep of ``freqs`` at ``theta0``, checked and by
     default built by :func:`identifiability.listed_sweep`.  The parameter map
@@ -314,7 +307,17 @@ def s_matrices(model: DescriptorModel, theta0, freqs,
     that forms M, run one frequency at a time: BLAS results depend on the
     operands' layout, and a stacked sum can flip a signed zero.
     """
-    t0, w, psi_dec, bars, factors, qpairs = _context(model, theta0, freqs, sweep)
+    t0 = model.check_theta(theta0)
+    w = response.check_freqs(model, freqs)
+    psi_dec = ident.psi(model)
+    if psi_dec.V2.shape[1]:
+        raise GammaRankDeficient(
+            "Psi is rank deficient: no frequency set certifies identifiability"
+        )
+    sweep = ident.listed_sweep(model, t0, w, sweep)
+    factors = pointwise_factors(model, t0, sweep.g)
+    bars = sweep.bars()
+    qpairs = q_pair(factors)
     Gamma, Omega, kr = _block_rows(psi_dec, bars, qpairs, model.dims.m_z)
 
     # One SVD of Gamma gives its rank and its left annihilator.
@@ -385,15 +388,15 @@ class EllipsoidModel:
     """Quadratic-form description of the small-deviation parameter set.
 
     The set is ``{theta0 + S_k @ xi : xi^T M xi <= eps^2}``; the energy
-    convention is quadratic (sum of squared Frobenius deviations bounded by
-    eps^2) so the sloppiness metrics take their closed forms verbatim.
+    convention, ``EPS_CONVENTION``, is quadratic (sum of squared Frobenius
+    deviations bounded by eps^2) so the sloppiness metrics take their closed
+    forms verbatim.
     """
 
     theta0: np.ndarray
     S_k: np.ndarray
     M: np.ndarray
     eps: float
-    convention: str = EPS_CONVENTION
 
     def quad(self, xi) -> float:
         x = _checked_xi(xi, len(self.M))
@@ -430,9 +433,7 @@ class SloppinessReport:
     ``sm_abs = sqrt(mu[0])`` is the absolute sloppiness (largest parameter
     motion per unit deviation), ``sm_rel[i] = sqrt(mu[i]/mu[i+1])`` the
     relative metrics, and ``directions`` the associated unit parameter
-    directions, signed by :func:`numkit.sign_flip`.  ``inconsistent`` flags
-    infinite eigenvalues, which contradict the identifiability certificate and
-    indicate numerical trouble.
+    directions, signed by :func:`numkit.sign_flip`.
     """
 
     mu: np.ndarray
@@ -440,11 +441,6 @@ class SloppinessReport:
     sm_rel: np.ndarray
     directions: np.ndarray
     k: int
-    eps_convention: str = EPS_CONVENTION
-
-    @property
-    def inconsistent(self) -> bool:
-        return bool(np.any(np.isinf(self.mu)))
 
 
 def _check_k(S: SMatrices, k: int) -> None:
@@ -466,10 +462,10 @@ def metrics(S: SMatrices, k: int = 1) -> SloppinessReport:
         d = Sk @ vecs[:, i]
         nrm = np.linalg.norm(d)
         dirs.append(d / nrm if nrm > 0 else d)
-    directions = numkit.sign_flip(np.column_stack(dirs)) if dirs else np.zeros((Sk.shape[0], 0))
-    sm_abs = float(np.sqrt(mu[0])) if mu.size else 0.0
+    directions = numkit.sign_flip(np.column_stack(dirs))
+    sm_abs = float(np.sqrt(mu[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sm_rel = np.sqrt(mu[:-1] / mu[1:]) if mu.size > 1 else np.zeros(0)
+        sm_rel = np.sqrt(mu[:-1] / mu[1:])
     return SloppinessReport(
         mu=mu,
         sm_abs=sm_abs,

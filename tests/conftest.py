@@ -82,6 +82,16 @@ def with_blocks(sweep, changes):
     return changed
 
 
+def gamma_omega(model, theta0, freqs):
+    """The paired constraint stacks (Gamma, Omega) that :func:`sloppiness.s_matrices`
+    assembles over ``freqs`` at ``theta0``, whether or not Gamma has full column rank."""
+    t0 = model.check_theta(theta0)
+    sweep = ident.listed_sweep(model, t0, response.check_freqs(model, freqs))
+    factors = sloppiness.pointwise_factors(model, t0, sweep.g)
+    return sloppiness._block_rows(ident.psi(model), sweep.bars(), sloppiness.q_pair(factors),
+                                  model.dims.m_z)[:2]
+
+
 def model_pool(n, start=0):
     """Deterministic mixed pool of regular well-posed models."""
     kinds = [

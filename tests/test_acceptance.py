@@ -292,7 +292,7 @@ def test_criterion_9_spectral_membership_consistency():
                 sig_direct = []
                 f = S.factors
                 for k in range(len(w)):
-                    coords = S.complex_block(k) @ xi
+                    coords = slop._complex_blocks(S.S_H, S.factors)[k] @ xi
                     D = coords.reshape((f.r_yv, f.r_zu), order="F")
                     full = f.U_yv1[k] @ D @ f.V_zu1[k].T
                     sig_direct.append(np.linalg.svd(full, compute_uv=False)[0] if full.size else 0.0)

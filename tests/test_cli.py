@@ -289,6 +289,52 @@ def test_huge_theta_outside_domain_warns_nothing(argv, siso1_path, capsys):
     assert err.startswith("error: ") and "parameter domain" in err
 
 
+@pytest.mark.parametrize("argv", [["ident"], ["sloppiness", "--eps", "1e-3"], ["oracle"]])
+def test_huge_frequency_floor_overflow_certifies_nothing(argv, tmp_path, capsys):
+    # At omega = 1e308, |lambda| ||E||_F = 2e308 overflows the pole guard's
+    # largest floor on kr-00.  An infinite floor certifies nothing, so the
+    # exact SVD keeps the pencil, and the report is that of omega = 1e300,
+    # where G is already at its limit D.
+    p = tmp_path / "kr00.json"
+    model_mod.save_model(testing.random_regular_model(0, kernel_rich=True), p)
+    results = []
+    for w in ("1e300", "1e308"):
+        code, out, err = run([*argv, "--model", str(p), "--theta0", "0,0", "--freqs", w], capsys)
+        assert code == 0, err
+        results.append(parse(out)["result"])
+    low, high = results
+    if "verdict" in high:
+        assert high["verdict"]["status"] == low["verdict"]["status"] == "identifiable"
+    if "mu" in high:
+        assert high["mu"] == pytest.approx(low["mu"], rel=1e-9)
+
+
+def test_huge_grid_pencil_bound_overflow_certifies_nothing(tmp_path, capsys):
+    # At the grid's 1.7e308, the pencil bound's (lambda - s) theta_i
+    # overflows on kr-00: a non-finite bound certifies nothing, and the
+    # search still certifies the grid's first point.
+    p = tmp_path / "kr00.json"
+    model_mod.save_model(testing.random_regular_model(0, kernel_rich=True), p)
+    code, out, err = run(["find-freqs", "--model", str(p), "--theta0", "0,0", "--grid-min",
+                          "1e300", "--grid-max", "1.7e308", "--grid-points", "3"], capsys)
+    assert code == 0, err
+    result = parse(out)["result"]
+    assert result["verdict"]["status"] == "identifiable"
+    assert result["plan"]["selected"] == [1e300]
+    assert result["grid"] == {"points_used": 3, "points_guarded_out": 0}
+
+
+@pytest.mark.parametrize("freq", ["1e40", "1e308"])
+def test_sloppiness_at_a_vanishing_response_exit_3(freq, siso1_path, capsys):
+    # siso1's G blocks are -j / omega: the deviation factors grow as omega
+    # and their products, squared in the metrics, would overflow.  The
+    # frequency is refused by name.
+    code, _, err = run(["sloppiness", "--model", str(siso1_path), "--theta0", "0",
+                        "--freqs", freq, "--eps", "1e-3"], capsys)
+    assert code == cli.EXIT_ASSUMPTION
+    assert f"at omega={float(freq)}; pick another frequency" in err
+
+
 def test_huge_grid_usage_error_before_allocating(siso1_path, capsys, monkeypatch):
     def spy(*args, **kwargs):
         raise AssertionError("an oversized grid reached its allocation")
@@ -488,30 +534,19 @@ def test_output_file_and_digest(siso1_path, tmp_path, capsys):
 
 
 def test_exit_4_on_internal_inconsistency(siso1_path, capsys, monkeypatch):
-    # An infinite sloppiness eigenvalue on a certified set contradicts the
-    # identifiability certificate: the CLI must flag itself, not report it.
+    # An energy Gram matrix that disagrees with S_H^T S_H means the factor
+    # bookkeeping is off: the CLI must flag itself, not report it.
     from lftident import sloppiness as slop
-    import lftident.cli as cli_mod
 
-    orig = slop.metrics
-
-    def fake_metrics(S, k=1):
-        real = orig(S, k=k)
-        mu = real.mu.copy()
-        mu[0] = np.inf
-        return slop.SloppinessReport(
-            mu=mu, sm_abs=real.sm_abs, sm_rel=real.sm_rel,
-            directions=real.directions, k=real.k,
-        )
-
-    monkeypatch.setattr(cli_mod.sloppiness, "metrics", fake_metrics)
+    orig = slop._complex_blocks
+    monkeypatch.setattr(slop, "_complex_blocks", lambda S_H, factors: 2.0 * orig(S_H, factors))
     code, _, err = run(
         ["sloppiness", "--model", str(siso1_path), "--theta0", "0",
          "--freqs", "0,1", "--eps", "1e-3"],
         capsys,
     )
     assert code == cli.EXIT_INCONSISTENT
-    assert "inconsisten" in err
+    assert "internal inconsistency: energy Gram matrix disagrees with S_H^T S_H" in err
 
 
 def test_timing_flag_populates(siso1_path, capsys):

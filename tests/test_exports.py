@@ -12,13 +12,12 @@ MODULES = ["lftident"] + [f"lftident.{m.name}" for m in pkgutil.iter_modules(lft
 SRC = Path(lftident.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
-# Public names that nothing under src/lftident references, each with the
-# reason it stays public.  Every other public name must have a caller there.
+# Public names, and public methods and properties of public classes, that
+# nothing under src/lftident references, each with the reason it stays
+# public.  Every other one must have a caller there.
 UNREFERENCED_OK = {
     "lftident.model.save_model":
         "the canonical model writer: the benchmark and the tests write model files with it",
-    "lftident.sloppiness.gamma_omega":
-        "the documented Gamma/Omega stacks, which take the same checked sweep as s_matrices",
     "lftident.sloppiness.spectral_membership":
         "the documented per-frequency spectral-norm membership predicate",
     "lftident.oracle.ellipsoid_empirical_check":
@@ -71,20 +70,38 @@ def _references(tree: ast.Module) -> list[tuple[str, int]]:
     return out
 
 
+def _members(cls: ast.ClassDef):
+    """``(name, node)`` of each public method and property a class body defines."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names = [item.name]
+        elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Call)
+              and getattr(item.value.func, "id", None) == "property"):
+            names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((n, item) for n in names if not n.startswith("_"))
+
+
 def _unreferenced(name: str) -> list[str]:
-    """The __all__ names of module ``name`` that no code under src/lftident
-    references outside the statement that defines them."""
+    """The __all__ names of module ``name``, and the public methods and
+    properties of its public classes, that no code under src/lftident
+    references outside the statement that defines them.  A member counts as
+    referenced by any attribute of its name."""
     mod = importlib.import_module(name)
     trees = {p: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     own = Path(mod.__file__)
     spans = _bindings(trees[own])
-    out = []
-    for n in getattr(mod, "__all__", ()):
-        lo, hi = spans.get(n, (0, -1))
-        if not any(ref == n and not (path == own and lo <= line <= hi)
-                   for path, tree in trees.items() for ref, line in _references(tree)):
-            out.append(f"{name}.{n}")
-    return out
+    public = getattr(mod, "__all__", ())
+    defined = {f"{name}.{n}": (n, *spans.get(n, (0, -1))) for n in public}
+    for node in trees[own].body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            defined.update((f"{name}.{node.name}.{n}", (n, item.lineno, item.end_lineno))
+                           for n, item in _members(node))
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    return [qual for qual, (n, lo, hi) in defined.items()
+            if not any(ref == n and not (path == own and lo <= line <= hi)
+                       for path, found in refs.items() for ref, line in found)]
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "lftident.testing"])
@@ -92,7 +109,8 @@ def test_public_names_have_a_caller_in_src(name):
     # A public helper that only tests call belongs in the tests; an
     # allowlisted name that gains a caller leaves the allowlist.
     unreferenced = _unreferenced(name)
-    allowed = sorted(n for n in UNREFERENCED_OK if n.rsplit(".", 1)[0] == name)
+    allowed = sorted(n for n in UNREFERENCED_OK
+                     if max((m for m in MODULES if n.startswith(f"{m}.")), key=len) == name)
     assert sorted(unreferenced) == allowed
 
 

@@ -63,6 +63,15 @@ class TestDefaultGrid:
             with pytest.raises(InvalidInput, match=rf"1 to {freqplan.MAX_GRID_POINTS} points"):
                 freqplan.default_grid(m, n_points=n)
 
+    def test_grid_up_to_the_float_maximum_warns_nothing(self):
+        # geomspace's 10**log10(w_max) overflows at the float maximum; numpy
+        # sets the end points exactly, so no grid point is inf.
+        m = testing.random_regular_model(0, kernel_rich=True)
+        top = float(np.finfo(float).max)
+        g = freqplan.default_grid(m, n_points=5, w_min=1e300, w_max=top)
+        assert g.points[0] == 1e300 and g.points[-1] == top
+        assert np.all(np.isfinite(g.points)) and g.n_guarded == 0
+
     def test_imaginary_axis_pole_excluded(self):
         # Oscillator with poles at +- j w*: the grid must drop the hit point.
         w_star = float(np.geomspace(1e-2, 1e2, 200)[120])

@@ -139,11 +139,36 @@ def test_domain_contains():
     # Ball semantics: sum of squares strictly below the radius.
     dom = ParameterDomain(radius=0.5)
     assert dom.contains([0.0])
-    assert dom.contains([0.7])       # 0.49 < 0.5
+    assert dom.contains([0.7]) and dom.contains(0.7)  # 0.49 < 0.5
     assert not dom.contains([0.71])  # 0.5041 >= 0.5
     box = ParameterDomain(radius=0.5, norm="box")
     assert box.contains([0.4, -0.4])
     assert not box.contains([0.6, 0.0])
+
+
+@pytest.mark.parametrize("norm", ["ball", "box"])
+@pytest.mark.parametrize("seed", range(4))
+def test_domain_contains_a_stack_as_each_theta(norm, seed):
+    # Random thetas, each scaled onto the boundary and moved one nextafter
+    # step in or out per entry, plus entries whose squares overflow: the
+    # stacked answer is each theta's own.
+    rng = np.random.default_rng(seed)
+    dom = ParameterDomain(radius=float(rng.uniform(0.1, 4.0)), norm=norm)
+    q = int(rng.integers(1, 6))
+    u = rng.standard_normal((40, q))
+    if norm == "ball":
+        edge = np.sqrt(dom.radius) * u / np.linalg.norm(u, axis=1)[:, None]
+    else:
+        edge = dom.radius * u / np.abs(u).max(axis=1)[:, None]
+    T = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge),
+                        0.5 * edge, np.full((2, q), 1e200)])
+    rng.shuffle(T)
+    stacked = dom.contains(T)
+    each = [dom.contains(t) for t in T]
+    assert stacked.dtype == bool and stacked.tolist() == each
+    assert dom.contains(T[:80].reshape(40, 2, q)).tolist() == np.reshape(each[:80], (40, 2)).tolist()
+    assert 0 < sum(each) < len(T)
+    assert dom.contains(T[:0]).shape == (0,)
 
 
 def test_assembled_matches_formula(siso1):

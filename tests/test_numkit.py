@@ -66,9 +66,9 @@ class TestSvdFull:
 class TestRankAndNull:
     def test_rank_gap(self):
         d = numkit.rank_of(np.diag([3.0, 1.0, 0.0]))
-        assert d.rank == 2
-        above, below = d.gap
-        assert above == 1.0 and below == 0.0
+        # The singular values bracketing the cut are the decision's margins.
+        assert d.rank == 2 and d.tol > 0.0
+        assert d.singular_values[d.rank - 1] == 1.0 and d.singular_values[d.rank] == 0.0
 
     def test_right_null_symmetric(self):
         N = numkit.right_null_basis(np.array([[1.0, 1.0]]))
@@ -450,16 +450,21 @@ class TestPencil:
         mu, _ = numkit.gen_eig_psd_pencil_pairs(np.diag([1.0, 0.0]), np.eye(2))
         assert np.allclose(mu, [1.0, 0.0])
 
-    def test_infinite_sentinel(self):
-        mu, _ = numkit.gen_eig_psd_pencil_pairs(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
-        assert mu[0] == math.inf
-        assert np.allclose(mu[1:], [1.0])
+    def test_m_null_direction_refused(self):
+        # An M-null direction where S is positive would be infinitely sloppy.
+        with pytest.raises(InvalidInput, match="M must be positive definite"):
+            numkit.gen_eig_psd_pencil_pairs(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
 
-    def test_joint_null_excluded(self):
-        S = np.diag([2.0, 0.0])
-        M = np.diag([1.0, 0.0])
-        mu, _ = numkit.gen_eig_psd_pencil_pairs(S, M)
-        assert np.allclose(mu, [2.0])
+    def test_joint_null_direction_refused(self):
+        # A direction null in both S and M carries no information, and M is singular.
+        with pytest.raises(InvalidInput, match="M must be positive definite"):
+            numkit.gen_eig_psd_pencil_pairs(np.diag([2.0, 0.0]), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("M", [np.diag([1.0, -1.0]), np.diag([1.0, 1e-13]), np.zeros((2, 2)),
+                                   -np.eye(2)], ids=["indefinite", "below-cut", "zero", "negative"])
+    def test_m_not_positive_definite_refused(self, M):
+        with pytest.raises(InvalidInput, match="M must be positive definite"):
+            numkit.gen_eig_psd_pencil_pairs(np.eye(2), M)
 
     def test_huge_spread_not_truncated(self):
         # A direction that is tiny next to the dominant one is still real.
@@ -505,8 +510,10 @@ class TestPencil:
     def test_matches_generalized_reference(self, seed):
         # In a random orthonormal basis: maybe a joint null direction, maybe an
         # infinite one (M-null, S-positive, coupled to the rest), and a finite
-        # block whose pencil (S_eff, diag(lam_p)) spans 1e12.  scipy's
-        # generalized eigh of that block is the reference.
+        # block whose pencil (S_eff, diag(lam_p)) spans 1e12.  An M-null
+        # direction is refused.  The finite block alone, in a random
+        # orthonormal basis of its own, is compared with scipy's generalized
+        # eigh of (S_eff, diag(lam_p)).
         rng = np.random.default_rng(seed)
         n_fin = int(rng.integers(2, 5))
         n_joint, n_inf = (int(k) for k in rng.integers(0, 2, size=2))
@@ -523,14 +530,19 @@ class TestPencil:
         U = np.linalg.qr(rng.standard_normal((n, n)))[0]
         S = U @ C @ U.T
         M = U @ np.diag(np.r_[np.zeros(n - n_fin), lam_p]) @ U.T
+        if n > n_fin:
+            with pytest.raises(InvalidInput, match="M must be positive definite"):
+                numkit.gen_eig_psd_pencil_pairs(S, M)
+            n = n_fin
+            U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            S, M = U @ S_eff @ U.T, U @ np.diag(lam_p) @ U.T
 
         mu, Y = numkit.gen_eig_psd_pencil_pairs(S, M)
-        assert mu.size == n_inf + n_fin and np.isinf(mu[:n_inf]).all()
+        assert mu.size == n_fin and np.isfinite(mu).all()
         ref = scipy.linalg.eigh(S_eff, np.diag(lam_p), eigvals_only=True)[::-1]
-        assert np.max(np.abs(mu[n_inf:] - ref)) <= 4 * n * EPS * mu[n_inf]
-        Yf = Y[:, n_inf:]
+        assert np.max(np.abs(mu - ref)) <= 4 * n * EPS * mu[0]
         cond = lam_p.max() / lam_p.min()
-        assert np.max(np.abs(Yf.T @ M @ Yf - np.eye(n_fin))) <= 4 * n * EPS * cond
+        assert np.max(np.abs(Y.T @ M @ Y - np.eye(n_fin))) <= 4 * n * EPS * cond
 
 
 class TestSignFlip:

@@ -729,6 +729,17 @@ class TestSweep:
         assert [str(e) for e in grid.guarded] == [str(e) for e in listed.guarded]
         self.assert_matches_svd_everything(m, omegas)
 
+    def test_non_finite_pencil_bound_certifies_nothing(self):
+        # At lambda = 1.7e308 j, (lambda - s) theta_i overflows: the bound is
+        # 0, and no overflow warning escapes.  The finite bounds beside it are
+        # those of each lambda alone.
+        m = testing.random_regular_model(0, kernel_rich=True)
+        lams = np.array([1j, 1.7e308j, 1e300j])
+        b = m.pencil_bound(lams)
+        assert b[1] == 0.0
+        assert [b[0], b[2]] == [m.pencil_bound(lams[i:i + 1])[0] for i in (0, 2)]
+        assert 0.0 < b[0] and 0.0 < b[2]
+
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize("dims", sorted(FIXTURE_DIMS))
     def test_b_only_solve_is_bitwise_the_b_columns(self, dims, kind):

@@ -11,7 +11,7 @@ from lftident import numkit, oracle, response, sloppiness as slop, testing
 from lftident.errors import ConstructionError, GammaRankDeficient, InvalidInput, RankDrop
 from lftident.model import DescriptorModel, Dims, ParameterDomain
 
-from conftest import REPORTS_FIXTURES, point_views, rotate_factors
+from conftest import REPORTS_FIXTURES, gamma_omega, point_views, rotate_factors
 
 
 def two_channel(gain2=10.0):
@@ -287,7 +287,7 @@ class TestQPair:
 class TestGammaOmega:
     def test_single_frequency_shapes(self):
         m, t0, w = certified_fixture(8)
-        G, O = slop.gamma_omega(m, t0, [w[0]])
+        G, O = gamma_omega(m, t0, [w[0]])
         g = response.g_blocks(m, w[0])
         [p] = point_views(ident.pi_at(m, t0, g))
         f = slop.pointwise_factors(m, t0, g)
@@ -299,7 +299,7 @@ class TestGammaOmega:
 
     def test_column_counts(self):
         m, t0, w = certified_fixture(22)
-        G, O = slop.gamma_omega(m, t0, w)
+        G, O = gamma_omega(m, t0, w)
         g = response.g_blocks(m, w[0])
         c = point_views(ident.pi_at(m, t0, g))[0].kernel_dim
         r_yv = slop.pointwise_factors(m, t0, g).r_yv
@@ -313,7 +313,7 @@ class TestGammaOmega:
         t0 = np.zeros(m.dims.q)
         freqs = [0.19, 1.7]
         v = ident.upsilon_test(m, t0, freqs)
-        G, _ = slop.gamma_omega(m, t0, freqs)
+        G, _ = gamma_omega(m, t0, freqs)
         fcr = numkit.rank_of(G, rtol=ident.DECISION_RTOL, scale_floor=1.0).rank == G.shape[1]
         if v.status == ident.IDENTIFIABLE:
             assert fcr
@@ -322,7 +322,7 @@ class TestGammaOmega:
 
     def test_psi_deficient_refused(self, dup2):
         with pytest.raises(GammaRankDeficient):
-            slop.gamma_omega(dup2, [0.0, 0.0], [1.0])
+            slop.s_matrices(dup2, [0.0, 0.0], [1.0])
 
 
 class TestSMatrices:
@@ -354,10 +354,10 @@ class TestSMatrices:
         xi = rng.standard_normal(S.n_s)
         for k in range(len(w)):
             # S_tilde applies orthonormal-column factors: norms must match.
-            coords = S.complex_block(k) @ xi
+            coords = slop._complex_blocks(S.S_H, S.factors)[k] @ xi
             assert abs(np.linalg.norm(S.S_tilde[k] @ xi) - np.linalg.norm(coords)) < 1e-10
 
-    @pytest.mark.parametrize("op", [ident.upsilon_test, slop.gamma_omega, slop.s_matrices])
+    @pytest.mark.parametrize("op", [ident.upsilon_test, slop.s_matrices])
     @pytest.mark.parametrize("built", ["other-freqs", "other-order", "other-theta0"])
     def test_sweep_built_elsewhere_rejected(self, built, op):
         # kr-22 at its stored frequencies.  Factors built at theta0 = 0.1 * 1
@@ -444,6 +444,22 @@ class TestMetrics:
             slop.metrics(S, k=k)
         with pytest.raises(InvalidInput, match="k must be an integer in 1..1"):
             slop.frobenius_ellipsoid(S, 1e-3, k=k)
+
+    @pytest.mark.parametrize("name", sorted(REPORTS_FIXTURES))
+    def test_pencil_equals_sensitivity_spectrum(self, name):
+        # The two sloppiness routes: the pencil (S_k^T S_k, M) of the
+        # certified S matrices, and 1/sigma^2 of the first-order response map
+        # J at the same points.  Each mu agrees to c cond(J)^2 eps mu, c = 32.
+        # The largest measured ratio to cond(J)^2 eps mu is 5.0, on siso1 with
+        # cond(J) = 1; on d12-01, with cond(J) = 2.8e4, it is 0.91.
+        make, w = REPORTS_FIXTURES[name]
+        m = make()
+        t0 = np.zeros(m.dims.q)
+        mu = slop.metrics(slop.s_matrices(m, t0, w)).mu
+        J = ident.sensitivity_stack(m, ident.listed_sweep(m, t0, list(w)), list(range(len(w))))
+        sig = np.linalg.svd(J, compute_uv=False)
+        bound = 32 * (sig[0] / sig[-1]) ** 2 * np.finfo(float).eps * mu
+        assert np.all(np.abs(mu - 1.0 / sig[::-1] ** 2) <= bound)
 
     def test_unitary_factor_invariance(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -569,7 +585,7 @@ class TestSpectralMembership:
             f = S.factors
             assert sig.shape == (len(w),)
             for k in range(len(w)):
-                coords = S.complex_block(k) @ xi
+                coords = slop._complex_blocks(S.S_H, S.factors)[k] @ xi
                 D = numkit.unvec(coords, f.r_yv, f.r_zu)
                 direct = np.linalg.svd(f.U_yv1[k] @ D @ f.V_zu1[k].T, compute_uv=False)[0]
                 assert abs(direct - sig[k]) <= 1e-12 * max(1.0, direct)
